@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-smoke throughput scaling stats multiproc multiproc-smoke obs-smoke chaos-smoke chaos latency verify-smoke verify policy-smoke policies forensics-smoke forensics hqd-smoke hqd
+.PHONY: all build test race vet check loc bench bench-smoke throughput scaling stats multiproc multiproc-smoke obs-smoke chaos-smoke chaos latency verify-smoke verify policy-smoke policies forensics-smoke forensics hqd-smoke hqd
 
 all: check
 
@@ -17,9 +17,12 @@ vet:
 	$(GO) vet ./...
 
 # check is the CI gate: vet, build, the full test suite under the race
-# detector, a smoke run of the telemetry experiment end-to-end, and the
+# detector, a smoke run of the telemetry experiment end-to-end, the
 # multi-process supervisor smoke (racy concurrent launches + one small
-# multiproc scaling measurement).
+# multiproc scaling measurement), the per-subsystem smokes, ten seconds of
+# fuzzing on the frame decoder that feeds the verifier's arena, the quick
+# end-to-end benchmark (all four workloads, every correctness check), and
+# the non-test line count. It leaves `git status` clean.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -33,6 +36,15 @@ check:
 	$(MAKE) verify-smoke
 	$(MAKE) hqd-smoke
 	$(MAKE) bench-smoke
+	$(GO) test -run xxx -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/ipc
+	$(GO) run ./bench -quick
+	$(MAKE) loc
+
+# loc prints the non-test Go lines outside bench/ — the per-PR size trend
+# ROADMAP "One of each" tracks (27 040 before the receive paths were merged).
+loc:
+	@printf 'non-test Go lines outside bench/: '
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 
 # multiproc-smoke re-runs the concurrent-supervisor tests under the race
 # detector and takes one small-N multiproc scaling measurement.
@@ -127,11 +139,12 @@ bench:
 
 # bench-smoke keeps the hot path honest in CI: a short run of the verifier
 # throughput benchmarks (catching gross regressions and alloc creep via
-# -benchmem) plus a quick shard-scaling ladder, whose JSON lands in
-# BENCH_scaling.json for comparison against the committed full run.
+# -benchmem) plus a quick shard-scaling ladder. It writes no file: the
+# committed BENCH_scaling.json is the full run and only `make scaling`
+# replaces it.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem .
-	$(GO) run ./cmd/hqbench -exp scaling -quick -out BENCH_scaling.json >/dev/null
+	$(GO) run ./cmd/hqbench -exp scaling -quick >/dev/null
 
 throughput:
 	$(GO) run ./cmd/hqbench -exp throughput

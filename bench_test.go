@@ -36,7 +36,7 @@ func benchmarkChannelSend(b *testing.B, ch *ipc.Channel) {
 	b.Helper()
 	go func() {
 		for {
-			if _, ok, err := ch.Receiver.Recv(); !ok || err != nil {
+			if _, ok, err := ipc.RecvOne(ch.Receiver); !ok || err != nil {
 				return
 			}
 		}
@@ -352,7 +352,9 @@ func benchVerifierDrain(b *testing.B, procs, shards int, scalar bool) {
 		r.Rewind()
 		b.StartTimer()
 		if scalar {
-			v.PumpScalar(r)
+			for m, ok, _ := ipc.RecvOne(r); ok; m, ok, _ = ipc.RecvOne(r) {
+				v.Deliver(m)
+			}
 		} else {
 			v.Pump(r)
 		}
@@ -367,9 +369,9 @@ func BenchmarkVerifierThroughput_4Procs(b *testing.B)  { benchVerifierDrain(b, 4
 func BenchmarkVerifierThroughput_16Procs(b *testing.B) { benchVerifierDrain(b, 16, 0, false) }
 
 // BenchmarkVerifierThroughput_Ring drives the pump from a live SharedRing
-// producer instead of a prerecorded replay, so it exercises the concrete
-// *ipc.SharedRing fast-path drain (devirtualized RecvBatch + the ring's
-// wrap-around bulk copy) with real producer/consumer contention. The ring
+// producer instead of a prerecorded replay, so it exercises the ring's
+// RecvBatch (wrap-around bulk copy, empty-ring backoff) with real
+// producer/consumer contention. The ring
 // assigns its own consecutive sequence numbers on Send, so a single producer
 // process keeps CheckSeq satisfied.
 func BenchmarkVerifierThroughput_Ring(b *testing.B) {
@@ -398,8 +400,8 @@ func BenchmarkVerifierThroughput_Ring(b *testing.B) {
 	b.ReportMetric(float64(messages)*float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 }
 
-// BenchmarkVerifierDrain pits the scalar pump (one Recv + one Deliver per
-// message, the pre-sharding design) against the batch pipeline on the same
+// BenchmarkVerifierDrain pits the scalar loop (a one-slot RecvBatch + one
+// Deliver per message, the pre-sharding design) against the batch pipeline on the same
 // multi-process stream; the msgs/sec ratio is the batching speedup.
 func BenchmarkVerifierDrain(b *testing.B) {
 	for _, procs := range []int{1, 4, 16} {

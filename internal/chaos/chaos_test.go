@@ -24,7 +24,7 @@ func drainAll(t *testing.T, r ipc.Receiver) []ipc.Message {
 	var got []ipc.Message
 	buf := make([]ipc.Message, 16)
 	for {
-		n, ok, err := ipc.RecvBatchFrom(r, buf)
+		n, ok, err := r.RecvBatch(buf)
 		got = append(got, buf[:n]...)
 		if err != nil {
 			if ipc.IsTransient(err) {
@@ -172,7 +172,7 @@ func TestTransientRecvErrorsAreTransient(t *testing.T) {
 	buf := make([]ipc.Message, 8)
 	total, errs := 0, 0
 	for {
-		n, ok, err := ipc.RecvBatchFrom(r, buf)
+		n, ok, err := r.RecvBatch(buf)
 		total += n
 		if err != nil {
 			if !ipc.IsTransient(err) {
@@ -254,7 +254,7 @@ func TestDeterministicSchedule(t *testing.T) {
 			r := inj.Receiver(ipc.NewReplay(stream(int32(i+1), 700)))
 			buf := make([]ipc.Message, bufSize)
 			for {
-				_, ok, err := ipc.RecvBatchFrom(r, buf)
+				_, ok, err := r.RecvBatch(buf)
 				if err != nil && !ipc.IsTransient(err) {
 					t.Fatalf("terminal error: %v", err)
 				}

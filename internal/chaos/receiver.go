@@ -30,7 +30,7 @@ type faultReceiver struct {
 	stream uint64
 
 	idx     uint64 // source messages consumed from r
-	calls   uint64 // RecvBatch/Recv calls made by the consumer
+	calls   uint64 // RecvBatch calls made by the consumer
 	pending []ipc.Message
 	held    []heldMsg
 	buf     []ipc.Message
@@ -38,24 +38,9 @@ type faultReceiver struct {
 	srcErr  error // terminal error from r, delivered once after pending drains
 }
 
-// Receiver wraps r with the injector's consumer-side faults. The wrapper
-// implements BatchReceiver; scalar Recv is served from the same faulted
-// stream.
+// Receiver wraps r with the injector's consumer-side faults.
 func (inj *Injector) Receiver(r ipc.Receiver) ipc.Receiver {
 	return &faultReceiver{inj: inj, r: r, stream: inj.streams.Add(1)}
-}
-
-func (fr *faultReceiver) Recv() (ipc.Message, bool, error) {
-	var one [1]ipc.Message
-	n, ok, err := fr.RecvBatch(one[:])
-	if n == 0 {
-		// n==0 carries either an injected transient receive error (ok is
-		// true, the stream continues — err tells the caller to retry) or
-		// closed-and-drained / the source's terminal error. Either way the
-		// error, not ok, is what the consumer must act on first.
-		return ipc.Message{}, ok && err != nil, err
-	}
-	return one[0], true, err
 }
 
 // exhausted reports whether the faulted stream has nothing left to deliver.
@@ -63,7 +48,7 @@ func (fr *faultReceiver) exhausted() bool {
 	return fr.srcDone && len(fr.pending) == 0 && len(fr.held) == 0
 }
 
-// RecvBatch implements ipc.BatchReceiver over the faulted stream.
+// RecvBatch implements ipc.Receiver over the faulted stream.
 func (fr *faultReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 	if len(out) == 0 {
 		return 0, true, nil
@@ -112,7 +97,7 @@ func (fr *faultReceiver) pull(want int) {
 		}
 		fr.buf = make([]ipc.Message, want)
 	}
-	n, ok, err := ipc.RecvBatchFrom(fr.r, fr.buf)
+	n, ok, err := fr.r.RecvBatch(fr.buf)
 	inj := fr.inj
 	cfg := &inj.cfg
 	for _, m := range fr.buf[:n] {
@@ -145,7 +130,7 @@ func (fr *faultReceiver) pull(want int) {
 	}
 	if err != nil {
 		// Messages alongside the error were processed above (the
-		// BatchReceiver contract says they are valid); the error itself is
+		// Receiver contract says they are valid); the error itself is
 		// terminal for the source, so flush held messages and surface it
 		// once pending drains.
 		fr.srcErr = err
@@ -209,7 +194,6 @@ func (fr *faultReceiver) Pending() int {
 }
 
 var (
-	_ ipc.Receiver      = (*faultReceiver)(nil)
-	_ ipc.BatchReceiver = (*faultReceiver)(nil)
-	_ ipc.Pender        = (*faultReceiver)(nil)
+	_ ipc.Receiver = (*faultReceiver)(nil)
+	_ ipc.Pender   = (*faultReceiver)(nil)
 )

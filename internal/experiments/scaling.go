@@ -59,7 +59,7 @@ const scalingProcs = 8
 // single Pump — an upper bound free of producer cost. The ring backend runs
 // one live SharedRing producer per process into a PumpSet — the production
 // shape, where producers compete with the verifier for cores and each ring
-// gets the devirtualized drain loop.
+// gets its own drain loop.
 func Scaling(messages, reps int) ScalingReport {
 	if messages <= 0 {
 		messages = 1 << 20

@@ -94,7 +94,7 @@ func measureSend(ch *ipc.Channel, n int) float64 {
 	go func() {
 		defer close(done)
 		for {
-			if _, ok, err := ch.Receiver.Recv(); !ok || err != nil {
+			if _, ok, err := ipc.RecvOne(ch.Receiver); !ok || err != nil {
 				return
 			}
 		}

@@ -12,9 +12,9 @@ import (
 )
 
 // ThroughputRow is one measurement of the verifier drain rate: a message
-// stream from Procs monitored processes drained by either the scalar pump
-// (one Recv + one Deliver per message, the pre-sharding design) or the
-// sharded batch pipeline.
+// stream from Procs monitored processes drained by either the scalar
+// reference loop (a one-slot RecvBatch + one Deliver per message, the
+// pre-sharding design) or the sharded batch pipeline.
 type ThroughputRow struct {
 	Procs      int
 	Mode       string // "scalar" or "sharded-batch"
@@ -91,13 +91,13 @@ func Throughput(messages int, procCounts []int, shards, batch int) []ThroughputR
 		}
 
 		r := ipc.NewReplay(stream)
-		best := func(pump func(v *verifier.Verifier)) (time.Duration, *verifier.Verifier) {
+		best := func(nshards int, pump func(v *verifier.Verifier)) (time.Duration, *verifier.Verifier) {
 			var minElapsed time.Duration
 			var last *verifier.Verifier
 			for rep := 0; rep < throughputReps; rep++ {
 				// Fresh verifier per rep: policy state grows with the
 				// stream, and reusing it would make later reps cheaper.
-				v := mk(shards)
+				v := mk(nshards)
 				r.Rewind()
 				start := time.Now()
 				pump(v)
@@ -110,21 +110,14 @@ func Throughput(messages int, procCounts []int, shards, batch int) []ThroughputR
 			return minElapsed, last
 		}
 
-		// Scalar baseline: single shard, per-message Recv+Deliver.
-		bestScalar := func() time.Duration {
-			var minElapsed time.Duration
-			for rep := 0; rep < throughputReps; rep++ {
-				v := mk(1)
-				r.Rewind()
-				start := time.Now()
-				v.PumpScalar(r)
-				elapsed := time.Since(start)
-				if rep == 0 || elapsed < minElapsed {
-					minElapsed = elapsed
-				}
+		// Scalar baseline: single shard, one one-slot RecvBatch and one
+		// Deliver per message, no pipeline (the loop the verifier's test
+		// oracle keeps as its reference).
+		bestScalar, _ := best(1, func(v *verifier.Verifier) {
+			for m, ok, _ := ipc.RecvOne(r); ok; m, ok, _ = ipc.RecvOne(r) {
+				v.Deliver(m)
 			}
-			return minElapsed
-		}()
+		})
 		rows = append(rows, ThroughputRow{
 			Procs: procs, Mode: "scalar", Shards: 1, Batch: 1,
 			Messages: messages, Elapsed: bestScalar,
@@ -132,7 +125,7 @@ func Throughput(messages int, procCounts []int, shards, batch int) []ThroughputR
 		})
 
 		// Sharded batch pipeline.
-		elapsed, vb := best(func(v *verifier.Verifier) { v.Pump(r) })
+		elapsed, vb := best(shards, func(v *verifier.Verifier) { v.Pump(r) })
 		b := vb.BatchSize
 		if b == 0 {
 			b = verifier.DefaultBatchSize

@@ -160,40 +160,7 @@ type receiver struct {
 	lastSeq uint64
 }
 
-// Recv implements ipc.Receiver.
-func (r *receiver) Recv() (ipc.Message, bool, error) {
-	d := r.dev
-	d.mu.Lock()
-	for d.tail == d.head && !d.closed {
-		d.cond.Wait()
-	}
-	if d.tail == d.head {
-		d.mu.Unlock()
-		return ipc.Message{}, false, nil
-	}
-	m := d.buf[d.tail%uint64(len(d.buf))]
-	d.tail++
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	return r.verify(m)
-}
-
-// TryRecv implements ipc.TryReceiver.
-func (r *receiver) TryRecv() (ipc.Message, bool, error) {
-	d := r.dev
-	d.mu.Lock()
-	if d.tail == d.head {
-		d.mu.Unlock()
-		return ipc.Message{}, false, nil
-	}
-	m := d.buf[d.tail%uint64(len(d.buf))]
-	d.tail++
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	return r.verify(m)
-}
-
-// RecvBatch implements ipc.BatchReceiver: the whole pending window of the
+// RecvBatch implements ipc.Receiver: the whole pending window of the
 // circular buffer is copied out under one lock round, then counter-verified
 // outside the lock, so the AFU is never stalled by per-message verifier work.
 func (r *receiver) RecvBatch(out []ipc.Message) (int, bool, error) {
@@ -221,6 +188,10 @@ func (r *receiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 	d.mu.Unlock()
 	for i := 0; i < n; i++ {
 		if out[i].Seq != r.lastSeq+1 {
+			// A non-consecutive counter means the AFU dropped messages; the
+			// monitored program must be terminated (§3.1.1). The PID field
+			// is AFU-stamped (kernel-managed register), so the error can be
+			// attributed to the responsible process.
 			return i, false, &ipc.ProcessError{PID: out[i].PID, Err: ipc.ErrIntegrity}
 		}
 		r.lastSeq = out[i].Seq
@@ -236,24 +207,10 @@ func (r *receiver) Pending() int {
 	return int(r.dev.head - r.dev.tail)
 }
 
-func (r *receiver) verify(m ipc.Message) (ipc.Message, bool, error) {
-	if m.Seq != r.lastSeq+1 {
-		// A non-consecutive counter means the AFU dropped messages; the
-		// monitored program must be terminated (§3.1.1). The PID field is
-		// AFU-stamped (kernel-managed register), so the error can be
-		// attributed to the responsible process.
-		return m, false, &ipc.ProcessError{PID: m.PID, Err: ipc.ErrIntegrity}
-	}
-	r.lastSeq = m.Seq
-	return m, true, nil
-}
-
 var (
-	_ ipc.PIDRegister   = (*sender)(nil)
-	_ ipc.Receiver      = (*receiver)(nil)
-	_ ipc.TryReceiver   = (*receiver)(nil)
-	_ ipc.BatchReceiver = (*receiver)(nil)
-	_ ipc.Pender        = (*receiver)(nil)
+	_ ipc.PIDRegister = (*sender)(nil)
+	_ ipc.Receiver    = (*receiver)(nil)
+	_ ipc.Pender      = (*receiver)(nil)
 )
 
 // New creates an AppendWrite-FPGA channel with the given buffer capacity in

@@ -17,7 +17,7 @@ func TestDeliveryAndOrdering(t *testing.T) {
 	}
 	ch.Close()
 	for i := 0; i < 100; i++ {
-		m, ok, err := ch.Receiver.Recv()
+		m, ok, err := ipc.RecvOne(ch.Receiver)
 		if !ok || err != nil {
 			t.Fatalf("Recv %d: ok=%t err=%v", i, ok, err)
 		}
@@ -25,7 +25,7 @@ func TestDeliveryAndOrdering(t *testing.T) {
 			t.Fatalf("message %d out of order: %v", i, m)
 		}
 	}
-	if _, ok, _ := ch.Receiver.Recv(); ok {
+	if _, ok, _ := ipc.RecvOne(ch.Receiver); ok {
 		t.Error("message after drain")
 	}
 }
@@ -39,8 +39,8 @@ func TestPIDStampedByKernelRegister(t *testing.T) {
 	dev.SetPID(43) // context switch
 	ch.Sender.Send(ipc.Message{Op: ipc.OpInit, PID: 1})
 	ch.Close()
-	m1, _, _ := ch.Receiver.Recv()
-	m2, _, _ := ch.Receiver.Recv()
+	m1, _, _ := ipc.RecvOne(ch.Receiver)
+	m2, _, _ := ipc.RecvOne(ch.Receiver)
 	if m1.PID != 42 || m2.PID != 43 {
 		t.Errorf("PIDs = %d, %d; want kernel-managed 42, 43", m1.PID, m2.PID)
 	}
@@ -50,7 +50,7 @@ func TestSeqForgeryIgnored(t *testing.T) {
 	ch, _ := New(16)
 	ch.Sender.Send(ipc.Message{Op: ipc.OpInit, Seq: 999})
 	ch.Close()
-	m, _, _ := ch.Receiver.Recv()
+	m, _, _ := ipc.RecvOne(ch.Receiver)
 	if m.Seq != 1 {
 		t.Errorf("Seq = %d, want AFU-assigned 1", m.Seq)
 	}
@@ -71,7 +71,7 @@ func TestDroppedMessagesDetected(t *testing.T) {
 	ch.Close()
 	// First 8 messages are intact...
 	for i := 0; i < 8; i++ {
-		if _, ok, err := ch.Receiver.Recv(); !ok || err != nil {
+		if _, ok, err := ipc.RecvOne(ch.Receiver); !ok || err != nil {
 			t.Fatalf("Recv %d: ok=%t err=%v", i, ok, err)
 		}
 	}
@@ -83,12 +83,12 @@ func TestDroppedMessagesDetected(t *testing.T) {
 	}
 	// Drain 4, then send one more (seq 6; seq 5 was dropped).
 	for i := 0; i < 4; i++ {
-		if _, ok, err := ch2.Receiver.Recv(); !ok || err != nil {
+		if _, ok, err := ipc.RecvOne(ch2.Receiver); !ok || err != nil {
 			t.Fatal(err)
 		}
 	}
 	ch2.Sender.Send(ipc.Message{Op: ipc.OpCounterInc})
-	_, _, err := ch2.Receiver.Recv()
+	_, _, err := ipc.RecvOne(ch2.Receiver)
 	if !errors.Is(err, ipc.ErrIntegrity) {
 		t.Errorf("counter gap: err=%v, want ErrIntegrity", err)
 	}
@@ -129,7 +129,7 @@ func TestConcurrentProducerConsumer(t *testing.T) {
 	}()
 	count := 0
 	for {
-		m, ok, err := ch.Receiver.Recv()
+		m, ok, err := ipc.RecvOne(ch.Receiver)
 		if err != nil {
 			// The AFU drops on overrun instead of blocking, so counter
 			// gaps are expected whenever the producer outruns this loop.
@@ -170,7 +170,7 @@ func TestRecvBatchDrainsBuffer(t *testing.T) {
 	buf := make([]ipc.Message, 33)
 	got := 0
 	for {
-		k, ok, err := ch.Receiver.(ipc.BatchReceiver).RecvBatch(buf)
+		k, ok, err := ch.Receiver.RecvBatch(buf)
 		if err != nil {
 			t.Fatalf("RecvBatch: %v", err)
 		}
@@ -201,12 +201,12 @@ func TestRecvBatchAttributesDropToProcess(t *testing.T) {
 		ch.Sender.Send(ipc.Message{Op: ipc.OpCounterInc})
 	}
 	buf := make([]ipc.Message, 4)
-	k, _, err := ch.Receiver.(ipc.BatchReceiver).RecvBatch(buf)
+	k, _, err := ch.Receiver.RecvBatch(buf)
 	if k != 4 || err != nil {
 		t.Fatalf("pre-gap burst: k=%d err=%v", k, err)
 	}
 	ch.Sender.Send(ipc.Message{Op: ipc.OpCounterInc}) // seq 6 exposes the gap
-	k, _, err = ch.Receiver.(ipc.BatchReceiver).RecvBatch(buf)
+	k, _, err = ch.Receiver.RecvBatch(buf)
 	if k != 0 {
 		t.Errorf("post-gap burst delivered %d messages", k)
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // Config parameterizes a Server. The zero value (plus a System) is usable:
-// 1s leases, 256 sessions, no per-tenant quota, 1024-slot session queues.
+// 1s leases, 256 sessions, no per-tenant quota.
 type Config struct {
 	// Sys is the resident enforcement domain the daemon serves. Required.
 	Sys *supervisor.System
@@ -34,11 +34,6 @@ type Config struct {
 	// TenantQuota caps concurrently admitted sessions per tenant id. <= 0
 	// means no per-tenant cap.
 	TenantQuota int
-
-	// QueueSlots bounds each session's reader→pump queue (<= 0 selects
-	// 1024). A full queue stops the connection reader: backpressure flows
-	// into the transport instead of daemon memory.
-	QueueSlots int
 
 	// Metrics, when non-nil, wires connection-plane counters
 	// (hqnet.sessions.*, hqnet.lease.expired, hqnet.conn.severed).
@@ -61,7 +56,7 @@ type Server struct {
 	closed    bool
 
 	tokens atomic.Uint64
-	wg     sync.WaitGroup // accept loops, session readers, lease scanner
+	wg     sync.WaitGroup // accept loops, handshakes, gates, session finalizers, lease scanner
 	stop   chan struct{}
 
 	admitted   *telemetry.Counter
@@ -171,8 +166,9 @@ func (s *Server) Serve(ln net.Listener) {
 // not be an unbounded resource.
 const handshakeTimeout = 5 * time.Second
 
-// serveConn runs one connection: handshake, then the session read loop. A
-// connection that fails the handshake is closed with nothing admitted.
+// serveConn runs one connection's handshake and hands the transport to its
+// session; from then on the session's drain goroutine reads it. A connection
+// that fails the handshake is closed with nothing admitted.
 func (s *Server) serveConn(c net.Conn) {
 	_ = c.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	dec := ipc.NewFrameDecoder(c)
@@ -206,8 +202,9 @@ func (s *Server) reject(c net.Conn, fw *ipc.FrameWriter, code uint64) {
 }
 
 // admit serves an OpHello: quota and version checks, kernel registration via
-// supervisor.Admit, key delivery under an authenticated policy set, then the
-// session read loop on this connection.
+// supervisor.Admit (the session is the receiver the pump drains), key
+// delivery under an authenticated policy set, then the connection is
+// attached and the parked drain starts reading it.
 func (s *Server) admit(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, hello ipc.Message) {
 	if hello.Arg1 != WireVersion {
 		s.reject(c, fw, RejectVersion)
@@ -232,8 +229,10 @@ func (s *Server) admit(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, h
 	s.tenants[tenant]++
 	s.mu.Unlock()
 
-	queue := newSessionQueue(s.cfg.QueueSlots)
-	remote, err := s.sys.Admit(queue)
+	// The session must exist before Admit: Admit starts the drain goroutine
+	// on it, which parks in RecvBatch until the attach below.
+	sess := newSession(s, tenant)
+	remote, err := s.sys.Admit(sess)
 	if err != nil {
 		s.mu.Lock()
 		s.tenants[tenant]--
@@ -241,24 +240,14 @@ func (s *Server) admit(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, h
 		s.reject(c, fw, RejectDraining)
 		return
 	}
+	sess.pid, sess.remote = remote.PID(), remote
 
-	sess := &session{
-		srv:    s,
-		token:  s.nextToken(),
-		tenant: tenant,
-		pid:    remote.PID(),
-		remote: remote,
-		queue:  queue,
-		fin:    make(chan struct{}),
-	}
-	sess.lastRecv.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	if s.draining || s.closed {
 		// Shutdown raced the admission: unwind completely.
 		s.tenants[tenant]--
 		s.mu.Unlock()
-		queue.Close()
-		remote.Close()
+		sess.end()
 		s.reject(c, fw, RejectDraining)
 		return
 	}
@@ -289,8 +278,7 @@ func (s *Server) admit(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, h
 			return
 		}
 	}
-	sess.attach(c, fw)
-	sess.readLoop(c, dec)
+	sess.attach(c, fw, dec)
 }
 
 // resume serves an OpResume: token lookup, then welcome-with-ack so the
@@ -312,7 +300,7 @@ func (s *Server) resume(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, 
 		s.reject(c, fw, RejectUnknownSession)
 		return
 	}
-	fwd := sess.fwd
+	fwd := sess.fwd.Load()
 	sess.resumes++
 	resumes := sess.resumes
 	sess.mu.Unlock()
@@ -331,8 +319,7 @@ func (s *Server) resume(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, 
 		c.Close()
 		return
 	}
-	sess.attach(c, fw)
-	sess.readLoop(c, dec)
+	sess.attach(c, fw, dec)
 }
 
 // leaseScanner kills processes whose sessions have gone silent past the
@@ -475,9 +462,8 @@ func (s *Server) Conns() []obs.ConnRow {
 			Tenant:            sess.tenant,
 			Connected:         sess.conn != nil,
 			Resumes:           sess.resumes,
-			ForwardedSeq:      sess.fwd,
+			ForwardedSeq:      sess.fwd.Load(),
 			LastRecvUnixNanos: sess.lastRecv.Load(),
-			QueueDepth:        sess.queue.Pending(),
 			LeaseNanos:        int64(s.lease),
 		}
 		sess.mu.Unlock()

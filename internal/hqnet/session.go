@@ -10,29 +10,47 @@ import (
 	"herqules/internal/supervisor"
 )
 
-// session is one admitted remote process. It outlives any single connection:
-// a severed transport leaves the session intact (awaiting resume) and only
-// the lease — or a clean goodbye — ends it. Session end is the single
-// teardown path: queue closed, pump drained, forensics frozen, kernel
-// context exited, quota released.
+// session is one admitted remote process, and the ipc.Receiver the verifier
+// pump drains for it: RecvBatch decodes frames from the live connection
+// straight into the pump's arena block, on the pump's drain goroutine. It
+// outlives any single connection: a severed transport leaves the session
+// intact (awaiting resume, its drain parked) and only the lease — or a clean
+// goodbye — ends it. Session end is the single teardown path: transport
+// closed, pump drained, forensics frozen, kernel context exited, quota
+// released.
+//
+// Reading on the drain goroutine is the admission-side backpressure story: a
+// client outrunning the verifier blocks the drain on a full shard queue, the
+// drain stops reading, and the backlog stays in the transport's own flow
+// control instead of daemon memory. If the verifier is wedged long enough,
+// the stalled drain stops renewing the session's lease and the process dies
+// fail-closed — the networked analogue of the epoch watchdog.
 type session struct {
 	srv    *Server
 	token  uint64
 	tenant uint64
-	pid    int32
-	remote *supervisor.Remote
-	queue  *sessionQueue
 	fin    chan struct{}
 
-	// lastRecv is the lease clock: UnixNano of the last frame received on
-	// any of the session's connections. Written by the reader, read by the
-	// lease scanner.
+	// pid and remote are filled in by admit after sys.Admit(sess) returns;
+	// the first attach publishes them (under mu) to the drain goroutine,
+	// which parks in RecvBatch until then.
+	pid    int32
+	remote *supervisor.Remote
+
+	// lastRecv is the lease clock: UnixNano of the last burst received on
+	// any of the session's connections. Written by the drain goroutine, read
+	// by the lease scanner.
 	lastRecv atomic.Int64
+	// fwd is the highest data Seq forwarded to the verifier — the cumulative
+	// ack: the client may drop every frame with Seq <= fwd from its replay
+	// buffer. Written only by the drain goroutine.
+	fwd atomic.Uint64
 
 	mu      sync.Mutex
-	conn    net.Conn         // live transport; nil while severed
-	fw      *ipc.FrameWriter // writer over conn; nil while severed
-	fwd     uint64           // highest data Seq forwarded to the verifier
+	cond    *sync.Cond        // signals attach and end to a parked drain
+	conn    net.Conn          // live transport; nil while severed
+	fw      *ipc.FrameWriter  // writer over conn; nil while severed
+	dec     *ipc.FrameDecoder // reader over conn; nil while severed
 	resumes uint64
 	ended   bool
 
@@ -45,27 +63,34 @@ type session struct {
 	gateRes     ipc.Message
 }
 
+func newSession(srv *Server, tenant uint64) *session {
+	s := &session{srv: srv, token: srv.nextToken(), tenant: tenant, fin: make(chan struct{})}
+	s.cond = sync.NewCond(&s.mu)
+	s.touch()
+	return s
+}
+
 func (s *session) done() <-chan struct{} { return s.fin }
 
 // touch renews the lease clock.
 func (s *session) touch() { s.lastRecv.Store(time.Now().UnixNano()) }
 
-// ackSeq reports the cumulative ack: every data frame with Seq <= ackSeq has
-// been forwarded to the verifier, so the client may drop it from its replay
-// buffer.
-func (s *session) ackSeq() uint64 {
+// attach installs a (new) transport, closing any previous one, and wakes the
+// drain goroutine if it is parked.
+func (s *session) attach(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fwd
-}
-
-// attach installs a (new) transport, closing any previous one.
-func (s *session) attach(c net.Conn, fw *ipc.FrameWriter) {
-	s.mu.Lock()
+	if s.ended {
+		// The session ended between the handshake and here; its drain is
+		// gone, so nothing would ever read (or close) this transport.
+		s.mu.Unlock()
+		c.Close()
+		return
+	}
 	old := s.conn
-	s.conn, s.fw = c, fw
+	s.conn, s.fw, s.dec = c, fw, dec
+	s.cond.Broadcast()
 	s.mu.Unlock()
-	if old != nil && old != c {
+	if old != nil {
 		old.Close()
 	}
 }
@@ -77,7 +102,7 @@ func (s *session) sever(c net.Conn) {
 	s.mu.Lock()
 	mine := s.conn == c
 	if mine {
-		s.conn, s.fw = nil, nil
+		s.conn, s.fw, s.dec = nil, nil, nil
 	}
 	s.mu.Unlock()
 	c.Close()
@@ -98,85 +123,118 @@ func (s *session) write(m ipc.Message) {
 	}
 }
 
-// readLoop drains one connection until it dies or the session ends. All
-// three stream endings — clean EOF, truncation mid-frame, undecodable
+// RecvBatch implements ipc.Receiver on the pump's drain goroutine: park
+// while severed, then decode one burst from the live connection straight
+// into out and filter it in place. Any burst renews the lease; a burst that
+// forwarded data frames is acked once, cumulatively, so the client can trim
+// its replay buffer. ok turns false only when the session has ended.
+//
+// All three stream endings — clean EOF, truncation mid-frame, undecodable
 // garbage — are connection deaths, not process deaths: unlike the local fd
 // channels (where truncation is a terminal integrity violation) the network
 // plane has a resume protocol, so the partial frame is discarded and the
 // client retransmits it from the replay buffer. The process only dies if no
 // resume arrives within the lease, and then attributably so.
-func (s *session) readLoop(c net.Conn, dec *ipc.FrameDecoder) {
-	var buf [64]ipc.Message
+func (s *session) RecvBatch(out []ipc.Message) (int, bool, error) {
+	if len(out) == 0 {
+		return 0, true, nil
+	}
 	for {
-		n, ok, _ := dec.Decode(buf[:])
-		forwarded := false
-		for i := 0; i < n; i++ {
-			cont, fwdOne := s.handleFrame(buf[i])
-			forwarded = forwarded || fwdOne
-			if !cont {
-				s.sever(c)
-				return
+		s.mu.Lock()
+		for s.conn == nil && !s.ended {
+			s.cond.Wait()
+		}
+		c, dec := s.conn, s.dec
+		ended := s.ended
+		s.mu.Unlock()
+		if ended {
+			return 0, false, nil
+		}
+
+		n, open, _ := dec.Decode(out)
+		if n > 0 {
+			s.touch()
+		}
+		kept, verdict := s.filter(out[:n])
+		if kept > 0 {
+			s.write(ipc.Message{Op: ipc.OpAck, PID: s.pid, Seq: s.fwd.Load()})
+		}
+		if verdict == burstGoodbye {
+			// end() waits for this goroutine's drain to finish, so it cannot
+			// run here: mark the session ended, hand the pump the frames that
+			// preceded the goodbye, and finalize beside the drain.
+			if s.markEnded() {
+				go func() {
+					defer s.srv.wg.Done()
+					s.finalize()
+				}()
 			}
+			return kept, false, nil
 		}
-		if forwarded {
-			// Cumulative ack per burst: lets the client trim its replay
-			// buffer without waiting for the next heartbeat ack.
-			s.write(ipc.Message{Op: ipc.OpAck, PID: s.pid, Seq: s.ackSeq()})
-		}
-		if !ok {
+		if verdict == burstSever || !open {
 			s.sever(c)
-			return
 		}
+		if kept > 0 {
+			return kept, true, nil
+		}
+		// Nothing to forward (control frames only, or a dead connection):
+		// back to the blocking read, or to the park above. No ack is sent.
 	}
 }
 
-// handleFrame processes one frame from the client. cont=false severs the
-// connection (protocol violation or session end); forwarded reports whether
-// the frame was a data frame handed to the verifier pump.
-func (s *session) handleFrame(m ipc.Message) (cont, forwarded bool) {
-	s.touch()
-	switch m.Op {
-	case ipc.OpHeartbeat:
-		s.write(ipc.Message{Op: ipc.OpHeartbeatAck, PID: s.pid, Seq: s.ackSeq()})
-		return true, false
-	case ipc.OpGateEnter:
-		s.gate(m.Arg1, m.Arg2)
-		return true, false
-	case ipc.OpGoodbye:
-		s.end()
-		return false, false
+// burstVerdict is what a filtered burst asks RecvBatch to do next.
+type burstVerdict int
+
+const (
+	burstContinue burstVerdict = iota
+	burstSever                 // protocol violation: sever the connection
+	burstGoodbye               // clean goodbye: the session ends
+)
+
+// filter processes one decoded burst in place: control frames (heartbeat,
+// gate, goodbye) are served and compacted away, data frames are kept
+// verbatim — Seq and Mac exactly as they arrived on the wire, since the
+// resume protocol and the hmac sealer both depend on the daemon never
+// re-stamping a frame. It returns how many data frames now lead the burst.
+// A violating frame or a goodbye stops the burst: nothing after it is
+// served or kept.
+func (s *session) filter(burst []ipc.Message) (kept int, verdict burstVerdict) {
+	for _, m := range burst {
+		switch {
+		case m.Op == ipc.OpHeartbeat:
+			s.write(ipc.Message{Op: ipc.OpHeartbeatAck, PID: s.pid, Seq: s.fwd.Load()})
+		case m.Op == ipc.OpGateEnter:
+			s.gate(m.Arg1, m.Arg2)
+		case m.Op == ipc.OpGoodbye:
+			return kept, burstGoodbye
+		case m.Op.IsSessionOp():
+			// A duplicate HELLO (or any daemon-side op arriving from a
+			// client) is a protocol violation: sever and let the lease sort
+			// the process out. No state changes on a violating frame.
+			return kept, burstSever
+		case m.PID != s.pid:
+			// The session is the authenticity boundary: a data frame
+			// claiming another process's identity is dropped and the
+			// connection severed — otherwise a compromised client could
+			// splice violations into a bystander's stream (or burn the
+			// bystander with a counter gap).
+			return kept, burstSever
+		case m.Seq != 0 && m.Seq <= s.fwd.Load():
+			// Resume retransmission overlap: already forwarded, drop
+			// silently.
+		default:
+			// Genuine gaps (Seq jumping past fwd+1) are forwarded as-is —
+			// the verifier's CheckSeq owns that judgment, and a client that
+			// loses messages *inside* its own stream must die by counter,
+			// not be repaired by the transport.
+			if m.Seq != 0 {
+				s.fwd.Store(m.Seq)
+			}
+			burst[kept] = m
+			kept++
+		}
 	}
-	if m.Op.IsSessionOp() {
-		// A duplicate HELLO (or any daemon-side op arriving from a client)
-		// is a protocol violation: sever and let the lease sort the process
-		// out. No state changes on a violating frame.
-		return false, false
-	}
-	// Data frame. The session is the authenticity boundary: a frame claiming
-	// another process's identity is dropped and the connection severed —
-	// otherwise a compromised client could splice violations into a
-	// bystander's stream (or burn the bystander with a counter gap).
-	if m.PID != s.pid {
-		return false, false
-	}
-	s.mu.Lock()
-	if m.Seq != 0 && m.Seq <= s.fwd {
-		// Resume retransmission overlap: already forwarded, drop silently.
-		// Genuine gaps (Seq jumping past fwd+1) are forwarded as-is — the
-		// verifier's CheckSeq owns that judgment, and a client that loses
-		// messages *inside* its own stream must die by counter, not be
-		// repaired by the transport.
-		s.mu.Unlock()
-		return true, false
-	}
-	if m.Seq > s.fwd {
-		s.fwd = m.Seq
-	}
-	s.mu.Unlock()
-	if err := s.queue.Send(m); err != nil {
-		return false, false // queue closed: session ended under us
-	}
-	return true, true
+	return kept, burstContinue
 }
 
 // gate runs bounded asynchronous validation for one remote system call.
@@ -199,9 +257,11 @@ func (s *session) gate(sysNo, ord uint64) {
 		return
 	}
 	s.gateOrd, s.gateRunning, s.gateDone = ord, true, false
+	// Add while ended is known false under mu: Shutdown ends every session
+	// before it waits on wg, so this Add is ordered before that Wait.
+	s.srv.wg.Add(1)
 	s.mu.Unlock()
 
-	s.srv.wg.Add(1)
 	go func() {
 		defer s.srv.wg.Done()
 		err := s.srv.sys.Kernel().SyscallEnter(s.pid, int(sysNo))
@@ -210,7 +270,7 @@ func (s *session) gate(sysNo, ord uint64) {
 			res.Arg1 = GateKilled
 			res.Arg2 = reasonCode(err.Error())
 		}
-		res.Seq = s.ackSeq()
+		res.Seq = s.fwd.Load()
 		s.mu.Lock()
 		s.gateRunning, s.gateDone, s.gateRes = false, true, res
 		s.mu.Unlock()
@@ -218,19 +278,22 @@ func (s *session) gate(sysNo, ord uint64) {
 	}()
 }
 
-// end finalizes the session exactly once: best-effort kill notice, transport
-// closed, queue closed (pump drains what was forwarded), remote finalized
-// (freezes the attribution row and forensic report, exits the kernel
-// context), quota released. Idempotent; late callers return immediately.
-func (s *session) end() {
+// markEnded flips the session to ended exactly once: best-effort kill
+// notice, transport closed, drain goroutine woken so its RecvBatch returns
+// ok=false. It reports whether this call was the one that ended the session;
+// that caller owes a finalize, and holds an srv.wg slot for it (taken under
+// mu for the same ordering reason as in gate).
+func (s *session) markEnded() bool {
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	s.ended = true
+	s.srv.wg.Add(1)
 	conn, fw := s.conn, s.fw
-	s.conn, s.fw = nil, nil
+	s.conn, s.fw, s.dec = nil, nil, nil
+	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	if conn != nil {
@@ -239,8 +302,24 @@ func (s *session) end() {
 		}
 		conn.Close()
 	}
-	s.queue.Close()
+	return true
+}
+
+// finalize completes an ended session: the remote is finalized (waits for
+// the pump to deliver what was forwarded, freezes the attribution row and
+// forensic report, exits the kernel context) and the quota released.
+func (s *session) finalize() {
 	s.remote.Close()
 	s.srv.removeSession(s)
 	close(s.fin)
+}
+
+// end ends and finalizes the session. Idempotent; late callers return
+// immediately. Must not run on the session's drain goroutine, which
+// finalize waits for.
+func (s *session) end() {
+	if s.markEnded() {
+		defer s.srv.wg.Done()
+		s.finalize()
+	}
 }

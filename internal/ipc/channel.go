@@ -174,35 +174,39 @@ type Sender interface {
 	Close() error
 }
 
-// Receiver is the verifier side of an IPC channel.
+// Receiver is the verifier side of an IPC channel. It has one verb: the bulk
+// read of the append-only buffer (§3.1.1, §3.4). Every backend hands the
+// verifier a whole burst of pending messages per call, amortizing
+// per-message costs (atomics, locks, system calls) across the burst.
 type Receiver interface {
-	// Recv returns the next message. ok is false once the channel is
-	// closed and drained. err is non-nil when integrity verification
-	// fails, which the verifier must treat as a policy violation.
-	Recv() (m Message, ok bool, err error)
-}
-
-// TryReceiver is implemented by backends that support non-blocking receive,
-// used by the verifier to drain all currently pending messages.
-type TryReceiver interface {
-	// TryRecv returns ok=false immediately when no message is pending.
-	TryRecv() (m Message, ok bool, err error)
-}
-
-// BatchReceiver is implemented by backends that can hand the verifier a whole
-// burst of pending messages in one call, amortizing per-message costs
-// (atomics, locks, system calls) across the burst. Every channel in this
-// package and the fpga/uarch packages implements it; RecvBatchFrom adapts the
-// ones that do not.
-type BatchReceiver interface {
 	// RecvBatch fills buf with up to len(buf) pending messages. It blocks
 	// until at least one message is available or the channel is closed and
 	// drained (n == 0, ok == false). When err is non-nil the first n
 	// messages of buf are still valid: they were received before the
-	// integrity failure and must be processed so per-process state is
-	// current when the verifier acts on the error.
+	// integrity failure — which the verifier must treat as a policy
+	// violation — and must be processed so per-process state is current
+	// when the verifier acts on the error. n == 0 with ok == true is legal
+	// (a burst that held nothing for the verifier); the caller calls again.
 	RecvBatch(buf []Message) (n int, ok bool, err error)
 }
+
+// RecvOne receives a single message from r with a one-slot RecvBatch, for
+// tests and micro-benchmarks that step a channel message by message. ok is
+// false once the channel is closed and drained, or when err is non-nil.
+func RecvOne(r Receiver) (m Message, ok bool, err error) {
+	var one [1]Message
+	for {
+		n, open, err := r.RecvBatch(one[:])
+		if n == 1 || !open || err != nil {
+			return one[0], n == 1, err
+		}
+	}
+}
+
+// RecvBatchFrom is r.RecvBatch(buf). It survives only as a shim for
+// bench/ledger.go, which calls it and is frozen against edits; new code
+// calls RecvBatch directly.
+func RecvBatchFrom(r Receiver, buf []Message) (int, bool, error) { return r.RecvBatch(buf) }
 
 // PIDRegister is implemented by senders whose transport carries a
 // kernel-managed process-identity register (the FPGA AFU's PID register,
@@ -252,42 +256,6 @@ func (e *ProcessError) Error() string {
 
 // Unwrap exposes the underlying error to errors.Is/errors.As.
 func (e *ProcessError) Unwrap() error { return e.Err }
-
-// RecvBatchFrom drains up to len(buf) messages from r in one call. It uses
-// the backend's native RecvBatch when implemented; otherwise it blocks for
-// one message and opportunistically drains more via TryRecv. Semantics match
-// BatchReceiver.RecvBatch.
-func RecvBatchFrom(r Receiver, buf []Message) (int, bool, error) {
-	if len(buf) == 0 {
-		return 0, true, nil
-	}
-	if br, ok := r.(BatchReceiver); ok {
-		return br.RecvBatch(buf)
-	}
-	m, ok, err := r.Recv()
-	if err != nil {
-		return 0, false, err
-	}
-	if !ok {
-		return 0, false, nil
-	}
-	buf[0] = m
-	n := 1
-	if tr, okT := r.(TryReceiver); okT {
-		for n < len(buf) {
-			m, ok, err := tr.TryRecv()
-			if err != nil {
-				return n, false, err
-			}
-			if !ok {
-				break
-			}
-			buf[n] = m
-			n++
-		}
-	}
-	return n, true, nil
-}
 
 // Properties describes the security and cost characteristics of an IPC
 // primitive, mirroring the columns of the paper's Table 2.

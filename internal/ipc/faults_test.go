@@ -43,11 +43,11 @@ func TestTruncatedFrameIsTerminalError(t *testing.T) {
 	pw.Close()
 
 	buf := make([]Message, 4)
-	k, ok, err := RecvBatchFrom(ch.Receiver, buf)
+	k, ok, err := ch.Receiver.RecvBatch(buf)
 	if k != 1 || err != nil {
 		t.Fatalf("whole frame before truncation: k=%d ok=%t err=%v", k, ok, err)
 	}
-	k, ok, err = RecvBatchFrom(ch.Receiver, buf)
+	k, ok, err = ch.Receiver.RecvBatch(buf)
 	if k != 0 || ok || err == nil {
 		t.Fatalf("truncated tail: k=%d ok=%t err=%v, want terminal error", k, ok, err)
 	}
@@ -82,14 +82,14 @@ func TestGarbageBytesAreTerminalError(t *testing.T) {
 	pw.Close()
 
 	buf := make([]Message, 4)
-	k, ok, err := RecvBatchFrom(ch.Receiver, buf)
+	k, ok, err := ch.Receiver.RecvBatch(buf)
 	if err == nil {
 		// Both frames arrived in one burst on most kernels; if the read tore
 		// between them the first call returns the good frame cleanly.
 		if k != 1 || buf[0].Seq != 1 {
 			t.Fatalf("first burst: k=%d ok=%t err=%v", k, ok, err)
 		}
-		k, ok, err = RecvBatchFrom(ch.Receiver, buf)
+		k, ok, err = ch.Receiver.RecvBatch(buf)
 	} else if k != 1 || buf[0].Seq != 1 {
 		t.Fatalf("intact frame preceding garbage not delivered: k=%d err=%v", k, err)
 	}

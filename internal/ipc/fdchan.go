@@ -80,16 +80,7 @@ func (r *fdReceiver) countFrameErr() {
 	}
 }
 
-func (r *fdReceiver) Recv() (Message, bool, error) {
-	var one [1]Message
-	n, ok, err := r.RecvBatch(one[:])
-	if n == 1 {
-		return one[0], true, err
-	}
-	return Message{}, ok && n > 0, err
-}
-
-// RecvBatch implements BatchReceiver: one read(2) per burst, then frame
+// RecvBatch implements Receiver: one read(2) per burst, then frame
 // decoding in process (FrameDecoder). A decode failure cannot be attributed
 // to a process — a corrupted stream may carry a stale PID — so the error is
 // returned bare. On a local kernel channel there is no resume protocol, so a
@@ -129,9 +120,8 @@ func (r *fdReceiver) Pending() int {
 }
 
 var (
-	_ Receiver      = (*fdReceiver)(nil)
-	_ BatchReceiver = (*fdReceiver)(nil)
-	_ Pender        = (*fdReceiver)(nil)
+	_ Receiver = (*fdReceiver)(nil)
+	_ Pender   = (*fdReceiver)(nil)
 )
 
 // NewPipe builds a channel over an anonymous kernel pipe (the "Named Pipe"
@@ -207,11 +197,13 @@ func newSocketpairChannel(typ int, props Properties) *Channel {
 	}
 }
 
-// fallbackQueue is an in-process bounded queue used when the host denies the
-// kernel primitive. It keeps the same interface semantics (append-only from
-// the sender's perspective, blocking receive) so higher layers are unaffected;
-// only the Table 2 wall-clock micro-benchmark loses its kernel-cost realism.
-type fallbackQueue struct {
+// memQueue is an in-process mutex+cond message queue. It stands in for a
+// kernel primitive the host denies (newFallbackQueue) and carries the
+// light-weight-context model (NewLWC). It keeps the kernel channels'
+// interface semantics (append-only from the sender's perspective, blocking
+// receive) so higher layers are unaffected; only the Table 2 wall-clock
+// micro-benchmark loses its kernel-cost realism on the fallback.
+type memQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []Message
@@ -219,13 +211,18 @@ type fallbackQueue struct {
 	seq    uint64
 }
 
-func newFallbackQueue(props Properties) *Channel {
-	q := &fallbackQueue{}
+func newMemQueue() *memQueue {
+	q := &memQueue{}
 	q.cond = sync.NewCond(&q.mu)
+	return q
+}
+
+func newFallbackQueue(props Properties) *Channel {
+	q := newMemQueue()
 	return &Channel{Sender: q, Receiver: q, Props: props}
 }
 
-func (q *fallbackQueue) Send(m Message) error {
+func (q *memQueue) Send(m Message) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -238,7 +235,7 @@ func (q *fallbackQueue) Send(m Message) error {
 	return nil
 }
 
-func (q *fallbackQueue) Close() error {
+func (q *memQueue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
@@ -246,33 +243,8 @@ func (q *fallbackQueue) Close() error {
 	return nil
 }
 
-func (q *fallbackQueue) Recv() (Message, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.queue) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.queue) == 0 {
-		return Message{}, false, nil
-	}
-	m := q.queue[0]
-	q.queue = q.queue[1:]
-	return m, true, nil
-}
-
-func (q *fallbackQueue) TryRecv() (Message, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.queue) == 0 {
-		return Message{}, false, nil
-	}
-	m := q.queue[0]
-	q.queue = q.queue[1:]
-	return m, true, nil
-}
-
-// RecvBatch implements BatchReceiver: one lock round per burst.
-func (q *fallbackQueue) RecvBatch(out []Message) (int, bool, error) {
+// RecvBatch implements Receiver: one lock round per burst.
+func (q *memQueue) RecvBatch(out []Message) (int, bool, error) {
 	if len(out) == 0 {
 		return 0, true, nil
 	}
@@ -290,13 +262,13 @@ func (q *fallbackQueue) RecvBatch(out []Message) (int, bool, error) {
 }
 
 // Pending implements Pender.
-func (q *fallbackQueue) Pending() int {
+func (q *memQueue) Pending() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.queue)
 }
 
 var (
-	_ BatchReceiver = (*fallbackQueue)(nil)
-	_ Pender        = (*fallbackQueue)(nil)
+	_ Receiver = (*memQueue)(nil)
+	_ Pender   = (*memQueue)(nil)
 )

@@ -84,12 +84,7 @@ func (s *instrumentedSender) SetPID(pid int32) {
 	}
 }
 
-// instrumentedReceiver counts receives around the wrapped receiver. It
-// always implements BatchReceiver — delegating through RecvBatchFrom, which
-// adapts scalar-only backends — so wrapping never costs a backend its batch
-// drain path. It deliberately does not implement TryReceiver: advertising a
-// non-blocking receive the backend lacks would turn "no message yet" into a
-// lie.
+// instrumentedReceiver counts receives around the wrapped receiver.
 type instrumentedReceiver struct {
 	r         Receiver
 	recvs     *telemetry.Counter
@@ -115,19 +110,10 @@ func (r *instrumentedReceiver) observePending() {
 // bound to the channel.
 func (r *instrumentedReceiver) PendingPeak() uint64 { return r.chanPeak.Value() }
 
-func (r *instrumentedReceiver) Recv() (Message, bool, error) {
-	r.observePending()
-	m, ok, err := r.r.Recv()
-	if ok {
-		r.recvs.Inc()
-	}
-	return m, ok, err
-}
-
-// RecvBatch implements BatchReceiver over the wrapped receiver.
+// RecvBatch implements Receiver over the wrapped receiver.
 func (r *instrumentedReceiver) RecvBatch(buf []Message) (int, bool, error) {
 	r.observePending()
-	n, ok, err := RecvBatchFrom(r.r, buf)
+	n, ok, err := r.r.RecvBatch(buf)
 	if n > 0 {
 		r.recvs.Add(uint64(n))
 		r.batches.Inc()
@@ -152,10 +138,9 @@ type PeakPender interface {
 }
 
 var (
-	_ Sender        = (*instrumentedSender)(nil)
-	_ PIDRegister   = (*instrumentedSender)(nil)
-	_ Receiver      = (*instrumentedReceiver)(nil)
-	_ BatchReceiver = (*instrumentedReceiver)(nil)
-	_ Pender        = (*instrumentedReceiver)(nil)
-	_ PeakPender    = (*instrumentedReceiver)(nil)
+	_ Sender      = (*instrumentedSender)(nil)
+	_ PIDRegister = (*instrumentedSender)(nil)
+	_ Receiver    = (*instrumentedReceiver)(nil)
+	_ Pender      = (*instrumentedReceiver)(nil)
+	_ PeakPender  = (*instrumentedReceiver)(nil)
 )

@@ -90,7 +90,7 @@ func TestChannelDeliveryInOrder(t *testing.T) {
 				done <- ch.Sender.Close()
 			}()
 			for i := 0; i < n; i++ {
-				m, ok, err := ch.Receiver.Recv()
+				m, ok, err := RecvOne(ch.Receiver)
 				if err != nil {
 					t.Fatalf("Recv error at %d: %v", i, err)
 				}
@@ -121,10 +121,10 @@ func TestChannelCloseDrains(t *testing.T) {
 			if err := ch.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			if _, ok, err := ch.Receiver.Recv(); !ok || err != nil {
+			if _, ok, err := RecvOne(ch.Receiver); !ok || err != nil {
 				t.Fatalf("pending message lost on close: ok=%t err=%v", ok, err)
 			}
-			if _, ok, _ := ch.Receiver.Recv(); ok {
+			if _, ok, _ := RecvOne(ch.Receiver); ok {
 				t.Error("Recv returned a message after drain")
 			}
 		})
@@ -159,7 +159,7 @@ func TestSharedRingBlocksWhenFull(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- ring.Send(Message{Arg1: 99}) }()
 	for i := 0; i < 9; i++ {
-		m, ok, err := ring.Recv()
+		m, ok, err := RecvOne(ring)
 		if !ok || err != nil {
 			t.Fatalf("Recv %d: ok=%t err=%v", i, ok, err)
 		}
@@ -184,9 +184,9 @@ func TestSharedRingIsNotAppendOnly(t *testing.T) {
 	if !ring.Corrupt(0, Message{Op: OpNop}) {
 		t.Fatal("Corrupt failed on an unread slot")
 	}
-	m, ok, err := ring.TryRecv()
+	m, ok, err := RecvOne(ring)
 	if !ok || err != nil {
-		t.Fatalf("TryRecv: ok=%t err=%v", ok, err)
+		t.Fatalf("RecvOne: ok=%t err=%v", ok, err)
 	}
 	if m.Op != OpNop {
 		t.Errorf("evidence survived corruption: got %v", m)
@@ -246,7 +246,7 @@ func benchmarkSend(b *testing.B, ch *Channel) {
 	// Drain in the background so bounded backends do not stall.
 	go func() {
 		for {
-			if _, ok, _ := ch.Receiver.Recv(); !ok {
+			if _, ok, _ := RecvOne(ch.Receiver); !ok {
 				return
 			}
 		}
@@ -279,7 +279,7 @@ func TestRecvBatchDeliversInOrder(t *testing.T) {
 			buf := make([]Message, 7) // odd size: bursts straddle frame counts
 			got := 0
 			for got < n {
-				k, ok, err := RecvBatchFrom(ch.Receiver, buf)
+				k, ok, err := ch.Receiver.RecvBatch(buf)
 				if err != nil {
 					t.Fatalf("RecvBatch at %d: %v", got, err)
 				}
@@ -296,7 +296,7 @@ func TestRecvBatchDeliversInOrder(t *testing.T) {
 				}
 				got += k
 			}
-			if k, ok, err := RecvBatchFrom(ch.Receiver, buf); ok || k != 0 || err != nil {
+			if k, ok, err := ch.Receiver.RecvBatch(buf); ok || k != 0 || err != nil {
 				t.Fatalf("after drain: k=%d ok=%t err=%v", k, ok, err)
 			}
 			if err := <-done; err != nil {
@@ -327,7 +327,7 @@ func TestPendingObservableOnAllBackends(t *testing.T) {
 				t.Errorf("Pending after %d sends = %d", n, p)
 			}
 			buf := make([]Message, n)
-			k, _, err := RecvBatchFrom(ch.Receiver, buf)
+			k, _, err := ch.Receiver.RecvBatch(buf)
 			if err != nil || k != n {
 				t.Fatalf("RecvBatch: k=%d err=%v", k, err)
 			}
@@ -378,36 +378,6 @@ func TestFdReceiverCarriesPartialFrames(t *testing.T) {
 	}
 }
 
-// scalarOnly hides a receiver's batch/try capabilities so tests can exercise
-// the RecvBatchFrom adapter paths.
-type scalarOnly struct{ r Receiver }
-
-func (s scalarOnly) Recv() (Message, bool, error) { return s.r.Recv() }
-
-func TestRecvBatchFromAdaptsScalarReceivers(t *testing.T) {
-	ch := NewSharedRing(64)
-	for i := 0; i < 3; i++ {
-		ch.Sender.Send(Message{Op: OpCounterInc, Arg1: uint64(i)})
-	}
-	ch.Close()
-	buf := make([]Message, 8)
-	// Scalar-only: one message per call.
-	k, ok, err := RecvBatchFrom(scalarOnly{ch.Receiver}, buf)
-	if k != 1 || !ok || err != nil {
-		t.Fatalf("scalar adapter: k=%d ok=%t err=%v", k, ok, err)
-	}
-	// TryReceiver drains the rest opportunistically in one call.
-	type scalarTry struct {
-		Receiver
-		TryReceiver
-	}
-	rt := ch.Receiver.(*SharedRing)
-	k, ok, err = RecvBatchFrom(scalarTry{rt, rt}, buf)
-	if k != 2 || !ok || err != nil {
-		t.Fatalf("try adapter: k=%d ok=%t err=%v", k, ok, err)
-	}
-}
-
 func TestReplayServesRecordedStream(t *testing.T) {
 	msgs := make([]Message, 10)
 	for i := range msgs {
@@ -438,7 +408,7 @@ func TestReplayServesRecordedStream(t *testing.T) {
 		t.Fatalf("replayed %d messages", total)
 	}
 	r.Rewind()
-	if m, ok, _ := r.Recv(); !ok || m.Arg1 != 0 {
+	if m, ok, _ := RecvOne(r); !ok || m.Arg1 != 0 {
 		t.Errorf("rewind failed: ok=%t m=%v", ok, m)
 	}
 }
@@ -465,7 +435,7 @@ func TestNewSharedRingClampsCapacity(t *testing.T) {
 		}
 		// The clamped ring must actually work.
 		ch.Sender.Send(Message{Op: OpCounterInc, Arg1: 1})
-		if m, ok, err := ch.Receiver.Recv(); !ok || err != nil || m.Arg1 != 1 {
+		if m, ok, err := RecvOne(ch.Receiver); !ok || err != nil || m.Arg1 != 1 {
 			t.Errorf("NewSharedRing(%d): roundtrip failed: %v %t %v", tc.in, m, ok, err)
 		}
 		ch.Close()
@@ -485,7 +455,7 @@ func TestChannelTelemetryCounts(t *testing.T) {
 	buf := make([]Message, 4)
 	got := 0
 	for got < n {
-		k, ok, err := RecvBatchFrom(ch.Receiver, buf)
+		k, ok, err := ch.Receiver.RecvBatch(buf)
 		if err != nil || !ok {
 			t.Fatalf("RecvBatch: k=%d ok=%t err=%v", k, ok, err)
 		}
@@ -538,14 +508,14 @@ func TestTelemetryCountsPartialFrameCarries(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]Message, 4)
-	if k, ok, err := RecvBatchFrom(ch.Receiver, buf); err != nil || !ok || k != 1 {
+	if k, ok, err := ch.Receiver.RecvBatch(buf); err != nil || !ok || k != 1 {
 		t.Fatalf("first burst: k=%d ok=%t err=%v", k, ok, err)
 	}
 	if _, err := pw.Write(frame[half:]); err != nil {
 		t.Fatal(err)
 	}
 	pw.Close()
-	if k, ok, err := RecvBatchFrom(ch.Receiver, buf); err != nil || !ok || k != 1 {
+	if k, ok, err := ch.Receiver.RecvBatch(buf); err != nil || !ok || k != 1 {
 		t.Fatalf("second burst: k=%d ok=%t err=%v", k, ok, err)
 	}
 	if v := m.Snapshot().Counters["ipc.partial_frame_carries"].Total; v != 1 {

@@ -1,9 +1,6 @@
 package ipc
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // LWCSwitchNanos is the cost of one light-weight-context switch as measured
 // by Litton et al. (OSDI '16) and quoted in Table 2. A disjoint-address-space
@@ -11,24 +8,19 @@ import (
 // context and back — on the monitored program's critical path.
 const LWCSwitchNanos = 2010
 
-// lwcChannel models delivering messages through light-weight contexts: each
+// lwcSender models delivering messages through light-weight contexts: each
 // Send performs two context switches (to the verifier and back), modelled as
-// calibrated busy-waits, then hands the message over synchronously. It
-// demonstrates why even the fastest disjoint-address-space primitive is
-// unusable for high-frequency event streams (§2.3).
-type lwcChannel struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	closed bool
-	seq    uint64
-}
+// calibrated busy-waits, around a synchronous hand-over to the shared
+// in-process queue. It demonstrates why even the fastest
+// disjoint-address-space primitive is unusable for high-frequency event
+// streams (§2.3). The sender pays the switches; the verifier side drains
+// whole bursts from the queue under one lock round.
+type lwcSender struct{ *memQueue }
 
 // NewLWC constructs the light-weight-context model channel.
 func NewLWC() *Channel {
-	c := &lwcChannel{}
-	c.cond = sync.NewCond(&c.mu)
-	return &Channel{Sender: c, Receiver: c, Props: Properties{
+	q := newMemQueue()
+	return &Channel{Sender: lwcSender{q}, Receiver: q, Props: Properties{
 		Name:            "Light-Weight Contexts",
 		AppendOnly:      true,
 		AsyncValidation: false,
@@ -37,83 +29,12 @@ func NewLWC() *Channel {
 	}}
 }
 
-func (c *lwcChannel) Send(m Message) error {
+func (s lwcSender) Send(m Message) error {
 	// Switch into the verifier's context, deliver, switch back.
 	spinWait(LWCSwitchNanos * time.Nanosecond)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+	if err := s.memQueue.Send(m); err != nil {
+		return err
 	}
-	c.seq++
-	m.Seq = c.seq
-	c.queue = append(c.queue, m)
-	c.cond.Signal()
-	c.mu.Unlock()
 	spinWait(LWCSwitchNanos * time.Nanosecond)
 	return nil
 }
-
-func (c *lwcChannel) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	c.cond.Broadcast()
-	return nil
-}
-
-func (c *lwcChannel) Recv() (Message, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.queue) == 0 && !c.closed {
-		c.cond.Wait()
-	}
-	if len(c.queue) == 0 {
-		return Message{}, false, nil
-	}
-	m := c.queue[0]
-	c.queue = c.queue[1:]
-	return m, true, nil
-}
-
-func (c *lwcChannel) TryRecv() (Message, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.queue) == 0 {
-		return Message{}, false, nil
-	}
-	m := c.queue[0]
-	c.queue = c.queue[1:]
-	return m, true, nil
-}
-
-// RecvBatch implements BatchReceiver. The sender already paid the context
-// switches; the verifier side drains whole bursts under one lock round.
-func (c *lwcChannel) RecvBatch(out []Message) (int, bool, error) {
-	if len(out) == 0 {
-		return 0, true, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.queue) == 0 && !c.closed {
-		c.cond.Wait()
-	}
-	if len(c.queue) == 0 {
-		return 0, false, nil
-	}
-	n := copy(out, c.queue)
-	c.queue = c.queue[n:]
-	return n, true, nil
-}
-
-// Pending implements Pender.
-func (c *lwcChannel) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
-var (
-	_ BatchReceiver = (*lwcChannel)(nil)
-	_ Pender        = (*lwcChannel)(nil)
-)

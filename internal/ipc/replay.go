@@ -5,12 +5,12 @@ import "sync"
 // Replay is a receiver that serves a pre-recorded message stream. Throughput
 // experiments use it to measure the verifier's drain rate in isolation: the
 // producer cost is paid up front, so messages/sec reflects receive + policy
-// evaluation only. The zero cost of "production" also makes scalar-vs-batch
+// evaluation only. The zero cost of "production" also makes one-slot-vs-burst
 // drain comparisons clean — both modes replay the identical stream.
 //
 // A Replay is safe for one concurrent consumer plus concurrent Pending calls;
-// the per-call mutex deliberately models the per-message synchronization a
-// real scalar receiver pays, while RecvBatch pays it once per burst.
+// the per-call mutex models the synchronization a real receiver pays once
+// per RecvBatch, so a one-slot drain pays it per message.
 type Replay struct {
 	mu   sync.Mutex
 	msgs []Message
@@ -20,22 +20,7 @@ type Replay struct {
 // NewReplay builds a replay receiver over msgs (not copied).
 func NewReplay(msgs []Message) *Replay { return &Replay{msgs: msgs} }
 
-// Recv implements Receiver; the stream "closes" when exhausted.
-func (r *Replay) Recv() (Message, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.next >= len(r.msgs) {
-		return Message{}, false, nil
-	}
-	m := r.msgs[r.next]
-	r.next++
-	return m, true, nil
-}
-
-// TryRecv implements TryReceiver.
-func (r *Replay) TryRecv() (Message, bool, error) { return r.Recv() }
-
-// RecvBatch implements BatchReceiver.
+// RecvBatch implements Receiver; the stream "closes" when exhausted.
 func (r *Replay) RecvBatch(out []Message) (int, bool, error) {
 	if len(out) == 0 {
 		return 0, true, nil
@@ -65,8 +50,6 @@ func (r *Replay) Rewind() {
 }
 
 var (
-	_ Receiver      = (*Replay)(nil)
-	_ TryReceiver   = (*Replay)(nil)
-	_ BatchReceiver = (*Replay)(nil)
-	_ Pender        = (*Replay)(nil)
+	_ Receiver = (*Replay)(nil)
+	_ Pender   = (*Replay)(nil)
 )

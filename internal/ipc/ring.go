@@ -22,11 +22,9 @@ type SharedRing struct {
 }
 
 var (
-	_ Sender        = (*SharedRing)(nil)
-	_ Receiver      = (*SharedRing)(nil)
-	_ TryReceiver   = (*SharedRing)(nil)
-	_ BatchReceiver = (*SharedRing)(nil)
-	_ Pender        = (*SharedRing)(nil)
+	_ Sender   = (*SharedRing)(nil)
+	_ Receiver = (*SharedRing)(nil)
+	_ Pender   = (*SharedRing)(nil)
 )
 
 // Shared-ring capacity bounds: requests are clamped into [MinRingCapacity,
@@ -93,40 +91,14 @@ func (r *SharedRing) Close() error {
 	return nil
 }
 
-// Recv blocks until a message is available or the ring is closed and empty.
-// The empty-ring wait uses the same budgeted backoff as Send, so a consumer
-// ahead of a stalled producer stops burning its core after the spin budget.
-func (r *SharedRing) Recv() (Message, bool, error) {
-	var bo pollBackoff
-	for {
-		if m, ok, err := r.TryRecv(); ok || err != nil {
-			return m, ok, err
-		}
-		if r.closed.Load() && r.tail.Load() == r.head.Load() {
-			return Message{}, false, nil
-		}
-		bo.pause()
-	}
-}
-
-// TryRecv returns the next message without blocking.
-func (r *SharedRing) TryRecv() (Message, bool, error) {
-	tail := r.tail.Load()
-	if tail == r.head.Load() {
-		return Message{}, false, nil
-	}
-	m := r.slots[tail&r.mask]
-	r.tail.Store(tail + 1)
-	return m, true, nil
-}
-
 // RecvBatch copies every currently pending message (up to len(buf)) out of
 // the ring in one pass, publishing the new read cursor with a single atomic
-// store. The scalar Recv pays two atomic loads and one store per message;
-// here that cost is paid once per burst, which is what lets a drain loop keep
-// up with a writer whose send is a single memory write. The burst is copied
-// with at most two bulk copies (the wrap-around split) instead of a per-slot
-// loop, and the empty-ring wait uses the budgeted backoff shared with Send.
+// store: two atomic loads and one store per burst, not per message, which is
+// what lets a drain loop keep up with a writer whose send is a single memory
+// write. The burst is copied with at most two bulk copies (the wrap-around
+// split) instead of a per-slot loop, and the empty-ring wait uses the
+// budgeted backoff shared with Send, so a consumer ahead of a stalled
+// producer stops burning its core after the spin budget.
 func (r *SharedRing) RecvBatch(buf []Message) (int, bool, error) {
 	if len(buf) == 0 {
 		return 0, true, nil

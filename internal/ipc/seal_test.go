@@ -98,7 +98,7 @@ func TestSealSenderMatchesBackendSeq(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		m, ok, err := ch.Receiver.Recv()
+		m, ok, err := RecvOne(ch.Receiver)
 		if err != nil || !ok {
 			t.Fatalf("recv %d: ok=%t err=%v", i, ok, err)
 		}

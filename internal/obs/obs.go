@@ -53,7 +53,7 @@ type ConnRow struct {
 	Connected         bool   `json:"connected"` // transport live (false = severed, awaiting resume)
 	Resumes           uint64 `json:"resumes"`
 	ForwardedSeq      uint64 `json:"forwarded_seq"` // cumulative ack high-water
-	QueueDepth        int    `json:"queue_depth"`   // session queue backlog
+	QueueDepth        int    `json:"queue_depth"`   // always 0: a session has no queue; kept for bench/, which reads it
 	LastRecvUnixNanos int64  `json:"last_recv_unix_nanos"`
 	LeaseNanos        int64  `json:"lease_nanos"`
 }

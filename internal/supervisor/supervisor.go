@@ -390,12 +390,6 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 	var drained <-chan struct{}
 	if ch != nil {
 		var err error
-		// Which drain loop this channel gets is decided here by its
-		// concrete type: without telemetry, a shared-ring config attaches
-		// the bare *ipc.SharedRing and takes the pump's devirtualized
-		// fast path; EnableTelemetry above wrapped the receiver, which
-		// (like every other wrapped or fd-framed backend) takes the
-		// generic ipc.Receiver loop.
 		drained, err = s.pumps.Attach(ch.Receiver)
 		if err != nil {
 			// Shutdown won the race after admission; unwind the context

@@ -87,47 +87,7 @@ type Reader struct {
 // Reader returns the reader endpoint.
 func (mc *MultiCore) Reader() *Reader { return &Reader{mc: mc} }
 
-// TryRecv returns the next available message from any AMR (round-robin),
-// without blocking.
-func (r *Reader) TryRecv() (ipc.Message, bool, error) {
-	n := len(r.mc.devices)
-	for i := 0; i < n; i++ {
-		d := r.mc.devices[(r.next+i)%n]
-		m, ok, err := d.TryRecv()
-		if err != nil {
-			return m, ok, err
-		}
-		if ok {
-			r.next = (r.next + i + 1) % n
-			return m, true, nil
-		}
-	}
-	return ipc.Message{}, false, nil
-}
-
-// Recv blocks until a message is available on any AMR, or every writer has
-// closed and all AMRs are drained.
-func (r *Reader) Recv() (ipc.Message, bool, error) {
-	for {
-		m, ok, err := r.TryRecv()
-		if ok || err != nil {
-			return m, ok, err
-		}
-		r.mc.mu.Lock()
-		done := r.mc.closed == len(r.mc.devices)
-		r.mc.mu.Unlock()
-		if done {
-			// Final drain pass: a writer may have appended between
-			// our scan and its close.
-			if m, ok, err := r.TryRecv(); ok || err != nil {
-				return m, ok, err
-			}
-			return ipc.Message{}, false, nil
-		}
-	}
-}
-
-// RecvBatch implements ipc.BatchReceiver: one sweep over the AMRs fills out
+// RecvBatch implements ipc.Receiver: one sweep over the AMRs fills out
 // with every pending message (up to len(out)), taking each device lock once
 // per sweep instead of once per message. Per-AMR (and therefore per-writer)
 // message order is preserved; cross-core order is policy-irrelevant or
@@ -136,13 +96,16 @@ func (r *Reader) RecvBatch(out []ipc.Message) (int, bool, error) {
 	if len(out) == 0 {
 		return 0, true, nil
 	}
+	n := len(r.mc.devices)
 	for {
-		total := 0
-		n := len(r.mc.devices)
-		advance := 0
+		// Read "every writer closed" before the sweep: an empty sweep that
+		// started after the last close means the AMRs are drained.
+		r.mc.mu.Lock()
+		done := r.mc.closed == n
+		r.mc.mu.Unlock()
+		total, advance := 0, 0
 		for i := 0; i < n && total < len(out); i++ {
-			d := r.mc.devices[(r.next+i)%n]
-			k, _, err := d.TryRecvBatch(out[total:])
+			k, _, err := r.mc.devices[(r.next+i)%n].TryRecvBatch(out[total:])
 			total += k
 			if err != nil {
 				return total, false, err
@@ -155,18 +118,8 @@ func (r *Reader) RecvBatch(out []ipc.Message) (int, bool, error) {
 			r.next = (r.next + advance) % n
 			return total, true, nil
 		}
-		r.mc.mu.Lock()
-		done := r.mc.closed == len(r.mc.devices)
-		r.mc.mu.Unlock()
 		if done {
-			for i := 0; i < n && total < len(out); i++ {
-				k, _, err := r.mc.devices[i].TryRecvBatch(out[total:])
-				total += k
-				if err != nil {
-					return total, false, err
-				}
-			}
-			return total, total > 0, nil
+			return 0, false, nil
 		}
 		runtime.Gosched()
 	}
@@ -183,7 +136,6 @@ func (r *Reader) Pending() int {
 }
 
 var (
-	_ ipc.Receiver      = (*Reader)(nil)
-	_ ipc.BatchReceiver = (*Reader)(nil)
-	_ ipc.Pender        = (*Reader)(nil)
+	_ ipc.Receiver = (*Reader)(nil)
+	_ ipc.Pender   = (*Reader)(nil)
 )

@@ -44,7 +44,7 @@ func TestMultiCoreSingleReaderReceivesAll(t *testing.T) {
 	perCore := make(map[uint64][]uint64)
 	count := 0
 	for {
-		m, ok, err := r.Recv()
+		m, ok, err := ipc.RecvOne(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +85,11 @@ func TestMultiCoreAMRsAreIsolated(t *testing.T) {
 			t.Fatal("ordinary store to a multi-core AMR succeeded")
 		}
 	}
-	got, ok, err := mc.devices[0].TryRecv()
-	if !ok || err != nil || got.Arg1 != 7 {
-		t.Fatalf("core 0 AMR: %v %t %v", got, ok, err)
+	var got [1]ipc.Message
+	if n, _, err := mc.devices[0].TryRecvBatch(got[:]); n != 1 || err != nil || got[0].Arg1 != 7 {
+		t.Fatalf("core 0 AMR: %v n=%d %v", got[0], n, err)
 	}
-	if _, ok, _ := mc.devices[1].TryRecv(); ok {
+	if n, _, _ := mc.devices[1].TryRecvBatch(got[:]); n != 0 {
 		t.Fatal("message leaked into another core's AMR")
 	}
 }
@@ -118,7 +118,7 @@ func TestMultiCoreOrderedTimestamps(t *testing.T) {
 	r := mc.Reader()
 	var stamps []uint64
 	for {
-		m, ok, err := r.Recv()
+		m, ok, err := ipc.RecvOne(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestMultiCoreReaderRoundRobinFairness(t *testing.T) {
 		}
 	}
 	r := mc.Reader()
-	first, _, err := r.TryRecv()
+	first, _, err := ipc.RecvOne(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := r.TryRecv()
+	second, _, err := ipc.RecvOne(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,27 +132,6 @@ func (d *Device) Append(m ipc.Message) error {
 	return nil
 }
 
-// Recv reads the next message from the AMR, blocking until one is appended
-// or the device is closed and drained.
-func (d *Device) Recv() (ipc.Message, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for d.readAddr == d.core.AppendAddr && !d.closed {
-		d.cond.Wait()
-	}
-	return d.recvLocked()
-}
-
-// TryRecv reads the next message without blocking.
-func (d *Device) TryRecv() (ipc.Message, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.readAddr == d.core.AppendAddr {
-		return ipc.Message{}, false, nil
-	}
-	return d.recvLocked()
-}
-
 // RecvBatch reads up to len(out) messages in one lock round, blocking until
 // at least one is appended or the device is closed and drained. Draining the
 // AMR in bursts is what unblocks a writer waiting in the full-AMR fault
@@ -184,14 +163,17 @@ func (d *Device) TryRecvBatch(out []ipc.Message) (int, bool, error) {
 
 func (d *Device) recvBatchLocked(out []ipc.Message) (int, bool, error) {
 	n := 0
+	var buf [ipc.MessageSize]byte
 	for n < len(out) && d.readAddr != d.core.AppendAddr {
-		m, ok, err := d.recvLocked()
-		if err != nil {
+		if err := d.memory.Read(d.readAddr, buf[:]); err != nil {
 			return n, false, err
 		}
-		if !ok {
-			break
+		m, err := ipc.DecodeMessage(buf[:])
+		if err != nil {
+			return n, false, fmt.Errorf("%w: %v", ipc.ErrIntegrity, err)
 		}
+		d.readAddr += ipc.MessageSize
+		d.cond.Broadcast() // AMR space freed: wake a writer in the fault handler
 		out[n] = m
 		n++
 	}
@@ -203,23 +185,6 @@ func (d *Device) Pending() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return int((d.core.AppendAddr - d.readAddr) / ipc.MessageSize)
-}
-
-func (d *Device) recvLocked() (ipc.Message, bool, error) {
-	if d.readAddr == d.core.AppendAddr {
-		return ipc.Message{}, false, nil
-	}
-	var buf [ipc.MessageSize]byte
-	if err := d.memory.Read(d.readAddr, buf[:]); err != nil {
-		return ipc.Message{}, false, err
-	}
-	m, err := ipc.DecodeMessage(buf[:])
-	if err != nil {
-		return ipc.Message{}, false, fmt.Errorf("%w: %v", ipc.ErrIntegrity, err)
-	}
-	d.readAddr += ipc.MessageSize
-	d.cond.Broadcast()
-	return m, true, nil
 }
 
 // Close marks the device closed.
@@ -240,19 +205,9 @@ type deviceSender struct{ d *Device }
 func (s deviceSender) Send(m ipc.Message) error { return s.d.Append(m) }
 func (s deviceSender) Close() error             { return s.d.Close() }
 
-// deviceReceiver adapts Device to ipc.Receiver.
-type deviceReceiver struct{ d *Device }
-
-func (r deviceReceiver) Recv() (ipc.Message, bool, error)         { return r.d.Recv() }
-func (r deviceReceiver) TryRecv() (ipc.Message, bool, error)      { return r.d.TryRecv() }
-func (r deviceReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
-	return r.d.RecvBatch(out)
-}
-func (r deviceReceiver) Pending() int { return r.d.Pending() }
-
 var (
-	_ ipc.BatchReceiver = deviceReceiver{}
-	_ ipc.Pender        = deviceReceiver{}
+	_ ipc.Receiver = (*Device)(nil)
+	_ ipc.Pender   = (*Device)(nil)
 )
 
 // New creates an AppendWrite-µarch channel with hardware semantics: an AMR
@@ -265,7 +220,7 @@ func New(memory *mem.Memory, base, size uint64) (*ipc.Channel, *Device, error) {
 	}
 	ch := &ipc.Channel{
 		Sender:   deviceSender{d},
-		Receiver: deviceReceiver{d},
+		Receiver: d,
 		Props: ipc.Properties{
 			Name:            "AppendWrite-µarch",
 			AppendOnly:      true,

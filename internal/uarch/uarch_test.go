@@ -28,7 +28,7 @@ func TestAppendAndReceive(t *testing.T) {
 	}
 	ch.Close()
 	for i := 0; i < 100; i++ {
-		m, ok, err := ch.Receiver.Recv()
+		m, ok, err := ipc.RecvOne(ch.Receiver)
 		if !ok || err != nil {
 			t.Fatalf("Recv %d: ok=%t err=%v", i, ok, err)
 		}
@@ -49,7 +49,7 @@ func TestMMURejectsOrdinaryWritesToAMR(t *testing.T) {
 		t.Fatal("ordinary store to AMR succeeded: append-only violated")
 	}
 	// The evidence is still there.
-	msg, ok, err := ch.Receiver.Recv()
+	msg, ok, err := ipc.RecvOne(ch.Receiver)
 	if !ok || err != nil || msg.Arg1 != 0xbad {
 		t.Errorf("evidence lost: %v %t %v", msg, ok, err)
 	}
@@ -74,7 +74,7 @@ func TestFaultHandlerResetsAfterDrain(t *testing.T) {
 		done <- ch.Sender.Close()
 	}()
 	for i := 0; i < 24; i++ {
-		m, ok, err := ch.Receiver.Recv()
+		m, ok, err := ipc.RecvOne(ch.Receiver)
 		if !ok || err != nil {
 			t.Fatalf("Recv %d: ok=%t err=%v", i, ok, err)
 		}
@@ -139,7 +139,7 @@ func TestModelChannel(t *testing.T) {
 	// It still functions as a channel.
 	ch.Sender.Send(ipc.Message{Op: ipc.OpInit})
 	ch.Close()
-	if _, ok, err := ch.Receiver.Recv(); !ok || err != nil {
+	if _, ok, err := ipc.RecvOne(ch.Receiver); !ok || err != nil {
 		t.Error("model channel lost a message")
 	}
 }
@@ -170,7 +170,7 @@ func TestDeviceRecvBatch(t *testing.T) {
 	buf := make([]ipc.Message, 16)
 	got := 0
 	for {
-		k, ok, err := ch.Receiver.(ipc.BatchReceiver).RecvBatch(buf)
+		k, ok, err := ch.Receiver.RecvBatch(buf)
 		if err != nil {
 			t.Fatalf("RecvBatch: %v", err)
 		}

@@ -37,11 +37,26 @@ func TestDrainSteadyStateZeroAlloc(t *testing.T) {
 	var flush sync.WaitGroup
 	run := func() {
 		r.Rewind()
-		p.drain(r, &flush)
+		drainLoop(p, r, &flush)
 		flush.Wait() // every block reference back in the free list
 	}
-	// Warm up: proc context, the arena's circulating block set, runtime
-	// internals. Steady state starts once the free list is primed.
+	// Warm up. The arena's circulating set is primed first, deterministically:
+	// the runs queued to the shard (QueueDepth), the one its worker is
+	// delivering and the one the drain is enqueueing span that many blocks
+	// plus one when unaligned, and the drain's writer lease may sit on one
+	// more — lease and release that many, so the free list holds every block
+	// the pipeline can have in flight however far the scheduler lets the
+	// worker lag the drain. The runs then warm the proc context and runtime
+	// internals.
+	const runsPerBlock = blockSlots / DefaultBatchSize
+	const maxBlocks = (DefaultQueueDepth+2+runsPerBlock-1)/runsPerBlock + 2
+	var primed [maxBlocks]*arenaBlock
+	for i := range primed {
+		primed[i] = p.arena.lease()
+	}
+	for _, b := range primed {
+		p.arena.release(b)
+	}
 	for i := 0; i < 3; i++ {
 		run()
 	}
@@ -54,6 +69,9 @@ func TestDrainSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if got := p.arena.allocs.Load(); got != blockAllocs {
 		t.Fatalf("arena allocated %d fresh blocks after warm-up, want 0", got-blockAllocs)
+	}
+	if blockAllocs != maxBlocks {
+		t.Fatalf("arena holds %d blocks, want exactly the %d primed: the pipeline's in-flight bound is wrong", blockAllocs, maxBlocks)
 	}
 }
 

@@ -198,15 +198,6 @@ type transientReceiver struct {
 	sticky error // returned forever once the script is exhausted (nil = close)
 }
 
-func (r *transientReceiver) Recv() (ipc.Message, bool, error) {
-	var one [1]ipc.Message
-	n, ok, err := r.RecvBatch(one[:])
-	if n == 1 {
-		return one[0], true, err
-	}
-	return ipc.Message{}, ok, err
-}
-
 func (r *transientReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 	for len(r.script) > 0 {
 		item := r.script[0]

@@ -1,0 +1,186 @@
+package verifier
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"herqules/internal/ipc"
+)
+
+// referencePump is the executable spec the sharded pipeline is checked
+// against: one message per RecvBatch, one Deliver per message, on the
+// caller's goroutine — no arena, no routing, no shard queues.
+func referencePump(v *Verifier, r ipc.Receiver) {
+	var one [1]ipc.Message
+	for {
+		n, ok, err := r.RecvBatch(one[:])
+		if n == 1 {
+			v.Deliver(one[0])
+		}
+		if err != nil {
+			v.killAttributed(err)
+			return
+		}
+		if !ok {
+			return
+		}
+	}
+}
+
+// Roles of the PIDs in an oracle stream. Every fault belongs to its own
+// process, so each process dies for exactly one reason and the first-kill
+// reason fakeGate keeps does not depend on delivery interleaving.
+const (
+	oracleCFIViolator = 1 + iota // checks a pointer against the wrong value
+	oracleSeqGap                 // skips a sequence number
+	oracleSeqDup                 // repeats a sequence number
+	oracleErrTarget              // clean; the receiver blames it mid-stream
+	oracleClean1
+	oracleClean2
+	oraclePIDs = oracleClean2
+)
+
+// oracleStream builds a seeded multi-PID stream interleaved at random
+// quantum lengths, with one fault per faulty role at a random position of
+// the first third of that process's own stream, and picks the global index
+// (past the middle, so every fault has been sent by then) at which the
+// receiver fails with a ProcessError attributed to oracleErrTarget.
+func oracleStream(rng *rand.Rand) (msgs []ipc.Message, errAt int) {
+	const perPID = 600
+	var seq, sent [oraclePIDs + 1]uint64
+	var faultAt [oraclePIDs + 1]uint64
+	for pid := range faultAt {
+		faultAt[pid] = uint64(50 + rng.Intn(perPID/4))
+	}
+	for len(msgs) < oraclePIDs*perPID {
+		pid := int32(1 + rng.Intn(oraclePIDs))
+		for q := 1 + rng.Intn(40); q > 0 && sent[pid] < perPID; q-- {
+			i := sent[pid]
+			sent[pid]++
+			seq[pid]++
+			addr := uint64(0x1000 + 8*(i/3%64))
+			m := ipc.Message{PID: pid, Arg1: addr, Arg2: addr + 1}
+			switch i % 3 {
+			case 0:
+				m.Op = ipc.OpPointerDefine
+			case 1:
+				m.Op = ipc.OpPointerCheck
+			default:
+				m.Op = ipc.OpCounterInc
+			}
+			if i == faultAt[pid] {
+				switch pid {
+				case oracleCFIViolator:
+					m.Op, m.Arg2 = ipc.OpPointerCheck, 0xbad
+				case oracleSeqGap:
+					seq[pid]++
+				case oracleSeqDup:
+					seq[pid]--
+				}
+			}
+			m.Seq = seq[pid]
+			msgs = append(msgs, m)
+		}
+	}
+	return msgs, len(msgs)/2 + rng.Intn(len(msgs)/4)
+}
+
+// oracleReceiver serves msgs[:errAt] in bursts of seeded random size, then
+// fails with err. The last burst arrives in the same call as the error, so
+// the "first n messages are valid alongside err" half of the Receiver
+// contract is on the tested path.
+type oracleReceiver struct {
+	msgs  []ipc.Message
+	errAt int
+	err   error
+	rng   *rand.Rand
+	pos   int
+}
+
+func (r *oracleReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
+	k := 1 + r.rng.Intn(300)
+	if k > len(out) {
+		k = len(out)
+	}
+	if k > r.errAt-r.pos {
+		k = r.errAt - r.pos
+	}
+	copy(out, r.msgs[r.pos:r.pos+k])
+	r.pos += k
+	if r.pos == r.errAt {
+		return k, false, r.err
+	}
+	return k, true, nil
+}
+
+// oracleOutcome is everything the differential test compares.
+type oracleOutcome struct {
+	Kills      map[int32]string
+	Messages   [oraclePIDs + 1]uint64
+	Violations [oraclePIDs + 1][]string
+	Total      uint64
+}
+
+func runOracle(seed int64, shards int, pump func(*Verifier, ipc.Receiver)) oracleOutcome {
+	msgs, errAt := oracleStream(rand.New(rand.NewSource(seed)))
+	g := newFakeGate()
+	v := NewSharded(cfiFactory, g, shards)
+	v.CheckSeq = true
+	for pid := int32(1); pid <= oraclePIDs; pid++ {
+		v.ProcessStarted(pid)
+	}
+	pump(v, &oracleReceiver{
+		msgs: msgs, errAt: errAt, rng: rand.New(rand.NewSource(seed ^ 0x5eed)),
+		err: &ipc.ProcessError{PID: oracleErrTarget, Err: ipc.ErrIntegrity},
+	})
+	out := oracleOutcome{Kills: g.kills, Total: v.TotalMessages()}
+	for pid := int32(1); pid <= oraclePIDs; pid++ {
+		out.Messages[pid] = v.Messages(pid)
+		for _, viol := range v.Violations(pid) {
+			out.Violations[pid] = append(out.Violations[pid], viol.Error())
+		}
+	}
+	return out
+}
+
+// TestPumpMatchesReferenceOracle is the differential check of the one drain
+// path: on seeded random multi-PID streams carrying a CFI violator, a
+// sequence gap, a duplicate sequence number and a mid-stream attributed
+// receive error, Pump and PumpSet at 1, 2 and 4 shards must produce exactly
+// the reference loop's kill set, kill reasons, per-PID message counts and
+// per-PID violations.
+func TestPumpMatchesReferenceOracle(t *testing.T) {
+	pumps := map[string]func(*Verifier, ipc.Receiver){
+		"Pump": (*Verifier).Pump,
+		"PumpSet": func(v *Verifier, r ipc.Receiver) {
+			ps := v.NewPumpSet()
+			done, err := ps.Attach(r)
+			if err != nil {
+				panic(err)
+			}
+			<-done
+			ps.Close()
+		},
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		want := runOracle(seed, 1, referencePump)
+		for _, pid := range []int32{oracleCFIViolator, oracleSeqGap, oracleSeqDup, oracleErrTarget} {
+			if want.Kills[pid] == "" {
+				t.Fatalf("seed %d: reference did not kill faulty pid %d: %v", seed, pid, want.Kills)
+			}
+		}
+		if len(want.Kills) != 4 {
+			t.Fatalf("seed %d: reference killed a clean process: %v", seed, want.Kills)
+		}
+		for name, pump := range pumps {
+			for _, shards := range []int{1, 2, 4} {
+				got := runOracle(seed, shards, pump)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d %s shards=%d diverges from the reference:\n got  %+v\n want %+v",
+						seed, name, shards, got, want)
+				}
+			}
+		}
+	}
+}

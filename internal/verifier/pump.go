@@ -17,11 +17,9 @@ import (
 //
 // Hot-path anatomy (see DESIGN.md "Hot path anatomy" for the full story):
 //
-//  1. drain devirtualizes its receiver once — a concrete fast-path loop is
-//     instantiated for *ipc.SharedRing and *ipc.Replay, everything else
-//     (instrumented/chaos wrappers, fd framing) takes the generic
-//     ipc.Receiver loop — so the dominant backend pays no per-burst
-//     interface dispatch.
+//  1. There is one drain loop, and every receiver — ring, replay, fd
+//     framing, instrumented/chaos wrappers, hqnet sessions — goes through
+//     it by ipc.Receiver.RecvBatch: one interface call per burst.
 //  2. Each burst is received directly into a leased arena block and routed
 //     as (block, start, len) runs of same-shard messages: a message is
 //     written once by RecvBatch and never copied again.
@@ -104,57 +102,27 @@ func (v *Verifier) newPipeline() *pipeline {
 	return p
 }
 
-// batchSource is the one capability a drain loop needs from its receiver.
-// drainLoop is generic over the concrete type so the dominant backends bind
-// their RecvBatch directly instead of through ipc.Receiver dispatch.
-type batchSource interface {
-	RecvBatch(buf []ipc.Message) (n int, ok bool, err error)
-}
-
-// genericSource adapts any ipc.Receiver — wrapped rings (telemetry, chaos),
-// fd framing, scalar-only backends — to batchSource via ipc.RecvBatchFrom.
-type genericSource struct{ r ipc.Receiver }
-
-func (g genericSource) RecvBatch(buf []ipc.Message) (int, bool, error) {
-	return ipc.RecvBatchFrom(g.r, buf)
-}
-
-// drain consumes messages from r until the channel closes or fails. It is
-// the per-source half of the pump: each concurrent source runs drain in its
-// own goroutine with its own arena lease, all feeding the same shard
-// workers. Messages for one process always arrive over one channel and
-// always land in that process's shard queue in receive order, so per-process
-// ordering (and CheckSeq) is preserved under any number of concurrent
-// sources. A receive-side integrity error kills the process the receiver
-// attributes it to and stops only this source's drain.
+// drainLoop consumes messages from r until the channel closes or fails. It
+// is the per-source half of the pump and the receive half of the hot path:
+// each concurrent source runs drainLoop in its own goroutine with its own
+// arena lease, RecvBatch-ing bursts directly into the leased block and
+// routing each burst as same-shard runs, all feeding the same shard workers.
+// Messages for one process always arrive over one channel and always land in
+// that process's shard queue in receive order, so per-process ordering (and
+// CheckSeq) is preserved under any number of concurrent sources.
 //
-// The receiver's concrete type is resolved exactly once, here: the shared
-// ring and the replay stream — the two backends the throughput path lives
-// on — get devirtualized loops, everything else the generic one.
+// Transient receive failures (ipc.IsTransient) are retried with exponential
+// backoff up to a bound; everything else — and a transient fault that never
+// clears — is terminal: the source is treated as failed, the process the
+// receiver attributes the error to (if any) is killed, and only this
+// source's drain stops. Messages received alongside an error were already
+// routed, so no retry re-reads or drops them.
 //
 // flush, when non-nil, counts this source's outstanding batches: incremented
 // per enqueue here, decremented by the shard worker after delivery. When
-// drain has returned AND flush has drained to zero, every message r produced
-// has been evaluated by the verifier.
-func (p *pipeline) drain(r ipc.Receiver, flush *sync.WaitGroup) {
-	switch cr := r.(type) {
-	case *ipc.SharedRing:
-		drainLoop(p, cr, flush)
-	case *ipc.Replay:
-		drainLoop(p, cr, flush)
-	default:
-		drainLoop(p, genericSource{r: r}, flush)
-	}
-}
-
-// drainLoop is the receive half of the hot path: lease an arena block,
-// RecvBatch bursts directly into it, route each burst as same-shard runs.
-// Transient receive failures (ipc.IsTransient) are retried with exponential
-// backoff up to a bound; everything else — and a transient fault that never
-// clears — is terminal: the source is treated as failed and the attributed
-// process (if any) killed. Messages received alongside an error were already
-// routed, so no retry re-reads or drops them.
-func drainLoop[S batchSource](p *pipeline, src S, flush *sync.WaitGroup) {
+// drainLoop has returned AND flush has drained to zero, every message r
+// produced has been evaluated by the verifier.
+func drainLoop(p *pipeline, r ipc.Receiver, flush *sync.WaitGroup) {
 	v := p.v
 	tm := v.tm
 	maxRetries := v.MaxRecvRetries
@@ -178,7 +146,7 @@ func drainLoop[S batchSource](p *pipeline, src S, flush *sync.WaitGroup) {
 		if tm != nil {
 			recvStart = time.Now()
 		}
-		n, ok, err := src.RecvBatch(blk.msgs[w : w+p.batchSize])
+		n, ok, err := r.RecvBatch(blk.msgs[w : w+p.batchSize])
 		if tm != nil {
 			// Time spent inside RecvBatch is (almost entirely) time the
 			// drain loop stalled waiting for the producer.
@@ -318,7 +286,7 @@ func (ps *PumpSet) Attach(r ipc.Receiver) (done <-chan struct{}, err error) {
 	go func() {
 		defer ps.drains.Done()
 		var flush sync.WaitGroup
-		ps.p.drain(r, &flush)
+		drainLoop(ps.p, r, &flush)
 		// The source is fully read; now wait until the shard workers have
 		// delivered every batch it enqueued, so closing done publishes
 		// "this source's messages are verified", not merely "handed off".

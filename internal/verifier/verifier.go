@@ -14,7 +14,7 @@
 //     in the same shard, preserving per-process ordering and the §3.1.1
 //     counter semantics.
 //   - Batch draining: Pump pulls whole bursts from the channel via
-//     ipc.BatchReceiver and evaluates each shard's share under one lock
+//     ipc.Receiver.RecvBatch and evaluates each shard's share under one lock
 //     round (DeliverBatch), amortizing atomics, syscalls and map lookups
 //     across the burst instead of paying them per message.
 package verifier
@@ -936,7 +936,7 @@ func (v *Verifier) WedgedFor(pid int32) (bool, string) {
 }
 
 // Pump consumes messages from r until the channel closes, draining bursts
-// with ipc.RecvBatchFrom and fanning each burst out to per-shard worker
+// with r.RecvBatch and fanning each burst out to per-shard worker
 // goroutines over bounded queues. Messages for one process always flow
 // through the same shard queue in receive order, so per-process ordering
 // (and CheckSeq) is preserved while different processes validate
@@ -949,26 +949,8 @@ func (v *Verifier) WedgedFor(pid int32) (bool, string) {
 // concurrent sources shares one pipeline through NewPumpSet (pump.go).
 func (v *Verifier) Pump(r ipc.Receiver) {
 	p := v.newPipeline()
-	p.drain(r, nil) // stop below flushes the workers; no per-source counter
+	drainLoop(p, r, nil) // stop below flushes the workers; no per-source counter
 	p.stop()
-}
-
-// PumpScalar is the pre-sharding drain loop — one Recv and one Deliver per
-// message — kept as the baseline the throughput benchmarks compare the
-// batched pipeline against, and for receivers where per-message latency
-// matters more than throughput.
-func (v *Verifier) PumpScalar(r ipc.Receiver) {
-	for {
-		m, ok, err := r.Recv()
-		if err != nil {
-			v.killAttributed(err)
-			return
-		}
-		if !ok {
-			return
-		}
-		v.Deliver(m)
-	}
 }
 
 // killAttributed terminates the process a receive-side error is attributed

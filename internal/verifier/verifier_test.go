@@ -327,15 +327,6 @@ type seqReceiver struct {
 	next    int
 }
 
-func (r *seqReceiver) Recv() (ipc.Message, bool, error) {
-	var one [1]ipc.Message
-	n, ok, err := r.RecvBatch(one[:])
-	if n == 1 {
-		return one[0], true, err
-	}
-	return ipc.Message{}, ok, err
-}
-
 func (r *seqReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 	if r.next >= len(r.batches) {
 		return 0, false, nil
@@ -519,15 +510,16 @@ type errReceiver struct {
 	err  error
 }
 
-func (r *errReceiver) Recv() (ipc.Message, bool, error) {
+func (r *errReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 	if len(r.msgs) > 0 {
-		m := r.msgs[0]
-		r.msgs = r.msgs[1:]
-		return m, true, nil
+		n := copy(out, r.msgs)
+		r.msgs = r.msgs[n:]
+		return n, true, nil
 	}
-	// Model a partially-filled message carrying a stale PID: the scalar
-	// receive path must not use it for attribution.
-	return ipc.Message{PID: 1}, false, r.err
+	// Model a partially-filled message carrying a stale PID left in the
+	// buffer past n: the drain must not use it for attribution.
+	out[0] = ipc.Message{PID: 1}
+	return 0, false, r.err
 }
 
 func TestPumpKillsOnlyAttributedErrors(t *testing.T) {
@@ -558,23 +550,6 @@ func TestPumpKillsOnlyAttributedErrors(t *testing.T) {
 	}
 	if g2.kills[1] != "" {
 		t.Error("attributed error killed an unrelated process")
-	}
-}
-
-func TestPumpScalarKillsOnlyAttributedErrors(t *testing.T) {
-	g := newFakeGate()
-	v := New(cfiFactory, g)
-	v.ProcessStarted(1)
-	v.PumpScalar(&errReceiver{err: ipc.ErrIntegrity})
-	if len(g.kills) != 0 {
-		t.Fatalf("scalar pump killed on unattributed error: %v", g.kills)
-	}
-	g2 := newFakeGate()
-	v2 := New(cfiFactory, g2)
-	v2.ProcessStarted(3)
-	v2.PumpScalar(&errReceiver{err: &ipc.ProcessError{PID: 3, Err: ipc.ErrIntegrity}})
-	if g2.kills[3] == "" {
-		t.Error("scalar pump ignored attributed error")
 	}
 }
 
