@@ -139,11 +139,13 @@ bench:
 
 # bench-smoke keeps the hot path honest in CI: a short run of the verifier
 # throughput benchmarks (catching gross regressions and alloc creep via
-# -benchmem) plus a quick shard-scaling ladder. It writes no file: the
-# committed BENCH_scaling.json is the full run and only `make scaling`
-# replaces it.
+# -benchmem), the networked client's send path (sealed stream to an
+# in-process daemon over a Unix socket, with its zero-alloc test) plus a
+# quick shard-scaling ladder. It writes no file: the committed
+# BENCH_scaling.json is the full run and only `make scaling` replaces it.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem .
+	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc' -bench 'BenchmarkClientSend' -benchtime 200ms -benchmem ./internal/hqnet
 	$(GO) run ./cmd/hqbench -exp scaling -quick >/dev/null
 
 throughput:

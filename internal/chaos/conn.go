@@ -51,13 +51,18 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 	if hit(inj.draw(FaultConnDrop, fc.stream, i), inj.cfg.connDrop) {
 		inj.count(FaultConnDrop)
 		fc.dead.Store(true)
-		// Truncate exactly inside the frame: half the bytes escape, then the
-		// transport dies. The far side's decoder must observe a mid-frame
-		// end, never a silently shortened-but-clean stream.
-		half := len(p) / 2
+		// Truncate exactly inside a frame: half the frames of the write and
+		// half of the next one escape, then the transport dies. The far
+		// side's decoder must observe a mid-frame end, never a silently
+		// shortened-but-clean stream — and half the bytes of a write that
+		// carries an even number of frames would be a frame boundary.
+		cut := (len(p)/ipc.MessageSize/2)*ipc.MessageSize + ipc.MessageSize/2
+		if cut > len(p) {
+			cut = len(p) / 2 // not a framed write
+		}
 		n := 0
-		if half > 0 {
-			n, _ = fc.Conn.Write(p[:half])
+		if cut > 0 {
+			n, _ = fc.Conn.Write(p[:cut])
 		}
 		fc.Conn.Close()
 		return n, net.ErrClosed

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"syscall"
@@ -122,39 +123,57 @@ func TestFrameCarryOverSocketpair(t *testing.T) {
 }
 
 // TestChaosConnDropTruncatesExactlyMidFrame injects FaultConnDrop on a real
-// socketpair: the chaos wrapper writes exactly half a frame and kills the
-// transport. The decoder must classify the stream end as a truncation (an
-// integrity violation carrying the trailing byte count), not as a clean EOF
-// — a silently shortened stream is precisely what fail-closed must catch.
+// socketpair: the chaos wrapper lets half the frames of the write and half of
+// the next frame escape, and kills the transport. The decoder must deliver
+// the whole frames and classify the stream end as a truncation (an integrity
+// violation carrying the trailing byte count), not as a clean EOF — a
+// silently shortened stream is precisely what fail-closed must catch. A
+// coalesced write of an even number of frames is the case that matters: half
+// its bytes is a frame boundary.
 func TestChaosConnDropTruncatesExactlyMidFrame(t *testing.T) {
-	w, r := socketpair(t)
-	inj := NewInjector(42, WithConnDrop(1))
-	cw := inj.Conn(w)
+	for _, frames := range []int{1, 2, ipc.StageFrames} {
+		t.Run(fmt.Sprintf("%d-frame-write", frames), func(t *testing.T) {
+			w, r := socketpair(t)
+			inj := NewInjector(42, WithConnDrop(1))
+			fw := ipc.NewFrameWriter(inj.Conn(w))
+			for i := 1; i < frames; i++ {
+				if err := fw.Stage(ipc.Message{Op: ipc.OpCounterInc, PID: 3, Seq: uint64(i)}); err != nil {
+					t.Fatalf("stage %d: %v", i, err)
+				}
+			}
+			err := fw.WriteMessage(ipc.Message{Op: ipc.OpCounterInc, PID: 3, Seq: uint64(frames)})
+			if err == nil {
+				t.Fatal("chaos-dropped write reported success")
+			}
 
-	fw := ipc.NewFrameWriter(cw)
-	err := fw.WriteMessage(ipc.Message{Op: ipc.OpCounterInc, PID: 3, Seq: 1})
-	if err == nil {
-		t.Fatal("chaos-dropped write reported success")
-	}
-
-	dec := ipc.NewFrameDecoder(r)
-	var out [4]ipc.Message
-	n, ok, derr := dec.Decode(out[:])
-	if n != 0 || ok {
-		t.Fatalf("decode after mid-frame drop: n=%d ok=%t, want 0 false", n, ok)
-	}
-	var trunc *ipc.TruncatedFrameError
-	if !errors.As(derr, &trunc) {
-		t.Fatalf("decode error = %v, want TruncatedFrameError", derr)
-	}
-	if trunc.Trailing != ipc.MessageSize/2 {
-		t.Fatalf("trailing = %d, want %d (half a frame)", trunc.Trailing, ipc.MessageSize/2)
-	}
-	if !errors.Is(derr, ipc.ErrIntegrity) {
-		t.Fatal("truncation does not unwrap to ipc.ErrIntegrity")
-	}
-	if got := inj.Counts().ConnDrops; got != 1 {
-		t.Fatalf("conn drops = %d, want 1", got)
+			dec := ipc.NewFrameDecoder(r)
+			out := make([]ipc.Message, frames)
+			got := 0
+			var derr error
+			for derr == nil {
+				n, ok, err := dec.Decode(out[got:])
+				got, derr = got+n, err
+				if !ok && err == nil {
+					t.Fatalf("clean end of stream after %d frames, want a truncation", got)
+				}
+			}
+			if got != frames/2 {
+				t.Fatalf("decoded %d whole frames before the cut, want %d", got, frames/2)
+			}
+			var trunc *ipc.TruncatedFrameError
+			if !errors.As(derr, &trunc) {
+				t.Fatalf("decode error = %v, want TruncatedFrameError", derr)
+			}
+			if trunc.Trailing != ipc.MessageSize/2 {
+				t.Fatalf("trailing = %d, want %d (half a frame)", trunc.Trailing, ipc.MessageSize/2)
+			}
+			if !errors.Is(derr, ipc.ErrIntegrity) {
+				t.Fatal("truncation does not unwrap to ipc.ErrIntegrity")
+			}
+			if got := inj.Counts().ConnDrops; got != 1 {
+				t.Fatalf("conn drops = %d, want 1", got)
+			}
+		})
 	}
 }
 

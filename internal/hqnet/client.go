@@ -71,12 +71,18 @@ type Client struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	conn    net.Conn
-	fw      *ipc.FrameWriter
-	gen     uint64 // connection generation; stale recvLoops detect takeover
-	nextSeq uint64 // highest data Seq admitted to the replay buffer
-	acked   uint64 // highest Seq the daemon has acked
-	replay  []ipc.Message
+	fw      *ipc.FrameWriter // nil while severed and while a resume is catching up
+	gen     uint64           // connection generation; stale recvLoops detect takeover
+	nextSeq uint64           // highest data Seq admitted to the replay buffer
+	acked   uint64           // highest Seq the daemon has acked
 	resumes uint64
+
+	// The replay buffer: a fixed circular array of cfg.ReplaySlots frames,
+	// the unacked ones being the unacked slots from head on.
+	replay  []ipc.Message
+	head    int
+	unacked int
+
 	hbOrd   uint64
 	dead    bool
 	deadErr string
@@ -133,7 +139,7 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	if cfg.ReplaySlots <= 0 {
 		cfg.ReplaySlots = 4096
 	}
-	c := &Client{cfg: cfg}
+	c := &Client{cfg: cfg, replay: make([]ipc.Message, cfg.ReplaySlots)}
 	c.cond = sync.NewCond(&c.mu)
 	c.ctx, c.cancel = context.WithCancel(ctx)
 
@@ -254,13 +260,25 @@ func (c *Client) Killed() (bool, string) {
 
 // Send implements ipc.Sender. The frame is admitted to the bounded replay
 // buffer (blocking while full — backpressure, not unbounded queueing) and
-// written through best-effort: a write onto a dying transport is not an
-// error, because the frame replays from the buffer after resume. Send only
-// fails once the session is dead, and then terminally.
+// then staged on the connection's writer: no system call, no allocation.
+// Staged frames reach the wire when the staging buffer fills, with the next
+// gate request or heartbeat, before Send blocks, and on Flush/Close. The
+// frame is in the replay buffer before it is staged, so losing the writer
+// (a failed write, a severed transport) loses nothing: the frame replays
+// from the buffer after resume. Send only fails once the session is dead,
+// and then terminally.
 func (c *Client) Send(m ipc.Message) error {
 	c.mu.Lock()
-	for !c.dead && len(c.replay) >= c.cfg.ReplaySlots {
-		c.cond.Wait()
+	for !c.dead && c.unacked == len(c.replay) {
+		// Acks only come for frames the daemon has seen, and the frames
+		// filling the buffer may all still be staged: write them out before
+		// waiting (never under c.mu — see flushStaged), then look again.
+		c.mu.Unlock()
+		c.flushStaged()
+		c.mu.Lock()
+		if !c.dead && c.unacked == len(c.replay) {
+			c.cond.Wait()
+		}
 	}
 	if c.dead {
 		reason := c.deadErr
@@ -277,20 +295,44 @@ func (c *Client) Send(m ipc.Message) error {
 		c.nextSeq = m.Seq
 	}
 	m.PID = c.pid
-	c.replay = append(c.replay, m)
+	c.replay[c.slot(c.unacked)] = m
+	c.unacked++
 	fw := c.fw
 	c.mu.Unlock()
 	if fw != nil {
-		_ = fw.WriteMessage(m)
+		_ = fw.Stage(m)
 	}
 	return nil
 }
 
+// slot is the replay buffer index of the i-th unacked frame.
+func (c *Client) slot(i int) int {
+	if i += c.head; i >= len(c.replay) {
+		i -= len(c.replay)
+	}
+	return i
+}
+
+// flushStaged writes out whatever Send has staged on the live connection.
+// Callers must not hold c.mu: recvLoop's trim takes it, and the daemon writes
+// acks from the goroutine that reads our frames, so holding c.mu across a
+// write(2) would close a cycle.
+func (c *Client) flushStaged() {
+	c.mu.Lock()
+	fw := c.fw
+	c.mu.Unlock()
+	if fw != nil {
+		_ = fw.Flush()
+	}
+}
+
 // SyscallEnter implements vm.Gate: the gate request crosses the wire, the
 // daemon's kernel runs bounded asynchronous validation, and the verdict
-// comes back. A transport loss mid-gate is survivable: the request is
-// retransmitted after resume and the daemon replays a verdict it already
-// computed (gate ordinals make it idempotent).
+// comes back. The request rides in the same write as the frames staged
+// before it, which is all that bounded asynchronous validation needs: the
+// verifier caught up by the next system call. A transport loss mid-gate is
+// survivable: the request is retransmitted after resume and the daemon
+// replays a verdict it already computed (gate ordinals make it idempotent).
 func (c *Client) SyscallEnter(pid int32, syscallNo int) error {
 	c.mu.Lock()
 	if c.dead {
@@ -316,24 +358,26 @@ func (c *Client) SyscallEnter(pid int32, syscallNo int) error {
 	}
 }
 
-// Flush waits until the daemon has acked every admitted frame, the session
-// dies, or the timeout lapses. Close calls it so a clean goodbye does not
-// race the last data frames.
+// Flush writes out the staged frames and waits until the daemon has acked
+// every admitted frame, the session dies, or the timeout lapses. Close calls
+// it so a clean goodbye does not race the last data frames.
 func (c *Client) Flush(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
+	c.flushStaged()
+	// trim and die broadcast on c.cond; the timer does it for the deadline.
+	expired := false
+	t := time.AfterFunc(timeout, func() {
 		c.mu.Lock()
-		flushed := c.acked >= c.nextSeq
-		dead := c.dead
+		expired = true
+		c.cond.Broadcast()
 		c.mu.Unlock()
-		if flushed || dead {
-			return flushed
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
+	})
+	defer t.Stop()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.acked < c.nextSeq && !c.dead && !expired {
+		c.cond.Wait()
 	}
+	return c.acked >= c.nextSeq
 }
 
 // Close ends the session cleanly: flush (bounded by one lease), goodbye,
@@ -412,19 +456,30 @@ func (c *Client) heartbeatLoop() {
 			return
 		case <-t.C:
 		}
-		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
+		if !c.heartbeat() {
 			return
 		}
-		c.hbOrd++
-		hb := ipc.Message{Op: ipc.OpHeartbeat, PID: c.pid, Arg1: c.hbOrd}
-		fw := c.fw
-		c.mu.Unlock()
-		if fw != nil {
-			_ = fw.WriteMessage(hb)
-		}
 	}
+}
+
+// heartbeat sends one lease renewal, and with it every frame Send has staged:
+// the tick is what bounds how stale the daemon's view of a process can get
+// when it goes quiet without reaching a gate. It reports false once the
+// session is dead.
+func (c *Client) heartbeat() bool {
+	c.mu.Lock()
+	if c.dead {
+		c.mu.Unlock()
+		return false
+	}
+	c.hbOrd++
+	hb := ipc.Message{Op: ipc.OpHeartbeat, PID: c.pid, Arg1: c.hbOrd}
+	fw := c.fw
+	c.mu.Unlock()
+	if fw != nil {
+		_ = fw.WriteMessage(hb)
+	}
+	return true
 }
 
 // recvLoop drains one connection generation. When the transport dies it
@@ -477,7 +532,7 @@ func (c *Client) handle(m ipc.Message) {
 }
 
 // trim advances the ack high-water and drops acked frames from the replay
-// buffer, waking Send waiters blocked on a full buffer.
+// buffer, waking Send waiters blocked on a full buffer and Flush.
 func (c *Client) trim(ack uint64) {
 	if ack == 0 {
 		return
@@ -485,24 +540,26 @@ func (c *Client) trim(ack uint64) {
 	c.mu.Lock()
 	if ack > c.acked {
 		c.acked = ack
-		i := 0
-		for i < len(c.replay) && c.replay[i].Seq <= ack {
-			i++
-		}
-		if i > 0 {
-			c.replay = append(c.replay[:0:0], c.replay[i:]...)
-		}
+		c.dropAcked()
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
 }
 
+// dropAcked advances the replay buffer's head past every acked frame.
+func (c *Client) dropAcked() {
+	for c.unacked > 0 && c.replay[c.head].Seq <= c.acked {
+		c.head = c.slot(1)
+		c.unacked--
+	}
+}
+
 // reconnect re-establishes the session after generation gen's transport
 // died: bounded attempts, full-jitter backoff, cancellable at every sleep.
-// On welcome it replays every frame past the daemon's ack (CheckSeq stays
-// gap-free) and retransmits a pending gate request. A rejection (stale
-// session — the lease beat us to it) or an exhausted budget kills the
-// client side terminally.
+// On welcome it retransmits every frame past the daemon's ack (CheckSeq stays
+// gap-free) and a pending gate request. A rejection (stale session — the
+// lease beat us to it) or an exhausted budget kills the client side
+// terminally.
 func (c *Client) reconnect(nc net.Conn, gen uint64) {
 	c.mu.Lock()
 	if c.dead || c.gen != gen {
@@ -530,42 +587,68 @@ func (c *Client) reconnect(nc net.Conn, gen uint64) {
 			}
 			continue // transient: next rung of the ladder
 		}
-		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
-			nc2.Close()
-			return
+		if gen2, ok := c.catchUp(nc2, fw2, welcome.Seq); ok {
+			c.wg.Add(1)
+			go c.recvLoop(nc2, dec2, gen2)
 		}
-		c.gen++
-		gen2 := c.gen
-		c.conn, c.fw = nc2, fw2
-		if welcome.Seq > c.acked {
-			c.acked = welcome.Seq
-		}
-		i := 0
-		for i < len(c.replay) && c.replay[i].Seq <= c.acked {
-			i++
-		}
-		replay := append([]ipc.Message(nil), c.replay[i:]...)
-		c.replay = append(c.replay[:0:0], c.replay[i:]...)
-		c.resumes++
-		var gateReq *ipc.Message
-		if c.gateCh != nil {
-			gateReq = &ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(c.gateSys), Arg2: c.gateOrd}
-		}
-		c.mu.Unlock()
-		for _, m := range replay {
-			_ = fw2.WriteMessage(m)
-		}
-		if gateReq != nil {
-			_ = fw2.WriteMessage(*gateReq)
-		}
-		c.cond.Broadcast()
-		c.wg.Add(1)
-		go c.recvLoop(nc2, dec2, gen2)
 		return
 	}
 	c.die("hqnet: resume attempts exhausted")
+}
+
+// catchUp retransmits the replay buffer past the daemon's ack on a resumed
+// connection and only then publishes its writer. While c.fw is nil a
+// concurrent Send just appends to the replay buffer, so its frame goes out
+// from here, behind the older ones. Published first, the writer would let
+// that frame overtake them: the daemon forwards the jump, drops the older
+// frames as resume overlap, and CheckSeq kills a clean process by counter
+// gap. It reports the new connection generation, or false if the session
+// died meanwhile.
+func (c *Client) catchUp(nc net.Conn, fw *ipc.FrameWriter, ack uint64) (uint64, bool) {
+	c.mu.Lock()
+	if c.dead {
+		c.mu.Unlock()
+		nc.Close()
+		return 0, false
+	}
+	c.gen++
+	gen := c.gen
+	c.conn = nc // die and Close can now cut a blocked retransmission short
+	if ack > c.acked {
+		c.acked = ack
+	}
+	c.dropAcked()
+	c.resumes++
+	// Nothing reads acks until the caller starts this connection's recvLoop,
+	// so head stays put and sent counts from it. Frames are copied out under
+	// c.mu and staged without it (see flushStaged).
+	var chunk [64]ipc.Message
+	for sent := 0; sent < c.unacked; {
+		n := 0
+		for ; n < len(chunk) && sent < c.unacked; n, sent = n+1, sent+1 {
+			chunk[n] = c.replay[c.slot(sent)]
+		}
+		c.mu.Unlock()
+		for _, m := range chunk[:n] {
+			_ = fw.Stage(m)
+		}
+		c.mu.Lock()
+		if c.dead {
+			c.mu.Unlock()
+			return 0, false // die or Close already closed nc
+		}
+	}
+	c.fw = fw
+	gate := c.gateCh != nil
+	req := ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(c.gateSys), Arg2: c.gateOrd}
+	c.mu.Unlock()
+	if gate {
+		_ = fw.WriteMessage(req)
+	} else {
+		_ = fw.Flush()
+	}
+	c.cond.Broadcast()
+	return gen, true
 }
 
 var (

@@ -23,7 +23,7 @@ type harness struct {
 	addr string
 }
 
-func newHarness(t *testing.T, scfg supervisor.Config, cfg Config) *harness {
+func newHarness(t testing.TB, scfg supervisor.Config, cfg Config) *harness {
 	t.Helper()
 	sys := supervisor.New(scfg)
 	cfg.Sys = sys

@@ -122,25 +122,81 @@ func (d *FrameDecoder) consume(k int) {
 	d.n -= k
 }
 
+// StageFrames is how many frames a FrameWriter stages before it writes them
+// out on its own: just under 16 KiB. Throughput is flat from a quarter of
+// this to four times it, so it is a constant, not a setting.
+const StageFrames = 341
+
 // FrameWriter serializes messages onto a byte stream, one frame per message.
 // Unlike the fd channel's sender it assigns no sequence numbers: the caller
 // owns Seq (and Mac) — the networked plane's resume protocol depends on
 // retransmitted frames carrying their original sequence numbers verbatim.
-// Safe for concurrent use; frames from concurrent writers never interleave.
+//
+// Stage encodes a frame behind the ones already staged without touching the
+// stream; Flush and WriteMessage put everything staged on the stream in a
+// single Write, so a sender pays one system call per burst instead of one
+// per 48-byte frame. A Write that fails drops what was staged with it: the
+// stream is dead, and whoever needs those frames delivered (hqnet's replay
+// buffer) retransmits them on the next one. Safe for concurrent use; the
+// mutex is held across the Write, so frames from concurrent callers never
+// interleave and each caller's frames keep their order.
 type FrameWriter struct {
 	mu  sync.Mutex
 	w   io.Writer
-	buf [MessageSize]byte
+	buf []byte            // staged frames; always has room for one more
+	one [MessageSize]byte // backs buf until the first Stage
 }
 
 // NewFrameWriter returns a writer over w. The writer never closes w.
-func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
+func NewFrameWriter(w io.Writer) *FrameWriter {
+	fw := &FrameWriter{w: w}
+	fw.buf = fw.one[:0]
+	return fw
+}
 
-// WriteMessage encodes m and writes exactly one frame.
+// Stage encodes m behind the frames already staged, and writes them all out
+// if that fills the staging buffer. The buffer is allocated here, on first
+// use: a writer that only ever calls WriteMessage never pays for it.
+func (fw *FrameWriter) Stage(m Message) error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if cap(fw.buf) < StageFrames*MessageSize {
+		fw.buf = make([]byte, 0, StageFrames*MessageSize)
+	}
+	fw.put(m)
+	if len(fw.buf) == cap(fw.buf) {
+		return fw.flush()
+	}
+	return nil
+}
+
+// WriteMessage writes every staged frame and then m, in one Write.
 func (fw *FrameWriter) WriteMessage(m Message) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	m.Encode(fw.buf[:])
-	_, err := fw.w.Write(fw.buf[:])
+	fw.put(m)
+	return fw.flush()
+}
+
+// Flush writes every staged frame in one Write; with nothing staged it does
+// not touch the stream.
+func (fw *FrameWriter) Flush() error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if len(fw.buf) == 0 {
+		return nil
+	}
+	return fw.flush()
+}
+
+func (fw *FrameWriter) put(m Message) {
+	n := len(fw.buf)
+	fw.buf = fw.buf[:n+MessageSize]
+	m.Encode(fw.buf[n:])
+}
+
+func (fw *FrameWriter) flush() error {
+	_, err := fw.w.Write(fw.buf)
+	fw.buf = fw.buf[:0]
 	return err
 }
