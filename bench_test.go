@@ -17,12 +17,12 @@ import (
 	"fmt"
 
 	"herqules/internal/compiler"
-	"herqules/internal/core"
 	"herqules/internal/experiments"
 	"herqules/internal/ipc"
 	"herqules/internal/policy"
 	"herqules/internal/ripe"
 	"herqules/internal/sim"
+	"herqules/internal/supervisor"
 	"herqules/internal/telemetry"
 	"herqules/internal/verifier"
 	"herqules/internal/workload"
@@ -111,7 +111,7 @@ func BenchmarkTable4_Correctness(b *testing.B) {
 func BenchmarkTable5_RIPE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, d := range []compiler.Design{compiler.Baseline, compiler.HQSfeStk, compiler.HQRetPtr} {
-			tab, err := ripe.RunSuite(d)
+			tab, err := ripe.RunSuite(d, ripe.Suite())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func runMonitored(b *testing.B, p *workload.Profile, opts compiler.Options, cost
 	if err != nil {
 		b.Fatal(err)
 	}
-	out, err := core.Run(ins, core.Options{ContinueChecks: true, Cost: cost})
+	out, err := supervisor.Run(supervisor.Config{}, ins, supervisor.LaunchOptions{Inline: true, ContinueChecks: true, Cost: cost})
 	if err != nil || out.Err != nil {
 		b.Fatalf("run: %v %v", err, out.Err)
 	}
@@ -363,7 +363,7 @@ func benchVerifierDrain(b *testing.B, procs, shards int, scalar bool) {
 }
 
 // BenchmarkVerifierThroughput_* measure the sharded batch pipeline at the
-// default shard count (GOMAXPROCS), mirroring `hqbench -exp throughput`.
+// default shard count (GOMAXPROCS) over replayed 1/4/16-process streams.
 func BenchmarkVerifierThroughput_1Procs(b *testing.B)  { benchVerifierDrain(b, 1, 0, false) }
 func BenchmarkVerifierThroughput_4Procs(b *testing.B)  { benchVerifierDrain(b, 4, 0, false) }
 func BenchmarkVerifierThroughput_16Procs(b *testing.B) { benchVerifierDrain(b, 16, 0, false) }

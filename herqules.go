@@ -62,7 +62,6 @@ package herqules
 
 import (
 	"herqules/internal/compiler"
-	"herqules/internal/core"
 	"herqules/internal/ipc"
 	"herqules/internal/policy"
 	"herqules/internal/sim"
@@ -107,11 +106,56 @@ func Instrument(mod *Module, d Design, opts Options) (*Instrumented, error) {
 	return compiler.Instrument(mod, d, opts)
 }
 
-// RunOptions configures a monitored execution.
-type RunOptions = core.Options
+// RunOptions configures one monitored execution.
+type RunOptions struct {
+	// Entry is the entry function (default "main"); Args its arguments.
+	Entry string
+	Args  []uint64
+
+	// Channel, when non-nil, selects concurrent mode over this transport:
+	// messages travel through it to a verifier pump goroutine, and system
+	// calls genuinely block in the kernel model until the verifier's
+	// confirmation arrives. Nil selects deterministic inline delivery:
+	// policy decisions land at exactly the same program points on every
+	// run. Run takes ownership of the channel: it is closed when the run
+	// finishes or fails.
+	Channel *Channel
+
+	// Cost is the cycle model (nil: no accounting).
+	Cost *CostModel
+
+	// KillOnViolation controls the verifier (§3.4). The paper disables it
+	// for performance/correctness runs because baseline designs
+	// false-positive (§5).
+	KillOnViolation bool
+
+	// ContinueChecks makes in-process checks (Clang-CFI, CCFI) record and
+	// continue rather than trap — the §5 performance methodology.
+	ContinueChecks bool
+
+	// Policies builds the verifier policy set per process; nil installs the
+	// registry default set (cfi + memsafety + counter + dfi). PolicyNames
+	// takes precedence when both are set.
+	Policies PolicyFactory
+
+	// PolicyNames selects the policy set by registry name — e.g.
+	// []string{"cfi", "memsafety", "hmac"}; Policies() lists the registry.
+	// An unknown name fails the run before anything launches.
+	PolicyNames []string
+
+	// MaxInstructions bounds execution (0: vm default).
+	MaxInstructions uint64
+
+	// Seed randomizes information-hiding layout.
+	Seed uint64
+
+	// Metrics, when non-nil, wires the telemetry layer through the whole
+	// stack: kernel gate, verifier and — in concurrent mode — the channel.
+	Metrics *Metrics
+}
 
 // Outcome is the result of a monitored execution.
-type Outcome = core.Outcome
+type Outcome = supervisor.Outcome
 
 // Run executes an instrumented program under the HerQules framework:
 // kernel module, verifier with the registry default policy set (cfi +
@@ -125,7 +169,28 @@ type Outcome = core.Outcome
 // System.Launch + Proc.Wait instead; see system.go for the migration map
 // (RunOptions fields → RunOption functional options).
 func Run(ins *Instrumented, opts RunOptions) (*Outcome, error) {
-	return core.Run(ins, opts)
+	factory := opts.Policies
+	if len(opts.PolicyNames) > 0 {
+		f, err := policy.SetFactory(opts.PolicyNames...)
+		if err != nil {
+			return nil, err
+		}
+		factory = f
+	}
+	return supervisor.Run(supervisor.Config{
+		Policies:        factory,
+		KillOnViolation: opts.KillOnViolation,
+		Metrics:         opts.Metrics,
+	}, ins, supervisor.LaunchOptions{
+		Entry:           opts.Entry,
+		Args:            opts.Args,
+		Channel:         opts.Channel,
+		Inline:          opts.Channel == nil,
+		Cost:            opts.Cost,
+		ContinueChecks:  opts.ContinueChecks,
+		MaxInstructions: opts.MaxInstructions,
+		Seed:            opts.Seed,
+	})
 }
 
 // Policy is a verifier-side execution policy.

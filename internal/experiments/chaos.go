@@ -46,14 +46,26 @@ func chaosInjector(seed uint64) *chaos.Injector {
 	)
 }
 
+// chaosLaunch starts ins under sys over a fresh shared ring that the injector
+// wraps on both ends.
+func chaosLaunch(sys *supervisor.System, inj *chaos.Injector, ins *compiler.Instrumented) (*supervisor.Proc, error) {
+	raw := ipc.NewSharedRing(1 << 12)
+	return sys.Launch(ins, supervisor.LaunchOptions{Channel: &ipc.Channel{
+		Sender:   inj.Sender(raw.Sender),
+		Receiver: inj.Receiver(raw.Receiver),
+		Props:    raw.Props,
+	}})
+}
+
 // chaosVictim builds the soak workload: a loop of heap slots holding a
 // function pointer that is stored, checked and indirectly called (the HQ-CFI
 // hot path), with a gated effectful system call every few iterations so
 // bounded asynchronous validation is exercised throughout, ending in the
 // supervisor test's corruptible dispatch. With corrupt set, the final
 // function pointer is overwritten through an integer alias and the attacker
-// payload carries a *gated* exit(99) the kernel must never let commit.
-func chaosVictim(corrupt bool) (*mir.Module, error) {
+// payload carries a *gated* exit(99) the kernel must never let commit. The
+// program comes back instrumented for HQ-CFI-SfeStk.
+func chaosVictim(corrupt bool) (*compiler.Instrumented, error) {
 	mod := mir.NewModule("chaos-victim")
 	b := mir.NewBuilder(mod)
 	sig := mir.FuncType(mir.I64, mir.I64)
@@ -88,7 +100,11 @@ func chaosVictim(corrupt bool) (*mir.Module, error) {
 	if err := mir.Validate(mod); err != nil {
 		return nil, fmt.Errorf("chaos: victim module: %w", err)
 	}
-	return mod, nil
+	ins, err := compiler.Instrument(mod, compiler.HQSfeStk, compiler.DefaultOptions())
+	if err != nil {
+		return nil, fmt.Errorf("chaos: instrument victim: %w", err)
+	}
+	return ins, nil
 }
 
 // chaosAttributable reports whether a kill reason is one the chaos plane
@@ -101,11 +117,11 @@ func chaosVictim(corrupt bool) (*mir.Module, error) {
 // into a failing one.
 func chaosAttributable(reason string, hadViolations bool) bool {
 	for _, marker := range []string{
-		"message counter",                // CheckSeq (§3.1.1)
-		"synchronization epoch expired",  // §2.2 deadline, incl. wedged detail
-		"message integrity violated",     // receiver-attributed framing error
-		"message authentication",         // hmac sealer: MAC mismatch or stream position
-		"poisoned",                       // shard poisoned by a delivery-path failure
+		"message counter",               // CheckSeq (§3.1.1)
+		"synchronization epoch expired", // §2.2 deadline, incl. wedged detail
+		"message integrity violated",    // receiver-attributed framing error
+		"message authentication",        // hmac sealer: MAC mismatch or stream position
+		"poisoned",                      // shard poisoned by a delivery-path failure
 	} {
 		if strings.Contains(reason, marker) {
 			return true
@@ -116,13 +132,13 @@ func chaosAttributable(reason string, hadViolations bool) bool {
 
 // chaosSoakReport summarizes one enforcement soak run.
 type chaosSoakReport struct {
-	procs, violators         int
-	cleanOK, cleanKilled     int
-	violatorsKilled          int
-	kills                    uint64
-	faults                   chaos.Counts
-	scheduleHash             uint64
-	elapsed                  time.Duration
+	procs, violators     int
+	cleanOK, cleanKilled int
+	violatorsKilled      int
+	kills                uint64
+	faults               chaos.Counts
+	scheduleHash         uint64
+	elapsed              time.Duration
 }
 
 // chaosSoak runs the enforcement phase: procs mixed clean/violating
@@ -150,13 +166,7 @@ func chaosSoak(seed uint64, procs int, cleanIns, attackIns *compiler.Instrumente
 			ins = attackIns
 			rep.violators++
 		}
-		raw := ipc.NewSharedRing(1 << 12)
-		ch := &ipc.Channel{
-			Sender:   inj.Sender(raw.Sender),
-			Receiver: inj.Receiver(raw.Receiver),
-			Props:    raw.Props,
-		}
-		p, err := sys.Launch(ins, supervisor.LaunchOptions{Channel: ch})
+		p, err := chaosLaunch(sys, inj, ins)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: launch %d: %w", i, err)
 		}
@@ -241,9 +251,7 @@ func chaosSoak(seed uint64, procs int, cleanIns, attackIns *compiler.Instrumente
 		}
 	}
 
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := sys.Shutdown(sctx); err != nil {
+	if err := drain(sys); err != nil {
 		return nil, fmt.Errorf("chaos: shutdown: %w", err)
 	}
 	rep.elapsed = time.Since(start)
@@ -262,11 +270,7 @@ func chaosSoak(seed uint64, procs int, cleanIns, attackIns *compiler.Instrumente
 	if rep.faults.Total() == 0 {
 		invariantErrs = append(invariantErrs, "fault schedule fired nothing: soak proved nothing")
 	}
-	if len(invariantErrs) > 0 {
-		return rep, fmt.Errorf("chaos: %d invariant violation(s):\n  %s",
-			len(invariantErrs), strings.Join(invariantErrs, "\n  "))
-	}
-	return rep, nil
+	return rep, failures("chaos", invariantErrs)
 }
 
 // chaosHmacReport summarizes the authenticated-channel phase.
@@ -309,13 +313,7 @@ func chaosHmacSoak(seed uint64, procs int, cleanIns *compiler.Instrumented) (*ch
 	start := time.Now()
 	handles := make([]*supervisor.Proc, procs)
 	for i := 0; i < procs; i++ {
-		raw := ipc.NewSharedRing(1 << 12)
-		ch := &ipc.Channel{
-			Sender:   inj.Sender(raw.Sender),
-			Receiver: inj.Receiver(raw.Receiver),
-			Props:    raw.Props,
-		}
-		p, err := sys.Launch(cleanIns, supervisor.LaunchOptions{Channel: ch})
+		p, err := chaosLaunch(sys, inj, cleanIns)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: hmac launch %d: %w", i, err)
 		}
@@ -365,9 +363,7 @@ func chaosHmacSoak(seed uint64, procs int, cleanIns *compiler.Instrumented) (*ch
 		}
 	}
 
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := sys.Shutdown(sctx); err != nil {
+	if err := drain(sys); err != nil {
 		return nil, fmt.Errorf("chaos: hmac shutdown: %w", err)
 	}
 	rep.elapsed = time.Since(start)
@@ -380,11 +376,7 @@ func chaosHmacSoak(seed uint64, procs int, cleanIns *compiler.Instrumented) (*ch
 			fmt.Sprintf("hmac: %d tamper faults fired but no process was killed (silent drop?)",
 				rep.faults.Duplicated+rep.faults.Corrupted))
 	}
-	if len(invariantErrs) > 0 {
-		return rep, fmt.Errorf("chaos: hmac phase: %d invariant violation(s):\n  %s",
-			len(invariantErrs), strings.Join(invariantErrs, "\n  "))
-	}
-	return rep, nil
+	return rep, failures("chaos: hmac phase", invariantErrs)
 }
 
 // chaosDeterminism runs the reproducibility phase: clean processes only,
@@ -402,13 +394,7 @@ func chaosDeterminism(seed uint64, procs int, cleanIns *compiler.Instrumented) (
 	inj := chaosInjector(seed)
 	handles := make([]*supervisor.Proc, procs)
 	for i := 0; i < procs; i++ {
-		raw := ipc.NewSharedRing(1 << 12)
-		ch := &ipc.Channel{
-			Sender:   inj.Sender(raw.Sender),
-			Receiver: inj.Receiver(raw.Receiver),
-			Props:    raw.Props,
-		}
-		p, err := sys.Launch(cleanIns, supervisor.LaunchOptions{Channel: ch})
+		p, err := chaosLaunch(sys, inj, cleanIns)
 		if err != nil {
 			return 0, chaos.Counts{}, fmt.Errorf("chaos: determinism launch %d: %w", i, err)
 		}
@@ -425,45 +411,36 @@ func chaosDeterminism(seed uint64, procs int, cleanIns *compiler.Instrumented) (
 				i, out.KillReason)
 		}
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := sys.Shutdown(sctx); err != nil {
+	if err := drain(sys); err != nil {
 		return 0, chaos.Counts{}, fmt.Errorf("chaos: determinism shutdown: %w", err)
 	}
 	return inj.ScheduleHash(), inj.Counts(), nil
 }
 
-// Chaos is the fault-injection soak behind `hqbench -exp chaos` and `make
-// chaos-smoke`: an enforcement phase asserting the fail-closed invariants
-// under a seeded fault schedule, then a reproducibility phase asserting the
-// schedule is a pure function of the seed. It returns a human-readable
-// report on success and an error naming every violated invariant otherwise.
-func Chaos(seed uint64, procs int) (string, error) {
+// Chaos is the fault-injection soak behind `hqbench -exp chaos`: an
+// enforcement phase asserting the fail-closed invariants under a seeded
+// fault schedule, then a reproducibility phase asserting the schedule is a
+// pure function of the seed. It returns a human-readable report on success
+// and an error naming every violated invariant otherwise.
+func Chaos(c Config) (Report, error) {
+	seed, procs := c.Seed, c.Procs
 	if procs <= 0 {
 		procs = 12
 	}
 	baseline := runtime.NumGoroutine()
 
-	cleanMod, err := chaosVictim(false)
+	cleanIns, err := chaosVictim(false)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
-	attackMod, err := chaosVictim(true)
+	attackIns, err := chaosVictim(true)
 	if err != nil {
-		return "", err
-	}
-	cleanIns, err := compiler.Instrument(cleanMod, compiler.HQSfeStk, compiler.DefaultOptions())
-	if err != nil {
-		return "", fmt.Errorf("chaos: instrument clean: %w", err)
-	}
-	attackIns, err := compiler.Instrument(attackMod, compiler.HQSfeStk, compiler.DefaultOptions())
-	if err != nil {
-		return "", fmt.Errorf("chaos: instrument attack: %w", err)
+		return Report{}, err
 	}
 
 	rep, err := chaosSoak(seed, procs, cleanIns, attackIns)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 
 	hmacProcs := 8
@@ -472,7 +449,7 @@ func Chaos(seed uint64, procs int) (string, error) {
 	}
 	hrep, err := chaosHmacSoak(seed, hmacProcs, cleanIns)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 
 	detProcs := 4
@@ -481,11 +458,11 @@ func Chaos(seed uint64, procs int) (string, error) {
 	}
 	h1, c1, err := chaosDeterminism(seed, detProcs, cleanIns)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	h2, c2, err := chaosDeterminism(seed, detProcs, cleanIns)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	// Per-message fault decisions are a pure function of (seed, stream,
 	// index) and must match exactly. Recv errors and stalls are drawn per
@@ -494,20 +471,16 @@ func Chaos(seed uint64, procs int) (string, error) {
 	c1.RecvErrors, c1.Stalls = 0, 0
 	c2.RecvErrors, c2.Stalls = 0, 0
 	if h1 != h2 || c1 != c2 {
-		return "", fmt.Errorf(
+		return Report{}, fmt.Errorf(
 			"chaos: seed %#x is not reproducible:\n  run1 hash=%#016x %v\n  run2 hash=%#016x %v",
 			seed, h1, c1, h2, c2)
 	}
 
 	// Zero leaked goroutines: both phases fully shut down, so the count must
 	// settle back to the pre-soak baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			return "", fmt.Errorf("chaos: goroutines leaked: %d running, baseline %d",
-				runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !waitFor(5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline }) {
+		return Report{}, fmt.Errorf("chaos: goroutines leaked: %d running, baseline %d",
+			runtime.NumGoroutine(), baseline)
 	}
 
 	var sb strings.Builder
@@ -525,5 +498,5 @@ func Chaos(seed uint64, procs int) (string, error) {
 	sb.WriteString("invariants:  no violator passed a gate; one kill per killed process; " +
 		"clean deaths attributable; tampered sealed streams die as authentication, " +
 		"never counter gaps or silent drops; no goroutine leak; schedule reproducible\n")
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }

@@ -14,13 +14,13 @@ func TestChaosSoakInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
 	}
-	out, err := Chaos(0xda0517, 6)
+	rep, err := Chaos(Config{Seed: 0xda0517, Procs: 6})
 	if err != nil {
 		t.Fatalf("chaos soak: %v", err)
 	}
 	for _, want := range []string{"soak:", "determinism:", "invariants:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q section:\n%s", want, out)
+		if !strings.Contains(rep.Text, want) {
+			t.Errorf("report missing %q section:\n%s", want, rep.Text)
 		}
 	}
 }
@@ -31,7 +31,7 @@ func TestChaosSoakSecondSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
 	}
-	if _, err := Chaos(7, 6); err != nil {
+	if _, err := Chaos(Config{Seed: 7, Procs: 6}); err != nil {
 		t.Fatalf("chaos soak at seed 7: %v", err)
 	}
 }

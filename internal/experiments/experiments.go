@@ -13,18 +13,20 @@
 // Absolute numbers come from this repository's deterministic cycle model,
 // not the paper's i9-9900K testbed; EXPERIMENTS.md records the paper's
 // values next to the measured ones so the shapes can be compared.
+//
+// All (registry.go) is the table cmd/hqbench runs: the entries above plus
+// this reproduction's telemetry snapshot and correctness soaks.
 package experiments
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"herqules/internal/compiler"
-	"herqules/internal/core"
-	"herqules/internal/fpga"
-	"herqules/internal/ipc"
 	"herqules/internal/sim"
+	"herqules/internal/supervisor"
 	"herqules/internal/uarch"
 	"herqules/internal/workload"
 )
@@ -93,14 +95,12 @@ func (p Primitive) costModel() *sim.CostModel {
 	}
 }
 
-var _ = fpga.SendNanos // Table 2 still reports the raw device latency
-
 // Run is one benchmark execution under a design and primitive.
 type Run struct {
 	Benchmark *workload.Profile
 	Design    compiler.Design
 	Cycles    uint64
-	Outcome   *core.Outcome
+	Outcome   *supervisor.Outcome
 	Err       error // build/instrumentation error (not a program crash)
 }
 
@@ -114,7 +114,8 @@ func execute(p *workload.Profile, d compiler.Design, cost *sim.CostModel, scale 
 		r.Err = err
 		return r
 	}
-	out, err := core.Run(ins, core.Options{
+	out, err := supervisor.Run(supervisor.Config{}, ins, supervisor.LaunchOptions{
+		Inline:         true, // deterministic delivery: same decisions at the same program points every run
 		ContinueChecks: true, // the paper continues after violations (§5)
 		Cost:           cost,
 	})
@@ -172,19 +173,13 @@ func Median(vs []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-// sameOutput compares program outputs.
-func sameOutput(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
+// failures folds the invariant violations a soak or matrix collected into one
+// error naming each; nil when there are none.
+func failures(what string, list []string) error {
+	if len(list) == 0 {
+		return nil
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return fmt.Errorf("%s: %d invariant violation(s):\n  %s", what, len(list), strings.Join(list, "\n  "))
 }
 
 func fmtPct(v float64) string { return fmt.Sprintf("%5.1f%%", v*100) }
-
-var _ = ipc.MessageSize // package used by table2.go

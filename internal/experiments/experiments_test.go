@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"herqules/internal/compiler"
+	"herqules/internal/policy"
 	"herqules/internal/ripe"
 	"herqules/internal/workload"
 )
@@ -235,13 +239,63 @@ func TestMetricsReport(t *testing.T) {
 	}
 }
 
+// TestTable6Counts walks the real module: Table6 itself fails on a directory
+// of Go source that no component claims, so this is also the check that
+// table6Components has kept up with the tree.
 func TestTable6Counts(t *testing.T) {
-	out, err := Table6("../..")
+	rep, err := Table6("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := 0
+	for _, c := range rep.Components {
+		if c.Code == 0 {
+			t.Errorf("component %q counts no code", c.Label)
+		}
+		sum += c.Code
+	}
+	if sum != rep.TotalCode {
+		t.Errorf("components sum to %d, total says %d", sum, rep.TotalCode)
+	}
+	if rep.PhysicalLines <= rep.TotalCode {
+		t.Errorf("physical lines %d not above code lines %d", rep.PhysicalLines, rep.TotalCode)
+	}
+	out := rep.Format()
 	if !strings.Contains(out, "Compiler") || !strings.Contains(out, "Total") {
 		t.Errorf("Table 6 output malformed:\n%s", out)
+	}
+}
+
+func TestTable6RejectsUnclaimedDirectory(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/ipc/a.go", "package ipc\n\n// comment\nvar A = 1\n")
+	write("internal/ipc/a_test.go", "package ipc\n")
+	write("bench/b.go", "package main\n")
+	write("examples/demo/c.go", "package main\n\nfunc main() {}\n")
+	rep, err := Table6(root)
+	if err != nil {
+		t.Fatalf("bench/ and examples/ are not components and must not be errors: %v", err)
+	}
+	if rep.TotalCode != 2 || rep.TotalTests != 1 {
+		t.Errorf("code/tests = %d/%d, want 2/1", rep.TotalCode, rep.TotalTests)
+	}
+	if rep.PhysicalLines != 4+3 { // a.go + examples/demo/c.go; bench/ is not counted
+		t.Errorf("physical lines = %d, want 7", rep.PhysicalLines)
+	}
+
+	write("internal/newpkg/d.go", "package newpkg\n")
+	if _, err := Table6(root); err == nil || !strings.Contains(err.Error(), "internal/newpkg") {
+		t.Errorf("unclaimed directory not reported: %v", err)
 	}
 }
 
@@ -301,6 +355,53 @@ func TestStatsSmoke(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatStats output missing %q", want)
+		}
+	}
+}
+
+// TestEveryExperimentRunsQuick is the smoke run of the whole hqbench table:
+// every entry, at the smoke scope, must succeed and hand back a report that
+// -out could write. Entries run one after another — Chaos and HQD compare
+// runtime.NumGoroutine() against a baseline taken at entry.
+func TestEveryExperimentRunsQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment, soaks and model checker included")
+	}
+	cfg := Config{Scale: workload.ScaleTest, Msgs: 50000, Procs: 6, Seed: 0xda0517, Quick: true}
+	seen := map[string]bool{}
+	for _, e := range All {
+		if seen[e.Name] || e.Name == "all" || e.Title == "" {
+			t.Errorf("entry %q: duplicate or reserved name, or no title", e.Name)
+		}
+		seen[e.Name] = true
+		t.Run(e.Name, func(t *testing.T) {
+			rep, err := e.Run(cfg)
+			if err != nil {
+				t.Fatalf("%v\n%s", err, rep.Text)
+			}
+			if rep.Text == "" {
+				t.Error("empty report text")
+			}
+			if _, err := json.Marshal(rep.Data); err != nil {
+				t.Errorf("report data does not marshal: %v", err)
+			}
+		})
+	}
+}
+
+// TestPolicyMatrixCatchesFlippedContract proves the matrix can fail: with
+// any one caughtBy entry flipped, the cell it belongs to reports an error.
+func TestPolicyMatrixCatchesFlippedContract(t *testing.T) {
+	for _, inj := range policyInjectors() {
+		for _, name := range policy.Names() {
+			if _, err := runMatrixCell(name, inj); err != nil {
+				t.Errorf("unflipped: %v", err)
+			}
+			flipped := inj
+			flipped.caughtBy = map[string]bool{name: !inj.caughtBy[name]}
+			if _, err := runMatrixCell(name, flipped); err == nil {
+				t.Errorf("%s/%s: flipped contract (caught=%t) passed", name, inj.name, !inj.caughtBy[name])
+			}
 		}
 	}
 }

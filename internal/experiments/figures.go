@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -56,7 +57,7 @@ func series(label string, d compiler.Design, prim Primitive,
 		}
 		r := execute(p, d, cost, scale)
 		if r.Err != nil || r.Outcome == nil || r.Outcome.Err != nil || r.Outcome.Killed ||
-			!sameOutput(r.Outcome.Output, baseOut[p.Name]) {
+			!slices.Equal(r.Outcome.Output, baseOut[p.Name]) {
 			s.Excluded = append(s.Excluded, p.DisplayName())
 			continue
 		}
@@ -120,11 +121,7 @@ func Figure4() []*Series {
 			compiler.HQSfeStk, prim, scale, baseline, baseOut)
 		delete(s.Rel, "nginx")
 		s.NginxRel = 0
-		var vals []float64
-		for _, v := range s.Rel {
-			vals = append(vals, v)
-		}
-		s.GeoMean = GeoMean(vals)
+		s.GeoMean = s.SPECGeoMean // NGINX was the only non-SPEC benchmark
 		out = append(out, s)
 	}
 	return out

@@ -74,8 +74,15 @@ type HQDReport struct {
 	ElapsedMs         int64 `json:"elapsed_ms"`
 }
 
-// hqdWait polls cond for up to d.
-func hqdWait(d time.Duration, cond func() bool) bool {
+// drain shuts a System or an hqnet.Server down, giving in-flight work 15 s.
+func drain(s interface{ Shutdown(context.Context) error }) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	return s.Shutdown(ctx)
+}
+
+// waitFor polls cond for up to d.
+func waitFor(d time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(d)
 	for !cond() {
 		if time.Now().After(deadline) {
@@ -158,21 +165,13 @@ func hqdEnforce(seed uint64, procs int, rep *HQDReport, sockDir string) error {
 		chaos.WithConnStall(0.12, 2*time.Millisecond),
 	)
 
-	cleanMod, err := chaosVictim(false)
+	cleanIns, err := chaosVictim(false)
 	if err != nil {
 		return err
 	}
-	attackMod, err := chaosVictim(true)
+	attackIns, err := chaosVictim(true)
 	if err != nil {
 		return err
-	}
-	cleanIns, err := compiler.Instrument(cleanMod, compiler.HQSfeStk, compiler.DefaultOptions())
-	if err != nil {
-		return fmt.Errorf("hqd: instrument clean: %w", err)
-	}
-	attackIns, err := compiler.Instrument(attackMod, compiler.HQSfeStk, compiler.DefaultOptions())
-	if err != nil {
-		return fmt.Errorf("hqd: instrument attack: %w", err)
 	}
 
 	type result struct {
@@ -263,9 +262,7 @@ func hqdEnforce(seed uint64, procs int, rep *HQDReport, sockDir string) error {
 		}
 	}
 
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
+	if err := drain(srv); err != nil {
 		return fmt.Errorf("hqd: shutdown: %w", err)
 	}
 	rep.EnforceFaults = inj.Counts()
@@ -274,11 +271,7 @@ func hqdEnforce(seed uint64, procs int, rep *HQDReport, sockDir string) error {
 			fmt.Sprintf("%d mid-frame drops, %d boundary drops, %d resumes: each must happen at least once, or the resume path went unexercised",
 				f.ConnDrops, f.ConnDropBoundaries, rep.Resumes))
 	}
-	if len(invariantErrs) > 0 {
-		return fmt.Errorf("hqd: enforcement phase: %d invariant violation(s):\n  %s",
-			len(invariantErrs), strings.Join(invariantErrs, "\n  "))
-	}
-	return nil
+	return failures("hqd: enforcement phase", invariantErrs)
 }
 
 // hqdLeasePhase goes silent past the lease and asserts the one legitimate
@@ -305,7 +298,7 @@ func hqdLeasePhase(rep *HQDReport) error {
 	}
 	defer c.Close()
 
-	if !hqdWait(10*time.Second, func() bool {
+	if !waitFor(10*time.Second, func() bool {
 		killed, _ := hqdKillReason(sys, c.PID())
 		return killed
 	}) {
@@ -318,7 +311,7 @@ func hqdLeasePhase(rep *HQDReport) error {
 			reason, kernel.ReasonLeaseExpired)
 	}
 	// Attributable in forensics and in the metrics registry.
-	if !hqdWait(10*time.Second, func() bool {
+	if !waitFor(10*time.Second, func() bool {
 		fr, ok := sys.Forensics(c.PID())
 		return ok && fr.KillReason == kernel.ReasonLeaseExpired
 	}) {
@@ -327,9 +320,7 @@ func hqdLeasePhase(rep *HQDReport) error {
 	if got := m.Snapshot().Counters["hqnet.lease.expired"].Total; got != 1 {
 		return fmt.Errorf("hqd: hqnet.lease.expired = %d, want 1", got)
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
+	if err := drain(srv); err != nil {
 		return fmt.Errorf("hqd: lease shutdown: %w", err)
 	}
 	return nil
@@ -428,7 +419,7 @@ func hqdAbuse(seed uint64, conns int, rep *HQDReport) (string, uint64, error) {
 		// Well-behaved control: clean goodbye, no kill.
 		_ = fw.WriteMessage(ipc.Message{Op: ipc.OpGoodbye, PID: pid})
 		nc.Close()
-		if !hqdWait(10*time.Second, func() bool {
+		if !waitFor(10*time.Second, func() bool {
 			for _, p := range sys.Stats().Procs {
 				if p.PID == pid && p.State != "running" {
 					return p.State == "exited"
@@ -444,7 +435,7 @@ func hqdAbuse(seed uint64, conns int, rep *HQDReport) (string, uint64, error) {
 	// Every severed-by-abuse process dies by lease, attributably.
 	for _, pid := range leaseKillPids {
 		pid := pid
-		if !hqdWait(10*time.Second, func() bool {
+		if !waitFor(10*time.Second, func() bool {
 			killed, _ := hqdKillReason(sys, pid)
 			return killed
 		}) {
@@ -458,9 +449,7 @@ func hqdAbuse(seed uint64, conns int, rep *HQDReport) (string, uint64, error) {
 		}
 	}
 
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
+	if err := drain(srv); err != nil {
 		return "", 0, fmt.Errorf("hqd: abuse shutdown: %w", err)
 	}
 	c := inj.Counts()
@@ -468,18 +457,18 @@ func hqdAbuse(seed uint64, conns int, rep *HQDReport) (string, uint64, error) {
 	if c.DupHellos+c.StaleResumes == 0 {
 		invariantErrs = append(invariantErrs, "abuse schedule fired nothing: phase proved nothing")
 	}
-	if len(invariantErrs) > 0 {
-		return "", 0, fmt.Errorf("hqd: abuse phase: %d invariant violation(s):\n  %s",
-			len(invariantErrs), strings.Join(invariantErrs, "\n  "))
+	if err := failures("hqd: abuse phase", invariantErrs); err != nil {
+		return "", 0, err
 	}
 	return pattern.String(), inj.ScheduleHash(), nil
 }
 
-// HQD is the networked-attestation-plane soak behind `hqbench -exp hqd` and
-// `make hqd-smoke`: enforcement over real sockets with chaos-severed
-// connections, lease expiry, protocol abuse (run twice to prove the schedule
-// is a pure function of the seed), and a goroutine-leak check over it all.
-func HQD(seed uint64, procs int, quick bool) (string, *HQDReport, error) {
+// HQD is the networked-attestation-plane soak behind `hqbench -exp hqd`:
+// enforcement over real sockets with chaos-severed connections, lease
+// expiry, protocol abuse (run twice to prove the schedule is a pure function
+// of the seed), and a goroutine-leak check over it all.
+func HQD(c Config) (Report, error) {
+	seed, procs, quick := c.Seed, c.Procs, c.Quick
 	if procs <= 0 {
 		procs = 9
 	}
@@ -496,44 +485,40 @@ func HQD(seed uint64, procs int, quick bool) (string, *HQDReport, error) {
 
 	sockDir, err := os.MkdirTemp("", "hqd-soak-")
 	if err != nil {
-		return "", nil, err
+		return Report{}, err
 	}
 	defer os.RemoveAll(sockDir)
 
 	if err := hqdEnforce(seed, procs, rep, sockDir); err != nil {
-		return "", rep, err
+		return Report{}, err
 	}
 	if err := hqdLeasePhase(rep); err != nil {
-		return "", rep, err
+		return Report{}, err
 	}
 	pat1, hash1, err := hqdAbuse(seed, abuseConns, rep)
 	if err != nil {
-		return "", rep, err
+		return Report{}, err
 	}
 	pat2, hash2, err := hqdAbuse(seed, abuseConns, rep)
 	if err != nil {
-		return "", rep, err
+		return Report{}, err
 	}
 	rep.AbusePattern, rep.ScheduleHash = pat1, fmt.Sprintf("%#016x", hash1)
 	rep.Reproducible = pat1 == pat2 && hash1 == hash2
 	if !rep.Reproducible {
-		return "", rep, fmt.Errorf(
+		return Report{}, fmt.Errorf(
 			"hqd: seed %#x is not reproducible:\n  run1 %s hash=%#016x\n  run2 %s hash=%#016x",
 			seed, pat1, hash1, pat2, hash2)
 	}
 
 	// Zero leaked goroutines across three servers, every client, and the
 	// chaos plane.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > rep.GoroutineBaseline {
-		if time.Now().After(deadline) {
-			rep.GoroutineSettled = runtime.NumGoroutine()
-			return "", rep, fmt.Errorf("hqd: goroutines leaked: %d running, baseline %d",
-				rep.GoroutineSettled, rep.GoroutineBaseline)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	settled := waitFor(5*time.Second, func() bool { return runtime.NumGoroutine() <= rep.GoroutineBaseline })
 	rep.GoroutineSettled = runtime.NumGoroutine()
+	if !settled {
+		return Report{}, fmt.Errorf("hqd: goroutines leaked: %d running, baseline %d",
+			rep.GoroutineSettled, rep.GoroutineBaseline)
+	}
 	rep.ElapsedMs = time.Since(start).Milliseconds()
 
 	var sb strings.Builder
@@ -548,5 +533,5 @@ func HQD(seed uint64, procs int, quick bool) (string, *HQDReport, error) {
 		rep.AbuseConns, rep.AbusePattern, rep.DupHellos, rep.StaleResumes, rep.ScheduleHash, rep.Reproducible)
 	fmt.Fprintf(&sb, "teardown: goroutines %d -> %d (baseline), elapsed %v\n",
 		rep.GoroutineBaseline, rep.GoroutineSettled, time.Duration(rep.ElapsedMs)*time.Millisecond)
-	return sb.String(), rep, nil
+	return Report{sb.String(), rep}, nil
 }

@@ -18,14 +18,14 @@ import (
 	"herqules/internal/vm"
 )
 
-// ObsSmoke is the observability-plane smoke test behind `make obs-smoke`:
+// ObsSmoke is the observability-plane smoke test behind `hqbench -exp obs`:
 // it stands up a resident System with the observability server on a
 // loopback port, runs a couple of monitored programs through it plus one
 // synthetic violator, scrapes /metrics, /healthz and the /violations
 // postmortem endpoints over real HTTP, and fails unless the exposition is
 // non-empty and carries the series an operator would alert on. It returns a
 // short human-readable summary on success.
-func ObsSmoke() (string, error) {
+func ObsSmoke(Config) (Report, error) {
 	m := telemetry.New(0)
 	m.EnableTrace(1 << 12)
 	sys := supervisor.New(supervisor.Config{
@@ -45,7 +45,7 @@ func ObsSmoke() (string, error) {
 	}()
 	srv := obs.NewServer(sys, m)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return "", fmt.Errorf("obs-smoke: bind: %w", err)
+		return Report{}, fmt.Errorf("obs-smoke: bind: %w", err)
 	}
 	defer srv.Close()
 	addr := srv.Addr()
@@ -59,7 +59,7 @@ func ObsSmoke() (string, error) {
 	mod.Finalize()
 	ins, err := compiler.Instrument(mod, compiler.HQSfeStk, compiler.DefaultOptions())
 	if err != nil {
-		return "", fmt.Errorf("obs-smoke: instrument: %w", err)
+		return Report{}, fmt.Errorf("obs-smoke: instrument: %w", err)
 	}
 
 	const procs = 2
@@ -67,36 +67,36 @@ func ObsSmoke() (string, error) {
 	for i := 0; i < procs; i++ {
 		p, err := sys.Launch(ins, supervisor.LaunchOptions{})
 		if err != nil {
-			return "", fmt.Errorf("obs-smoke: launch: %w", err)
+			return Report{}, fmt.Errorf("obs-smoke: launch: %w", err)
 		}
 		if _, err := p.Wait(); err != nil {
-			return "", fmt.Errorf("obs-smoke: wait: %w", err)
+			return Report{}, fmt.Errorf("obs-smoke: wait: %w", err)
 		}
 		pids = append(pids, p.PID())
 	}
 
-	fetch := func(path string) (int, string, error) {
+	fetch := func(path string) (string, error) {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
-			return 0, "", fmt.Errorf("obs-smoke: GET %s: %w", path, err)
+			return "", fmt.Errorf("obs-smoke: GET %s: %w", path, err)
 		}
 		defer resp.Body.Close()
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
-			return 0, "", fmt.Errorf("obs-smoke: GET %s: %w", path, err)
+			return "", fmt.Errorf("obs-smoke: GET %s: %w", path, err)
 		}
-		return resp.StatusCode, string(body), nil
+		if resp.StatusCode != http.StatusOK {
+			return "", fmt.Errorf("obs-smoke: GET %s: status %d body %s", path, resp.StatusCode, body)
+		}
+		return string(body), nil
 	}
 
-	code, metrics, err := fetch("/metrics")
+	metrics, err := fetch("/metrics")
 	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("obs-smoke: /metrics status %d", code)
+		return Report{}, err
 	}
 	if strings.TrimSpace(metrics) == "" {
-		return "", fmt.Errorf("obs-smoke: /metrics exposition is empty")
+		return Report{}, fmt.Errorf("obs-smoke: /metrics exposition is empty")
 	}
 	for _, want := range []string{
 		"herqules_messages_verified_total",
@@ -105,16 +105,12 @@ func ObsSmoke() (string, error) {
 		fmt.Sprintf(`herqules_proc_messages_total{pid="%d"}`, pids[1]),
 	} {
 		if !strings.Contains(metrics, want) {
-			return "", fmt.Errorf("obs-smoke: /metrics missing %q", want)
+			return Report{}, fmt.Errorf("obs-smoke: /metrics missing %q", want)
 		}
 	}
 
-	code, health, err := fetch("/healthz")
-	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("obs-smoke: /healthz status %d body %s", code, health)
+	if _, err := fetch("/healthz"); err != nil {
+		return Report{}, err
 	}
 
 	// Synthetic violator: register a kernel context and replay a define/check
@@ -125,12 +121,9 @@ func ObsSmoke() (string, error) {
 	v.Deliver(ipc.Message{Op: ipc.OpPointerDefine, PID: vpid, Arg1: 0x40, Arg2: 0x1000, Seq: 1})
 	v.Deliver(ipc.Message{Op: ipc.OpPointerCheck, PID: vpid, Arg1: 0x40, Arg2: 0xbad, Seq: 2})
 
-	code, idxBody, err := fetch("/violations")
+	idxBody, err := fetch("/violations")
 	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("obs-smoke: /violations status %d", code)
+		return Report{}, err
 	}
 	var idx []struct {
 		PID        int32  `json:"pid"`
@@ -139,50 +132,44 @@ func ObsSmoke() (string, error) {
 		Window     int    `json:"window"`
 	}
 	if err := json.Unmarshal([]byte(idxBody), &idx); err != nil {
-		return "", fmt.Errorf("obs-smoke: /violations is not JSON: %w", err)
+		return Report{}, fmt.Errorf("obs-smoke: /violations is not JSON: %w", err)
 	}
 	if len(idx) != 1 || idx[0].PID != vpid {
-		return "", fmt.Errorf("obs-smoke: /violations index %+v, want one row for pid %d", idx, vpid)
+		return Report{}, fmt.Errorf("obs-smoke: /violations index %+v, want one row for pid %d", idx, vpid)
 	}
 	if idx[0].Policy != "cfi" || idx[0].KillReason == "" || idx[0].Window == 0 {
-		return "", fmt.Errorf("obs-smoke: /violations row %+v: want policy=cfi, a kill reason, a window", idx[0])
+		return Report{}, fmt.Errorf("obs-smoke: /violations row %+v: want policy=cfi, a kill reason, a window", idx[0])
 	}
 
-	code, repBody, err := fetch(fmt.Sprintf("/violations/%d", vpid))
+	repBody, err := fetch(fmt.Sprintf("/violations/%d", vpid))
 	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("obs-smoke: /violations/%d status %d", vpid, code)
+		return Report{}, err
 	}
 	var report supervisor.ForensicReport
 	if err := json.Unmarshal([]byte(repBody), &report); err != nil {
-		return "", fmt.Errorf("obs-smoke: /violations/%d is not JSON: %w", vpid, err)
+		return Report{}, fmt.Errorf("obs-smoke: /violations/%d is not JSON: %w", vpid, err)
 	}
 	if report.Policy != "cfi" || report.KillReason == "" || len(report.Window) == 0 {
-		return "", fmt.Errorf("obs-smoke: report pid %d: policy %q reason %q window %d — want an attributed cfi postmortem",
+		return Report{}, fmt.Errorf("obs-smoke: report pid %d: policy %q reason %q window %d — want an attributed cfi postmortem",
 			vpid, report.Policy, report.KillReason, len(report.Window))
 	}
 
 	// The kill must also surface on the metric plane: the per-policy counter
 	// and at least one per-shard depth gauge.
-	code, metrics, err = fetch("/metrics")
+	metrics, err = fetch("/metrics")
 	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("obs-smoke: /metrics re-scrape status %d", code)
+		return Report{}, err
 	}
 	for _, want := range []string{
 		`herqules_violations_total{policy="cfi"} 1`,
 		`herqules_shard_queue_depth{shard="0"}`,
 	} {
 		if !strings.Contains(metrics, want) {
-			return "", fmt.Errorf("obs-smoke: /metrics missing %q after the kill", want)
+			return Report{}, fmt.Errorf("obs-smoke: /metrics missing %q after the kill", want)
 		}
 	}
 
 	lines := strings.Count(metrics, "\n")
-	return fmt.Sprintf("obs-smoke ok: %d procs, %d exposition lines on %s, /healthz up, postmortem for pid %d (cfi) served\n",
-		procs, lines, addr, vpid), nil
+	return Report{Text: fmt.Sprintf("obs-smoke ok: %d procs, %d exposition lines on %s, /healthz up, postmortem for pid %d (cfi) served\n",
+		procs, lines, addr, vpid)}, nil
 }

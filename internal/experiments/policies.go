@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"herqules/internal/ipc"
 	"herqules/internal/policy"
@@ -14,9 +11,11 @@ import (
 )
 
 // This file implements `hqbench -exp policies`: a RIPE-style detection
-// matrix over the policy registry (which injected fault does each policy
-// catch, and is the kill attributed to the right policy?) plus the
-// throughput overhead each policy adds to a cfi-only baseline.
+// matrix over the policy registry. Every injected fault class runs against
+// every registered policy with the flight recorder armed, and each cell is
+// checked twice over: through the live violation list (which policy caught
+// it, did the kill reach the gate?) and through the frozen postmortem an
+// operator gets afterwards (does the report blame the same policy?).
 
 // policyKillGate records kernel kills so matrix cells can assert both that a
 // fault was caught and what reason the kernel would have seen.
@@ -159,47 +158,38 @@ func policyInjectors() []policyInjector {
 	}
 }
 
-// PolicyMatrixCell is one (policy, injector) measurement.
+// PolicyMatrixCell is one (policy, injector) measurement. Blamed, Window and
+// Decisions describe the frozen forensic report and are zero when the fault
+// was not caught (no kill, so no report may exist).
 type PolicyMatrixCell struct {
-	Policy   string `json:"policy"`
-	Injector string `json:"injector"`
-	Caught   bool   `json:"caught"`
-	Expected bool   `json:"expected"`
-	Reason   string `json:"reason,omitempty"` // kill reason when caught
+	Policy    string `json:"policy"`
+	Injector  string `json:"injector"`
+	Caught    bool   `json:"caught"`
+	Expected  bool   `json:"expected"`
+	Reason    string `json:"reason,omitempty"` // kill reason the gate saw
+	Blamed    string `json:"blamed,omitempty"` // report.Policy
+	Window    int    `json:"window,omitempty"` // flight records frozen in the report
+	Decisions int    `json:"decisions,omitempty"`
 }
 
-// DetectionMatrix runs every injected fault against every registered policy
-// in isolation (single-policy verifier, kill-on-violation, CheckSeq off so
-// sequence enforcement cannot mask attribution) and returns the cells plus
-// an error listing every miss, false positive, or misattributed violation.
-func DetectionMatrix() ([]PolicyMatrixCell, error) {
-	names := policy.Names()
-	var cells []PolicyMatrixCell
-	var faults []string
-	for _, inj := range policyInjectors() {
-		for _, name := range names {
-			cell, err := runMatrixCell(name, inj)
-			cells = append(cells, cell)
-			if err != nil {
-				faults = append(faults, err.Error())
-			}
-		}
-	}
-	if len(faults) > 0 {
-		return cells, fmt.Errorf("policies: %d detection-matrix failure(s):\n  %s",
-			len(faults), strings.Join(faults, "\n  "))
-	}
-	return cells, nil
-}
-
+// runMatrixCell runs one injected fault against one registered policy in
+// isolation: single-policy verifier, kill-on-violation, flight recorder
+// armed, CheckSeq off so sequence enforcement cannot mask attribution.
+//
+// A caught fault must be attributed to that policy in the violation list,
+// must have reached the gate as a kill, and must have frozen a report that
+// blames the same policy with a fatal decision and a non-empty window. A
+// fault the policy does not cover must leave no violation and no report.
 func runMatrixCell(name string, inj policyInjector) (PolicyMatrixCell, error) {
+	cell := PolicyMatrixCell{Policy: name, Injector: inj.name, Expected: inj.caughtBy[name]}
 	factory, err := policy.SetFactory(name)
 	if err != nil {
-		return PolicyMatrixCell{}, fmt.Errorf("%s/%s: %v", name, inj.name, err)
+		return cell, fmt.Errorf("%s/%s: %v", name, inj.name, err)
 	}
 	g := &policyKillGate{kills: make(map[int32]string)}
 	v := verifier.New(factory, g)
 	v.KillOnViolation = true
+	v.EnableFlightRecorder(128)
 	kr := policy.NewKeyringSeeded(0xbadc0de)
 	v.SetKeyring(kr)
 	kr.Program(1) // the kernel programs keys before the process is visible
@@ -214,214 +204,112 @@ func runMatrixCell(name string, inj policyInjector) (PolicyMatrixCell, error) {
 	}
 
 	viols := v.Violations(1)
-	cell := PolicyMatrixCell{
-		Policy: name, Injector: inj.name,
-		Caught:   len(viols) > 0,
-		Expected: inj.caughtBy[name],
-		Reason:   g.reason(1),
+	rep, frozen := v.Forensics(1)
+	cell.Caught = len(viols) > 0
+	cell.Reason = g.reason(1)
+	if frozen {
+		cell.Blamed, cell.Window, cell.Decisions = rep.Policy, len(rep.Window), len(rep.Decisions)
+	}
+
+	fail := func(format string, args ...any) (PolicyMatrixCell, error) {
+		return cell, fmt.Errorf("%s/%s: "+format, append([]any{name, inj.name}, args...)...)
 	}
 	switch {
 	case cell.Expected && !cell.Caught:
-		return cell, fmt.Errorf("%s missed %s", name, inj.name)
+		return fail("missed")
 	case !cell.Expected && cell.Caught:
-		return cell, fmt.Errorf("%s false positive on %s: %v", name, inj.name, viols[0])
-	case cell.Caught:
-		for _, viol := range viols {
-			if viol.Policy != name {
-				return cell, fmt.Errorf("%s caught %s but attributed it to %q", name, inj.name, viol.Policy)
-			}
+		return fail("false positive: %v", viols[0])
+	case !cell.Caught:
+		if frozen {
+			return fail("no violation, yet a forensic report was frozen (policy %q, reason %q)",
+				rep.Policy, rep.KillReason)
 		}
-		if cell.Reason == "" {
-			return cell, fmt.Errorf("%s caught %s but no kill reached the gate", name, inj.name)
-		}
-		if name == "hmac" && !strings.Contains(cell.Reason, "message authentication") {
-			return cell, fmt.Errorf("hmac kill for %s not attributed as authentication: %q", inj.name, cell.Reason)
+		return cell, nil
+	}
+
+	for _, viol := range viols {
+		if viol.Policy != name {
+			return fail("violation attributed to %q", viol.Policy)
 		}
 	}
-	return cell, nil
+	if cell.Reason == "" {
+		return fail("caught but no kill reached the gate")
+	}
+	if name == "hmac" && !strings.Contains(cell.Reason, "message authentication") {
+		return fail("kill not attributed as authentication: %q", cell.Reason)
+	}
+	switch {
+	case !frozen:
+		return fail("caught but no forensic report frozen")
+	case rep.Policy != name:
+		return fail("report attributes the kill to %q", rep.Policy)
+	case rep.KillReason == "":
+		return fail("report has no kill reason")
+	case len(rep.Window) == 0:
+		return fail("report window is empty")
+	}
+	for _, d := range rep.Decisions {
+		if d.Fatal && d.Policy == name {
+			return cell, nil
+		}
+	}
+	return fail("no fatal %s decision in the report's trail", name)
 }
 
-// PolicyOverheadRow is the drain throughput of cfi plus one extra policy,
-// against the cfi-only baseline.
-type PolicyOverheadRow struct {
-	Set        string        `json:"set"`
-	Messages   int           `json:"messages"`
-	ElapsedNs  int64         `json:"elapsed_ns"`
-	MsgsPerSec float64       `json:"msgs_per_sec"`
-	Overhead   float64       `json:"overhead_pct"` // percent vs the cfi-only baseline
-	Elapsed    time.Duration `json:"-"`
-}
-
-// PoliciesReport is the JSON artifact `hqbench -exp policies -out` writes:
-// the full detection matrix and the per-policy overhead sweep, plus the
-// environment facts needed to interpret the rates later (the -exp scaling
-// convention).
+// PoliciesReport is the JSON form of the detection matrix.
 type PoliciesReport struct {
-	GOMAXPROCS int                 `json:"gomaxprocs"`
-	NumCPU     int                 `json:"num_cpu"`
-	Messages   int                 `json:"messages"`
-	Reps       int                 `json:"reps"`
-	Policies   []string            `json:"policies"`
-	Matrix     []PolicyMatrixCell  `json:"matrix"`
-	Overhead   []PolicyOverheadRow `json:"overhead"`
+	Policies []string           `json:"policies"`
+	Matrix   []PolicyMatrixCell `json:"matrix"`
 }
 
-// policyOverhead measures the sharded drain rate for cfi-only and for
-// cfi+<each other registered policy>, over identical replayed streams of
-// pointer-integrity traffic. The hmac row drains a properly sealed copy of
-// the stream, so it pays the full verify-and-strip cost on every message.
-func policyOverhead(messages, reps int) []PolicyOverheadRow {
-	const procs = 4
-	base := throughputStream(procs, messages)
-	kr := policy.NewKeyringSeeded(0x5ea1)
-	for pid := 1; pid <= procs; pid++ {
-		kr.Program(int32(pid))
-	}
-	sealedCopy := func() []ipc.Message {
-		ms := append([]ipc.Message(nil), base...)
-		for i := range ms {
-			key, _ := kr.Key(ms[i].PID)
-			ms[i].Mac = ipc.MacSeal(key, ms[i], ms[i].Seq) // Seq already per-PID consecutive
-		}
-		return ms
-	}
-
-	sets := [][]string{{"cfi"}}
-	for _, name := range policy.Names() {
-		if name != "cfi" {
-			sets = append(sets, []string{"cfi", name})
-		}
-	}
-
-	type setRun struct {
-		factory func() []policy.Policy
-		replay  *ipc.Replay
-		min     time.Duration
-	}
-	runs := make([]setRun, len(sets))
-	for i, set := range sets {
-		stream := base
-		if set[len(set)-1] == "hmac" {
-			stream = sealedCopy()
-		}
-		factory, err := policy.SetFactory(set...)
-		if err != nil {
-			panic(err) // unreachable: set names come straight from the registry
-		}
-		runs[i] = setRun{factory: factory, replay: ipc.NewReplay(stream)}
-	}
-
-	// Reps are round-robined across the sets (rep 0 is an untimed warm-up)
-	// rather than run set-by-set: process-wide warm-up — clock ramp, page
-	// faults, allocator growth — otherwise lands entirely on the first set
-	// measured, which is the baseline every other row is compared against.
-	for rep := 0; rep <= reps; rep++ {
-		for i := range runs {
-			v := verifier.NewSharded(runs[i].factory, nil, 0)
-			v.SetKeyring(kr)
-			for pid := 1; pid <= procs; pid++ {
-				v.ProcessStarted(int32(pid))
-			}
-			runs[i].replay.Rewind()
-			start := time.Now()
-			v.Pump(runs[i].replay)
-			elapsed := time.Since(start)
-			if rep == 1 || (rep > 1 && elapsed < runs[i].min) {
-				runs[i].min = elapsed
-			}
-		}
-	}
-
-	rows := make([]PolicyOverheadRow, 0, len(sets))
-	var baseline float64
-	for i, set := range sets {
-		rate := float64(messages) / runs[i].min.Seconds()
-		row := PolicyOverheadRow{
-			Set: strings.Join(set, "+"), Messages: messages,
-			Elapsed: runs[i].min, ElapsedNs: runs[i].min.Nanoseconds(), MsgsPerSec: rate,
-		}
-		if baseline == 0 {
-			baseline = rate
-		} else {
-			row.Overhead = (baseline/rate - 1) * 100
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// Policies runs the detection matrix and the overhead sweep behind
-// `hqbench -exp policies` and `make policy-smoke`. The returned report is
-// the JSON artifact written by -out (nil when the matrix failed, so a broken
-// run never overwrites a good artifact).
-func Policies(messages int, quick bool) (string, *PoliciesReport, error) {
-	if messages <= 0 {
-		messages = 1 << 19
-	}
-	reps := 3
-	if quick {
-		messages, reps = 1<<18, 2
-	}
-
-	cells, merr := DetectionMatrix()
+// Policies runs the detection matrix behind `hqbench -exp policies` and
+// returns the rendered matrix, its JSON form, and an error listing every
+// miss, false positive, misattribution or stray report. The text is complete
+// on the error path too: a failing run shows which cells failed.
+func Policies(Config) (Report, error) {
+	names := policy.Names() // sorted
+	rep := &PoliciesReport{Policies: names}
 
 	var sb strings.Builder
-	names := policy.Names()
-	sort.Strings(names)
-	injors := policyInjectors()
+	var faults []string
 	sb.WriteString("Detection matrix (rows: injected fault; CAUGHT must match the policy's contract):\n")
 	fmt.Fprintf(&sb, "%-12s", "fault")
 	for _, n := range names {
 		fmt.Fprintf(&sb, " %-10s", n)
 	}
 	sb.WriteString("\n")
-	byKey := make(map[string]PolicyMatrixCell, len(cells))
-	for _, c := range cells {
-		byKey[c.Policy+"/"+c.Injector] = c
-	}
-	for _, inj := range injors {
+	for _, inj := range policyInjectors() {
 		fmt.Fprintf(&sb, "%-12s", inj.name)
 		for _, n := range names {
-			c := byKey[n+"/"+inj.name]
+			c, err := runMatrixCell(n, inj)
+			rep.Matrix = append(rep.Matrix, c)
+			if err != nil {
+				faults = append(faults, err.Error())
+			}
 			mark := "-"
 			switch {
 			case c.Caught && c.Expected:
 				mark = "CAUGHT"
-			case c.Caught && !c.Expected:
+			case c.Caught:
 				mark = "FALSE+"
-			case !c.Caught && c.Expected:
+			case c.Expected:
 				mark = "MISS!"
 			}
 			fmt.Fprintf(&sb, " %-10s", mark)
 		}
 		fmt.Fprintf(&sb, "  (%s)\n", inj.detail)
 	}
-	if merr != nil {
-		sb.WriteString("\n")
-		sb.WriteString(merr.Error())
-		sb.WriteString("\n")
-		return sb.String(), nil, merr
-	}
 
-	overhead := policyOverhead(messages, reps)
-	sb.WriteString("\nThroughput overhead vs cfi-only baseline (sharded drain, identical streams):\n")
-	fmt.Fprintf(&sb, "%-16s %12s %12s %10s\n", "set", "messages", "msgs/sec", "overhead")
-	for _, r := range overhead {
-		oh := "baseline"
-		if r.Overhead != 0 || r.Set != "cfi" {
-			oh = fmt.Sprintf("%+.1f%%", r.Overhead)
+	sb.WriteString("\nPostmortems (every CAUGHT cell froze a report; blamed must equal policy):\n")
+	fmt.Fprintf(&sb, "%-12s %-10s %-10s %7s %10s  %s\n",
+		"fault", "policy", "blamed", "window", "decisions", "kill reason")
+	for _, c := range rep.Matrix {
+		if c.Caught {
+			fmt.Fprintf(&sb, "%-12s %-10s %-10s %7d %10d  %.48s\n",
+				c.Injector, c.Policy, c.Blamed, c.Window, c.Decisions, c.Reason)
 		}
-		fmt.Fprintf(&sb, "%-16s %12d %12.0f %10s\n", r.Set, r.Messages, r.MsgsPerSec, oh)
 	}
-	sb.WriteString("\nregistry: " + strings.Join(policy.Names(), ", ") + "\n")
-	rep := &PoliciesReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Messages:   messages,
-		Reps:       reps,
-		Policies:   policy.Names(),
-		Matrix:     cells,
-		Overhead:   overhead,
-	}
-	return sb.String(), rep, nil
+	sb.WriteString("\nregistry: " + strings.Join(names, ", ") + "\n")
+
+	return Report{sb.String(), rep}, failures("policies: detection matrix", faults)
 }

@@ -8,6 +8,7 @@ import (
 
 	"herqules/internal/ipc"
 	"herqules/internal/kernel"
+	"herqules/internal/policy"
 	"herqules/internal/sim"
 	"herqules/internal/telemetry"
 	"herqules/internal/verifier"
@@ -53,7 +54,10 @@ func Stats(procs, messages int) *StatsResult {
 	trace := m.EnableTrace(1 << 10)
 
 	k := kernel.New(nil)
-	v := verifier.NewSharded(throughputPolicies, k, 0)
+	// The §4.1 CFI policy plus the §2 counter, per process.
+	v := verifier.NewSharded(func() []policy.Policy {
+		return []policy.Policy{policy.NewCFI(), policy.NewCounter()}
+	}, k, 0)
 	v.CheckSeq = true
 	k.SetListener(v)
 	k.EnableTelemetry(m)

@@ -36,53 +36,38 @@ func Table2(sendsPerPrimitive int) []IPCRow {
 	}
 	rows := []IPCRow{}
 
-	addMeasured := func(ch *ipc.Channel, n int) {
-		ns := measureSend(ch, n)
+	// add measures n sends over ch. modeled marks the hardware primitives,
+	// whose measured figure is the cost of the Go object that models them.
+	add := func(ch *ipc.Channel, n int, modeled bool) {
 		rows = append(rows, IPCRow{
 			Name:            ch.Props.Name,
 			AppendOnly:      ch.Props.AppendOnly,
 			AsyncValidation: ch.Props.AsyncValidation,
 			PrimaryCost:     ch.Props.PrimaryCost,
 			PaperNanos:      ch.Props.SendNanos,
-			MeasuredNanos:   ns,
+			MeasuredNanos:   measureSend(ch, n),
+			Modeled:         modeled,
 		})
 	}
 
-	addMeasured(ipc.NewMessageQueue(), sendsPerPrimitive)
-	addMeasured(ipc.NewPipe(), sendsPerPrimitive)
-	addMeasured(ipc.NewSocket(), sendsPerPrimitive)
-	addMeasured(ipc.NewSharedRing(1<<16), sendsPerPrimitive)
+	add(ipc.NewMessageQueue(), sendsPerPrimitive, false)
+	add(ipc.NewPipe(), sendsPerPrimitive, false)
+	add(ipc.NewSocket(), sendsPerPrimitive, false)
+	add(ipc.NewSharedRing(1<<16), sendsPerPrimitive, false)
 
 	// Light-weight contexts: each send costs two modelled context
 	// switches; measure a few to confirm the model, then report it.
-	lwc := ipc.NewLWC()
-	lwcNs := measureSend(lwc, 200)
-	rows = append(rows, IPCRow{
-		Name: lwc.Props.Name, AppendOnly: lwc.Props.AppendOnly,
-		AsyncValidation: lwc.Props.AsyncValidation, PrimaryCost: lwc.Props.PrimaryCost,
-		PaperNanos: lwc.Props.SendNanos, MeasuredNanos: lwcNs, Modeled: true,
-	})
+	add(ipc.NewLWC(), 200, true)
 
 	// AppendWrite-FPGA: the Go object measures the functional model; the
 	// PCIe/MMIO latency is the modelled figure.
 	fch, _ := fpga.New(1 << 16)
-	fNs := measureSend(fch, sendsPerPrimitive)
-	rows = append(rows, IPCRow{
-		Name: fch.Props.Name, AppendOnly: fch.Props.AppendOnly,
-		AsyncValidation: fch.Props.AsyncValidation, PrimaryCost: fch.Props.PrimaryCost,
-		PaperNanos: fch.Props.SendNanos, MeasuredNanos: fNs, Modeled: true,
-	})
+	add(fch, sendsPerPrimitive, true)
 
 	// AppendWrite-µarch: hardware semantics over the simulated MMU.
-	m := mem.New()
-	uch, _, err := uarch.New(m, 0x7f00_0000_0000, 1<<16*uint64(ipc.MessageSize))
+	uch, _, err := uarch.New(mem.New(), 0x7f00_0000_0000, 1<<16*uint64(ipc.MessageSize))
 	if err == nil {
-		uNs := measureSend(uch, sendsPerPrimitive/4)
-		rows = append(rows, IPCRow{
-			Name: uch.Props.Name, AppendOnly: uch.Props.AppendOnly,
-			AsyncValidation: uch.Props.AsyncValidation, PrimaryCost: uch.Props.PrimaryCost,
-			PaperNanos: uch.Props.SendNanos, MeasuredNanos: uNs, Modeled: true,
-		})
+		add(uch, sendsPerPrimitive/4, true)
 	}
 	return rows
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"herqules/internal/compiler"
@@ -26,17 +27,8 @@ type CorrectnessRow struct {
 // valid output), exactly as the paper notes.
 func Table4(scale workload.Scale) []CorrectnessRow {
 	benchmarks := workload.All()
-
-	// Reference outputs from the modern-compiler baseline.
-	baseOut := make(map[string][]uint64, len(benchmarks))
-	for _, p := range benchmarks {
-		r := execute(p, compiler.Baseline, nil, scale)
-		if r.Outcome != nil {
-			baseOut[p.Name] = r.Outcome.Output
-		}
-	}
-
-	rows := []CorrectnessRow{
+	baseOut := referenceOutputs(scale) // from the modern-compiler baseline
+	return []CorrectnessRow{
 		classifyBaseline("Baseline", benchmarks, baseOut, scale, false),
 		classifyBaseline("Baseline-CCFI", benchmarks, baseOut, scale, true),
 		classifyBaseline("Baseline-CPI", benchmarks, baseOut, scale, true),
@@ -45,7 +37,6 @@ func Table4(scale workload.Scale) []CorrectnessRow {
 		classify("CPI", compiler.CPI, benchmarks, baseOut, scale),
 		classify("HQ-CFI", compiler.HQSfeStk, benchmarks, baseOut, scale),
 	}
-	return rows
 }
 
 // classifyBaseline builds the baseline rows. The old-compiler baselines
@@ -107,7 +98,7 @@ func classifyRun(row *CorrectnessRow, p *workload.Profile, r *Run, want []uint64
 			bad = true
 		}
 	}
-	if !sameOutput(out.Output, want) {
+	if !slices.Equal(out.Output, want) {
 		row.Invalid++
 		bad = true
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"herqules/internal/compiler"
@@ -10,14 +11,20 @@ import (
 	"herqules/internal/workload"
 )
 
-// Table5 executes the full RIPE suite under every design.
-func Table5() ([]*ripe.Table, error) {
+// Table5 executes the RIPE suite under every design. quick keeps one variant
+// per (origin, kind): the harness path without the 954×6 runs that
+// internal/ripe's own test already makes.
+func Table5(quick bool) ([]*ripe.Table, error) {
+	attacks := ripe.Suite()
+	if quick {
+		attacks = slices.DeleteFunc(attacks, func(a ripe.Attack) bool { return a.Variant != 0 })
+	}
 	var out []*ripe.Table
 	for _, d := range []compiler.Design{
 		compiler.Baseline, compiler.ClangCFI, compiler.CCFI, compiler.CPI,
 		compiler.HQSfeStk, compiler.HQRetPtr,
 	} {
-		t, err := ripe.RunSuite(d)
+		t, err := ripe.RunSuite(d, attacks)
 		if err != nil {
 			return nil, err
 		}

@@ -22,10 +22,10 @@ import (
 //     invariant violation with a minimal replayable schedule. A checker that
 //     cannot fail proves nothing.
 //
-// full additionally explores the 3-process scope (~550k states, minutes);
-// the smoke scope (~71k states with the connection-churn family) finishes in
+// Without Quick it additionally explores the 3-process scope (~550k states,
+// minutes); the smoke scope (~71k states with the connection-churn family) finishes in
 // about ten seconds.
-func Verify(full bool) (string, error) {
+func Verify(c Config) (Report, error) {
 	var b strings.Builder
 	var firstErr error
 	fail := func(format string, args ...any) {
@@ -70,7 +70,7 @@ func Verify(full bool) (string, error) {
 
 	b.WriteString("Exhaustive exploration (all fixes in place):\n")
 	clean("2 procs x 2 shards, all families + churn", verify.Defaults())
-	if full {
+	if !c.Quick {
 		// The 3-proc scope runs without the connection-churn family: churn
 		// triples the per-process state and the 3-proc product does not
 		// close under any tractable bound. Churn is covered exhaustively at
@@ -104,5 +104,5 @@ func Verify(full bool) (string, error) {
 	if firstErr == nil {
 		b.WriteString("\nverify: PASS — protocol clean under exhaustive exploration; checker demonstrably catches each reverted fix\n")
 	}
-	return b.String(), firstErr
+	return Report{Text: b.String()}, firstErr
 }

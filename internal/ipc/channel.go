@@ -212,7 +212,7 @@ func RecvBatchFrom(r Receiver, buf []Message) (int, bool, error) { return r.Recv
 // kernel-managed process-identity register (the FPGA AFU's PID register,
 // §3.1.1): the kernel programs it on every context switch, and the hardware
 // stamps each message with it, which is what makes the PID field authentic.
-// The framework (core.Run, the supervisor) plays the kernel's role and calls
+// The framework (the supervisor) plays the kernel's role and calls
 // SetPID once when it binds a channel to a freshly registered process.
 type PIDRegister interface {
 	// SetPID programs the transport's process-identity register. Only

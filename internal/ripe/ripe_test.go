@@ -104,7 +104,7 @@ func TestFullSuiteExecution(t *testing.T) {
 		t.Skip("full 954x6 execution in long mode only")
 	}
 	for _, d := range compiler.AllDesigns() {
-		tab, err := RunSuite(d)
+		tab, err := RunSuite(d, Suite())
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"herqules/internal/compiler"
-	"herqules/internal/core"
+	"herqules/internal/supervisor"
 )
 
 // Execute builds, instruments and runs one attack under a design in
@@ -16,7 +16,7 @@ func Execute(a Attack, d compiler.Design) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("ripe: instrumenting %s under %v: %w", a.Name(), d, err)
 	}
-	out, err := core.Run(ins, core.Options{KillOnViolation: true})
+	out, err := supervisor.Run(supervisor.Config{KillOnViolation: true}, ins, supervisor.LaunchOptions{Inline: true})
 	if err != nil {
 		return false, fmt.Errorf("ripe: running %s under %v: %w", a.Name(), d, err)
 	}
@@ -30,10 +30,11 @@ type Table struct {
 	Total   int
 }
 
-// RunSuite executes the whole suite under one design.
-func RunSuite(d compiler.Design) (*Table, error) {
+// RunSuite executes attacks (Suite() for the whole of Table 5) under one
+// design.
+func RunSuite(d compiler.Design, attacks []Attack) (*Table, error) {
 	t := &Table{Design: d, ByOrgin: make(map[Origin]int)}
-	for _, a := range Suite() {
+	for _, a := range attacks {
 		ok, err := Execute(a, d)
 		if err != nil {
 			return nil, err

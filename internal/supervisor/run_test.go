@@ -1,69 +1,19 @@
-package core
+package supervisor
 
 import (
 	"testing"
 
 	"herqules/internal/compiler"
 	"herqules/internal/ipc"
-	"herqules/internal/mir"
 	"herqules/internal/policy"
-	"herqules/internal/vm"
 )
 
-// victim builds a program whose function pointer is corrupted through an
-// integer alias before dispatch; the payload marks the exploit.
-func victim(t *testing.T, corrupt bool) *mir.Module {
-	return victimWithPayload(t, corrupt, false)
-}
-
-// victimWithPayload optionally gives the attacker a *gated* side effect
-// (exit 99) in addition to the ungated marker, for concurrent-mode tests.
-func victimWithPayload(t *testing.T, corrupt, gatedPayload bool) *mir.Module {
-	t.Helper()
-	mod := mir.NewModule("core-victim")
-	b := mir.NewBuilder(mod)
-	sig := mir.FuncType(mir.I64, mir.I64)
-
-	b.Func("attacker", sig, "x") // function #0
-	b.Syscall(vm.SysMarkExploit) // ungated, like RIPE shellcode
-	if gatedPayload {
-		b.Syscall(vm.SysExit, mir.ConstInt(99)) // gated external effect
-	}
-	b.Ret(mir.ConstInt(0))
-
-	legit := b.Func("legit", sig, "x")
-	b.Ret(b.Add(legit.Params[0], mir.ConstInt(1)))
-
-	b.Func("main", mir.FuncType(mir.I64))
-	slot := b.Cast(b.Malloc(mir.ConstInt(16)), mir.Ptr(mir.Ptr(sig)))
-	b.Store(b.FuncAddr(legit), slot)
-	if corrupt {
-		b.Store(mir.ConstInt(vm.StaticFuncAddr(0)), b.Cast(slot, mir.Ptr(mir.I64)))
-	}
-	fp := b.Load(slot)
-	r := b.ICall(fp, sig, mir.ConstInt(41))
-	b.Syscall(vm.SysWrite, r)
-	b.Syscall(vm.SysExit, mir.ConstInt(0))
-	b.Ret(mir.ConstInt(0))
-	mod.Finalize()
-	if err := mir.Validate(mod); err != nil {
-		t.Fatal(err)
-	}
-	return mod
-}
-
-func instrumentHQ(t *testing.T, mod *mir.Module) *compiler.Instrumented {
-	t.Helper()
-	ins, err := compiler.Instrument(mod, compiler.HQSfeStk, compiler.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ins
-}
+// The one-shot Run path: a throwaway System hosting exactly one process, in
+// both delivery modes.
 
 func TestDeterministicCleanRun(t *testing.T) {
-	ins := instrumentHQ(t, victim(t, false))
-	out, err := Run(ins, Options{KillOnViolation: true})
+	ins := instrumentHQ(t, victimWithPayload(t, false, false))
+	out, err := Run(Config{KillOnViolation: true}, ins, LaunchOptions{Inline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +32,8 @@ func TestDeterministicCleanRun(t *testing.T) {
 }
 
 func TestDeterministicAttackKilledBeforeSideEffects(t *testing.T) {
-	ins := instrumentHQ(t, victim(t, true))
-	out, err := Run(ins, Options{KillOnViolation: true})
+	ins := instrumentHQ(t, victimWithPayload(t, true, false))
+	out, err := Run(Config{KillOnViolation: true}, ins, LaunchOptions{Inline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +57,7 @@ func TestConcurrentModeOverEveryTransport(t *testing.T) {
 	for name, f := range mk {
 		t.Run(name, func(t *testing.T) {
 			ins := instrumentHQ(t, victimWithPayload(t, true, true))
-			out, err := Run(ins, Options{Channel: f(), KillOnViolation: true})
+			out, err := Run(Config{KillOnViolation: true}, ins, LaunchOptions{Channel: f()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,8 +76,8 @@ func TestConcurrentModeOverEveryTransport(t *testing.T) {
 }
 
 func TestMonitoringModeRecordsWithoutKilling(t *testing.T) {
-	ins := instrumentHQ(t, victim(t, true))
-	out, err := Run(ins, Options{KillOnViolation: false})
+	ins := instrumentHQ(t, victimWithPayload(t, true, false))
+	out, err := Run(Config{KillOnViolation: false}, ins, LaunchOptions{Inline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +96,12 @@ func TestMonitoringModeRecordsWithoutKilling(t *testing.T) {
 }
 
 func TestBaselineNotGated(t *testing.T) {
-	mod := victim(t, false)
+	mod := victimWithPayload(t, false, false)
 	base, err := compiler.Instrument(mod, compiler.Baseline, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(base, Options{KillOnViolation: true})
+	out, err := Run(Config{KillOnViolation: true}, base, LaunchOptions{Inline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +113,11 @@ func TestBaselineNotGated(t *testing.T) {
 }
 
 func TestCustomPolicySet(t *testing.T) {
-	ins := instrumentHQ(t, victim(t, false))
+	ins := instrumentHQ(t, victimWithPayload(t, false, false))
 	counter := policy.NewCounter()
-	out, err := Run(ins, Options{
+	out, err := Run(Config{
 		Policies: func() []policy.Policy { return []policy.Policy{counter, policy.NewCFI()} },
-	})
+	}, ins, LaunchOptions{Inline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +127,8 @@ func TestCustomPolicySet(t *testing.T) {
 }
 
 func TestRunErrorsOnMissingEntry(t *testing.T) {
-	ins := instrumentHQ(t, victim(t, false))
-	out, err := Run(ins, Options{Entry: "nonexistent"})
+	ins := instrumentHQ(t, victimWithPayload(t, false, false))
+	out, err := Run(Config{}, ins, LaunchOptions{Entry: "nonexistent", Inline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,17 +4,16 @@
 // Figure 1, where a single trusted verifier process multiplexes every
 // application that has enabled HerQules.
 //
-// Where package core's Run constructs a private kernel + verifier per call
-// and hosts exactly one process, a System is long-lived: programs Launch
-// into it, run concurrently (each with its own AppendWrite channel drained
-// by a shared verifier.PumpSet), and exit independently; Shutdown drains
-// every in-flight batch before stopping the shard workers. This is the
-// configuration under which CFI enforcement overheads are actually compared
-// in the literature (Burow et al.; de Clercq & Verbauwhede): one enforcement
-// domain amortized across the machine's workload, not one per process.
+// A System is long-lived: programs Launch into it, run concurrently (each
+// with its own AppendWrite channel drained by a shared verifier.PumpSet),
+// and exit independently; Shutdown drains every in-flight batch before
+// stopping the shard workers. This is the configuration under which CFI
+// enforcement overheads are actually compared in the literature (Burow et
+// al.; de Clercq & Verbauwhede): one enforcement domain amortized across the
+// machine's workload, not one per process.
 //
-// core.Run remains as a one-process convenience wrapper over a throwaway
-// System; the public facade surfaces this package as herqules.System.
+// Run is the one-process convenience over a throwaway System; the public
+// facade surfaces this package as herqules.System and herqules.Run.
 package supervisor
 
 import (
@@ -560,6 +559,20 @@ func (s *System) Shutdown(ctx context.Context) error {
 	}
 	s.pumps.Close()
 	return err
+}
+
+// Run executes one program under a private single-tenant System: stand it
+// up, launch ins into it, wait, and tear it down. The experiments, the RIPE
+// suite and herqules.Run use it; anything hosting more than one program
+// keeps its own System.
+func Run(cfg Config, ins *compiler.Instrumented, opts LaunchOptions) (*Outcome, error) {
+	sys := New(cfg)
+	defer sys.Shutdown(context.Background())
+	proc, err := sys.Launch(ins, opts)
+	if err != nil {
+		return nil, err
+	}
+	return proc.Wait()
 }
 
 // ProcStats.State values.

@@ -19,6 +19,12 @@ import (
 // integer alias before dispatch; the attacker carries a *gated* payload
 // (exit 99) so bounded asynchronous validation has a side effect to block.
 func victim(t *testing.T, corrupt bool) *mir.Module {
+	return victimWithPayload(t, corrupt, true)
+}
+
+// victimWithPayload makes the attacker's gated payload optional: without it
+// the hijacked call only sets the ungated exploit marker, like RIPE shellcode.
+func victimWithPayload(t *testing.T, corrupt, gatedPayload bool) *mir.Module {
 	t.Helper()
 	mod := mir.NewModule("sup-victim")
 	b := mir.NewBuilder(mod)
@@ -26,7 +32,9 @@ func victim(t *testing.T, corrupt bool) *mir.Module {
 
 	b.Func("attacker", sig, "x") // function #0
 	b.Syscall(vm.SysMarkExploit)
-	b.Syscall(vm.SysExit, mir.ConstInt(99))
+	if gatedPayload {
+		b.Syscall(vm.SysExit, mir.ConstInt(99))
+	}
 	b.Ret(mir.ConstInt(0))
 
 	legit := b.Func("legit", sig, "x")

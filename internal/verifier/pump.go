@@ -51,13 +51,6 @@ type batchItem struct {
 // newPipeline starts the per-shard workers. Callers must invoke stop exactly
 // once, after every drain loop feeding the pipeline has returned.
 func (v *Verifier) newPipeline() *pipeline {
-	batchSize := v.BatchSize
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	if batchSize > blockSlots {
-		batchSize = blockSlots
-	}
 	depth := v.QueueDepth
 	if depth <= 0 {
 		depth = DefaultQueueDepth
@@ -65,7 +58,7 @@ func (v *Verifier) newPipeline() *pipeline {
 	nshards := len(v.shards)
 	p := &pipeline{
 		v:         v,
-		batchSize: batchSize,
+		batchSize: DefaultBatchSize,
 		queues:    make([]chan batchItem, nshards),
 		arena:     newArena(),
 	}

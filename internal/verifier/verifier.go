@@ -93,7 +93,8 @@ type shard struct {
 	_     [cacheLinePad - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(map[int32]*procCtx(nil)))%cacheLinePad]byte
 }
 
-// Pipeline tuning defaults; Verifier fields of the same name override them.
+// Pipeline tuning: the burst size is fixed; the Verifier's QueueDepth and
+// MaxRecvRetries fields override the other two.
 const (
 	// DefaultBatchSize is the per-RecvBatch burst size used by Pump.
 	DefaultBatchSize = 256
@@ -140,8 +141,6 @@ type Verifier struct {
 	// is itself a fatal integrity violation (§3.1.1).
 	CheckSeq bool
 
-	// BatchSize overrides DefaultBatchSize for Pump (0 keeps the default).
-	BatchSize int
 	// QueueDepth overrides DefaultQueueDepth for Pump (0 keeps the
 	// default).
 	QueueDepth int

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"herqules/internal/compiler"
-	"herqules/internal/core"
 	"herqules/internal/mir"
+	"herqules/internal/supervisor"
 )
 
 // TestTextualRoundTripPreservesBehaviour is the parser's strongest fidelity
@@ -24,14 +24,14 @@ func TestTextualRoundTripPreservesBehaviour(t *testing.T) {
 			t.Fatalf("%s: print→parse→print not a fixed point", p.Name)
 		}
 
-		run := func(m *mir.Module) *core.Outcome {
+		run := func(m *mir.Module) *supervisor.Outcome {
 			opts := compiler.DefaultOptions()
 			opts.Allowlist = p.Allowlist()
 			ins, err := compiler.Instrument(m, compiler.HQSfeStk, opts)
 			if err != nil {
 				t.Fatalf("%s: instrument: %v", p.Name, err)
 			}
-			out, err := core.Run(ins, core.Options{ContinueChecks: true})
+			out, err := supervisor.Run(supervisor.Config{}, ins, supervisor.LaunchOptions{Inline: true, ContinueChecks: true})
 			if err != nil {
 				t.Fatalf("%s: run: %v", p.Name, err)
 			}

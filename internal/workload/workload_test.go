@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"herqules/internal/compiler"
-	"herqules/internal/core"
 	"herqules/internal/mir"
+	"herqules/internal/supervisor"
 )
 
 func TestRosterInventory(t *testing.T) {
@@ -107,7 +107,7 @@ func TestEveryBenchmarkBuildsValidIR(t *testing.T) {
 }
 
 // runUnder instruments and executes one benchmark under a design.
-func runUnder(t *testing.T, p *Profile, d compiler.Design, scale Scale) *core.Outcome {
+func runUnder(t *testing.T, p *Profile, d compiler.Design, scale Scale) *supervisor.Outcome {
 	t.Helper()
 	opts := compiler.DefaultOptions()
 	opts.Allowlist = p.Allowlist()
@@ -115,7 +115,7 @@ func runUnder(t *testing.T, p *Profile, d compiler.Design, scale Scale) *core.Ou
 	if err != nil {
 		t.Fatalf("%s under %v: %v", p.Name, d, err)
 	}
-	out, err := core.Run(ins, core.Options{ContinueChecks: true})
+	out, err := supervisor.Run(supervisor.Config{}, ins, supervisor.LaunchOptions{Inline: true, ContinueChecks: true})
 	if err != nil {
 		t.Fatalf("%s under %v: %v", p.Name, d, err)
 	}
@@ -277,7 +277,7 @@ func TestDecayedBlockOpNeedsAllowlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := core.Run(ins, core.Options{ContinueChecks: true})
+	out, err := supervisor.Run(supervisor.Config{}, ins, supervisor.LaunchOptions{Inline: true, ContinueChecks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestDecayedBlockOpNeedsAllowlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := core.Run(ins2, core.Options{ContinueChecks: true})
+	out2, err := supervisor.Run(supervisor.Config{}, ins2, supervisor.LaunchOptions{Inline: true, ContinueChecks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestOverheadOrderingOnCallHeavyBenchmark(t *testing.T) {
 			t.Fatal(err)
 		}
 		model := simCost()
-		out, err := core.Run(ins, core.Options{ContinueChecks: true, Cost: model})
+		out, err := supervisor.Run(supervisor.Config{}, ins, supervisor.LaunchOptions{Inline: true, ContinueChecks: true, Cost: model})
 		if err != nil || out.Err != nil {
 			t.Fatalf("%v: %v %v", d, err, out.Err)
 		}
