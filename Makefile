@@ -19,7 +19,8 @@ vet:
 # check is the CI gate: vet, build, the full test suite under the race
 # detector (which runs every hqbench experiment once at its smoke scope, the
 # soaks included: TestEveryExperimentRunsQuick), the hot-path benchmarks, ten
-# seconds of fuzzing on the frame decoder that feeds the verifier's arena,
+# seconds of fuzzing each on the frame decoder that feeds the verifier's arena
+# and on the allocation policies against their sorted-slice reference,
 # the quick end-to-end benchmark (all four workloads, every correctness
 # check), and the line count. The one piece run without the race detector is
 # the sweep's model-checker entry: it explores ~71k states with dsched
@@ -32,6 +33,7 @@ check: vet build
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
 	$(GO) test -run xxx -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/ipc
+	$(GO) test -run xxx -fuzz FuzzAllocPolicies -fuzztime 10s ./internal/policy
 	$(GO) run ./bench -quick
 	$(MAKE) loc
 
@@ -46,8 +48,11 @@ bench:
 
 # bench-smoke keeps the hot path honest in CI: a short run of the verifier
 # throughput benchmarks (catching gross regressions and alloc creep via
-# -benchmem) and the networked client's send path (sealed stream to an
-# in-process daemon over a Unix socket, with its zero-alloc test).
+# -benchmem), one pass of the full sealed chain over 266 k entries (the
+# cache-resident benches cannot see a policy table that shifts or misses) and
+# the networked client's send path (sealed stream to an in-process daemon
+# over a Unix socket, with its zero-alloc test).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkPolicyChainLargeState' -benchtime 1x .
 	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc' -bench 'BenchmarkClientSend' -benchtime 200ms -benchmem ./internal/hqnet

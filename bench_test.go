@@ -413,3 +413,122 @@ func BenchmarkVerifierDrain(b *testing.B) {
 		})
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Policy chain at realistic state size
+// ---------------------------------------------------------------------------
+
+// BenchmarkPolicyChainLargeState runs the full sealed chain (cfi, memsafety,
+// counter, dfi, temporal, hmac) through DeliverBatch for one process holding
+// 266 k metadata entries — pointer and last-writer tables well past the cache,
+// two thousand live allocations churning over as many tombstones — and
+// reports ns per message. It is the quick stand-in for `go run ./bench
+// -workload ring_policy`: the hot-path benches above keep every table
+// cache-resident, which hides exactly the costs this state size exposes
+// (interval-table shifts, one DRAM miss per lookup).
+func BenchmarkPolicyChainLargeState(b *testing.B) {
+	const (
+		pid      = 1
+		ptrs     = 196608
+		dfiAddrs = 65536
+		slots    = 4096 // allocation slots; even ones are live between blocks
+		writers  = 64   // DFI stores, four per reaching set
+		steady   = 1 << 18
+	)
+	ptr := func(i uint64) uint64 { return 0x7f00_0000_0000 + 8*i }
+	val := func(i uint64) uint64 { return i*0x9e3779b97f4a7c15 | 1 }
+	dfi := func(i uint64) uint64 { return 0x6000_0000_0000 + 8*i }
+	writer := func(i uint64) uint64 { return 1 + (i*0x9e3779b97f4a7c15>>32)%writers }
+	alloc := func(s uint64) uint64 { return 0x5500_0000_0000 + 256*s }
+
+	var prefill []ipc.Message
+	add := func(ms *[]ipc.Message, op ipc.Op, a1, a2 uint64) {
+		*ms = append(*ms, ipc.Message{Op: op, PID: pid, Arg1: a1, Arg2: a2})
+	}
+	for i := uint64(0); i < ptrs; i++ {
+		add(&prefill, ipc.OpPointerDefine, ptr(i), val(i))
+	}
+	for w := uint64(1); w <= writers; w++ {
+		add(&prefill, ipc.OpDFIDeclare, (w-1)/4, w)
+	}
+	for i := uint64(0); i < dfiAddrs; i++ {
+		add(&prefill, ipc.OpDFISet, dfi(i), writer(i))
+	}
+	for s := uint64(0); s < slots; s += 2 {
+		add(&prefill, ipc.OpAllocCreate, alloc(s), 128)
+	}
+	// The steady stream leaves the state as it found it (destructive ops come
+	// as adjacent pairs), so it can be delivered any number of times.
+	run := make([]ipc.Message, 0, steady+1)
+	for x := uint64(1); len(run) < steady; {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		r := x * 0x2545f4914f6cdd1d
+		pick, i := r%100, r>>8
+		switch {
+		case pick < 40:
+			add(&run, ipc.OpPointerCheck, ptr(i%ptrs), val(i%ptrs))
+		case pick < 50:
+			add(&run, ipc.OpPointerDefine, ptr(i%ptrs), val(i%ptrs))
+		case pick < 60:
+			add(&run, ipc.OpPointerCheckInvalidate, ptr(i%ptrs), val(i%ptrs))
+			add(&run, ipc.OpPointerDefine, ptr(i%ptrs), val(i%ptrs))
+		case pick < 72:
+			add(&run, ipc.OpDFISet, dfi(i%dfiAddrs), writer(i%dfiAddrs))
+		case pick < 84:
+			add(&run, ipc.OpDFICheck, dfi(i%dfiAddrs), (writer(i%dfiAddrs)-1)/4)
+		case pick < 92:
+			add(&run, ipc.OpAllocCheck, alloc(2*(i%(slots/2)))+(i>>32)%128, 0)
+		case pick < 94: // live slot: free, reallocate
+			add(&run, ipc.OpAllocDestroy, alloc(2*(i%(slots/2))), 0)
+			add(&run, ipc.OpAllocCreate, alloc(2*(i%(slots/2))), 128)
+		case pick < 96: // free slot: allocate, free
+			add(&run, ipc.OpAllocCreate, alloc(2*(i%(slots/2))+1), 128)
+			add(&run, ipc.OpAllocDestroy, alloc(2*(i%(slots/2))+1), 0)
+		default:
+			add(&run, ipc.OpCounterInc, i%64, 0)
+		}
+	}
+
+	factory, err := policy.SetFactory("cfi", "memsafety", "counter", "dfi", "temporal", "hmac")
+	if err != nil {
+		b.Fatal(err)
+	}
+	kr := policy.NewKeyringSeeded(1)
+	kr.Program(pid)
+	key, _ := kr.Key(pid)
+	v := verifier.NewSharded(factory, nil, 1)
+	v.CheckSeq = true
+	v.SetKeyring(kr)
+	v.ProcessStarted(pid)
+	sent := uint64(0)
+	deliver := func(ms []ipc.Message) {
+		for i := range ms {
+			sent++
+			ms[i].Seq = sent
+			ms[i].Mac = ipc.MacSeal(key, ms[i], sent)
+		}
+		b.StartTimer()
+		for i := 0; i < len(ms); i += verifier.DefaultBatchSize {
+			v.DeliverBatch(ms[i:min(i+verifier.DefaultBatchSize, len(ms))])
+		}
+		b.StopTimer()
+	}
+	b.StopTimer()
+	deliver(prefill)
+	deliver(run) // warm-up pass: tombstones reach their steady population
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		deliver(run)
+	}
+	if viol := v.Violations(pid); len(viol) > 0 {
+		b.Fatalf("clean stream flagged: %v", viol[0])
+	}
+	if got, _ := v.Entries(pid); got != ptrs+dfiAddrs+2*(slots/2)+64 {
+		want := ptrs + dfiAddrs + 2*(slots/2) + 64
+		b.Fatalf("verifier holds %d entries, want %d", got, want)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(run)), "ns/msg")
+}

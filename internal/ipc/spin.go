@@ -12,9 +12,14 @@ import (
 const spinIterBudget = 256
 
 // pollSleepQuantum is one sleep step of a poll loop that has exhausted its
-// cooperative-spin budget. Small enough that a stalled producer or consumer
-// resumes with microsecond-scale latency once the condition clears, large
-// enough that a long stall costs scheduler wakeups, not a pinned core.
+// cooperative-spin budget: a long stall costs scheduler wakeups, not a pinned
+// core. The value is a request, not the latency. On the 2-vCPU reference VM
+// time.Sleep(20µs) returns after 1.08 ms (p10 1.05 ms, p50 1.08–1.13 ms, idle
+// or beside a busy goroutine), so a waiter that reaches this step resumes a
+// timer tick after the condition clears, whatever is written here. That
+// millisecond is the live ring's deficit against replay; DESIGN.md "Hot path
+// anatomy" records why a park/wake ring that removes it was measured and not
+// built on this host.
 const pollSleepQuantum = 20 * time.Microsecond
 
 // pollBackoff paces an unbounded condition-poll loop (ring full on send, ring

@@ -18,6 +18,7 @@ type CFI struct {
 	table *ptrTable
 	// maxEntries tracks the high-water mark for the §5.4 metrics.
 	maxEntries int
+	touched    uint64 // Prefetch's load sink
 }
 
 // NewCFI creates an empty pointer-integrity context.
@@ -37,7 +38,7 @@ func (c *CFI) MaxEntries() int { return c.maxEntries }
 // Clone implements Policy.
 func (c *CFI) Clone() Policy {
 	n := NewCFI()
-	c.table.each(func(k, v uint64) { n.table.put(k, v) })
+	c.table.each(n.table.put)
 	n.maxEntries = c.maxEntries
 	return n
 }
@@ -61,6 +62,22 @@ func (c *CFI) Handle(m ipc.Message) *Violation {
 		c.blockInvalidate(m.Arg1, m.Arg2)
 	}
 	return nil
+}
+
+// Prefetch implements Prefetcher: the single-pointer messages in ms are about
+// to look their address up in table. Block operations scan the whole table
+// and gain nothing from a touch.
+func (c *CFI) Prefetch(ms []ipc.Message) {
+	if !c.table.worthTouching() {
+		return
+	}
+	var acc uint64
+	for i := range ms {
+		if op := ms[i].Op; op >= ipc.OpPointerDefine && op <= ipc.OpPointerCheckInvalidate {
+			acc += c.table.touch(ms[i].Arg1)
+		}
+	}
+	c.touched = acc
 }
 
 func (c *CFI) define(addr, val uint64) {
@@ -121,4 +138,4 @@ func (c *CFI) blockInvalidate(addr, n uint64) {
 	})
 }
 
-var _ Policy = (*CFI)(nil)
+var _ Prefetcher = (*CFI)(nil)

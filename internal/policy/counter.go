@@ -9,7 +9,8 @@ import "herqules/internal/ipc"
 // after total program compromise.
 type Counter struct {
 	Hooks
-	counts map[uint64]uint64
+	// counts maps event class -> count, in the flat table (ptrtable.go).
+	counts *ptrTable
 	// Limit, when non-zero, turns the counter into a watchdog: exceeding
 	// it for any class is a violation (e.g. "this program must not call
 	// exec more than once").
@@ -18,22 +19,20 @@ type Counter struct {
 
 // NewCounter creates a counter policy with no limit.
 func NewCounter() *Counter {
-	return &Counter{counts: make(map[uint64]uint64)}
+	return &Counter{counts: newPtrTable()}
 }
 
 // Name implements Policy.
 func (c *Counter) Name() string { return "counter" }
 
 // Entries implements Policy.
-func (c *Counter) Entries() int { return len(c.counts) }
+func (c *Counter) Entries() int { return c.counts.live }
 
 // Clone implements Policy.
 func (c *Counter) Clone() Policy {
 	n := NewCounter()
 	n.Limit = c.Limit
-	for k, v := range c.counts {
-		n.counts[k] = v
-	}
+	c.counts.each(n.counts.put)
 	return n
 }
 
@@ -42,15 +41,20 @@ func (c *Counter) Handle(m ipc.Message) *Violation {
 	if m.Op != ipc.OpCounterInc {
 		return nil
 	}
-	c.counts[m.Arg1]++
-	if c.Limit > 0 && c.counts[m.Arg1] > c.Limit {
-		return &Violation{PID: m.PID, Op: m.Op, Addr: m.Arg1, Value: c.counts[m.Arg1],
+	n, _ := c.counts.get(m.Arg1)
+	n++
+	c.counts.put(m.Arg1, n)
+	if c.Limit > 0 && n > c.Limit {
+		return &Violation{PID: m.PID, Op: m.Op, Addr: m.Arg1, Value: n,
 			Reason: "event count exceeded configured limit"}
 	}
 	return nil
 }
 
 // Count returns the current count for an event class.
-func (c *Counter) Count(class uint64) uint64 { return c.counts[class] }
+func (c *Counter) Count(class uint64) uint64 {
+	n, _ := c.counts.get(class)
+	return n
+}
 
 var _ Policy = (*Counter)(nil)

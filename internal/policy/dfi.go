@@ -24,16 +24,20 @@ type DFI struct {
 	Hooks
 	// sets maps set id -> allowed writer ids.
 	sets map[uint64]map[uint64]bool
-	// last maps address -> the id of its most recent writer.
-	last       map[uint64]uint64
+	// last maps address -> the id of its most recent writer, in the same
+	// flat table as cfi's pointers (ptrtable.go): one entry per written
+	// address, so it grows with the program. An absent address reads as
+	// LoaderWriter.
+	last       *ptrTable
 	maxEntries int
+	touched    uint64 // Prefetch's load sink
 }
 
 // NewDFI creates an empty data-flow-integrity context.
 func NewDFI() *DFI {
 	return &DFI{
 		sets: make(map[uint64]map[uint64]bool),
-		last: make(map[uint64]uint64),
+		last: newPtrTable(),
 	}
 }
 
@@ -41,7 +45,7 @@ func NewDFI() *DFI {
 func (d *DFI) Name() string { return "dfi" }
 
 // Entries implements Policy.
-func (d *DFI) Entries() int { return len(d.last) }
+func (d *DFI) Entries() int { return d.last.live }
 
 // MaxEntries reports the high-water mark of tracked addresses.
 func (d *DFI) MaxEntries() int { return d.maxEntries }
@@ -56,9 +60,7 @@ func (d *DFI) Clone() Policy {
 		}
 		n.sets[id] = ns
 	}
-	for a, w := range d.last {
-		n.last[a] = w
-	}
+	d.last.each(n.last.put)
 	n.maxEntries = d.maxEntries
 	return n
 }
@@ -74,9 +76,9 @@ func (d *DFI) Handle(m ipc.Message) *Violation {
 		}
 		set[m.Arg2] = true
 	case ipc.OpDFISet:
-		d.last[m.Arg1] = m.Arg2
-		if len(d.last) > d.maxEntries {
-			d.maxEntries = len(d.last)
+		d.last.put(m.Arg1, m.Arg2)
+		if d.last.live > d.maxEntries {
+			d.maxEntries = d.last.live
 		}
 	case ipc.OpDFICheck:
 		set, ok := d.sets[m.Arg2]
@@ -84,7 +86,7 @@ func (d *DFI) Handle(m ipc.Message) *Violation {
 			return &Violation{PID: m.PID, Op: m.Op, Addr: m.Arg1, Value: m.Arg2,
 				Reason: "dfi: check against undeclared writer set"}
 		}
-		writer := d.last[m.Arg1] // missing -> LoaderWriter
+		writer, _ := d.last.get(m.Arg1) // missing -> LoaderWriter
 		if !set[writer] {
 			return &Violation{PID: m.PID, Op: m.Op, Addr: m.Arg1, Value: writer,
 				Reason: fmt.Sprintf("dfi: address %#x last written by store #%d, outside its reaching set", m.Arg1, writer)}
@@ -94,6 +96,24 @@ func (d *DFI) Handle(m ipc.Message) *Violation {
 }
 
 // LastWriter reports the recorded last writer of an address.
-func (d *DFI) LastWriter(addr uint64) uint64 { return d.last[addr] }
+func (d *DFI) LastWriter(addr uint64) uint64 {
+	w, _ := d.last.get(addr)
+	return w
+}
 
-var _ Policy = (*DFI)(nil)
+// Prefetch implements Prefetcher: the set/check messages in ms are about to
+// look their address up in last.
+func (d *DFI) Prefetch(ms []ipc.Message) {
+	if !d.last.worthTouching() {
+		return
+	}
+	var acc uint64
+	for i := range ms {
+		if op := ms[i].Op; op == ipc.OpDFISet || op == ipc.OpDFICheck {
+			acc += d.last.touch(ms[i].Arg1)
+		}
+	}
+	d.touched = acc
+}
+
+var _ Prefetcher = (*DFI)(nil)

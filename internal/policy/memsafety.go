@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"sort"
-
-	"herqules/internal/ipc"
-)
+import "herqules/internal/ipc"
 
 // MemSafety is the memory-safety execution policy sketched in §4.2: the
 // verifier tracks every live allocation as an interval and checks that
@@ -13,12 +9,10 @@ import (
 // than catching its use.
 type MemSafety struct {
 	Hooks
-	// allocs is sorted by base address; intervals never overlap.
-	allocs     []interval
+	// allocs holds the live allocations; tags are unused.
+	allocs     spanIndex
 	maxEntries int
 }
-
-type interval struct{ base, size uint64 }
 
 // NewMemSafety creates an empty allocation-tracking context.
 func NewMemSafety() *MemSafety {
@@ -29,17 +23,14 @@ func NewMemSafety() *MemSafety {
 func (p *MemSafety) Name() string { return "memsafety" }
 
 // Entries implements Policy.
-func (p *MemSafety) Entries() int { return len(p.allocs) }
+func (p *MemSafety) Entries() int { return p.allocs.n }
 
 // MaxEntries reports the high-water mark of tracked allocations.
 func (p *MemSafety) MaxEntries() int { return p.maxEntries }
 
 // Clone implements Policy.
 func (p *MemSafety) Clone() Policy {
-	n := NewMemSafety()
-	n.allocs = append([]interval(nil), p.allocs...)
-	n.maxEntries = p.maxEntries
-	return n
+	return &MemSafety{allocs: p.allocs.clone(), maxEntries: p.maxEntries}
 }
 
 // Handle implements Policy.
@@ -48,19 +39,23 @@ func (p *MemSafety) Handle(m ipc.Message) *Violation {
 	case ipc.OpAllocCreate:
 		return p.create(m, m.Arg1, m.Arg2)
 	case ipc.OpAllocCheck:
-		if _, ok := p.find(m.Arg1); !ok {
+		if s, _ := p.allocs.find(m.Arg1); s == nil {
 			return &Violation{PID: m.PID, Op: m.Op, Addr: m.Arg1,
 				Reason: "access outside any live allocation: out-of-bounds or use-after-free"}
 		}
 	case ipc.OpAllocCheckBase:
-		i1, ok1 := p.find(m.Arg1)
-		i2, ok2 := p.find(m.Arg2)
-		if !ok1 || !ok2 || i1 != i2 {
+		s1, _ := p.allocs.find(m.Arg1)
+		s2, _ := p.allocs.find(m.Arg2)
+		if s1 == nil || s1 != s2 {
 			return &Violation{PID: m.PID, Op: m.Op, Addr: m.Arg1, Value: m.Arg2,
 				Reason: "addresses not within one live allocation"}
 		}
 	case ipc.OpAllocExtend:
-		// realloc: destroy the old interval, create the new one.
+		// realloc: destroy the old interval, create the new one. A new
+		// interval that wraps is refused before the old one is touched.
+		if v := wrapViolation(m, m.Arg2, m.Arg3); v != nil {
+			return v
+		}
 		if v := p.destroy(m, m.Arg1); v != nil {
 			return v
 		}
@@ -74,53 +69,36 @@ func (p *MemSafety) Handle(m ipc.Message) *Violation {
 }
 
 func (p *MemSafety) create(m ipc.Message, base, size uint64) *Violation {
+	if v := wrapViolation(m, base, size); v != nil {
+		return v
+	}
 	if size == 0 {
 		size = 1
 	}
-	i := sort.Search(len(p.allocs), func(i int) bool { return p.allocs[i].base+p.allocs[i].size > base })
-	if i < len(p.allocs) && p.allocs[i].base < base+size {
+	at := p.allocs.seek(base)
+	if s := p.allocs.at(at); s != nil && s.base < base+size {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base, Value: size,
 			Reason: "allocation overlaps an existing allocation"}
 	}
-	p.allocs = append(p.allocs, interval{})
-	copy(p.allocs[i+1:], p.allocs[i:])
-	p.allocs[i] = interval{base: base, size: size}
-	if len(p.allocs) > p.maxEntries {
-		p.maxEntries = len(p.allocs)
+	p.allocs.insert(at, span{base: base, size: size})
+	if p.allocs.n > p.maxEntries {
+		p.maxEntries = p.allocs.n
 	}
 	return nil
 }
 
-// find returns the index of the live allocation containing addr.
-func (p *MemSafety) find(addr uint64) (int, bool) {
-	i := sort.Search(len(p.allocs), func(i int) bool { return p.allocs[i].base+p.allocs[i].size > addr })
-	if i < len(p.allocs) && p.allocs[i].base <= addr {
-		return i, true
-	}
-	return 0, false
-}
-
 func (p *MemSafety) destroy(m ipc.Message, base uint64) *Violation {
-	i, ok := p.find(base)
-	if !ok || p.allocs[i].base != base {
+	s, at := p.allocs.find(base)
+	if s == nil || s.base != base {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base,
 			Reason: "destroy of non-allocation: invalid or double free"}
 	}
-	p.allocs = append(p.allocs[:i], p.allocs[i+1:]...)
+	p.allocs.remove(at)
 	return nil
 }
 
 func (p *MemSafety) destroyAll(m ipc.Message, base, size uint64) *Violation {
-	kept := p.allocs[:0]
-	removed := 0
-	for _, iv := range p.allocs {
-		if iv.base >= base && iv.base < base+size {
-			removed++
-			continue
-		}
-		kept = append(kept, iv)
-	}
-	p.allocs = kept
+	removed := p.allocs.removeIf(func(s *span) bool { return s.base >= base && s.base < base+size })
 	if removed == 0 {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base, Value: size,
 			Reason: "destroy-all found no allocations: invalid or double free"}

@@ -96,6 +96,19 @@ type Sealer interface {
 	Unseal(m ipc.Message) (ipc.Message, *Violation)
 }
 
+// Prefetcher is implemented by policies whose Handle is a dependent load into
+// a table that can outgrow the cache. The verifier's shard worker holds a
+// whole run of messages when it starts on the first; it hands the next few
+// to Prefetch so their table lines are already on the way when Handle asks
+// for them. Prefetch may read ms and the policy's own tables; it must not
+// change state, report, or trust ms: it runs before Unseal, on
+// unauthenticated arguments, and ms may hold other processes' messages. A
+// policy decides from its own table size whether the pass is worth running.
+type Prefetcher interface {
+	Policy
+	Prefetch(ms []ipc.Message)
+}
+
 // KeyBinder is implemented by policies that need the system keyring (the
 // hmac sealer). The verifier binds the keyring to each fresh instance before
 // invoking its lifecycle hooks.

@@ -271,12 +271,9 @@ func TestMemSafetyIntervalInvariant(t *testing.T) {
 				}
 			}
 		}
-		for i := 1; i < len(p.allocs); i++ {
-			if p.allocs[i-1].base+p.allocs[i-1].size > p.allocs[i].base {
-				return false
-			}
-		}
-		return true
+		// Sorted, disjoint, no empty leaf, count consistent; and as many
+		// spans as creates that were not destroyed again.
+		return len(checkSpanIndex(t, &p.allocs)) == len(bases) && p.Entries() == len(bases)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

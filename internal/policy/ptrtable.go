@@ -16,12 +16,12 @@ import "math/bits"
 // Not safe for concurrent use — policy state is confined to one verifier
 // shard, which serializes access per process (verifier shard lock).
 type ptrTable struct {
-	ctrl []uint8    // one of ptrSlotEmpty / ptrSlotFull / ptrSlotDead per slot
-	ents []ptrEntry // key/value pairs, valid where ctrl is ptrSlotFull
-	live int        // full slots
-	used int        // full + tombstoned slots (probe-chain occupancy)
-	mask uint64     // len(ctrl)-1; capacity is always a power of two
-	shift uint      // 64 - log2(len(ctrl)), for the multiply-shift hash
+	ctrl  []uint8    // one of ptrSlotEmpty / ptrSlotFull / ptrSlotDead per slot
+	ents  []ptrEntry // key/value pairs, valid where ctrl is ptrSlotFull
+	live  int        // full slots
+	used  int        // full + tombstoned slots (probe-chain occupancy)
+	mask  uint64     // len(ctrl)-1; capacity is always a power of two
+	shift uint       // 64 - log2(len(ctrl)), for the multiply-shift hash
 }
 
 type ptrEntry struct{ key, val uint64 }
@@ -70,6 +70,26 @@ func (t *ptrTable) get(key uint64) (uint64, bool) {
 		}
 		i = (i + 1) & t.mask
 	}
+}
+
+// touchMinCap is the capacity from which a look-ahead touch pays: 1<<16 slots
+// are 1 MiB of entries plus 64 KiB of control bytes, past what a core keeps
+// to itself. Below it lookups hit cache anyway and the pass is pure overhead.
+const touchMinCap = 1 << 16
+
+// worthTouching reports whether the table has outgrown the cache.
+func (t *ptrTable) worthTouching() bool { return len(t.ctrl) >= touchMinCap }
+
+// touch loads the two cache lines a lookup of key starts on (its control byte
+// and its entry) and returns a value that depends on both, for the caller to
+// keep so the loads are not optimized away. It decides nothing: a caller
+// running it over a window of upcoming keys gives the core independent misses
+// to overlap, where the lookups themselves would take them one after another
+// (group prefetching, Chen et al., ICDE 2004 — with plain loads, because Go
+// exposes no prefetch instruction).
+func (t *ptrTable) touch(key uint64) uint64 {
+	i := t.slot(key)
+	return uint64(t.ctrl[i]) + t.ents[i].key
 }
 
 // put inserts or updates key. Tombstones left on key's probe chain are

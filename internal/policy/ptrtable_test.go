@@ -3,6 +3,8 @@ package policy
 import (
 	"math/rand"
 	"testing"
+
+	"herqules/internal/ipc"
 )
 
 // TestPtrTableMatchesMap drives the flat table and a reference Go map with an
@@ -104,5 +106,53 @@ func TestPtrTableZeroKey(t *testing.T) {
 	}
 	if _, ok := tab.get(0); ok {
 		t.Fatal("key 0 still present after del")
+	}
+}
+
+// TestPrefetchSizeGatedAndReadOnly pins the look-ahead contract on cfi and
+// dfi: below touchMinCap slots the pass does not run at all, above it loads
+// table lines and nothing else — forged addresses included, since it runs
+// before authentication.
+func TestPrefetchSizeGatedAndReadOnly(t *testing.T) {
+	c, d := NewCFI(), NewDFI()
+	window := func(n uint64) []ipc.Message {
+		ms := []ipc.Message{msg(ipc.OpPointerCheck, 0xdead_beef_0000, 1), msg(ipc.OpDFICheck, 0xdead_beef_0000, 0),
+			msg(ipc.OpPointerBlockInvalidate, 0, ^uint64(0)), msg(ipc.OpAllocCreate, 0x1000, 16)}
+		for i := uint64(0); i < n; i++ {
+			ms = append(ms, msg(ipc.OpPointerCheck, 0x1000+8*i, i), msg(ipc.OpDFISet, 0x1000+8*i, 9))
+		}
+		return ms
+	}
+	fill := func(from, to uint64) {
+		for i := from; i < to; i++ {
+			c.Handle(msg(ipc.OpPointerDefine, 0x1000+8*i, i))
+			d.Handle(msg(ipc.OpDFISet, 0x1000+8*i, 1+i%4))
+		}
+	}
+	fill(0, 1000)
+	c.Prefetch(window(60))
+	d.Prefetch(window(60))
+	if c.table.worthTouching() || d.last.worthTouching() || c.touched != 0 || d.touched != 0 {
+		t.Fatalf("1000-entry tables (%d slots) ran the look-ahead: cfi %#x, dfi %#x", len(c.table.ctrl), c.touched, d.touched)
+	}
+	fill(1000, touchMinCap/2)
+	if !c.table.worthTouching() || !d.last.worthTouching() {
+		t.Fatalf("%d entries in %d slots: below the gate of %d", c.Entries(), len(c.table.ctrl), touchMinCap)
+	}
+	c.Prefetch(window(60))
+	d.Prefetch(window(60))
+	if c.touched == 0 || d.touched == 0 {
+		t.Errorf("look-ahead over resident keys loaded nothing: cfi %#x, dfi %#x", c.touched, d.touched)
+	}
+	if c.Entries() != touchMinCap/2 || d.Entries() != touchMinCap/2 {
+		t.Errorf("Prefetch changed the tables: cfi %d, dfi %d entries", c.Entries(), d.Entries())
+	}
+	for i := uint64(0); i < 60; i++ {
+		if v := c.Handle(msg(ipc.OpPointerCheck, 0x1000+8*i, i)); v != nil {
+			t.Fatalf("pointer %d after Prefetch: %v", i, v)
+		}
+		if got := d.LastWriter(0x1000 + 8*i); got != 1+i%4 {
+			t.Fatalf("last writer of %d after Prefetch = %d, want %d (a prefetched OpDFISet must not be applied)", i, got, 1+i%4)
+		}
 	}
 }

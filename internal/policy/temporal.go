@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"herqules/internal/ipc"
 )
@@ -25,21 +24,28 @@ const maxTombstones = 4096
 // proving a dangling pointer.
 type Temporal struct {
 	Hooks
-	// regions is sorted by base and non-overlapping; both live and dead
-	// (tombstoned) allocations live here so one binary search answers both
-	// questions.
-	regions []tregion
+	// regions holds live and dead (tombstoned) allocations together, so one
+	// search answers both questions. A span's tag is gen<<1 | dead.
+	regions spanIndex
+	// graves orders the tombstones for eviction: a min-heap by generation of
+	// every span that was marked dead. Entries are invalidated lazily — one is
+	// stale once the span at its base is gone or carries another generation
+	// (create reclaimed the address) — and swept out when stale entries
+	// outnumber tombstones.
+	graves []grave
 	// gen numbers allocations in creation order; violation reasons cite it.
 	gen        uint64
 	live       int
 	maxEntries int
 }
 
-type tregion struct {
-	base, size uint64
-	gen        uint64
-	dead       bool
-}
+type grave struct{ gen, base uint64 }
+
+const tagDead = 1
+
+// graveSlack is how many stale heap entries beyond one per tombstone bury
+// tolerates before it sweeps them out.
+const graveSlack = 64
 
 // NewTemporal creates an empty temporal-safety context.
 func NewTemporal() *Temporal {
@@ -58,12 +64,10 @@ func (t *Temporal) MaxEntries() int { return t.maxEntries }
 
 // Clone implements Policy.
 func (t *Temporal) Clone() Policy {
-	n := NewTemporal()
-	n.regions = append([]tregion(nil), t.regions...)
-	n.gen = t.gen
-	n.live = t.live
-	n.maxEntries = t.maxEntries
-	return n
+	n := *t
+	n.regions = t.regions.clone()
+	n.graves = append([]grave(nil), t.graves...)
+	return &n
 }
 
 // Handle implements Policy over the §4.2 allocation message set.
@@ -79,6 +83,10 @@ func (t *Temporal) Handle(m ipc.Message) *Violation {
 		}
 		return t.check(m, m.Arg2)
 	case ipc.OpAllocExtend:
+		// A new interval that wraps is refused before the old one is freed.
+		if v := wrapViolation(m, m.Arg2, m.Arg3); v != nil {
+			return v
+		}
 		if v := t.destroy(m, m.Arg1); v != nil {
 			return v
 		}
@@ -91,86 +99,71 @@ func (t *Temporal) Handle(m ipc.Message) *Violation {
 	return nil
 }
 
-// find returns the index of the region containing addr, live or dead.
-func (t *Temporal) find(addr uint64) (int, bool) {
-	i := sort.Search(len(t.regions), func(i int) bool {
-		return t.regions[i].base+t.regions[i].size > addr
-	})
-	if i < len(t.regions) && t.regions[i].base <= addr {
-		return i, true
-	}
-	return 0, false
-}
-
 func (t *Temporal) create(m ipc.Message, base, size uint64) *Violation {
+	if v := wrapViolation(m, base, size); v != nil {
+		return v
+	}
 	if size == 0 {
 		size = 1
 	}
 	// The allocator reusing freed address space is normal: evict any dead
 	// regions the new allocation overlaps. Overlapping a *live* region is a
 	// runtime-integrity violation (a corrupted allocator or forged message).
-	i := sort.Search(len(t.regions), func(i int) bool {
-		return t.regions[i].base+t.regions[i].size > base
-	})
-	for i < len(t.regions) && t.regions[i].base < base+size {
-		if !t.regions[i].dead {
+	at := t.regions.seek(base)
+	for s := t.regions.at(at); s != nil && s.base < base+size; s = t.regions.at(at) {
+		if s.tag&tagDead == 0 {
 			return &Violation{PID: m.PID, Op: m.Op, Addr: base, Value: size,
-				Reason: fmt.Sprintf("allocation overlaps live generation #%d", t.regions[i].gen)}
+				Reason: fmt.Sprintf("allocation overlaps live generation #%d", s.tag>>1)}
 		}
-		t.regions = append(t.regions[:i], t.regions[i+1:]...)
+		t.regions.remove(at)
+		at = t.regions.seek(base)
 	}
 	t.gen++
-	t.regions = append(t.regions, tregion{})
-	copy(t.regions[i+1:], t.regions[i:])
-	t.regions[i] = tregion{base: base, size: size, gen: t.gen}
+	t.regions.insert(at, span{base: base, size: size, tag: t.gen << 1})
 	t.live++
 	if t.live > t.maxEntries {
 		t.maxEntries = t.live
 	}
-	t.evictTombstones()
 	return nil
 }
 
 func (t *Temporal) check(m ipc.Message, addr uint64) *Violation {
-	i, ok := t.find(addr)
-	if !ok {
+	s, _ := t.regions.find(addr)
+	if s == nil {
 		// Purely temporal: an address outside every known generation is the
 		// spatial policy's problem (MemSafety), not ours.
 		return nil
 	}
-	if t.regions[i].dead {
+	if s.tag&tagDead != 0 {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: addr,
-			Reason: fmt.Sprintf("use-after-free: access inside freed generation #%d", t.regions[i].gen)}
+			Reason: fmt.Sprintf("use-after-free: access inside freed generation #%d", s.tag>>1)}
 	}
 	return nil
 }
 
 func (t *Temporal) destroy(m ipc.Message, base uint64) *Violation {
-	i, ok := t.find(base)
-	if !ok || t.regions[i].base != base {
+	s, _ := t.regions.find(base)
+	if s == nil || s.base != base {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base,
 			Reason: "free of unknown allocation: invalid free"}
 	}
-	if t.regions[i].dead {
+	if s.tag&tagDead != 0 {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base,
-			Reason: fmt.Sprintf("double free: generation #%d already freed", t.regions[i].gen)}
+			Reason: fmt.Sprintf("double free: generation #%d already freed", s.tag>>1)}
 	}
-	t.regions[i].dead = true
-	t.live--
+	t.bury(s)
 	t.evictTombstones()
 	return nil
 }
 
 func (t *Temporal) destroyAll(m ipc.Message, base, size uint64) *Violation {
 	freed := 0
-	for i := range t.regions {
-		r := &t.regions[i]
-		if r.base >= base && r.base < base+size && !r.dead {
-			r.dead = true
+	t.regions.each(func(s *span) {
+		if s.base >= base && s.base < base+size && s.tag&tagDead == 0 {
+			t.bury(s)
 			freed++
 		}
-	}
-	t.live -= freed
+	})
 	t.evictTombstones()
 	if freed == 0 {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base, Value: size,
@@ -179,23 +172,73 @@ func (t *Temporal) destroyAll(m ipc.Message, base, size uint64) *Violation {
 	return nil
 }
 
-// evictTombstones drops the oldest dead generations past the cap.
-func (t *Temporal) evictTombstones() {
-	dead := len(t.regions) - t.live
-	if dead <= maxTombstones {
-		return
-	}
-	// Oldest generation first; a single linear sweep keeps the slice sorted
-	// by base (we delete in place).
-	for dead > maxTombstones {
-		oldest, at := ^uint64(0), -1
-		for i := range t.regions {
-			if t.regions[i].dead && t.regions[i].gen < oldest {
-				oldest, at = t.regions[i].gen, i
+// bury turns live span s into a tombstone and queues it for eviction.
+func (t *Temporal) bury(s *span) {
+	s.tag |= tagDead
+	t.live--
+	if len(t.graves) >= 2*(t.regions.n-t.live)+graveSlack {
+		// Mostly stale (the allocator keeps reusing freed addresses before
+		// the cap is reached): keep only entries that still name a tombstone,
+		// so the heap stays within a constant factor of them.
+		kept := t.graves[:0]
+		for _, g := range t.graves {
+			if _, ok := t.buried(g); ok {
+				kept = append(kept, g)
 			}
 		}
-		t.regions = append(t.regions[:at], t.regions[at+1:]...)
-		dead--
+		t.graves = kept
+		for i := len(kept)/2 - 1; i >= 0; i-- {
+			t.sinkGrave(i)
+		}
+	}
+	g := append(t.graves, grave{gen: s.tag >> 1, base: s.base})
+	for i := len(g) - 1; i > 0; {
+		up := (i - 1) / 2
+		if g[up].gen <= g[i].gen {
+			break
+		}
+		g[up], g[i] = g[i], g[up]
+		i = up
+	}
+	t.graves = g
+}
+
+// buried reports where g's tombstone is, if it still exists.
+func (t *Temporal) buried(g grave) (spanPos, bool) {
+	s, at := t.regions.find(g.base)
+	return at, s != nil && s.base == g.base && s.tag == g.gen<<1|tagDead
+}
+
+// sinkGrave restores heap order below i.
+func (t *Temporal) sinkGrave(i int) {
+	g := t.graves
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(g); c++ {
+			if g[c].gen < g[least].gen {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		g[i], g[least] = g[least], g[i]
+		i = least
+	}
+}
+
+// evictTombstones drops dead generations past the cap, smallest generation
+// first.
+func (t *Temporal) evictTombstones() {
+	for t.regions.n-t.live > maxTombstones {
+		g := t.graves[0]
+		last := len(t.graves) - 1
+		t.graves[0] = t.graves[last]
+		t.graves = t.graves[:last]
+		t.sinkGrave(0)
+		if at, ok := t.buried(g); ok {
+			t.regions.remove(at)
+		}
 	}
 }
 

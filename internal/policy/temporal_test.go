@@ -125,23 +125,87 @@ func TestTemporalTombstoneEviction(t *testing.T) {
 	// Long-running churn must not grow memory without bound: past the cap
 	// the oldest tombstones are evicted, and a UAF against an evicted
 	// generation degrades to not-found (spatial policy's problem) rather
-	// than a leak.
+	// than a leak. Three caps' worth of churn keeps the policy at the cap for
+	// thousands of frees, the regime a long-running process lives in.
 	p := NewTemporal()
-	for i := 0; i < maxTombstones+100; i++ {
-		base := uint64(0x1000 + i*0x100)
-		if v := p.Handle(msg(ipc.OpAllocCreate, base, 16)); v != nil {
+	const n = 3 * maxTombstones
+	base := func(i int) uint64 { return uint64(0x1000 + i*0x100) }
+	for i := 0; i < n; i++ {
+		if v := p.Handle(msg(ipc.OpAllocCreate, base(i), 16)); v != nil {
 			t.Fatalf("create %d: %v", i, v)
 		}
-		if v := p.Handle(msg(ipc.OpAllocDestroy, base)); v != nil {
+		if v := p.Handle(msg(ipc.OpAllocDestroy, base(i))); v != nil {
 			t.Fatalf("destroy %d: %v", i, v)
 		}
 	}
-	if dead := len(p.regions) - p.live; dead > maxTombstones {
-		t.Errorf("tombstones = %d, want <= %d", dead, maxTombstones)
+	regions := checkSpanIndex(t, &p.regions)
+	if len(regions) != maxTombstones || p.Entries() != 0 {
+		t.Errorf("%d spans, %d live, want exactly the %d newest tombstones", len(regions), p.Entries(), maxTombstones)
 	}
-	// The newest tombstone is still attributable.
-	last := uint64(0x1000 + (maxTombstones+99)*0x100)
-	if v := p.Handle(msg(ipc.OpAllocCheck, last)); v == nil {
+	// Smallest generation first: generation i+1 was allocation i, so the
+	// survivors are exactly the last maxTombstones allocations.
+	oldest := ^uint64(0)
+	for _, s := range regions {
+		if s.tag&tagDead == 0 {
+			t.Fatalf("span %+v is live", s)
+		}
+		oldest = min(oldest, s.tag>>1)
+	}
+	if want := uint64(n - maxTombstones + 1); oldest != want {
+		t.Errorf("oldest surviving tombstone is generation #%d, want #%d", oldest, want)
+	}
+	if len(p.graves) > 2*maxTombstones+graveSlack {
+		t.Errorf("%d heap entries for %d tombstones", len(p.graves), maxTombstones)
+	}
+	// The newest tombstone is still attributable, the newest evicted one is
+	// the spatial policy's problem.
+	if v := p.Handle(msg(ipc.OpAllocCheck, base(n-1))); v == nil {
 		t.Error("UAF against newest tombstone undetected")
+	}
+	if v := p.Handle(msg(ipc.OpAllocCheck, base(n-maxTombstones-1))); v != nil {
+		t.Errorf("access to an evicted generation: %v", v)
+	}
+}
+
+// TestTemporalEvictionSkipsReclaimedTombstones pins the lazy invalidation: a
+// tombstone whose address the allocator reused leaves a stale heap entry
+// behind, which eviction must skip rather than take for the live successor.
+func TestTemporalEvictionSkipsReclaimedTombstones(t *testing.T) {
+	p := NewTemporal()
+	base := func(i int) uint64 { return uint64(0x1000 + i*0x100) }
+	free := func(i int) {
+		t.Helper()
+		if v := p.Handle(msg(ipc.OpAllocDestroy, base(i))); v != nil {
+			t.Fatalf("destroy %d: %v", i, v)
+		}
+	}
+	alloc := func(i int) {
+		t.Helper()
+		if v := p.Handle(msg(ipc.OpAllocCreate, base(i), 16)); v != nil {
+			t.Fatalf("create %d: %v", i, v)
+		}
+	}
+	alloc(0)
+	free(0)  // generation #1 dead ...
+	alloc(0) // ... and reclaimed by #2, live at the same base
+	for i := 1; i <= maxTombstones+1; i++ {
+		alloc(i)
+		free(i)
+	}
+	if v := p.Handle(msg(ipc.OpAllocCheck, base(0))); v != nil {
+		t.Errorf("live generation #2 flagged after eviction ran past its stale predecessor: %v", v)
+	}
+	if got := p.Entries(); got != 1 {
+		t.Errorf("Entries = %d, want 1", got)
+	}
+	if dead := p.regions.n - p.live; dead != maxTombstones {
+		t.Errorf("%d tombstones, want %d", dead, maxTombstones)
+	}
+	// #3 (slot 1) was the oldest real tombstone and is the one that went.
+	if v := p.Handle(msg(ipc.OpAllocCheck, base(1))); v != nil {
+		t.Errorf("evicted generation still attributed: %v", v)
+	}
+	if v := p.Handle(msg(ipc.OpAllocCheck, base(2))); v == nil {
+		t.Error("generation #4 should still be a tombstone")
 	}
 }

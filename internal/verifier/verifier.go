@@ -55,15 +55,17 @@ type procCtx struct {
 	// split by role for the delivery path: sealers authenticate and strip
 	// each message first (policy.Sealer), then the sequence check runs, then
 	// the rest of the chain handles the message. When no sealer is attached,
-	// chain aliases policies and the split costs nothing.
-	policies   []policy.Policy
-	sealers    []policy.Sealer
-	chain      []policy.Policy
-	violations []*policy.Violation
-	messages   uint64
-	dropped    uint64 // messages dropped after the context went dead
-	lastSeq    uint64
-	seqValid   bool
+	// chain aliases policies and the split costs nothing. prefetchers are the
+	// members (of either role) that want a look-ahead pass, see lookAhead.
+	policies    []policy.Policy
+	sealers     []policy.Sealer
+	chain       []policy.Policy
+	prefetchers []policy.Prefetcher
+	violations  []*policy.Violation
+	messages    uint64
+	dropped     uint64 // messages dropped after the context went dead
+	lastSeq     uint64
+	seqValid    bool
 	// flight is the per-process black-box ring (nil unless
 	// EnableFlightRecorder ran before registration). Accessed only under the
 	// owning shard's mutex — see the concurrency note in telemetry/flight.go.
@@ -108,6 +110,18 @@ const (
 	// successful receive.
 	DefaultMaxRecvRetries = 8
 )
+
+// lookAhead is the window of the look-ahead touch pass: each time the cursor
+// of deliverSegment crosses a multiple of it, the current process's
+// policy.Prefetchers see the next lookAhead messages of the run before any of
+// them is unsealed or handled, so the cache misses their table lookups will
+// take are in flight together instead of one per message. The pass is
+// read-only and pre-authentication (a forged address costs one wasted load),
+// and each policy skips it while its table still fits in cache. A power of
+// two, dividing DefaultBatchSize. Over the 1 M-entry sealed chain the pass
+// takes DeliverBatch from 263 to 197 ns per message (−25 %); 32, 64 and 128
+// read the same, 16 and 256 fall behind.
+const lookAhead = 64
 
 // shardHealth is the lock-free poisoned-shard flag consulted by the hot
 // delivery path, the kernel watchdog (WedgedFor runs under the kernel lock,
@@ -321,7 +335,9 @@ func newProcCtx(pid int32, policies []policy.Policy, fr *telemetry.FlightRecorde
 	for _, p := range policies {
 		if _, ok := p.(policy.Sealer); ok {
 			hasSealer = true
-			break
+		}
+		if pf, ok := p.(policy.Prefetcher); ok {
+			pc.prefetchers = append(pc.prefetchers, pf)
 		}
 	}
 	if !hasSealer {
@@ -336,6 +352,20 @@ func newProcCtx(pid int32, policies []policy.Policy, fr *telemetry.FlightRecorde
 		}
 	}
 	return pc
+}
+
+// prefetch runs the look-ahead pass (see lookAhead) over window. *cur names
+// the policy running, for deliverSegment's panic attribution. It is a method
+// for the sake of deliverSegment's code generation: written out in that loop
+// body, the same statements cost DeliverBatch over cache-resident tables
+// (where the pass does nothing) 23.6 instead of 21.8 ns per message, against
+// 21.6 without the pass at all (floors of 20 alternating runs).
+func (pc *procCtx) prefetch(window []ipc.Message, cur *policy.Policy) {
+	for _, pf := range pc.prefetchers {
+		*cur = pf
+		pf.Prefetch(window)
+	}
+	*cur = nil
 }
 
 // bindKeyring hands the system keyring to every KeyBinder policy in the set.
@@ -621,17 +651,19 @@ func (v *Verifier) deliverShardBatch(si int, ms []ipc.Message) {
 // first (a failure is always fatal — an unauthenticated message proves
 // nothing about its claimed process), then the sequence check, then every
 // remaining policy's Handle. The first violating policy is the one the kill
-// is attributed to via Violation.Policy.
+// is attributed to via Violation.Policy. Ahead of all of that, once per
+// lookAhead messages, the process's Prefetchers get to touch the table lines
+// the coming window will need (see lookAhead).
 //
-// A panic inside a policy's Unseal or Handle is contained to that policy's
-// process: the recover below converts it into an attributed violation and
-// kill, marks the context dead, and returns with the cursor past the
-// offending message so deliverShardBatch resumes the batch. Panics outside
+// A panic inside a policy's Prefetch, Unseal or Handle is contained to that
+// policy's process: the recover below converts it into an attributed
+// violation and kill, marks the context dead, and returns with the cursor past
+// the offending message so deliverShardBatch resumes the batch. Panics outside
 // policy code (cur == nil) are delivery-path bugs and re-panic into
 // safeDeliver's shard-poisoning containment.
 //
-// cur — the policy whose Unseal/Handle is executing right now, nil outside
-// policy code — is the panic-attribution anchor. It is a local captured by
+// cur — the policy whose Prefetch/Unseal/Handle is executing right now, nil
+// outside policy code — is the panic-attribution anchor. It is a local captured by
 // the deferred recover (not a deliverState field) so that the interface
 // method calls on it in the cold recover path don't make escape analysis
 // treat the whole deliverState as leaking, which would heap-allocate the
@@ -690,6 +722,9 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 		}
 		st.delivered++
 		pc.messages++
+		if st.i&(lookAhead-1) == 0 {
+			pc.prefetch(ms[st.i:min(st.i+lookAhead, len(ms))], &cur)
+		}
 		var sealViol *policy.Violation
 		for _, sl := range pc.sealers {
 			cur = sl
