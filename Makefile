@@ -19,8 +19,9 @@ vet:
 # check is the CI gate: vet, build, the full test suite under the race
 # detector (which runs every hqbench experiment once at its smoke scope, the
 # soaks included: TestEveryExperimentRunsQuick), the hot-path benchmarks, ten
-# seconds of fuzzing each on the frame decoder that feeds the verifier's arena
-# and on the allocation policies against their sorted-slice reference,
+# seconds of fuzzing each on the frame decoder that feeds the verifier's arena,
+# on the allocation policies against their sorted-slice reference and on the
+# hmac sealer's run unseal against a loop of one-message calls,
 # the quick end-to-end benchmark (all four workloads, every correctness
 # check), and the line count. The one piece run without the race detector is
 # the sweep's model-checker entry: it explores ~71k states with dsched
@@ -34,6 +35,7 @@ check: vet build
 	$(MAKE) bench-smoke
 	$(GO) test -run xxx -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/ipc
 	$(GO) test -run xxx -fuzz FuzzAllocPolicies -fuzztime 10s ./internal/policy
+	$(GO) test -run xxx -fuzz FuzzUnsealRun -fuzztime 10s ./internal/policy
 	$(GO) run ./bench -quick
 	$(MAKE) loc
 
@@ -49,10 +51,13 @@ bench:
 # bench-smoke keeps the hot path honest in CI: a short run of the verifier
 # throughput benchmarks (catching gross regressions and alloc creep via
 # -benchmem), one pass of the full sealed chain over 266 k entries (the
-# cache-resident benches cannot see a policy table that shifts or misses) and
+# cache-resident benches cannot see a policy table that shifts or misses), one
+# pass of hqd's sealed chain over the hot mix (window, two-lane unseal and op
+# routing with every table in cache; -benchmem must read 0 allocs/op) and
 # the networked client's send path (sealed stream to an in-process daemon
 # over a Unix socket, with its zero-alloc test).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkPolicyChainLargeState' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkDeliverHotChain' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc' -bench 'BenchmarkClientSend' -benchtime 200ms -benchmem ./internal/hqnet

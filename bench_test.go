@@ -415,6 +415,89 @@ func BenchmarkVerifierDrain(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
+// The sealed chain through DeliverBatch
+// ---------------------------------------------------------------------------
+
+// sealedChain starts a one-shard verifier with CheckSeq on over the named
+// chain (which holds hmac) for one process, and returns it with a function
+// that seals ms at the stream's next positions, untimed, and then delivers it
+// in DefaultBatchSize batches with b's timer running.
+func sealedChain(b *testing.B, pid int32, names ...string) (*verifier.Verifier, func(ms []ipc.Message)) {
+	factory, err := policy.SetFactory(names...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kr := policy.NewKeyringSeeded(1)
+	kr.Program(pid)
+	key, _ := kr.Key(pid)
+	v := verifier.NewSharded(factory, nil, 1)
+	v.CheckSeq = true
+	v.SetKeyring(kr)
+	v.ProcessStarted(pid)
+	sent := uint64(0)
+	return v, func(ms []ipc.Message) {
+		for i := range ms {
+			sent++
+			ms[i].Seq = sent
+			ms[i].Mac = ipc.MacSeal(key, ms[i], sent)
+		}
+		b.StartTimer()
+		for i := 0; i < len(ms); i += verifier.DefaultBatchSize {
+			v.DeliverBatch(ms[i:min(i+verifier.DefaultBatchSize, len(ms))])
+		}
+		b.StopTimer()
+	}
+}
+
+// BenchmarkDeliverHotChain runs hqd's chain (the default set behind the hmac
+// sealer) over a hot mix — pointer define, check, redefine and invalidate over
+// 4096 slots, every table cache-resident — and reports ns per message: what
+// the window, the two-lane unseal and the op routing cost when no policy
+// misses the cache. It is the in-tree stand-in for the ledger's
+// verifier.deliver_hot_hqd_ns_per_msg, and -benchmem shows the path allocates
+// nothing.
+func BenchmarkDeliverHotChain(b *testing.B) {
+	const (
+		pid   = 1
+		slots = 4096
+		n     = 1 << 16
+	)
+	// A slot's value never changes, and a slot's first message in the stream
+	// is a define, so the stream can be delivered any number of times.
+	val := func(s uint64) uint64 { return s*0x9e3779b97f4a7c15 | 1 }
+	stream := make([]ipc.Message, 0, n)
+	var defined [slots]bool
+	for x := uint64(1); len(stream) < n; {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		r := x * 0x2545f4914f6cdd1d
+		s, pick := r>>8%slots, r%10
+		m := ipc.Message{Op: ipc.OpPointerCheck, PID: pid, Arg1: 0x7f00_0000_0000 + 8*s, Arg2: val(s)}
+		switch {
+		case !defined[s] || pick >= 6 && pick < 8:
+			m.Op, defined[s] = ipc.OpPointerDefine, true
+		case pick >= 8:
+			m.Op, defined[s] = ipc.OpPointerInvalidate, false
+		}
+		stream = append(stream, m)
+	}
+	v, deliver := sealedChain(b, pid, append(append([]string{}, policy.DefaultSet...), "hmac")...)
+	b.ReportAllocs()
+	b.StopTimer()
+	deliver(stream) // the pointer table reaches its size
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		deliver(stream)
+	}
+	if viol := v.Violations(pid); len(viol) > 0 {
+		b.Fatalf("clean stream flagged: %v", viol[0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/msg")
+}
+
+// ---------------------------------------------------------------------------
 // Policy chain at realistic state size
 // ---------------------------------------------------------------------------
 
@@ -491,30 +574,7 @@ func BenchmarkPolicyChainLargeState(b *testing.B) {
 		}
 	}
 
-	factory, err := policy.SetFactory("cfi", "memsafety", "counter", "dfi", "temporal", "hmac")
-	if err != nil {
-		b.Fatal(err)
-	}
-	kr := policy.NewKeyringSeeded(1)
-	kr.Program(pid)
-	key, _ := kr.Key(pid)
-	v := verifier.NewSharded(factory, nil, 1)
-	v.CheckSeq = true
-	v.SetKeyring(kr)
-	v.ProcessStarted(pid)
-	sent := uint64(0)
-	deliver := func(ms []ipc.Message) {
-		for i := range ms {
-			sent++
-			ms[i].Seq = sent
-			ms[i].Mac = ipc.MacSeal(key, ms[i], sent)
-		}
-		b.StartTimer()
-		for i := 0; i < len(ms); i += verifier.DefaultBatchSize {
-			v.DeliverBatch(ms[i:min(i+verifier.DefaultBatchSize, len(ms))])
-		}
-		b.StopTimer()
-	}
+	v, deliver := sealedChain(b, pid, "cfi", "memsafety", "counter", "dfi", "temporal", "hmac")
 	b.StopTimer()
 	deliver(prefill)
 	deliver(run) // warm-up pass: tombstones reach their steady population

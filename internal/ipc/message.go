@@ -129,6 +129,10 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint32(o))
 }
 
+// NumOps is the number of defined operation codes: every valid Op is below
+// it. The verifier sizes its per-process op routing table with it.
+const NumOps = numOps
+
 // Valid reports whether o is a defined operation code.
 func (o Op) Valid() bool { return o < numOps }
 

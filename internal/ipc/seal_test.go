@@ -40,6 +40,21 @@ func TestMacSealDeterministicAndFieldSensitive(t *testing.T) {
 	}
 }
 
+func TestMacSeal2MatchesMacSeal(t *testing.T) {
+	k := MacKey{K0: 0x0123456789abcdef, K1: 0xfedcba9876543210}
+	ms := make([]Message, 65)
+	for i := range ms {
+		x := uint64(i+1) * 0x9e3779b97f4a7c15
+		ms[i] = Message{Op: Op(i) % numOps, PID: int32(x >> 40), Arg1: x, Arg2: x >> 7, Arg3: ^x, Seq: x >> 3, Mac: x}
+	}
+	for i := 0; i+1 < len(ms); i++ {
+		ta, tb := MacSeal2(k, &ms[i], &ms[i+1])
+		if ta != MacSeal(k, ms[i], ms[i].Seq) || tb != MacSeal(k, ms[i+1], ms[i+1].Seq) {
+			t.Fatalf("MacSeal2 disagrees with MacSeal on frames %d and %d", i, i+1)
+		}
+	}
+}
+
 func TestSealSenderStampsSeqAndMac(t *testing.T) {
 	k := MacKey{K0: 1, K1: 2}
 	var got []Message

@@ -43,6 +43,12 @@ func (c *CFI) Clone() Policy {
 	return n
 }
 
+// Ops implements Policy: the pointer-integrity message set.
+func (c *CFI) Ops() []ipc.Op {
+	return []ipc.Op{ipc.OpPointerDefine, ipc.OpPointerCheck, ipc.OpPointerInvalidate, ipc.OpPointerCheckInvalidate,
+		ipc.OpPointerBlockCopy, ipc.OpPointerBlockMove, ipc.OpPointerBlockInvalidate}
+}
+
 // Handle implements Policy, dispatching the §4.1.3/§4.1.5 message set.
 func (c *CFI) Handle(m ipc.Message) *Violation {
 	switch m.Op {

@@ -91,6 +91,61 @@ func TestConformanceUnknownOpIgnored(t *testing.T) {
 	}
 }
 
+// TestConformanceUndeclaredOpsAreIgnored holds every policy to its Ops list:
+// the verifier stops offering a policy the ops it does not list, which is only
+// sound if Handle would have ignored them — no violation, and no change that
+// Entries or a clone can see. A policy listing nothing in particular (nil) is
+// offered everything and is not constrained here.
+func TestConformanceUndeclaredOpsAreIgnored(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			p, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := p.Ops()
+			if ops == nil {
+				return
+			}
+			listed := map[ipc.Op]bool{}
+			for _, op := range ops {
+				if !op.Valid() {
+					t.Errorf("Ops lists the undefined op %d", uint32(op))
+				}
+				listed[op] = true
+			}
+			for _, m := range exercisers[name].define {
+				if !listed[m.Op] {
+					t.Errorf("the exerciser's %v is not in Ops: the verifier would never deliver it", m.Op)
+				}
+				p.Handle(m)
+			}
+			// Arguments that hit the exerciser's state if the op were acted on.
+			foreign := []ipc.Op{ipc.NumOps, 0xffffffff} // what a hostile frame can carry
+			for op := ipc.Op(0); op < ipc.NumOps; op++ {
+				if !listed[op] {
+					foreign = append(foreign, op)
+				}
+			}
+			for _, op := range foreign {
+				before := p.Entries()
+				if v := p.Handle(msg(op, 0x1000, 0x2000, 64)); v != nil {
+					t.Errorf("%v is not in Ops but raised %v", op, v)
+				}
+				if got, clone := p.Entries(), p.Clone().Entries(); got != before || clone != before {
+					t.Errorf("%v is not in Ops but changed Entries: %d -> %d (clone %d)", op, before, got, clone)
+				}
+			}
+			// What the state answers to its own vocabulary is unchanged too.
+			for _, m := range exercisers[name].undefine {
+				if v := p.Handle(m); v != nil {
+					t.Errorf("after the undeclared ops, %v of a defined entry: %v", m.Op, v)
+				}
+			}
+		})
+	}
+}
+
 func TestConformanceCloneStateIndependent(t *testing.T) {
 	for _, name := range Names() {
 		ex := exercisers[name]
@@ -200,14 +255,13 @@ func TestConformanceForkHooksCopyMACKeys(t *testing.T) {
 				t.Fatal("inherited key differs from parent's")
 			}
 			// The forked child's stream restarts at 1 under the copied key.
-			m := ipc.Message{Op: ipc.OpCounterInc, PID: child, Arg1: 1, Seq: 1}
-			m.Mac = ipc.MacSeal(key, m, m.Seq)
-			un, v := sl.Unseal(m)
-			if v != nil {
-				t.Fatalf("child sealer rejected message under inherited key: %v", v)
+			run := []ipc.Message{{Op: ipc.OpCounterInc, PID: child, Arg1: 1, Seq: 1}}
+			run[0].Mac = ipc.MacSeal(key, run[0], 1)
+			if n, v := sl.UnsealRun(run); v != nil || n != 1 {
+				t.Fatalf("child sealer rejected message under inherited key: n=%d %v", n, v)
 			}
-			if un.Mac != 0 {
-				t.Errorf("Unseal did not strip the envelope: mac=%#x", un.Mac)
+			if run[0].Mac != 0 {
+				t.Errorf("UnsealRun did not strip the envelope: mac=%#x", run[0].Mac)
 			}
 		})
 	}

@@ -36,6 +36,9 @@ func (c *Counter) Clone() Policy {
 	return n
 }
 
+// Ops implements Policy.
+func (c *Counter) Ops() []ipc.Op { return []ipc.Op{ipc.OpCounterInc} }
+
 // Handle implements Policy.
 func (c *Counter) Handle(m ipc.Message) *Violation {
 	if m.Op != ipc.OpCounterInc {

@@ -65,6 +65,9 @@ func (d *DFI) Clone() Policy {
 	return n
 }
 
+// Ops implements Policy.
+func (d *DFI) Ops() []ipc.Op { return []ipc.Op{ipc.OpDFIDeclare, ipc.OpDFISet, ipc.OpDFICheck} }
+
 // Handle implements Policy.
 func (d *DFI) Handle(m ipc.Message) *Violation {
 	switch m.Op {

@@ -33,6 +33,13 @@ func (p *MemSafety) Clone() Policy {
 	return &MemSafety{allocs: p.allocs.clone(), maxEntries: p.maxEntries}
 }
 
+// allocOps is the §4.2 allocation message set; Temporal consumes it too.
+var allocOps = []ipc.Op{ipc.OpAllocCreate, ipc.OpAllocCheck, ipc.OpAllocCheckBase,
+	ipc.OpAllocExtend, ipc.OpAllocDestroy, ipc.OpAllocDestroyAll}
+
+// Ops implements Policy.
+func (p *MemSafety) Ops() []ipc.Op { return allocOps }
+
 // Handle implements Policy.
 func (p *MemSafety) Handle(m ipc.Message) *Violation {
 	switch m.Op {

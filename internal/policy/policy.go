@@ -52,6 +52,13 @@ type Policy interface {
 	// check fails. Messages whose Op the policy does not recognize must be
 	// ignored (multiple policies can share one message stream).
 	Handle(m ipc.Message) *Violation
+	// Ops lists the operation codes Handle acts on; the verifier routes a
+	// message only to the policies that list its Op, so a policy pays for
+	// its own checks and not for its neighbours' messages. nil means every
+	// op (what Hooks supplies), including those at or beyond ipc.NumOps,
+	// which cannot be listed; an empty non-nil list means none. The list is
+	// read once, when the policy is attached to a process.
+	Ops() []ipc.Op
 	// Clone duplicates the policy state for a forked child (§3.4). The
 	// clone's state must be independent: mutating the child must not be
 	// observable through the parent.
@@ -67,9 +74,13 @@ type Policy interface {
 	ProcessForked(parent, child int32)
 }
 
-// Hooks is the no-op implementation of the Policy lifecycle hooks; policies
-// with no per-process lifecycle state embed it.
+// Hooks is the no-op implementation of the Policy lifecycle hooks, and the
+// "every op" default of Ops; policies with no per-process lifecycle state
+// embed it.
 type Hooks struct{}
+
+// Ops implements Policy: nil, so the policy is handed every message.
+func (Hooks) Ops() []ipc.Op { return nil }
 
 // ProcessStarted implements Policy as a no-op.
 func (Hooks) ProcessStarted(pid int32) {}
@@ -77,23 +88,26 @@ func (Hooks) ProcessStarted(pid int32) {}
 // ProcessForked implements Policy as a no-op.
 func (Hooks) ProcessForked(parent, child int32) {}
 
-// Sealer is implemented by policies that transform each message before any
-// policy (including themselves) handles it — the verifier-side half of an
-// authenticated channel. Unseal verifies the transport envelope and returns
-// the message with the envelope stripped; a non-nil Violation is always
-// fatal for the process, because a message that fails authentication says
-// nothing trustworthy about which process it belongs to. Sealers run in
-// chain order before the verifier's sequence check and before every Handle.
+// Sealer is implemented by policies that transform messages before any
+// policy (including themselves) handles them — the verifier-side half of an
+// authenticated channel. The verifier hands sealers, in chain order, the next
+// window of one process's run in one call, before the sequence check and
+// before any Handle.
 //
-// Unseal takes and returns the message by value so the verifier's hot path
-// never hands a sealer a pointer into its batch buffers (which would defeat
-// escape analysis and reintroduce per-batch allocation).
+// UnsealRun verifies the transport envelope of each message of ms in order
+// and strips it in place (Mac zeroed), stopping at the first that fails:
+// ms[:n] are authenticated and stripped, ms[n:] untouched, and v is the
+// violation of ms[n], nil when n == len(ms). Called again on a window that
+// starts at that message it returns 0 and the same violation. A violation is
+// always fatal for the process: a message that fails authentication says
+// nothing trustworthy about which process it belongs to. The engine evaluates
+// ms[:n] and raises v when it reaches ms[n]. A panic inside UnsealRun is
+// charged to the window's first message, and whatever prefix was already
+// unsealed is dropped with the dead context. (The verb used to be
+// Unseal(m) (m, *Violation), one message by value.)
 type Sealer interface {
 	Policy
-	// Unseal authenticates m and returns it with the envelope stripped
-	// (Mac zeroed). The returned message replaces m in the stream only
-	// when the Violation is nil.
-	Unseal(m ipc.Message) (ipc.Message, *Violation)
+	UnsealRun(ms []ipc.Message) (n int, v *Violation)
 }
 
 // Prefetcher is implemented by policies whose Handle is a dependent load into
@@ -101,9 +115,9 @@ type Sealer interface {
 // whole run of messages when it starts on the first; it hands the next few
 // to Prefetch so their table lines are already on the way when Handle asks
 // for them. Prefetch may read ms and the policy's own tables; it must not
-// change state, report, or trust ms: it runs before Unseal, on
-// unauthenticated arguments, and ms may hold other processes' messages. A
-// policy decides from its own table size whether the pass is worth running.
+// change state, report, or trust ms: it runs before UnsealRun, on
+// unauthenticated arguments. A policy decides from its own table size
+// whether the pass is worth running.
 type Prefetcher interface {
 	Policy
 	Prefetch(ms []ipc.Message)

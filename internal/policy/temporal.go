@@ -70,6 +70,9 @@ func (t *Temporal) Clone() Policy {
 	return &n
 }
 
+// Ops implements Policy.
+func (t *Temporal) Ops() []ipc.Op { return allocOps }
+
 // Handle implements Policy over the §4.2 allocation message set.
 func (t *Temporal) Handle(m ipc.Message) *Violation {
 	switch m.Op {

@@ -75,6 +75,45 @@ func TestDrainSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDeliverAllocatesNothing pins the inline path: Deliver's batch of one is
+// the shard's scratch slot, not a local that the window's interface calls
+// (Prefetch, UnsealRun) force onto the heap once per message.
+func TestDeliverAllocatesNothing(t *testing.T) {
+	for _, names := range [][]string{
+		{"cfi", "memsafety", "counter", "dfi"},
+		{"cfi", "memsafety", "counter", "dfi", "hmac"},
+	} {
+		factory, err := policy.SetFactory(names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kr := policy.NewKeyringSeeded(1)
+		kr.Program(1)
+		key, _ := kr.Key(1)
+		v := NewSharded(factory, nil, 1)
+		v.CheckSeq = true
+		v.SetKeyring(kr)
+		v.ProcessStarted(1)
+		sealed := names[len(names)-1] == "hmac"
+		seq := uint64(0)
+		send := func() {
+			seq++
+			m := ipc.Message{Op: ipc.OpPointerDefine, PID: 1, Arg1: 0x1000, Arg2: 0x4000, Seq: seq}
+			if sealed {
+				m.Mac = ipc.MacSeal(key, m, seq)
+			}
+			v.Deliver(m)
+		}
+		send() // the pointer table's first insert
+		if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+			t.Errorf("chain %v: Deliver allocated %.2f times per message, want 0", names, allocs)
+		}
+		if got := v.Violations(1); len(got) != 0 || v.Messages(1) != seq {
+			t.Fatalf("chain %v: %d of %d messages evaluated, violations %v", names, v.Messages(1), seq, got)
+		}
+	}
+}
+
 // TestArenaBlocksReturnAfterFlush is the leak check for the refcounted block
 // hand-off: when every routed run has been delivered, every lease and run
 // reference must have been released, leaving no block outstanding.

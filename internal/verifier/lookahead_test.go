@@ -9,9 +9,13 @@ import (
 	"herqules/internal/policy"
 )
 
-// noPrefetch hides a policy's Prefetch method (and nothing the delivery path
-// needs): the embedded interface promotes Policy's methods only.
+// noPrefetch hides a policy's Prefetch method and its Ops list (and nothing the
+// delivery path needs): the embedded interface promotes Policy's methods only,
+// and the nil Ops has the verifier offer the policy every message, as it did
+// before policies declared what they consume.
 type noPrefetch struct{ policy.Policy }
+
+func (noPrefetch) Ops() []ipc.Op { return nil }
 
 // noPrefetchSealer does the same for the sealer, which must stay a Sealer and
 // a KeyBinder to work at all.
@@ -99,9 +103,10 @@ func lookAheadStream() [][]ipc.Message {
 }
 
 // TestLookAheadChangesNothingObservable delivers one sealed stream through
-// two verifiers that differ only in whether the policies expose Prefetch.
-// The pass is a hint: violations, message counts and entry counts must be
-// identical with and without it.
+// two verifiers that differ only in whether the policies expose Prefetch and
+// Ops. The look-ahead pass is a hint and op routing only skips calls that
+// would have returned at once: violations, message counts and entry counts
+// must be identical with and without them.
 func TestLookAheadChangesNothingObservable(t *testing.T) {
 	names := []string{"cfi", "memsafety", "counter", "dfi", "temporal", "hmac"}
 	plain, err := policy.SetFactory(names...)
@@ -125,7 +130,7 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 		messages   [2]uint64
 		entries    [2]int
 	}
-	deliver := func(factory PolicyFactory, wantPrefetchers int) outcome {
+	deliver := func(factory PolicyFactory, wantPrefetchers, wantOnSyscall int) outcome {
 		kr := policy.NewKeyringSeeded(1)
 		v := NewSharded(factory, nil, 1)
 		v.CheckSeq = true
@@ -137,8 +142,12 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 			keys[p], _ = kr.Key(int32(p + 1))
 			v.ProcessStarted(int32(p + 1))
 		}
-		if got := len(v.shards[0].procs[1].prefetchers); got != wantPrefetchers {
+		pc := v.shards[0].procs[1]
+		if got := len(pc.prefetchers); got != wantPrefetchers {
 			t.Fatalf("process context holds %d prefetchers, want %d", got, wantPrefetchers)
+		}
+		if got, beyond := len(pc.byOp[ipc.OpSyscall]), len(pc.byOp[ipc.NumOps]); got != wantOnSyscall || beyond != wantOnSyscall {
+			t.Fatalf("an op no policy lists is routed to %d policies, one beyond the table to %d; want %d", got, beyond, wantOnSyscall)
 		}
 		var seq [2]uint64
 		batch := make([]ipc.Message, 0, DefaultBatchSize)
@@ -169,9 +178,9 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 		}
 		return o
 	}
-	with, without := deliver(plain, 2), deliver(hidden, 0)
+	with, without := deliver(plain, 2, 0), deliver(hidden, 0, len(names)-1)
 	if !reflect.DeepEqual(with, without) {
-		t.Fatalf("look-ahead changed the outcome:\nwith:    %+v\nwithout: %+v", with, without)
+		t.Fatalf("look-ahead and op routing changed the outcome:\nwith:    %+v\nwithout: %+v", with, without)
 	}
 	if len(with.violations[0]) != 0 {
 		t.Errorf("clean pid 1 flagged: %+v", with.violations[0][0])
@@ -235,5 +244,91 @@ func TestPrefetchPanicKillsOnlyItsProcess(t *testing.T) {
 	}
 	if got := v.Messages(2); got != 3 {
 		t.Errorf("pid 2 evaluated %d messages, want 3", got)
+	}
+}
+
+// sealerBomb is an hmac sealer that panics when it finds the trigger in a
+// window, after authenticating the frames ahead of it.
+type sealerBomb struct {
+	noPrefetchSealer
+	trigger uint64
+}
+
+func (s sealerBomb) Name() string { return "sealer-bomb" }
+func (s sealerBomb) UnsealRun(ms []ipc.Message) (int, *policy.Violation) {
+	for i := range ms {
+		if ms[i].Arg1 == s.trigger {
+			s.Sealer.UnsealRun(ms[:i])
+			panic("bomb: sealer bug")
+		}
+	}
+	return s.Sealer.UnsealRun(ms)
+}
+
+// TestSealerPanicMidWindowKillsOnlyItsProcess: UnsealRun is policy code, so a
+// panic inside it — here after it has stripped part of the window — is one
+// kill, attributed to the sealer by name and charged to the window's first
+// frame; the stripped prefix is dropped with the dead context, the shard stays
+// healthy and the other process's part of the batch is delivered.
+func TestSealerPanicMidWindowKillsOnlyItsProcess(t *testing.T) {
+	g := &countingGate{}
+	kr := policy.NewKeyringSeeded(1)
+	v := NewSharded(func() []policy.Policy {
+		return []policy.Policy{policy.NewCounter(), sealerBomb{noPrefetchSealer{policy.NewHMAC(nil)}, 0xdead}}
+	}, g, 1)
+	v.CheckSeq = true
+	v.SetKeyring(kr)
+	var keys [3]ipc.MacKey
+	for pid := int32(1); pid <= 2; pid++ {
+		kr.Program(pid)
+		keys[pid], _ = kr.Key(pid)
+		v.ProcessStarted(pid)
+	}
+	var seq [3]uint64
+	var batch []ipc.Message
+	add := func(pid int32, arg uint64) {
+		seq[pid]++
+		m := ipc.Message{Op: ipc.OpCounterInc, PID: pid, Arg1: arg, Seq: seq[pid]}
+		m.Mac = ipc.MacSeal(keys[pid], m, m.Seq)
+		batch = append(batch, m)
+	}
+	for i := 0; i < 10; i++ {
+		add(2, 1)
+	}
+	for i := 0; i < lookAhead+20; i++ { // the bomb sits mid-way through pid 1's second window
+		arg := uint64(1)
+		if i == lookAhead+10 {
+			arg = 0xdead
+		}
+		add(1, arg)
+	}
+	for i := 0; i < 10; i++ {
+		add(2, 1)
+	}
+	v.DeliverBatch(batch)
+
+	if got := v.PoisonedShards(); got != 0 {
+		t.Fatalf("PoisonedShards = %d, want 0", got)
+	}
+	if len(g.kills) != 1 || g.kills[0] != 1 {
+		t.Fatalf("kill actions for pids %v, want exactly one, for pid 1", g.kills)
+	}
+	viols := v.Violations(1)
+	if len(viols) != 1 || viols[0].Policy != "sealer-bomb" || !strings.Contains(viols[0].Reason, `"sealer-bomb" panicked`) {
+		t.Fatalf("pid 1 violations = %v, want one panic attributed to the sealer", viols)
+	}
+	// pid 1: the first window evaluated, the second's first frame counted and
+	// charged, everything after it dropped. pid 2: untouched on either side.
+	if got := v.Messages(1); got != lookAhead+1 {
+		t.Errorf("pid 1 evaluated %d messages, want %d", got, lookAhead+1)
+	}
+	if st, _ := v.ProcStats(1); st.Dropped != 19 {
+		t.Errorf("pid 1 dropped %d messages, want the 19 behind the window's first frame", st.Dropped)
+	}
+	if got, viols := v.Messages(2), v.Violations(2); got != 20 || len(viols) != 0 {
+		t.Errorf("pid 2 evaluated %d messages with violations %v, want 20 and none", got, viols)
+	}
+	if c, ok := v.Policy(1, "counter").(*policy.Counter); !ok || c.Count(1) != lookAhead {
+		t.Errorf("pid 1's counter holds %d, want the first window's %d", c.Count(1), lookAhead)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"herqules/internal/ipc"
+	"herqules/internal/policy"
 )
 
 // referencePump is the executable spec the sharded pipeline is checked
@@ -30,32 +31,54 @@ func referencePump(v *Verifier, r ipc.Receiver) {
 
 // Roles of the PIDs in an oracle stream. Every fault belongs to its own
 // process, so each process dies for exactly one reason and the first-kill
-// reason fakeGate keeps does not depend on delivery interleaving.
+// reason fakeGate keeps does not depend on delivery interleaving. The last
+// three faults exist only on a sealed stream; unsealed, those processes are
+// clean.
 const (
 	oracleCFIViolator = 1 + iota // checks a pointer against the wrong value
 	oracleSeqGap                 // skips a sequence number
 	oracleSeqDup                 // repeats a sequence number
 	oracleErrTarget              // clean; the receiver blames it mid-stream
+	oracleMacFlip                // one bit of a tag flipped in transit
+	oracleSplice                 // a frame sealed under another process's key
+	oracleReplay                 // an earlier sealed frame sent again verbatim
 	oracleClean1
 	oracleClean2
 	oraclePIDs = oracleClean2
 )
 
+// oracleFaulty lists the processes that must die, and no other may.
+func oracleFaulty(sealed bool) []int32 {
+	if sealed {
+		return []int32{oracleCFIViolator, oracleSeqGap, oracleSeqDup, oracleErrTarget, oracleMacFlip, oracleSplice, oracleReplay}
+	}
+	return []int32{oracleCFIViolator, oracleSeqGap, oracleSeqDup, oracleErrTarget}
+}
+
 // oracleStream builds a seeded multi-PID stream interleaved at random
 // quantum lengths, with one fault per faulty role at a random position of
 // the first third of that process's own stream, and picks the global index
-// (past the middle, so every fault has been sent by then) at which the
-// receiver fails with a ProcessError attributed to oracleErrTarget.
-func oracleStream(rng *rand.Rand) (msgs []ipc.Message, errAt int) {
+// (past the last fault) at which the receiver fails with a ProcessError
+// attributed to oracleErrTarget. With keys
+// the stream is sealed, quanta run to 150 messages so that one process's run
+// fills and outlasts the verifier's 64-message window, and the sealed-only
+// faults are applied; the seeded positions put them in either lane of the
+// sealer's pairs and on the first and last frames of windows.
+func oracleStream(rng *rand.Rand, keys []ipc.MacKey) (msgs []ipc.Message, errAt int) {
 	const perPID = 600
+	maxQuantum := 40
+	if keys != nil {
+		maxQuantum = 150
+	}
 	var seq, sent [oraclePIDs + 1]uint64
 	var faultAt [oraclePIDs + 1]uint64
+	lastFault := 0
 	for pid := range faultAt {
 		faultAt[pid] = uint64(50 + rng.Intn(perPID/4))
 	}
 	for len(msgs) < oraclePIDs*perPID {
 		pid := int32(1 + rng.Intn(oraclePIDs))
-		for q := 1 + rng.Intn(40); q > 0 && sent[pid] < perPID; q-- {
+		for q := 1 + rng.Intn(maxQuantum); q > 0 && sent[pid] < perPID; q-- {
 			i := sent[pid]
 			sent[pid]++
 			seq[pid]++
@@ -69,7 +92,9 @@ func oracleStream(rng *rand.Rand) (msgs []ipc.Message, errAt int) {
 			default:
 				m.Op = ipc.OpCounterInc
 			}
-			if i == faultAt[pid] {
+			fault := i == faultAt[pid]
+			if fault {
+				lastFault = len(msgs)
 				switch pid {
 				case oracleCFIViolator:
 					m.Op, m.Arg2 = ipc.OpPointerCheck, 0xbad
@@ -80,10 +105,24 @@ func oracleStream(rng *rand.Rand) (msgs []ipc.Message, errAt int) {
 				}
 			}
 			m.Seq = seq[pid]
+			if keys != nil {
+				m.Mac = ipc.MacSeal(keys[pid], m, m.Seq)
+				if fault {
+					switch pid {
+					case oracleMacFlip:
+						m.Mac ^= 1 << (i % 64)
+					case oracleSplice:
+						m.Mac = ipc.MacSeal(keys[oracleClean1], m, m.Seq)
+					case oracleReplay:
+						m.Seq -= 7
+						m.Mac = ipc.MacSeal(keys[pid], m, m.Seq)
+					}
+				}
+			}
 			msgs = append(msgs, m)
 		}
 	}
-	return msgs, len(msgs)/2 + rng.Intn(len(msgs)/4)
+	return msgs, lastFault + 1 + rng.Intn(len(msgs)-lastFault)
 }
 
 // oracleReceiver serves msgs[:errAt] in bursts of seeded random size, then
@@ -122,11 +161,30 @@ type oracleOutcome struct {
 	Total      uint64
 }
 
-func runOracle(seed int64, shards int, pump func(*Verifier, ipc.Receiver)) oracleOutcome {
-	msgs, errAt := oracleStream(rand.New(rand.NewSource(seed)))
+// runOracle delivers the seed's stream through pump. Unsealed, the chain is
+// cfi+counter; sealed, it is hqd's — the default set behind the hmac sealer —
+// with every frame sealed under its process's key.
+func runOracle(seed int64, shards int, sealed bool, pump func(*Verifier, ipc.Receiver)) oracleOutcome {
 	g := newFakeGate()
-	v := NewSharded(cfiFactory, g, shards)
+	factory := PolicyFactory(cfiFactory)
+	var keys []ipc.MacKey
+	kr := policy.NewKeyringSeeded(uint64(seed))
+	if sealed {
+		f, err := policy.SetFactory(append(append([]string{}, policy.DefaultSet...), "hmac")...)
+		if err != nil {
+			panic(err)
+		}
+		factory = f
+		keys = make([]ipc.MacKey, oraclePIDs+1)
+		for pid := int32(1); pid <= oraclePIDs; pid++ {
+			kr.Program(pid)
+			keys[pid], _ = kr.Key(pid)
+		}
+	}
+	msgs, errAt := oracleStream(rand.New(rand.NewSource(seed)), keys)
+	v := NewSharded(factory, g, shards)
 	v.CheckSeq = true
+	v.SetKeyring(kr)
 	for pid := int32(1); pid <= oraclePIDs; pid++ {
 		v.ProcessStarted(pid)
 	}
@@ -149,7 +207,12 @@ func runOracle(seed int64, shards int, pump func(*Verifier, ipc.Receiver)) oracl
 // sequence gap, a duplicate sequence number and a mid-stream attributed
 // receive error, Pump and PumpSet at 1, 2 and 4 shards must produce exactly
 // the reference loop's kill set, kill reasons, per-PID message counts and
-// per-PID violations.
+// per-PID violations. The sealed variant runs hqd's chain on a sealed stream
+// that also carries a flipped tag bit, a frame spliced in under another
+// process's key and a replayed sealed frame. The reference delivers one
+// message at a time — windows of one, so every frame goes through the
+// sealer's scalar check and no look-ahead happens — which makes it the slow
+// twin of the 64-message window with its two-lane unseal.
 func TestPumpMatchesReferenceOracle(t *testing.T) {
 	pumps := map[string]func(*Verifier, ipc.Receiver){
 		"Pump": (*Verifier).Pump,
@@ -163,22 +226,25 @@ func TestPumpMatchesReferenceOracle(t *testing.T) {
 			ps.Close()
 		},
 	}
-	for seed := int64(1); seed <= 12; seed++ {
-		want := runOracle(seed, 1, referencePump)
-		for _, pid := range []int32{oracleCFIViolator, oracleSeqGap, oracleSeqDup, oracleErrTarget} {
-			if want.Kills[pid] == "" {
-				t.Fatalf("seed %d: reference did not kill faulty pid %d: %v", seed, pid, want.Kills)
+	for _, sealed := range []bool{false, true} {
+		faulty := oracleFaulty(sealed)
+		for seed := int64(1); seed <= 12; seed++ {
+			want := runOracle(seed, 1, sealed, referencePump)
+			for _, pid := range faulty {
+				if want.Kills[pid] == "" {
+					t.Fatalf("sealed=%v seed %d: reference did not kill faulty pid %d: %v", sealed, seed, pid, want.Kills)
+				}
 			}
-		}
-		if len(want.Kills) != 4 {
-			t.Fatalf("seed %d: reference killed a clean process: %v", seed, want.Kills)
-		}
-		for name, pump := range pumps {
-			for _, shards := range []int{1, 2, 4} {
-				got := runOracle(seed, shards, pump)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d %s shards=%d diverges from the reference:\n got  %+v\n want %+v",
-						seed, name, shards, got, want)
+			if len(want.Kills) != len(faulty) {
+				t.Fatalf("sealed=%v seed %d: reference killed a clean process: %v", sealed, seed, want.Kills)
+			}
+			for name, pump := range pumps {
+				for _, shards := range []int{1, 2, 4} {
+					got := runOracle(seed, shards, sealed, pump)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("sealed=%v seed %d %s shards=%d diverges from the reference:\n got  %+v\n want %+v",
+							sealed, seed, name, shards, got, want)
+					}
 				}
 			}
 		}

@@ -23,9 +23,9 @@ import (
 //  2. Each burst is received directly into a leased arena block and routed
 //     as (block, start, len) runs of same-shard messages: a message is
 //     written once by RecvBatch and never copied again.
-//  3. Run boundaries are detected by PID change, so the shard hash is paid
-//     once per run, not once per message; a single-shard pipeline routes a
-//     whole burst with no per-message work at all.
+//  3. Run boundaries are detected by PID change (Verifier.nextRun), so the
+//     shard hash is paid once per run, not once per message; a single-shard
+//     pipeline routes a whole burst with no per-message work at all.
 type pipeline struct {
 	v         *Verifier
 	batchSize int
@@ -171,38 +171,18 @@ func drainLoop(p *pipeline, r ipc.Receiver, flush *sync.WaitGroup) {
 	}
 }
 
-// route partitions blk.msgs[base:base+n] into runs of same-shard messages
-// and enqueues each run onto its shard queue, preserving order. Work is
-// proportional to the number of runs, not the shard count (the old design
-// copied every message into per-shard buffers and then scanned all shard
-// slots per burst): run boundaries are found by comparing PIDs — the shard
-// hash is only recomputed when the PID changes — and a single-shard pipeline
-// forwards the whole burst as one run with no scan at all. Production
+// route cuts blk.msgs[base:base+n] into runs of same-shard messages
+// (Verifier.nextRun) and enqueues each onto its shard queue, preserving order.
+// Work is proportional to the number of runs, not the shard count. Production
 // sources are per-process channels, so their bursts are single runs; only
 // synthetic multi-PID streams split, at scheduler-quantum granularity.
 func (p *pipeline) route(blk *arenaBlock, base, n int, flush *sync.WaitGroup) {
-	if len(p.queues) == 1 {
-		p.enqueue(0, blk, base, n, flush)
-		return
-	}
-	v := p.v
 	ms := blk.msgs[base : base+n]
-	start := 0
-	curPID := ms[0].PID
-	si := v.shardIndex(curPID)
-	for i := 1; i < len(ms); i++ {
-		pid := ms[i].PID
-		if pid == curPID {
-			continue
-		}
-		curPID = pid
-		// Adjacent runs that hash to the same shard stay one batch item.
-		if ns := v.shardIndex(pid); ns != si {
-			p.enqueue(si, blk, base+start, i-start, flush)
-			start, si = i, ns
-		}
+	for start := 0; start < n; {
+		si, end := p.v.nextRun(ms, start)
+		p.enqueue(si, blk, base+start, end-start, flush)
+		start = end
 	}
-	p.enqueue(si, blk, base+start, len(ms)-start, flush)
 }
 
 // enqueue hands one run to shard si's worker, taking the block and flush

@@ -51,15 +51,17 @@ type PolicyFactory func() []policy.Policy
 type procCtx struct {
 	pid int32
 	// policies is the full attached set in chain order, the view Entries,
-	// Policy and fork cloning iterate. sealers/chain are the same instances
-	// split by role for the delivery path: sealers authenticate and strip
-	// each message first (policy.Sealer), then the sequence check runs, then
-	// the rest of the chain handles the message. When no sealer is attached,
-	// chain aliases policies and the split costs nothing. prefetchers are the
-	// members (of either role) that want a look-ahead pass, see lookAhead.
+	// Policy and fork cloning iterate. The delivery path reads the same
+	// instances split by role, once at birth: sealers authenticate and strip
+	// each window first (policy.Sealer), then the sequence check runs, then
+	// the message goes to byOp[m.Op] — the non-sealer policies, in chain
+	// order, whose Ops list that op or are nil. The last slot, which no op
+	// indexes, holds the nil-declaring ones alone and serves every op beyond
+	// the table. prefetchers are the members (of either role) that want a
+	// look-ahead pass, see lookAhead.
 	policies    []policy.Policy
 	sealers     []policy.Sealer
-	chain       []policy.Policy
+	byOp        [ipc.NumOps + 1][]policy.Policy
 	prefetchers []policy.Prefetcher
 	violations  []*policy.Violation
 	messages    uint64
@@ -92,7 +94,10 @@ const cacheLinePad = 64
 type shard struct {
 	mu    sync.Mutex
 	procs map[int32]*procCtx
-	_     [cacheLinePad - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(map[int32]*procCtx(nil)))%cacheLinePad]byte
+	// one is Deliver's batch of one, filled under mu: the batch goes to policy
+	// interfaces, so an array local to Deliver would be heap-allocated per call.
+	one [1]ipc.Message
+	_   [cacheLinePad - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(map[int32]*procCtx(nil))+unsafe.Sizeof([1]ipc.Message{}))%cacheLinePad]byte
 }
 
 // Pipeline tuning: the burst size is fixed; the Verifier's QueueDepth and
@@ -111,16 +116,11 @@ const (
 	DefaultMaxRecvRetries = 8
 )
 
-// lookAhead is the window of the look-ahead touch pass: each time the cursor
-// of deliverSegment crosses a multiple of it, the current process's
-// policy.Prefetchers see the next lookAhead messages of the run before any of
-// them is unsealed or handled, so the cache misses their table lookups will
-// take are in flight together instead of one per message. The pass is
-// read-only and pre-authentication (a forged address costs one wasted load),
-// and each policy skips it while its table still fits in cache. A power of
-// two, dividing DefaultBatchSize. Over the 1 M-entry sealed chain the pass
-// takes DeliverBatch from 263 to 197 ns per message (−25 %); 32, 64 and 128
-// read the same, 16 and 256 fall behind.
+// lookAhead bounds the window deliverSegment works in (procCtx.openWindow): a
+// run of one process's messages that its policy.Prefetchers touch and its
+// policy.Sealers authenticate before the first of them is evaluated. Touching
+// ahead overlaps the window's cache misses: 263 to 197 ns per message over the
+// 1 M-entry sealed chain; 32, 64 and 128 read the same, 16 and 256 worse.
 const lookAhead = 64
 
 // shardHealth is the lock-free poisoned-shard flag consulted by the hot
@@ -327,45 +327,71 @@ func (v *Verifier) newFlightRecorder() *telemetry.FlightRecorder {
 }
 
 // newProcCtx builds a context around an already-prepared policy set,
-// splitting sealers from the rest of the chain once at birth so the delivery
-// path never type-asserts per message.
+// splitting it by role and by op once at birth so the delivery path neither
+// type-asserts nor offers a message to a policy that ignores its op.
 func newProcCtx(pid int32, policies []policy.Policy, fr *telemetry.FlightRecorder, dead bool) *procCtx {
 	pc := &procCtx{pid: pid, policies: policies, flight: fr, dead: dead, seqValid: true}
-	hasSealer := false
 	for _, p := range policies {
-		if _, ok := p.(policy.Sealer); ok {
-			hasSealer = true
-		}
 		if pf, ok := p.(policy.Prefetcher); ok {
 			pc.prefetchers = append(pc.prefetchers, pf)
 		}
-	}
-	if !hasSealer {
-		pc.chain = policies
-		return pc
-	}
-	for _, p := range policies {
 		if sl, ok := p.(policy.Sealer); ok {
 			pc.sealers = append(pc.sealers, sl)
-		} else {
-			pc.chain = append(pc.chain, p)
+			continue
+		}
+		ops := p.Ops()
+		if ops == nil {
+			for op := range pc.byOp {
+				pc.byOp[op] = append(pc.byOp[op], p)
+			}
+			continue
+		}
+		var listed [ipc.NumOps]bool
+		for _, op := range ops {
+			if op < ipc.NumOps && !listed[op] {
+				listed[op] = true
+				pc.byOp[op] = append(pc.byOp[op], p)
+			}
 		}
 	}
 	return pc
 }
 
-// prefetch runs the look-ahead pass (see lookAhead) over window. *cur names
-// the policy running, for deliverSegment's panic attribution. It is a method
-// for the sake of deliverSegment's code generation: written out in that loop
-// body, the same statements cost DeliverBatch over cache-resident tables
-// (where the pass does nothing) 23.6 instead of 21.8 ns per message, against
-// 21.6 without the pass at all (floors of 20 alternating runs).
-func (pc *procCtx) prefetch(window []ipc.Message, cur *policy.Policy) {
+// openWindow starts the window at ms[i], the first message of a run of pc's:
+// the run's next lookAhead messages at most. The prefetchers touch it, then
+// each sealer authenticates and strips it in place, in chain order, a later
+// sealer seeing only what the earlier ones passed. It returns the end of the
+// authenticated part and, when that is short of the window, the violation of
+// the message at end, which deliverSegment raises when its cursor gets there.
+// A process that dies inside the window leaves the rest of it touched and
+// stripped; those messages are dropped with the dead context like any others.
+// *cur names the policy running, for deliverSegment's panic attribution. It is
+// a method for the sake of deliverSegment's code generation: written out in
+// that loop, the touch pass alone cost the cache-resident chain 8 %.
+func (pc *procCtx) openWindow(ms []ipc.Message, i int, cur *policy.Policy) (end int, reject *policy.Violation) {
+	end = min(i+lookAhead, len(ms))
+	for j := i + 1; j < end; j++ {
+		if ms[j].PID != pc.pid {
+			end = j
+			break
+		}
+	}
+	w := ms[i:end]
 	for _, pf := range pc.prefetchers {
 		*cur = pf
-		pf.Prefetch(window)
+		pf.Prefetch(w)
+	}
+	for _, sl := range pc.sealers {
+		*cur = sl
+		if n, v := sl.UnsealRun(w); v != nil {
+			if n >= len(w) { // would land on whoever owns ms[end]; here it kills sl's process
+				panic("rejected a message outside its window")
+			}
+			w, reject = w[:n], v
+		}
 	}
 	*cur = nil
+	return i + len(w), reject
 }
 
 // bindKeyring hands the system keyring to every KeyBinder policy in the set.
@@ -507,8 +533,11 @@ type gateAction struct {
 // wrapper over the batch path, used by deterministic experiments that
 // evaluate messages inline at send time.
 func (v *Verifier) Deliver(m ipc.Message) {
-	batch := [1]ipc.Message{m}
-	v.deliverShardBatch(v.shardIndex(m.PID), batch[:])
+	si := v.shardIndex(m.PID)
+	s := &v.shards[si]
+	s.mu.Lock()
+	s.one[0] = m
+	v.deliverLocked(s, si, s.one[:])
 }
 
 // DeliverBatch processes a burst of messages, taking each involved shard's
@@ -517,14 +546,33 @@ func (v *Verifier) Deliver(m ipc.Message) {
 // ordering intact for any partition of one process's stream into batches.
 func (v *Verifier) DeliverBatch(ms []ipc.Message) {
 	for start := 0; start < len(ms); {
-		si := v.shardIndex(ms[start].PID)
-		end := start + 1
-		for end < len(ms) && v.shardIndex(ms[end].PID) == si {
-			end++
-		}
+		si, end := v.nextRun(ms, start)
 		v.deliverShardBatch(si, ms[start:end])
 		start = end
 	}
+}
+
+// nextRun returns the shard ms[start] validates on and the end of the longest
+// run ms[start:end] that validates there with it. Boundaries are found by
+// comparing PIDs — the shard hash is paid when the PID changes, not per
+// message — and a single-shard verifier takes the whole of ms as one run.
+// DeliverBatch and the pump's route both cut their bursts with it.
+func (v *Verifier) nextRun(ms []ipc.Message, start int) (si, end int) {
+	if len(v.shards) == 1 {
+		return 0, len(ms)
+	}
+	pid := ms[start].PID
+	si = v.shardIndex(pid)
+	for end = start + 1; end < len(ms); end++ {
+		if p := ms[end].PID; p != pid {
+			// Adjacent processes that hash to the same shard stay one run.
+			if v.shardIndex(p) != si {
+				break
+			}
+			pid = p
+		}
+	}
+	return si, end
 }
 
 // seqViolationReason classifies a failed per-process counter check (§3.1.1)
@@ -567,6 +615,14 @@ type deliverState struct {
 // poisoned shard nothing is evaluated: every process in the batch is killed
 // fail-closed instead (see poisonShard).
 func (v *Verifier) deliverShardBatch(si int, ms []ipc.Message) {
+	s := &v.shards[si]
+	s.mu.Lock()
+	v.deliverLocked(s, si, ms)
+}
+
+// deliverLocked is deliverShardBatch from the lock on: it is entered with
+// s.mu held and returns with it released, the gate calls made.
+func (v *Verifier) deliverLocked(s *shard, si int, ms []ipc.Message) {
 	if len(ms) > 0 {
 		// Observation point for the model checker: the poison check below is
 		// the first act of a delivery round. Once per batch, never per
@@ -574,10 +630,9 @@ func (v *Verifier) deliverShardBatch(si int, ms []ipc.Message) {
 		dsched.Note(dsched.PointPoisonCheck, ms[0].PID)
 	}
 	if v.health[si].poisoned.Load() {
-		v.poisonedDrop(si, ms)
+		v.poisonedDrop(s, si, ms)
 		return
 	}
-	s := &v.shards[si]
 	var actsBuf [4]gateAction
 	acts := actsBuf[:0]
 	st := deliverState{
@@ -590,7 +645,6 @@ func (v *Verifier) deliverShardBatch(si int, ms []ipc.Message) {
 		st.sampler, st.sendLatency = tm.sampler, tm.sendLatency
 	}
 
-	s.mu.Lock()
 	locked := true
 	// A panic escaping deliverSegment (a delivery-path bug, not a policy
 	// panic — those are contained per policy inside the segment) must not
@@ -647,22 +701,24 @@ func (v *Verifier) deliverShardBatch(si int, ms []ipc.Message) {
 }
 
 // deliverSegment runs the engine over ms[st.i:] under the shard lock held by
-// deliverShardBatch. Chain order per message: sealers authenticate and strip
-// first (a failure is always fatal — an unauthenticated message proves
-// nothing about its claimed process), then the sequence check, then every
-// remaining policy's Handle. The first violating policy is the one the kill
-// is attributed to via Violation.Policy. Ahead of all of that, once per
-// lookAhead messages, the process's Prefetchers get to touch the table lines
-// the coming window will need (see lookAhead).
+// deliverLocked. It works a window at a time (procCtx.openWindow): at the
+// first message of a run of one live process, that process's Prefetchers
+// touch the table lines the next lookAhead messages of the run will need and
+// its Sealers authenticate and strip those messages in place; then each
+// message of the window gets its sequence check and goes to the policies that
+// consume its Op (procCtx.byOp), in chain order. A sealer's reject is raised
+// when the cursor reaches the rejected message. The first violating policy
+// is the one the kill is attributed to via Violation.Policy.
 //
-// A panic inside a policy's Prefetch, Unseal or Handle is contained to that
+// A panic inside a policy's Prefetch, UnsealRun or Handle is contained to that
 // policy's process: the recover below converts it into an attributed
 // violation and kill, marks the context dead, and returns with the cursor past
-// the offending message so deliverShardBatch resumes the batch. Panics outside
-// policy code (cur == nil) are delivery-path bugs and re-panic into
-// safeDeliver's shard-poisoning containment.
+// the offending message — the window's first, for the two window passes — so
+// deliverLocked resumes the batch. Panics outside policy code (cur == nil)
+// are delivery-path bugs and re-panic into safeDeliver's shard-poisoning
+// containment.
 //
-// cur — the policy whose Prefetch/Unseal/Handle is executing right now, nil
+// cur — the policy whose Prefetch/UnsealRun/Handle is executing right now, nil
 // outside policy code — is the panic-attribution anchor. It is a local captured by
 // the deferred recover (not a deliverState field) so that the interface
 // method calls on it in the cold recover path don't make escape analysis
@@ -686,19 +742,13 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 		name := cur.Name()
 		viol := &policy.Violation{PID: st.pc.pid, Op: ms[st.i].Op, Policy: name,
 			Reason: fmt.Sprintf("policy %q panicked: %v", name, r)}
-		st.pc.violations = append(st.pc.violations, viol)
-		st.violCount++
-		st.pc.dead = true
-		v.noteViolation(name)
-		if fr := st.pc.flight; fr != nil {
-			m := &ms[st.i]
-			fr.StampMessage(m.PID, uint16(m.Op), m.Seq, m.Arg1^m.Arg2^m.Arg3, telemetry.FlightPolicyPanic)
-		}
-		v.freezeLocked(st.pc, si, viol, viol.Reason)
-		out = append(out, gateAction{pid: st.pc.pid, kill: true, reason: viol.Reason})
-		st.killCount++
+		out = append(out, v.condemn(st, si, &ms[st.i], viol, telemetry.FlightPolicyPanic))
 		st.i++ // resume after the detonating message
 	}()
+	// The open window ends at winEnd; reject, when set, is the violation a
+	// sealer raised for ms[winEnd]. A segment starts with no window open.
+	winEnd := st.i
+	var reject *policy.Violation
 	for ; st.i < len(ms); st.i++ {
 		m := &ms[st.i]
 		if !st.pcValid || m.PID != st.pcPID {
@@ -722,39 +772,23 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 		}
 		st.delivered++
 		pc.messages++
-		if st.i&(lookAhead-1) == 0 {
-			pc.prefetch(ms[st.i:min(st.i+lookAhead, len(ms))], &cur)
-		}
-		var sealViol *policy.Violation
-		for _, sl := range pc.sealers {
-			cur = sl
-			var unsealed ipc.Message
-			unsealed, sealViol = sl.Unseal(*m)
-			cur = nil
-			if sealViol != nil {
-				break
+		// A window never outlasts its process's run, so a live message at or
+		// past winEnd opens the next window or is the one a sealer rejected.
+		if st.i >= winEnd {
+			if reject == nil || st.i > winEnd {
+				winEnd, reject = pc.openWindow(ms, st.i, &cur)
 			}
-			*m = unsealed
-		}
-		if sealViol != nil {
-			if sealViol.Policy == "" {
-				sealViol.Policy = "sealer"
+			if st.i == winEnd {
+				if reject.Policy == "" {
+					reject.Policy = "sealer"
+				}
+				// Authentication failures are always fatal, like §3.1.1
+				// counter violations: the message cannot be trusted to belong
+				// to the process, so continuing to evaluate would validate an
+				// attacker-controlled stream.
+				out = append(out, v.condemn(st, si, m, reject, telemetry.FlightSealerReject))
+				continue
 			}
-			pc.violations = append(pc.violations, sealViol)
-			st.violCount++
-			// Authentication failures are always fatal, like §3.1.1
-			// counter violations: the message cannot be trusted to belong
-			// to the process, so continuing to evaluate would validate an
-			// attacker-controlled stream.
-			pc.dead = true
-			v.noteViolation(sealViol.Policy)
-			if fr := pc.flight; fr != nil {
-				fr.StampMessage(m.PID, uint16(m.Op), m.Seq, m.Arg1^m.Arg2^m.Arg3, telemetry.FlightSealerReject)
-			}
-			v.freezeLocked(pc, si, sealViol, sealViol.Reason)
-			out = append(out, gateAction{pid: m.PID, kill: true, reason: sealViol.Reason})
-			st.killCount++
-			continue
 		}
 		if st.sampler != nil && st.sampler.Sampled(m.Seq) {
 			// This message was stamped at send time (1-in-N): record the
@@ -767,23 +801,14 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 		if st.checkSeq && pc.seqValid && m.Seq != pc.lastSeq+1 {
 			viol := &policy.Violation{PID: m.PID, Op: m.Op, Policy: "seq",
 				Reason: seqViolationReason(m.Seq, pc.lastSeq)}
-			pc.violations = append(pc.violations, viol)
-			st.violCount++
 			// Integrity violations are always fatal (§3.1.1).
-			pc.dead = true
-			v.noteViolation(viol.Policy)
-			if fr := pc.flight; fr != nil {
-				fr.StampMessage(m.PID, uint16(m.Op), m.Seq, m.Arg1^m.Arg2^m.Arg3, telemetry.FlightSeqGap)
-			}
-			v.freezeLocked(pc, si, viol, viol.Reason)
-			out = append(out, gateAction{pid: m.PID, kill: true, reason: viol.Reason})
-			st.killCount++
+			out = append(out, v.condemn(st, si, m, viol, telemetry.FlightSeqGap))
 			continue
 		}
 		pc.lastSeq, pc.seqValid = m.Seq, true
 
 		var violated *policy.Violation
-		for _, p := range pc.chain {
+		for _, p := range pc.byOp[min(m.Op, ipc.NumOps)] {
 			cur = p
 			viol := p.Handle(*m)
 			if viol != nil {
@@ -827,6 +852,24 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 		}
 	}
 	return out
+}
+
+// condemn records viol, raised by message m, as the violation st.pc dies of
+// whatever KillOnViolation says — a sealer reject, a counter violation, a
+// policy panic — and returns the kill to issue once the shard lock drops: the
+// context goes dead, its black box gets m stamped with code and is frozen.
+func (v *Verifier) condemn(st *deliverState, si int, m *ipc.Message, viol *policy.Violation, code telemetry.FlightCode) gateAction {
+	pc := st.pc
+	pc.violations = append(pc.violations, viol)
+	st.violCount++
+	pc.dead = true
+	v.noteViolation(viol.Policy)
+	if fr := pc.flight; fr != nil {
+		fr.StampMessage(m.PID, uint16(m.Op), m.Seq, m.Arg1^m.Arg2^m.Arg3, code)
+	}
+	v.freezeLocked(pc, si, viol, viol.Reason)
+	st.killCount++
+	return gateAction{pid: pc.pid, kill: true, reason: viol.Reason}
 }
 
 // safeDeliver is the pipeline worker's delivery entry point and the outer
@@ -910,12 +953,11 @@ func (v *Verifier) poisonReason(si int) string {
 // poisonedDrop is the fail-closed delivery path of a poisoned shard: no
 // message is evaluated (the shard's policy state is suspect), and every
 // not-yet-dead process appearing in the batch is killed — a process whose
-// messages cannot be validated must not be allowed to pass gates.
-func (v *Verifier) poisonedDrop(si int, ms []ipc.Message) {
-	s := &v.shards[si]
+// messages cannot be validated must not be allowed to pass gates. Like
+// deliverLocked, it is entered with s.mu held and releases it.
+func (v *Verifier) poisonedDrop(s *shard, si int, ms []ipc.Message) {
 	var killPIDs []int32
 	var dropped uint64
-	s.mu.Lock()
 	for i := range ms {
 		pc := s.procs[ms[i].PID]
 		if pc == nil {

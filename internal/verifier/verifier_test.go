@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -52,6 +53,69 @@ func TestDeliverDispatchesToPolicies(t *testing.T) {
 	cur, max := v.Entries(1)
 	if cur != 1 || max != 1 {
 		t.Errorf("Entries = %d/%d, want 1/1", cur, max)
+	}
+}
+
+// opSpy records the ops it is handed; its Ops list is whatever the test says.
+type opSpy struct {
+	policy.Hooks
+	name string
+	ops  []ipc.Op
+	seen []ipc.Op
+}
+
+func (p *opSpy) Name() string         { return p.name }
+func (p *opSpy) Ops() []ipc.Op        { return p.ops }
+func (p *opSpy) Entries() int         { return 0 }
+func (p *opSpy) Clone() policy.Policy { return &opSpy{name: p.name, ops: p.ops} }
+func (p *opSpy) Handle(m ipc.Message) *policy.Violation {
+	p.seen = append(p.seen, m.Op)
+	return nil
+}
+
+// TestMessagesAreRoutedByDeclaredOps pins the routing table built from
+// Policy.Ops: a policy listing ops is handed those and nothing else (once,
+// however often it lists one), a policy listing nothing in particular is
+// handed everything, an op beyond the table — a hostile frame can carry any
+// 32 bits — reaches only the take-everything policies and indexes nothing,
+// even when a policy lists it.
+func TestMessagesAreRoutedByDeclaredOps(t *testing.T) {
+	all := &opSpy{name: "all"}
+	some := &opSpy{name: "some", ops: []ipc.Op{ipc.OpCounterInc, ipc.OpDFISet, ipc.OpCounterInc}}
+	none := &opSpy{name: "none", ops: []ipc.Op{}}
+	far := &opSpy{name: "far", ops: []ipc.Op{ipc.OpCounterInc, ipc.NumOps + 3}}
+	counter := policy.NewCounter()
+	g := newFakeGate()
+	v := NewSharded(func() []policy.Policy { return []policy.Policy{all, some, none, far, counter} }, g, 1)
+	v.ProcessStarted(1)
+	sent := []ipc.Op{ipc.OpCounterInc, ipc.OpDFISet, ipc.OpSyscall, ipc.OpPointerCheck, ipc.NumOps, ipc.NumOps + 3, 0xffffffff}
+	batch := make([]ipc.Message, len(sent))
+	for i, op := range sent {
+		batch[i] = ipc.Message{Op: op, PID: 1, Arg1: 1}
+	}
+	v.DeliverBatch(batch)
+	for _, op := range sent {
+		v.Deliver(ipc.Message{Op: op, PID: 1, Arg1: 1})
+	}
+	twice := func(ops ...ipc.Op) []ipc.Op { return append(append([]ipc.Op{}, ops...), ops...) }
+	for _, c := range []struct {
+		p    *opSpy
+		want []ipc.Op
+	}{
+		{all, twice(sent...)},
+		{some, twice(ipc.OpCounterInc, ipc.OpDFISet)},
+		{none, nil},
+		{far, twice(ipc.OpCounterInc)},
+	} {
+		if !reflect.DeepEqual(c.p.seen, c.want) {
+			t.Errorf("policy %q was handed %v, want %v", c.p.name, c.p.seen, c.want)
+		}
+	}
+	if got := counter.Count(1); got != 2 {
+		t.Errorf("counter saw %d increments, want 2", got)
+	}
+	if len(g.kills) != 0 || v.Messages(1) != uint64(2*len(sent)) {
+		t.Errorf("kills %v, %d messages evaluated; want none and %d", g.kills, v.Messages(1), 2*len(sent))
 	}
 }
 
