@@ -19,7 +19,7 @@ vet:
 # check is the CI gate: vet, build, the full test suite under the race
 # detector (which runs every hqbench experiment once at its smoke scope, the
 # soaks included: TestEveryExperimentRunsQuick), the hot-path benchmarks, ten
-# seconds of fuzzing each on the frame decoder that feeds the verifier's arena,
+# seconds of fuzzing each on the frame decoder that feeds the verifier's drain,
 # on the allocation policies against their sorted-slice reference and on the
 # hmac sealer's run unseal against a loop of one-message calls,
 # the quick end-to-end benchmark (all four workloads, every correctness
@@ -41,7 +41,8 @@ check: vet build
 
 # loc prints Table 6 (code and test lines per component) and, on the last
 # line, the non-test Go lines outside bench/: the per-PR size trend ROADMAP
-# "One of each" tracks (27 040 before the receive paths were merged).
+# "One of each" tracks (27 040 before the receive paths were merged, 25 979
+# before the shard-queue hand-off went).
 loc:
 	@$(GO) run ./cmd/loccount
 
@@ -50,14 +51,17 @@ bench:
 
 # bench-smoke keeps the hot path honest in CI: a short run of the verifier
 # throughput benchmarks (catching gross regressions and alloc creep via
-# -benchmem), one pass of the full sealed chain over 266 k entries (the
-# cache-resident benches cannot see a policy table that shifts or misses), one
-# pass of hqd's sealed chain over the hot mix (window, two-lane unseal and op
-# routing with every table in cache; -benchmem must read 0 allocs/op) and
-# the networked client's send path (sealed stream to an in-process daemon
-# over a Unix socket, with its zero-alloc test).
+# -benchmem) at -cpu 1,2 — a source is read and evaluated by one goroutine, so
+# the replay rows should read alike on one processor and two, and the live
+# ring's producer gets a processor of its own on the second — one pass of the
+# full sealed chain over 266 k entries (the cache-resident benches cannot see
+# a policy table that shifts or misses), one pass of hqd's sealed chain over
+# the hot mix (window, two-lane unseal and op routing with every table in
+# cache; -benchmem must read 0 allocs/op) and the networked client's send path
+# (sealed stream to an in-process daemon over a Unix socket, with its
+# zero-alloc test).
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkPolicyChainLargeState' -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkDeliverHotChain' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc' -bench 'BenchmarkClientSend' -benchtime 200ms -benchmem ./internal/hqnet

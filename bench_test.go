@@ -292,7 +292,7 @@ func sizeName(n int) string {
 }
 
 // ---------------------------------------------------------------------------
-// Verifier drain throughput — scalar pump vs sharded batch pipeline
+// Verifier drain throughput — scalar pump vs the batch-draining Pump
 // ---------------------------------------------------------------------------
 
 // verifierBenchPolicies is the per-process policy mix the drain benches
@@ -362,8 +362,9 @@ func benchVerifierDrain(b *testing.B, procs, shards int, scalar bool) {
 	b.ReportMetric(float64(messages)*float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 }
 
-// BenchmarkVerifierThroughput_* measure the sharded batch pipeline at the
-// default shard count (GOMAXPROCS) over replayed 1/4/16-process streams.
+// BenchmarkVerifierThroughput_* measure Pump at the default shard count
+// (GOMAXPROCS) over replayed 1/4/16-process streams. A replay is one source,
+// so one goroutine reads and evaluates it whatever -cpu says.
 func BenchmarkVerifierThroughput_1Procs(b *testing.B)  { benchVerifierDrain(b, 1, 0, false) }
 func BenchmarkVerifierThroughput_4Procs(b *testing.B)  { benchVerifierDrain(b, 4, 0, false) }
 func BenchmarkVerifierThroughput_16Procs(b *testing.B) { benchVerifierDrain(b, 16, 0, false) }
@@ -401,7 +402,7 @@ func BenchmarkVerifierThroughput_Ring(b *testing.B) {
 }
 
 // BenchmarkVerifierDrain pits the scalar loop (a one-slot RecvBatch + one
-// Deliver per message, the pre-sharding design) against the batch pipeline on the same
+// Deliver per message, the pre-sharding design) against Pump on the same
 // multi-process stream; the msgs/sec ratio is the batching speedup.
 func BenchmarkVerifierDrain(b *testing.B) {
 	for _, procs := range []int{1, 4, 16} {

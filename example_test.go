@@ -87,10 +87,11 @@ entry:
 	// 42
 }
 
-// ExampleNewCounterPolicy reproduces the paper's §2 overview: a
-// tamper-proof event counter held by the verifier, out of the monitored
-// program's reach.
-func ExampleNewCounterPolicy() {
+// ExamplePolicySet reproduces the paper's §2 overview: a tamper-proof event
+// counter held by the verifier, out of the monitored program's reach. The
+// policies are picked by registry name; the set is built here and held, so
+// the count can be read once the process has exited.
+func ExamplePolicySet() {
 	mod := hq.NewModule("count")
 	b := hq.NewBuilder(mod)
 	b.Func("main", hq.FuncTypeOf(hq.I64Type))
@@ -104,13 +105,21 @@ func ExampleNewCounterPolicy() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	counter := hq.NewCounterPolicy().(*hq.CounterPolicy)
+	factory, err := hq.PolicySet("cfi", "counter")
+	if err != nil {
+		log.Fatal(err)
+	}
+	set := factory()
 	if _, err := hq.Run(ins, hq.RunOptions{
-		Policies: func() []hq.Policy { return []hq.Policy{counter} },
+		Policies: func() []hq.Policy { return set },
 	}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("events:", counter.Count(1))
+	for _, p := range set {
+		if p.Name() == "counter" {
+			fmt.Println("events:", p.(*hq.CounterPolicy).Count(1))
+		}
+	}
 	// Output:
 	// events: 3
 }

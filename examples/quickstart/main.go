@@ -55,17 +55,21 @@ func main() {
 	}
 
 	// Instrument for HerQules (adds syscall synchronization etc.) and run
-	// it monitored, holding a reference to the counter policy so we can
-	// read the trustworthy count afterwards.
+	// it monitored. Policies are picked by registry name; the set is built
+	// here and held, so the trustworthy count can be read once the process
+	// (and with it the verifier's context) is gone.
 	ins, err := hq.Instrument(mod, hq.HQSfeStk, hq.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	counter := hq.NewCounterPolicy().(*hq.CounterPolicy)
+	factory, err := hq.PolicySet("cfi", "counter")
+	if err != nil {
+		log.Fatal(err)
+	}
+	set := factory()
+	counter := set[1].(*hq.CounterPolicy)
 	out, err := hq.Run(ins, hq.RunOptions{
-		Policies: func() []hq.Policy {
-			return []hq.Policy{hq.NewCFIPolicy(), counter}
-		},
+		Policies: func() []hq.Policy { return set },
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -45,19 +45,9 @@
 //
 //	sys := herqules.NewSystem(herqules.WithPolicies("cfi", "memsafety", "hmac"))
 //
-// or, for the single-shot path, RunOptions.PolicyNames. The per-policy
-// constructors remain for compatibility but are deprecated; migrate as
-// follows:
-//
-//	NewCFIPolicy()        →  WithPolicies("cfi")        / PolicyNames: []string{"cfi"}
-//	NewMemSafetyPolicy()  →  WithPolicies("memsafety")  / ... "memsafety"
-//	NewCounterPolicy()    →  WithPolicies("counter")    / ... "counter"
-//	NewDFIPolicy()        →  WithPolicies("dfi")        / ... "dfi"
-//	(no old equivalent)      WithPolicies("temporal")   — temporal memory safety
-//	(no old equivalent)      WithPolicies("hmac")       — MAC-authenticated messages
-//
-// A custom factory (hand-built sets, unregistered policy implementations)
-// still plugs in through WithPolicyFactory or RunOptions.Policies.
+// or, for the single-shot path, RunOptions.PolicyNames. A custom factory
+// (hand-built sets, unregistered policy implementations) still plugs in
+// through WithPolicyFactory or RunOptions.Policies.
 package herqules
 
 import (
@@ -219,30 +209,6 @@ func PolicySet(names ...string) (PolicyFactory, error) {
 	}
 	return f, nil
 }
-
-// NewCFIPolicy returns the pointer-integrity policy of the case study
-// (§4.1).
-//
-// Deprecated: select policies by registry name instead — WithPolicies("cfi")
-// or RunOptions.PolicyNames; see the package-doc migration table.
-func NewCFIPolicy() Policy { return policy.MustSet("cfi")[0] }
-
-// NewMemSafetyPolicy returns the §4.2 allocation-tracking policy.
-//
-// Deprecated: use WithPolicies("memsafety") or RunOptions.PolicyNames.
-func NewMemSafetyPolicy() Policy { return policy.MustSet("memsafety")[0] }
-
-// NewCounterPolicy returns the §2 event-counter policy. It now returns the
-// Policy interface; assert to *CounterPolicy to read counts.
-//
-// Deprecated: use WithPolicies("counter") or RunOptions.PolicyNames.
-func NewCounterPolicy() Policy { return policy.MustSet("counter")[0] }
-
-// NewDFIPolicy returns the §4.3 data-flow integrity policy (enable the
-// matching instrumentation with Options.DFI).
-//
-// Deprecated: use WithPolicies("dfi") or RunOptions.PolicyNames.
-func NewDFIPolicy() Policy { return policy.MustSet("dfi")[0] }
 
 // PolicyFactory builds a policy set per monitored process. Construct one
 // from registry names with PolicySet, or write your own for unregistered

@@ -100,13 +100,18 @@ func TestCounterPolicyThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt := NewCounterPolicy().(*CounterPolicy)
+	factory, err := PolicySet("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := factory()
 	_, err = Run(ins, RunOptions{
-		Policies: func() []Policy { return []Policy{cnt} },
+		Policies: func() []Policy { return set },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cnt := set[0].(*CounterPolicy)
 	if cnt.Count(2) != 7 {
 		t.Errorf("counter = %d, want 7", cnt.Count(2))
 	}

@@ -7,8 +7,8 @@
 // Two kinds of points exist, with different contracts:
 //
 //   - Yield points sit at lock-free interleaving edges (a lifecycle
-//     notification about to be published, a batch about to be handed to a
-//     shard worker). An installed hook MAY park the calling goroutine there
+//     notification about to be published, a run of messages about to be
+//     delivered into its shard). An installed hook MAY park the calling goroutine there
 //     and hand control to a scheduler, which is how the model checker
 //     (internal/verify) explores orderings the Go scheduler would choose
 //     arbitrarily.
@@ -72,12 +72,9 @@ const (
 	// gate goroutine has reached quiescence.
 	PointGateBlocked
 
-	// PointPumpHandoff is yielded by the verifier pipeline as a drain loop
-	// hands a routed run of messages to a shard queue.
-	PointPumpHandoff
-
-	// PointShardDeliver is yielded by a shard worker immediately before it
-	// delivers a dequeued batch.
+	// PointShardDeliver is yielded by a verifier drain loop immediately
+	// before it delivers a run of the burst it has read into the run's
+	// shard. The goroutine holds no lock there.
 	PointShardDeliver
 
 	// PointPoisonCheck is noted by the delivery path when it consults the
@@ -109,7 +106,6 @@ var pointNames = [...]string{
 	PointExitNotify:      "exit-notify",
 	PointKillNotify:      "kill-notify",
 	PointGateBlocked:     "gate-blocked",
-	PointPumpHandoff:     "pump-handoff",
 	PointShardDeliver:    "shard-deliver",
 	PointPoisonCheck:     "poison-check",
 	PointLaunchAdmitted:  "launch-admitted",

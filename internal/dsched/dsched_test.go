@@ -30,7 +30,7 @@ func TestPointsNoopWithoutInstall(t *testing.T) {
 func TestYieldAllocatesNothing(t *testing.T) {
 	Uninstall()
 	n := testing.AllocsPerRun(1000, func() {
-		Yield(PointPumpHandoff, 7)
+		Yield(PointShardDeliver, 7)
 		Note(PointPoisonCheck, 7)
 	})
 	if n != 0 {

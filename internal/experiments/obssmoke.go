@@ -155,14 +155,14 @@ func ObsSmoke(Config) (Report, error) {
 	}
 
 	// The kill must also surface on the metric plane: the per-policy counter
-	// and at least one per-shard depth gauge.
+	// and at least one per-shard occupancy gauge.
 	metrics, err = fetch("/metrics")
 	if err != nil {
 		return Report{}, err
 	}
 	for _, want := range []string{
 		`herqules_violations_total{policy="cfi"} 1`,
-		`herqules_shard_queue_depth{shard="0"}`,
+		`herqules_shard_procs{shard="0"}`,
 	} {
 		if !strings.Contains(metrics, want) {
 			return Report{}, fmt.Errorf("obs-smoke: /metrics missing %q after the kill", want)

@@ -195,8 +195,8 @@ func TestIdleHeartbeatSessionKeepsLeaseWithDrainParked(t *testing.T) {
 	waitFor(t, 5*time.Second, "drain goroutine blocked in read", func() bool { return drainState() == "IO wait" })
 }
 
-// wedgePolicy blocks the shard worker inside its first Handle until released,
-// holding the shard queue full behind it.
+// wedgePolicy blocks the session's drain inside its first Handle until
+// released, the burst it read undelivered in its hands.
 type wedgePolicy struct {
 	policy.Hooks
 	release <-chan struct{}
@@ -208,10 +208,10 @@ func (p *wedgePolicy) Clone() policy.Policy                 { return p }
 func (p *wedgePolicy) Entries() int                         { return 0 }
 
 // TestWedgedVerifierEndsInLeaseKill is the admission backpressure story end
-// to end: a wedged shard blocks the drain on its full queue, the drain stops
+// to end: a wedged policy blocks the drain inside a delivery, the drain stops
 // reading, the lease stops renewing although the client heartbeats on time,
-// and the process dies with the lease reason — while the daemon buffers a
-// bounded number of frames and the client's sends block.
+// and the process dies with the lease reason — while the daemon holds one
+// burst of frames and the client's sends block.
 func TestWedgedVerifierEndsInLeaseKill(t *testing.T) {
 	release := make(chan struct{})
 	h := newHarness(t,
@@ -243,9 +243,8 @@ func TestWedgedVerifierEndsInLeaseKill(t *testing.T) {
 	if _, reason := h.sys.Kernel().Killed(c.PID()); reason != kernel.ReasonLeaseExpired {
 		t.Fatalf("kill reason = %q, want %q", reason, kernel.ReasonLeaseExpired)
 	}
-	// What the daemon took off the wire is bounded by the shard queue, the
-	// batch in the worker's hands and the one in the drain's.
-	const bound = (verifier.DefaultQueueDepth + 2) * verifier.DefaultBatchSize
+	// What the daemon took off the wire is the one burst in the drain's hands.
+	const bound = verifier.DefaultBatchSize
 	rows := h.srv.Conns()
 	if len(rows) != 1 || rows[0].ForwardedSeq == 0 || rows[0].ForwardedSeq > bound {
 		t.Fatalf("conns = %+v, want one session with 0 < forwarded seq <= %d", rows, bound)

@@ -12,19 +12,20 @@ import (
 
 // session is one admitted remote process, and the ipc.Receiver the verifier
 // pump drains for it: RecvBatch decodes frames from the live connection
-// straight into the pump's arena block, on the pump's drain goroutine. It
-// outlives any single connection: a severed transport leaves the session
+// straight into the drain loop's burst buffer, on the session's drain
+// goroutine, which then delivers them to the policies itself. It outlives any single connection: a severed transport leaves the session
 // intact (awaiting resume, its drain parked) and only the lease — or a clean
 // goodbye — ends it. Session end is the single teardown path: transport
 // closed, pump drained, forensics frozen, kernel context exited, quota
 // released.
 //
 // Reading on the drain goroutine is the admission-side backpressure story: a
-// client outrunning the verifier blocks the drain on a full shard queue, the
-// drain stops reading, and the backlog stays in the transport's own flow
-// control instead of daemon memory. If the verifier is wedged long enough,
-// the stalled drain stops renewing the session's lease and the process dies
-// fail-closed — the networked analogue of the epoch watchdog.
+// drain that is delivering is not reading, so a client outrunning the
+// verifier backs up in the transport's own flow control (and then in its
+// replay ring) while the daemon holds one burst of it. If the verifier is
+// wedged long enough, the stalled drain stops renewing the session's lease
+// and the process dies fail-closed — the networked analogue of the epoch
+// watchdog.
 type session struct {
 	srv    *Server
 	token  uint64

@@ -222,7 +222,7 @@ type PIDRegister interface {
 
 // Pender is implemented by receivers that can report how many messages are
 // sent but not yet received, making backpressure observable uniformly across
-// backends (the verifier's per-shard queue depth uses the same interface).
+// backends.
 type Pender interface {
 	// Pending reports the number of sent-but-unread messages.
 	Pending() int

@@ -32,7 +32,7 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 }
 
 // FuzzFrameDecoder feeds FrameDecoder — the decoder hqnet sessions run
-// directly against the verifier's arena — arbitrary bytes in arbitrary chunk
+// directly against the drain loop's burst buffer — arbitrary bytes in arbitrary chunk
 // sizes, into receive buffers of arbitrary length. Whatever the tearing, it
 // must yield exactly the messages a frame-by-frame DecodeMessage pass over
 // the contiguous bytes yields, end the same way (cleanly at a boundary,

@@ -9,7 +9,7 @@
 // it not?" without stopping it. The endpoints here serve exactly that: the
 // send → validate latency distribution (the paper's validation-lag figure),
 // per-PID syscall-gate stalls, and channel backpressure peaks, all scraped
-// from live atomics without pausing any shard worker.
+// from live atomics without pausing any drain.
 //
 // The package sits strictly above supervisor and telemetry — nothing in the
 // enforcement path imports it, and a System built without WithHTTPAddr never

@@ -201,7 +201,7 @@ func TestMetricsEndpointLiveSystem(t *testing.T) {
 	}
 
 	// Scrape mid-run at least once: the endpoints must be serveable while
-	// shard workers are hot, not only at quiescence.
+	// drains are hot, not only at quiescence.
 	if code, _ := get(t, base+"/metrics"); code != http.StatusOK {
 		t.Fatalf("/metrics mid-run: status %d", code)
 	}
@@ -416,8 +416,8 @@ func TestWriteMetricsViolationAndShardSeries(t *testing.T) {
 			"seq":         7,
 		},
 		Shards: []supervisor.ShardRow{
-			{Shard: 0, Procs: 2, Dead: 1, QueueDepth: 5, QueueCap: 64},
-			{Shard: 1, Procs: 0, QueueDepth: 0, QueueCap: 64, Poisoned: true},
+			{Shard: 0, Procs: 2, Dead: 1},
+			{Shard: 1, Procs: 0, Poisoned: true},
 		},
 	}
 	var b strings.Builder
@@ -431,8 +431,6 @@ func TestWriteMetricsViolationAndShardSeries(t *testing.T) {
 		`herqules_violations_total{policy="evil\"name"}`:  1,
 		`herqules_violations_total{policy="back\\slash"}`: 2,
 		`herqules_violations_total{policy="multi\nline"}`: 4,
-		`herqules_shard_queue_depth{shard="0"}`:           5,
-		`herqules_shard_queue_cap{shard="1"}`:             64,
 		`herqules_shard_procs{shard="0"}`:                 2,
 		`herqules_shard_dead_procs{shard="0"}`:            1,
 		`herqules_shard_poisoned{shard="1"}`:              1,
@@ -613,13 +611,13 @@ func TestViolationsEndpointsLiveSystem(t *testing.T) {
 	}
 	foundShard := false
 	for key := range samples {
-		if strings.HasPrefix(key, "herqules_shard_queue_depth{") {
+		if strings.HasPrefix(key, "herqules_shard_procs{") {
 			foundShard = true
 			break
 		}
 	}
 	if !foundShard {
-		t.Errorf("no per-shard queue depth gauges in exposition:\n%s", body)
+		t.Errorf("no per-shard occupancy gauges in exposition:\n%s", body)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -96,9 +96,8 @@ func writeProcSeries(w io.Writer, procs []supervisor.ProcStats) {
 	}
 }
 
-// writeShardSeries emits the per-shard occupancy gauges — queue depth and
-// bound, resident/dead contexts, poisoned flag — the series a shard
-// rebalancer (the planned hqd daemon) watches.
+// writeShardSeries emits the per-shard occupancy gauges — resident/dead
+// contexts, poisoned flag — the series a shard rebalancer watches.
 func writeShardSeries(w io.Writer, shards []supervisor.ShardRow) {
 	if len(shards) == 0 {
 		return
@@ -108,8 +107,6 @@ func writeShardSeries(w io.Writer, shards []supervisor.ShardRow) {
 		value func(r supervisor.ShardRow) uint64
 	}
 	cols := []column{
-		{"herqules_shard_queue_depth", func(r supervisor.ShardRow) uint64 { return uint64(r.QueueDepth) }},
-		{"herqules_shard_queue_cap", func(r supervisor.ShardRow) uint64 { return uint64(r.QueueCap) }},
 		{"herqules_shard_procs", func(r supervisor.ShardRow) uint64 { return uint64(r.Procs) }},
 		{"herqules_shard_dead_procs", func(r supervisor.ShardRow) uint64 { return uint64(r.Dead) }},
 		{"herqules_shard_poisoned", func(r supervisor.ShardRow) uint64 {

@@ -111,7 +111,7 @@ type Sealer interface {
 }
 
 // Prefetcher is implemented by policies whose Handle is a dependent load into
-// a table that can outgrow the cache. The verifier's shard worker holds a
+// a table that can outgrow the cache. The verifier's delivery holds a
 // whole run of messages when it starts on the first; it hands the next few
 // to Prefetch so their table lines are already on the way when Handle asks
 // for them. Prefetch may read ms and the policy's own tables; it must not

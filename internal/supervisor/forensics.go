@@ -107,37 +107,9 @@ func (s *System) AllForensics() []ForensicReport {
 	return out
 }
 
-// ShardRow is one verifier shard's occupancy row in Stats: context counts
-// from the shard itself plus the shared pump's live queue depth — the
-// backpressure and placement signals a rebalancer (the planned hqd daemon)
-// consumes, exported as per-shard gauges on /metrics.
-type ShardRow struct {
-	Shard      int  `json:"shard"`
-	Procs      int  `json:"procs"`              // live contexts hashed here
-	Dead       int  `json:"dead,omitempty"`     // killed, awaiting teardown
-	QueueDepth int  `json:"queue_depth"`        // batches enqueued right now
-	QueueCap   int  `json:"queue_cap"`          // per-shard queue bound
-	Poisoned   bool `json:"poisoned,omitempty"` // shard disabled fail-closed
-}
-
-// shardRows merges the verifier's per-shard context stats with the pump's
-// live queue depths.
-func (s *System) shardRows() []ShardRow {
-	stats := s.v.ShardStats()
-	depths := s.pumps.QueueDepths()
-	qcap := s.pumps.QueueCap()
-	rows := make([]ShardRow, len(stats))
-	for i, st := range stats {
-		rows[i] = ShardRow{
-			Shard:    st.Shard,
-			Procs:    st.Procs,
-			Dead:     st.Dead,
-			QueueCap: qcap,
-			Poisoned: st.Poisoned,
-		}
-		if i < len(depths) {
-			rows[i].QueueDepth = depths[i]
-		}
-	}
-	return rows
-}
+// ShardRow is one verifier shard's occupancy row in Stats — live and dead
+// context counts and the poisoned flag, the placement signals a rebalancer
+// consumes — exported as per-shard gauges on /metrics. There is no queue to
+// report beside them: a source's drain goroutine delivers what it reads, so
+// its backlog sits in its own channel (ConnRow.ForwardedSeq for a session).
+type ShardRow = verifier.ShardStat

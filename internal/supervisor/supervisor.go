@@ -6,8 +6,8 @@
 //
 // A System is long-lived: programs Launch into it, run concurrently (each
 // with its own AppendWrite channel drained by a shared verifier.PumpSet),
-// and exit independently; Shutdown drains every in-flight batch before
-// stopping the shard workers. This is the configuration under which CFI
+// and exit independently; Shutdown returns once every channel's drain has
+// delivered what it read. This is the configuration under which CFI
 // enforcement overheads are actually compared in the literature (Burow et
 // al.; de Clercq & Verbauwhede): one enforcement domain amortized across the
 // machine's workload, not one per process.
@@ -90,7 +90,7 @@ type Config struct {
 
 	// LatencySampleEvery controls sampled end-to-end latency tracing when
 	// Metrics is wired: one message in N is stamped at send time and its
-	// send → validate latency recorded at the shard worker (histogram
+	// send → validate latency recorded at delivery (histogram
 	// verifier.send_validate_ns). 0 selects telemetry.DefaultSampleEvery
 	// (1024); values are rounded up to a power of two; negative disables
 	// sampling. Ignored when Metrics is nil.
@@ -237,8 +237,8 @@ type procRecord struct {
 
 // New constructs a System: kernel and verifier are created once, wired
 // together over the privileged listener channel, and instrumented with the
-// configured metrics registry. The verifier's shard workers start
-// immediately and idle until programs launch.
+// configured metrics registry. Nothing runs until a program launches: a
+// process brings its own drain goroutine (verifier.PumpSet.Attach).
 func New(cfg Config) *System {
 	factory := cfg.Policies
 	if factory == nil {
@@ -287,7 +287,7 @@ func New(cfg Config) *System {
 	if s.m != nil {
 		if cfg.LatencySampleEvery >= 0 {
 			// Attach the sampler before the verifier caches its telemetry
-			// instruments, so the shard workers pick it up.
+			// instruments, so delivery picks it up.
 			s.m.EnableLatencySampling(cfg.LatencySampleEvery)
 		}
 		k.EnableTelemetry(s.m)
@@ -454,8 +454,8 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 		if ch != nil {
 			// The program is done emitting: close its channel and wait for
 			// the pump to *deliver* every remaining message (Attach's done
-			// channel closes only after the shard workers have evaluated
-			// this source's final batches), then fold in a kill that landed
+			// channel closes only after the drain has evaluated this
+			// source's final burst), then fold in a kill that landed
 			// after the last instruction. Only then is it safe to snapshot
 			// per-PID verifier state and Exit the kernel context below —
 			// nothing for this PID is still in flight to be dropped as
@@ -524,8 +524,8 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 
 // Shutdown stops the System gracefully: new launches are refused, in-flight
 // processes run to completion (their channels drain fully before their
-// outcomes are published), and the shared pump's shard workers are stopped
-// only after delivering every received batch. If ctx expires first, every
+// outcomes are published), and the shared pump closes once every drain has
+// delivered what it read. If ctx expires first, every
 // process still in the kernel's table is killed — their VM loops observe the
 // kill at the next message or system call and terminate — and Shutdown then
 // finishes the same drain path, returning the context's error. Shutdown is
@@ -672,10 +672,10 @@ type Health struct {
 	Up          bool `json:"up"`           // accepting launches (Shutdown not begun)
 	ActiveProcs int  `json:"active_procs"` // admitted and not yet finished
 	PumpSources int  `json:"pump_sources"` // channels currently attached and draining
-	Shards      int  `json:"shards"`       // verifier shard workers
+	Shards      int  `json:"shards"`       // verifier shards
 
-	// PoisonedShards counts verifier shards disabled by contained worker
-	// panics. Non-zero means the system is degraded: processes routed to a
+	// PoisonedShards counts verifier shards disabled by contained
+	// delivery-path panics. Non-zero means the system is degraded: processes routed to a
 	// poisoned shard are killed fail-closed (or bypassed under log-only),
 	// and /healthz reports 503.
 	PoisonedShards int `json:"poisoned_shards"`
@@ -722,7 +722,7 @@ type Stats struct {
 	ViolationsByPolicy map[string]uint64
 
 	// Shards is the per-shard occupancy snapshot (contexts, dead contexts,
-	// live queue depth/bound, poisoned flag) behind the per-shard gauges.
+	// poisoned flag) behind the per-shard gauges.
 	Shards []ShardRow
 }
 
@@ -824,7 +824,7 @@ func (s *System) Stats() Stats {
 	st.MessagesVerified = s.v.TotalMessages()
 	st.Procs = s.ProcStats()
 	st.ViolationsByPolicy = s.v.ViolationsByPolicy()
-	st.Shards = s.shardRows()
+	st.Shards = s.v.ShardStats()
 	if s.m != nil {
 		st.Snapshot = s.m.Snapshot().Diff(s.base)
 	}

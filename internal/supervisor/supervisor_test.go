@@ -68,7 +68,7 @@ func instrumentHQ(t *testing.T, mod *mir.Module) *compiler.Instrumented {
 }
 
 // waitGoroutines polls until the goroutine count settles back to at most
-// want, failing the test if it never does: a pump worker or drain goroutine
+// want, failing the test if it never does: a drain goroutine
 // leaked by Shutdown keeps the count elevated forever.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()

@@ -31,10 +31,10 @@ type sampleSlot struct {
 
 // LatencySampler implements 1-in-N end-to-end message-latency sampling: the
 // instrumented sender stamps the send time of every N-th message (by its
-// per-channel sequence number), and the verifier's shard worker takes the
-// stamp back when it validates that message, observing the difference into a
-// histogram. N is a power of two so the sampling decision is one AND plus a
-// branch on both sides.
+// per-channel sequence number), and the verifier takes the stamp back when
+// it validates that message, observing the difference into a histogram. N is
+// a power of two so the sampling decision is one AND plus a branch on both
+// sides.
 type LatencySampler struct {
 	mask  uint64
 	start time.Time

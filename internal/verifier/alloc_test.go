@@ -1,7 +1,6 @@
 package verifier
 
 import (
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -13,65 +12,87 @@ func counterOnlyFactory() []policy.Policy {
 	return []policy.Policy{policy.NewCounter()}
 }
 
+// roundReceiver serves msgs once per round on a drain that outlives the
+// rounds. A drain asks for more only once it has delivered what it was given,
+// so the RecvBatch call that finds a round exhausted reports it (idle) and
+// parks until the next is released (next); closing next closes the source.
+type roundReceiver struct {
+	msgs       []ipc.Message
+	pos        int
+	idle, next chan struct{}
+}
+
+func (r *roundReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
+	if r.pos == len(r.msgs) {
+		r.idle <- struct{}{}
+		if _, more := <-r.next; !more {
+			return 0, false, nil
+		}
+		r.pos = 0
+	}
+	n := copy(out, r.msgs[r.pos:])
+	r.pos += n
+	return n, true, nil
+}
+
 // TestDrainSteadyStateZeroAlloc proves the zero-copy claim in its strongest
-// form: once warmed up (proc contexts created, arena blocks leased once),
-// pushing messages through the full drain → route → shard-worker → policy
-// path allocates nothing. CheckSeq stays off and telemetry unattached — both
-// are orthogonal features the alloc budget of the hot path proper must not
-// depend on. The flight recorder IS armed: its per-message stamp rides the
-// hot path, and the zero-alloc budget must hold with the black box recording.
+// form: on a drain that has read its first burst (proc context created, burst
+// buffer made), pushing messages through the full receive → run cut →
+// delivery → policy path allocates nothing, and what a source costs to set up
+// does not depend on how much it sends. CheckSeq stays off and telemetry
+// unattached — both are orthogonal features the alloc budget of the hot path
+// proper must not depend on. The flight recorder IS armed: its per-message
+// stamp rides the hot path, and the zero-alloc budget must hold with the black
+// box recording.
 func TestDrainSteadyStateZeroAlloc(t *testing.T) {
-	const nmsgs = 4 * blockSlots // several block turnovers per run
+	const nmsgs = 64 * DefaultBatchSize
 	msgs := make([]ipc.Message, nmsgs)
 	for i := range msgs {
 		msgs[i] = ipc.Message{Op: ipc.OpCounterInc, PID: 1, Arg1: 1}
 	}
-	r := ipc.NewReplay(msgs)
 
 	v := NewSharded(counterOnlyFactory, nil, 1)
 	v.EnableFlightRecorder(64)
 	v.ProcessStarted(1)
-	p := v.newPipeline()
-	defer p.stop()
 
-	var flush sync.WaitGroup
-	run := func() {
-		r.Rewind()
-		drainLoop(p, r, &flush)
-		flush.Wait() // every block reference back in the free list
+	r := &roundReceiver{msgs: msgs, pos: nmsgs, idle: make(chan struct{}), next: make(chan struct{})}
+	ps := v.NewPumpSet()
+	done, err := ps.Attach(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Warm up. The arena's circulating set is primed first, deterministically:
-	// the runs queued to the shard (QueueDepth), the one its worker is
-	// delivering and the one the drain is enqueueing span that many blocks
-	// plus one when unaligned, and the drain's writer lease may sit on one
-	// more — lease and release that many, so the free list holds every block
-	// the pipeline can have in flight however far the scheduler lets the
-	// worker lag the drain. The runs then warm the proc context and runtime
-	// internals.
-	const runsPerBlock = blockSlots / DefaultBatchSize
-	const maxBlocks = (DefaultQueueDepth+2+runsPerBlock-1)/runsPerBlock + 2
-	var primed [maxBlocks]*arenaBlock
-	for i := range primed {
-		primed[i] = p.arena.lease()
-	}
-	for _, b := range primed {
-		p.arena.release(b)
+	<-r.idle
+	round := func() {
+		r.next <- struct{}{}
+		<-r.idle // the drain is back for more: the round is delivered
 	}
 	for i := 0; i < 3; i++ {
-		run()
+		round() // warm the proc context and runtime internals
 	}
-	blockAllocs := p.arena.allocs.Load()
-
-	allocs := testing.AllocsPerRun(20, run)
+	before := v.Messages(1)
+	allocs := testing.AllocsPerRun(20, round)
 	if allocs > 0.5 {
 		t.Fatalf("steady-state drain allocated %.2f times per %d messages (%.6f allocs/msg), want 0",
 			allocs, nmsgs, allocs/nmsgs)
 	}
-	if got := p.arena.allocs.Load(); got != blockAllocs {
-		t.Fatalf("arena allocated %d fresh blocks after warm-up, want 0", got-blockAllocs)
+	if got := v.Messages(1) - before; got != 21*nmsgs { // AllocsPerRun warms up with one run of its own
+		t.Fatalf("%d messages delivered over 21 rounds of %d", got, nmsgs)
 	}
-	if blockAllocs != maxBlocks {
-		t.Fatalf("arena holds %d blocks, want exactly the %d primed: the pipeline's in-flight bound is wrong", blockAllocs, maxBlocks)
+	close(r.next)
+	<-done
+	ps.Close()
+
+	// What a source costs is its burst buffer, whether it sends one burst or 64.
+	perSource := func(n int) float64 {
+		replay := ipc.NewReplay(msgs[:n])
+		return testing.AllocsPerRun(20, func() {
+			replay.Rewind()
+			v.Pump(replay)
+		})
+	}
+	if short, long := perSource(DefaultBatchSize), perSource(nmsgs); short != 1 || long != 1 {
+		t.Fatalf("Pump allocated %.2f times over one burst and %.2f over %d, want the one buffer both times",
+			short, long, nmsgs/DefaultBatchSize)
 	}
 }
 
@@ -114,61 +135,8 @@ func TestDeliverAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestArenaBlocksReturnAfterFlush is the leak check for the refcounted block
-// hand-off: when every routed run has been delivered, every lease and run
-// reference must have been released, leaving no block outstanding.
-func TestArenaBlocksReturnAfterFlush(t *testing.T) {
-	msgs := make([]ipc.Message, 3*blockSlots+17) // deliberately not block-aligned
-	for i := range msgs {
-		msgs[i] = ipc.Message{Op: ipc.OpCounterInc, PID: int32(i % 5), Arg1: 1}
-	}
-
-	v := NewSharded(counterOnlyFactory, nil, 4)
-	ps := v.NewPumpSet()
-	done, err := ps.Attach(ipc.NewReplay(msgs))
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	<-done
-	ps.Close()
-	if n := ps.p.arena.outstanding(); n != 0 {
-		t.Fatalf("%d arena blocks still outstanding after flush", n)
-	}
-}
-
-// TestArenaBlocksReturnOnPoisonedShard pins the same invariant down the
-// fail-closed path: a shard poisoned mid-stream keeps consuming its queue
-// (dropping deliveries), and every one of those dropped batches must still
-// release its block reference — a dead shard must not leak arena blocks any
-// more than it may wedge producers. Policy panics no longer poison (they
-// kill only the offending process), so the poison is injected directly, as
-// a delivery-machinery failure would.
-func TestArenaBlocksReturnOnPoisonedShard(t *testing.T) {
-	msgs := make([]ipc.Message, 2*blockSlots)
-	for i := range msgs {
-		msgs[i] = ipc.Message{Op: ipc.OpCounterInc, PID: 1, Arg1: 1}
-	}
-
-	v := NewSharded(counterOnlyFactory, newFakeGate(), 1)
-	v.ProcessStarted(1)
-	v.PoisonShard(0, "verifier shard 0 poisoned: injected delivery-path failure")
-	if v.PoisonedShards() == 0 {
-		t.Fatal("shard was not poisoned; test exercised the wrong path")
-	}
-	ps := v.NewPumpSet()
-	done, err := ps.Attach(ipc.NewReplay(msgs))
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	<-done
-	ps.Close()
-	if n := ps.p.arena.outstanding(); n != 0 {
-		t.Fatalf("%d arena blocks still outstanding after poisoned drain", n)
-	}
-}
-
 // TestShardStatePadding keeps the false-sharing fix honest: the per-shard
-// structs the workers hammer concurrently must stay cache-line multiples, or
+// structs the drains hammer concurrently must stay cache-line multiples, or
 // adjacent shards in the slice start bouncing each other's lines again.
 func TestShardStatePadding(t *testing.T) {
 	if s := unsafe.Sizeof(shard{}); s%cacheLinePad != 0 {

@@ -1,6 +1,9 @@
 package verifier
 
 import (
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"herqules/internal/dsched"
@@ -8,14 +11,39 @@ import (
 	"herqules/internal/policy"
 )
 
+// goroutineID names the calling goroutine, as the header of its stack trace
+// does ("goroutine 18 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// deliverSpotter is a Recorder that also notes which goroutines yield
+// PointShardDeliver.
+type deliverSpotter struct {
+	*dsched.Recorder
+	mu  sync.Mutex
+	ids map[string]bool
+}
+
+func (s *deliverSpotter) Yield(p dsched.Point, pid int32) {
+	if p == dsched.PointShardDeliver {
+		s.mu.Lock()
+		s.ids[goroutineID()] = true
+		s.mu.Unlock()
+	}
+	s.Recorder.Yield(p, pid)
+}
+
 // TestPipelinePointsRecorded asserts the interleaving points the model
-// checker schedules actually exist on the pipeline path: a pumped stream
-// hits pump-handoff (route→enqueue), shard-deliver (worker dequeue) and
-// poison-check (delivery round) at least once each. This is the cheap half
-// of the schedule-hook contract — internal/verify relies on these points
-// being there.
+// checker schedules actually exist on the pump path: a pumped stream hits
+// shard-deliver (a run read, not yet delivered) and poison-check (delivery
+// round) at least once each, and shard-deliver only ever on the goroutine
+// that called Pump — there is no other for a delivery to happen on. This is
+// the cheap half of the schedule-hook contract — internal/verify relies on
+// these points being there.
 func TestPipelinePointsRecorded(t *testing.T) {
-	r := dsched.NewRecorder()
+	r := &deliverSpotter{Recorder: dsched.NewRecorder(), ids: make(map[string]bool)}
 	dsched.Install(r)
 	defer dsched.Uninstall()
 
@@ -35,10 +63,13 @@ func TestPipelinePointsRecorded(t *testing.T) {
 	if got := v.Messages(pid); got != 100 {
 		t.Fatalf("delivered %d messages, want 100", got)
 	}
-	for _, p := range []dsched.Point{dsched.PointPumpHandoff, dsched.PointShardDeliver, dsched.PointPoisonCheck} {
+	for _, p := range []dsched.Point{dsched.PointShardDeliver, dsched.PointPoisonCheck} {
 		if r.Count(p) == 0 {
-			t.Errorf("point %s never recorded on the pipeline path", p)
+			t.Errorf("point %s never recorded on the pump path", p)
 		}
+	}
+	if me := goroutineID(); len(r.ids) != 1 || !r.ids[me] {
+		t.Errorf("shard-deliver yielded on goroutines %v, want only Pump's caller (%s)", r.ids, me)
 	}
 }
 

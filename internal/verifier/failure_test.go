@@ -3,6 +3,7 @@ package verifier
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"herqules/internal/ipc"
@@ -152,7 +153,7 @@ func TestPolicyPanicKillsProcessFailClosed(t *testing.T) {
 func TestPolicyPanicDoesNotDisturbOtherProcesses(t *testing.T) {
 	// Same-shard containment: the victim and a bystander share one shard;
 	// the victim's detonation kills only the victim, and the bystander's
-	// stream keeps validating through the same worker afterwards.
+	// stream keeps validating on the same shard afterwards.
 	g := newFakeGate()
 	v := NewSharded(bombFactory, g, 1)
 	victim, bystander := int32(1), int32(2)
@@ -188,6 +189,116 @@ func TestPolicyPanicDoesNotDisturbOtherProcesses(t *testing.T) {
 	}
 	if wedged, _ := v.WedgedFor(bystander); wedged {
 		t.Error("shard reported wedged after contained policy panic")
+	}
+}
+
+// bombGate panics when told pid's system call may resume — a stand-in for any
+// bug in the delivery machinery outside policy code — and counts every kill.
+type bombGate struct {
+	pid   int32
+	mu    sync.Mutex
+	kills map[int32][]string
+	syncs map[int32]int
+}
+
+func (g *bombGate) NotifySyncReady(pid int32) {
+	if pid == g.pid {
+		panic("bomb: gate bug")
+	}
+	g.mu.Lock()
+	g.syncs[pid]++
+	g.mu.Unlock()
+}
+
+func (g *bombGate) Kill(pid int32, reason string) {
+	g.mu.Lock()
+	g.kills[pid] = append(g.kills[pid], reason)
+	g.mu.Unlock()
+}
+
+func TestDeliveryPanicOnDrainPoisonsShardAndDrainSurvives(t *testing.T) {
+	// A real panic on the delivery path, thrown on a source's own drain
+	// goroutine: the shard is poisoned and its residents die exactly once,
+	// but the drain outlives the panic and keeps emptying its channel — a
+	// producer must never wedge behind a dead consumer — while a source
+	// validating on another shard never notices.
+	const victim = int32(1)
+	g := &bombGate{pid: victim, kills: make(map[int32][]string), syncs: make(map[int32]int)}
+	v := NewSharded(cfiFactory, g, 2)
+	resident, bystander := int32(0), int32(0)
+	for pid := int32(2); resident == 0 || bystander == 0; pid++ {
+		if v.ShardOf(pid) == v.ShardOf(victim) {
+			if resident == 0 {
+				resident = pid
+			}
+		} else if bystander == 0 {
+			bystander = pid
+		}
+	}
+	for _, pid := range []int32{victim, resident, bystander} {
+		v.ProcessStarted(pid)
+	}
+
+	// Every tenth message asks for a system call; the victim's first one
+	// detonates. The rings are far smaller than the streams, so a Send
+	// returns only because the drain took something out.
+	const n = 5000
+	ps := v.NewPumpSet()
+	var producers sync.WaitGroup
+	dones := make(map[int32]<-chan struct{})
+	for _, pid := range []int32{victim, bystander} {
+		ch := ipc.NewSharedRing(1 << 6)
+		done, err := ps.Attach(ch.Receiver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dones[pid] = done
+		producers.Add(1)
+		go func(pid int32) {
+			defer producers.Done()
+			defer ch.Close()
+			for i := 1; i <= n; i++ {
+				m := ipc.Message{Op: ipc.OpCounterInc, PID: pid, Arg1: 1}
+				if i%10 == 0 {
+					m.Op = ipc.OpSyscall
+				}
+				if err := ch.Sender.Send(m); err != nil {
+					t.Errorf("pid %d send %d: %v", pid, i, err)
+					return
+				}
+			}
+		}(pid)
+	}
+	// A producer or a drain wedged behind the panic hangs here, and the test
+	// timeout's goroutine dump names it.
+	producers.Wait()
+	<-dones[victim]
+	<-dones[bystander]
+	ps.Close()
+
+	if got := v.PoisonedShards(); got != 1 {
+		t.Fatalf("PoisonedShards = %d, want 1", got)
+	}
+	wedged, why := v.WedgedFor(victim)
+	if !wedged || !strings.Contains(why, "worker panic: bomb: gate bug") {
+		t.Errorf("WedgedFor(victim) = %v, %q; want the shard wedged by the contained panic", wedged, why)
+	}
+	for _, pid := range []int32{victim, resident} {
+		if k := g.kills[pid]; len(k) != 1 || !strings.Contains(k[0], "worker panic") {
+			t.Errorf("pid %d on the poisoned shard: kills %q, want exactly one, for the worker panic", pid, k)
+		}
+	}
+	if got := v.Messages(victim); got >= n {
+		t.Errorf("victim had %d of %d messages validated on a poisoned shard", got, n)
+	}
+	if k := g.kills[bystander]; len(k) != 0 {
+		t.Errorf("bystander on the healthy shard killed: %q", k)
+	}
+	if got := v.Messages(bystander); got != n {
+		t.Errorf("bystander: %d messages validated, want %d", got, n)
+	}
+	if got := g.syncs[bystander]; got != n/10 {
+		t.Errorf("bystander: %d system calls released, want %d", got, n/10)
 	}
 }
 

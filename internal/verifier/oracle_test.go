@@ -9,9 +9,9 @@ import (
 	"herqules/internal/policy"
 )
 
-// referencePump is the executable spec the sharded pipeline is checked
-// against: one message per RecvBatch, one Deliver per message, on the
-// caller's goroutine — no arena, no routing, no shard queues.
+// referencePump is the executable spec Pump is checked against: one message
+// per RecvBatch, one Deliver per message — no bursts, no run cutting, windows
+// of one.
 func referencePump(v *Verifier, r ipc.Receiver) {
 	var one [1]ipc.Message
 	for {
@@ -126,9 +126,9 @@ func oracleStream(rng *rand.Rand, keys []ipc.MacKey) (msgs []ipc.Message, errAt 
 }
 
 // oracleReceiver serves msgs[:errAt] in bursts of seeded random size, then
-// fails with err. The last burst arrives in the same call as the error, so
-// the "first n messages are valid alongside err" half of the Receiver
-// contract is on the tested path.
+// fails with err (closes cleanly when err is nil). The last burst arrives in
+// the same call as the error, so the "first n messages are valid alongside
+// err" half of the Receiver contract is on the tested path.
 type oracleReceiver struct {
 	msgs  []ipc.Message
 	errAt int
@@ -151,6 +151,27 @@ func (r *oracleReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 		return k, false, r.err
 	}
 	return k, true, nil
+}
+
+// perPID splits what r would serve into one receiver per process — the
+// production shape, where every process has a channel of its own — each
+// serving that process's messages in r's order, in seeded bursts of its own.
+// r's error stays with the process it is attributed to; the other sources
+// close cleanly.
+func (r *oracleReceiver) perPID() []*oracleReceiver {
+	srcs := make([]*oracleReceiver, oraclePIDs)
+	for i := range srcs {
+		srcs[i] = &oracleReceiver{rng: rand.New(rand.NewSource(r.rng.Int63()))}
+	}
+	for _, m := range r.msgs[:r.errAt] {
+		src := srcs[m.PID-1]
+		src.msgs = append(src.msgs, m)
+	}
+	for _, src := range srcs {
+		src.errAt = len(src.msgs)
+	}
+	srcs[oracleErrTarget-1].err = r.err
+	return srcs
 }
 
 // oracleOutcome is everything the differential test compares.
@@ -207,7 +228,10 @@ func runOracle(seed int64, shards int, sealed bool, pump func(*Verifier, ipc.Rec
 // sequence gap, a duplicate sequence number and a mid-stream attributed
 // receive error, Pump and PumpSet at 1, 2 and 4 shards must produce exactly
 // the reference loop's kill set, kill reasons, per-PID message counts and
-// per-PID violations. The sealed variant runs hqd's chain on a sealed stream
+// per-PID violations — fed the stream through one receiver, and fed it split
+// into one source per PID, all attached at once: several drain goroutines
+// delivering into one shard, the interleaving production runs. The sealed
+// variant runs hqd's chain on a sealed stream
 // that also carries a flipped tag bit, a frame spliced in under another
 // process's key and a replayed sealed frame. The reference delivers one
 // message at a time — windows of one, so every frame goes through the
@@ -223,6 +247,15 @@ func TestPumpMatchesReferenceOracle(t *testing.T) {
 				panic(err)
 			}
 			<-done
+			ps.Close()
+		},
+		"PumpSet, a source per PID": func(v *Verifier, r ipc.Receiver) {
+			ps := v.NewPumpSet()
+			for _, src := range r.(*oracleReceiver).perPID() {
+				if _, err := ps.Attach(src); err != nil {
+					panic(err)
+				}
+			}
 			ps.Close()
 		},
 	}

@@ -2,8 +2,10 @@ package verifier
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"herqules/internal/ipc"
 	"herqules/internal/policy"
@@ -122,13 +124,11 @@ func TestPumpSetDynamicAttachDetach(t *testing.T) {
 }
 
 // TestPumpSetDoneMeansDelivered pins the Attach contract the supervisor's
-// process teardown depends on: the done channel closes only after the shard
-// workers have *delivered* the source's messages, not merely after the drain
-// loop handed them to the queues. Per-PID state — the message count, a
-// violation recorded by the very last message, and the kill it triggered —
-// must all be observable immediately after <-done, with no Close first;
-// under the old enqueue-only semantics the trailing batch could still be in
-// a shard queue here and these assertions would race.
+// process teardown depends on: the done channel closes only after the
+// source's messages have been *delivered*, not merely read. Per-PID state —
+// the message count, a violation recorded by the very last message, and the
+// kill it triggered — must all be observable immediately after <-done, with
+// no Close first.
 func TestPumpSetDoneMeansDelivered(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		g := newFakeGate()
@@ -167,6 +167,60 @@ func TestPumpSetDoneMeansDelivered(t *testing.T) {
 		ps.Close()
 	}
 }
+
+// TestPumpStartsOneGoroutinePerSource pins what runs: a pump set is no more
+// than the drains attached to it — NewPumpSet starts nothing, Attach starts
+// one goroutine, which is gone once the source closes — and Pump runs on its
+// caller's goroutine alone.
+func TestPumpStartsOneGoroutinePerSource(t *testing.T) {
+	v := NewSharded(cfiFactory, nil, 4)
+	v.ProcessStarted(1)
+	base := runtime.NumGoroutine()
+	settle := func(want int, when string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
+			}
+		}
+	}
+
+	ps := v.NewPumpSet()
+	settle(base, "after NewPumpSet")
+	const sources = 3
+	var parked []*roundReceiver
+	for i := 0; i < sources; i++ {
+		r := &roundReceiver{idle: make(chan struct{}), next: make(chan struct{})}
+		if _, err := ps.Attach(r); err != nil {
+			t.Fatal(err)
+		}
+		<-r.idle // inside RecvBatch, on its drain
+		parked = append(parked, r)
+	}
+	settle(base+sources, "with the sources parked in RecvBatch")
+	for _, r := range parked {
+		close(r.next)
+	}
+	ps.Close()
+	settle(base, "after Close")
+
+	calls, inPump := 0, 0
+	v.Pump(recvFunc(func(out []ipc.Message) (int, bool, error) {
+		if calls++; calls == 1 {
+			return copy(out, pumpStream(1, 100)), true, nil
+		}
+		inPump = runtime.NumGoroutine() // back for more, the burst delivered
+		return 0, false, nil
+	}))
+	if inPump != base || v.Messages(1) != 100 {
+		t.Fatalf("inside Pump: %d goroutines (want %d), %d messages delivered (want 100)", inPump, base, v.Messages(1))
+	}
+}
+
+// recvFunc adapts a function to ipc.Receiver.
+type recvFunc func([]ipc.Message) (int, bool, error)
+
+func (f recvFunc) RecvBatch(out []ipc.Message) (int, bool, error) { return f(out) }
 
 // TestPumpSetAttachAfterClose verifies the closed pump refuses new sources.
 func TestPumpSetAttachAfterClose(t *testing.T) {

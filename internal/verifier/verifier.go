@@ -15,8 +15,8 @@
 //     counter semantics.
 //   - Batch draining: Pump pulls whole bursts from the channel via
 //     ipc.Receiver.RecvBatch and evaluates each shard's share under one lock
-//     round (DeliverBatch), amortizing atomics, syscalls and map lookups
-//     across the burst instead of paying them per message.
+//     round, on the goroutine that read it, amortizing atomics, syscalls and
+//     map lookups across the burst instead of paying them per message.
 package verifier
 
 import (
@@ -84,13 +84,15 @@ type procCtx struct {
 }
 
 // cacheLinePad pads hot per-shard structures that live in slices to
-// cache-line multiples, so neighboring shards' workers never invalidate each
-// other's lines (false sharing). 64 bytes covers x86-64 and most arm64.
+// cache-line multiples, so drains delivering into neighboring shards never
+// invalidate each other's lines (false sharing). 64 bytes covers x86-64 and
+// most arm64.
 const cacheLinePad = 64
 
 // shard owns the contexts of the processes hashed to it. Shards live in a
-// contiguous slice with one worker goroutine bouncing each shard's mutex;
-// padding keeps adjacent shards on distinct cache lines.
+// contiguous slice, each mutex bounced by the drain goroutines of the
+// processes resident there; padding keeps adjacent shards on distinct cache
+// lines.
 type shard struct {
 	mu    sync.Mutex
 	procs map[int32]*procCtx
@@ -100,15 +102,12 @@ type shard struct {
 	_   [cacheLinePad - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(map[int32]*procCtx(nil))+unsafe.Sizeof([1]ipc.Message{}))%cacheLinePad]byte
 }
 
-// Pipeline tuning: the burst size is fixed; the Verifier's QueueDepth and
-// MaxRecvRetries fields override the other two.
+// Pump tuning: the burst size is fixed; the Verifier's MaxRecvRetries field
+// overrides the retry bound.
 const (
-	// DefaultBatchSize is the per-RecvBatch burst size used by Pump.
+	// DefaultBatchSize is the per-RecvBatch burst size used by Pump, and so
+	// the most messages of one source the verifier ever holds.
 	DefaultBatchSize = 256
-	// DefaultQueueDepth is the per-shard queue bound, in batches. A full
-	// queue applies backpressure to the drain loop rather than buffering
-	// unboundedly.
-	DefaultQueueDepth = 64
 	// DefaultMaxRecvRetries bounds how many consecutive transient receive
 	// errors a pump drain loop retries (with ipc.RetryBackoff) before
 	// treating the source as terminally failed. The count resets on any
@@ -132,7 +131,7 @@ type shardHealth struct {
 	reason   atomic.Pointer[string]
 	poisoned atomic.Bool
 	// Padded like shard: health flags sit 1:1 with shards in a slice and are
-	// read once per delivered batch by every worker; a poison write on one
+	// read once per delivered batch by every drain; a poison write on one
 	// shard must not evict its neighbors' lines.
 	_ [cacheLinePad - (unsafe.Sizeof(atomic.Bool{})+unsafe.Sizeof(atomic.Pointer[string]{}))%cacheLinePad]byte
 }
@@ -155,9 +154,6 @@ type Verifier struct {
 	// is itself a fatal integrity violation (§3.1.1).
 	CheckSeq bool
 
-	// QueueDepth overrides DefaultQueueDepth for Pump (0 keeps the
-	// default).
-	QueueDepth int
 	// MaxRecvRetries overrides DefaultMaxRecvRetries, the number of times a
 	// pump drain loop retries a transient receive error (ipc.IsTransient)
 	// with backoff before treating the source as terminally failed
@@ -227,8 +223,8 @@ func (v *Verifier) ViolationsByPolicy() map[string]uint64 {
 func (v *Verifier) SetKeyring(kr *policy.Keyring) { v.keyring = kr }
 
 // verifierMetrics caches the verifier's telemetry instruments; the
-// per-message counters are striped one lane per shard so concurrent shard
-// workers never contend on a cache line.
+// per-message counters are striped one lane per shard so deliveries into
+// different shards never contend on a cache line.
 type verifierMetrics struct {
 	m          *telemetry.Metrics
 	messages   *telemetry.Counter // per-shard delivered messages
@@ -236,14 +232,13 @@ type verifierMetrics struct {
 	violations *telemetry.Counter
 	kills      *telemetry.Counter
 	syncs      *telemetry.Counter
-	poisons    *telemetry.Counter   // shards poisoned by worker panics
+	poisons    *telemetry.Counter   // shards poisoned by delivery-path panics
 	retries    *telemetry.Counter   // transient receive errors retried by drains
 	recvErrs   *telemetry.Counter   // terminal receive errors that stopped a drain
 	batchSize  *telemetry.Histogram // deliverShardBatch run lengths
-	queueDepth *telemetry.Histogram // per-shard queue occupancy at enqueue
 	pumpStall  *telemetry.Histogram // ns the drain loop spent in RecvBatch
 	// sampler/sendLatency implement the sampled end-to-end latency trace:
-	// when the registry has latency sampling enabled, the shard worker takes
+	// when the registry has latency sampling enabled, delivery takes
 	// back the send-time stamp of each sampled message and observes the
 	// send → validate difference — the paper's "validation lag" (§5.3) as a
 	// live distribution. Nil when sampling is disabled.
@@ -269,7 +264,6 @@ func (v *Verifier) EnableTelemetry(m *telemetry.Metrics) {
 		retries:    m.Counter("verifier.recv_transient_retries"),
 		recvErrs:   m.Counter("verifier.recv_terminal_errors"),
 		batchSize:  m.Histogram("verifier.batch_size"),
-		queueDepth: m.Histogram("verifier.queue_depth"),
 		pumpStall:  m.Histogram("verifier.pump_stall_ns"),
 	}
 	if s := m.LatencySampler(); s != nil {
@@ -545,9 +539,26 @@ func (v *Verifier) Deliver(m ipc.Message) {
 // Message order within the batch is preserved, which keeps per-process
 // ordering intact for any partition of one process's stream into batches.
 func (v *Verifier) DeliverBatch(ms []ipc.Message) {
+	v.deliverRuns(ms, false)
+}
+
+// deliverRuns is the run loop DeliverBatch and Pump share: cut ms into runs of
+// same-shard messages (nextRun) and deliver each in order, one shard lock per
+// run and never two held. Work is proportional to the number of runs, not the
+// shard count. drain selects Pump's form of a delivery: the model checker's
+// interleaving point ahead of it — the run is read but not yet delivered, the
+// window a lifecycle event (exit, kill, poison) can slip into; the goroutine
+// holds no lock there — and safeDeliver's containment around it. Both are per
+// run, never per message.
+func (v *Verifier) deliverRuns(ms []ipc.Message, drain bool) {
 	for start := 0; start < len(ms); {
 		si, end := v.nextRun(ms, start)
-		v.deliverShardBatch(si, ms[start:end])
+		if drain {
+			dsched.Yield(dsched.PointShardDeliver, ms[start].PID)
+			v.safeDeliver(si, ms[start:end])
+		} else {
+			v.deliverShardBatch(si, ms[start:end])
+		}
 		start = end
 	}
 }
@@ -556,7 +567,6 @@ func (v *Verifier) DeliverBatch(ms []ipc.Message) {
 // run ms[start:end] that validates there with it. Boundaries are found by
 // comparing PIDs — the shard hash is paid when the PID changes, not per
 // message — and a single-shard verifier takes the whole of ms as one run.
-// DeliverBatch and the pump's route both cut their bursts with it.
 func (v *Verifier) nextRun(ms []ipc.Message, start int) (si, end int) {
 	if len(v.shards) == 1 {
 		return 0, len(ms)
@@ -648,9 +658,9 @@ func (v *Verifier) deliverLocked(s *shard, si int, ms []ipc.Message) {
 	locked := true
 	// A panic escaping deliverSegment (a delivery-path bug, not a policy
 	// panic — those are contained per policy inside the segment) must not
-	// leave the shard mutex held: the worker's recover path (safeDeliver →
+	// leave the shard mutex held: the drain's recover path (safeDeliver →
 	// poisonShard) re-takes it to mark residents dead, and every other
-	// process hashed here would otherwise wedge on a dead goroutine's lock.
+	// process hashed here would otherwise wedge behind a lock nobody drops.
 	defer func() {
 		if locked {
 			s.mu.Unlock()
@@ -872,14 +882,18 @@ func (v *Verifier) condemn(st *deliverState, si int, m *ipc.Message, viol *polic
 	return gateAction{pid: pc.pid, kill: true, reason: viol.Reason}
 }
 
-// safeDeliver is the pipeline worker's delivery entry point and the outer
-// ring of panic containment. Policy panics never reach it — deliverSegment
-// converts those into an attributed kill of the one offending process — so a
-// panic arriving here is a bug in the delivery path itself, and the shard's
-// state can no longer be trusted. The shard is poisoned — every process
-// resident on it is killed fail-closed, and everything subsequently routed
-// to it dies on arrival — instead of the panic tearing down the whole
-// verifier process and silently un-gating every monitored program.
+// safeDeliver is the drain loop's delivery entry point and the outer ring of
+// panic containment. Policy panics never reach it — deliverSegment converts
+// those into an attributed kill of the one offending process — so a panic
+// arriving here is a bug in the delivery path itself (or in a gate call made
+// from it), and the shard's state can no longer be trusted. The shard is
+// poisoned — every process resident on it is killed fail-closed, and
+// everything subsequently routed to it dies on arrival — instead of the panic
+// tearing down the whole verifier process and silently un-gating every
+// monitored program. The drain that caught it keeps reading: its producer
+// never wedges behind a dead consumer, and its later bursts take
+// poisonedDrop. The poisoned/degraded state is checked once per delivered
+// run inside deliverLocked, never per message.
 func (v *Verifier) safeDeliver(si int, ms []ipc.Message) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -929,7 +943,7 @@ func (v *Verifier) poisonShard(si int, reason string) {
 }
 
 // PoisonShard marks shard si permanently failed exactly as a contained
-// worker panic would (see poisonShard): future deliveries fail closed,
+// delivery-path panic would (see poisonShard): future deliveries fail closed,
 // residents are killed, WedgedFor reports the shard wedged. Exported for
 // the model checker (internal/verify), which explores shard poisoning as an
 // explicit lifecycle transition rather than by throwing a real panic.
@@ -986,9 +1000,9 @@ func (v *Verifier) poisonedDrop(s *shard, si int, ms []ipc.Message) {
 }
 
 // PoisonedShards reports how many shards have been poisoned by contained
-// worker panics. Non-zero means the verifier is running degraded: processes
-// hashed to those shards are being killed fail-closed. Surfaced through
-// supervisor.Health and /healthz.
+// delivery-path panics. Non-zero means the verifier is running degraded:
+// processes hashed to those shards are being killed fail-closed. Surfaced
+// through supervisor.Health and /healthz.
 func (v *Verifier) PoisonedShards() int {
 	n := 0
 	for i := range v.health {
@@ -1009,24 +1023,6 @@ func (v *Verifier) WedgedFor(pid int32) (bool, string) {
 		return true, v.poisonReason(si)
 	}
 	return false, ""
-}
-
-// Pump consumes messages from r until the channel closes, draining bursts
-// with r.RecvBatch and fanning each burst out to per-shard worker
-// goroutines over bounded queues. Messages for one process always flow
-// through the same shard queue in receive order, so per-process ordering
-// (and CheckSeq) is preserved while different processes validate
-// concurrently. Pump returns only after every received message has been
-// delivered. A receive-side integrity error kills the affected process when
-// the receiver attributes the error to one (ipc.ProcessError), and stops the
-// pump.
-//
-// Pump owns a private pipeline for its single source; a dynamic set of
-// concurrent sources shares one pipeline through NewPumpSet (pump.go).
-func (v *Verifier) Pump(r ipc.Receiver) {
-	p := v.newPipeline()
-	drainLoop(p, r, nil) // stop below flushes the workers; no per-source counter
-	p.stop()
 }
 
 // killAttributed terminates the process a receive-side error is attributed

@@ -308,10 +308,10 @@ func (s *System) Launch(ins *Instrumented, opts ...RunOption) (*Proc, error) {
 }
 
 // Shutdown stops the System gracefully: new launches are refused, running
-// processes finish and their channels drain fully, and the verifier's shard
-// workers stop only after delivering every in-flight batch. If ctx expires
-// first, still-running processes are killed and Shutdown returns the
-// context's error after the (then bounded) drain completes. Idempotent.
+// processes finish and their channels drain fully, every received message
+// delivered before its drain goroutine returns. If ctx expires first,
+// still-running processes are killed and Shutdown returns the context's
+// error after the (then bounded) drain completes. Idempotent.
 func (s *System) Shutdown(ctx context.Context) error {
 	err := s.s.Shutdown(ctx)
 	if s.obs != nil {
