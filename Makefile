@@ -42,7 +42,8 @@ check: vet build
 # loc prints Table 6 (code and test lines per component) and, on the last
 # line, the non-test Go lines outside bench/: the per-PR size trend ROADMAP
 # "One of each" tracks (27 040 before the receive paths were merged, 25 979
-# before the shard-queue hand-off went).
+# before the shard-queue hand-off went, 25 659 with the client's ring as its
+# staging buffer).
 loc:
 	@$(GO) run ./cmd/loccount
 
@@ -57,11 +58,15 @@ bench:
 # full sealed chain over 266 k entries (the cache-resident benches cannot see
 # a policy table that shifts or misses), one pass of hqd's sealed chain over
 # the hot mix (window, two-lane unseal and op routing with every table in
-# cache; -benchmem must read 0 allocs/op) and the networked client's send path
+# cache; -benchmem must read 0 allocs/op), the networked client's send path
 # (sealed stream to an in-process daemon over a Unix socket, with its
-# zero-alloc test).
+# zero-alloc test: Send encodes into the replay ring, a burst is one writev
+# from it, the daemon acks once per read; at -cpu 1,2 because the second
+# processor is the daemon's) and the daemon's cursor decoder below the session
+# (one client burst of staging, 256 frames a call, 0 allocs/op).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkPolicyChainLargeState' -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkDeliverHotChain' -benchtime 1x -benchmem .
-	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc' -bench 'BenchmarkClientSend' -benchtime 200ms -benchmem ./internal/hqnet
+	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc' -bench 'BenchmarkClientSend' -benchtime 200ms -benchmem -cpu 1,2 ./internal/hqnet
+	$(GO) test -run xxx -bench 'BenchmarkFrameDecoder' -benchtime 200ms -benchmem ./internal/ipc

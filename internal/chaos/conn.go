@@ -23,9 +23,9 @@ type faultConn struct {
 	net.Conn
 	inj    *Injector
 	stream uint64
-	// writes counts Write calls. Atomic: ipc.FrameWriter serializes writers
-	// per connection, but the session read loop's acks and a heartbeat loop
-	// may share one conn through separate FrameWriters.
+	// writes counts Write calls. Atomic: ipc.FrameWriter and the hqnet
+	// client's flush each serialize their own callers, but the wrapper does
+	// not rely on it.
 	writes atomic.Uint64
 	dead   atomic.Bool
 }
@@ -72,10 +72,10 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 		fc.dead.Store(true)
 		// Truncate exactly AT a frame boundary: half the frames of the write
 		// (rounded down to whole frames) escape, then the transport dies.
-		// Assumes the caller writes frame-aligned buffers (ipc.FrameWriter
-		// does) — the cut then lands on a stream frame boundary, so the far
-		// side's decoder sees a clean, carry-free end-of-stream and the loss
-		// is detectable only above framing (lease expiry or a CheckSeq gap).
+		// Assumes frame-aligned writes (ipc.FrameWriter and the hqnet client's
+		// flush make them) — the cut then lands on a stream frame boundary, so
+		// the far side's decoder sees a clean, carry-free end-of-stream and the
+		// loss is detectable only above framing (lease expiry or a CheckSeq gap).
 		cut := (len(p) / ipc.MessageSize / 2) * ipc.MessageSize
 		n := 0
 		if cut > 0 {

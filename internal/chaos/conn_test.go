@@ -131,18 +131,15 @@ func TestFrameCarryOverSocketpair(t *testing.T) {
 // coalesced write of an even number of frames is the case that matters: half
 // its bytes is a frame boundary.
 func TestChaosConnDropTruncatesExactlyMidFrame(t *testing.T) {
-	for _, frames := range []int{1, 2, ipc.StageFrames} {
+	for _, frames := range []int{1, 2, 341} { // 341: one hqnet client burst
 		t.Run(fmt.Sprintf("%d-frame-write", frames), func(t *testing.T) {
 			w, r := socketpair(t)
 			inj := NewInjector(42, WithConnDrop(1))
-			fw := ipc.NewFrameWriter(inj.Conn(w))
-			for i := 1; i < frames; i++ {
-				if err := fw.Stage(ipc.Message{Op: ipc.OpCounterInc, PID: 3, Seq: uint64(i)}); err != nil {
-					t.Fatalf("stage %d: %v", i, err)
-				}
+			burst := make([]byte, frames*ipc.MessageSize)
+			for i := 0; i < frames; i++ {
+				ipc.Message{Op: ipc.OpCounterInc, PID: 3, Seq: uint64(i + 1)}.Encode(burst[i*ipc.MessageSize:])
 			}
-			err := fw.WriteMessage(ipc.Message{Op: ipc.OpCounterInc, PID: 3, Seq: uint64(frames)})
-			if err == nil {
+			if _, err := inj.Conn(w).Write(burst); err == nil {
 				t.Fatal("chaos-dropped write reported success")
 			}
 

@@ -156,9 +156,10 @@ func hqdEnforce(seed uint64, procs int, rep *HQDReport, sockDir string) error {
 	// side's decoder must see truncation, the client must resume),
 	// boundary drops sever at an exact frame boundary (a clean-looking EOF
 	// the session layer alone must catch), stalls freeze a write well under
-	// the lease. The rates are per write(2), and a client writes once per
-	// gate or heartbeat, not once per frame: a process here makes about a
-	// dozen writes, so a rate that is to sever it a few times is large.
+	// the lease. The rates are per Write, and a client writes at a gate or a
+	// heartbeat, not once per frame (twice on these wrapped connections: the
+	// ring's frames, then the control frame), so a rate that is to sever a
+	// process a few times in its couple of dozen writes is large.
 	inj := chaos.NewInjector(seed,
 		chaos.WithConnDrop(0.18),
 		chaos.WithConnDropAtBoundary(0.12),

@@ -68,20 +68,28 @@ type Client struct {
 	key   ipc.MacKey
 	keyed bool
 
+	// wmu serialises writers: its holder owns ctrl, iov and bufs and is alone
+	// inside a Write. Taken before mu, and never by a Send that does not flush.
+	wmu  sync.Mutex
+	ctrl [ipc.MessageSize]byte // the control frame riding behind the data
+	iov  [3][]byte             // backs bufs: at most two ring slices and ctrl
+	bufs net.Buffers
+
 	mu      sync.Mutex
 	cond    *sync.Cond
-	conn    net.Conn
-	fw      *ipc.FrameWriter // nil while severed and while a resume is catching up
-	gen     uint64           // connection generation; stale recvLoops detect takeover
-	nextSeq uint64           // highest data Seq admitted to the replay buffer
-	acked   uint64           // highest Seq the daemon has acked
+	conn    net.Conn // nil while severed
+	gen     uint64   // connection generation; stale recvLoops detect takeover
+	nextSeq uint64   // highest data Seq admitted to the ring
+	acked   uint64   // highest Seq the daemon has acked; never above nextSeq
 	resumes uint64
 
-	// The replay buffer: a fixed circular array of cfg.ReplaySlots frames,
-	// the unacked ones being the unacked slots from head on.
-	replay  []ipc.Message
-	head    int
-	unacked int
+	// The replay ring, which is also what write(2) reads from: ReplaySlots
+	// wire-format frames and three frame counts. [head, sent) is written and
+	// unacked, [sent, tail) admitted and unwritten. head never passes sent and
+	// Send writes only tail's slot, so no byte a Write is reading changes.
+	ring             []byte
+	head, sent, tail uint64
+	tailOff          int // byte offset of tail's slot: Send does not divide
 
 	hbOrd   uint64
 	dead    bool
@@ -139,12 +147,12 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	if cfg.ReplaySlots <= 0 {
 		cfg.ReplaySlots = 4096
 	}
-	c := &Client{cfg: cfg, replay: make([]ipc.Message, cfg.ReplaySlots)}
+	c := &Client{cfg: cfg, ring: make([]byte, cfg.ReplaySlots*ipc.MessageSize)}
 	c.cond = sync.NewCond(&c.mu)
 	c.ctx, c.cancel = context.WithCancel(ctx)
 
 	hello := ipc.Message{Op: ipc.OpHello, Arg1: WireVersion, Arg2: cfg.Tenant}
-	nc, fw, dec, welcome, err := c.handshake(hello)
+	nc, dec, welcome, err := c.handshake(hello)
 	if err != nil {
 		c.cancel()
 		return nil, err
@@ -165,7 +173,7 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 		c.key = ipc.MacKey{K0: one[0].Arg1, K1: one[0].Arg2}
 		c.keyed = true
 	}
-	c.conn, c.fw, c.gen = nc, fw, 1
+	c.conn, c.gen = nc, 1
 	c.wg.Add(2)
 	go c.recvLoop(nc, dec, 1)
 	go c.heartbeatLoop()
@@ -173,19 +181,20 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 }
 
 // handshake dials and exchanges exactly one request/welcome pair.
-func (c *Client) handshake(req ipc.Message) (net.Conn, *ipc.FrameWriter, *ipc.FrameDecoder, ipc.Message, error) {
+func (c *Client) handshake(req ipc.Message) (net.Conn, *ipc.FrameDecoder, ipc.Message, error) {
 	d := net.Dialer{Timeout: c.cfg.DialTimeout}
 	nc, err := d.DialContext(c.ctx, c.cfg.Network, c.cfg.Addr)
 	if err != nil {
-		return nil, nil, nil, ipc.Message{}, err
+		return nil, nil, ipc.Message{}, err
 	}
 	if c.cfg.WrapConn != nil {
 		nc = c.cfg.WrapConn(nc)
 	}
-	fw := ipc.NewFrameWriter(nc)
-	if err := fw.WriteMessage(req); err != nil {
+	var frame [ipc.MessageSize]byte
+	req.Encode(frame[:])
+	if _, err := nc.Write(frame[:]); err != nil {
 		nc.Close()
-		return nil, nil, nil, ipc.Message{}, err
+		return nil, nil, ipc.Message{}, err
 	}
 	_ = nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	dec := ipc.NewFrameDecoder(nc)
@@ -196,19 +205,19 @@ func (c *Client) handshake(req ipc.Message) (net.Conn, *ipc.FrameWriter, *ipc.Fr
 		if err == nil {
 			err = errors.New("hqnet: connection closed during handshake")
 		}
-		return nil, nil, nil, ipc.Message{}, err
+		return nil, nil, ipc.Message{}, err
 	}
 	switch one[0].Op {
 	case ipc.OpWelcome:
 	case ipc.OpReject:
 		nc.Close()
-		return nil, nil, nil, ipc.Message{}, &RejectedError{Code: one[0].Arg1}
+		return nil, nil, ipc.Message{}, &RejectedError{Code: one[0].Arg1}
 	default:
 		nc.Close()
-		return nil, nil, nil, ipc.Message{}, fmt.Errorf("hqnet: unexpected handshake reply %v", one[0].Op)
+		return nil, nil, ipc.Message{}, fmt.Errorf("hqnet: unexpected handshake reply %v", one[0].Op)
 	}
 	_ = nc.SetReadDeadline(time.Time{})
-	return nc, fw, dec, one[0], nil
+	return nc, dec, one[0], nil
 }
 
 // PID is the kernel identity the daemon assigned at admission.
@@ -258,25 +267,28 @@ func (c *Client) Killed() (bool, string) {
 	return c.killed, c.killRsn
 }
 
-// Send implements ipc.Sender. The frame is admitted to the bounded replay
-// buffer (blocking while full — backpressure, not unbounded queueing) and
-// then staged on the connection's writer: no system call, no allocation.
-// Staged frames reach the wire when the staging buffer fills, with the next
-// gate request or heartbeat, before Send blocks, and on Flush/Close. The
-// frame is in the replay buffer before it is staged, so losing the writer
-// (a failed write, a severed transport) loses nothing: the frame replays
-// from the buffer after resume. Send only fails once the session is dead,
-// and then terminally.
+// burstFrames is how many unwritten frames Send lets pile up before it writes
+// them out, and what the daemon stages per read: just under 16 KiB.
+// Throughput is flat from a quarter to four times it: no setting.
+const burstFrames = 341
+
+// Send implements ipc.Sender. The frame is encoded into the ring's next free
+// slot (blocking while the ring is full — backpressure, not unbounded
+// queueing): one lock round, one copy, no system call, no allocation. Frames
+// reach the wire when burstFrames of them are unwritten, with the next gate
+// request or heartbeat, before Send blocks, and on Flush/Close; a failed
+// write or a severed transport loses none, the resume rewinds the write
+// cursor. Send only fails once the session is dead, and then terminally.
 func (c *Client) Send(m ipc.Message) error {
 	c.mu.Lock()
-	for !c.dead && c.unacked == len(c.replay) {
+	for !c.dead && c.tail-c.head == uint64(c.cfg.ReplaySlots) {
 		// Acks only come for frames the daemon has seen, and the frames
-		// filling the buffer may all still be staged: write them out before
-		// waiting (never under c.mu — see flushStaged), then look again.
+		// filling the ring may all be unwritten still: write them out before
+		// waiting (never under c.mu — see flush), then look again.
 		c.mu.Unlock()
-		c.flushStaged()
+		c.flush(nil)
 		c.mu.Lock()
-		if !c.dead && c.unacked == len(c.replay) {
+		if !c.dead && c.tail-c.head == uint64(c.cfg.ReplaySlots) {
 			c.cond.Wait()
 		}
 	}
@@ -295,61 +307,96 @@ func (c *Client) Send(m ipc.Message) error {
 		c.nextSeq = m.Seq
 	}
 	m.PID = c.pid
-	c.replay[c.slot(c.unacked)] = m
-	c.unacked++
-	fw := c.fw
+	m.Encode(c.ring[c.tailOff : c.tailOff+ipc.MessageSize : c.tailOff+ipc.MessageSize])
+	if c.tailOff += ipc.MessageSize; c.tailOff == len(c.ring) {
+		c.tailOff = 0
+	}
+	c.tail++
+	// One Send sees the count reach a burst; the others keep appending.
+	burst := c.tail-c.sent == burstFrames
 	c.mu.Unlock()
-	if fw != nil {
-		_ = fw.Stage(m)
+	if burst {
+		c.flush(nil)
 	}
 	return nil
 }
 
-// slot is the replay buffer index of the i-th unacked frame.
-func (c *Client) slot(i int) int {
-	if i += c.head; i >= len(c.replay) {
-		i -= len(c.replay)
-	}
-	return i
+// off is the ring byte offset of frame count n's slot.
+func (c *Client) off(n uint64) int {
+	return int(n%uint64(c.cfg.ReplaySlots)) * ipc.MessageSize
 }
 
-// flushStaged writes out whatever Send has staged on the live connection.
-// Callers must not hold c.mu: recvLoop's trim takes it, and the daemon writes
-// acks from the goroutine that reads our frames, so holding c.mu across a
-// write(2) would close a cycle.
-func (c *Client) flushStaged() {
+// flush writes the unwritten frames out of the ring, and ctrl (a gate request,
+// heartbeat or goodbye) behind them: one writev on a bare socket, consecutive
+// Writes on a wrapped one. Callers must not hold c.mu: recvLoop's trim takes
+// it, and the daemon writes acks from the goroutine that reads our frames, so
+// holding c.mu across a write(2) would close a cycle.
+func (c *Client) flush(ctrl *ipc.Message) {
+	c.wmu.Lock()
+	c.flushLocked(ctrl)
+	c.wmu.Unlock()
+}
+
+// flushLocked is flush for a holder of c.wmu. It reports false when nothing
+// was written: no live connection, or a failed write, which closes the
+// connection so that its recvLoop starts the resume.
+func (c *Client) flushLocked(ctrl *ipc.Message) bool {
 	c.mu.Lock()
-	fw := c.fw
+	nc, from, to := c.conn, c.sent, c.tail
 	c.mu.Unlock()
-	if fw != nil {
-		_ = fw.Flush()
+	if nc == nil {
+		return false
 	}
+	c.bufs = c.iov[:0]
+	if from != to {
+		if lo, hi := c.off(from), c.off(to); lo < hi {
+			c.bufs = append(c.bufs, c.ring[lo:hi])
+		} else if c.bufs = append(c.bufs, c.ring[lo:]); hi > 0 {
+			c.bufs = append(c.bufs, c.ring[:hi])
+		}
+	}
+	if ctrl != nil {
+		ctrl.Encode(c.ctrl[:])
+		c.bufs = append(c.bufs, c.ctrl[:])
+	}
+	if _, err := c.bufs.WriteTo(nc); err != nil { // no buffers, no write
+		nc.Close()
+		return false
+	}
+	if from != to { // same connection still: a resume takes c.wmu first
+		c.mu.Lock()
+		c.sent = to
+		c.release() // acks that outran the write's return apply now
+		c.mu.Unlock()
+	}
+	return true
 }
 
 // SyscallEnter implements vm.Gate: the gate request crosses the wire, the
 // daemon's kernel runs bounded asynchronous validation, and the verdict
-// comes back. The request rides in the same write as the frames staged
+// comes back. The request rides in the same write as the frames admitted
 // before it, which is all that bounded asynchronous validation needs: the
 // verifier caught up by the next system call. A transport loss mid-gate is
 // survivable: the request is retransmitted after resume and the daemon
 // replays a verdict it already computed (gate ordinals make it idempotent).
+// Registered under c.wmu, so a resume either sees the gate pending and
+// retransmits it or finishes first: one request per connection.
 func (c *Client) SyscallEnter(pid int32, syscallNo int) error {
+	c.wmu.Lock()
 	c.mu.Lock()
 	if c.dead {
 		reason := c.deadErr
 		c.mu.Unlock()
+		c.wmu.Unlock()
 		return errors.New(reason)
 	}
 	c.gateOrd++
-	ord := c.gateOrd
 	ch := make(chan error, 1)
 	c.gateCh, c.gateSys = ch, syscallNo
-	fw := c.fw
-	req := ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(syscallNo), Arg2: ord}
+	req := ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(syscallNo), Arg2: c.gateOrd}
 	c.mu.Unlock()
-	if fw != nil {
-		_ = fw.WriteMessage(req)
-	}
+	c.flushLocked(&req)
+	c.wmu.Unlock()
 	select {
 	case err := <-ch:
 		return err
@@ -358,11 +405,11 @@ func (c *Client) SyscallEnter(pid int32, syscallNo int) error {
 	}
 }
 
-// Flush writes out the staged frames and waits until the daemon has acked
+// Flush writes out the unwritten frames and waits until the daemon has acked
 // every admitted frame, the session dies, or the timeout lapses. Close calls
 // it so a clean goodbye does not race the last data frames.
 func (c *Client) Flush(timeout time.Duration) bool {
-	c.flushStaged()
+	c.flush(nil)
 	// trim and die broadcast on c.cond; the timer does it for the deadline.
 	expired := false
 	t := time.AfterFunc(timeout, func() {
@@ -374,10 +421,10 @@ func (c *Client) Flush(timeout time.Duration) bool {
 	defer t.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.acked < c.nextSeq && !c.dead && !expired {
+	for c.head != c.tail && !c.dead && !expired {
 		c.cond.Wait()
 	}
-	return c.acked >= c.nextSeq
+	return c.head == c.tail
 }
 
 // Close ends the session cleanly: flush (bounded by one lease), goodbye,
@@ -388,28 +435,11 @@ func (c *Client) Close() error {
 		lease = time.Second
 	}
 	c.Flush(lease)
-	c.mu.Lock()
-	alreadyDead := c.dead
-	c.dead = true
-	if c.deadErr == "" {
-		c.deadErr = "hqnet: client closed"
+	if c.markDead("hqnet: client closed") {
+		c.flush(&ipc.Message{Op: ipc.OpGoodbye, PID: c.pid})
 	}
-	conn, fw := c.conn, c.fw
-	c.conn, c.fw = nil, nil
-	ch := c.gateCh
-	c.gateCh = nil
-	c.mu.Unlock()
-	if !alreadyDead && fw != nil {
-		_ = fw.WriteMessage(ipc.Message{Op: ipc.OpGoodbye, PID: c.pid})
-	}
-	if ch != nil {
-		ch <- errors.New("hqnet: client closed")
-	}
-	c.cond.Broadcast()
+	c.teardown()
 	c.cancel()
-	if conn != nil {
-		conn.Close()
-	}
 	c.wg.Wait()
 	return nil
 }
@@ -417,17 +447,29 @@ func (c *Client) Close() error {
 // die marks the session terminally dead: sends fail, a pending gate fails
 // (the VM then terminates as killed), Send waiters wake.
 func (c *Client) die(reason string) {
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		return
+	if c.markDead(reason) {
+		c.teardown()
 	}
-	c.dead = true
-	c.deadErr = reason
-	conn := c.conn
-	c.conn, c.fw = nil, nil
-	ch := c.gateCh
-	c.gateCh = nil
+}
+
+// markDead reports whether this call killed the session; the connection
+// stays up until teardown, for Close's goodbye.
+func (c *Client) markDead(reason string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead {
+		return false
+	}
+	c.dead, c.deadErr = true, reason
+	return true
+}
+
+// teardown closes a dead session's transport, fails its pending gate and
+// wakes every waiter.
+func (c *Client) teardown() {
+	c.mu.Lock()
+	conn, ch, reason := c.conn, c.gateCh, c.deadErr
+	c.conn, c.gateCh = nil, nil
 	c.mu.Unlock()
 	if conn != nil {
 		conn.Close()
@@ -462,7 +504,7 @@ func (c *Client) heartbeatLoop() {
 	}
 }
 
-// heartbeat sends one lease renewal, and with it every frame Send has staged:
+// heartbeat sends one lease renewal, and with it every frame not yet written:
 // the tick is what bounds how stale the daemon's view of a process can get
 // when it goes quiet without reaching a gate. It reports false once the
 // session is dead.
@@ -474,11 +516,8 @@ func (c *Client) heartbeat() bool {
 	}
 	c.hbOrd++
 	hb := ipc.Message{Op: ipc.OpHeartbeat, PID: c.pid, Arg1: c.hbOrd}
-	fw := c.fw
 	c.mu.Unlock()
-	if fw != nil {
-		_ = fw.WriteMessage(hb)
-	}
+	c.flush(&hb)
 	return true
 }
 
@@ -531,26 +570,31 @@ func (c *Client) handle(m ipc.Message) {
 	}
 }
 
-// trim advances the ack high-water and drops acked frames from the replay
-// buffer, waking Send waiters blocked on a full buffer and Flush.
+// trim records a cumulative ack and releases what it covers. The wire can
+// lie: an ack past the highest Seq admitted counts for that Seq, no further.
 func (c *Client) trim(ack uint64) {
-	if ack == 0 {
-		return
-	}
 	c.mu.Lock()
-	if ack > c.acked {
+	if ack = min(ack, c.nextSeq); ack > c.acked {
 		c.acked = ack
-		c.dropAcked()
-		c.cond.Broadcast()
+		c.release()
 	}
 	c.mu.Unlock()
 }
 
-// dropAcked advances the replay buffer's head past every acked frame.
-func (c *Client) dropAcked() {
-	for c.unacked > 0 && c.replay[c.head].Seq <= c.acked {
-		c.head = c.slot(1)
-		c.unacked--
+// release advances head past every acked frame whose write has returned,
+// waking Send and Flush waiters. It never passes sent: a frame unwritten, or
+// being read by a write in flight, stays whatever the ack says, and flush
+// calls again once sent has moved.
+func (c *Client) release() {
+	head := c.head
+	for off := c.off(head); head < c.sent && ipc.FrameSeq(c.ring[off:]) <= c.acked; head++ {
+		if off += ipc.MessageSize; off == len(c.ring) {
+			off = 0
+		}
+	}
+	if head != c.head {
+		c.head = head
+		c.cond.Broadcast()
 	}
 }
 
@@ -566,7 +610,7 @@ func (c *Client) reconnect(nc net.Conn, gen uint64) {
 		c.mu.Unlock()
 		return // session over, or a resume already replaced this transport
 	}
-	c.conn, c.fw = nil, nil
+	c.conn = nil
 	c.mu.Unlock()
 	nc.Close()
 
@@ -578,7 +622,7 @@ func (c *Client) reconnect(nc net.Conn, gen uint64) {
 			return
 		case <-time.After(resumeBackoff(attempt)):
 		}
-		nc2, fw2, dec2, welcome, err := c.handshake(resume)
+		nc2, dec2, welcome, err := c.handshake(resume)
 		if err != nil {
 			var rej *RejectedError
 			if errors.As(err, &rej) {
@@ -587,7 +631,7 @@ func (c *Client) reconnect(nc net.Conn, gen uint64) {
 			}
 			continue // transient: next rung of the ladder
 		}
-		if gen2, ok := c.catchUp(nc2, fw2, welcome.Seq); ok {
+		if gen2, ok := c.catchUp(nc2, welcome.Seq); ok {
 			c.wg.Add(1)
 			go c.recvLoop(nc2, dec2, gen2)
 		}
@@ -596,15 +640,17 @@ func (c *Client) reconnect(nc net.Conn, gen uint64) {
 	c.die("hqnet: resume attempts exhausted")
 }
 
-// catchUp retransmits the replay buffer past the daemon's ack on a resumed
-// connection and only then publishes its writer. While c.fw is nil a
-// concurrent Send just appends to the replay buffer, so its frame goes out
-// from here, behind the older ones. Published first, the writer would let
-// that frame overtake them: the daemon forwards the jump, drops the older
-// frames as resume overlap, and CheckSeq kills a clean process by counter
-// gap. It reports the new connection generation, or false if the session
-// died meanwhile.
-func (c *Client) catchUp(nc net.Conn, fw *ipc.FrameWriter, ack uint64) (uint64, bool) {
+// catchUp makes nc the session's connection and rewinds the write cursor to
+// the daemon's ack: everything past it goes out again, from the ring, in
+// order. It holds c.wmu throughout, so a concurrent Send only appends behind
+// the replayed frames and a heartbeat or gate waits its turn; a writer let in
+// earlier could put a new frame ahead of them, the daemon would forward the
+// jump and drop the older frames as overlap, and CheckSeq would kill a clean
+// process by counter gap. It reports the new connection generation, or false
+// if the session died meanwhile.
+func (c *Client) catchUp(nc net.Conn, ack uint64) (uint64, bool) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
@@ -614,40 +660,27 @@ func (c *Client) catchUp(nc net.Conn, fw *ipc.FrameWriter, ack uint64) (uint64, 
 	c.gen++
 	gen := c.gen
 	c.conn = nc // die and Close can now cut a blocked retransmission short
-	if ack > c.acked {
-		c.acked = ack
-	}
-	c.dropAcked()
+	c.acked = max(c.acked, min(ack, c.nextSeq))
+	c.release()
+	c.sent = c.head
 	c.resumes++
-	// Nothing reads acks until the caller starts this connection's recvLoop,
-	// so head stays put and sent counts from it. Frames are copied out under
-	// c.mu and staged without it (see flushStaged).
-	var chunk [64]ipc.Message
-	for sent := 0; sent < c.unacked; {
-		n := 0
-		for ; n < len(chunk) && sent < c.unacked; n, sent = n+1, sent+1 {
-			chunk[n] = c.replay[c.slot(sent)]
-		}
+	// No recvLoop reads acks yet, so the senders run out of ring and this
+	// ends; a write that fails leaves the rest to the next resume.
+	for ok := true; ok && !c.dead && c.sent != c.tail; {
 		c.mu.Unlock()
-		for _, m := range chunk[:n] {
-			_ = fw.Stage(m)
-		}
+		ok = c.flushLocked(nil)
 		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
-			return 0, false // die or Close already closed nc
-		}
 	}
-	c.fw = fw
-	gate := c.gateCh != nil
-	req := ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(c.gateSys), Arg2: c.gateOrd}
+	if c.dead {
+		c.mu.Unlock()
+		return 0, false // die or Close closes nc
+	}
+	var req *ipc.Message
+	if c.gateCh != nil {
+		req = &ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(c.gateSys), Arg2: c.gateOrd}
+	}
 	c.mu.Unlock()
-	if gate {
-		_ = fw.WriteMessage(req)
-	} else {
-		_ = fw.Flush()
-	}
-	c.cond.Broadcast()
+	c.flushLocked(req)
 	return gen, true
 }
 

@@ -259,6 +259,7 @@ func TestResumeReplaysGapFree(t *testing.T) {
 		if err := c.Send(ipc.Message{Op: ipc.OpCounterInc, Arg1: 1}); err != nil {
 			t.Fatalf("send after sever: %v", err)
 		}
+		checkRing(t, c)
 	}
 	if err := c.Send(ipc.Message{Op: ipc.OpSyscall, Arg1: 3}); err != nil {
 		t.Fatal(err)
@@ -410,13 +411,8 @@ func TestPIDForgerySevers(t *testing.T) {
 	if err := attacker.Send(ipc.Message{Op: ipc.OpCounterInc, Arg1: 1}); err != nil {
 		t.Fatal(err)
 	}
-	attacker.mu.Lock()
-	fw := attacker.fw
-	attacker.mu.Unlock()
 	forged := ipc.Message{Op: ipc.OpCounterInc, PID: victim.PID(), Seq: 99, Arg1: 1}
-	if err := fw.WriteMessage(forged); err != nil {
-		t.Fatal(err)
-	}
+	attacker.flush(&forged) // behind the frame above, like any control frame
 
 	// The forgery severs the attacker's connection; the victim's stream is
 	// untouched — it can still pass a gate.

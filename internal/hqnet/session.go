@@ -13,8 +13,9 @@ import (
 // session is one admitted remote process, and the ipc.Receiver the verifier
 // pump drains for it: RecvBatch decodes frames from the live connection
 // straight into the drain loop's burst buffer, on the session's drain
-// goroutine, which then delivers them to the policies itself. It outlives any single connection: a severed transport leaves the session
-// intact (awaiting resume, its drain parked) and only the lease — or a clean
+// goroutine, which then delivers them to the policies itself. It outlives
+// any single connection: a severed transport leaves the session intact
+// (awaiting resume, its drain parked) and only the lease — or a clean
 // goodbye — ends it. Session end is the single teardown path: transport
 // closed, pump drained, forensics frozen, kernel context exited, quota
 // released.
@@ -22,10 +23,10 @@ import (
 // Reading on the drain goroutine is the admission-side backpressure story: a
 // drain that is delivering is not reading, so a client outrunning the
 // verifier backs up in the transport's own flow control (and then in its
-// replay ring) while the daemon holds one burst of it. If the verifier is
-// wedged long enough, the stalled drain stops renewing the session's lease
-// and the process dies fail-closed — the networked analogue of the epoch
-// watchdog.
+// replay ring) while the daemon holds one client burst of it. If the
+// verifier is wedged long enough, the stalled drain stops renewing the
+// session's lease and the process dies fail-closed — the networked analogue
+// of the epoch watchdog.
 type session struct {
 	srv    *Server
 	token  uint64
@@ -44,8 +45,9 @@ type session struct {
 	lastRecv atomic.Int64
 	// fwd is the highest data Seq forwarded to the verifier — the cumulative
 	// ack: the client may drop every frame with Seq <= fwd from its replay
-	// buffer. Written only by the drain goroutine.
-	fwd atomic.Uint64
+	// buffer. Written only by the drain goroutine, once per burst.
+	fwd   atomic.Uint64
+	acked uint64 // the fwd the last burst ack carried; drain goroutine only
 
 	mu      sync.Mutex
 	cond    *sync.Cond        // signals attach and end to a parked drain
@@ -77,8 +79,9 @@ func (s *session) done() <-chan struct{} { return s.fin }
 func (s *session) touch() { s.lastRecv.Store(time.Now().UnixNano()) }
 
 // attach installs a (new) transport, closing any previous one, and wakes the
-// drain goroutine if it is parked.
+// drain goroutine if it is parked. From here a read stages one client burst.
 func (s *session) attach(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder) {
+	dec.Grow(burstFrames)
 	s.mu.Lock()
 	if s.ended {
 		// The session ended between the handshake and here; its drain is
@@ -125,10 +128,14 @@ func (s *session) write(m ipc.Message) {
 }
 
 // RecvBatch implements ipc.Receiver on the pump's drain goroutine: park
-// while severed, then decode one burst from the live connection straight
-// into out and filter it in place. Any burst renews the lease; a burst that
-// forwarded data frames is acked once, cumulatively, so the client can trim
-// its replay buffer. ok turns false only when the session has ended.
+// while severed, then decode up to len(out) frames of what the last read
+// staged straight into out and filter them in place. Any burst renews the
+// lease. The client is acked once per read(2), cumulatively, so that it can
+// trim its replay ring: by the call that empties the staging buffer (the
+// next will block in the read) or ends the connection, before its frames are
+// delivered. A client blocks only after writing out all it has admitted, so
+// the ack it waits for is one this rule sends. ok turns false only when the
+// session has ended.
 //
 // All three stream endings — clean EOF, truncation mid-frame, undecodable
 // garbage — are connection deaths, not process deaths: unlike the local fd
@@ -157,8 +164,10 @@ func (s *session) RecvBatch(out []ipc.Message) (int, bool, error) {
 			s.touch()
 		}
 		kept, verdict := s.filter(out[:n])
-		if kept > 0 {
-			s.write(ipc.Message{Op: ipc.OpAck, PID: s.pid, Seq: s.fwd.Load()})
+		last := !open || verdict != burstContinue
+		if fwd := s.fwd.Load(); fwd != s.acked && (last || dec.Buffered() == 0) {
+			s.acked = fwd
+			s.write(ipc.Message{Op: ipc.OpAck, PID: s.pid, Seq: fwd})
 		}
 		if verdict == burstGoodbye {
 			// end() waits for this goroutine's drain to finish, so it cannot
@@ -172,14 +181,14 @@ func (s *session) RecvBatch(out []ipc.Message) (int, bool, error) {
 			}
 			return kept, false, nil
 		}
-		if verdict == burstSever || !open {
+		if last {
 			s.sever(c)
 		}
 		if kept > 0 {
 			return kept, true, nil
 		}
 		// Nothing to forward (control frames only, or a dead connection):
-		// back to the blocking read, or to the park above. No ack is sent.
+		// back to the staged frames, the blocking read, or the park above.
 	}
 }
 
@@ -200,11 +209,15 @@ const (
 // A violating frame or a goodbye stops the burst: nothing after it is
 // served or kept.
 func (s *session) filter(burst []ipc.Message) (kept int, verdict burstVerdict) {
-	for _, m := range burst {
+	fwd := s.fwd.Load() // published once per burst, and before a gate launches
+	defer func() { s.fwd.Store(fwd) }()
+	for i := range burst {
+		m := &burst[i]
 		switch {
 		case m.Op == ipc.OpHeartbeat:
-			s.write(ipc.Message{Op: ipc.OpHeartbeatAck, PID: s.pid, Seq: s.fwd.Load()})
+			s.write(ipc.Message{Op: ipc.OpHeartbeatAck, PID: s.pid, Seq: fwd})
 		case m.Op == ipc.OpGateEnter:
+			s.fwd.Store(fwd)
 			s.gate(m.Arg1, m.Arg2)
 		case m.Op == ipc.OpGoodbye:
 			return kept, burstGoodbye
@@ -220,7 +233,7 @@ func (s *session) filter(burst []ipc.Message) (kept int, verdict burstVerdict) {
 			// splice violations into a bystander's stream (or burn the
 			// bystander with a counter gap).
 			return kept, burstSever
-		case m.Seq != 0 && m.Seq <= s.fwd.Load():
+		case m.Seq != 0 && m.Seq <= fwd:
 			// Resume retransmission overlap: already forwarded, drop
 			// silently.
 		default:
@@ -229,9 +242,11 @@ func (s *session) filter(burst []ipc.Message) (kept int, verdict burstVerdict) {
 			// loses messages *inside* its own stream must die by counter,
 			// not be repaired by the transport.
 			if m.Seq != 0 {
-				s.fwd.Store(m.Seq)
+				fwd = m.Seq
 			}
-			burst[kept] = m
+			if kept != i {
+				burst[kept] = *m
+			}
 			kept++
 		}
 	}

@@ -15,9 +15,10 @@ import (
 	"herqules/internal/supervisor"
 )
 
-// These tests pin down the client's write path: Send stages, a burst leaves
-// in one write(2), the six flush triggers fire, the wire bytes are the
-// per-frame writer's, and a resume catches up before it publishes its writer.
+// These tests pin down the client's write path: Send encodes into the ring, a
+// burst leaves in one write(2) straight from it, the six flush triggers fire,
+// the wire bytes are the per-frame writer's, and a resume rewinds the write
+// cursor with every other writer kept out until it has caught up.
 
 // wireTap is a ClientConfig.WrapConn that records every write the client
 // makes on each of its connections.
@@ -31,6 +32,11 @@ type wireTap struct {
 	// onWrite runs before write n (0 is the handshake) of connection conn
 	// goes out.
 	onWrite func(conn, n int)
+	// onIO runs on the calling goroutine before every Write and every Read
+	// of a tapped connection. A hook that takes the client's c.mu doubles as
+	// the check that no Write (or Read) is ever called with c.mu held: it
+	// would never return.
+	onIO func()
 }
 
 type tapConn struct {
@@ -48,8 +54,18 @@ func (t *wireTap) wrap(nc net.Conn) net.Conn {
 	return c
 }
 
+func (c *tapConn) Read(p []byte) (int, error) {
+	if c.tap.onIO != nil {
+		c.tap.onIO()
+	}
+	return c.Conn.Read(p)
+}
+
 func (c *tapConn) Write(p []byte) (int, error) {
 	t := c.tap
+	if t.onIO != nil {
+		t.onIO()
+	}
 	t.mu.Lock()
 	n := len(c.writes)
 	c.writes = append(c.writes, append([]byte(nil), p...))
@@ -105,6 +121,40 @@ func dataSeqs(t *testing.T, writes [][]byte) []uint64 {
 
 var counterInc = ipc.Message{Op: ipc.OpCounterInc, Arg1: 1}
 
+// checkRing asserts the ring's invariants under c.mu: the three cursors in
+// order, no more than a ring between head and tail, the ack high-water no
+// further than what was admitted, and tailOff on tail's slot.
+func checkRing(t testing.TB, c *Client) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !(c.head <= c.sent && c.sent <= c.tail) || c.tail-c.head > uint64(c.cfg.ReplaySlots) ||
+		c.acked > c.nextSeq || c.tailOff != c.off(c.tail) {
+		t.Errorf("ring invariant broken: head=%d sent=%d tail=%d slots=%d acked=%d nextSeq=%d tailOff=%d",
+			c.head, c.sent, c.tail, c.cfg.ReplaySlots, c.acked, c.nextSeq, c.tailOff)
+	}
+}
+
+// ringChecked dials through tap with checkRing hooked to every Write and Read
+// of the client's connections: a Read follows every batch of acks recvLoop
+// has applied (head moved) and the Writes bracket every flush (sent moved);
+// callers add a check after each Send (tail moved).
+func ringChecked(t *testing.T, h *harness, tap *wireTap, cfg ClientConfig) *Client {
+	t.Helper()
+	var c *Client
+	ready := make(chan struct{})
+	tap.onIO = func() {
+		select {
+		case <-ready:
+			checkRing(t, c)
+		default: // still inside Dial's handshake
+		}
+	}
+	cfg.WrapConn = tap.wrap
+	c = h.dial(t, cfg)
+	close(ready)
+	return c
+}
+
 func sendN(t *testing.T, s ipc.Sender, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -149,7 +199,7 @@ func TestSendDuringResumeStaysBehindReplayedFrames(t *testing.T) {
 	h := newHarness(t,
 		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
 		Config{Lease: 10 * time.Second})
-	c := h.dial(t, ClientConfig{WrapConn: tap.wrap, HeartbeatEvery: time.Hour})
+	c := ringChecked(t, h, tap, ClientConfig{HeartbeatEvery: time.Hour})
 
 	// A backlog the daemon never saw: the resume has all of it to retransmit.
 	const backlog = 1000
@@ -171,6 +221,7 @@ func TestSendDuringResumeStaysBehindReplayedFrames(t *testing.T) {
 					t.Errorf("send during resume: %v", err)
 					return
 				}
+				checkRing(t, c)
 				n++
 			}
 		}
@@ -347,7 +398,8 @@ func TestQuietSenderVerifiedWithinHeartbeatPeriod(t *testing.T) {
 }
 
 // TestStreamingCoalescesWrites: a saturating stream costs at most one write
-// per 64 data frames.
+// per 64 data frames — every Write on the wrapped connection counted, so a
+// burst that wraps the ring is two.
 func TestStreamingCoalescesWrites(t *testing.T) {
 	h := newHarness(t,
 		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
@@ -368,9 +420,9 @@ func TestStreamingCoalescesWrites(t *testing.T) {
 	waitFor(t, 5*time.Second, "delivery", func() bool { return h.procMessages(c.PID()) == frames })
 }
 
-// TestResumeRetransmitsInFewWrites: a full replay buffer (4096 frames the
-// daemon never saw) goes out on the resumed connection in at most 16 writes,
-// the resume request included.
+// TestResumeRetransmitsInFewWrites: a full replay ring (4096 frames the
+// daemon never saw) goes out on the resumed connection straight from the
+// ring, in at most 3 writes: the resume request and the ring's two halves.
 func TestResumeRetransmitsInFewWrites(t *testing.T) {
 	h := newHarness(t,
 		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
@@ -388,8 +440,8 @@ func TestResumeRetransmitsInFewWrites(t *testing.T) {
 	if got := c.Resumes(); got != 1 {
 		t.Fatalf("resumes = %d, want 1", got)
 	}
-	if writes := len(tap.written(1)); writes > 16 {
-		t.Fatalf("%d writes to retransmit %d frames, want at most 16", writes, frames)
+	if writes := len(tap.written(1)); writes > 3 {
+		t.Fatalf("%d writes to retransmit %d frames, want at most 3", writes, frames)
 	}
 	waitFor(t, 5*time.Second, "delivery", func() bool { return h.procMessages(c.PID()) == frames })
 }
@@ -442,10 +494,10 @@ func ackingPeer(t testing.TB) (network, addr string) {
 	return "tcp", ln.Addr().String()
 }
 
-// TestClientSendSteadyStateZeroAlloc: once the staging buffer exists, Send,
-// the flush-before-block path, the ack and trim allocate nothing. The replay
-// buffer is a quarter of a run, so every run fills it, blocks and is trimmed
-// many times over.
+// TestClientSendSteadyStateZeroAlloc: Send, the burst flush (one writev
+// through the client's reused net.Buffers), the flush-before-block path, the
+// ack and trim allocate nothing. The ring is a quarter of a run, so every run
+// fills it, blocks and is trimmed many times over.
 func TestClientSendSteadyStateZeroAlloc(t *testing.T) {
 	network, addr := ackingPeer(t)
 	c, err := Dial(context.Background(), ClientConfig{Network: network, Addr: addr, ReplaySlots: 512})
@@ -463,9 +515,9 @@ func TestClientSendSteadyStateZeroAlloc(t *testing.T) {
 		}
 		// Client.Flush would do, but its deadline timer is an allocation of
 		// Flush's, not of the data path measured here.
-		c.flushStaged()
+		c.flush(nil)
 		c.mu.Lock()
-		for c.acked < c.nextSeq && !c.dead {
+		for c.head != c.tail && !c.dead {
 			c.cond.Wait()
 		}
 		c.mu.Unlock()

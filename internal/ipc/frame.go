@@ -33,27 +33,40 @@ func (e *TruncatedFrameError) Error() string {
 // Unwrap classifies truncation as an integrity failure for errors.Is.
 func (e *TruncatedFrameError) Unwrap() error { return ErrIntegrity }
 
-// FrameDecoder decodes fixed-size message frames from a byte stream. Reads
-// pull whatever burst the transport has buffered; a trailing partial frame is
-// staged until the next call, so per-message costs are amortized across the
-// burst. Not safe for concurrent use: a frame stream has exactly one reader.
+// FrameDecoder decodes fixed-size message frames from a byte stream. A read
+// pulls whatever burst the transport has buffered, up to the staging buffer's
+// size; Decode serves it behind a read cursor, in as many calls as out takes,
+// and reads again only when less than one whole frame is left. A trailing
+// partial frame is carried to the next read. Not safe for concurrent use: a
+// frame stream has exactly one reader.
 type FrameDecoder struct {
-	r   io.Reader
-	buf []byte // staging buffer; buf[:n] holds undecoded bytes
-	n   int
+	r      io.Reader
+	buf    []byte // staging buffer; buf[rd:wr] holds undecoded bytes
+	rd, wr int
 }
 
 // NewFrameDecoder returns a decoder over r. The decoder never closes r; the
 // owner reacts to the terminal results of Decode.
 func NewFrameDecoder(r io.Reader) *FrameDecoder { return &FrameDecoder{r: r} }
 
+// Grow makes the staging buffer hold at least frames whole frames, so that one
+// read can take a burst that large; without it, the largest len(out) so far.
+func (d *FrameDecoder) Grow(frames int) {
+	if want := frames * MessageSize; len(d.buf) < want {
+		grown := make([]byte, want)
+		d.wr = copy(grown, d.buf[d.rd:d.wr])
+		d.rd = 0
+		d.buf = grown
+	}
+}
+
 // Carried reports whether a partial frame is currently staged — bytes read
 // from the stream but not yet completing a frame.
-func (d *FrameDecoder) Carried() bool { return d.n%MessageSize != 0 }
+func (d *FrameDecoder) Carried() bool { return (d.wr-d.rd)%MessageSize != 0 }
 
 // Buffered reports how many complete frames are staged and decodable without
 // touching the underlying reader.
-func (d *FrameDecoder) Buffered() int { return d.n / MessageSize }
+func (d *FrameDecoder) Buffered() int { return (d.wr - d.rd) / MessageSize }
 
 // Decode fills out with up to len(out) messages, blocking until at least one
 // complete frame is available or the stream ends. Results:
@@ -70,133 +83,66 @@ func (d *FrameDecoder) Decode(out []Message) (int, bool, error) {
 	if len(out) == 0 {
 		return 0, true, nil
 	}
-	want := len(out) * MessageSize
-	if want < d.n {
-		want = d.n // never truncate bytes carried from a larger burst
-	}
-	if cap(d.buf) < want {
-		grown := make([]byte, want)
-		copy(grown, d.buf[:d.n])
-		d.buf = grown
-	}
-	d.buf = d.buf[:want]
-	// Block until at least one complete frame is staged; frames carried from
-	// a previous burst are served without touching the transport.
-	for d.n < MessageSize {
-		nr, err := d.r.Read(d.buf[d.n:])
-		if nr > 0 {
-			d.n += nr
-		}
-		if err != nil {
-			if d.n >= MessageSize {
-				break
+	if d.wr-d.rd < MessageSize {
+		// Slide the partial frame to the front; block until one is complete.
+		d.wr = copy(d.buf, d.buf[d.rd:d.wr])
+		d.rd = 0
+		d.Grow(len(out))
+		for d.wr < MessageSize {
+			nr, err := d.r.Read(d.buf[d.wr:])
+			if nr > 0 {
+				d.wr += nr
 			}
-			if d.n > 0 {
-				trailing := d.n
-				d.n = 0
-				return 0, false, &TruncatedFrameError{Trailing: trailing}
+			if err != nil {
+				if d.wr >= MessageSize {
+					break
+				}
+				if d.wr > 0 {
+					trailing := d.wr
+					d.wr = 0
+					return 0, false, &TruncatedFrameError{Trailing: trailing}
+				}
+				return 0, false, nil // closed and drained
 			}
-			return 0, false, nil // closed and drained
 		}
 	}
-	cnt := d.n / MessageSize
-	if cnt > len(out) {
-		cnt = len(out)
-	}
-	for i := 0; i < cnt; i++ {
-		m, err := DecodeMessage(d.buf[i*MessageSize:])
-		if err != nil {
-			d.consume(i * MessageSize)
+	cnt := min((d.wr-d.rd)/MessageSize, len(out))
+	for i := range out[:cnt] {
+		b := d.buf[d.rd : d.rd+MessageSize : d.rd+MessageSize]
+		m := &out[i]
+		m.Op, m.PID = Op(getU32(b[0:])), int32(getU32(b[4:]))
+		m.Arg1, m.Arg2, m.Arg3 = getU64(b[8:]), getU64(b[16:]), getU64(b[24:])
+		m.Seq, m.Mac = getU64(b[32:]), getU64(b[40:])
+		if !m.Op.Valid() {
+			// The cursor stays here: every later call fails on this frame again.
+			_, err := DecodeMessage(b)
 			return i, false, fmt.Errorf("ipc: frame decode failed: %v: %w", err, ErrIntegrity)
 		}
-		out[i] = m
+		d.rd += MessageSize
 	}
-	d.consume(cnt * MessageSize)
 	return cnt, true, nil
 }
 
-// consume discards the first k decoded bytes, sliding a partial trailing
-// frame to the front of the staging buffer.
-func (d *FrameDecoder) consume(k int) {
-	copy(d.buf, d.buf[k:d.n])
-	d.n -= k
-}
-
-// StageFrames is how many frames a FrameWriter stages before it writes them
-// out on its own: just under 16 KiB. Throughput is flat from a quarter of
-// this to four times it, so it is a constant, not a setting.
-const StageFrames = 341
-
-// FrameWriter serializes messages onto a byte stream, one frame per message.
-// Unlike the fd channel's sender it assigns no sequence numbers: the caller
-// owns Seq (and Mac) — the networked plane's resume protocol depends on
-// retransmitted frames carrying their original sequence numbers verbatim.
-//
-// Stage encodes a frame behind the ones already staged without touching the
-// stream; Flush and WriteMessage put everything staged on the stream in a
-// single Write, so a sender pays one system call per burst instead of one
-// per 48-byte frame. A Write that fails drops what was staged with it: the
-// stream is dead, and whoever needs those frames delivered (hqnet's replay
-// buffer) retransmits them on the next one. Safe for concurrent use; the
-// mutex is held across the Write, so frames from concurrent callers never
-// interleave and each caller's frames keep their order.
+// FrameWriter serializes messages onto a byte stream, one frame per message
+// and one Write per frame. Unlike the fd channel's sender it assigns no
+// sequence numbers: the caller owns Seq (and Mac) — the networked plane's
+// resume protocol depends on retransmitted frames carrying their original
+// sequence numbers verbatim. Safe for concurrent use; the mutex is held
+// across the Write, so frames from concurrent callers never interleave.
 type FrameWriter struct {
 	mu  sync.Mutex
 	w   io.Writer
-	buf []byte            // staged frames; always has room for one more
-	one [MessageSize]byte // backs buf until the first Stage
+	buf [MessageSize]byte
 }
 
 // NewFrameWriter returns a writer over w. The writer never closes w.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	fw := &FrameWriter{w: w}
-	fw.buf = fw.one[:0]
-	return fw
-}
+func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
-// Stage encodes m behind the frames already staged, and writes them all out
-// if that fills the staging buffer. The buffer is allocated here, on first
-// use: a writer that only ever calls WriteMessage never pays for it.
-func (fw *FrameWriter) Stage(m Message) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	if cap(fw.buf) < StageFrames*MessageSize {
-		fw.buf = make([]byte, 0, StageFrames*MessageSize)
-	}
-	fw.put(m)
-	if len(fw.buf) == cap(fw.buf) {
-		return fw.flush()
-	}
-	return nil
-}
-
-// WriteMessage writes every staged frame and then m, in one Write.
+// WriteMessage encodes m and writes it.
 func (fw *FrameWriter) WriteMessage(m Message) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	fw.put(m)
-	return fw.flush()
-}
-
-// Flush writes every staged frame in one Write; with nothing staged it does
-// not touch the stream.
-func (fw *FrameWriter) Flush() error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	if len(fw.buf) == 0 {
-		return nil
-	}
-	return fw.flush()
-}
-
-func (fw *FrameWriter) put(m Message) {
-	n := len(fw.buf)
-	fw.buf = fw.buf[:n+MessageSize]
-	m.Encode(fw.buf[n:])
-}
-
-func (fw *FrameWriter) flush() error {
-	_, err := fw.w.Write(fw.buf)
-	fw.buf = fw.buf[:0]
+	m.Encode(fw.buf[:])
+	_, err := fw.w.Write(fw.buf[:])
 	return err
 }

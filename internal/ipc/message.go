@@ -187,6 +187,9 @@ func (m Message) Encode(buf []byte) int {
 	return MessageSize
 }
 
+// FrameSeq reads the Seq field of an encoded frame and nothing else.
+func FrameSeq(frame []byte) uint64 { return getU64(frame[32:]) }
+
 // DecodeMessage parses a message previously produced by Encode.
 func DecodeMessage(buf []byte) (Message, error) {
 	if len(buf) < MessageSize {
