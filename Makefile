@@ -43,7 +43,7 @@ check: vet build
 # line, the non-test Go lines outside bench/: the per-PR size trend ROADMAP
 # "One of each" tracks (27 040 before the receive paths were merged, 25 979
 # before the shard-queue hand-off went, 25 659 with the client's ring as its
-# staging buffer).
+# staging buffer, 25 697 with remote gates answered on the drain).
 loc:
 	@$(GO) run ./cmd/loccount
 
@@ -61,12 +61,14 @@ bench:
 # cache; -benchmem must read 0 allocs/op), the networked client's send path
 # (sealed stream to an in-process daemon over a Unix socket, with its
 # zero-alloc test: Send encodes into the replay ring, a burst is one writev
-# from it, the daemon acks once per read; at -cpu 1,2 because the second
-# processor is the daemon's) and the daemon's cursor decoder below the session
-# (one client burst of staging, 256 frames a call, 0 allocs/op).
+# from it, the daemon acks once per read) and its gated round trip (16 sealed
+# sends, the System-Call message and the gate against hqd's chain, answered
+# by the daemon's drain; with its zero-alloc test) — both at -cpu 1,2 because
+# the second processor is the daemon's — and the daemon's cursor decoder below
+# the session (one client burst of staging, 256 frames a call, 0 allocs/op).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkPolicyChainLargeState' -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkDeliverHotChain' -benchtime 1x -benchmem .
-	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc' -bench 'BenchmarkClientSend' -benchtime 200ms -benchmem -cpu 1,2 ./internal/hqnet
+	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc|TestGateRoundTripAllocatesNothing' -bench 'BenchmarkClientSend|BenchmarkGateRoundTrip' -benchtime 200ms -benchmem -cpu 1,2 ./internal/hqnet
 	$(GO) test -run xxx -bench 'BenchmarkFrameDecoder' -benchtime 200ms -benchmem ./internal/ipc

@@ -206,14 +206,15 @@ func TestAckNeverReleasesInFlightFrames(t *testing.T) {
 }
 
 // readTap records, on the daemon's side of a connection, where in the
-// client→daemon byte stream each Read ended and which acks were written after
-// it.
+// client→daemon byte stream each Read ended, which acks were written after
+// it, and every frame the daemon wrote.
 type readTap struct {
 	net.Conn
 	mu     sync.Mutex
-	bytes  int      // client→daemon bytes read so far
-	events []tapAck // one per OpAck written
-	reads  int      // Reads that brought bytes, the handshake's excluded
+	bytes  int           // client→daemon bytes read so far
+	events []tapAck      // one per OpAck written
+	reads  int           // Reads that brought bytes, the handshake's excluded
+	sent   []ipc.Message // daemon→client frames, in order
 }
 
 type tapAck struct {
@@ -234,9 +235,12 @@ func (r *readTap) Read(p []byte) (int, error) {
 }
 
 func (r *readTap) Write(p []byte) (int, error) {
-	if m, err := ipc.DecodeMessage(p); err == nil && m.Op == ipc.OpAck {
+	if m, err := ipc.DecodeMessage(p); err == nil {
 		r.mu.Lock()
-		r.events = append(r.events, tapAck{seq: m.Seq, readEnd: r.bytes, readsNow: r.reads})
+		r.sent = append(r.sent, m)
+		if m.Op == ipc.OpAck {
+			r.events = append(r.events, tapAck{seq: m.Seq, readEnd: r.bytes, readsNow: r.reads})
+		}
 		r.mu.Unlock()
 	}
 	return r.Conn.Write(p)

@@ -98,10 +98,11 @@ type Client struct {
 	killRsn string
 
 	// One gate outstanding at a time (the VM is single-threaded through
-	// syscalls); state kept for retransmission after resume.
-	gateOrd uint64
-	gateSys int
-	gateCh  chan error
+	// syscalls); whoever clears gatePending sends its verdict on gateCh.
+	gateOrd     uint64
+	gateSys     int
+	gatePending bool
+	gateCh      chan error
 
 	wg sync.WaitGroup
 }
@@ -147,7 +148,7 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	if cfg.ReplaySlots <= 0 {
 		cfg.ReplaySlots = 4096
 	}
-	c := &Client{cfg: cfg, ring: make([]byte, cfg.ReplaySlots*ipc.MessageSize)}
+	c := &Client{cfg: cfg, ring: make([]byte, cfg.ReplaySlots*ipc.MessageSize), gateCh: make(chan error, 1)}
 	c.cond = sync.NewCond(&c.mu)
 	c.ctx, c.cancel = context.WithCancel(ctx)
 
@@ -391,16 +392,23 @@ func (c *Client) SyscallEnter(pid int32, syscallNo int) error {
 		return errors.New(reason)
 	}
 	c.gateOrd++
-	ch := make(chan error, 1)
-	c.gateCh, c.gateSys = ch, syscallNo
+	c.gatePending, c.gateSys = true, syscallNo
 	req := ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(syscallNo), Arg2: c.gateOrd}
 	c.mu.Unlock()
 	c.flushLocked(&req)
 	c.wmu.Unlock()
 	select {
-	case err := <-ch:
+	case err := <-c.gateCh:
 		return err
 	case <-c.ctx.Done():
+		// Leave gateCh empty: take a verdict whose sender is on its way.
+		c.mu.Lock()
+		sent := !c.gatePending
+		c.gatePending = false
+		c.mu.Unlock()
+		if sent {
+			<-c.gateCh
+		}
 		return errors.New("hqnet: client closed")
 	}
 }
@@ -468,14 +476,14 @@ func (c *Client) markDead(reason string) bool {
 // wakes every waiter.
 func (c *Client) teardown() {
 	c.mu.Lock()
-	conn, ch, reason := c.conn, c.gateCh, c.deadErr
-	c.conn, c.gateCh = nil, nil
+	conn, pending, reason := c.conn, c.gatePending, c.deadErr
+	c.conn, c.gatePending = nil, false
 	c.mu.Unlock()
 	if conn != nil {
 		conn.Close()
 	}
-	if ch != nil {
-		ch <- errors.New(reason)
+	if pending {
+		c.gateCh <- errors.New(reason)
 	}
 	c.cond.Broadcast()
 }
@@ -547,9 +555,8 @@ func (c *Client) handle(m ipc.Message) {
 	case ipc.OpGateResult:
 		c.trim(m.Seq)
 		c.mu.Lock()
-		if c.gateCh != nil && m.Arg3 == c.gateOrd {
-			ch := c.gateCh
-			c.gateCh = nil
+		if c.gatePending && m.Arg3 == c.gateOrd {
+			c.gatePending = false
 			var verdict error
 			if m.Arg1 == GateKilled {
 				reason := ReasonText(m.Arg2)
@@ -557,7 +564,7 @@ func (c *Client) handle(m ipc.Message) {
 				verdict = errors.New(reason)
 			}
 			c.mu.Unlock()
-			ch <- verdict
+			c.gateCh <- verdict
 			return
 		}
 		c.mu.Unlock()
@@ -676,7 +683,7 @@ func (c *Client) catchUp(nc net.Conn, ack uint64) (uint64, bool) {
 		return 0, false // die or Close closes nc
 	}
 	var req *ipc.Message
-	if c.gateCh != nil {
+	if c.gatePending {
 		req = &ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(c.gateSys), Arg2: c.gateOrd}
 	}
 	c.mu.Unlock()

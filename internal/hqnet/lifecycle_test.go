@@ -82,6 +82,18 @@ func (h *harness) connRow(pid int32) obs.ConnRow {
 	return obs.ConnRow{}
 }
 
+// session returns pid's live session (nil when there is none).
+func (h *harness) session(pid int32) *session {
+	h.srv.mu.Lock()
+	defer h.srv.mu.Unlock()
+	for _, s := range h.srv.sessions {
+		if s.pid == pid {
+			return s
+		}
+	}
+	return nil
+}
+
 // TestGoodbyeInBurstDeliversPrecedingFrames: a goodbye arrives on the drain
 // goroutine that session finalization waits for. The data frames ahead of it
 // in the same burst must still reach the verifier, and the session must
@@ -263,14 +275,7 @@ func TestWedgedVerifierEndsInLeaseKill(t *testing.T) {
 func TestAttachAfterEndClosesTransport(t *testing.T) {
 	h := newHarness(t, supervisor.Config{}, Config{Lease: 2 * time.Second})
 	_, pid := h.rawSession(t)
-	h.srv.mu.Lock()
-	var sess *session
-	for _, s := range h.srv.sessions {
-		if s.pid == pid {
-			sess = s
-		}
-	}
-	h.srv.mu.Unlock()
+	sess := h.session(pid)
 	sess.end()
 
 	ours, theirs := net.Pipe()

@@ -56,7 +56,7 @@ type Server struct {
 	closed    bool
 
 	tokens atomic.Uint64
-	wg     sync.WaitGroup // accept loops, handshakes, gates, session finalizers, lease scanner
+	wg     sync.WaitGroup // accept loops, handshakes, gate waiters, session finalizers, lease scanner
 	stop   chan struct{}
 
 	admitted   *telemetry.Counter

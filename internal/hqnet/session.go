@@ -46,8 +46,11 @@ type session struct {
 	// fwd is the highest data Seq forwarded to the verifier — the cumulative
 	// ack: the client may drop every frame with Seq <= fwd from its replay
 	// buffer. Written only by the drain goroutine, once per burst.
-	fwd   atomic.Uint64
-	acked uint64 // the fwd the last burst ack carried; drain goroutine only
+	fwd              atomic.Uint64
+	acked            uint64       // the fwd the last ack or drain-written verdict carried; drain goroutine only
+	pending          bool         // a gate filter registered for the next RecvBatch to answer;
+	pendSys, pendOrd uint64       // drain goroutine only, as is pending
+	waiters          atomic.Int32 // gates handed to a waiter goroutine, not yet answered
 
 	mu      sync.Mutex
 	cond    *sync.Cond        // signals attach and end to a parked drain
@@ -127,15 +130,16 @@ func (s *session) write(m ipc.Message) {
 	}
 }
 
-// RecvBatch implements ipc.Receiver on the pump's drain goroutine: park
-// while severed, then decode up to len(out) frames of what the last read
-// staged straight into out and filter them in place. Any burst renews the
-// lease. The client is acked once per read(2), cumulatively, so that it can
-// trim its replay ring: by the call that empties the staging buffer (the
-// next will block in the read) or ends the connection, before its frames are
-// delivered. A client blocks only after writing out all it has admitted, so
-// the ack it waits for is one this rule sends. ok turns false only when the
-// session has ended.
+// RecvBatch implements ipc.Receiver on the pump's drain goroutine: answer
+// the gate the last call registered, park while severed, then decode up to
+// len(out) frames of what the last read staged straight into out and filter
+// them in place. Any burst renews the lease. The client is acked once per
+// read(2), cumulatively, so that it can trim its replay ring: by the call
+// that empties the staging buffer (the next will block in the read) or ends
+// the connection, before its frames are delivered; if they carried a gate,
+// by the verdict (or ack) the next call writes before it reads. A client
+// blocks only after writing out all it has admitted, so the ack it waits for
+// is one these rules send. ok turns false only when the session has ended.
 //
 // All three stream endings — clean EOF, truncation mid-frame, undecodable
 // garbage — are connection deaths, not process deaths: unlike the local fd
@@ -148,6 +152,9 @@ func (s *session) RecvBatch(out []ipc.Message) (int, bool, error) {
 		return 0, true, nil
 	}
 	for {
+		if s.pending {
+			s.answerGate()
+		}
 		s.mu.Lock()
 		for s.conn == nil && !s.ended {
 			s.cond.Wait()
@@ -165,7 +172,7 @@ func (s *session) RecvBatch(out []ipc.Message) (int, bool, error) {
 		}
 		kept, verdict := s.filter(out[:n])
 		last := !open || verdict != burstContinue
-		if fwd := s.fwd.Load(); fwd != s.acked && (last || dec.Buffered() == 0) {
+		if fwd := s.fwd.Load(); fwd != s.acked && !s.pending && (last || dec.Buffered() == 0) {
 			s.acked = fwd
 			s.write(ipc.Message{Op: ipc.OpAck, PID: s.pid, Seq: fwd})
 		}
@@ -209,7 +216,7 @@ const (
 // A violating frame or a goodbye stops the burst: nothing after it is
 // served or kept.
 func (s *session) filter(burst []ipc.Message) (kept int, verdict burstVerdict) {
-	fwd := s.fwd.Load() // published once per burst, and before a gate launches
+	fwd := s.fwd.Load() // published once per burst
 	defer func() { s.fwd.Store(fwd) }()
 	for i := range burst {
 		m := &burst[i]
@@ -217,7 +224,6 @@ func (s *session) filter(burst []ipc.Message) (kept int, verdict burstVerdict) {
 		case m.Op == ipc.OpHeartbeat:
 			s.write(ipc.Message{Op: ipc.OpHeartbeatAck, PID: s.pid, Seq: fwd})
 		case m.Op == ipc.OpGateEnter:
-			s.fwd.Store(fwd)
 			s.gate(m.Arg1, m.Arg2)
 		case m.Op == ipc.OpGoodbye:
 			return kept, burstGoodbye
@@ -253,18 +259,14 @@ func (s *session) filter(burst []ipc.Message) (kept int, verdict burstVerdict) {
 	return kept, burstContinue
 }
 
-// gate runs bounded asynchronous validation for one remote system call.
+// gate registers one remote system call for the next RecvBatch to answer.
 // Idempotent per ordinal: a request retransmitted after a resume neither
 // re-runs a gate in flight nor loses a verdict computed while severed.
 func (s *session) gate(sysNo, ord uint64) {
 	s.mu.Lock()
-	if s.ended {
+	if s.ended || ord == s.gateOrd && s.gateRunning {
 		s.mu.Unlock()
-		return
-	}
-	if ord == s.gateOrd && s.gateRunning {
-		s.mu.Unlock()
-		return // in flight; verdict will be written when it lands
+		return // if in flight, the verdict will be written when it lands
 	}
 	if ord == s.gateOrd && s.gateDone {
 		res := s.gateRes
@@ -273,32 +275,61 @@ func (s *session) gate(sysNo, ord uint64) {
 		return
 	}
 	s.gateOrd, s.gateRunning, s.gateDone = ord, true, false
+	s.mu.Unlock()
+	s.pending, s.pendSys, s.pendOrd = true, sysNo, ord
+}
+
+// answerGate answers the registered gate once the pump has delivered the
+// burst that carried it, NotifySyncReady included. A ready or killed pid
+// gets a SyscallEnter that cannot wait. Any other gate came ahead of its
+// System-Call message, which only this goroutine can deliver, so it goes to
+// a waiter — as does any gate while a waiter could take the readiness.
+func (s *session) answerGate() {
+	s.pending = false
+	k := s.srv.sys.Kernel()
+	s.acked = s.fwd.Load() // carried by the verdict or the ack below
+	if killed, _ := k.Killed(s.pid); killed || s.waiters.Load() == 0 && k.SyncReady(s.pid) {
+		s.verdict(s.pendSys, s.pendOrd)
+		return
+	}
+	s.mu.Lock()
+	if s.ended {
+		s.mu.Unlock()
+		return
+	}
 	// Add while ended is known false under mu: Shutdown ends every session
 	// before it waits on wg, so this Add is ordered before that Wait.
 	s.srv.wg.Add(1)
 	s.mu.Unlock()
-
-	go func() {
+	s.waiters.Add(1) // only this goroutine adds
+	s.write(ipc.Message{Op: ipc.OpAck, PID: s.pid, Seq: s.acked})
+	go func(sysNo, ord uint64) {
 		defer s.srv.wg.Done()
-		err := s.srv.sys.Kernel().SyscallEnter(s.pid, int(sysNo))
-		res := ipc.Message{Op: ipc.OpGateResult, PID: s.pid, Arg1: GatePass, Arg3: ord}
-		if err != nil {
-			res.Arg1 = GateKilled
-			res.Arg2 = reasonCode(err.Error())
-		}
-		res.Seq = s.fwd.Load()
-		s.mu.Lock()
-		s.gateRunning, s.gateDone, s.gateRes = false, true, res
-		s.mu.Unlock()
-		s.write(res)
-	}()
+		s.verdict(sysNo, ord)
+		s.waiters.Add(-1)
+	}(s.pendSys, s.pendOrd)
+}
+
+// verdict runs gate ord in the kernel, keeps the result for replay and
+// writes it, with the forwarded high-water as its ack.
+func (s *session) verdict(sysNo, ord uint64) {
+	err := s.srv.sys.Kernel().SyscallEnter(s.pid, int(sysNo))
+	res := ipc.Message{Op: ipc.OpGateResult, PID: s.pid, Arg1: GatePass, Arg3: ord, Seq: s.fwd.Load()}
+	if err != nil {
+		res.Arg1 = GateKilled
+		res.Arg2 = reasonCode(err.Error())
+	}
+	s.mu.Lock()
+	s.gateRunning, s.gateDone, s.gateRes = false, true, res
+	s.mu.Unlock()
+	s.write(res)
 }
 
 // markEnded flips the session to ended exactly once: best-effort kill
 // notice, transport closed, drain goroutine woken so its RecvBatch returns
 // ok=false. It reports whether this call was the one that ended the session;
 // that caller owes a finalize, and holds an srv.wg slot for it (taken under
-// mu for the same ordering reason as in gate).
+// mu for the same ordering reason as in answerGate).
 func (s *session) markEnded() bool {
 	s.mu.Lock()
 	if s.ended {
