@@ -43,7 +43,8 @@ check: vet build
 # line, the non-test Go lines outside bench/: the per-PR size trend ROADMAP
 # "One of each" tracks (27 040 before the receive paths were merged, 25 979
 # before the shard-queue hand-off went, 25 659 with the client's ring as its
-# staging buffer, 25 697 with remote gates answered on the drain).
+# staging buffer, 25 697 with remote gates answered on the drain, 25 268
+# with the JSONL trace ring and the latency sampler deleted).
 loc:
 	@$(GO) run ./cmd/loccount
 

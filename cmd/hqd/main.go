@@ -115,7 +115,7 @@ func main() {
 
 	var obsrv *obs.Server
 	if *httpAddr != "" {
-		obsrv = obs.NewServer(sys, m)
+		obsrv = obs.NewServer(sys)
 		obsrv.SetConnReporter(srv)
 		if err := obsrv.Start(*httpAddr); err != nil {
 			log.Fatalf("http listen: %v", err)

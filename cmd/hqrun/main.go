@@ -7,19 +7,15 @@
 //	hqrun [-design baseline|hq-sfestk|hq-retptr|clang-cfi|ccfi|cpi]
 //	      [-channel inline|fpga|model|shm|mq]
 //	      [-entry main] [-monitor] [-print]
-//	      [-metrics] [-trace events.jsonl] [-serve addr]
-//	      [-forensics report.json] program.mir
+//	      [-metrics] [-serve addr] [-forensics report.json] program.mir
 //
 // With -monitor the verifier records violations without killing; -print
 // dumps the instrumented program before running it. -metrics prints the
 // system stats (lifecycle totals, per-PID attribution, telemetry snapshot)
-// to stderr after the run; -trace additionally records the bounded event
-// trace (kills, epoch expiries, exits) and writes it as JSONL to the given
-// file. Both artifacts are written on every exit path — including kills,
-// crashes and violations, which is exactly when the trace matters. -serve
-// exposes the live observability endpoints (/metrics, /healthz, /procs,
-// /trace, /violations, /debug/pprof/) on the given address for the duration
-// of the run.
+// to stderr after the run, on every exit path — including kills, crashes
+// and violations. -serve exposes the live observability endpoints
+// (/metrics, /healthz, /procs, /violations, /debug/pprof/) on the given
+// address for the duration of the run.
 //
 // The flight recorder is always armed: when the run ends in a kill, the
 // frozen ForensicReport (attributed policy, kill reason, last-message window,
@@ -50,9 +46,9 @@ var designs = map[string]hq.Design{
 func main() { os.Exit(run()) }
 
 // run is the whole program; main wraps it in os.Exit so that deferred
-// artifact writers (the -trace JSONL, the -metrics dump, the System
-// shutdown) run on every path — a run that ends in a kill or a violation is
-// precisely the one whose trace must not be lost.
+// artifact writers (the -metrics dump, the System shutdown) run on every
+// path — a run that ends in a kill or a violation is precisely the one whose
+// stats must not be lost.
 func run() int {
 	design := flag.String("design", "hq-sfestk", "CFI design: baseline, hq-sfestk, hq-retptr, clang-cfi, ccfi, cpi")
 	channel := flag.String("channel", "inline", "transport: inline (deterministic), fpga, model, shm, mq")
@@ -60,7 +56,6 @@ func run() int {
 	monitor := flag.Bool("monitor", false, "record violations without killing")
 	print := flag.Bool("print", false, "print the instrumented program before running")
 	metrics := flag.Bool("metrics", false, "print system stats to stderr after the run")
-	traceOut := flag.String("trace", "", "write the JSONL event trace to this file")
 	serve := flag.String("serve", "", "serve live observability endpoints on this address (e.g. :8080)")
 	forensicsOut := flag.String("forensics", "", "on a kill, also write the ForensicReport JSON to this file")
 	flag.Parse()
@@ -95,14 +90,6 @@ func run() int {
 		fmt.Println(ins.Mod.String())
 	}
 
-	var tm *hq.Metrics
-	if *metrics || *traceOut != "" || *serve != "" {
-		tm = hq.NewMetrics()
-		if *traceOut != "" {
-			tm.EnableTrace(1 << 16)
-		}
-	}
-
 	// The flight recorder is cheap enough to always arm: one slot store per
 	// verified message, no allocation — and a kill without a postmortem is a
 	// support ticket.
@@ -110,8 +97,8 @@ func run() int {
 		hq.WithKillOnViolation(!*monitor),
 		hq.WithFlightRecorder(hq.DefaultFlightSlots),
 	}
-	if tm != nil {
-		sysOpts = append(sysOpts, hq.WithMetrics(tm))
+	if *metrics {
+		sysOpts = append(sysOpts, hq.WithMetrics(hq.NewMetrics()))
 	}
 	if *serve != "" {
 		sysOpts = append(sysOpts, hq.WithHTTPAddr(*serve))
@@ -129,22 +116,8 @@ func run() int {
 		}
 	}()
 	defer func() {
-		if tm == nil {
-			return
-		}
 		if *metrics {
 			fmt.Fprintf(os.Stderr, "--- stats ---\n%s", sys.Stats().String())
-		}
-		if *traceOut != "" {
-			f, ferr := os.Create(*traceOut)
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "hqrun:", ferr)
-				return
-			}
-			if werr := tm.Trace().WriteJSONL(f); werr != nil {
-				fmt.Fprintln(os.Stderr, "hqrun:", werr)
-			}
-			f.Close()
 		}
 	}()
 

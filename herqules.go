@@ -34,9 +34,9 @@
 //
 // For many programs under one enforcement domain, use a resident System
 // (NewSystem / Launch / Shutdown). A System can expose a live observability
-// plane — Prometheus /metrics with per-PID attribution and sampled
-// send → validate latency, /healthz, /procs, /trace, /debug/pprof — with
-// WithHTTPAddr; see DESIGN.md's "Observability" section.
+// plane — Prometheus /metrics with per-PID attribution and syscall-gate and
+// drain stall distributions, /healthz, /procs, /violations, /debug/pprof —
+// with WithHTTPAddr; see DESIGN.md's "Observability" section.
 //
 // # Policy selection
 //

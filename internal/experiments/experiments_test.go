@@ -351,7 +351,7 @@ func TestStatsSmoke(t *testing.T) {
 		"verifier.batch_size",
 		"ipc.sends",
 		"ipc.recvs",
-		"telemetry hot-path budget",
+		"verifier.pump_stall_ns",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatStats output missing %q", want)

@@ -26,13 +26,8 @@ import (
 // non-empty and carries the series an operator would alert on. It returns a
 // short human-readable summary on success.
 func ObsSmoke(Config) (Report, error) {
-	m := telemetry.New(0)
-	m.EnableTrace(1 << 12)
 	sys := supervisor.New(supervisor.Config{
-		Metrics: m,
-		// Sample every message: the smoke run is tiny and must still land
-		// send → validate observations.
-		LatencySampleEvery: 1,
+		Metrics: telemetry.New(0),
 		// Kill-on-violation plus an armed flight recorder: the smoke run
 		// includes a synthetic violator so /violations serves a real report.
 		KillOnViolation: true,
@@ -43,7 +38,7 @@ func ObsSmoke(Config) (Report, error) {
 		defer cancel()
 		_ = sys.Shutdown(ctx)
 	}()
-	srv := obs.NewServer(sys, m)
+	srv := obs.NewServer(sys)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return Report{}, fmt.Errorf("obs-smoke: bind: %w", err)
 	}
@@ -100,7 +95,7 @@ func ObsSmoke(Config) (Report, error) {
 	}
 	for _, want := range []string{
 		"herqules_messages_verified_total",
-		"herqules_verifier_send_validate_ns_bucket",
+		"herqules_verifier_pump_stall_ns_bucket",
 		fmt.Sprintf(`herqules_proc_messages_total{pid="%d"}`, pids[0]),
 		fmt.Sprintf(`herqules_proc_messages_total{pid="%d"}`, pids[1]),
 	} {

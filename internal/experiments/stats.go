@@ -9,7 +9,6 @@ import (
 	"herqules/internal/ipc"
 	"herqules/internal/kernel"
 	"herqules/internal/policy"
-	"herqules/internal/sim"
 	"herqules/internal/telemetry"
 	"herqules/internal/verifier"
 )
@@ -23,8 +22,6 @@ type StatsResult struct {
 	Messages int
 	Elapsed  time.Duration
 	Snap     telemetry.Snapshot
-	Trace    []telemetry.Event
-	Dropped  uint64 // trace events overwritten in the bounded ring
 }
 
 // statsSyncEvery is how many define/check/invalidate triples a monitored
@@ -51,7 +48,6 @@ func Stats(procs, messages int) *StatsResult {
 	}
 
 	m := telemetry.New(0)
-	trace := m.EnableTrace(1 << 10)
 
 	k := kernel.New(nil)
 	// The §4.1 CFI policy plus the §2 counter, per process.
@@ -123,15 +119,12 @@ func Stats(procs, messages int) *StatsResult {
 		Messages: messages,
 		Elapsed:  elapsed,
 		Snap:     m.Snapshot().Diff(before),
-		Trace:    trace.Events(),
-		Dropped:  trace.Dropped(),
 	}
 }
 
-// FormatStats renders the component-level breakdown: headline drain rate,
-// the full snapshot (counters with per-shard lanes, histograms with
-// p50/p90/p99), the retained trace tail, and the modelled telemetry
-// overhead budget the instrumentation must stay inside.
+// FormatStats renders the component-level breakdown: headline drain rate
+// and the full snapshot (counters with per-shard lanes, histograms with
+// p50/p90/p99).
 func FormatStats(r *StatsResult) string {
 	var sb strings.Builder
 	delivered := r.Snap.Counters["verifier.messages"].Total
@@ -139,16 +132,5 @@ func FormatStats(r *StatsResult) string {
 		r.Procs, delivered, r.Elapsed.Round(time.Microsecond),
 		float64(delivered)/r.Elapsed.Seconds())
 	sb.WriteString(r.Snap.Format())
-	fmt.Fprintf(&sb, "\ntrace: %d events retained (%d overwritten)", len(r.Trace), r.Dropped)
-	tail := r.Trace
-	if len(tail) > 5 {
-		tail = tail[len(tail)-5:]
-	}
-	for _, e := range tail {
-		fmt.Fprintf(&sb, "\n  %-22s pid=%-6d value=%d t=+%dns", e.Name, e.PID, e.Value, e.Nanos)
-	}
-	fmt.Fprintf(&sb, "\nmodel: telemetry hot-path budget %.3f%% of batched drain cost at batch %d (%.1f ns/burst)\n",
-		100*sim.TelemetryOverheadFraction(verifier.DefaultBatchSize),
-		verifier.DefaultBatchSize, sim.TelemetryBurstNanos)
 	return sb.String()
 }

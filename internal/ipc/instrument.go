@@ -17,10 +17,9 @@ func (c *Channel) EnableTelemetry(m *telemetry.Metrics) {
 		fr.frameErrs = m.Counter("ipc.frame_errors")
 	}
 	c.Sender = &instrumentedSender{
-		s:       c.Sender,
-		sends:   m.Counter("ipc.sends"),
-		errs:    m.Counter("ipc.send_errors"),
-		sampler: m.LatencySampler(),
+		s:     c.Sender,
+		sends: m.Counter("ipc.sends"),
+		errs:  m.Counter("ipc.send_errors"),
 	}
 	c.Receiver = &instrumentedReceiver{
 		r:         c.Receiver,
@@ -32,23 +31,10 @@ func (c *Channel) EnableTelemetry(m *telemetry.Metrics) {
 }
 
 // instrumentedSender counts sends and send errors around the wrapped sender.
-// When the registry has latency sampling enabled, it also stamps the send
-// time of every N-th successfully sent message, keyed by (PID, ordinal): the
-// ordinal of the n-th successful Send equals the sequence number every
-// backend in this module assigns to it (all count accepted messages from 1),
-// so the verifier can match the stamp against Message.Seq at validation time
-// with no change to the wire format.
 type instrumentedSender struct {
-	s       Sender
-	sends   *telemetry.Counter
-	errs    *telemetry.Counter
-	sampler *telemetry.LatencySampler
-	// n counts successful sends, mirroring the backend's Seq. Plain, not
-	// atomic: every backend in this module already requires a single
-	// producer goroutine per channel (the ring's own seq++ is unsynchronized
-	// for the same reason), and an atomic add here costs ~10% of the
-	// shared-ring send path for nothing.
-	n uint64
+	s     Sender
+	sends *telemetry.Counter
+	errs  *telemetry.Counter
 }
 
 func (s *instrumentedSender) Send(m Message) error {
@@ -58,16 +44,6 @@ func (s *instrumentedSender) Send(m Message) error {
 		return err
 	}
 	s.sends.Inc()
-	if s.sampler != nil {
-		// Count only successful sends so the ordinal tracks the backend's
-		// sequence counter (a failed Send consumes no sequence number).
-		// Stamping after Send measures enqueue → validate; back-pressure
-		// blocking inside Send is charged to the sender, not the verifier.
-		s.n++
-		if s.sampler.Sampled(s.n) {
-			s.sampler.Stamp(m.PID, s.n)
-		}
-	}
 	return nil
 }
 

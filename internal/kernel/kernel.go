@@ -215,7 +215,6 @@ type Kernel struct {
 // kernelMetrics caches the kernel's telemetry instruments, resolved once at
 // wiring time so the hot path pays only a nil check plus atomic adds.
 type kernelMetrics struct {
-	m           *telemetry.Metrics
 	syscalls    *telemetry.Counter
 	stalls      *telemetry.Counter
 	expiries    *telemetry.Counter
@@ -234,7 +233,6 @@ func (k *Kernel) EnableTelemetry(m *telemetry.Metrics) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.tm = &kernelMetrics{
-		m:           m,
 		syscalls:    m.Counter("kernel.syscalls"),
 		stalls:      m.Counter("kernel.sync_stalls"),
 		expiries:    m.Counter("kernel.epoch_expiries"),
@@ -433,7 +431,6 @@ func (k *Kernel) finishRegister(pid int32) {
 	if killedNow {
 		if tm != nil {
 			tm.kills.Inc()
-			tm.m.Event("kernel.kill", pid, 0)
 		}
 		if kl, ok := l.(KillListener); ok {
 			kl.ProcessKilled(pid, reason)
@@ -463,7 +460,6 @@ func (k *Kernel) Exit(pid int32) {
 	dsched.Yield(dsched.PointExitNotify, pid)
 	if tm != nil {
 		tm.exits.Inc()
-		tm.m.Event("kernel.exit", pid, 0)
 	}
 	if l != nil {
 		l.ProcessExited(pid)
@@ -591,7 +587,6 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 		if tm != nil {
 			tm.expiries.Inc()
 			tm.degraded.Inc()
-			tm.m.Event("kernel.degraded_allow", pid, uint64(syscallNo))
 		}
 		if fs != nil {
 			fs.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
@@ -611,7 +606,6 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 				if wedged {
 					tm.wedgedKills.Inc()
 				}
-				tm.m.Event("kernel.epoch_expired", pid, uint64(syscallNo))
 			}
 			// Stamp the gate timeline BEFORE ProcessKilled: the kill listener
 			// freezes the flight ring, and the stall + expiry that triggered
@@ -691,7 +685,6 @@ func (k *Kernel) Kill(pid int32, reason string) {
 	dsched.Yield(dsched.PointKillNotify, pid)
 	if tm != nil {
 		tm.kills.Inc()
-		tm.m.Event("kernel.kill", pid, 0)
 	}
 	if kl, ok := l.(KillListener); ok {
 		kl.ProcessKilled(pid, reason)

@@ -1,15 +1,16 @@
 // Package obs is the live observability plane for a resident HerQules
 // system: a small HTTP server exposing the telemetry registry as Prometheus
-// text exposition, per-PID attribution as JSON, the bounded event ring as
-// JSONL, a liveness probe, and the Go runtime profiler.
+// text exposition, per-PID attribution and kill postmortems as JSON, a
+// liveness probe, and the Go runtime profiler.
 //
 // The paper evaluates HerQules as a resident service (one verifier process
 // multiplexing every enforced application, §4); operating such a service
 // requires answering "is the verifier keeping up, and for which process is
 // it not?" without stopping it. The endpoints here serve exactly that: the
-// send → validate latency distribution (the paper's validation-lag figure),
-// per-PID syscall-gate stalls, and channel backpressure peaks, all scraped
-// from live atomics without pausing any drain.
+// drains' pump-stall distribution (utilisation = 1 − Σ stall ÷ wall), per-PID
+// syscall-gate stalls, channel backpressure peaks and, for a killed process,
+// the flight window that led up to the kill, all read from live state
+// without pausing any drain.
 //
 // The package sits strictly above supervisor and telemetry — nothing in the
 // enforcement path imports it, and a System built without WithHTTPAddr never
@@ -27,7 +28,6 @@ import (
 	"sync"
 
 	"herqules/internal/supervisor"
-	"herqules/internal/telemetry"
 )
 
 // System is the slice of supervisor.System the observability plane reads.
@@ -71,19 +71,18 @@ type ConnReporter interface {
 // bind and serve on a dedicated listener.
 type Server struct {
 	sys   System
-	m     *telemetry.Metrics // may be nil: /trace then serves an empty document
-	conns ConnReporter       // may be nil: no connection plane to report
+	conns ConnReporter // may be nil: no connection plane to report
 
 	mu  sync.Mutex
 	ln  net.Listener
 	srv *http.Server
 }
 
-// NewServer builds a server over sys. m, when non-nil, provides the event
-// ring behind /trace; the metric exposition itself reads sys.Stats(), which
-// already carries the registry snapshot diffed to the system's own interval.
-func NewServer(sys System, m *telemetry.Metrics) *Server {
-	return &Server{sys: sys, m: m}
+// NewServer builds a server over sys. The metric exposition reads
+// sys.Stats(), which already carries the registry snapshot diffed to the
+// system's own interval.
+func NewServer(sys System) *Server {
+	return &Server{sys: sys}
 }
 
 // SetConnReporter wires the connection plane into the exposition: /metrics
@@ -97,7 +96,6 @@ func (s *Server) SetConnReporter(r ConnReporter) { s.conns = r }
 //	                  per-PID and per-shard series, per-policy violations)
 //	/healthz          liveness JSON; 200 while up, 503 once shutdown has begun
 //	/procs            per-PID attribution JSON (the Stats serialization)
-//	/trace            event ring as JSONL; empty until tracing is enabled
 //	/violations       kill-postmortem index (one summary per ForensicReport)
 //	/violations/<pid> full ForensicReport JSON for one killed process
 //	/debug/pprof/     Go runtime profiler
@@ -106,7 +104,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/procs", s.handleProcs)
-	mux.HandleFunc("/trace", s.handleTrace)
 	mux.HandleFunc("/violations", s.handleViolations)
 	mux.HandleFunc("/violations/", s.handleViolation)
 	mux.HandleFunc("/conns", s.handleConns)
@@ -207,21 +204,6 @@ func (s *Server) handleProcs(w http.ResponseWriter, _ *http.Request) {
 	// The whole Stats value is the shared serialization path (its
 	// MarshalJSON carries the per-PID rows); /procs is that document.
 	_ = enc.Encode(s.sys.Stats())
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	var t *telemetry.Trace
-	if s.m != nil {
-		t = s.m.Trace()
-	}
-	if t == nil {
-		// Tracing never enabled: an empty event document, not an error — a
-		// scraper polling a fleet must not have to know which instances were
-		// started with tracing.
-		return
-	}
-	_ = t.WriteJSONL(w)
 }
 
 // violationSummary is one row of the /violations index: enough to triage and

@@ -168,19 +168,12 @@ func checkExposition(t *testing.T, body string) map[string]float64 {
 }
 
 // TestMetricsEndpointLiveSystem is the acceptance test: scrape /metrics
-// while a multi-process System with latency sampling runs, and assert the
-// send → validate histogram is populated, every launched PID has its own
-// labeled series, and the whole exposition parses with monotone cumulative
-// buckets.
+// while a multi-process System runs, and assert the drains' pump-stall
+// histogram is populated, every launched PID has its own labeled series, and
+// the whole exposition parses with monotone cumulative buckets.
 func TestMetricsEndpointLiveSystem(t *testing.T) {
-	m := telemetry.New(0)
-	m.EnableTrace(1 << 12)
-	sys := supervisor.New(supervisor.Config{
-		Metrics: m,
-		// Sample every message so even a short program lands latency samples.
-		LatencySampleEvery: 1,
-	})
-	srv := NewServer(sys, m)
+	sys := supervisor.New(supervisor.Config{Metrics: telemetry.New(0)})
+	srv := NewServer(sys)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +211,8 @@ func TestMetricsEndpointLiveSystem(t *testing.T) {
 	}
 	samples := checkExposition(t, body)
 
-	if c := samples["herqules_verifier_send_validate_ns_count"]; c <= 0 {
-		t.Errorf("send_validate histogram empty: count=%v\n%s", c, body)
+	if c := samples["herqules_verifier_pump_stall_ns_count"]; c <= 0 {
+		t.Errorf("pump_stall histogram empty: count=%v\n%s", c, body)
 	}
 	for _, pid := range pids {
 		key := fmt.Sprintf(`herqules_proc_messages_total{pid="%d"}`, pid)
@@ -279,17 +272,10 @@ func TestMetricsEndpointLiveSystem(t *testing.T) {
 		}
 	}
 
-	// /trace: tracing is enabled, so JSONL with at least one event.
-	code, tbody := get(t, base+"/trace")
-	if code != http.StatusOK {
-		t.Fatalf("/trace: status %d", code)
-	}
-	if strings.TrimSpace(tbody) != "" {
-		var ev map[string]any
-		first := strings.SplitN(strings.TrimSpace(tbody), "\n", 2)[0]
-		if err := json.Unmarshal([]byte(first), &ev); err != nil {
-			t.Errorf("/trace first line not JSON: %v: %q", err, first)
-		}
+	// There is no event-trace endpoint: the flight recorder behind
+	// /violations is the one event record.
+	if code, _ := get(t, base+"/trace"); code != http.StatusNotFound {
+		t.Errorf("/trace: status %d, want 404", code)
 	}
 
 	// pprof index should serve.
@@ -311,43 +297,6 @@ func TestMetricsEndpointLiveSystem(t *testing.T) {
 	}
 }
 
-// TestTraceEndpointDisabled: without a trace ring the endpoint serves an
-// empty 200 document — a fleet scraper must not have to know which instances
-// were started with tracing, and the handler must not panic on the nil ring.
-func TestTraceEndpointDisabled(t *testing.T) {
-	m := telemetry.New(0)
-	sys := supervisor.New(supervisor.Config{Metrics: m})
-	srv := NewServer(sys, m)
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	code, body := get(t, "http://"+srv.Addr()+"/trace")
-	if code != http.StatusOK {
-		t.Errorf("/trace without ring: status %d, want 200", code)
-	}
-	if strings.TrimSpace(body) != "" {
-		t.Errorf("/trace without ring: non-empty body %q", body)
-	}
-
-	// A server built with no Metrics at all must behave identically.
-	srv2 := NewServer(degradedSystem{}, nil)
-	if err := srv2.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	code, body = get(t, "http://"+srv2.Addr()+"/trace")
-	if code != http.StatusOK || strings.TrimSpace(body) != "" {
-		t.Errorf("/trace with nil metrics: status %d body %q, want empty 200", code, body)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := sys.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestWriteMetricsSynthetic exercises the exposition writer against a
 // hand-built Stats value: sanitized names, cumulative buckets, per-PID
 // labels — without a live system.
@@ -366,7 +315,7 @@ func TestWriteMetricsSynthetic(t *testing.T) {
 		Snapshot: telemetry.Snapshot{
 			Counters:   map[string]telemetry.CounterSnapshot{"ipc.sends": {Total: 42}},
 			Peaks:      map[string]uint64{"ipc.pending_peak": 17},
-			Histograms: map[string]telemetry.HistogramSnapshot{"verifier.send_validate_ns": h},
+			Histograms: map[string]telemetry.HistogramSnapshot{"verifier.pump_stall_ns": h},
 		},
 	}
 	var b strings.Builder
@@ -377,8 +326,8 @@ func TestWriteMetricsSynthetic(t *testing.T) {
 	for key, want := range map[string]float64{
 		"herqules_ipc_sends_total":                      42,
 		"herqules_ipc_pending_peak_peak":                17,
-		"herqules_verifier_send_validate_ns_count":      5,
-		"herqules_verifier_send_validate_ns_sum":        1013,
+		"herqules_verifier_pump_stall_ns_count":         5,
+		"herqules_verifier_pump_stall_ns_sum":           1013,
 		`herqules_proc_messages_total{pid="7"}`:         40,
 		`herqules_proc_messages_total{pid="9"}`:         2,
 		`herqules_proc_violations_total{pid="9"}`:       1,
@@ -394,10 +343,10 @@ func TestWriteMetricsSynthetic(t *testing.T) {
 
 	// The zero bucket must appear with le="0" and the 1000-sample must land
 	// in le="1023" cumulative 5.
-	if got := samples[`herqules_verifier_send_validate_ns_bucket{le="0"}`]; got != 1 {
+	if got := samples[`herqules_verifier_pump_stall_ns_bucket{le="0"}`]; got != 1 {
 		t.Errorf(`le="0" bucket = %v, want 1`, got)
 	}
-	if got := samples[`herqules_verifier_send_validate_ns_bucket{le="1023"}`]; got != 5 {
+	if got := samples[`herqules_verifier_pump_stall_ns_bucket{le="1023"}`]; got != 5 {
 		t.Errorf(`le="1023" bucket = %v, want 5`, got)
 	}
 }
@@ -467,7 +416,7 @@ func (d degradedSystem) AllForensics() []supervisor.ForensicReport { return nil 
 // lost capacity — the probe must go unhealthy even though the system is
 // still up, so an orchestrator replaces the instance.
 func TestHealthzReportsDegradedAs503(t *testing.T) {
-	srv := NewServer(degradedSystem{poisoned: 1}, nil)
+	srv := NewServer(degradedSystem{poisoned: 1})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +434,7 @@ func TestHealthzReportsDegradedAs503(t *testing.T) {
 	}
 
 	// Zero poisoned shards: healthy.
-	srv2 := NewServer(degradedSystem{poisoned: 0}, nil)
+	srv2 := NewServer(degradedSystem{poisoned: 0})
 	if err := srv2.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +453,7 @@ func TestViolationsEndpointsLiveSystem(t *testing.T) {
 		KillOnViolation: true,
 		FlightRecorder:  64,
 	})
-	srv := NewServer(sys, nil)
+	srv := NewServer(sys)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -127,9 +127,9 @@ func writeShardSeries(w io.Writer, shards []supervisor.ShardRow) {
 // WriteConnMetrics emits the connection plane's per-session gauges: one
 // series per live session, labeled by pid and tenant. Appended to the
 // /metrics exposition when a ConnReporter is wired — the transport-level
-// signals (severed vs connected, resume counts, replay ack high-water,
-// session-queue backlog) an operator needs to tell "the network is flapping"
-// from "the verifier is behind".
+// signals (severed vs connected, resume counts, replay ack high-water, last
+// receive) an operator needs to tell "the network is flapping" from "the
+// verifier is behind".
 func WriteConnMetrics(w io.Writer, rows []ConnRow) {
 	writeScalar(w, "herqules_conn_sessions", "gauge", "", uint64(len(rows)))
 	if len(rows) == 0 {
@@ -148,7 +148,6 @@ func WriteConnMetrics(w io.Writer, rows []ConnRow) {
 		}},
 		{"herqules_conn_resumes_total", func(r ConnRow) uint64 { return r.Resumes }},
 		{"herqules_conn_forwarded_seq", func(r ConnRow) uint64 { return r.ForwardedSeq }},
-		{"herqules_conn_queue_depth", func(r ConnRow) uint64 { return uint64(r.QueueDepth) }},
 		{"herqules_conn_last_recv_unix_nanos", func(r ConnRow) uint64 { return uint64(r.LastRecvUnixNanos) }},
 	}
 	for _, c := range cols {
@@ -237,8 +236,8 @@ func writeHistogramSeries(w io.Writer, name, labels string, h telemetry.Histogra
 
 func formatBound(v uint64) string { return strconv.FormatUint(v, 10) }
 
-// metricName maps a registry instrument name ("verifier.send_validate_ns")
-// to a Prometheus metric name ("herqules_verifier_send_validate_ns"): the
+// metricName maps a registry instrument name ("verifier.pump_stall_ns")
+// to a Prometheus metric name ("herqules_verifier_pump_stall_ns"): the
 // herqules_ namespace prefix, with every character outside [a-zA-Z0-9_]
 // folded to '_'.
 func metricName(name string) string {

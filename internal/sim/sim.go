@@ -88,38 +88,6 @@ func BatchRecvNanos(burstOverheadNanos float64, batch int) float64 {
 	return RecvMessageNanos + burstOverheadNanos/float64(batch)
 }
 
-// Telemetry overhead budget. The telemetry layer charges the verifier drain
-// path a fixed number of uncontended atomic read-modify-writes per delivered
-// *burst*, never per message: counters are accumulated in locals inside
-// deliverShardBatch and flushed with one striped atomic add each.
-const (
-	// TelemetryCounterNanos is one uncontended lock-prefixed add on a
-	// cache line owned by the updating core.
-	TelemetryCounterNanos = 1.3
-	// TelemetryHistogramNanos is one histogram observation: count, sum
-	// and bucket adds plus the (rarely-taken) max update.
-	TelemetryHistogramNanos = 4.0
-	// TelemetryBurstNanos is the modelled fixed telemetry cost per
-	// delivered burst: the verifier's counter flushes (messages, plus
-	// occasionally violations/kills/syncs) and one batch-size histogram
-	// observation.
-	TelemetryBurstNanos = 2*TelemetryCounterNanos + TelemetryHistogramNanos
-)
-
-// TelemetryOverheadFraction models the relative cost the telemetry layer
-// adds to the batched shared-memory drain path at the given burst size: the
-// per-burst accounting divided by the burst's total drain work. At the
-// default 256-message burst this is well under one percent, which is the
-// budget the instrumentation must stay inside (verified empirically by the
-// before/after BenchmarkVerifierThroughput_* runs recorded in DESIGN.md).
-func TelemetryOverheadFraction(batch int) float64 {
-	if batch < 1 {
-		batch = 1
-	}
-	return (TelemetryBurstNanos / float64(batch)) /
-		BatchRecvNanos(RecvBurstOverheadNanosShared, batch)
-}
-
 // Default returns the baseline cost model with no messaging attached:
 // a simple out-of-order-ish core where ALU ops are cheap and memory and
 // calls cost a few cycles.

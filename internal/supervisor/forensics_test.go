@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"herqules/internal/ipc"
+	"herqules/internal/kernel"
+	"herqules/internal/telemetry"
 )
 
 // TestForensicsRetainedPastTeardown is the retention contract: a monitored
@@ -143,6 +145,88 @@ func TestForensicsDirectKernelRegistration(t *testing.T) {
 	if rep.Policy != "cfi" || rep.KillReason == "" {
 		t.Errorf("report: policy %q reason %q", rep.Policy, rep.KillReason)
 	}
+}
+
+// gateTestMessages delivers a passing define/check stream of n pairs for pid
+// and returns the number of messages delivered.
+func gateTestMessages(sys *System, pid int32, n int) int {
+	v := sys.Verifier()
+	for i := 0; i < n; i++ {
+		slot, ptr := uint64(0x40+8*i), uint64(0x1000+0x100*i)
+		v.Deliver(ipc.Message{Op: ipc.OpPointerDefine, PID: pid, Arg1: slot, Arg2: ptr, Seq: uint64(2*i + 1)})
+		v.Deliver(ipc.Message{Op: ipc.OpPointerCheck, PID: pid, Arg1: slot, Arg2: ptr, Seq: uint64(2*i + 2)})
+	}
+	return 2 * n
+}
+
+// TestEpochKillWindowEndsInGateTimeline: the flight window is the one
+// timeline of a gate kill. A gated call with no System-Call message stalls
+// out its epoch, and the kernel stamps the stall and the expiry before it
+// reports the kill, so the frozen window ends gate-stall → epoch-expired →
+// killed, after the process's last messages. Under the log-only degraded
+// policy the same expiry is counted and let through, and nothing freezes.
+func TestEpochKillWindowEndsInGateTimeline(t *testing.T) {
+	const epoch = 20 * time.Millisecond
+	const syscallNo = 7
+
+	t.Run("fail-closed", func(t *testing.T) {
+		sys := New(Config{FlightRecorder: 64, Epoch: epoch})
+		defer shutdown(t, sys)
+
+		pid := sys.Kernel().Register()
+		msgs := gateTestMessages(sys, pid, 3)
+		if err := sys.Kernel().SyscallEnter(pid, syscallNo); err == nil {
+			t.Fatal("SyscallEnter without a System-Call message returned nil, want an epoch kill")
+		}
+		if _, reason := sys.Kernel().Killed(pid); reason != kernel.ReasonEpochExpired {
+			t.Fatalf("kill reason %q, want %q", reason, kernel.ReasonEpochExpired)
+		}
+		rep, ok := sys.Forensics(pid)
+		if !ok {
+			t.Fatalf("no report frozen for pid %d", pid)
+		}
+		w := rep.Window
+		if len(w) < msgs+3 {
+			t.Fatalf("window holds %d records, want at least %d messages + 3 gate records: %+v", len(w), msgs, w)
+		}
+		tail := w[len(w)-3:]
+		if tail[0].Code != "gate-stall" || tail[1].Code != "epoch-expired" || tail[2].Code != "killed" {
+			t.Fatalf("window ends %s, %s, %s; want gate-stall, epoch-expired, killed\n%+v",
+				tail[0].Code, tail[1].Code, tail[2].Code, w)
+		}
+		if tail[0].Value < uint64(epoch) {
+			t.Errorf("gate-stall value %d ns, want >= the %v epoch", tail[0].Value, epoch)
+		}
+		if tail[1].Value != syscallNo {
+			t.Errorf("epoch-expired value %d, want syscall %d", tail[1].Value, syscallNo)
+		}
+		for i, e := range w[len(w)-3-msgs : len(w)-3] {
+			if e.Kind != "message" || e.Code != "ok" || e.Seq != uint64(i+1) {
+				t.Errorf("window record %d before the gate timeline = %+v, want message seq %d ok", i, e, i+1)
+			}
+		}
+	})
+
+	t.Run("log-only", func(t *testing.T) {
+		m := telemetry.New(0)
+		sys := New(Config{FlightRecorder: 64, Epoch: epoch, Degraded: kernel.DegradedLogOnly, Metrics: m})
+		defer shutdown(t, sys)
+
+		pid := sys.Kernel().Register()
+		gateTestMessages(sys, pid, 3)
+		if err := sys.Kernel().SyscallEnter(pid, syscallNo); err != nil {
+			t.Fatalf("SyscallEnter under DegradedLogOnly = %v, want nil", err)
+		}
+		if ks, _ := sys.Kernel().Stats(pid); ks.DegradedAllows != 1 {
+			t.Errorf("kernel DegradedAllows = %d, want 1", ks.DegradedAllows)
+		}
+		if got := m.Counter("kernel.degraded_allows").Value(); got != 1 {
+			t.Errorf("kernel.degraded_allows = %d, want 1", got)
+		}
+		if rep, ok := sys.Forensics(pid); ok {
+			t.Errorf("a bypassed epoch froze a report: %+v", rep)
+		}
+	})
 }
 
 func shutdown(t *testing.T, sys *System) {

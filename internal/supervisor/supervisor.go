@@ -88,14 +88,6 @@ type Config struct {
 	// bypass and lets the call through — measurement runs only.
 	Degraded kernel.DegradedPolicy
 
-	// LatencySampleEvery controls sampled end-to-end latency tracing when
-	// Metrics is wired: one message in N is stamped at send time and its
-	// send → validate latency recorded at delivery (histogram
-	// verifier.send_validate_ns). 0 selects telemetry.DefaultSampleEvery
-	// (1024); values are rounded up to a power of two; negative disables
-	// sampling. Ignored when Metrics is nil.
-	LatencySampleEvery int
-
 	// FlightRecorder, when > 0, arms a per-process flight recorder of that
 	// many slots (rounded up to a power of two): the verifier stamps every
 	// delivered message's policy-chain outcome, the kernel stamps gate/epoch
@@ -285,11 +277,6 @@ func New(cfg Config) *System {
 		}
 	}
 	if s.m != nil {
-		if cfg.LatencySampleEvery >= 0 {
-			// Attach the sampler before the verifier caches its telemetry
-			// instruments, so delivery picks it up.
-			s.m.EnableLatencySampling(cfg.LatencySampleEvery)
-		}
 		k.EnableTelemetry(s.m)
 		v.EnableTelemetry(s.m)
 		s.base = s.m.Snapshot()

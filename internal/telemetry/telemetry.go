@@ -1,5 +1,5 @@
-// Package telemetry is the low-overhead metrics and event-tracing subsystem
-// shared by the kernel gate, the verifier pipeline and the IPC channels. The
+// Package telemetry is the low-overhead metrics subsystem shared by the
+// kernel gate, the verifier pipeline and the IPC channels. The
 // paper's evaluation (§5.2–§5.4) is built on per-component measurements —
 // syscall stall time, message rates, queue occupancy, metadata entries — and
 // Burow et al. argue that CFI systems are only comparable when such overheads
@@ -17,9 +17,10 @@
 //     atomic loads; Diff subtracts two snapshots so an experiment can report
 //     exactly the interval it measured.
 //
-// The optional Trace is a bounded ring of timestamped events (kills, epoch
-// expiries, exits) that can be dumped as JSONL for offline inspection; when
-// disabled, emitting an event is one atomic pointer load.
+// The registry is one of the package's two mechanisms. The other is the
+// flight recorder (flight.go): a per-process ring of the last messages and
+// kernel events, frozen when the process is killed so the verifier can report
+// the window that led up to the kill.
 package telemetry
 
 import (
@@ -101,18 +102,15 @@ func (p *Peak) Observe(v uint64) {
 // Value returns the high-water mark.
 func (p *Peak) Value() uint64 { return p.v.Load() }
 
-// Metrics is a registry of named counters, histograms and peaks plus an
-// optional event trace. All lookup methods are get-or-create and safe for
-// concurrent use; instruments should be resolved once at wiring time and
-// cached, never looked up on a hot path.
+// Metrics is a registry of named counters, histograms and peaks. All lookup
+// methods are get-or-create and safe for concurrent use; instruments should
+// be resolved once at wiring time and cached, never looked up on a hot path.
 type Metrics struct {
 	mu       sync.Mutex
 	lanes    int
 	counters map[string]*Counter
 	hists    map[string]*Histogram
 	peaks    map[string]*Peak
-	trace    atomic.Pointer[Trace]
-	sampler  atomic.Pointer[LatencySampler]
 }
 
 // New creates a registry whose instruments default to the given stripe width

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"math"
 	"sync"
 	"testing"
@@ -144,46 +142,6 @@ func TestFormatMentionsEveryInstrument(t *testing.T) {
 	}
 }
 
-func TestTraceRingBoundedAndOrdered(t *testing.T) {
-	m := New(1)
-	if m.Trace() != nil {
-		t.Fatal("trace enabled by default")
-	}
-	m.Event("ignored", 0, 0) // no-op while disabled
-	tr := m.EnableTrace(16)
-	for i := 0; i < 40; i++ {
-		m.Event("e", int32(i), uint64(i))
-	}
-	if tr.Len() != 16 {
-		t.Fatalf("ring len = %d, want 16", tr.Len())
-	}
-	if tr.Dropped() != 24 {
-		t.Errorf("dropped = %d, want 24", tr.Dropped())
-	}
-	evs := tr.Events()
-	for i, e := range evs {
-		if want := int32(24 + i); e.PID != want {
-			t.Fatalf("event %d pid = %d, want %d (oldest-first after wrap)", i, e.PID, want)
-		}
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	lines := 0
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("line %d not JSON: %v", lines, err)
-		}
-		lines++
-	}
-	if lines != 16 {
-		t.Errorf("JSONL lines = %d, want 16", lines)
-	}
-}
-
 // TestConcurrentInstruments exercises every write path from many goroutines;
 // run under -race this is the package's memory-safety proof.
 func TestConcurrentInstruments(t *testing.T) {
@@ -191,7 +149,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	c := m.Counter("c")
 	h := m.Histogram("h")
 	p := m.Peak("p")
-	m.EnableTrace(64)
 	const workers = 8
 	const per = 2000
 	var wg sync.WaitGroup
@@ -205,7 +162,6 @@ func TestConcurrentInstruments(t *testing.T) {
 				h.ObserveAt(w, uint64(i))
 				p.Observe(uint64(i))
 				if i%500 == 0 {
-					m.Event("tick", int32(w), uint64(i))
 					_ = m.Snapshot()
 				}
 			}
@@ -221,32 +177,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 	if s.Peaks["p"] != per-1 {
 		t.Errorf("peak = %d, want %d", s.Peaks["p"], per-1)
-	}
-}
-
-// TestEnableTraceIdempotent is the regression test for the double-enable bug:
-// a second EnableTrace used to replace the ring and silently discard every
-// retained event. It must return the existing ring instead.
-func TestEnableTraceIdempotent(t *testing.T) {
-	m := New(1)
-	first := m.EnableTrace(64)
-	m.Event("before", 1, 0)
-	m.Event("before", 2, 0)
-
-	second := m.EnableTrace(16) // different capacity: first call's wins
-	if second != first {
-		t.Fatalf("second EnableTrace returned a new ring, discarding retained events")
-	}
-	if got := m.Trace(); got != first {
-		t.Fatalf("Trace() = %p, want the original ring %p", got, first)
-	}
-	if n := first.Len(); n != 2 {
-		t.Fatalf("retained events = %d, want 2", n)
-	}
-	m.Event("after", 3, 0)
-	evs := first.Events()
-	if len(evs) != 3 || evs[0].Name != "before" || evs[2].Name != "after" {
-		t.Fatalf("events after re-enable = %+v", evs)
 	}
 }
 
@@ -367,50 +297,5 @@ func TestBucketUpperBound(t *testing.T) {
 	s.Record(6) // lands in bucket 3: [4, 8)
 	if s.Buckets[3] != 1 || BucketUpperBound(3) < 6 {
 		t.Errorf("sample 6 not covered by its bucket's upper bound")
-	}
-}
-
-// TestLatencySampler exercises the 1-in-N stamp table: sampling decision,
-// stamp/take round trip, take-once semantics, and idempotent enablement.
-func TestLatencySampler(t *testing.T) {
-	m := New(1)
-	if m.LatencySampler() != nil {
-		t.Fatal("sampler attached before EnableLatencySampling")
-	}
-	s := m.EnableLatencySampling(1000) // rounds up to 1024
-	if s.EveryN() != 1024 {
-		t.Fatalf("EveryN = %d, want 1024 (rounded up)", s.EveryN())
-	}
-	if again := m.EnableLatencySampling(64); again != s {
-		t.Fatal("second EnableLatencySampling replaced the sampler")
-	}
-	if s.Sampled(0) {
-		t.Error("seq 0 (unset counter) must never sample")
-	}
-	if s.Sampled(1023) || !s.Sampled(1024) || !s.Sampled(2048) {
-		t.Error("sampling points must be exact multiples of EveryN")
-	}
-
-	s.Stamp(7, 1024)
-	if _, ok := s.Take(7, 2048); ok {
-		t.Error("Take matched a different sequence number")
-	}
-	if _, ok := s.Take(8, 1024); ok {
-		t.Error("Take matched a different PID")
-	}
-	lat, ok := s.Take(7, 1024)
-	if !ok || lat < 0 {
-		t.Fatalf("Take(7, 1024) = %d, %v; want a non-negative latency", lat, ok)
-	}
-	if _, ok := s.Take(7, 1024); ok {
-		t.Error("second Take returned the consumed stamp")
-	}
-}
-
-// TestLatencySamplerDefault checks the documented default period.
-func TestLatencySamplerDefault(t *testing.T) {
-	m := New(1)
-	if n := m.EnableLatencySampling(0).EveryN(); n != DefaultSampleEvery {
-		t.Fatalf("default EveryN = %d, want %d", n, DefaultSampleEvery)
 	}
 }

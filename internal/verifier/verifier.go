@@ -226,7 +226,6 @@ func (v *Verifier) SetKeyring(kr *policy.Keyring) { v.keyring = kr }
 // per-message counters are striped one lane per shard so deliveries into
 // different shards never contend on a cache line.
 type verifierMetrics struct {
-	m          *telemetry.Metrics
 	messages   *telemetry.Counter // per-shard delivered messages
 	dropped    *telemetry.Counter // messages dropped on dead contexts
 	violations *telemetry.Counter
@@ -237,24 +236,13 @@ type verifierMetrics struct {
 	recvErrs   *telemetry.Counter   // terminal receive errors that stopped a drain
 	batchSize  *telemetry.Histogram // deliverShardBatch run lengths
 	pumpStall  *telemetry.Histogram // ns the drain loop spent in RecvBatch
-	// sampler/sendLatency implement the sampled end-to-end latency trace:
-	// when the registry has latency sampling enabled, delivery takes
-	// back the send-time stamp of each sampled message and observes the
-	// send → validate difference — the paper's "validation lag" (§5.3) as a
-	// live distribution. Nil when sampling is disabled.
-	sampler     *telemetry.LatencySampler
-	sendLatency *telemetry.Histogram // ns from instrumented send to validation
 }
 
 // EnableTelemetry attaches the metrics registry. Per-shard counters are
-// striped to the shard count; call before concurrent use. When the registry
-// has latency sampling enabled (Metrics.EnableLatencySampling, called before
-// this), the verifier also records the sampled send → validate latency
-// histogram `verifier.send_validate_ns`.
+// striped to the shard count; call before concurrent use.
 func (v *Verifier) EnableTelemetry(m *telemetry.Metrics) {
 	n := len(v.shards)
 	v.tm = &verifierMetrics{
-		m:          m,
 		messages:   m.CounterLanes("verifier.messages", n),
 		dropped:    m.CounterLanes("verifier.dropped_dead", n),
 		violations: m.CounterLanes("verifier.violations", n),
@@ -265,10 +253,6 @@ func (v *Verifier) EnableTelemetry(m *telemetry.Metrics) {
 		recvErrs:   m.Counter("verifier.recv_terminal_errors"),
 		batchSize:  m.Histogram("verifier.batch_size"),
 		pumpStall:  m.Histogram("verifier.pump_stall_ns"),
-	}
-	if s := m.LatencySampler(); s != nil {
-		v.tm.sampler = s
-		v.tm.sendLatency = m.HistogramLanes("verifier.send_validate_ns", n)
 	}
 }
 
@@ -608,8 +592,6 @@ func seqViolationReason(got, last uint64) string {
 type deliverState struct {
 	delivered, dropped, violCount, killCount, syncCount uint64
 	checkSeq, killOnViolation                           bool
-	sampler                                             *telemetry.LatencySampler
-	sendLatency                                         *telemetry.Histogram
 	pc                                                  *procCtx
 	pcPID                                               int32
 	pcValid                                             bool
@@ -648,11 +630,6 @@ func (v *Verifier) deliverLocked(s *shard, si int, ms []ipc.Message) {
 	st := deliverState{
 		checkSeq:        v.CheckSeq,
 		killOnViolation: v.KillOnViolation,
-	}
-	// Latency sampling: hoisted so the per-message cost of a non-sampled
-	// message is one nil check plus one mask-and-branch.
-	if tm := v.tm; tm != nil {
-		st.sampler, st.sendLatency = tm.sampler, tm.sendLatency
 	}
 
 	locked := true
@@ -700,9 +677,6 @@ func (v *Verifier) deliverLocked(s *shard, si int, ms []ipc.Message) {
 	}
 	for _, a := range acts {
 		if a.kill {
-			if tm := v.tm; tm != nil {
-				tm.m.Event("verifier.kill", a.pid, 0)
-			}
 			v.gate.Kill(a.pid, a.reason)
 		} else {
 			v.gate.NotifySyncReady(a.pid)
@@ -798,14 +772,6 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 				// attacker-controlled stream.
 				out = append(out, v.condemn(st, si, m, reject, telemetry.FlightSealerReject))
 				continue
-			}
-		}
-		if st.sampler != nil && st.sampler.Sampled(m.Seq) {
-			// This message was stamped at send time (1-in-N): record the
-			// end-to-end send → validate latency. A miss means the stream
-			// never passed an instrumented sender (inline or replayed).
-			if lat, ok := st.sampler.Take(m.PID, m.Seq); ok {
-				st.sendLatency.ObserveAt(si, uint64(lat))
 			}
 		}
 		if st.checkSeq && pc.seqValid && m.Seq != pc.lastSeq+1 {
@@ -933,7 +899,6 @@ func (v *Verifier) poisonShard(si int, reason string) {
 	s.mu.Unlock()
 	if tm := v.tm; tm != nil {
 		tm.poisons.Inc()
-		tm.m.Event("verifier.shard_poisoned", int32(si), uint64(len(pids)))
 	}
 	if v.gate != nil {
 		for _, pid := range pids {

@@ -151,16 +151,6 @@ func WithDegradedPolicy(p DegradedPolicy) SystemOption {
 	return func(c *systemConfig) { c.sup.Degraded = p }
 }
 
-// WithLatencySampling sets the end-to-end latency sampling period: one
-// message in everyN (rounded up to a power of two) is timed from channel
-// send to shard validation, feeding the verifier.send_validate_ns histogram.
-// The default when a Metrics registry is attached is 1 in 1024; pass a
-// negative value to disable sampling entirely. Requires WithMetrics (or
-// WithHTTPAddr, which implies one).
-func WithLatencySampling(everyN int) SystemOption {
-	return func(c *systemConfig) { c.sup.LatencySampleEvery = everyN }
-}
-
 // ForensicReport is the kill postmortem captured by the flight recorder: the
 // attributed policy, kill reason, last-N message window, per-policy decision
 // trail and shard health frozen at the instant of the kill, wrapped with the
@@ -191,18 +181,16 @@ func WithFlightRecorder(n int) SystemOption {
 
 // WithHTTPAddr serves the observability endpoints on addr (host:port;
 // ":8080" or "127.0.0.1:0" both work): /metrics in Prometheus text format,
-// /healthz, /procs, /trace, /violations and /debug/pprof/. If no Metrics registry is
-// attached, one is created and wired automatically (with the default event
-// ring enabled, so /trace serves). A bind failure does not fail NewSystem —
+// /healthz, /procs, /violations and /debug/pprof/. If no Metrics registry is
+// attached, one is created and wired automatically, and unless
+// WithFlightRecorder was given the flight recorder is armed at
+// DefaultFlightSlots, so /violations has kill postmortems to serve. A bind
+// failure does not fail NewSystem —
 // the enforcement stack is independent of the scrape endpoint — but is
 // reported by HTTPAddr.
 func WithHTTPAddr(addr string) SystemOption {
 	return func(c *systemConfig) { c.httpAddr = addr }
 }
-
-// defaultTraceEvents is the event-ring capacity a System enables when it
-// auto-creates a registry for the observability endpoint.
-const defaultTraceEvents = 1 << 14
 
 // NewSystem constructs a resident runtime. The zero configuration is
 // usable: default policies, violations recorded but not killed, shared-ring
@@ -212,17 +200,20 @@ func NewSystem(opts ...SystemOption) *System {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.httpAddr != "" && cfg.sup.Metrics == nil {
+	if cfg.httpAddr != "" {
 		// An observability endpoint without instruments would serve an
-		// empty exposition; imply the registry (and its event ring — the
-		// EnableTrace call is idempotent, so an explicit registry that
-		// already enabled a differently-sized ring keeps it).
-		cfg.sup.Metrics = telemetry.New(0)
+		// empty exposition, and one without a flight recorder an empty
+		// /violations: imply both unless the caller chose them.
+		if cfg.sup.Metrics == nil {
+			cfg.sup.Metrics = telemetry.New(0)
+		}
+		if cfg.sup.FlightRecorder == 0 {
+			cfg.sup.FlightRecorder = DefaultFlightSlots
+		}
 	}
 	sys := &System{s: supervisor.New(cfg.sup)}
 	if cfg.httpAddr != "" {
-		cfg.sup.Metrics.EnableTrace(defaultTraceEvents)
-		sys.obs = obs.NewServer(sys.s, cfg.sup.Metrics)
+		sys.obs = obs.NewServer(sys.s)
 		if err := sys.obs.Start(cfg.httpAddr); err != nil {
 			sys.obs, sys.obsErr = nil, err
 		} else {

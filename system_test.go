@@ -101,8 +101,9 @@ func TestSystemFacadeHTTPEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No WithMetrics: the endpoint implies a registry of its own.
-	sys := NewSystem(WithHTTPAddr("127.0.0.1:0"), WithLatencySampling(1))
+	// No WithMetrics, no WithFlightRecorder: the endpoint implies a registry
+	// and a flight recorder of its own.
+	sys := NewSystem(WithHTTPAddr("127.0.0.1:0"))
 	addr, err := sys.HTTPAddr()
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestSystemFacadeHTTPEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"herqules_procs_launched_total 1",
-		"herqules_verifier_send_validate_ns_bucket",
+		"herqules_verifier_pump_stall_ns_bucket",
 		`herqules_proc_messages_total{pid="` + strconv.FormatInt(int64(p.PID()), 10) + `"}`,
 	} {
 		if !strings.Contains(body, want) {
@@ -146,9 +147,15 @@ func TestSystemFacadeHTTPEndpoint(t *testing.T) {
 	if code, _ := fetch("/healthz"); code != http.StatusOK {
 		t.Errorf("/healthz: status %d, want 200", code)
 	}
-	// The implied registry enables the event ring, so /trace serves.
-	if code, _ := fetch("/trace"); code != http.StatusOK {
-		t.Errorf("/trace: status %d, want 200", code)
+	// The implied flight recorder freezes a report at a kill, so
+	// /violations serves one.
+	if code, _ := fetch("/violations"); code != http.StatusOK {
+		t.Errorf("/violations: status %d, want 200", code)
+	}
+	kpid := sys.s.Kernel().Register()
+	sys.s.Kernel().Kill(kpid, "facade test kill")
+	if code, body := fetch("/violations/" + strconv.FormatInt(int64(kpid), 10)); code != http.StatusOK {
+		t.Errorf("/violations/%d: status %d, want 200 (flight recorder not implied?)\n%s", kpid, code, body)
 	}
 
 	if err := sys.Shutdown(context.Background()); err != nil {
