@@ -11,12 +11,18 @@ import (
 func checkSpanIndex(t testing.TB, x *spanIndex) []span {
 	t.Helper()
 	var all []span
+	if len(x.tops) != len(x.leaves) {
+		t.Fatalf("%d tops for %d leaves", len(x.tops), len(x.leaves))
+	}
 	for li, l := range x.leaves {
 		if len(l) == 0 {
 			t.Fatalf("leaf %d of %d is empty", li, len(x.leaves))
 		}
 		if len(l) > spanLeafCap {
 			t.Fatalf("leaf %d holds %d spans, cap %d", li, len(l), spanLeafCap)
+		}
+		if top := l[len(l)-1].end(); x.tops[li] != top {
+			t.Fatalf("leaf %d ends at %#x, its top says %#x", li, top, x.tops[li])
 		}
 		all = append(all, l...)
 	}
@@ -99,7 +105,19 @@ func (p *allocPair) audit(t testing.TB, who string, step int) {
 			t.Fatalf("%s step %d: temporal span %d = %+v, reference %+v", who, step, i, s, r)
 		}
 	}
-	if dead := p.tp.regions.n - p.tp.live; len(p.tp.graves) > 2*dead+graveSlack {
+	dead := 0
+	for _, s := range regions {
+		if s.tag&tagDead != 0 {
+			dead++
+			if base, ok := p.tp.tombs.get(s.tag >> 1); !ok || base != s.base {
+				t.Fatalf("%s step %d: tombstone %+v is in the grave table as %#x,%t", who, step, s, base, ok)
+			}
+		}
+	}
+	if p.tp.tombs.live != dead {
+		t.Fatalf("%s step %d: %d generations in the grave table for %d tombstones", who, step, p.tp.tombs.live, dead)
+	}
+	if len(p.tp.graves) > 2*dead+graveSlack {
 		t.Fatalf("%s step %d: %d heap entries for %d tombstones", who, step, len(p.tp.graves), dead)
 	}
 }

@@ -119,29 +119,35 @@ func (c *CFI) check(m ipc.Message, invalidate bool) *Violation {
 // are gathered before the destination range is cleared. A move additionally
 // removes the source entries.
 func (c *CFI) blockCopy(src, dst, n uint64, move bool) {
-	type ent struct{ off, val uint64 }
-	var found []ent
-	c.table.each(func(a, v uint64) {
-		if a >= src && a-src < n {
-			found = append(found, ent{off: a - src, val: v})
-			if move {
-				c.table.del(a)
-			}
+	found := c.inRange(src, n)
+	if move {
+		for _, e := range found {
+			c.table.del(e.key)
 		}
-	})
+	}
 	// Pre-existing destination pointers are invalidated.
 	c.blockInvalidate(dst, n)
 	for _, e := range found {
-		c.define(dst+e.off, e.val)
+		c.define(dst+(e.key-src), e.val)
 	}
 }
 
 func (c *CFI) blockInvalidate(addr, n uint64) {
-	c.table.each(func(a, _ uint64) {
+	for _, e := range c.inRange(addr, n) {
+		c.table.del(e.key)
+	}
+}
+
+// inRange returns the entries in [addr, addr+n). The block operations
+// collect with it before they delete: a delete moves entries (ptrTable.each).
+func (c *CFI) inRange(addr, n uint64) []ptrEntry {
+	var found []ptrEntry
+	c.table.each(func(a, v uint64) {
 		if a >= addr && a-addr < n {
-			c.table.del(a)
+			found = append(found, ptrEntry{a, v})
 		}
 	})
+	return found
 }
 
 var _ Prefetcher = (*CFI)(nil)

@@ -8,46 +8,32 @@ import "math/bits"
 // one operation on this table, so its cost brackets the whole verify side of
 // the hot path. A generic Go map pays a hashing call, group-probing machinery
 // and — on every delete — a runtime reseeding draw per operation; this table
-// is one multiply-shift hash, a linear probe over 16-byte slots, and nothing
-// else, with deletes that un-tombstone themselves when their probe chain ends
-// (the define/invalidate churn of the CFI workload would otherwise fill the
-// table with tombstones and force rehashes at a steady state size).
+// is one multiply-shift hash and a linear probe over 16-byte slots, and
+// nothing else: no control bytes (key 0 marks an empty slot) and no
+// tombstones (a delete shifts the rest of its cluster back), so the slot
+// array is the whole table and its size follows the live entries alone.
 //
 // Not safe for concurrent use — policy state is confined to one verifier
 // shard, which serializes access per process (verifier shard lock).
 type ptrTable struct {
-	ctrl  []uint8    // one of ptrSlotEmpty / ptrSlotFull / ptrSlotDead per slot
-	ents  []ptrEntry // key/value pairs, valid where ctrl is ptrSlotFull
-	live  int        // full slots
-	used  int        // full + tombstoned slots (probe-chain occupancy)
-	mask  uint64     // len(ctrl)-1; capacity is always a power of two
-	shift uint       // 64 - log2(len(ctrl)), for the multiply-shift hash
+	ents  []ptrEntry // key 0 marks an empty slot
+	live  int        // entries, the zero key's included
+	mask  uint64     // len(ents)-1; capacity is always a power of two
+	shift uint       // 64 - log2(len(ents)), for the multiply-shift hash
+	// The real key 0 cannot sit in ents, so it sits here.
+	hasZero bool
+	zeroVal uint64
 }
 
 type ptrEntry struct{ key, val uint64 }
-
-const (
-	ptrSlotEmpty uint8 = iota
-	ptrSlotFull
-	ptrSlotDead // tombstone: probe chains continue through it
-)
 
 // minPtrTableCap keeps even tiny tables power-of-two sized with probe slack.
 const minPtrTableCap = 16
 
 func newPtrTable() *ptrTable {
 	t := &ptrTable{}
-	t.reset(minPtrTableCap)
+	t.grow()
 	return t
-}
-
-// reset reinitializes the table to an empty power-of-two capacity.
-func (t *ptrTable) reset(capacity int) {
-	t.ctrl = make([]uint8, capacity)
-	t.ents = make([]ptrEntry, capacity)
-	t.live, t.used = 0, 0
-	t.mask = uint64(capacity - 1)
-	t.shift = uint(64 - bits.TrailingZeros(uint(capacity)))
 }
 
 // slot is the Fibonacci multiply-shift hash: the high bits of key*φ⁻¹ spread
@@ -58,127 +44,123 @@ func (t *ptrTable) slot(key uint64) uint64 {
 
 // get returns the value stored for key.
 func (t *ptrTable) get(key uint64) (uint64, bool) {
-	i := t.slot(key)
-	for {
-		switch t.ctrl[i] {
-		case ptrSlotEmpty:
-			return 0, false
-		case ptrSlotFull:
-			if t.ents[i].key == key {
-				return t.ents[i].val, true
-			}
-		}
-		i = (i + 1) & t.mask
+	if key == 0 {
+		return t.zeroVal, t.hasZero
 	}
+	for i := t.slot(key); t.ents[i].key != 0; i = (i + 1) & t.mask {
+		if t.ents[i].key == key {
+			return t.ents[i].val, true
+		}
+	}
+	return 0, false
 }
 
 // touchMinCap is the capacity from which a look-ahead touch pays: 1<<16 slots
-// are 1 MiB of entries plus 64 KiB of control bytes, past what a core keeps
-// to itself. Below it lookups hit cache anyway and the pass is pure overhead.
+// are 1 MiB of entries, past what a core keeps to itself. Below it lookups
+// hit cache anyway and the pass is pure overhead.
 const touchMinCap = 1 << 16
 
 // worthTouching reports whether the table has outgrown the cache.
-func (t *ptrTable) worthTouching() bool { return len(t.ctrl) >= touchMinCap }
+func (t *ptrTable) worthTouching() bool { return len(t.ents) >= touchMinCap }
 
-// touch loads the two cache lines a lookup of key starts on (its control byte
-// and its entry) and returns a value that depends on both, for the caller to
-// keep so the loads are not optimized away. It decides nothing: a caller
-// running it over a window of upcoming keys gives the core independent misses
-// to overlap, where the lookups themselves would take them one after another
-// (group prefetching, Chen et al., ICDE 2004 — with plain loads, because Go
-// exposes no prefetch instruction).
+// touch loads the cache line of key's home slot and the line after it — at
+// 3/4 load a probe often runs into the next line — and returns a value that
+// depends on both, for the caller to keep so the loads are not optimized
+// away. It decides nothing: a caller running it over a window of upcoming
+// keys gives the core independent misses to overlap, where the lookups
+// themselves would take them one after another (group prefetching, Chen et
+// al., ICDE 2004 — with plain loads, because Go exposes no prefetch
+// instruction).
 func (t *ptrTable) touch(key uint64) uint64 {
 	i := t.slot(key)
-	return uint64(t.ctrl[i]) + t.ents[i].key
+	return t.ents[i].key + t.ents[(i+4)&t.mask].key // four slots a line
 }
 
-// put inserts or updates key. Tombstones left on key's probe chain are
-// reused, so a define/invalidate cycle of one address occupies one slot
-// forever instead of leaking chain occupancy.
+// put inserts or updates key. Only an insert can grow the table, and only
+// when the new entry would fill more than 3/4 of the slots: updates and
+// define/invalidate churn of a bounded working set never rehash.
 func (t *ptrTable) put(key, val uint64) {
-	if t.used*4 >= len(t.ctrl)*3 {
-		t.rehash()
-	}
-	i := t.slot(key)
-	ins := -1
-	for {
-		switch t.ctrl[i] {
-		case ptrSlotEmpty:
-			if ins < 0 {
-				ins = int(i)
-				t.used++ // consuming a fresh slot, not a reclaimed tombstone
-			}
-			t.ctrl[ins] = ptrSlotFull
-			t.ents[ins] = ptrEntry{key: key, val: val}
+	if key == 0 {
+		if !t.hasZero {
+			t.hasZero = true
 			t.live++
-			return
-		case ptrSlotDead:
-			if ins < 0 {
-				ins = int(i)
-			}
-		case ptrSlotFull:
-			if t.ents[i].key == key {
-				t.ents[i].val = val
-				return
-			}
 		}
-		i = (i + 1) & t.mask
+		t.zeroVal = val
+		return
 	}
-}
-
-// del removes key, reporting whether it was present. When the deleted slot
-// ends its probe chain (the next slot is empty), the tombstone — and any run
-// of tombstones immediately before it — collapses back to empty, keeping
-// chain occupancy proportional to live entries under churn.
-func (t *ptrTable) del(key uint64) bool {
 	i := t.slot(key)
-	for {
-		switch t.ctrl[i] {
-		case ptrSlotEmpty:
+	for ; t.ents[i].key != 0; i = (i + 1) & t.mask {
+		if t.ents[i].key == key {
+			t.ents[i].val = val
+			return
+		}
+	}
+	if (t.live+1)*4 > 3*len(t.ents) {
+		t.grow()
+		t.put(key, val) // absent, and now with room
+		return
+	}
+	t.ents[i] = ptrEntry{key: key, val: val}
+	t.live++
+}
+
+// del removes key, reporting whether it was present. The hole it leaves is
+// filled by a backward shift (Knuth's Algorithm R): walking the cluster after
+// the hole, every entry whose home slot does not lie cyclically in (hole, j]
+// moves back into the hole, and its slot becomes the hole. Every probe chain
+// then ends where it would had the key never been inserted.
+func (t *ptrTable) del(key uint64) bool {
+	if key == 0 {
+		if !t.hasZero {
 			return false
-		case ptrSlotFull:
-			if t.ents[i].key == key {
-				t.ctrl[i] = ptrSlotDead
-				t.ents[i] = ptrEntry{}
-				t.live--
-				if t.ctrl[(i+1)&t.mask] == ptrSlotEmpty {
-					for t.ctrl[i] == ptrSlotDead {
-						t.ctrl[i] = ptrSlotEmpty
-						t.used--
-						i = (i - 1) & t.mask
-					}
-				}
-				return true
-			}
 		}
-		i = (i + 1) & t.mask
+		t.hasZero, t.zeroVal = false, 0
+		t.live--
+		return true
 	}
-}
-
-// rehash rebuilds the table sized so live entries sit at ≤ 50% load,
-// dropping every tombstone. Triggered by put when chain occupancy (full +
-// tombstones) passes 75%.
-func (t *ptrTable) rehash() {
-	newCap := len(t.ctrl)
-	for t.live*2 >= newCap {
-		newCap *= 2
-	}
-	oldCtrl, oldEnts := t.ctrl, t.ents
-	t.reset(newCap)
-	for i, c := range oldCtrl {
-		if c == ptrSlotFull {
-			t.put(oldEnts[i].key, oldEnts[i].val)
+	i := t.slot(key)
+	for ; t.ents[i].key != key; i = (i + 1) & t.mask {
+		if t.ents[i].key == 0 {
+			return false
 		}
 	}
+	for j := (i + 1) & t.mask; t.ents[j].key != 0; j = (j + 1) & t.mask {
+		if home := t.slot(t.ents[j].key); (j-home)&t.mask >= (j-i)&t.mask {
+			t.ents[i] = t.ents[j]
+			i = j
+		}
+	}
+	t.ents[i] = ptrEntry{}
+	t.live--
+	return true
 }
 
-// each calls f for every live entry. f must not insert (the table may
-// rehash); deleting any key through del is safe, because entries never move
-// outside rehash.
+// grow doubles the capacity (an empty table gets minPtrTableCap slots) and
+// re-places every entry of ents; the count, which the zero key is part of,
+// is the one from before.
+func (t *ptrTable) grow() {
+	old, live, capacity := t.ents, t.live, max(2*len(t.ents), minPtrTableCap)
+	t.ents, t.live = make([]ptrEntry, capacity), 0
+	t.mask, t.shift = uint64(capacity-1), uint(64-bits.TrailingZeros(uint(capacity)))
+	for _, e := range old {
+		if e.key != 0 {
+			t.put(e.key, e.val)
+		}
+	}
+	t.live = live
+}
+
+// each calls f for every live entry. f must not change the table: an insert
+// may grow it, and a delete shifts entries back, so the scan would miss some
+// and meet others twice. A caller that deletes what it finds collects the
+// keys first.
 func (t *ptrTable) each(f func(key, val uint64)) {
-	for i, c := range t.ctrl {
-		if c == ptrSlotFull {
-			f(t.ents[i].key, t.ents[i].val)
+	if t.hasZero {
+		f(0, t.zeroVal)
+	}
+	for _, e := range t.ents {
+		if e.key != 0 {
+			f(e.key, e.val)
 		}
 	}
 }

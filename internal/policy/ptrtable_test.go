@@ -15,9 +15,15 @@ func TestPtrTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x9e3779b9))
 	tab := newPtrTable()
 	ref := make(map[uint64]uint64)
-	// Small key space forces collisions, probe chains, tombstone reuse and
-	// rehash growth; keys step by 8 like real pointer addresses.
-	key := func() uint64 { return 0x1000 + 8*uint64(rng.Intn(512)) }
+	// Small key space forces collisions, probe chains, backward shifts and
+	// growth; keys step by 8 like real pointer addresses, and key 0 — which
+	// lives beside the slot array — is one of them.
+	key := func() uint64 {
+		if rng.Intn(16) == 0 {
+			return 0
+		}
+		return 0x1000 + 8*uint64(rng.Intn(512))
+	}
 	for i := 0; i < 200000; i++ {
 		k := key()
 		switch rng.Intn(10) {
@@ -42,9 +48,8 @@ func TestPtrTableMatchesMap(t *testing.T) {
 		if tab.live != len(ref) {
 			t.Fatalf("step %d: live = %d, want %d", i, tab.live, len(ref))
 		}
-		if tab.used < tab.live || tab.used*4 > len(tab.ctrl)*3+4 {
-			t.Fatalf("step %d: occupancy invariant broken: live=%d used=%d cap=%d",
-				i, tab.live, tab.used, len(tab.ctrl))
+		if used := slotsUsed(tab); used*4 > len(tab.ents)*3 {
+			t.Fatalf("step %d: %d entries in %d slots, past 3/4", i, used, len(tab.ents))
 		}
 	}
 	// Everything still present must be enumerable exactly once.
@@ -65,17 +70,19 @@ func TestPtrTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestPtrTableChurnStaysCompact pins the anti-tombstone property the CFI
-// define/invalidate cycle depends on: cycling a bounded working set through
-// the table must not grow it, because end-of-chain deletes collapse their
-// tombstones back to empty slots.
+// TestPtrTableChurnStaysCompact pins what the CFI define/invalidate cycle
+// depends on: cycling a bounded working set through the table must not grow
+// it. The second half is the ring_policy shape — a table filled to exactly
+// 3/4 of its slots, then updates and invalidate/define pairs for ten times
+// its size — where a table that counts updates or deleted slots toward its
+// load bound doubles on the first update.
 func TestPtrTableChurnStaysCompact(t *testing.T) {
 	tab := newPtrTable()
 	const working = 1024
 	for i := 0; i < working; i++ {
 		tab.put(uint64(0x1000+8*i), uint64(i))
 	}
-	capAfterFill := len(tab.ctrl)
+	capAfterFill := len(tab.ents)
 	for round := 0; round < 64; round++ {
 		for i := 0; i < working; i++ {
 			k := uint64(0x1000 + 8*i)
@@ -85,11 +92,48 @@ func TestPtrTableChurnStaysCompact(t *testing.T) {
 			tab.put(k, uint64(round))
 		}
 	}
-	if len(tab.ctrl) != capAfterFill {
-		t.Fatalf("steady-state churn grew the table: cap %d -> %d", capAfterFill, len(tab.ctrl))
+	if len(tab.ents) != capAfterFill {
+		t.Fatalf("steady-state churn grew the table: cap %d -> %d", capAfterFill, len(tab.ents))
 	}
 	if tab.live != working {
 		t.Fatalf("live = %d, want %d", tab.live, working)
+	}
+
+	tab = newPtrTable()
+	const slots = 1 << 14
+	full := slots * 3 / 4
+	key := func(i uint64) uint64 { return 0x7f00_0000_0000 + 8*i }
+	for i := uint64(0); i < uint64(full); i++ {
+		tab.put(key(i), i)
+	}
+	if len(tab.ents) != slots || tab.live != full {
+		t.Fatalf("%d entries in %d slots, want %d in %d", tab.live, len(tab.ents), full, slots)
+	}
+	x := uint64(1)
+	for step := 0; step < 10*slots; step++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		k := key(x % uint64(full))
+		switch step % 3 {
+		case 0: // update
+			tab.put(k, x)
+		case 1: // invalidate, define
+			if !tab.del(k) {
+				t.Fatalf("step %d: del(%#x) missed", step, k)
+			}
+			tab.put(k, x)
+		default:
+			if _, ok := tab.get(k); !ok {
+				t.Fatalf("step %d: get(%#x) missed", step, k)
+			}
+		}
+		if len(tab.ents) != slots {
+			t.Fatalf("step %d: churn at exactly 3/4 grew the table to %d slots", step, len(tab.ents))
+		}
+	}
+	if tab.live != full {
+		t.Fatalf("live = %d, want %d", tab.live, full)
 	}
 }
 
@@ -106,6 +150,29 @@ func TestPtrTableZeroKey(t *testing.T) {
 	}
 	if _, ok := tab.get(0); ok {
 		t.Fatal("key 0 still present after del")
+	}
+	if tab.del(0) || tab.live != 0 {
+		t.Fatalf("second del(0) hit, or live = %d", tab.live)
+	}
+
+	// Key 0 present across a growth: still found, and counted once.
+	tab.put(0, 7)
+	n := 1
+	for ; len(tab.ents) == minPtrTableCap; n++ {
+		tab.put(8*uint64(n), 1)
+	}
+	if v, ok := tab.get(0); !ok || v != 7 {
+		t.Fatalf("after growth to %d slots: get(0) = %d,%t want 7,true", len(tab.ents), v, ok)
+	}
+	tab.put(0, 8) // an update, not a second entry
+	seen := 0
+	tab.each(func(k, _ uint64) {
+		if k == 0 {
+			seen++
+		}
+	})
+	if tab.live != n || seen != 1 {
+		t.Fatalf("%d keys, key 0 among them: live = %d, each met key 0 %d times", n, tab.live, seen)
 	}
 }
 
@@ -133,11 +200,11 @@ func TestPrefetchSizeGatedAndReadOnly(t *testing.T) {
 	c.Prefetch(window(60))
 	d.Prefetch(window(60))
 	if c.table.worthTouching() || d.last.worthTouching() || c.touched != 0 || d.touched != 0 {
-		t.Fatalf("1000-entry tables (%d slots) ran the look-ahead: cfi %#x, dfi %#x", len(c.table.ctrl), c.touched, d.touched)
+		t.Fatalf("1000-entry tables (%d slots) ran the look-ahead: cfi %#x, dfi %#x", len(c.table.ents), c.touched, d.touched)
 	}
 	fill(1000, touchMinCap/2)
 	if !c.table.worthTouching() || !d.last.worthTouching() {
-		t.Fatalf("%d entries in %d slots: below the gate of %d", c.Entries(), len(c.table.ctrl), touchMinCap)
+		t.Fatalf("%d entries in %d slots: below the gate of %d", c.Entries(), len(c.table.ents), touchMinCap)
 	}
 	c.Prefetch(window(60))
 	d.Prefetch(window(60))

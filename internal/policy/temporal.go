@@ -29,13 +29,14 @@ type Temporal struct {
 	regions spanIndex
 	// graves orders the tombstones for eviction: a min-heap by generation of
 	// every span that was marked dead. Entries are invalidated lazily — one is
-	// stale once the span at its base is gone or carries another generation
-	// (create reclaimed the address) — and swept out when stale entries
-	// outnumber tombstones.
+	// stale once its generation has left tombs (create reclaimed the address)
+	// — and swept out when stale entries outnumber tombstones.
 	graves []grave
+	// tombs maps the generation of every tombstone in regions to its base, so
+	// telling a stale grave from a live one is one lookup, not a search.
+	tombs *ptrTable
 	// gen numbers allocations in creation order; violation reasons cite it.
 	gen        uint64
-	live       int
 	maxEntries int
 }
 
@@ -49,7 +50,7 @@ const graveSlack = 64
 
 // NewTemporal creates an empty temporal-safety context.
 func NewTemporal() *Temporal {
-	return &Temporal{}
+	return &Temporal{tombs: newPtrTable()}
 }
 
 // Name implements Policy.
@@ -57,7 +58,7 @@ func (t *Temporal) Name() string { return "temporal" }
 
 // Entries implements Policy, counting live allocations (tombstones are
 // bookkeeping, not program state).
-func (t *Temporal) Entries() int { return t.live }
+func (t *Temporal) Entries() int { return t.regions.n - t.tombs.live }
 
 // MaxEntries reports the high-water mark of live allocations.
 func (t *Temporal) MaxEntries() int { return t.maxEntries }
@@ -67,6 +68,8 @@ func (t *Temporal) Clone() Policy {
 	n := *t
 	n.regions = t.regions.clone()
 	n.graves = append([]grave(nil), t.graves...)
+	n.tombs = newPtrTable()
+	t.tombs.each(n.tombs.put)
 	return &n
 }
 
@@ -118,15 +121,12 @@ func (t *Temporal) create(m ipc.Message, base, size uint64) *Violation {
 			return &Violation{PID: m.PID, Op: m.Op, Addr: base, Value: size,
 				Reason: fmt.Sprintf("allocation overlaps live generation #%d", s.tag>>1)}
 		}
-		t.regions.remove(at)
-		at = t.regions.seek(base)
+		t.tombs.del(s.tag >> 1)
+		at = t.regions.remove(at)
 	}
 	t.gen++
 	t.regions.insert(at, span{base: base, size: size, tag: t.gen << 1})
-	t.live++
-	if t.live > t.maxEntries {
-		t.maxEntries = t.live
-	}
+	t.maxEntries = max(t.maxEntries, t.Entries())
 	return nil
 }
 
@@ -178,14 +178,14 @@ func (t *Temporal) destroyAll(m ipc.Message, base, size uint64) *Violation {
 // bury turns live span s into a tombstone and queues it for eviction.
 func (t *Temporal) bury(s *span) {
 	s.tag |= tagDead
-	t.live--
-	if len(t.graves) >= 2*(t.regions.n-t.live)+graveSlack {
+	t.tombs.put(s.tag>>1, s.base)
+	if len(t.graves) >= 2*t.tombs.live+graveSlack {
 		// Mostly stale (the allocator keeps reusing freed addresses before
 		// the cap is reached): keep only entries that still name a tombstone,
 		// so the heap stays within a constant factor of them.
 		kept := t.graves[:0]
 		for _, g := range t.graves {
-			if _, ok := t.buried(g); ok {
+			if _, buried := t.tombs.get(g.gen); buried {
 				kept = append(kept, g)
 			}
 		}
@@ -204,12 +204,6 @@ func (t *Temporal) bury(s *span) {
 		i = up
 	}
 	t.graves = g
-}
-
-// buried reports where g's tombstone is, if it still exists.
-func (t *Temporal) buried(g grave) (spanPos, bool) {
-	s, at := t.regions.find(g.base)
-	return at, s != nil && s.base == g.base && s.tag == g.gen<<1|tagDead
 }
 
 // sinkGrave restores heap order below i.
@@ -233,13 +227,14 @@ func (t *Temporal) sinkGrave(i int) {
 // evictTombstones drops dead generations past the cap, smallest generation
 // first.
 func (t *Temporal) evictTombstones() {
-	for t.regions.n-t.live > maxTombstones {
+	for t.tombs.live > maxTombstones {
 		g := t.graves[0]
 		last := len(t.graves) - 1
 		t.graves[0] = t.graves[last]
 		t.graves = t.graves[:last]
 		t.sinkGrave(0)
-		if at, ok := t.buried(g); ok {
+		if t.tombs.del(g.gen) {
+			_, at := t.regions.find(g.base)
 			t.regions.remove(at)
 		}
 	}

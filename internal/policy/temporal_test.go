@@ -198,7 +198,9 @@ func TestTemporalEvictionSkipsReclaimedTombstones(t *testing.T) {
 	if got := p.Entries(); got != 1 {
 		t.Errorf("Entries = %d, want 1", got)
 	}
-	if dead := p.regions.n - p.live; dead != maxTombstones {
+	dead := 0
+	p.regions.each(func(s *span) { dead += int(s.tag & tagDead) })
+	if dead != maxTombstones {
 		t.Errorf("%d tombstones, want %d", dead, maxTombstones)
 	}
 	// #3 (slot 1) was the oldest real tombstone and is the one that went.
