@@ -16,9 +16,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# check is the CI gate: vet, build, the full test suite under the race
-# detector (which runs every hqbench experiment once at its smoke scope, the
-# soaks included: TestEveryExperimentRunsQuick), the hot-path benchmarks, ten
+# check is the CI gate: gofmt (any file `gofmt -l` lists fails it), vet,
+# build, the full test suite under the race detector (which runs every
+# hqbench experiment once at its smoke scope, the soaks included:
+# TestEveryExperimentRunsQuick), the hot-path benchmarks, ten
 # seconds of fuzzing each on the frame decoder that feeds the verifier's drain,
 # on the allocation policies against their sorted-slice reference, on the
 # pointer table (and cfi's block operations) against a Go map and on the
@@ -31,6 +32,8 @@ vet:
 # leaves `git status` clean: nothing here writes outside .bench_build/ and
 # bench/out/.
 check: vet build
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
@@ -47,7 +50,8 @@ check: vet build
 # before the shard-queue hand-off went, 25 659 with the client's ring as its
 # staging buffer, 25 697 with remote gates answered on the drain, 25 268
 # with the JSONL trace ring and the latency sampler deleted, 25 265 with the
-# pointer table's control bytes and tombstones gone).
+# pointer table's control bytes and tombstones gone, 25 148 with one
+# admission and one finalization in the supervisor).
 loc:
 	@$(GO) run ./cmd/loccount
 

@@ -156,8 +156,8 @@ type Outcome = supervisor.Outcome
 // stands up a throwaway single-tenant System, launches exactly one process,
 // waits, and shuts the System down. New code hosting more than one program
 // (or keeping the verifier warm between runs) should use NewSystem +
-// System.Launch + Proc.Wait instead; see system.go for the migration map
-// (RunOptions fields → RunOption functional options).
+// System.Launch + Proc.Wait instead, where each RunOptions field is a
+// SystemOption (policies, kills, metrics) or a RunOption (the rest).
 func Run(ins *Instrumented, opts RunOptions) (*Outcome, error) {
 	factory := opts.Policies
 	if len(opts.PolicyNames) > 0 {

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -160,7 +160,7 @@ func chaosSoak(seed uint64, procs int, cleanIns, attackIns *compiler.Instrumente
 	rep := &chaosSoakReport{procs: procs}
 	start := time.Now()
 	handles := make([]*supervisor.Proc, procs)
-	for i := 0; i < procs; i++ {
+	for i := range handles {
 		ins := cleanIns
 		if i%3 == 2 {
 			ins = attackIns
@@ -172,84 +172,24 @@ func chaosSoak(seed uint64, procs int, cleanIns, attackIns *compiler.Instrumente
 		}
 		handles[i] = p
 	}
-
-	// Bounded wall time: collect outcomes on a side goroutine and treat the
-	// budget expiring as a hard failure (after killing the stragglers so the
-	// System still tears down).
-	type waited struct {
-		i   int
-		out *supervisor.Outcome
-		err error
-	}
-	results := make(chan waited, procs)
-	go func() {
-		for i, p := range handles {
-			out, err := p.Wait()
-			results <- waited{i, out, err}
-		}
-	}()
-
-	timeout := time.After(chaosWallBudget)
-	outcomes := make([]*supervisor.Outcome, procs)
-	for n := 0; n < procs; n++ {
-		select {
-		case w := <-results:
-			if w.err != nil {
-				return nil, fmt.Errorf("chaos: wait %d: %w", w.i, w.err)
-			}
-			outcomes[w.i] = w.out
-		case <-timeout:
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			_ = sys.Shutdown(ctx)
-			return nil, fmt.Errorf("chaos: wall budget %v exceeded with %d/%d processes outstanding",
-				chaosWallBudget, procs-n, procs)
-		}
+	outcomes, err := soakCollect("chaos", waitProcs(handles), procs, chaosWallBudget)
+	if err != nil {
+		abort(sys)
+		return nil, err
 	}
 
-	var invariantErrs []string
-	killedProcs := 0
+	// A clean process may die only for a reason the injected faults explain.
+	j := soakJudge{cleanDeath: func(id string, res *vm.Result, viols []*policy.Violation) []string {
+		if chaosAttributable(res.KillReason, len(viols) > 0) {
+			return nil
+		}
+		return []string{fmt.Sprintf("clean %s killed for unattributable reason %q", id, res.KillReason)}
+	}}
 	for i, out := range outcomes {
-		if out.Killed {
-			killedProcs++
-		}
-		if i%3 == 2 {
-			// Violating process: must never pass a gate. The gated payload is
-			// exit(99); the ungated exploit marker may race the kill (§2.2
-			// bounds the window, it does not close it), so the marker is not
-			// asserted — the gated side effect is.
-			if !out.Killed {
-				invariantErrs = append(invariantErrs,
-					fmt.Sprintf("violator %d (pid %d) was not killed", i, out.PID))
-				continue
-			}
-			rep.violatorsKilled++
-			if out.ExitCode == 99 {
-				invariantErrs = append(invariantErrs,
-					fmt.Sprintf("violator %d (pid %d): gated payload committed", i, out.PID))
-			}
-			continue
-		}
-		// Clean process: finishes with the right answer, or dies for a
-		// reason the injected faults explain.
-		if !out.Killed {
-			rep.cleanOK++
-			if out.Err != nil {
-				invariantErrs = append(invariantErrs,
-					fmt.Sprintf("clean %d (pid %d): error %v", i, out.PID, out.Err))
-			} else if len(out.Output) != 1 || out.Output[0] != 42 {
-				invariantErrs = append(invariantErrs,
-					fmt.Sprintf("clean %d (pid %d): output %v, want [42]", i, out.PID, out.Output))
-			}
-			continue
-		}
-		rep.cleanKilled++
-		if !chaosAttributable(out.KillReason, len(out.PolicyViolations) > 0) {
-			invariantErrs = append(invariantErrs,
-				fmt.Sprintf("clean %d (pid %d) killed for unattributable reason %q",
-					i, out.PID, out.KillReason))
-		}
+		j.judge(fmt.Sprintf("%d (pid %d)", i, out.PID), i%3 == 2, out.Result, out.PolicyViolations)
 	}
+	rep.cleanOK, rep.cleanKilled, rep.violatorsKilled = j.cleanOK, j.cleanKilled, j.violatorsKilled
+	invariantErrs := j.errs
 
 	if err := drain(sys); err != nil {
 		return nil, fmt.Errorf("chaos: shutdown: %w", err)
@@ -260,10 +200,10 @@ func chaosSoak(seed uint64, procs int, cleanIns, attackIns *compiler.Instrumente
 	// context dead on its first fatal violation and the kernel's Kill is
 	// idempotent, so chaos-induced violation storms must not double-kill.
 	rep.kills = m.Snapshot().Counters["kernel.kills"].Total
-	if rep.kills != uint64(killedProcs) {
+	if killed := j.cleanKilled + j.violatorsKilled; rep.kills != uint64(killed) {
 		invariantErrs = append(invariantErrs,
 			fmt.Sprintf("kernel.kills = %d, want exactly %d (one per killed process)",
-				rep.kills, killedProcs))
+				rep.kills, killed))
 	}
 	rep.faults = inj.Counts()
 	rep.scheduleHash = inj.ScheduleHash()
@@ -312,56 +252,39 @@ func chaosHmacSoak(seed uint64, procs int, cleanIns *compiler.Instrumented) (*ch
 	rep := &chaosHmacReport{procs: procs}
 	start := time.Now()
 	handles := make([]*supervisor.Proc, procs)
-	for i := 0; i < procs; i++ {
+	for i := range handles {
 		p, err := chaosLaunch(sys, inj, cleanIns)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: hmac launch %d: %w", i, err)
 		}
 		handles[i] = p
 	}
-
-	var invariantErrs []string
-	for i, p := range handles {
-		out, err := p.Wait()
-		if err != nil {
-			return nil, fmt.Errorf("chaos: hmac wait %d: %w", i, err)
-		}
-		if !out.Killed {
-			rep.cleanOK++
-			if out.Err != nil {
-				invariantErrs = append(invariantErrs,
-					fmt.Sprintf("hmac clean %d (pid %d): error %v", i, out.PID, out.Err))
-			} else if len(out.Output) != 1 || out.Output[0] != 42 {
-				invariantErrs = append(invariantErrs,
-					fmt.Sprintf("hmac clean %d (pid %d): output %v, want [42] (silent tamper?)",
-						i, out.PID, out.Output))
-			}
-			continue
-		}
-		rep.killed++
-		if !strings.Contains(out.KillReason, "message authentication") {
-			invariantErrs = append(invariantErrs,
-				fmt.Sprintf("hmac kill %d (pid %d) not attributed to authentication: %q",
-					i, out.PID, out.KillReason))
-		}
-		if strings.Contains(out.KillReason, "message counter") {
-			invariantErrs = append(invariantErrs,
-				fmt.Sprintf("hmac kill %d (pid %d) misattributed to the sequence counter: %q",
-					i, out.PID, out.KillReason))
-		}
-		authViol := false
-		for _, viol := range out.PolicyViolations {
-			if viol.Policy == "hmac" {
-				authViol = true
-				break
-			}
-		}
-		if !authViol {
-			invariantErrs = append(invariantErrs,
-				fmt.Sprintf("hmac kill %d (pid %d): no recorded violation attributed to the hmac policy",
-					i, out.PID))
-		}
+	outcomes, err := soakCollect("chaos: hmac", waitProcs(handles), procs, chaosWallBudget)
+	if err != nil {
+		abort(sys)
+		return nil, err
 	}
+
+	// Every death is an authentication failure the hmac policy recorded.
+	j := soakJudge{prefix: "hmac ", outputHint: " (silent tamper?)",
+		cleanDeath: func(id string, res *vm.Result, viols []*policy.Violation) []string {
+			var errs []string
+			if !strings.Contains(res.KillReason, "message authentication") {
+				errs = append(errs, fmt.Sprintf("hmac kill %s not attributed to authentication: %q", id, res.KillReason))
+			}
+			if strings.Contains(res.KillReason, "message counter") {
+				errs = append(errs, fmt.Sprintf("hmac kill %s misattributed to the sequence counter: %q", id, res.KillReason))
+			}
+			if !slices.ContainsFunc(viols, func(v *policy.Violation) bool { return v.Policy == "hmac" }) {
+				errs = append(errs, fmt.Sprintf("hmac kill %s: no recorded violation attributed to the hmac policy", id))
+			}
+			return errs
+		}}
+	for i, out := range outcomes {
+		j.judge(fmt.Sprintf("%d (pid %d)", i, out.PID), false, out.Result, out.PolicyViolations)
+	}
+	rep.cleanOK, rep.killed = j.cleanOK, j.cleanKilled
+	invariantErrs := j.errs
 
 	if err := drain(sys); err != nil {
 		return nil, fmt.Errorf("chaos: hmac shutdown: %w", err)
@@ -476,11 +399,9 @@ func Chaos(c Config) (Report, error) {
 			seed, h1, c1, h2, c2)
 	}
 
-	// Zero leaked goroutines: both phases fully shut down, so the count must
-	// settle back to the pre-soak baseline.
-	if !waitFor(5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline }) {
-		return Report{}, fmt.Errorf("chaos: goroutines leaked: %d running, baseline %d",
-			runtime.NumGoroutine(), baseline)
+	// Zero leaked goroutines: every phase fully shut down.
+	if _, err := settleGoroutines("chaos", baseline); err != nil {
+		return Report{}, err
 	}
 
 	var sb strings.Builder

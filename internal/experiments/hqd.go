@@ -81,6 +81,14 @@ func drain(s interface{ Shutdown(context.Context) error }) error {
 	return s.Shutdown(ctx)
 }
 
+// abort shuts a System or an hqnet.Server down at once, killing whatever is
+// still running.
+func abort(s interface{ Shutdown(context.Context) error }) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Shutdown(ctx)
+}
+
 // waitFor polls cond for up to d.
 func waitFor(d time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(d)
@@ -215,53 +223,28 @@ func hqdEnforce(seed uint64, procs int, rep *HQDReport, sockDir string) error {
 		}(i, ins, network, addr)
 	}
 
-	var invariantErrs []string
-	timeout := time.After(hqdWallBudget)
-	for n := 0; n < procs; n++ {
-		select {
-		case r := <-results:
-			if r.err != nil {
-				return fmt.Errorf("hqd: proc %d: %w", r.i, r.err)
-			}
-			rep.Resumes += r.resumes
-			if r.i%3 == 2 {
-				// Violator: the gate must refuse — network transparency
-				// cannot weaken bounded asynchronous validation.
-				if !r.res.Killed {
-					invariantErrs = append(invariantErrs,
-						fmt.Sprintf("violator %d was not killed", r.i))
-				} else {
-					rep.ViolatorsKilled++
-					if r.res.ExitCode == 99 {
-						invariantErrs = append(invariantErrs,
-							fmt.Sprintf("violator %d: gated payload committed", r.i))
-					}
-				}
-				continue
-			}
-			// Clean process: transport loss must be invisible — resume, not
-			// a kill, and certainly not a counter-gap kill manufactured by
-			// the severed connection.
-			if r.res.Killed {
-				invariantErrs = append(invariantErrs,
-					fmt.Sprintf("clean %d killed: %q (severed transports must resume, not kill)",
-						r.i, r.res.KillReason))
-				continue
-			}
-			if len(r.res.Output) != 1 || r.res.Output[0] != 42 {
-				invariantErrs = append(invariantErrs,
-					fmt.Sprintf("clean %d: output %v, want [42]", r.i, r.res.Output))
-				continue
-			}
-			rep.CleanOK++
-		case <-timeout:
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			_ = srv.Shutdown(ctx)
-			return fmt.Errorf("hqd: wall budget %v exceeded with %d/%d procs outstanding",
-				hqdWallBudget, procs-n, procs)
-		}
+	got, err := soakCollect("hqd", results, procs, hqdWallBudget)
+	if err != nil {
+		abort(srv)
+		return err
 	}
+	// Violators: the gate must refuse — network transparency cannot weaken
+	// bounded asynchronous validation. Clean processes: transport loss must
+	// be invisible — resume, not a kill, and certainly not a counter-gap kill
+	// manufactured by the severed connection.
+	j := soakJudge{cleanDeath: func(id string, res *vm.Result, _ []*policy.Violation) []string {
+		return []string{fmt.Sprintf("clean %s killed: %q (severed transports must resume, not kill)", id, res.KillReason)}
+	}}
+	for _, r := range got {
+		if r.err != nil {
+			abort(srv)
+			return fmt.Errorf("hqd: proc %d: %w", r.i, r.err)
+		}
+		rep.Resumes += r.resumes
+		j.judge(fmt.Sprint(r.i), r.i%3 == 2, r.res, nil)
+	}
+	rep.CleanOK, rep.ViolatorsKilled = j.cleanOK, j.violatorsKilled
+	invariantErrs := j.errs
 
 	if err := drain(srv); err != nil {
 		return fmt.Errorf("hqd: shutdown: %w", err)
@@ -514,11 +497,8 @@ func HQD(c Config) (Report, error) {
 
 	// Zero leaked goroutines across three servers, every client, and the
 	// chaos plane.
-	settled := waitFor(5*time.Second, func() bool { return runtime.NumGoroutine() <= rep.GoroutineBaseline })
-	rep.GoroutineSettled = runtime.NumGoroutine()
-	if !settled {
-		return Report{}, fmt.Errorf("hqd: goroutines leaked: %d running, baseline %d",
-			rep.GoroutineSettled, rep.GoroutineBaseline)
+	if rep.GoroutineSettled, err = settleGoroutines("hqd", rep.GoroutineBaseline); err != nil {
+		return Report{}, err
 	}
 	rep.ElapsedMs = time.Since(start).Milliseconds()
 

@@ -1,16 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
 	"herqules/internal/ipc"
-	"herqules/internal/kernel"
 	"herqules/internal/policy"
+	"herqules/internal/supervisor"
 	"herqules/internal/telemetry"
-	"herqules/internal/verifier"
 )
 
 // StatsResult is one run of the component-telemetry experiment: a concurrent
@@ -28,13 +28,14 @@ type StatsResult struct {
 // process emits between synchronized system calls.
 const statsSyncEvery = 64
 
-// Stats drives `procs` concurrent monitored processes, each with its own
-// shared-memory ring and pump, through the full kernel/verifier stack:
-// pointer-integrity traffic with per-process sequence counters (CheckSeq on),
-// gated system calls every statsSyncEvery triples (populating the syscall
-// stall-time histogram), and one deliberate pointer-integrity violation on
-// the first process near the end of its stream — so the snapshot also shows
-// the kill path and the post-kill message drops.
+// Stats drives `procs` concurrent monitored processes, each admitted into
+// one System over its own shared-memory ring, through the full
+// kernel/verifier stack: pointer-integrity traffic with per-process sequence
+// counters (CheckSeq on), gated system calls every statsSyncEvery triples
+// (populating the syscall stall-time histogram), and one deliberate
+// pointer-integrity violation on the first process near the end of its
+// stream — so the snapshot also shows the kill path and the post-kill
+// message drops.
 func Stats(procs, messages int) *StatsResult {
 	if procs <= 0 {
 		procs = 8
@@ -48,39 +49,38 @@ func Stats(procs, messages int) *StatsResult {
 	}
 
 	m := telemetry.New(0)
-
-	k := kernel.New(nil)
-	// The §4.1 CFI policy plus the §2 counter, per process.
-	v := verifier.NewSharded(func() []policy.Policy {
-		return []policy.Policy{policy.NewCFI(), policy.NewCounter()}
-	}, k, 0)
-	v.CheckSeq = true
-	k.SetListener(v)
-	k.EnableTelemetry(m)
-	v.EnableTelemetry(m)
+	sys := supervisor.New(supervisor.Config{
+		// The §4.1 CFI policy plus the §2 counter, per process.
+		Policies: func() []policy.Policy {
+			return []policy.Policy{policy.NewCFI(), policy.NewCounter()}
+		},
+		CheckSeq:        true,
+		KillOnViolation: true,
+		Metrics:         m,
+	})
+	defer sys.Shutdown(context.Background())
+	k := sys.Kernel()
 
 	before := m.Snapshot()
 	start := time.Now()
 
-	var pumps, senders sync.WaitGroup
-	pids := make([]int32, procs)
+	var senders sync.WaitGroup
 	for p := 0; p < procs; p++ {
 		ch := ipc.NewSharedRing(1 << 12)
 		ch.EnableTelemetry(m)
-		pid := k.Register()
-		pids[p] = pid
+		proc, err := sys.Admit(ch.Receiver)
+		if err != nil {
+			panic("experiments: stats: " + err.Error()) // nothing has shut sys down
+		}
+		pid := proc.PID()
 		if reg, ok := ch.Sender.(ipc.PIDRegister); ok {
 			reg.SetPID(pid)
 		}
-		pumps.Add(1)
-		go func(r ipc.Receiver) {
-			defer pumps.Done()
-			v.Pump(r)
-		}(ch.Receiver)
 
 		senders.Add(1)
-		go func(p int, pid int32, ch *ipc.Channel) {
+		go func(p int) {
 			defer senders.Done()
+			defer proc.Close()
 			defer ch.Close()
 			corruptAt := -1
 			if p == 0 {
@@ -105,14 +105,10 @@ func Stats(procs, messages int) *StatsResult {
 					}
 				}
 			}
-		}(p, pid, ch)
+		}(p)
 	}
 	senders.Wait()
-	pumps.Wait()
 	elapsed := time.Since(start)
-	for _, pid := range pids {
-		k.Exit(pid)
-	}
 
 	return &StatsResult{
 		Procs:    procs,

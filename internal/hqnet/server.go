@@ -232,7 +232,7 @@ func (s *Server) admit(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, h
 	// The session must exist before Admit: Admit starts the drain goroutine
 	// on it, which parks in RecvBatch until the attach below.
 	sess := newSession(s, tenant)
-	remote, err := s.sys.Admit(sess)
+	proc, err := s.sys.Admit(sess)
 	if err != nil {
 		s.mu.Lock()
 		s.tenants[tenant]--
@@ -240,7 +240,7 @@ func (s *Server) admit(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, h
 		s.reject(c, fw, RejectDraining)
 		return
 	}
-	sess.pid, sess.remote = remote.PID(), remote
+	sess.pid, sess.proc = proc.PID(), proc
 
 	s.mu.Lock()
 	if s.draining || s.closed {
@@ -261,7 +261,7 @@ func (s *Server) admit(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, h
 		Arg1: sess.token,
 		Arg2: uint64(s.lease),
 	}
-	key, keyed := remote.Key()
+	key, keyed := proc.Key()
 	if keyed {
 		welcome.Arg3 |= WelcomeKeyed
 	}

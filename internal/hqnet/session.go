@@ -33,11 +33,13 @@ type session struct {
 	tenant uint64
 	fin    chan struct{}
 
-	// pid and remote are filled in by admit after sys.Admit(sess) returns;
-	// the first attach publishes them (under mu) to the drain goroutine,
-	// which parks in RecvBatch until then.
-	pid    int32
-	remote *supervisor.Remote
+	// pid and proc are set once by Server.admit after sys.Admit(sess)
+	// returns, before the session is published: the first attach publishes
+	// them (under mu) to the drain goroutine, parked in RecvBatch until
+	// then, and the sessions map (under srv.mu) to the lease scanner. The
+	// drain reads only pid; proc is read only by finalize, which Closes it.
+	pid  int32
+	proc *supervisor.Proc
 
 	// lastRecv is the lease clock: UnixNano of the last burst received on
 	// any of the session's connections. Written by the drain goroutine, read
@@ -352,11 +354,11 @@ func (s *session) markEnded() bool {
 	return true
 }
 
-// finalize completes an ended session: the remote is finalized (waits for
+// finalize completes an ended session: the process is finalized (waits for
 // the pump to deliver what was forwarded, freezes the attribution row and
 // forensic report, exits the kernel context) and the quota released.
 func (s *session) finalize() {
-	s.remote.Close()
+	s.proc.Close()
 	s.srv.removeSession(s)
 	close(s.fin)
 }

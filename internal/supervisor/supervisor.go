@@ -40,7 +40,7 @@ import (
 	"herqules/internal/vm"
 )
 
-// ErrShutdown is returned by Launch once Shutdown has begun.
+// ErrShutdown is returned by Admit and Launch once Shutdown has begun.
 var ErrShutdown = errors.New("supervisor: system is shut down")
 
 // Config parameterizes a System. The zero value is usable: default policy
@@ -152,29 +152,6 @@ type LaunchOptions struct {
 	Seed uint64
 }
 
-// Proc is a handle to one monitored program running under a System.
-type Proc struct {
-	pid  int32
-	done chan struct{}
-	out  *Outcome
-	err  error
-}
-
-// PID returns the kernel process identifier.
-func (p *Proc) PID() int32 { return p.pid }
-
-// Done returns a channel closed when the process has exited and its outcome
-// is available.
-func (p *Proc) Done() <-chan struct{} { return p.done }
-
-// Wait blocks until the process exits and returns its outcome. It is safe
-// to call from multiple goroutines and repeatedly; every call returns the
-// same outcome.
-func (p *Proc) Wait() (*Outcome, error) {
-	<-p.done
-	return p.out, p.err
-}
-
 // System is the resident runtime: one kernel, one sharded verifier, one
 // multi-source pump, N concurrently monitored programs.
 type System struct {
@@ -194,17 +171,16 @@ type System struct {
 	keys *policy.Keyring
 
 	mu       sync.Mutex
-	procs    map[int32]*Proc // running
-	inflight sync.WaitGroup  // one per admitted Launch
+	inflight sync.WaitGroup // one per admitted process, released when it is finalized
 	launched uint64
 	finished uint64
 	killed   uint64
 	down     bool
 
-	// Per-PID attribution: one record per successfully launched process,
-	// retained after exit (bounded to maxProcRecords finished rows) so a
-	// scrape of /procs or /metrics sees every PID of the measured interval,
-	// not only the ones that happen to still be running.
+	// Per-PID attribution: one record per admitted process, retained after
+	// exit (bounded to maxProcRecords finished rows) so a scrape of /procs
+	// or /metrics sees every PID of the measured interval, not only the
+	// ones that happen to still be running.
 	records  map[int32]*procRecord
 	doneFIFO []int32 // finished PIDs, oldest first, for bounded retention
 }
@@ -215,7 +191,7 @@ type System struct {
 // bounded while covering any realistic scrape interval.
 const maxProcRecords = 4096
 
-// procRecord tracks one launched process for per-PID attribution. While the
+// procRecord tracks one admitted process for per-PID attribution. While the
 // process runs, stats are assembled live from the verifier shard, the kernel
 // context and the channel's pending peak; once it finishes, the final row is
 // frozen here (the live sources tear their state down on exit).
@@ -262,7 +238,6 @@ func New(cfg Config) *System {
 		k:       k,
 		v:       v,
 		m:       cfg.Metrics,
-		procs:   make(map[int32]*Proc),
 		records: make(map[int32]*procRecord),
 	}
 	// Probe one throwaway policy set for a Sealer: a set containing the hmac
@@ -292,76 +267,62 @@ func (s *System) Kernel() *kernel.Kernel { return s.k }
 // Verifier exposes the system's shared verifier.
 func (s *System) Verifier() *verifier.Verifier { return s.v }
 
-// Launch starts ins as a new monitored process: it registers a kernel
-// context, binds an AppendWrite channel (programming the transport's PID
-// register when it has one), attaches the channel's receiver to the shared
-// pump, and runs the program on its own goroutine. It returns immediately
-// with a Proc handle; the outcome is collected with Proc.Wait.
+// Launch starts ins as a new monitored process: Admit with the process's
+// AppendWrite channel (none under inline delivery), programming the
+// transport's PID register when it has one, and the program run on its own
+// goroutine, which closes the channel and finalizes the process when the
+// program returns. It returns immediately with a Proc handle; the outcome is
+// collected with Proc.Wait.
 func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, error) {
 	if opts.Entry == "" {
 		opts.Entry = "main"
 	}
-
-	// Admission: a Launch admitted before Shutdown begins is fully served —
-	// Shutdown waits for it. The inflight count is raised under the same
-	// lock that Shutdown takes to flip down, so there is no window where a
-	// launch slips past a closing system.
-	s.mu.Lock()
-	if s.down {
-		s.mu.Unlock()
-		return nil, ErrShutdown
-	}
-	s.inflight.Add(1)
-	s.launched++
-	s.mu.Unlock()
-	// Interleaving point: admitted (Shutdown will wait for us) but no kernel
-	// context yet.
-	dsched.Yield(dsched.PointLaunchAdmitted, 0)
-
-	admitFailed := func(err error) (*Proc, error) {
-		s.mu.Lock()
-		s.launched--
-		s.mu.Unlock()
-		s.inflight.Done()
-		return nil, err
-	}
-
 	var ch *ipc.Channel
+	var recv ipc.Receiver
 	if !opts.Inline {
 		ch = opts.Channel
 		if ch == nil {
 			var err error
-			ch, err = NewChannel(s.cfg.ChannelKind)
-			if err != nil {
-				return admitFailed(err)
+			if ch, err = NewChannel(s.cfg.ChannelKind); err != nil {
+				return nil, err
 			}
 		}
 		if s.m != nil {
 			ch.EnableTelemetry(s.m)
 		}
+		recv = ch.Receiver
+	}
+	p, err := s.Admit(recv)
+	if err != nil {
+		if ch != nil {
+			ch.Close() // Launch owns the channel on every path
+		}
+		return nil, err
 	}
 
-	pid := s.k.Register()
+	// One emit path: the channel's sender, or delivery on the program's own
+	// goroutine. Under an authenticated policy set it is sealed under the
+	// key the kernel programmed at Register; the wrapper goes on after any
+	// telemetry shim, so the MAC binds the final message contents, and it
+	// assigns the sequence numbers a channel backend would have, so the hmac
+	// policy's stream-position check holds inline too.
+	var sender ipc.Sender = ipc.SenderFunc(func(m ipc.Message) error { s.v.Deliver(m); return nil })
 	if ch != nil {
 		// Transports with a kernel-managed PID register (the FPGA's
 		// authenticity mechanism, §3.1.1) must be programmed with the
-		// process identity on the context switch; the supervisor plays
-		// the kernel here.
+		// process identity on the context switch; the supervisor plays the
+		// kernel here.
 		if reg, ok := ch.Sender.(ipc.PIDRegister); ok {
-			reg.SetPID(pid)
+			reg.SetPID(p.PID())
 		}
-		// Authenticated mode: seal every send under the key the kernel
-		// programmed for this pid at Register. The wrapper goes on after
-		// any telemetry shim, so the MAC binds the final message contents.
-		if s.keys != nil {
-			if key, ok := s.keys.Key(pid); ok {
-				ch.Sender = ipc.SealSender(ch.Sender, key)
-			}
-		}
+		sender = ch.Sender
+	}
+	if key, ok := p.Key(); ok {
+		sender = ipc.SealSender(sender, key)
 	}
 
 	cfg := ins.VMConfig()
-	cfg.PID = pid
+	cfg.PID = p.PID()
 	cfg.ContinueOnViolation = opts.ContinueChecks
 	cfg.Cost = opts.Cost
 	cfg.MaxInstructions = opts.MaxInstructions
@@ -371,142 +332,37 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 		// baseline would stall every system call until the epoch.
 		cfg.Kernel = s.k
 	}
-	cfg.Killed = func() (bool, string) { return s.k.Killed(pid) }
+	cfg.Killed = func() (bool, string) { return s.k.Killed(p.PID()) }
+	// Transient transport failures (modelled fault injection, momentary
+	// resource shortages) are retried with bounded backoff instead of
+	// aborting the program; persistent failure degrades to a terminal error
+	// the VM surfaces.
+	cfg.Emit = func(m ipc.Message) error { return ipc.SendWithRetry(sender, m, 0) }
 
-	var drained <-chan struct{}
-	if ch != nil {
-		var err error
-		drained, err = s.pumps.Attach(ch.Receiver)
-		if err != nil {
-			// Shutdown won the race after admission; unwind the context
-			// and release the channel's transport resources (Launch owns
-			// the channel on every path, including failure).
-			ch.Close()
-			s.k.Exit(pid)
-			return admitFailed(ErrShutdown)
-		}
-		sender := ch.Sender
-		// Transient transport failures (modelled fault injection, momentary
-		// resource shortages) are retried with bounded backoff instead of
-		// aborting the program; persistent failure degrades to a terminal
-		// error the VM surfaces.
-		cfg.Emit = func(m ipc.Message) error { return ipc.SendWithRetry(sender, m, 0) }
-	} else if s.keys != nil {
-		// Inline delivery under the authenticated mode: the sealing wrapper
-		// assigns the sequence numbers a channel backend would have, so the
-		// hmac policy's stream-position check holds on the inline path too.
-		if key, ok := s.keys.Key(pid); ok {
-			sealed := ipc.SealSender(ipc.SenderFunc(func(m ipc.Message) error {
-				s.v.Deliver(m)
-				return nil
-			}), key)
-			cfg.Emit = sealed.Send
-		} else {
-			cfg.Emit = func(m ipc.Message) error { s.v.Deliver(m); return nil }
-		}
-	} else {
-		cfg.Emit = func(m ipc.Message) error { s.v.Deliver(m); return nil }
-	}
-
-	p, err := vm.NewProcess(ins.Mod, cfg)
+	vp, err := vm.NewProcess(ins.Mod, cfg)
 	if err != nil {
 		if ch != nil {
-			// Launch owns the channel (caller-supplied or not): closing it
-			// both releases the transport and terminates the drain this
-			// source holds attached to the pump.
+			// Closing the channel releases the transport and ends the drain
+			// the process holds attached to the pump.
 			ch.Close()
-			<-drained
 		}
-		s.k.Exit(pid)
-		return admitFailed(fmt.Errorf("supervisor: loading %s: %w", ins.Mod.Name, err))
+		p.abort()
+		return nil, fmt.Errorf("supervisor: loading %s: %w", ins.Mod.Name, err)
 	}
-
-	proc := &Proc{pid: pid, done: make(chan struct{})}
-	rec := &procRecord{pid: pid, started: time.Now().UnixNano()}
-	if ch != nil {
-		// The telemetry wrapper (when wired) tracks this channel's own
-		// pending high-water mark; keep a handle for per-PID attribution.
-		if pp, ok := ch.Receiver.(ipc.PeakPender); ok {
-			rec.peak = pp
-		}
-	}
-	s.mu.Lock()
-	s.procs[pid] = proc
-	s.records[pid] = rec
-	s.mu.Unlock()
-
-	go func() {
-		defer s.inflight.Done()
-		res := p.Run(opts.Entry, opts.Args...)
-		if ch != nil {
-			// The program is done emitting: close its channel and wait for
-			// the pump to *deliver* every remaining message (Attach's done
-			// channel closes only after the drain has evaluated this
-			// source's final burst), then fold in a kill that landed
-			// after the last instruction. Only then is it safe to snapshot
-			// per-PID verifier state and Exit the kernel context below —
-			// nothing for this PID is still in flight to be dropped as
-			// "unregistered process".
-			ch.Close()
-			<-drained
-			if killed, reason := s.k.Killed(pid); killed && !res.Killed {
-				res.Killed = true
-				res.KillReason = reason
+	// The run claims the process's finalization, so a Close on this handle
+	// only waits for it.
+	p.once.Do(func() {
+		go func() {
+			res := vp.Run(opts.Entry, opts.Args...)
+			if ch != nil {
+				// Done emitting: closing the channel is how the pump learns
+				// the source is done.
+				ch.Close()
 			}
-		}
-		out := &Outcome{
-			Result:            res,
-			PolicyViolations:  s.v.Violations(pid),
-			MessagesProcessed: s.v.Messages(pid),
-			PID:               pid,
-		}
-		out.Entries, out.MaxEntries = s.v.Entries(pid)
-
-		// Freeze the per-PID attribution row while the verifier context and
-		// kernel context are still alive — Exit below tears both down, and a
-		// later /procs scrape must still see this PID's totals.
-		final := s.liveProcStats(rec)
-		if final.State != stateKilled {
-			if res.Killed {
-				final.State, final.KillReason = stateKilled, res.KillReason
-			} else {
-				final.State = stateExited
-			}
-		}
-		final.FinishedUnixNanos = time.Now().UnixNano()
-
-		// Retain the kill postmortem (if one was frozen) before Exit tears
-		// the verifier context — and the report hanging off it — down.
-		var forensic *ForensicReport
-		if fr, ok := s.forensicsLive(pid, rec.started); ok {
-			fr.State = final.State
-			fr.FinishedUnixNanos = final.FinishedUnixNanos
-			forensic = &fr
-		}
-
-		// Interleaving point: the program's channel is fully drained and its
-		// outcome frozen, but the kernel context still exists.
-		dsched.Yield(dsched.PointProcFinished, pid)
-		s.k.Exit(pid)
-
-		proc.out = out
-		s.mu.Lock()
-		delete(s.procs, pid)
-		s.finished++
-		if res.Killed {
-			s.killed++
-		}
-		rec.final = &final
-		rec.forensic = forensic
-		s.doneFIFO = append(s.doneFIFO, pid)
-		for len(s.doneFIFO) > maxProcRecords {
-			delete(s.records, s.doneFIFO[0])
-			s.doneFIFO = s.doneFIFO[1:]
-		}
-		s.mu.Unlock()
-		close(proc.done)
-	}()
-	return proc, nil
+			p.finish(res)
+		}()
+	})
+	return p, nil
 }
 
 // Shutdown stops the System gracefully: new launches are refused, in-flight
@@ -604,7 +460,7 @@ type ProcStats struct {
 // liveProcStats assembles a row for a still-registered process from the live
 // sources (verifier shard, kernel context, channel peak). Each source takes
 // its own lock; s.mu must NOT be held. rec's identity fields are immutable
-// after Launch, so reading them unlocked is safe.
+// after Admit, so reading them unlocked is safe.
 func (s *System) liveProcStats(rec *procRecord) ProcStats {
 	ps := ProcStats{PID: rec.pid, State: stateRunning, StartedUnixNanos: rec.started}
 	if vs, ok := s.v.ProcStats(rec.pid); ok {
@@ -635,7 +491,7 @@ func (s *System) liveProcStats(rec *procRecord) ProcStats {
 func (s *System) ProcStats() []ProcStats {
 	s.mu.Lock()
 	rows := make([]ProcStats, 0, len(s.records))
-	live := make([]*procRecord, 0, len(s.procs))
+	var live []*procRecord
 	for _, r := range s.records {
 		if r.final != nil {
 			rows = append(rows, *r.final)
@@ -796,9 +652,8 @@ func (st Stats) String() string {
 
 // Stats returns the aggregate snapshot. The lifecycle identity
 // Launched == Active + Finished holds in every snapshot: Active is derived
-// as launched-finished under the same lock rather than read from the process
-// table, which a Proc only enters once its VM has loaded — an admitted
-// launch still setting up counts as active, not as a bookkeeping gap.
+// as launched-finished under the same lock, so an admitted process still
+// setting up counts as active, not as a bookkeeping gap.
 func (s *System) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{

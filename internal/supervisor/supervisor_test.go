@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,6 +235,96 @@ func TestSystemShutdownRefusesLaunch(t *testing.T) {
 	// Idempotent: a second Shutdown returns cleanly.
 	if err := sys.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLaunchRefusedClosesChannel: Launch owns the channel it is handed on
+// every path, a refusal by a shut-down System included.
+func TestLaunchRefusedClosesChannel(t *testing.T) {
+	sys := New(Config{})
+	if err := sys.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ring := ipc.NewSharedRing(64)
+	if _, err := sys.Launch(instrumentHQ(t, victim(t, false)), LaunchOptions{Channel: ring}); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("launch after shutdown: err = %v, want ErrShutdown", err)
+	}
+	if err := ring.Sender.Send(ipc.Message{Op: ipc.OpPointerDefine, Arg1: 0x40, Arg2: 0x1000}); err == nil {
+		t.Error("refused Launch left the caller's channel open")
+	}
+}
+
+// TestLaunchedAndAdmittedShareOneLifecycle: a launched VM and a process
+// admitted over a ring the test feeds itself are finalized the same way —
+// both rows frozen as killed with a retained postmortem, both counted — and
+// Close neither finalizes a launched process without its outcome nor
+// returns before an admitted one is finalized.
+func TestLaunchedAndAdmittedShareOneLifecycle(t *testing.T) {
+	sys := New(Config{KillOnViolation: true, FlightRecorder: 64})
+
+	launched, err := sys.Launch(instrumentHQ(t, victim(t, true)), LaunchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	launched.Close() // waits for the run; the run finalizes
+	out, err := launched.Wait()
+	if err != nil || out == nil {
+		t.Fatalf("launched process finalized without its outcome: out=%v err=%v", out, err)
+	}
+	if !out.Killed {
+		t.Errorf("launched cfi violator not killed: %+v", out.Result)
+	}
+
+	ring := ipc.NewSharedRing(64)
+	admitted, err := sys.Admit(ring.Receiver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := admitted.PID()
+	ring.Sender.Send(ipc.Message{Op: ipc.OpPointerDefine, PID: pid, Arg1: 0x40, Arg2: 0x1000})
+	ring.Sender.Send(ipc.Message{Op: ipc.OpPointerCheck, PID: pid, Arg1: 0x40, Arg2: 0xbad})
+	ring.Sender.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			admitted.Close()
+			select {
+			case <-admitted.Done():
+			default:
+				t.Error("Close returned before the admitted process was finalized")
+			}
+		}()
+	}
+	wg.Wait()
+
+	rows := make(map[int32]ProcStats)
+	for _, r := range sys.ProcStats() {
+		rows[r.PID] = r
+	}
+	for _, p := range []*Proc{launched, admitted} {
+		if r := rows[p.PID()]; r.State != stateKilled || r.FinishedUnixNanos == 0 {
+			t.Errorf("pid %d: row %+v, want frozen as %q", p.PID(), r, stateKilled)
+		}
+		fr, ok := sys.Forensics(p.PID())
+		if !ok || fr.Policy != "cfi" || fr.State != stateKilled {
+			t.Errorf("pid %d: forensics ok=%v policy %q state %q, want a retained cfi kill",
+				p.PID(), ok, fr.Policy, fr.State)
+		}
+	}
+	st := sys.Stats()
+	if st.Killed != 2 || st.Finished != 2 || st.Launched != st.Active+st.Finished {
+		t.Errorf("stats launched %d active %d finished %d killed %d, want 2 finished, 2 killed",
+			st.Launched, st.Active, st.Finished, st.Killed)
+	}
+
+	shutdown(t, sys)
+	if _, err := sys.Admit(ipc.NewSharedRing(64).Receiver); !errors.Is(err, ErrShutdown) {
+		t.Errorf("admit after shutdown: err = %v, want ErrShutdown", err)
+	}
+	if got := sys.Stats().Launched; got != st.Launched {
+		t.Errorf("refused Admit moved Launched: %d -> %d", st.Launched, got)
 	}
 }
 

@@ -221,4 +221,3 @@ func TestIntrinsicsCoverage(t *testing.T) {
 		t.Errorf("intrinsic chain = %d, want 3", res.ExitCode)
 	}
 }
-
