@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check loc bench bench-smoke
+.PHONY: all build test race vet check loc bench bench-smoke verify-cover
 
 all: check
 
@@ -26,14 +26,21 @@ vet:
 # hmac sealer's run unseal against a loop of one-message calls,
 # the quick end-to-end benchmark (all four workloads, every correctness
 # check), and the line count. The one piece run without the race detector is
-# the sweep's model-checker entry: it explores ~71k states with dsched
+# the sweep's model-checker entry: it explores ~103k states with dsched
 # handing control from one goroutine to the next, so the detector has little
 # to watch and costs 8x (internal/verify's own tests do run under it). check
-# leaves `git status` clean: nothing here writes outside .bench_build/ and
-# bench/out/.
+# also fails when a non-test file outside internal/dsched, internal/kernel and
+# internal/verify names the kernel's revert hooks (the pre-fix races the
+# checker's detectors reopen), and prints the checker's coverage of the
+# trusted core (verify-cover). check leaves `git status` clean: nothing here
+# writes outside .bench_build/ and bench/out/.
 check: vet build
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@named=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+		'Revert(LateNotify|EpochTimer)|Reverted\(|Unsafe(LateNotify|EpochTimer)' . | \
+		grep -vE '^\./internal/(dsched|kernel|verify)/'); if [ -n "$$named" ]; then \
+		echo "revert hooks named outside internal/{dsched,kernel,verify}:"; echo "$$named"; exit 1; fi
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
@@ -42,7 +49,18 @@ check: vet build
 	$(GO) test -run xxx -fuzz FuzzPtrTable -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzUnsealRun -fuzztime 10s ./internal/policy
 	$(GO) run ./bench -quick
+	$(MAKE) verify-cover
 	$(MAKE) loc
+
+# verify-cover prints the statement coverage internal/verify's own tests
+# reach in the trusted core the model checker drives, one line per package.
+verify-cover:
+	@mkdir -p .bench_build
+	@$(GO) test -count=1 -coverpkg=./internal/kernel,./internal/verifier,./internal/supervisor \
+		-coverprofile=.bench_build/verify.cover ./internal/verify >/dev/null
+	@awk -F'[: ]' 'NR > 1 { pkg = $$1; sub(/\/[^\/]*$$/, "", pkg); all[pkg] += $$3; \
+		if ($$4 > 0) hit[pkg] += $$3 } END { for (p in all) printf "%-28s %5.1f%%\n", p, 100 * hit[p] / all[p] }' \
+		.bench_build/verify.cover | sort
 
 # loc prints Table 6 (code and test lines per component) and, on the last
 # line, the non-test Go lines outside bench/: the per-PR size trend ROADMAP
@@ -51,7 +69,8 @@ check: vet build
 # staging buffer, 25 697 with remote gates answered on the drain, 25 268
 # with the JSONL trace ring and the latency sampler deleted, 25 265 with the
 # pointer table's control bytes and tombstones gone, 25 148 with one
-# admission and one finalization in the supervisor).
+# admission and one finalization in the supervisor, 25 141 with the model
+# checker's world a supervisor.System).
 loc:
 	@$(GO) run ./cmd/loccount
 

@@ -23,7 +23,9 @@
 // hooks when present, so a checker can trigger an epoch expiry as an
 // explicit, deterministic transition instead of waiting two wall-clock
 // seconds — and can reproduce tick-boundary races (a timer firing at
-// exactly its deadline) that real clocks only hit by luck.
+// exactly its deadline) that real clocks only hit by luck. The installed
+// Scheduler also carries the reverts (Revert) that reopen the kernel's fixed
+// races, so only code the checker schedules can ever run one.
 //
 // Install swaps the global hook bundle atomically. Code that never calls
 // Install pays one atomic pointer load and a predictable branch per point;
@@ -96,6 +98,11 @@ const (
 	// closed admission but before it begins waiting out in-flight work.
 	PointShutdownBegin
 
+	// PointSyncReady is noted (never parked: the kernel lock is held) when
+	// the verifier sets a process's synchronization variable. The checker
+	// uses it to learn which gates a delivery woke.
+	PointSyncReady
+
 	numPoints
 )
 
@@ -111,6 +118,7 @@ var pointNames = [...]string{
 	PointLaunchAdmitted:  "launch-admitted",
 	PointProcFinished:    "proc-finished",
 	PointShutdownBegin:   "shutdown-begin",
+	PointSyncReady:       "sync-ready",
 }
 
 func (p Point) String() string {
@@ -141,9 +149,32 @@ type Hooks interface {
 	AfterFunc(d time.Duration, f func()) Timer
 }
 
+// Revert names a fixed race the kernel can be made to reopen, so the model
+// checker can show that it still catches each one. A revert is a property
+// of the installed hook bundle, and only a Scheduler carries any: code that
+// installs no hooks (production) cannot run one.
+type Revert uint8
+
+const (
+	// RevertLateNotify restores the pre-fix Register/Fork ordering: the new
+	// context is visible in the kernel's process table before the verifier
+	// is notified, so a message can reach a verifier with no policy context
+	// for its sender.
+	RevertLateNotify Revert = 1 << iota
+	// RevertEpochTimer restores the pre-fix epoch watchdog: a timer armed
+	// once at the epoch plus a strict deadline comparison, whose broadcast
+	// can land a tick before the comparison flips and leave the waiter
+	// asleep with no future wake-up.
+	RevertEpochTimer
+)
+
 // active holds the installed hook bundle. An interface can't live in an
-// atomic.Pointer directly, so it rides in a box.
-type hookBox struct{ h Hooks }
+// atomic.Pointer directly, so it rides in a box, beside the bundle's
+// reverts.
+type hookBox struct {
+	h       Hooks
+	reverts Revert
+}
 
 var active atomic.Pointer[hookBox]
 
@@ -155,7 +186,18 @@ func Install(h Hooks) {
 		active.Store(nil)
 		return
 	}
-	active.Store(&hookBox{h: h})
+	b := &hookBox{h: h}
+	if s, ok := h.(*Scheduler); ok {
+		b.reverts = s.reverts
+	}
+	active.Store(b)
+}
+
+// Reverted reports whether the installed hook bundle reopens race r; false
+// when nothing is installed.
+func Reverted(r Revert) bool {
+	b := active.Load()
+	return b != nil && b.reverts&r != 0
 }
 
 // Uninstall removes the hook bundle; every point reverts to a no-op and

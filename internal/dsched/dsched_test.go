@@ -61,7 +61,7 @@ func TestRecorderCapturesPoints(t *testing.T) {
 }
 
 func TestSchedulerParkStepDone(t *testing.T) {
-	s := NewScheduler()
+	s := NewScheduler(0)
 	Install(s)
 	defer Uninstall()
 
@@ -103,7 +103,7 @@ func TestSchedulerParkStepDone(t *testing.T) {
 }
 
 func TestSchedulerVirtualTimer(t *testing.T) {
-	s := NewScheduler()
+	s := NewScheduler(0)
 	Install(s)
 	defer Uninstall()
 
@@ -141,7 +141,7 @@ func TestSchedulerVirtualTimer(t *testing.T) {
 }
 
 func TestSchedulerBlockedNoteRouting(t *testing.T) {
-	s := NewScheduler()
+	s := NewScheduler(0)
 	Install(s)
 	defer Uninstall()
 

@@ -75,8 +75,9 @@ func (t *Task) Done() bool { return t.done.Load() }
 
 // Scheduler is the cooperative controller the model checker installs via
 // Install: Yield points park the currently stepped task, PointGateBlocked
-// notes report gate quiescence, and the clock is virtual — timers fire only
-// when the controller calls FireTimer, as an explicit transition.
+// notes report gate quiescence, PointSyncReady notes are recorded for
+// TakeSynced, and the clock is virtual — timers fire only when the
+// controller calls FireTimer, as an explicit transition.
 //
 // The controller (the checker's goroutine) is single-threaded: it resumes
 // exactly one task at a time with Step and waits for that task's next event
@@ -84,9 +85,12 @@ func (t *Task) Done() bool { return t.done.Load() }
 // delivery, shard poisoning) may hit Yield points too; they no-op, because
 // no task is current.
 type Scheduler struct {
+	reverts Revert // fixed at construction, read by Install
+
 	mu     sync.Mutex
 	byPID  map[int32]*Task
 	timers []*vtimer
+	synced []int32 // pids noted at PointSyncReady since the last TakeSynced
 
 	current atomic.Pointer[Task]
 	vnow    atomic.Int64 // virtual ns since vbase
@@ -97,9 +101,10 @@ type Scheduler struct {
 var vbase = time.Unix(1_700_000_000, 0)
 
 // NewScheduler creates a controller with an empty task set and the virtual
-// clock at its base instant.
-func NewScheduler() *Scheduler {
-	return &Scheduler{byPID: make(map[int32]*Task)}
+// clock at its base instant. reverts names the fixed races the code it
+// schedules reopens (0 for none).
+func NewScheduler(reverts Revert) *Scheduler {
+	return &Scheduler{reverts: reverts, byPID: make(map[int32]*Task)}
 }
 
 // Go creates a task that will run fn when first stepped. bindPID, when
@@ -144,10 +149,12 @@ func (s *Scheduler) Step(t *Task) Event {
 // event arrives within timeout, which means the code under test failed to
 // wake a waiter it should have — itself a reportable liveness violation.
 func (s *Scheduler) Await(t *Task, timeout time.Duration) (Event, bool) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case ev := <-t.events:
 		return ev, true
-	case <-time.After(timeout):
+	case <-timer.C:
 		return Event{}, false
 	}
 }
@@ -165,11 +172,18 @@ func (s *Scheduler) Yield(p Point, pid int32) {
 	<-t.resume
 }
 
-// Note implements Hooks: route PointGateBlocked to the gate task owning
-// pid. The task is about to enter its condition wait holding the kernel
-// lock, so this only records — the send is buffered and never parks.
+// Note implements Hooks: record PointSyncReady, and route PointGateBlocked
+// to the gate task owning pid. Both are noted with the kernel lock held, so
+// this only records — the send is buffered and never parks.
 func (s *Scheduler) Note(p Point, pid int32) {
-	if p != PointGateBlocked {
+	switch p {
+	case PointSyncReady:
+		s.mu.Lock()
+		s.synced = append(s.synced, pid)
+		s.mu.Unlock()
+		return
+	case PointGateBlocked:
+	default:
 		return
 	}
 	t := s.current.Load()
@@ -186,6 +200,16 @@ func (s *Scheduler) Note(p Point, pid int32) {
 	// current when the controller resumes.
 	s.current.CompareAndSwap(t, nil)
 	t.events <- Event{Kind: EventBlocked, Point: p, PID: pid}
+}
+
+// TakeSynced returns the pids noted at PointSyncReady since the last call,
+// in the order they were noted, and forgets them.
+func (s *Scheduler) TakeSynced() []int32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	synced := s.synced
+	s.synced = nil
+	return synced
 }
 
 // Now implements Hooks: the virtual clock.

@@ -15,16 +15,16 @@ import (
 //     transition family enabled, §3.1.1 counter checking on — is explored
 //     EXHAUSTIVELY (the state space closes under the configured bounds) and
 //     must be clean.
-//  2. Soundness of the checker: each fixed lifecycle race is re-introduced
-//     through its revert knob (kernel.UnsafeLateNotify,
-//     kernel.UnsafeEpochTimer) or its mitigating feature is disabled
-//     (CheckSeq off under reorder), and the checker must report the expected
-//     invariant violation with a minimal replayable schedule. A checker that
-//     cannot fail proves nothing.
+//  2. Soundness of the checker: each of verify.Detectors re-introduces one
+//     fixed bug (a kernel race reopened by the checker's scheduler, a broken
+//     resume protocol) or disables its mitigating feature (CheckSeq off
+//     under reorder), and the checker must report the expected invariant
+//     violation with a minimal replayable schedule. A checker that cannot
+//     fail proves nothing.
 //
-// Without Quick it additionally explores the 3-process scope (~550k states,
-// minutes); the smoke scope (~71k states with the connection-churn family) finishes in
-// about ten seconds.
+// Without Quick it additionally explores the 3-process scope (minutes); the
+// smoke scope (~103k states with the connection-churn family) finishes in
+// about fifteen seconds.
 func Verify(c Config) (Report, error) {
 	var b strings.Builder
 	var firstErr error
@@ -87,19 +87,9 @@ func Verify(c Config) (Report, error) {
 	}
 
 	b.WriteString("\nDetector checks (one fix reverted at a time):\n")
-	catches("registration notify-after-visible",
-		verify.Config{UnsafeLateNotify: true, CheckSeq: true, MaxDepth: 8, MaxStates: 2000},
-		verify.InvLostMessage)
-	catches("epoch watchdog armed-once + strict After",
-		verify.Config{Expire: true, UnsafeEpochTimer: true, CheckSeq: true, MaxDepth: 8, MaxStates: 2000},
-		verify.InvLiveness)
-	catches("message reorder without CheckSeq",
-		verify.Config{Reorder: true, CheckSeq: false, MaxDepth: 12, MaxStates: 4000},
-		verify.InvGate)
-	catches("resume replay trimmed on write, not on ack",
-		verify.Config{Conn: true, UnsafeSeverDrop: true, CheckSeq: true,
-			MaxSends: 2, MaxDepth: 10, MaxStates: 4000},
-		verify.InvChurn)
+	for _, d := range verify.Detectors() {
+		catches(d.Name, d.Config, d.Invariant)
+	}
 
 	if firstErr == nil {
 		b.WriteString("\nverify: PASS — protocol clean under exhaustive exploration; checker demonstrably catches each reverted fix\n")

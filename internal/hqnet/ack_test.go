@@ -200,9 +200,10 @@ func TestAckNeverReleasesInFlightFrames(t *testing.T) {
 	if killed, reason := h.killReason(c.PID()); killed {
 		t.Fatalf("clean stream killed: %s", reason)
 	}
-	if got := h.procMessages(c.PID()); got != senders*perSender+1 {
-		t.Fatalf("verified %d messages, want %d", got, senders*perSender+1)
-	}
+	// An ack means received, not yet verified: wait for the row.
+	waitFor(t, 10*time.Second, "every message verified", func() bool {
+		return h.procMessages(c.PID()) == senders*perSender+1
+	})
 }
 
 // readTap records, on the daemon's side of a connection, where in the
@@ -418,7 +419,9 @@ func TestConcurrentSendGateHeartbeatNeverSplitFrames(t *testing.T) {
 	if killed, reason := h.killReason(c.PID()); killed {
 		t.Fatalf("clean process killed: %s", reason)
 	}
-	if got, want := h.procMessages(c.PID()), uint64(senders*perSender+gates); got != want {
-		t.Fatalf("verified %d messages, want %d", got, want)
-	}
+	// The goodbye is sent; the daemon finishes the process once its drain
+	// has delivered everything, which freezes the row: wait for it.
+	waitFor(t, 10*time.Second, "every message verified", func() bool {
+		return h.procMessages(c.PID()) == senders*perSender+gates
+	})
 }

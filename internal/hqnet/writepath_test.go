@@ -251,9 +251,11 @@ func TestSendDuringResumeStaysBehindReplayedFrames(t *testing.T) {
 			last = seq
 		}
 	}
-	if got, want := h.procMessages(c.PID()), uint64(backlog+extra+1); got != want {
-		t.Fatalf("verified %d messages, want %d", got, want)
-	}
+	// Closed after goodbye: the row is final once the drain has delivered
+	// everything and the process is finished.
+	waitFor(t, 10*time.Second, "every message verified", func() bool {
+		return h.procMessages(c.PID()) == uint64(backlog+extra+1)
+	})
 }
 
 // TestWireBytesMatchPerFrameWriter is the differential check on the staged
@@ -364,9 +366,10 @@ func TestSmallReplayBufferFlushesBeforeBlocking(t *testing.T) {
 	if !c.Flush(10 * time.Second) {
 		t.Fatal("flush timed out")
 	}
-	if got, want := h.procMessages(c.PID()), uint64(n+n/gateEvery); got != want {
-		t.Fatalf("verified %d messages, want %d", got, want)
-	}
+	// An ack means received, not yet verified: wait for the row.
+	waitFor(t, 10*time.Second, "every message verified", func() bool {
+		return h.procMessages(c.PID()) == uint64(n+n/gateEvery)
+	})
 }
 
 // TestQuietSenderVerifiedWithinHeartbeatPeriod: a process that sends a few

@@ -194,21 +194,6 @@ type Kernel struct {
 	// DefaultEpoch.
 	Epoch time.Duration
 
-	// UnsafeLateNotify restores the pre-fix Register/Fork ordering — context
-	// visible first, verifier notified after — reopening the window where a
-	// message from the new process reaches a verifier with no policy context
-	// for it. Exists only so the model checker (internal/verify) can
-	// demonstrate it still catches that race; never set it in production.
-	// Must be set before concurrent use, like Epoch.
-	UnsafeLateNotify bool
-
-	// UnsafeEpochTimer restores the pre-fix epoch-watchdog shape — a timer
-	// armed once at the epoch plus a strict time.After comparison — whose
-	// tick-boundary race (broadcast lands before the comparison flips, waiter
-	// re-waits with no future wake-up) the checker must be able to reproduce.
-	// Never set it in production. Must be set before concurrent use.
-	UnsafeEpochTimer bool
-
 	tm *kernelMetrics
 }
 
@@ -318,14 +303,16 @@ func (k *Kernel) DegradedMode() DegradedPolicy {
 // dropped as unregistered. Register-before-visible closes that window
 // without holding k.mu across the listener call — the listener may call
 // back into Kill (a poisoned shard kills at birth), which takes k.mu; such
-// kills land in the registering buffer and are applied at insertion.
+// kills land in the registering buffer and are applied at insertion. (The
+// old ordering survives only as dsched.RevertLateNotify, for the model
+// checker.)
 func (k *Kernel) Register() int32 {
 	k.mu.Lock()
 	k.nextPID++
 	pid := k.nextPID
 	l := k.listener
 	keys := k.keys
-	if k.UnsafeLateNotify {
+	if dsched.Reverted(dsched.RevertLateNotify) {
 		k.insertLocked(pid)
 		k.mu.Unlock()
 		if keys != nil {
@@ -368,7 +355,7 @@ func (k *Kernel) Fork(parent int32) (int32, error) {
 	l := k.listener
 	tm := k.tm
 	keys := k.keys
-	if k.UnsafeLateNotify {
+	if dsched.Reverted(dsched.RevertLateNotify) {
 		k.insertLocked(child)
 		k.mu.Unlock()
 		if keys != nil {
@@ -513,10 +500,11 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 		// One clock drives expiry: the deadline is the single authority, the
 		// timer exists only to wake this waiter, and it is re-armed for
 		// exactly the remainder before every wait. The pre-fix shape (kept
-		// behind UnsafeEpochTimer so the checker can reproduce it) armed the
-		// timer once and compared strictly — a broadcast landing a tick
+		// as dsched.RevertEpochTimer so the checker can reproduce it) armed
+		// the timer once and compared strictly — a broadcast landing a tick
 		// before the comparison flipped re-entered Wait with no future
 		// wake-up and stalled far past the epoch.
+		reverted := dsched.Reverted(dsched.RevertEpochTimer)
 		deadline := dsched.Now().Add(epoch)
 		timer := dsched.AfterFunc(epoch, func() {
 			k.mu.Lock()
@@ -525,7 +513,7 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 		})
 		for !p.syncReady && !p.killed && !p.exited {
 			now := dsched.Now()
-			if k.epochExpired(now, deadline) {
+			if epochExpired(now, deadline, reverted) {
 				// No synchronization message within the epoch (§2.2).
 				// Ask the watchdog whether the silence has a positive
 				// attribution — a verifier that can no longer make
@@ -555,7 +543,7 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 				p.stats.KilledByAll = reason
 				break
 			}
-			if !k.UnsafeEpochTimer {
+			if !reverted {
 				timer.Reset(deadline.Sub(now))
 			}
 			dsched.Note(dsched.PointGateBlocked, pid)
@@ -631,10 +619,10 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 
 // epochExpired decides whether the gate's deadline has passed. The fixed
 // comparison is inclusive (the instant the timer fires IS the expiry), so a
-// wake-up at exactly the deadline always observes expiry. The strict
-// pre-fix comparison is kept behind UnsafeEpochTimer for the checker.
-func (k *Kernel) epochExpired(now, deadline time.Time) bool {
-	if k.UnsafeEpochTimer {
+// wake-up at exactly the deadline always observes expiry. reverted selects
+// the strict pre-fix comparison (dsched.RevertEpochTimer).
+func epochExpired(now, deadline time.Time, reverted bool) bool {
+	if reverted {
 		return now.After(deadline)
 	}
 	return !now.Before(deadline)
@@ -649,6 +637,7 @@ func (k *Kernel) NotifySyncReady(pid int32) {
 	if p, ok := k.procs[pid]; ok {
 		p.syncReady = true
 		p.cond.Broadcast()
+		dsched.Note(dsched.PointSyncReady, pid)
 	}
 }
 

@@ -87,18 +87,27 @@ func TestRegisterNotifiesBeforeVisible(t *testing.T) {
 	}
 }
 
-// TestUnsafeLateNotifyRestoresOldOrdering: the revert knob really reopens
-// the window (visible before notified) — the shape the model checker must
+// TestUnsafeLateNotifyRestoresOldOrdering: a scheduler carrying
+// dsched.RevertLateNotify really reopens the window (visible before
+// notified), on Register and on Fork — the shape the model checker must
 // flag.
 func TestUnsafeLateNotifyRestoresOldOrdering(t *testing.T) {
+	dsched.Install(dsched.NewScheduler(dsched.RevertLateNotify))
+	defer dsched.Uninstall()
 	k := New(nil)
-	k.UnsafeLateNotify = true
 	l := newVisibilityListener(k)
 	k.SetListener(l)
 
 	pid := k.Register()
 	if !l.startedVisible[pid] {
-		t.Fatalf("UnsafeLateNotify: pid %d was not yet visible at ProcessStarted; knob does not restore pre-fix ordering", pid)
+		t.Fatalf("RevertLateNotify: pid %d was not yet visible at ProcessStarted; the revert does not restore pre-fix ordering", pid)
+	}
+	child, err := k.Fork(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !l.forkedVisible[child] {
+		t.Fatalf("RevertLateNotify: child %d was not yet visible at ProcessForked", child)
 	}
 }
 
@@ -140,18 +149,21 @@ func TestKillDuringRegistrationBuffered(t *testing.T) {
 // TestEpochExpiryExactBoundary drives the gate with the virtual clock and
 // fires the epoch timer at exactly its deadline — the tick-boundary case
 // the pre-fix code lost. Fixed kernel: the woken waiter observes expiry and
-// kills. UnsafeEpochTimer kernel: the waiter re-enters its wait with no
-// future wake-up — the stall the model checker reports as a liveness
+// kills. Under dsched.RevertEpochTimer: the waiter re-enters its wait with
+// no future wake-up — the stall the model checker reports as a liveness
 // violation.
 func TestEpochExpiryExactBoundary(t *testing.T) {
 	run := func(t *testing.T, unsafeTimer bool) {
-		s := dsched.NewScheduler()
+		var reverts dsched.Revert
+		if unsafeTimer {
+			reverts = dsched.RevertEpochTimer
+		}
+		s := dsched.NewScheduler(reverts)
 		dsched.Install(s)
 		defer dsched.Uninstall()
 
 		k := New(nil)
 		k.Epoch = 2 * time.Second
-		k.UnsafeEpochTimer = unsafeTimer
 		pid := k.Register()
 
 		gate := s.Go("gate", pid, func() error {
@@ -210,7 +222,7 @@ func TestEpochExpiryExactBoundary(t *testing.T) {
 // gate re-arms its timer for the exact remainder before re-waiting, so the
 // expiry still lands and the process is still killed on time.
 func TestEpochExpiryAfterSpuriousWake(t *testing.T) {
-	s := dsched.NewScheduler()
+	s := dsched.NewScheduler(0)
 	dsched.Install(s)
 	defer dsched.Uninstall()
 

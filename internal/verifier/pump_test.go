@@ -171,16 +171,18 @@ func TestPumpSetDoneMeansDelivered(t *testing.T) {
 // TestPumpStartsOneGoroutinePerSource pins what runs: a pump set is no more
 // than the drains attached to it — NewPumpSet starts nothing, Attach starts
 // one goroutine, which is gone once the source closes — and Pump runs on its
-// caller's goroutine alone.
+// caller's goroutine alone. Counts are bounds that must settle, not exact
+// figures: a goroutine left over from an earlier test (or the race
+// detector's) may still be exiting while this one runs.
 func TestPumpStartsOneGoroutinePerSource(t *testing.T) {
 	v := NewSharded(cfiFactory, nil, 4)
 	v.ProcessStarted(1)
 	base := runtime.NumGoroutine()
-	settle := func(want int, when string) {
+	settle := func(most int, when string) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != want; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > most; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
+				t.Fatalf("%s: %d goroutines, want at most %d", when, runtime.NumGoroutine(), most)
 			}
 		}
 	}
@@ -212,8 +214,8 @@ func TestPumpStartsOneGoroutinePerSource(t *testing.T) {
 		inPump = runtime.NumGoroutine() // back for more, the burst delivered
 		return 0, false, nil
 	}))
-	if inPump != base || v.Messages(1) != 100 {
-		t.Fatalf("inside Pump: %d goroutines (want %d), %d messages delivered (want 100)", inPump, base, v.Messages(1))
+	if inPump > base || v.Messages(1) != 100 {
+		t.Fatalf("inside Pump: %d goroutines (want at most %d), %d messages delivered (want 100)", inPump, base, v.Messages(1))
 	}
 }
 

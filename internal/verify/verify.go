@@ -2,9 +2,12 @@
 // protocol: it exhaustively enumerates interleavings of process lifecycle
 // events — launch, fork, exit, explicit kill, epoch expiry, shard poison,
 // message delivery (optionally reordered), connection sever/resume/lease
-// expiry — against the REAL kernel and
-// verifier, driven deterministically through the internal/dsched schedule
-// hooks, and asserts the paper's core invariants in every reachable state:
+// expiry — against the production lifecycle itself, driven deterministically
+// through the internal/dsched schedule hooks. Each world is one
+// supervisor.System: a process enters by System.Admit with a source the
+// checker feeds, its messages reach the policies only through the real pump
+// drain, and it leaves by Proc.Close. The checker asserts the paper's core
+// invariants in every reachable state:
 //
 //   - gate invariant (§2.2/§3.3): no process passes a syscall gate before
 //     every message it sent prior to that gate has been validated;
@@ -20,12 +23,15 @@
 //   - no-churn-counter-kill: connection churn (sever, resume, lease
 //     expiry) never trips the §3.1.1 counter check for a process whose
 //     messages the model did not itself reorder — a correct resume
-//     protocol replays a gap-free stream.
+//     protocol replays a gap-free stream;
+//   - supervisor accounting: Health().ActiveProcs counts exactly the
+//     admitted, not yet finished processes, and a finished process's frozen
+//     row says killed exactly when the model saw it killed.
 //
-// The checker is stateless in the Godefroid sense: each explored node is
-// reconstructed by replaying its transition prefix against a fresh world
-// (fresh kernel + verifier + scheduler), so there is no undo logic to trust.
-// A seen-set over canonical state fingerprints prunes converging
+// The checker is stateless in the Godefroid sense: no world is ever rewound;
+// a node's successors are reached by replaying its transition prefix into a
+// fresh world (fresh System + scheduler), so there is no undo logic to
+// trust. A seen-set over hashed state fingerprints prunes converging
 // interleavings. On violation the failing schedule is minimized by greedy
 // delta-debugging and reported in a form Replay accepts verbatim — see
 // DESIGN.md "Checking the gate invariant" for how to re-run one.
@@ -37,6 +43,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -85,8 +92,9 @@ type Config struct {
 	// churn scope can catch exactly this bug class.
 	UnsafeSeverDrop bool
 
-	// UnsafeLateNotify / UnsafeEpochTimer set the kernel's pre-fix revert
-	// knobs, so tests can demonstrate the checker catches each fixed race.
+	// UnsafeLateNotify / UnsafeEpochTimer install the scheduler with
+	// dsched.RevertLateNotify / dsched.RevertEpochTimer, reopening a fixed
+	// kernel race so the checker can show it still catches it.
 	UnsafeLateNotify bool
 	UnsafeEpochTimer bool
 
@@ -148,6 +156,31 @@ func Defaults() Config {
 	}.withDefaults()
 }
 
+// Detector is one fixed bug the checker must still catch: a scope with the
+// fix reverted (or its mitigating feature off) and the invariant its first
+// violation must name.
+type Detector struct {
+	Name      string
+	Config    Config
+	Invariant string
+}
+
+// Detectors lists the checks that prove the checker can fail, one per fixed
+// bug. A launched process's source attaches only once Admit has registered
+// it, so the late-notify window is reachable only through fork.
+func Detectors() []Detector {
+	return []Detector{
+		{"fork notify-after-visible", Config{UnsafeLateNotify: true, Fork: true, CheckSeq: true,
+			MaxDepth: 8, MaxStates: 2000}, InvLostMessage},
+		{"epoch watchdog armed-once + strict After", Config{Expire: true, UnsafeEpochTimer: true,
+			CheckSeq: true, MaxDepth: 8, MaxStates: 2000}, InvLiveness},
+		{"message reorder without CheckSeq", Config{Reorder: true, CheckSeq: false,
+			MaxDepth: 12, MaxStates: 4000}, InvGate},
+		{"resume replay trimmed on write, not on ack", Config{Conn: true, UnsafeSeverDrop: true,
+			CheckSeq: true, MaxSends: 2, MaxDepth: 10, MaxStates: 4000}, InvChurn},
+	}
+}
+
 // Invariant names reported in Violation.Invariant.
 const (
 	InvGate        = "gate-invariant"        // gate passed before prior messages validated
@@ -157,6 +190,7 @@ const (
 	InvLiveness    = "gate-liveness"         // gate stalled past its epoch deadline
 	InvStamp       = "liveness-stamp"        // gate passed without stamping LastSyscall
 	InvChurn       = "no-churn-counter-kill" // connection churn alone tripped CheckSeq
+	InvAccounting  = "supervisor-accounting" // Health or a frozen row disagrees with the model
 	InvModel       = "model"                 // the harness itself lost sync with the code
 )
 
@@ -211,8 +245,8 @@ func (r *Result) String() string {
 // reported.
 func Check(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	c := &checker{cfg: cfg, seen: make(map[string]bool), res: &Result{}}
-	c.explore(nil)
+	c := &checker{cfg: cfg, seen: make(map[[16]byte]struct{}), res: &Result{}}
+	c.explore(nil, newWorld(cfg))
 	return c.res
 }
 
@@ -225,14 +259,10 @@ func Replay(cfg Config, schedule []string) (*Violation, error) {
 	w := newWorld(cfg)
 	defer w.teardown()
 	for i, tr := range schedule {
-		viol, err := w.apply(tr)
-		if err != nil {
-			return nil, fmt.Errorf("verify: schedule step %d (%s): %w", i+1, tr, err)
+		if !slices.Contains(w.enabled(), tr) {
+			return nil, fmt.Errorf("verify: schedule step %d (%s): not enabled", i+1, tr)
 		}
-		if viol == nil {
-			viol = w.checkInvariants()
-		}
-		if viol != nil {
+		if viol := w.step(tr); viol != nil {
 			viol.Schedule = append([]string(nil), schedule[:i+1]...)
 			return viol, nil
 		}
@@ -242,7 +272,7 @@ func Replay(cfg Config, schedule []string) (*Violation, error) {
 
 type checker struct {
 	cfg  Config
-	seen map[string]bool
+	seen map[[16]byte]struct{}
 	res  *Result
 }
 
@@ -251,73 +281,67 @@ func (c *checker) stopped() bool {
 		c.res.StatesExplored >= c.cfg.MaxStates
 }
 
-// explore is the stateless DFS: the node named by prefix is reconstructed
-// by replay, its enabled transitions enumerated, and each successor world
-// rebuilt from scratch — replay is the only state-restoration mechanism, so
+// explore is the stateless DFS over the node w has been driven to by
+// prefix; it owns w. Each successor is one transition applied to a world at
+// the node: w itself for the first, a fresh world the prefix is replayed
+// into for every other one. A successor not seen before is explored with the
+// world that reached it. Replay is the only state-restoration mechanism, so
 // there is no undo code whose correctness the checker would itself depend
 // on.
-func (c *checker) explore(prefix []string) {
-	if c.stopped() {
-		return
-	}
-	if len(prefix) >= c.cfg.MaxDepth {
+func (c *checker) explore(prefix []string, w *world) {
+	var enabled []string
+	if len(prefix) < c.cfg.MaxDepth {
+		enabled = w.enabled()
+	} else {
 		c.res.Truncated = true
-		return
 	}
-	w := newWorld(c.cfg)
-	for _, tr := range prefix {
-		if _, err := w.apply(tr); err != nil {
-			// A prefix that explored cleanly must replay cleanly; anything
-			// else means nondeterminism leaked into the harness.
-			c.report(&Violation{Invariant: InvModel,
-				Detail: fmt.Sprintf("prefix replay diverged at %q: %v", tr, err)}, prefix)
-			w.teardown()
-			return
-		}
-	}
-	enabled := w.enabled()
-	w.teardown()
-
 	for _, tr := range enabled {
 		if c.stopped() {
-			return
+			break
 		}
-		next := append(append(make([]string, 0, len(prefix)+1), prefix...), tr)
-		w2 := newWorld(c.cfg)
-		replayOK := true
-		for _, pt := range prefix {
-			if _, err := w2.apply(pt); err != nil {
-				replayOK = false
-				break
+		if w == nil {
+			if w = c.replay(prefix); w == nil {
+				return
 			}
 		}
-		if !replayOK {
-			w2.teardown()
-			continue
-		}
-		viol, err := w2.apply(tr)
+		child := w
+		w = nil
+		next := append(prefix[:len(prefix):len(prefix)], tr)
+		viol := child.step(tr)
 		c.res.TransitionsApplied++
-		if err != nil {
-			w2.teardown()
-			continue
-		}
-		if viol == nil {
-			viol = w2.checkInvariants()
-		}
 		if viol != nil {
-			w2.teardown()
+			child.teardown()
 			c.report(viol, next)
 			continue
 		}
-		fp := w2.fingerprint()
-		w2.teardown()
-		if c.seen[fp] {
+		fp := child.fingerprint()
+		if _, dup := c.seen[fp]; dup {
+			child.teardown()
 			continue
 		}
-		c.seen[fp] = true
+		c.seen[fp] = struct{}{}
 		c.res.StatesExplored++
-		c.explore(next)
+		c.explore(next, child)
 	}
+	if w != nil {
+		w.teardown()
+	}
+}
+
+// replay drives a fresh world through prefix, which the exploration has
+// already run clean: a violation on the way means nondeterminism leaked
+// into the harness.
+func (c *checker) replay(prefix []string) *world {
+	w := newWorld(c.cfg)
+	for _, tr := range prefix {
+		if v := w.apply(tr); v != nil {
+			w.teardown()
+			c.report(&Violation{Invariant: InvModel,
+				Detail: fmt.Sprintf("prefix replay diverged at %q: %s", tr, v.Detail)}, prefix)
+			return nil
+		}
+	}
+	return w
 }
 
 func (c *checker) report(v *Violation, schedule []string) {

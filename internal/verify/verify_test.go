@@ -58,7 +58,7 @@ func TestReorderWithCheckSeqClean(t *testing.T) {
 // the gate pass before that message is validated — the gate invariant
 // violation the paper's counter exists to prevent.
 func TestCheckerCatchesReorderWithoutCheckSeq(t *testing.T) {
-	cfg := Config{Reorder: true, CheckSeq: false, MaxDepth: 12, MaxStates: 4000}
+	cfg := detector(t, InvGate)
 	res := Check(cfg)
 	if res.Clean() {
 		t.Fatal("reorder without CheckSeq explored clean; the checker cannot detect a gate violation")
@@ -79,12 +79,14 @@ func TestCheckerCatchesReorderWithoutCheckSeq(t *testing.T) {
 }
 
 // TestCheckerCatchesLateNotifyRace re-introduces the pre-fix registration
-// ordering (kernel context visible before the verifier is notified) via the
-// UnsafeLateNotify knob: a message sent in the registration window is
-// silently ignored by the verifier, and the checker reports the lost
-// message with a minimal schedule.
+// ordering (kernel context visible before the verifier is notified) via
+// UnsafeLateNotify. A launched process's source attaches only after Admit
+// has registered it, so the window is reached by fork: a child's message
+// rides its parent's source into a verifier that has no context for the
+// child yet, is silently ignored, and the checker reports the lost message
+// with a minimal schedule that replays.
 func TestCheckerCatchesLateNotifyRace(t *testing.T) {
-	cfg := Config{UnsafeLateNotify: true, CheckSeq: true, MaxDepth: 8, MaxStates: 2000}
+	cfg := detector(t, InvLostMessage)
 	res := Check(cfg)
 	if res.Clean() {
 		t.Fatal("UnsafeLateNotify explored clean; the registration race is not being caught")
@@ -93,15 +95,15 @@ func TestCheckerCatchesLateNotifyRace(t *testing.T) {
 	if v.Invariant != InvLostMessage {
 		t.Fatalf("violation invariant = %s, want %s\n%s", v.Invariant, InvLostMessage, v)
 	}
-	// Greedy minimization must reduce this to its 3-step essence:
-	// launch (park in the window), send, deliver.
-	if len(v.Schedule) != 3 {
-		t.Errorf("minimal schedule has %d steps, want 3:\n%s", len(v.Schedule), v)
+	// Greedy minimization must reduce this to its 5-step essence: launch and
+	// register the parent, fork (the child parks in the window), send,
+	// deliver.
+	want := []string{"launch:A", "visible:A", "fork:A>B", "send:B", "deliver:B"}
+	if strings.Join(v.Schedule, " ") != strings.Join(want, " ") {
+		t.Errorf("minimal schedule = %v, want %v", v.Schedule, want)
 	}
-	for i, want := range []string{"launch:", "send:", "deliver:"} {
-		if i < len(v.Schedule) && !strings.HasPrefix(v.Schedule[i], want) {
-			t.Errorf("schedule step %d = %q, want prefix %q", i+1, v.Schedule[i], want)
-		}
+	if rv, err := Replay(cfg, v.Schedule); err != nil || rv == nil || rv.Invariant != InvLostMessage {
+		t.Fatalf("minimal schedule replayed to %v (err %v), want %s", rv, err, InvLostMessage)
 	}
 }
 
@@ -111,8 +113,7 @@ func TestCheckerCatchesLateNotifyRace(t *testing.T) {
 // once, the waiter re-enters its wait with no future wake-up, and the gate
 // stalls forever — the liveness violation the re-arm fix removes.
 func TestCheckerCatchesEpochTimerStall(t *testing.T) {
-	cfg := Config{Expire: true, UnsafeEpochTimer: true, CheckSeq: true,
-		MaxDepth: 8, MaxStates: 2000}
+	cfg := detector(t, InvLiveness)
 	res := Check(cfg)
 	if res.Clean() {
 		t.Fatal("UnsafeEpochTimer explored clean; the timer stall is not being caught")
@@ -158,8 +159,7 @@ func TestChurnScopeClean(t *testing.T) {
 // frame, the resumed stream carries a counter gap, and CheckSeq kills an
 // honest process — the no-churn-counter-kill violation.
 func TestCheckerCatchesSeverDrop(t *testing.T) {
-	cfg := Config{Conn: true, UnsafeSeverDrop: true, CheckSeq: true,
-		MaxSends: 2, MaxDepth: 10, MaxStates: 4000}
+	cfg := detector(t, InvChurn)
 	res := Check(cfg)
 	if res.Clean() {
 		t.Fatal("UnsafeSeverDrop explored clean; churn-induced counter kills are not being caught")
@@ -219,8 +219,9 @@ func TestLeaseExpireReleasesBlockedGate(t *testing.T) {
 // asserts Replay reproduces the violation deterministically — the workflow a
 // developer follows when the checker prints a schedule.
 func TestReplayRecordedSchedule(t *testing.T) {
-	cfg := Config{UnsafeLateNotify: true, CheckSeq: true}
-	v, err := Replay(cfg, []string{"launch:A", "send:A", "deliver:A"})
+	cfg := Config{UnsafeLateNotify: true, Fork: true, CheckSeq: true}
+	recorded := []string{"launch:A", "visible:A", "fork:A>B", "send:B", "deliver:B"}
+	v, err := Replay(cfg, recorded)
 	if err != nil {
 		t.Fatalf("recorded schedule failed to replay: %v", err)
 	}
@@ -232,10 +233,63 @@ func TestReplayRecordedSchedule(t *testing.T) {
 	}
 	// The same schedule against the FIXED kernel is clean: the verifier
 	// learns the pid before the registration window opens.
-	fixed := Config{CheckSeq: true}
-	if v, err := Replay(fixed, []string{"launch:A", "send:A", "deliver:A"}); err != nil || v != nil {
+	fixed := Config{Fork: true, CheckSeq: true}
+	if v, err := Replay(fixed, recorded); err != nil || v != nil {
 		t.Fatalf("fixed kernel replay: violation=%v err=%v, want clean", v, err)
 	}
+	// A launched process cannot be delivered to in its window: its source
+	// is attached only when Admit returns.
+	if _, err := Replay(cfg, []string{"launch:A", "send:A", "deliver:A"}); err == nil {
+		t.Fatal("a delivery into a launched process's registration window replayed")
+	}
+}
+
+// TestAccountingInvariantTrips hand-builds the two ways the supervisor's
+// books can disagree with the model — an admission the model did not make,
+// and a finished process whose frozen row the model expects in another
+// state — and asserts each is reported as supervisor-accounting.
+func TestAccountingInvariantTrips(t *testing.T) {
+	cfg := Config{Exit: true, CheckSeq: true}.withDefaults()
+	build := func(schedule ...string) *world {
+		w := newWorld(cfg)
+		for _, tr := range schedule {
+			if v := w.step(tr); v != nil {
+				t.Fatalf("%s: %v", tr, v)
+			}
+		}
+		return w
+	}
+
+	w := build("launch:A", "visible:A")
+	stray, err := w.sys.Admit(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := w.checkInvariants(); v == nil || v.Invariant != InvAccounting {
+		t.Errorf("admission behind the model's back reported %v, want %s", v, InvAccounting)
+	}
+	stray.Close()
+	w.teardown()
+
+	w = build("launch:A", "visible:A", "exit:A", "exitdone:A")
+	w.procs["A"].killed = true
+	if v := w.checkInvariants(); v == nil || v.Invariant != InvAccounting {
+		t.Errorf("an exited row the model expects killed reported %v, want %s", v, InvAccounting)
+	}
+	w.teardown()
+}
+
+// detector returns the configuration of the Detectors entry that must catch
+// inv.
+func detector(t *testing.T, inv string) Config {
+	t.Helper()
+	for _, d := range Detectors() {
+		if d.Invariant == inv {
+			return d.Config
+		}
+	}
+	t.Fatalf("no detector catches %s", inv)
+	return Config{}
 }
 
 // TestReplayStaleScheduleErrors: a schedule referencing state that does not

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,14 +11,15 @@ import (
 	"herqules/internal/ipc"
 	"herqules/internal/kernel"
 	"herqules/internal/policy"
+	"herqules/internal/supervisor"
 	"herqules/internal/verifier"
 )
 
 // Process lifecycle phases as the model tracks them. The two *window*
 // phases are the interleaving targets: a process mid-registration (verifier
-// notified, kernel context pending — or the reverse under UnsafeLateNotify)
-// and a process mid-exit (kernel context gone, verifier context pending
-// teardown).
+// notified, kernel context pending — or the reverse under
+// dsched.RevertLateNotify) and a process mid-exit (kernel context gone,
+// verifier context pending teardown).
 const (
 	phaseWindow     = iota // between launch/fork and visibility
 	phaseLive              // fully registered
@@ -30,6 +32,13 @@ const (
 type wproc struct {
 	name string
 	pid  int32
+
+	// src is the source the process's messages ride: its own for a launched
+	// process, its parent's for a forked child (the inherited channel
+	// mapping of §3.4). proc is a launched process's admission, set once
+	// Admit returns; a child has none, the kernel alone forks and exits it.
+	src  *source
+	proc *supervisor.Proc
 
 	phase int
 	task  *dsched.Task // in-flight lifecycle task (launch, fork or exit)
@@ -51,7 +60,9 @@ type wproc struct {
 	// verifier.Messages or it was silently lost.
 	expectValidated uint64
 
-	killed bool // model-side: any kill has been issued for this pid
+	// killed is model-side: a kill has been issued for this pid before it
+	// began to exit. It is what a launched process's frozen row must say.
+	killed bool
 
 	// Connection-churn state (Config.Conn). A severed process's transport
 	// is down: nothing it queued can be delivered and it cannot enter a
@@ -64,38 +75,50 @@ type wproc struct {
 	reordered bool
 }
 
-// gateTap interposes the verifier's Gate (kernel) interface so the
-// controller OBSERVES, rather than predicts, which processes a delivery
-// woke or killed — the checker then awaits exactly those gate goroutines.
-type gateTap struct {
-	k *kernel.Kernel
-
-	mu    sync.Mutex
-	syncs []int32
-	kills []int32
+// source is the receiver a launched process is admitted with. The real pump
+// drain reads it one message per delivery, with the handshake of the
+// verifier tests' roundReceiver cut to rounds of one: the RecvBatch call
+// after a delivery reports it (back) before it waits for the next message
+// (in), so deliver returns once the drain has evaluated the message and
+// made its gate calls. Closing it ends the drain.
+type source struct {
+	owner  string // the launched process it was admitted with
+	in     chan ipc.Message
+	back   chan struct{}
+	served bool // drain side: a message is out, report it on the next call
+	closed bool // controller side
 }
 
-func (g *gateTap) NotifySyncReady(pid int32) {
-	g.mu.Lock()
-	g.syncs = append(g.syncs, pid)
-	g.mu.Unlock()
-	g.k.NotifySyncReady(pid)
+func newSource(owner string) *source {
+	return &source{owner: owner, in: make(chan ipc.Message), back: make(chan struct{})}
 }
 
-func (g *gateTap) Kill(pid int32, reason string) {
-	g.mu.Lock()
-	g.kills = append(g.kills, pid)
-	g.mu.Unlock()
-	g.k.Kill(pid, reason)
+func (r *source) RecvBatch(out []ipc.Message) (int, bool, error) {
+	if r.served {
+		r.back <- struct{}{}
+	}
+	m, ok := <-r.in
+	if !ok {
+		return 0, false, nil
+	}
+	out[0], r.served = m, true
+	return 1, true, nil
 }
 
-func (g *gateTap) drain() (syncs, kills []int32) {
-	g.mu.Lock()
-	syncs, kills = g.syncs, g.kills
-	g.syncs, g.kills = nil, nil
-	g.mu.Unlock()
-	return
+func (r *source) deliver(m ipc.Message) {
+	r.in <- m
+	<-r.back
 }
+
+func (r *source) close() {
+	if !r.closed {
+		r.closed = true
+		close(r.in)
+	}
+}
+
+// launched reports whether p entered by Admit (rather than by fork).
+func (p *wproc) launched() bool { return p.src.owner == p.name }
 
 // tapListener interposes the kernel→verifier listener to count
 // ProcessKilled notifications per pid (the exactly-one-kill invariant) while
@@ -124,16 +147,17 @@ func (l *tapListener) kills(pid int32) int {
 	return l.killCount[pid]
 }
 
-// world is one concrete instance of the system under check: a real kernel
-// and verifier wired through the taps, a deterministic scheduler installed
-// over the dsched hooks, and the model's bookkeeping. Worlds are built,
-// driven by a transition sequence, and torn down; they are never reused.
+// world is one concrete instance of the system under check: a real
+// supervisor.System (its kernel's listener tapped), a deterministic
+// scheduler installed over the dsched hooks, and the model's bookkeeping.
+// Worlds are built, driven by a transition sequence, and torn down; they are
+// never reused.
 type world struct {
 	cfg Config
 	s   *dsched.Scheduler
+	sys *supervisor.System
 	k   *kernel.Kernel
 	v   *verifier.Verifier
-	tap *gateTap
 	lis *tapListener
 
 	procs    map[string]*wproc
@@ -141,38 +165,45 @@ type world struct {
 	poisoned map[int]bool
 }
 
+func noPolicies() []policy.Policy { return nil }
+
 func newWorld(cfg Config) *world {
-	s := dsched.NewScheduler()
+	var reverts dsched.Revert
+	if cfg.UnsafeLateNotify {
+		reverts |= dsched.RevertLateNotify
+	}
+	if cfg.UnsafeEpochTimer {
+		reverts |= dsched.RevertEpochTimer
+	}
+	s := dsched.NewScheduler(reverts)
 	dsched.Install(s)
-	k := kernel.New(nil)
-	k.UnsafeLateNotify = cfg.UnsafeLateNotify
-	k.UnsafeEpochTimer = cfg.UnsafeEpochTimer
-	tap := &gateTap{k: k}
-	v := verifier.NewSharded(func() []policy.Policy { return nil }, tap, cfg.Shards)
-	v.CheckSeq = cfg.CheckSeq
-	v.KillOnViolation = true
-	lis := &tapListener{v: v, killCount: make(map[int32]int)}
-	k.SetListener(lis)
-	k.SetWatchdog(v)
+	sys := supervisor.New(supervisor.Config{
+		Policies:        noPolicies,
+		KillOnViolation: true,
+		CheckSeq:        cfg.CheckSeq,
+		Shards:          cfg.Shards,
+	})
+	lis := &tapListener{v: sys.Verifier(), killCount: make(map[int32]int)}
+	sys.Kernel().SetListener(lis)
 	return &world{
-		cfg: cfg, s: s, k: k, v: v, tap: tap, lis: lis,
+		cfg: cfg, s: s, sys: sys, k: sys.Kernel(), v: sys.Verifier(), lis: lis,
 		procs:    make(map[string]*wproc),
 		poisoned: make(map[int]bool),
 	}
 }
 
 // teardown drives every in-flight goroutine to completion (parked lifecycle
-// tasks are stepped out, blocked gates killed and awaited) and uninstalls
-// the scheduler. Best-effort: a goroutine that cannot be released is
-// exactly the liveness bug the checker reports through other channels.
+// tasks are stepped out, blocked gates killed and awaited, every source
+// closed, which ends its drain) and uninstalls the scheduler; the System,
+// never shut down, goes with the world. Best-effort: a goroutine that
+// cannot be released is exactly the liveness bug the checker reports
+// through other channels.
 func (w *world) teardown() {
 	for _, name := range w.order {
 		p := w.procs[name]
-		if p.task != nil && !p.task.Done() {
-			for i := 0; i < 8 && !p.task.Done(); i++ {
-				if ev := w.s.Step(p.task); ev.Kind == dsched.EventDone {
-					break
-				}
+		for i := 0; i < 8 && p.task != nil && !p.task.Done(); i++ {
+			if ev := w.s.Step(p.task); ev.Kind == dsched.EventDone {
+				break
 			}
 		}
 	}
@@ -182,6 +213,9 @@ func (w *world) teardown() {
 			w.k.Kill(p.pid, "verify: world teardown")
 			w.s.Await(p.gate, w.cfg.AwaitTimeout)
 		}
+	}
+	for _, name := range w.order {
+		w.procs[name].src.close()
 	}
 	dsched.Uninstall()
 }
@@ -194,6 +228,17 @@ func (w *world) nextName() string {
 		return procNames[len(w.order)]
 	}
 	return fmt.Sprintf("P%d", len(w.order))
+}
+
+// ridden reports whether a process other than owner still rides owner's
+// source: its channel stays mapped, so owner cannot close it by exiting.
+func (w *world) ridden(owner *wproc) bool {
+	for _, name := range w.order {
+		if p := w.procs[name]; p != owner && p.src == owner.src && p.phase != phaseExited {
+			return true
+		}
+	}
+	return false
 }
 
 // enabled enumerates the transitions applicable in the current state, in a
@@ -216,7 +261,9 @@ func (w *world) enabled() []string {
 			p.sends < w.cfg.MaxSends && p.gate == nil {
 			en = append(en, "send:"+name)
 		}
-		if len(p.queue) > 0 && p.phase != phaseExited && !p.severed {
+		// Admit attaches a launched process's source only once it is visible.
+		if len(p.queue) > 0 && p.phase != phaseExited && !p.severed && !p.src.closed &&
+			!(p.launched() && p.phase == phaseWindow) {
 			en = append(en, "deliver:"+name)
 			if w.cfg.Reorder && len(p.queue) > 1 {
 				en = append(en, "deliver:"+name+"@1")
@@ -233,7 +280,7 @@ func (w *world) enabled() []string {
 			en = append(en, "kill:"+name)
 		}
 		if w.cfg.Exit && p.phase == phaseLive && threadFree && !p.severed &&
-			len(p.queue) == 0 {
+			len(p.queue) == 0 && !(p.launched() && w.ridden(p)) {
 			en = append(en, "exit:"+name)
 		}
 		if w.cfg.Fork && p.phase == phaseLive && threadFree && !p.killed &&
@@ -259,60 +306,83 @@ func (w *world) enabled() []string {
 	return en
 }
 
-// apply executes one transition. It returns a Violation when the transition
-// itself trips an invariant (gate-pass checks, liveness), or an error when
-// the transition is not enabled in this state (a stale or over-minimized
-// schedule).
-func (w *world) apply(tr string) (*Violation, error) {
+// apply executes one enabled transition (Replay checks that it is). It
+// returns a Violation when the transition itself trips an invariant
+// (gate-pass checks, liveness) or finds the code's yield points moved.
+func (w *world) apply(tr string) *Violation {
 	op, arg, _ := strings.Cut(tr, ":")
 	switch op {
 	case "launch":
 		return w.applyLaunch(arg)
-	case "visible":
-		return w.applyVisible(arg)
-	case "send":
-		return w.applySend(arg)
-	case "deliver":
-		name, idxs, reordered := strings.Cut(arg, "@")
-		idx := 0
-		if reordered {
-			var err error
-			if idx, err = strconv.Atoi(idxs); err != nil {
-				return nil, fmt.Errorf("bad deliver index %q", idxs)
-			}
-		}
-		return w.applyDeliver(name, idx)
-	case "gate":
-		return w.applyGate(arg)
-	case "expire":
-		return w.applyExpire(arg)
-	case "kill":
-		return w.applyKill(arg)
-	case "exit":
-		return w.applyExit(arg)
-	case "exitdone":
-		return w.applyExitDone(arg)
-	case "disconnect":
-		return w.applyDisconnect(arg)
-	case "connect":
-		return w.applyConnect(arg)
-	case "lease-expire":
-		return w.applyLeaseExpire(arg)
 	case "fork":
-		parent, child, ok := strings.Cut(arg, ">")
-		if !ok {
-			return nil, fmt.Errorf("bad fork transition %q", tr)
-		}
-		return w.applyFork(parent, child)
+		parent, child, _ := strings.Cut(arg, ">")
+		return w.applyFork(w.procs[parent], child)
 	case "poison":
-		si, err := strconv.Atoi(arg)
-		if err != nil {
-			return nil, fmt.Errorf("bad poison shard %q", arg)
-		}
-		return w.applyPoison(si)
-	default:
-		return nil, fmt.Errorf("unknown transition %q", tr)
+		si, _ := strconv.Atoi(arg)
+		w.poisoned[si] = true
+		w.v.PoisonShard(si, fmt.Sprintf("verify: shard %d poisoned", si))
+		return w.awaitWakes()
 	}
+	name, idx, _ := strings.Cut(arg, "@")
+	p := w.procs[name]
+	switch op {
+	case "visible":
+		return w.applyVisible(p)
+	case "send":
+		p.queue = append(p.queue, ipc.Message{Op: ipc.OpCounterInc, PID: p.pid, Arg1: 1, Seq: p.nextSeq})
+		p.nextSeq++
+		p.sends++
+	case "deliver":
+		i, _ := strconv.Atoi(idx)
+		return w.applyDeliver(p, i)
+	case "gate":
+		return w.applyGate(p)
+	case "expire":
+		return w.applyExpire(p)
+	case "kill":
+		return w.killAwait(p, "verify: external kill")
+	case "exit":
+		return w.applyExit(p)
+	case "exitdone":
+		if v := w.runOut(p.task, "exit of "+name); v != nil {
+			return v
+		}
+		p.task, p.phase = nil, phaseExited
+	case "disconnect":
+		p.severed = true
+		p.severs++
+		if w.cfg.UnsafeSeverDrop && len(p.queue) > 0 {
+			// The modeled bug: a resume protocol that trims its replay
+			// buffer on write rather than on cumulative ack loses the
+			// oldest unforwarded frame with the connection. expectValidated
+			// is NOT decremented — the loss is the client's fault in this
+			// model, and the invariant that notices is the counter gap on
+			// resume.
+			p.queue = p.queue[1:]
+		}
+	case "connect":
+		// Resume with replay: the queue (the replay buffer) survived the
+		// sever intact, so later delivers carry the same gap-free counter
+		// stream the daemon acked up to.
+		p.severed = false
+	case "lease-expire":
+		// The daemon's lease scanner fires for a severed session that never
+		// resumed: a fail-closed kill with the canonical reason, which must
+		// also release a gate still blocked on the dead connection.
+		return w.killAwait(p, kernel.ReasonLeaseExpired)
+	}
+	return nil
+}
+
+// stepTo steps a lifecycle task and demands that it park at point: anything
+// else means the code's yield points moved under the model.
+func (w *world) stepTo(t *dsched.Task, point dsched.Point, what string) (dsched.Event, *Violation) {
+	ev := w.s.Step(t)
+	if ev.Kind != dsched.EventParked || ev.Point != point {
+		return ev, &Violation{Invariant: InvModel,
+			Detail: fmt.Sprintf("%s parked at %v, want %s", what, ev, point)}
+	}
+	return ev, nil
 }
 
 // runOut steps a lifecycle task through any remaining yield points until it
@@ -321,12 +391,12 @@ func (w *world) apply(tr string) (*Violation, error) {
 func (w *world) runOut(t *dsched.Task, what string) *Violation {
 	for i := 0; i < 8; i++ {
 		ev := w.s.Step(t)
-		switch ev.Kind {
-		case dsched.EventDone:
+		switch {
+		case ev.Kind == dsched.EventDone && t.Err() != nil:
+			return &Violation{Invariant: InvModel, Detail: fmt.Sprintf("%s failed: %v", what, t.Err())}
+		case ev.Kind == dsched.EventDone:
 			return nil
-		case dsched.EventParked:
-			continue
-		default:
+		case ev.Kind != dsched.EventParked:
 			return &Violation{Invariant: InvModel,
 				Detail: fmt.Sprintf("%s emitted %v while running out", what, ev)}
 		}
@@ -335,325 +405,169 @@ func (w *world) runOut(t *dsched.Task, what string) *Violation {
 		Detail: fmt.Sprintf("%s still parked after 8 steps", what)}
 }
 
-func (w *world) proc(name string) (*wproc, error) {
-	p, ok := w.procs[name]
-	if !ok {
-		return nil, fmt.Errorf("no process %q", name)
+// applyLaunch admits a new process with its own source, the way every
+// monitored program enters a System: the task runs Admit through its
+// admission yield and parks in Register's window, whose pid it reports.
+func (w *world) applyLaunch(name string) *Violation {
+	p := &wproc{name: name, nextSeq: 1, phase: phaseWindow, src: newSource(name)}
+	sys := w.sys
+	p.task = w.s.Go("launch:"+name, 0, func() (err error) {
+		p.proc, err = sys.Admit(p.src)
+		return err
+	})
+	if _, v := w.stepTo(p.task, dsched.PointLaunchAdmitted, "launch of "+name); v != nil {
+		return v
 	}
-	return p, nil
+	return w.parkedInWindow(p, dsched.PointRegisterVisible, "launch of "+name)
 }
 
-func (w *world) applyLaunch(name string) (*Violation, error) {
-	if len(w.order) >= w.cfg.Procs {
-		return nil, fmt.Errorf("launch: proc bound reached")
-	}
-	if _, exists := w.procs[name]; exists || name != w.nextName() {
-		return nil, fmt.Errorf("launch: name %q not next", name)
-	}
-	p := &wproc{name: name, nextSeq: 1, phase: phaseWindow}
-	k := w.k
-	p.task = w.s.Go("launch:"+name, 0, func() error {
-		k.Register()
-		return nil
+// applyFork forks a child of a live process, parked in Fork's registration
+// window — the one window a delivery can reach, since the child's messages
+// ride its parent's already attached source.
+func (w *world) applyFork(pp *wproc, child string) *Violation {
+	ppid, k := pp.pid, w.k
+	cp := &wproc{name: child, nextSeq: 1, phase: phaseWindow, src: pp.src}
+	cp.task = w.s.Go("fork:"+pp.name, 0, func() error {
+		_, err := k.Fork(ppid)
+		return err
 	})
-	ev := w.s.Step(p.task)
-	if ev.Kind == dsched.EventDone {
-		// Register completed without parking — the register-visible yield
-		// point is gone; the model can no longer see the window.
-		return &Violation{Invariant: InvModel,
-			Detail: "Register did not park at register-visible"}, nil
-	}
-	if ev.Kind != dsched.EventParked ||
-		(ev.Point != dsched.PointRegisterVisible) {
-		return &Violation{Invariant: InvModel,
-			Detail: fmt.Sprintf("launch parked at %v, want register-visible", ev)}, nil
+	return w.parkedInWindow(cp, dsched.PointForkVisible, "fork "+pp.name+">"+child)
+}
+
+// parkedInWindow steps a registering process's task to point and enters the
+// process in the model under the pid the point reports.
+func (w *world) parkedInWindow(p *wproc, point dsched.Point, what string) *Violation {
+	ev, v := w.stepTo(p.task, point, what)
+	if v != nil {
+		return v
 	}
 	p.pid = ev.PID
-	w.procs[name] = p
-	w.order = append(w.order, name)
-	return nil, nil
+	w.procs[p.name] = p
+	w.order = append(w.order, p.name)
+	return nil
 }
 
-func (w *world) applyVisible(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if p.phase != phaseWindow || p.task == nil {
-		return nil, fmt.Errorf("visible: %s not in registration window", name)
-	}
+func (w *world) applyVisible(p *wproc) *Violation {
 	// The tail of registration may park again (e.g. a poisoned-shard birth
 	// kill yields at kill-notify); run it out — the interleaving of interest
-	// was the window itself, already explored via the other transitions.
-	if v := w.runOut(p.task, "registration of "+name); v != nil {
-		return v, nil
+	// was the window itself, already explored via the other transitions. A
+	// launched process's Admit attaches its source on the way out.
+	if v := w.runOut(p.task, "registration of "+p.name); v != nil {
+		return v
 	}
-	p.task = nil
-	p.phase = phaseLive
+	p.task, p.phase = nil, phaseLive
 	w.syncModelKills()
-	return nil, w.noteTapWakes()
+	return nil
 }
 
-func (w *world) applySend(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if p.killed || p.gate != nil || p.sends >= w.cfg.MaxSends ||
-		(p.phase != phaseWindow && p.phase != phaseLive) {
-		return nil, fmt.Errorf("send: not enabled for %s", name)
-	}
-	p.queue = append(p.queue, ipc.Message{Op: ipc.OpCounterInc, PID: p.pid, Arg1: 1, Seq: p.nextSeq})
-	p.nextSeq++
-	p.sends++
-	return nil, nil
-}
-
-func (w *world) applyDeliver(name string, idx int) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if idx < 0 || idx >= len(p.queue) || p.phase == phaseExited || p.severed {
-		return nil, fmt.Errorf("deliver: index %d not available for %s", idx, name)
-	}
-	if idx > 0 && !w.cfg.Reorder {
-		return nil, fmt.Errorf("deliver: reorder disabled")
-	}
-	if idx > 0 {
-		p.reordered = true
-	}
+// applyDeliver hands one queued message to the drain reading the process's
+// source, which evaluates it and makes its gate calls before it returns.
+func (w *world) applyDeliver(p *wproc, idx int) *Violation {
+	p.reordered = p.reordered || idx > 0
 	m := p.queue[idx]
 	p.queue = append(p.queue[:idx], p.queue[idx+1:]...)
-	healthy := !p.killed && !w.poisoned[w.v.ShardOf(p.pid)]
-	if healthy {
+	if !p.killed && !w.poisoned[w.v.ShardOf(p.pid)] {
 		p.expectValidated++
 	}
-	w.v.Deliver(m)
-	return w.awaitTapWakes()
+	p.src.deliver(m)
+	return w.awaitWakes()
 }
 
-func (w *world) applyGate(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if p.phase != phaseLive || p.killed || p.severed || p.gate != nil ||
-		p.task != nil || p.gatesDone >= w.cfg.MaxGates {
-		return nil, fmt.Errorf("gate: not enabled for %s", name)
-	}
+func (w *world) applyGate(p *wproc) *Violation {
 	// The program sends its System-Call message and immediately enters the
 	// gated syscall (§3.3). The sync message rides the same queue as data
 	// messages — delivery order is a separate transition.
 	p.queue = append(p.queue, ipc.Message{Op: ipc.OpSyscall, PID: p.pid, Seq: p.nextSeq})
 	p.nextSeq++
 	p.wantAtPass = p.nextSeq - 1
-	pid := p.pid
-	k := w.k
-	p.gate = w.s.Go("gate:"+name, pid, func() error {
+	pid, k := p.pid, w.k
+	p.gate = w.s.Go("gate:"+p.name, pid, func() error {
 		return k.SyscallEnter(pid, 1)
 	})
-	ev := w.s.Step(p.gate)
-	switch ev.Kind {
+	switch ev := w.s.Step(p.gate); ev.Kind {
 	case dsched.EventBlocked:
 		p.gateBlocked = true
-		return nil, nil
+		return nil
 	case dsched.EventDone:
-		return w.gateResolved(p), nil
+		return w.gateResolved(p)
 	default:
 		return &Violation{Invariant: InvModel,
-			Detail: fmt.Sprintf("gate of %s parked unexpectedly: %v", name, ev)}, nil
+			Detail: fmt.Sprintf("gate of %s parked unexpectedly: %v", p.name, ev)}
 	}
 }
 
-func (w *world) applyExpire(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if !w.cfg.Expire || !p.gateBlocked || !w.s.TimerArmed(p.pid) {
-		return nil, fmt.Errorf("expire: not enabled for %s", name)
-	}
+func (w *world) applyExpire(p *wproc) *Violation {
 	w.s.FireTimer(p.pid)
 	ev, ok := w.s.Await(p.gate, w.cfg.AwaitTimeout)
-	if !ok {
+	switch {
+	case !ok:
 		return &Violation{Invariant: InvLiveness,
-			Detail: fmt.Sprintf("gate of %s emitted nothing after its epoch deadline fired", name)}, nil
-	}
-	switch ev.Kind {
-	case dsched.EventDone:
+			Detail: fmt.Sprintf("gate of %s emitted nothing after its epoch deadline fired", p.name)}
+	case ev.Kind == dsched.EventDone:
 		w.syncModelKills()
-		return w.gateResolved(p), nil
-	case dsched.EventBlocked:
+		return w.gateResolved(p)
+	case ev.Kind == dsched.EventBlocked:
 		// The deadline broadcast landed and the waiter went back to sleep
 		// with no future wake-up — the pre-fix epoch-timer stall.
 		return &Violation{Invariant: InvLiveness,
-			Detail: fmt.Sprintf("gate of %s re-blocked at its epoch deadline (timer fired, waiter re-waited: stall)", name)}, nil
+			Detail: fmt.Sprintf("gate of %s re-blocked at its epoch deadline (timer fired, waiter re-waited: stall)", p.name)}
 	default:
 		return &Violation{Invariant: InvModel,
-			Detail: fmt.Sprintf("gate of %s parked after expiry: %v", name, ev)}, nil
+			Detail: fmt.Sprintf("gate of %s parked after expiry: %v", p.name, ev)}
 	}
-}
-
-func (w *world) applyKill(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if !w.cfg.Kill || p.killed || (p.phase != phaseWindow && p.phase != phaseLive) {
-		return nil, fmt.Errorf("kill: not enabled for %s", name)
-	}
-	return w.killAwait(p, "verify: external kill")
 }
 
 // killAwait issues a kernel kill for p and, when its gate is blocked, awaits
 // the woken gate goroutine — fail-closed demands every kill release any gate
 // still waiting, whatever the kill's origin (supervisor sweep, lease expiry).
-func (w *world) killAwait(p *wproc, reason string) (*Violation, error) {
+func (w *world) killAwait(p *wproc, reason string) *Violation {
 	w.k.Kill(p.pid, reason)
 	p.killed = true
-	if p.gateBlocked {
-		ev, ok := w.s.Await(p.gate, w.cfg.AwaitTimeout)
-		if !ok {
-			return &Violation{Invariant: InvLiveness,
-				Detail: fmt.Sprintf("gate of %s not woken by kill", p.name)}, nil
-		}
-		if ev.Kind == dsched.EventDone {
-			return w.gateResolved(p), nil
-		}
-		return &Violation{Invariant: InvLiveness,
-			Detail: fmt.Sprintf("gate of killed %s re-blocked: %v", p.name, ev)}, nil
-	}
-	return nil, nil
-}
-
-func (w *world) applyDisconnect(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if !w.cfg.Conn || p.severed || p.killed || p.severs >= w.cfg.MaxSevers ||
-		(p.phase != phaseWindow && p.phase != phaseLive) {
-		return nil, fmt.Errorf("disconnect: not enabled for %s", name)
-	}
-	p.severed = true
-	p.severs++
-	if w.cfg.UnsafeSeverDrop && len(p.queue) > 0 {
-		// The modeled bug: a resume protocol that trims its replay buffer
-		// on write rather than on cumulative ack loses the oldest
-		// unforwarded frame with the connection. expectValidated is NOT
-		// decremented — the loss is the client's fault in this model, and
-		// the invariant that notices is the counter gap on resume.
-		p.queue = p.queue[1:]
-	}
-	return nil, nil
-}
-
-func (w *world) applyConnect(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if !w.cfg.Conn || !p.severed || p.killed ||
-		(p.phase != phaseWindow && p.phase != phaseLive) {
-		return nil, fmt.Errorf("connect: not enabled for %s", name)
-	}
-	// Resume with replay: the queue (the replay buffer) survived the sever
-	// intact, so subsequent delivers carry the same gap-free counter stream
-	// the daemon acked up to.
-	p.severed = false
-	return nil, nil
-}
-
-func (w *world) applyLeaseExpire(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if !w.cfg.Conn || !p.severed || p.killed ||
-		(p.phase != phaseWindow && p.phase != phaseLive) {
-		return nil, fmt.Errorf("lease-expire: not enabled for %s", name)
-	}
-	// The daemon's lease scanner fires for a severed session that never
-	// resumed: a fail-closed kill with the canonical reason, which must
-	// also release a gate still blocked on the dead connection.
-	return w.killAwait(p, kernel.ReasonLeaseExpired)
-}
-
-func (w *world) applyExit(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if !w.cfg.Exit || p.phase != phaseLive || p.severed || p.gate != nil ||
-		p.task != nil || len(p.queue) != 0 {
-		return nil, fmt.Errorf("exit: not enabled for %s", name)
-	}
-	pid := p.pid
-	k := w.k
-	p.task = w.s.Go("exit:"+name, 0, func() error {
-		k.Exit(pid)
+	if !p.gateBlocked {
 		return nil
-	})
-	ev := w.s.Step(p.task)
-	if ev.Kind != dsched.EventParked || ev.Point != dsched.PointExitNotify {
-		return &Violation{Invariant: InvModel,
-			Detail: fmt.Sprintf("exit of %s did not park at exit-notify: %v", name, ev)}, nil
+	}
+	ev, ok := w.s.Await(p.gate, w.cfg.AwaitTimeout)
+	switch {
+	case !ok:
+		return &Violation{Invariant: InvLiveness,
+			Detail: fmt.Sprintf("gate of %s not woken by kill", p.name)}
+	case ev.Kind == dsched.EventDone:
+		return w.gateResolved(p)
+	default:
+		return &Violation{Invariant: InvLiveness,
+			Detail: fmt.Sprintf("gate of killed %s re-blocked: %v", p.name, ev)}
+	}
+}
+
+// applyExit takes a process to its exit window. A launched process leaves
+// the way every admitted one does: its source closes and Proc.Close
+// finalizes it, freezing its row at PointProcFinished and tearing the
+// kernel context down up to PointExitNotify. A forked child's context is
+// the kernel's alone to exit.
+func (w *world) applyExit(p *wproc) *Violation {
+	what := "exit of " + p.name
+	if p.launched() {
+		proc := p.proc
+		p.src.close()
+		p.task = w.s.Go("exit:"+p.name, 0, func() error {
+			proc.Close()
+			return nil
+		})
+		if _, v := w.stepTo(p.task, dsched.PointProcFinished, what); v != nil {
+			return v
+		}
+	} else {
+		pid, k := p.pid, w.k
+		p.task = w.s.Go("exit:"+p.name, 0, func() error {
+			k.Exit(pid)
+			return nil
+		})
+	}
+	if _, v := w.stepTo(p.task, dsched.PointExitNotify, what); v != nil {
+		return v
 	}
 	p.phase = phaseExitWindow
-	return nil, nil
-}
-
-func (w *world) applyExitDone(name string) (*Violation, error) {
-	p, err := w.proc(name)
-	if err != nil {
-		return nil, err
-	}
-	if p.phase != phaseExitWindow || p.task == nil {
-		return nil, fmt.Errorf("exitdone: %s not mid-exit", name)
-	}
-	if v := w.runOut(p.task, "exit of "+name); v != nil {
-		return v, nil
-	}
-	p.task = nil
-	p.phase = phaseExited
-	return nil, nil
-}
-
-func (w *world) applyFork(parent, child string) (*Violation, error) {
-	pp, err := w.proc(parent)
-	if err != nil {
-		return nil, err
-	}
-	if !w.cfg.Fork || pp.phase != phaseLive || pp.killed || pp.gate != nil ||
-		pp.task != nil || len(w.order) >= w.cfg.Procs || child != w.nextName() {
-		return nil, fmt.Errorf("fork: not enabled for %s>%s", parent, child)
-	}
-	ppid := pp.pid
-	k := w.k
-	cp := &wproc{name: child, nextSeq: 1, phase: phaseWindow}
-	cp.task = w.s.Go("fork:"+parent, 0, func() error {
-		_, ferr := k.Fork(ppid)
-		return ferr
-	})
-	ev := w.s.Step(cp.task)
-	if ev.Kind != dsched.EventParked || ev.Point != dsched.PointForkVisible {
-		return &Violation{Invariant: InvModel,
-			Detail: fmt.Sprintf("fork %s>%s did not park at fork-visible: %v", parent, child, ev)}, nil
-	}
-	cp.pid = ev.PID
-	w.procs[child] = cp
-	w.order = append(w.order, child)
-	return nil, nil
-}
-
-func (w *world) applyPoison(si int) (*Violation, error) {
-	if !w.cfg.Poison || si < 0 || si >= w.cfg.Shards || w.poisoned[si] {
-		return nil, fmt.Errorf("poison: shard %d not available", si)
-	}
-	w.poisoned[si] = true
-	w.v.PoisonShard(si, fmt.Sprintf("verify: shard %d poisoned", si))
-	return w.awaitTapWakes()
+	return nil
 }
 
 // gateResolved consumes a finished gate task: on a pass (nil error), the
@@ -682,87 +596,66 @@ func (w *world) gateResolved(p *wproc) *Violation {
 	return nil
 }
 
-// syncModelKills folds observed kernel/listener kill state into the model's
-// per-process killed flags. It deliberately does NOT drain the gate tap:
-// tap events (sync wake-ups) belong to awaitTapWakes, which must see them to
-// know which blocked gates to await.
+// syncModelKills folds observed kill state into the killed flags of the
+// processes not yet exiting: a kernel kill, a kill notification, or a
+// verifier context the verifier itself condemned (a kill it issued for a pid
+// still in its registration window is buffered by the kernel until the pid
+// is visible).
 func (w *world) syncModelKills() {
 	for _, name := range w.order {
 		p := w.procs[name]
-		if !p.killed {
-			if killed, _ := w.k.Killed(p.pid); killed || w.lis.kills(p.pid) > 0 {
-				p.killed = true
-			}
+		if p.killed || p.phase > phaseLive {
+			continue
+		}
+		if killed, _ := w.k.Killed(p.pid); killed || w.lis.kills(p.pid) > 0 {
+			p.killed = true
+		} else if vs, ok := w.v.ProcStats(p.pid); ok && vs.Dead {
+			p.killed = true
 		}
 	}
 }
 
-// awaitTapWakes collects the gate events that a delivery's observed effects
-// (sync notifications, kills routed through the tap) must have produced:
-// every blocked gate whose pid was synced or killed is awaited and
-// resolved. Returning without awaiting would let the next transition race
-// the woken goroutine.
-func (w *world) awaitTapWakes() (*Violation, error) {
+// awaitWakes awaits the gate events a delivery or a poison must have
+// produced: every blocked gate whose pid the kernel noted sync-ready
+// (dsched.PointSyncReady) or that is now killed is awaited and resolved.
+// Returning without awaiting would let the next transition race the woken
+// goroutine.
+func (w *world) awaitWakes() *Violation {
 	w.syncModelKills()
-	syncs, kills := w.tap.drain()
 	woken := make(map[int32]bool)
-	for _, pid := range syncs {
+	for _, pid := range w.s.TakeSynced() {
 		woken[pid] = true
-	}
-	for _, pid := range kills {
-		woken[pid] = true
-		if p := w.byPID(pid); p != nil {
-			p.killed = true
-		}
 	}
 	for _, name := range w.order {
 		p := w.procs[name]
-		if p.killed {
-			woken[p.pid] = true
-		}
-	}
-	for _, name := range w.order {
-		p := w.procs[name]
-		if !p.gateBlocked || p.gate == nil || !woken[p.pid] {
+		if !p.gateBlocked || p.gate == nil || !(woken[p.pid] || p.killed) {
 			continue
 		}
 		ev, ok := w.s.Await(p.gate, w.cfg.AwaitTimeout)
 		if !ok {
 			return &Violation{Invariant: InvLiveness,
-				Detail: fmt.Sprintf("gate of %s not woken by sync/kill", name)}, nil
+				Detail: fmt.Sprintf("gate of %s not woken by sync/kill", name)}
 		}
 		if ev.Kind == dsched.EventDone {
 			if v := w.gateResolved(p); v != nil {
-				return v, nil
+				return v
 			}
-			continue
 		}
 		// Re-blocked: a sync that did not release the gate (e.g. the sync
 		// raced a pending violation). Legal; leave it blocked.
-	}
-	return nil, nil
-}
-
-// noteTapWakes is awaitTapWakes for transitions that cannot block a gate
-// (visibility completion): it only folds kill observations.
-func (w *world) noteTapWakes() error {
-	w.syncModelKills()
-	return nil
-}
-
-func (w *world) byPID(pid int32) *wproc {
-	for _, name := range w.order {
-		if p := w.procs[name]; p.pid == pid {
-			return p
-		}
 	}
 	return nil
 }
 
 // checkInvariants evaluates the global invariants after a transition.
 func (w *world) checkInvariants() *Violation {
+	active := 0
+	var rows []supervisor.ProcStats
 	for _, name := range w.order {
 		p := w.procs[name]
+		if p.launched() && p.phase != phaseExited {
+			active++
+		}
 		if n := w.lis.kills(p.pid); n > 1 {
 			return &Violation{Invariant: InvOneKill,
 				Detail: fmt.Sprintf("process %s produced %d kill notifications", name, n)}
@@ -784,6 +677,20 @@ func (w *world) checkInvariants() *Violation {
 				return &Violation{Invariant: InvLeak,
 					Detail: fmt.Sprintf("verifier still holds a context for exited process %s", name)}
 			}
+			if !p.launched() {
+				continue
+			}
+			want := "exited"
+			if p.killed {
+				want = "killed"
+			}
+			if rows == nil {
+				rows = w.sys.ProcStats()
+			}
+			if got := rowState(rows, p.pid); got != want {
+				return &Violation{Invariant: InvAccounting,
+					Detail: fmt.Sprintf("finished process %s has a %q row, want %q", name, got, want)}
+			}
 			continue
 		}
 		if !p.killed && !w.poisoned[w.v.ShardOf(p.pid)] {
@@ -794,32 +701,49 @@ func (w *world) checkInvariants() *Violation {
 			}
 		}
 	}
+	if got := w.sys.Health().ActiveProcs; got != active {
+		return &Violation{Invariant: InvAccounting,
+			Detail: fmt.Sprintf("supervisor counts %d active processes, the model %d admitted and not finished", got, active)}
+	}
 	return nil
+}
+
+// step applies tr and then checks the global invariants.
+func (w *world) step(tr string) *Violation {
+	if v := w.apply(tr); v != nil {
+		return v
+	}
+	return w.checkInvariants()
+}
+
+// rowState is the State of pid's row in rows, empty when it has none.
+func rowState(rows []supervisor.ProcStats, pid int32) string {
+	for _, r := range rows {
+		if r.PID == pid {
+			return r.State
+		}
+	}
+	return ""
 }
 
 // fingerprint canonicalizes the world state for the DFS seen-set. It reads
 // both model bookkeeping and real kernel/verifier state, so two schedules
 // that converge to the same protocol state — regardless of how they got
 // there — are explored once.
-func (w *world) fingerprint() string {
-	var b strings.Builder
+func (w *world) fingerprint() (fp [16]byte) {
+	b := fnv.New128a()
 	for _, name := range w.order {
 		p := w.procs[name]
-		fmt.Fprintf(&b, "%s|ph%d|k%t|sr%t|gb%t|gd%d|sq%d|ev%d|vm%d|sv%t|sn%d|ro%t|q",
-			name, p.phase, p.killed, w.k.SyncReady(p.pid), p.gateBlocked,
+		fmt.Fprintf(b, "%s<%s|ph%d|k%t|sr%t|gb%t|gd%d|sq%d|ev%d|vm%d|sv%t|sn%d|ro%t|q",
+			name, p.src.owner, p.phase, p.killed, w.k.SyncReady(p.pid), p.gateBlocked,
 			p.gatesDone, p.nextSeq, p.expectValidated, w.v.Messages(p.pid),
 			p.severed, p.severs, p.reordered)
 		for _, m := range p.queue {
-			fmt.Fprintf(&b, "%d.%d,", m.Op, m.Seq)
+			fmt.Fprintf(b, "%d.%d,", m.Op, m.Seq)
 		}
-		b.WriteByte(';')
+		b.Write([]byte{';'})
 	}
-	for si := 0; si < w.cfg.Shards; si++ {
-		if w.poisoned[si] {
-			b.WriteByte('!')
-		} else {
-			b.WriteByte('.')
-		}
-	}
-	return b.String()
+	fmt.Fprint(b, w.poisoned)
+	b.Sum(fp[:0])
+	return fp
 }
