@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check loc bench bench-smoke verify-cover
+.PHONY: all build test test-short race vet check loc bench bench-smoke verify-cover
 
 all: check
 
@@ -10,6 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
+# test-short is the quick tier: -short skips the enforcement soaks, the
+# hqbench sweep, the SPEC-like figure runs and the full 954-variant RIPE
+# battery, which plain `go test ./...` (and check, under -race) still runs.
+test-short:
+	$(GO) test -short ./...
+
 race:
 	$(GO) test -race ./...
 
@@ -17,7 +23,9 @@ vet:
 	$(GO) vet ./...
 
 # check is the CI gate: gofmt (any file `gofmt -l` lists fails it), vet,
-# build, the full test suite under the race detector (which runs every
+# build, the portable build (vet of the packages with an amd64 kernel as
+# arm64, and a 386 build of everything: the SipHash kernel's portable body
+# must keep compiling without any tag), the full test suite under the race detector (which runs every
 # hqbench experiment once at its smoke scope, the soaks included:
 # TestEveryExperimentRunsQuick), the hot-path benchmarks, ten
 # seconds of fuzzing each on the frame decoder that feeds the verifier's drain,
@@ -35,6 +43,8 @@ vet:
 # trusted core (verify-cover). check leaves `git status` clean: nothing here
 # writes outside .bench_build/ and bench/out/.
 check: vet build
+	GOARCH=arm64 $(GO) vet ./internal/ipc ./internal/policy ./internal/hqnet
+	GOARCH=386 $(GO) build ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	@named=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
@@ -70,7 +80,9 @@ verify-cover:
 # with the JSONL trace ring and the latency sampler deleted, 25 265 with the
 # pointer table's control bytes and tombstones gone, 25 148 with one
 # admission and one finalization in the supervisor, 25 141 with the model
-# checker's world a supervisor.System).
+# checker's world a supervisor.System, 25 294 with the 8-lane SipHash
+# kernel's dispatch and portable body and the hqnet client sealing at flush;
+# the kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount
 
@@ -87,12 +99,12 @@ bench:
 # policies alone over ring_policy's allocation mix at its sizes (2048 live
 # spans among some 2000 tombstones, cache-resident: it prices the interval
 # search, which the full chain hides behind its pointer-table misses), one
-# pass of hqd's sealed chain over the hot mix (window, two-lane unseal and op
+# pass of hqd's sealed chain over the hot mix (window, 8-lane unseal and op
 # routing with every table in cache; -benchmem must read 0 allocs/op), the
 # networked client's send path
 # (sealed stream to an in-process daemon over a Unix socket, with its
-# zero-alloc test: Send encodes into the replay ring, a burst is one writev
-# from it, the daemon acks once per read) and its gated round trip (16 sealed
+# zero-alloc test: Send encodes into the replay ring, a burst is sealed in
+# place and is one writev from it, the daemon acks once per read) and its gated round trip (16 sealed
 # sends, the System-Call message and the gate against hqd's chain, answered
 # by the daemon's drain; with its zero-alloc test) — both at -cpu 1,2 because
 # the second processor is the daemon's — and the daemon's cursor decoder below

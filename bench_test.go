@@ -448,7 +448,7 @@ func sealedChain(b *testing.B, pid int32, names ...string) (*verifier.Verifier, 
 // BenchmarkDeliverHotChain runs hqd's chain (the default set behind the hmac
 // sealer) over a hot mix — pointer define, check, redefine and invalidate over
 // 4096 slots, every table cache-resident — and reports ns per message: what
-// the window, the two-lane unseal and the op routing cost when no policy
+// the window, the 8-lane unseal and the op routing cost when no policy
 // misses the cache. It is the in-tree stand-in for the ledger's
 // verifier.deliver_hot_hqd_ns_per_msg, and -benchmem shows the path allocates
 // nothing.

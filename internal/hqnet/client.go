@@ -90,6 +90,9 @@ type Client struct {
 	ring             []byte
 	head, sent, tail uint64
 	tailOff          int // byte offset of tail's slot: Send does not divide
+	// sealed marks, per slot, a frame sent through Sender(): the flush that
+	// writes it stamps its tag first. nil on a session without a key.
+	sealed []bool
 
 	hbOrd   uint64
 	dead    bool
@@ -173,6 +176,7 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 		}
 		c.key = ipc.MacKey{K0: one[0].Arg1, K1: one[0].Arg2}
 		c.keyed = true
+		c.sealed = make([]bool, cfg.ReplaySlots)
 	}
 	c.conn, c.gen = nc, 1
 	c.wg.Add(2)
@@ -234,31 +238,26 @@ func (c *Client) Resumes() uint64 {
 	return c.resumes
 }
 
-// pidStamper fixes the process identity onto every frame before it reaches
-// the sealer: the MAC covers the PID field, so it must be final at seal time
-// (Client.Send's own stamp would come one layer too late and break the tag).
-type pidStamper struct {
-	pid int32
-	s   ipc.Sender
-}
-
-func (p pidStamper) Send(m ipc.Message) error {
-	m.PID = p.pid
-	return p.s.Send(m)
-}
-
-func (p pidStamper) Close() error { return p.s.Close() }
-
 // Sender returns the ipc.Sender the monitored program should emit through:
 // sealed under the session key when the daemon runs an authenticated policy
-// set (ipc.SealSender over the untrusted transport — the channel it was
-// built for), raw otherwise.
+// set, raw otherwise. A sealed frame carries the tag ipc.SealSender would
+// have put on it — over the PID and stream position the client stamps — but
+// the tag is computed when the frame is written, eight frames a pass
+// (ipc.SealFrames), not when it is sent.
 func (c *Client) Sender() ipc.Sender {
 	if c.keyed {
-		return pidStamper{pid: c.pid, s: ipc.SealSender(c, c.key)}
+		return (*sealingClient)(c)
 	}
 	return c
 }
+
+// sealingClient is the Client as Sender() hands it out on a keyed session:
+// its frames are marked for sealing at flush.
+type sealingClient Client
+
+func (s *sealingClient) Send(m ipc.Message) error { return (*Client)(s).send(m, true) }
+
+func (s *sealingClient) Close() error { return (*Client)(s).Close() }
 
 // Killed reports whether the daemon has positively told us the process was
 // killed (kill notice or gate verdict) — the vm.Config.Killed hook.
@@ -280,7 +279,12 @@ const burstFrames = 341
 // request or heartbeat, before Send blocks, and on Flush/Close; a failed
 // write or a severed transport loses none, the resume rewinds the write
 // cursor. Send only fails once the session is dead, and then terminally.
-func (c *Client) Send(m ipc.Message) error {
+// Its frames go out as given, unsealed even on a keyed session: Sender()
+// seals.
+func (c *Client) Send(m ipc.Message) error { return c.send(m, false) }
+
+// send is Send, marking the frame for sealing at flush when seal is set.
+func (c *Client) send(m ipc.Message, seal bool) error {
 	c.mu.Lock()
 	for !c.dead && c.tail-c.head == uint64(c.cfg.ReplaySlots) {
 		// Acks only come for frames the daemon has seen, and the frames
@@ -298,17 +302,21 @@ func (c *Client) Send(m ipc.Message) error {
 		c.mu.Unlock()
 		return fmt.Errorf("hqnet: session dead: %s", reason)
 	}
-	if m.Seq == 0 {
-		// Raw (unsealed) mode: the client assigns the stream position, like
-		// a local channel backend would. Sealed mode arrives with Seq (and
-		// Mac) already bound by ipc.SealSender.
+	if m.Seq == 0 || seal {
+		// The client assigns the stream position, like a local channel
+		// backend would; the tag binds it at flush.
 		c.nextSeq++
 		m.Seq = c.nextSeq
 	} else if m.Seq > c.nextSeq {
+		// A raw frame with a position of its own (a test's gap, a caller's
+		// own SealSender) goes out with it.
 		c.nextSeq = m.Seq
 	}
 	m.PID = c.pid
 	m.Encode(c.ring[c.tailOff : c.tailOff+ipc.MessageSize : c.tailOff+ipc.MessageSize])
+	if c.sealed != nil {
+		c.sealed[c.tailOff/ipc.MessageSize] = seal
+	}
 	if c.tailOff += ipc.MessageSize; c.tailOff == len(c.ring) {
 		c.tailOff = 0
 	}
@@ -340,13 +348,18 @@ func (c *Client) flush(ctrl *ipc.Message) {
 
 // flushLocked is flush for a holder of c.wmu. It reports false when nothing
 // was written: no live connection, or a failed write, which closes the
-// connection so that its recvLoop starts the resume.
+// connection so that its recvLoop starts the resume. It is the only writer of
+// ring frames, so every frame marked for sealing leaves sealed, the
+// retransmissions of a resume included; sealing one again changes no byte.
 func (c *Client) flushLocked(ctrl *ipc.Message) bool {
 	c.mu.Lock()
 	nc, from, to := c.conn, c.sent, c.tail
 	c.mu.Unlock()
 	if nc == nil {
 		return false
+	}
+	if c.sealed != nil {
+		c.seal(from, to)
 	}
 	c.bufs = c.iov[:0]
 	if from != to {
@@ -371,6 +384,26 @@ func (c *Client) flushLocked(ctrl *ipc.Message) bool {
 		c.mu.Unlock()
 	}
 	return true
+}
+
+// seal stamps the tag on every marked frame in [from, to), a run of
+// consecutive marked slots at a time. Send writes only tail's slot and the
+// ring never wraps onto head, so no slot read or written here changes under
+// it.
+func (c *Client) seal(from, to uint64) {
+	slots := uint64(c.cfg.ReplaySlots)
+	for n := from; n < to; {
+		i := int(n % slots)
+		if !c.sealed[i] {
+			n++
+			continue
+		}
+		j := i
+		for n < to && j < len(c.sealed) && c.sealed[j] {
+			n, j = n+1, j+1
+		}
+		ipc.SealFrames(c.key, c.ring[i*ipc.MessageSize:j*ipc.MessageSize])
+	}
 }
 
 // SyscallEnter implements vm.Gate: the gate request crosses the wire, the
@@ -693,5 +726,6 @@ func (c *Client) catchUp(nc net.Conn, ack uint64) (uint64, bool) {
 
 var (
 	_ ipc.Sender = (*Client)(nil)
+	_ ipc.Sender = (*sealingClient)(nil)
 	_ vm.Gate    = (*Client)(nil)
 )

@@ -280,7 +280,13 @@ func TestWireBytesMatchPerFrameWriter(t *testing.T) {
 	var want bytes.Buffer
 	ref := ipc.NewFrameWriter(&want) // only ever WriteMessage: one frame per write
 	_ = ref.WriteMessage(ipc.Message{Op: ipc.OpHello, Arg1: WireVersion, Arg2: 5})
-	refSender := pidStamper{pid: c.pid, s: ipc.SealSender(ipc.SenderFunc(ref.WriteMessage), c.key)}
+	// The reference seals each message as it is sent, ipc.SealSender over the
+	// per-frame writer, with the PID stamped first: the tag covers it.
+	refSeal := ipc.SealSender(ipc.SenderFunc(ref.WriteMessage), c.key)
+	refSender := ipc.SenderFunc(func(m ipc.Message) error {
+		m.PID = c.pid
+		return refSeal.Send(m)
+	})
 	sender := c.Sender()
 	send := func(m ipc.Message) {
 		if err := sender.Send(m); err != nil {
@@ -449,11 +455,12 @@ func TestResumeRetransmitsInFewWrites(t *testing.T) {
 	waitFor(t, 5*time.Second, "delivery", func() bool { return h.procMessages(c.PID()) == frames })
 }
 
-// ackingPeer is the least daemon a client can talk to: it grants one HELLO
-// and then acks every burst it reads. It allocates nothing once its decoder's
+// ackingPeer is the least daemon a client can talk to: it grants one HELLO,
+// with key as the session key when key is not nil, and then acks every burst
+// it reads, authenticating nothing. It allocates nothing once its decoder's
 // buffer has grown, so the process-wide allocation count of a test run
 // against it is the client's.
-func ackingPeer(t testing.TB) (network, addr string) {
+func ackingPeer(t testing.TB, key *ipc.MacKey) (network, addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -475,7 +482,14 @@ func ackingPeer(t testing.TB) (network, addr string) {
 			return
 		}
 		const pid = 7
-		_ = fw.WriteMessage(ipc.Message{Op: ipc.OpWelcome, PID: pid, Arg1: 1, Arg2: uint64(time.Minute)})
+		welcome := ipc.Message{Op: ipc.OpWelcome, PID: pid, Arg1: 1, Arg2: uint64(time.Minute)}
+		if key != nil {
+			welcome.Arg3 = WelcomeKeyed
+		}
+		_ = fw.WriteMessage(welcome)
+		if key != nil {
+			_ = fw.WriteMessage(ipc.Message{Op: ipc.OpSessionKey, PID: pid, Arg1: key.K0, Arg2: key.K1})
+		}
 		var acked uint64
 		for {
 			n, ok, _ := dec.Decode(burst[:])
@@ -498,21 +512,31 @@ func ackingPeer(t testing.TB) (network, addr string) {
 }
 
 // TestClientSendSteadyStateZeroAlloc: Send, the burst flush (one writev
-// through the client's reused net.Buffers), the flush-before-block path, the
-// ack and trim allocate nothing. The ring is a quarter of a run, so every run
-// fills it, blocks and is trimmed many times over.
+// through the client's reused net.Buffers, and on a keyed session the seal
+// before it), the flush-before-block path, the ack and trim allocate nothing.
+// The ring is a quarter of a run, so every run fills it, blocks and is
+// trimmed many times over.
 func TestClientSendSteadyStateZeroAlloc(t *testing.T) {
-	network, addr := ackingPeer(t)
+	t.Run("raw", func(t *testing.T) { clientSendZeroAlloc(t, nil) })
+	t.Run("sealed", func(t *testing.T) { clientSendZeroAlloc(t, &ipc.MacKey{K0: 5, K1: 6}) })
+}
+
+func clientSendZeroAlloc(t *testing.T, key *ipc.MacKey) {
+	network, addr := ackingPeer(t, key)
 	c, err := Dial(context.Background(), ClientConfig{Network: network, Addr: addr, ReplaySlots: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if c.keyed != (key != nil) {
+		t.Fatalf("keyed = %t with key %v", c.keyed, key)
+	}
+	s := c.Sender()
 
 	var failed bool
 	run := func() {
 		for i := 0; i < 2048; i++ {
-			if c.Send(counterInc) != nil {
+			if s.Send(counterInc) != nil {
 				failed = true
 			}
 		}

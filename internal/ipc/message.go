@@ -183,9 +183,12 @@ func (m Message) Encode(buf []byte) int {
 	putU64(buf[16:], m.Arg2)
 	putU64(buf[24:], m.Arg3)
 	putU64(buf[32:], m.Seq)
-	putU64(buf[40:], m.Mac)
+	putU64(buf[macOffset:], m.Mac)
 	return MessageSize
 }
+
+// macOffset is the byte offset of the Mac field in an encoded frame.
+const macOffset = 40
 
 // FrameSeq reads the Seq field of an encoded frame and nothing else.
 func FrameSeq(frame []byte) uint64 { return getU64(frame[32:]) }
@@ -195,19 +198,25 @@ func DecodeMessage(buf []byte) (Message, error) {
 	if len(buf) < MessageSize {
 		return Message{}, fmt.Errorf("ipc: short message: %d bytes", len(buf))
 	}
-	m := Message{
+	m := frameMessage(buf)
+	if !m.Op.Valid() {
+		return Message{}, fmt.Errorf("ipc: invalid op code %d", uint32(m.Op))
+	}
+	return m, nil
+}
+
+// frameMessage reads the fields of an encoded frame, valid or not.
+func frameMessage(buf []byte) Message {
+	_ = buf[MessageSize-1]
+	return Message{
 		Op:   Op(getU32(buf[0:])),
 		PID:  int32(getU32(buf[4:])),
 		Arg1: getU64(buf[8:]),
 		Arg2: getU64(buf[16:]),
 		Arg3: getU64(buf[24:]),
 		Seq:  getU64(buf[32:]),
-		Mac:  getU64(buf[40:]),
+		Mac:  getU64(buf[macOffset:]),
 	}
-	if !m.Op.Valid() {
-		return Message{}, fmt.Errorf("ipc: invalid op code %d", uint32(m.Op))
-	}
-	return m, nil
 }
 
 func putU32(b []byte, v uint32) {

@@ -1,6 +1,9 @@
 package ipc
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // Message sealing: the sender-side half of the CCFI-style authenticated
 // channel mode (Mashtizadeh et al.). A SealSender wraps any Sender with a
@@ -97,12 +100,12 @@ func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
 	return v0, v1, v2, v3
 }
 
-// MacSeal2 computes MacSeal(k, *a, a.Seq) and MacSeal(k, *b, b.Seq) with the
+// macSeal2 computes MacSeal(k, *a, a.Seq) and MacSeal(k, *b, b.Seq) with the
 // two SipHash states advanced round by round in step. One frame's hash is a
 // serial dependency chain; two side by side let the core overlap them, worth
-// about a fifth of the scalar cost here (the scalar loop is already close to
-// issue-width-bound). policy.HMAC.UnsealRun authenticates a run in such pairs.
-func MacSeal2(k MacKey, a, b *Message) (ta, tb uint64) {
+// about a fifth of the scalar cost (the scalar loop is already close to
+// issue-width-bound). It is the portable body of MacSeal8.
+func macSeal2(k MacKey, a, b *Message) (ta, tb uint64) {
 	a0 := k.K0 ^ 0x736f6d6570736575
 	a1 := k.K1 ^ 0x646f72616e646f6d
 	a2 := k.K0 ^ 0x6c7967656e657261
@@ -127,6 +130,58 @@ func MacSeal2(k MacKey, a, b *Message) (ta, tb uint64) {
 		b0, b1, b2, b3 = sipRound(b0, b1, b2, b3)
 	}
 	return a0 ^ a1 ^ a2 ^ a3, b0 ^ b1 ^ b2 ^ b3
+}
+
+// macSeal8Portable is MacSeal8 on a CPU without the 8-lane kernel: four
+// two-lane calls.
+func macSeal8Portable(k MacKey, ms *[8]Message) (tags [8]uint64) {
+	for i := 0; i < 8; i += 2 {
+		tags[i], tags[i+1] = macSeal2(k, &ms[i], &ms[i+1])
+	}
+	return tags
+}
+
+// MacSeal8 computes MacSeal(k, ms[i], ms[i].Seq) for eight consecutive
+// messages in one pass. On amd64 with AVX-512 the eight SipHash states sit
+// side by side in vector registers, one lane per message (macSeal8AVX512);
+// elsewhere it is four two-lane passes. policy.HMAC.UnsealRun authenticates
+// its windows in such groups.
+func MacSeal8(k MacKey, ms *[8]Message) (tags [8]uint64) {
+	if useAVX512 {
+		macSeal8AVX512(&k, unsafe.Pointer(ms), &tags)
+		return tags
+	}
+	return macSeal8Portable(k, ms)
+}
+
+// SealFrames stamps every encoded frame in frames — a whole number of
+// MessageSize-byte frames — with its tag MacSeal(k, m, m.Seq), in place,
+// eight frames a pass and the rest one by one. It computes exactly the tag
+// SealSender would have put on each message, so sealing a frame again leaves
+// it as it was. The hqnet client seals its bursts with it just before they
+// are written.
+func SealFrames(k MacKey, frames []byte) {
+	const group = 8 * MessageSize
+	for ; len(frames) >= group; frames = frames[group:] {
+		var tags [8]uint64
+		if useAVX512 {
+			// Encoded frames are laid out as Message is in memory.
+			macSeal8AVX512(&k, unsafe.Pointer(&frames[0]), &tags)
+		} else {
+			var ms [8]Message
+			for i := range ms {
+				ms[i] = frameMessage(frames[i*MessageSize:])
+			}
+			tags = macSeal8Portable(k, &ms)
+		}
+		for i, t := range tags {
+			putU64(frames[i*MessageSize+macOffset:], t)
+		}
+	}
+	for ; len(frames) >= MessageSize; frames = frames[MessageSize:] {
+		m := frameMessage(frames)
+		putU64(frames[macOffset:], MacSeal(k, m, m.Seq))
+	}
 }
 
 // SenderFunc adapts a plain function to the Sender interface, for delivery

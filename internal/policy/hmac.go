@@ -85,23 +85,30 @@ func (h *HMAC) Handle(m ipc.Message) *Violation { return nil }
 func (h *HMAC) Ops() []ipc.Op { return []ipc.Op{} }
 
 // UnsealRun implements Sealer: verify each tag and stream position, strip the
-// envelopes in place. Frames are authenticated two at a time (ipc.MacSeal2);
-// the scalar check takes the odd frame, and any pair that does not verify, so
-// the reject is the one a frame-by-frame loop would produce.
+// envelopes in place. Frames are authenticated eight at a time
+// (ipc.MacSeal8); the scalar check takes the remainder, and any group that
+// does not verify, so the reject is the one a frame-by-frame loop would
+// produce.
 func (h *HMAC) UnsealRun(ms []ipc.Message) (int, *Violation) {
 	if !h.bound {
 		h.resolveKey() // late binding: key programmed after attach (tests)
 	}
 	i := 0
 	if h.bound {
-		for ; i+1 < len(ms); i += 2 {
-			a, b := &ms[i], &ms[i+1]
-			ta, tb := ipc.MacSeal2(h.key, a, b)
-			if ta != a.Mac || tb != b.Mac || a.Seq != h.last+1 || b.Seq != h.last+2 {
+		for ; i+8 <= len(ms); i += 8 {
+			g := (*[8]ipc.Message)(ms[i:])
+			tags := ipc.MacSeal8(h.key, g)
+			var bad uint64
+			for j := range g {
+				bad |= (tags[j] ^ g[j].Mac) | (g[j].Seq ^ (h.last + 1 + uint64(j)))
+			}
+			if bad != 0 {
 				break
 			}
-			a.Mac, b.Mac = 0, 0
-			h.last += 2
+			for j := range g {
+				g[j].Mac = 0
+			}
+			h.last += 8
 		}
 	}
 	for ; i < len(ms); i++ {

@@ -46,7 +46,7 @@ func tamperedRun(data []byte, pid int32, key, other ipc.MacKey) (run []ipc.Messa
 // with the same violation, leaving the same bytes — the authenticated prefix
 // stripped, everything from the rejected frame on untouched — and must give
 // the same answer again when asked about the rejected frame. Along the way
-// MacSeal2 must agree with MacSeal on every adjacent pair.
+// ipc.MacSeal8 must agree with MacSeal on every group of eight adjacent frames.
 func checkUnsealRun(t *testing.T, data []byte) {
 	const pid = 7
 	kr := NewKeyringSeeded(3)
@@ -56,10 +56,12 @@ func checkUnsealRun(t *testing.T, data []byte) {
 	other, _ := kr.Key(pid + 1)
 	run, window := tamperedRun(data, pid, key, other)
 
-	for i := 0; i+1 < len(run); i++ {
-		ta, tb := ipc.MacSeal2(key, &run[i], &run[i+1])
-		if wa, wb := ipc.MacSeal(key, run[i], run[i].Seq), ipc.MacSeal(key, run[i+1], run[i+1].Seq); ta != wa || tb != wb {
-			t.Fatalf("MacSeal2 on frames %d,%d = %#x,%#x, MacSeal gives %#x,%#x", i, i+1, ta, tb, wa, wb)
+	for i := 0; i+8 <= len(run); i++ {
+		tags := ipc.MacSeal8(key, (*[8]ipc.Message)(run[i:]))
+		for j, tag := range tags {
+			if m := run[i+j]; tag != ipc.MacSeal(key, m, m.Seq) {
+				t.Fatalf("MacSeal8 on frames %d..%d, lane %d = %#x, MacSeal gives %#x", i, i+7, j, tag, ipc.MacSeal(key, m, m.Seq))
+			}
 		}
 	}
 
@@ -105,11 +107,23 @@ func FuzzUnsealRun(f *testing.F) {
 		}
 	}
 	f.Add(clean)
-	for _, at := range []int{0, 1, 62, 63, 64, 65, 129} { // either lane, window edges, the odd tail
+	// Every lane of a group, both sides of a window edge and of a group
+	// edge, and the remainder behind the last group.
+	for _, at := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 62, 63, 64, 65, 71, 72, 127, 128, 129} {
 		for kind := byte(12); kind < 16; kind++ {
 			d := append([]byte(nil), clean...)
 			d[0] = 63 // windows of 64
 			d[1+3*at+1], d[1+3*at+2] = kind, byte(at)
+			f.Add(d)
+		}
+	}
+	// Windows that are not a multiple of eight (data[0] is one less than
+	// the window): groups straddle their edges.
+	for _, w := range []int{5, 9, 13, 45} {
+		for _, at := range []int{w - 1, w, w + 3, 2*w + 7} {
+			d := append([]byte(nil), clean...)
+			d[0] = byte(w - 1)
+			d[1+3*at+1], d[1+3*at+2] = 13, byte(at)
 			f.Add(d)
 		}
 	}

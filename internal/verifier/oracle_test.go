@@ -236,7 +236,7 @@ func runOracle(seed int64, shards int, sealed bool, pump func(*Verifier, ipc.Rec
 // process's key and a replayed sealed frame. The reference delivers one
 // message at a time — windows of one, so every frame goes through the
 // sealer's scalar check and no look-ahead happens — which makes it the slow
-// twin of the 64-message window with its two-lane unseal.
+// twin of the 64-message window with its 8-lane unseal.
 func TestPumpMatchesReferenceOracle(t *testing.T) {
 	pumps := map[string]func(*Verifier, ipc.Receiver){
 		"Pump": (*Verifier).Pump,
