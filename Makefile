@@ -52,6 +52,7 @@ check: vet build
 		grep -vE '^\./internal/(dsched|kernel|verify)/'); if [ -n "$$named" ]; then \
 		echo "revert hooks named outside internal/{dsched,kernel,verify}:"; echo "$$named"; exit 1; fi
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
+	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes' ./internal/ipc
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
 	$(GO) test -run xxx -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/ipc
@@ -81,8 +82,9 @@ verify-cover:
 # pointer table's control bytes and tombstones gone, 25 148 with one
 # admission and one finalization in the supervisor, 25 141 with the model
 # checker's world a supervisor.System, 25 294 with the 8-lane SipHash
-# kernel's dispatch and portable body and the hqnet client sealing at flush;
-# the kernel's assembly is not counted).
+# kernel's dispatch and portable body and the hqnet client sealing at flush,
+# 25 343 with the ring's sleep fallback replaced by park/wake; the
+# kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount
 
@@ -93,7 +95,10 @@ bench:
 # throughput benchmarks (catching gross regressions and alloc creep via
 # -benchmem) at -cpu 1,2 — a source is read and evaluated by one goroutine, so
 # the replay rows should read alike on one processor and two, and the live
-# ring's producer gets a processor of its own on the second — one pass of the
+# ring's producer gets a processor of its own on the second — the local
+# gate under sparse traffic (16 counter messages, the System-Call message and
+# the gate after an idle gap past the ring's spin budget, so the drain is
+# parked when the request arrives; gate p50 and p99 in µs), one pass of the
 # full sealed chain over 266 k entries (the cache-resident benches cannot see
 # a policy table that shifts or misses), one pass of the two allocation
 # policies alone over ring_policy's allocation mix at its sizes (2048 live
@@ -111,6 +116,7 @@ bench:
 # the session (one client burst of staging, 256 frames a call, 0 allocs/op).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'BenchmarkRingGateSparse' -benchtime 400x -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkPolicyChainLargeState' -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkAllocPolicies' -benchtime 1x -benchmem ./internal/policy
 	$(GO) test -run xxx -bench 'BenchmarkDeliverHotChain' -benchtime 1x -benchmem .

@@ -11,10 +11,12 @@
 package herqules
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
-
-	"fmt"
+	"time"
 
 	"herqules/internal/compiler"
 	"herqules/internal/experiments"
@@ -367,7 +369,7 @@ func BenchmarkVerifierThroughput_16Procs(b *testing.B) { benchVerifierDrain(b, 1
 
 // BenchmarkVerifierThroughput_Ring drives the pump from a live SharedRing
 // producer instead of a prerecorded replay, so it exercises the ring's
-// RecvBatch (wrap-around bulk copy, empty-ring backoff) with real
+// RecvBatch (wrap-around bulk copy, empty-ring park and wake) with real
 // producer/consumer contention. The ring
 // assigns its own consecutive sequence numbers on Send, so a single producer
 // process keeps CheckSeq satisfied.
@@ -394,6 +396,54 @@ func BenchmarkVerifierThroughput_Ring(b *testing.B) {
 		v.Pump(ch.Receiver)
 	}
 	b.ReportMetric(float64(messages)*float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
+}
+
+// BenchmarkRingGateSparse prices the System-Call gate of a local process
+// whose traffic is sparse, the §5.4 shape (a median process sends 1.4×10³
+// messages a second): each request is 16 counter messages, the System-Call
+// message and the gate, after an idle gap longer than the ring's spin
+// budget, so the drain has stopped yielding and parked by the time the
+// request arrives. It reports the gate's p50 and p99 (System-Call message
+// sent → SyscallEnter returns) in µs.
+func BenchmarkRingGateSparse(b *testing.B) {
+	const gap = 200 * time.Microsecond
+	factory, err := policy.SetFactory("counter")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := supervisor.New(supervisor.Config{Policies: factory, KillOnViolation: true, CheckSeq: true})
+	defer sys.Shutdown(context.Background())
+	ch := ipc.NewSharedRing(1 << 12)
+	p, err := sys.Admit(ch.Receiver)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	defer ch.Sender.Close()
+	pid := p.PID()
+	inc := ipc.Message{Op: ipc.OpCounterInc, PID: pid, Arg1: 1}
+	gate := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		time.Sleep(gap)
+		for j := 0; j < 16; j++ {
+			if err := ch.Sender.Send(inc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ch.Sender.Send(ipc.Message{Op: ipc.OpSyscall, PID: pid}); err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		if err := sys.Kernel().SyscallEnter(pid, 0); err != nil {
+			b.Fatal(err)
+		}
+		gate = append(gate, time.Since(t0))
+	}
+	b.StopTimer()
+	slices.Sort(gate)
+	b.ReportMetric(float64(gate[len(gate)/2])/1e3, "gate-p50-µs")
+	b.ReportMetric(float64(gate[len(gate)*99/100])/1e3, "gate-p99-µs")
 }
 
 // BenchmarkVerifierDrain pits the scalar loop (a one-slot RecvBatch + one

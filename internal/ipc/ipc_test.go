@@ -155,9 +155,12 @@ func TestSharedRingBlocksWhenFull(t *testing.T) {
 		t.Fatalf("Pending = %d, want 8", got)
 	}
 	// A full ring must block the sender until the receiver drains; verify by
-	// draining concurrently and checking the blocked send completes.
+	// draining concurrently and checking the blocked send completes. The
+	// drain starts only once the sender has spent its spin budget and parked,
+	// so the drain's tail store is what must wake it.
 	done := make(chan error, 1)
 	go func() { done <- ring.Send(Message{Arg1: 99}) }()
+	waitParked(t, &ring.send, "blocked sender")
 	for i := 0; i < 9; i++ {
 		m, ok, err := RecvOne(ring)
 		if !ok || err != nil {

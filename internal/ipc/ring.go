@@ -19,6 +19,15 @@ type SharedRing struct {
 	closed atomic.Bool
 
 	seq uint64 // sender-side message counter (forgeable: sender-managed)
+
+	// The fields above fill one 64-byte line. The waiters get a second line
+	// of their own: a cursor store is followed by a load of the peer's
+	// parked flag, and a line written only when a side parks stays shared
+	// in both caches, so that load hits. The pad makes the struct 128 bytes,
+	// a size class whose objects start on a line boundary.
+	recv waiter // the drain, parked on an empty ring
+	send waiter // the producer, parked on a full ring
+	_    [128 - 64 - 2*16]byte
 }
 
 var (
@@ -51,7 +60,7 @@ func NewSharedRing(capacity int) *Channel {
 	for n < uint64(capacity) {
 		n <<= 1
 	}
-	r := &SharedRing{slots: make([]Message, n), mask: n - 1}
+	r := &SharedRing{slots: make([]Message, n), mask: n - 1, recv: newWaiter(), send: newWaiter()}
 	return &Channel{Sender: r, Receiver: r, Props: Properties{
 		Name:            "Shared Memory",
 		AppendOnly:      false,
@@ -61,33 +70,38 @@ func NewSharedRing(capacity int) *Channel {
 	}}
 }
 
-// Send writes m into the next free slot. A full ring applies backpressure
-// with the iteration-budgeted pollBackoff: the producer yields cooperatively
-// while the verifier is expected to drain imminently, then sleeps in
-// pollSleepQuantum steps — a stalled verifier costs the producer scheduler
-// wakeups, not a pinned core.
+// Send writes m into the next free slot. A full ring applies backpressure:
+// the producer yields spinIterBudget times while the drain is expected to
+// catch up, then parks until the drain's next tail store (or Close) wakes it,
+// so a stalled verifier costs the producer no CPU. After its own head store
+// Send wakes a parked drain, which then validates while the producer goes on
+// sending.
 func (r *SharedRing) Send(m Message) error {
 	if r.closed.Load() {
 		return ErrClosed
 	}
 	head := r.head.Load()
-	var bo pollBackoff
-	for head-r.tail.Load() >= uint64(len(r.slots)) {
+	size := uint64(len(r.slots))
+	if head-r.tail.Load() >= size {
+		r.send.wait(func() bool { return head-r.tail.Load() < size || r.closed.Load() })
 		if r.closed.Load() {
 			return ErrClosed
 		}
-		bo.pause()
 	}
 	r.seq++
 	m.Seq = r.seq
 	r.slots[head&r.mask] = m
 	r.head.Store(head + 1)
+	r.recv.wakeUp()
 	return nil
 }
 
-// Close marks the ring closed; the receiver drains remaining slots.
+// Close marks the ring closed and wakes both sides: a parked producer gets
+// ErrClosed, and the drain empties the remaining slots.
 func (r *SharedRing) Close() error {
 	r.closed.Store(true)
+	r.recv.wakeUp()
+	r.send.wakeUp()
 	return nil
 }
 
@@ -96,35 +110,34 @@ func (r *SharedRing) Close() error {
 // store: two atomic loads and one store per burst, not per message, which is
 // what lets a drain loop keep up with a writer whose send is a single memory
 // write. The burst is copied with at most two bulk copies (the wrap-around
-// split) instead of a per-slot loop, and the empty-ring wait uses the
-// budgeted backoff shared with Send, so a consumer ahead of a stalled
-// producer stops burning its core after the spin budget.
+// split) instead of a per-slot loop. On an empty ring the drain yields
+// spinIterBudget times and then parks until the producer's next head store
+// (or Close) wakes it; after its own tail store it wakes a producer parked
+// on a full ring.
 func (r *SharedRing) RecvBatch(buf []Message) (int, bool, error) {
 	if len(buf) == 0 {
 		return 0, true, nil
 	}
-	var bo pollBackoff
-	for {
-		tail := r.tail.Load()
-		head := r.head.Load()
-		if head != tail {
-			n := int(head - tail)
-			if n > len(buf) {
-				n = len(buf)
-			}
-			i := int(tail & r.mask)
-			c := copy(buf[:n], r.slots[i:])
-			if c < n {
-				copy(buf[c:n], r.slots)
-			}
-			r.tail.Store(tail + uint64(n))
-			return n, true, nil
+	tail := r.tail.Load()
+	head := r.head.Load()
+	if head == tail {
+		r.recv.wait(func() bool { return r.head.Load() != tail || r.closed.Load() })
+		if head = r.head.Load(); head == tail {
+			return 0, false, nil // closed and drained
 		}
-		if r.closed.Load() && r.tail.Load() == r.head.Load() {
-			return 0, false, nil
-		}
-		bo.pause()
 	}
+	n := int(head - tail)
+	if n > len(buf) {
+		n = len(buf)
+	}
+	i := int(tail & r.mask)
+	c := copy(buf[:n], r.slots[i:])
+	if c < n {
+		copy(buf[c:n], r.slots)
+	}
+	r.tail.Store(tail + uint64(n))
+	r.send.wakeUp()
+	return n, true, nil
 }
 
 // Pending reports the number of sent-but-unread messages.

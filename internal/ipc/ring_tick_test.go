@@ -1,0 +1,90 @@
+//go:build linux
+
+package ipc
+
+import (
+	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// TestSharedRingWakesWithoutTimerTick: a drain idle past its spin budget
+// resumes on the producer's next Send, not at the host's next timer tick,
+// and costs no CPU while it waits. The producer keeps its processor after
+// the send, as a generator building its next block does, so nothing but the
+// ring can wake the drain. On a host whose short sleeps last a tick (1.06 ms
+// on the 2-vCPU reference VM) a drain that polls with sleeps fails the first
+// half; on one with fine timers, where such a drain wakes every few
+// microseconds, it fails the second.
+func TestSharedRingWakesWithoutTimerTick(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the producer keeps its processor: the drain needs a second one")
+	}
+	const (
+		episodes = 60
+		giveUp   = 20 * time.Millisecond
+	)
+	ch := NewSharedRing(8)
+	var recvAt atomic.Int64 // when the drain last returned a burst, in ns
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]Message, 8)
+		for {
+			if _, ok, _ := ch.Receiver.RecvBatch(buf); !ok {
+				return
+			}
+			recvAt.Store(time.Now().UnixNano())
+		}
+	}()
+	spin := func(until func() bool) {
+		for !until() {
+		}
+	}
+
+	// The producer idles by spinning, not sleeping, and the random part of
+	// each idle puts its send at a random point of the host's timer tick.
+	rng := rand.New(rand.NewPCG(3, 3))
+	lat := make([]time.Duration, 0, episodes)
+	for i := 0; i < episodes; i++ {
+		idleEnd := time.Now().Add(2*time.Millisecond + time.Duration(rng.IntN(1000))*time.Microsecond)
+		spin(func() bool { return !time.Now().Before(idleEnd) })
+		recvAt.Store(0)
+		t0 := time.Now()
+		if err := ch.Sender.Send(Message{Arg1: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		spin(func() bool { return recvAt.Load() != 0 || time.Since(t0) > giveUp })
+		if at := recvAt.Load(); at != 0 {
+			lat = append(lat, time.Duration(at-t0.UnixNano()))
+		} else {
+			lat = append(lat, giveUp)
+		}
+	}
+	slices.Sort(lat)
+	p50 := lat[len(lat)/2]
+	t.Logf("send → receive after an idle drain: p50 %v, max %v over %d episodes", p50, lat[len(lat)-1], episodes)
+	if p50 > 300*time.Microsecond {
+		t.Errorf("median wake-up %v, want well under a timer tick (≤ 300µs)", p50)
+	}
+
+	var before, after syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &before); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // the drain idles on the empty ring
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &after); err != nil {
+		t.Fatal(err)
+	}
+	cpu := time.Duration(after.Utime.Nano() + after.Stime.Nano() - before.Utime.Nano() - before.Stime.Nano())
+	t.Logf("process CPU while the drain idled 100ms: %v", cpu)
+	if cpu > 2*time.Millisecond {
+		t.Errorf("an idle drain cost %v of CPU in 100ms, want at most 2ms", cpu)
+	}
+	ch.Sender.Close()
+	<-done
+}

@@ -2,44 +2,80 @@ package ipc
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 )
 
-// spinIterBudget bounds the cooperative-spin phase of the wait helpers below:
-// past it a wait sleeps instead of burning further cycles. Shared by the
-// fixed-duration spinWait (the LWC switch model) and the condition-poll
-// pollBackoff (ring full/empty waits).
+// spinIterBudget bounds the cooperative-spin phase of the waits below: the
+// first spinIterBudget pauses yield the processor to runnable goroutines
+// (≈ 91 ns each on the 2-vCPU reference VM, so ≈ 23 µs in all), which is
+// where a wait resolves when the peer is about to run. Past it spinWait (the
+// LWC switch model) sleeps out the remainder, and a SharedRing wait parks
+// until its peer's next cursor store.
 const spinIterBudget = 256
 
-// pollSleepQuantum is one sleep step of a poll loop that has exhausted its
-// cooperative-spin budget: a long stall costs scheduler wakeups, not a pinned
-// core. The value is a request, not the latency. On the 2-vCPU reference VM
-// time.Sleep(20µs) returns after 1.08 ms (p10 1.05 ms, p50 1.08–1.13 ms, idle
-// or beside a busy goroutine), so a waiter that reaches this step resumes a
-// timer tick after the condition clears, whatever is written here. That
-// millisecond is the live ring's deficit against replay; DESIGN.md "Hot path
-// anatomy" records why a park/wake ring that removes it was measured and not
-// built on this host.
-const pollSleepQuantum = 20 * time.Microsecond
+// waiter is one side of a SharedRing: the flag it raises before it blocks
+// and the one-slot channel its peer wakes it on. No ring wait sleeps on a
+// timer: on the reference VM time.Sleep(20µs) returns after 1.06 ms (p50),
+// so a side that slept resumed a tick after its peer had moved, and the
+// drain began validating only once the producer had filled the ring and
+// yielded. A parked side costs no CPU and resumes on its peer's next cursor
+// store.
+//
+// No wake-up is lost. The waiter stores parked and then loads its condition's
+// cursor; the peer stores that cursor and then loads parked. sync/atomic is
+// sequentially consistent, so the waiter sees the new cursor, or the peer
+// sees the flag, or both. When both do, the compare-and-swap on the flag
+// decides: whoever takes it from true to false owns the one token, and the
+// waiter takes a token for every raise it does not take back itself, so the
+// channel never holds more than one. A token does not prove the condition:
+// a waker that loaded the flag during one park may win the next, after the
+// waiter has consumed what it woke for. So the waiter checks again and parks
+// again.
+type waiter struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
 
-// pollBackoff paces an unbounded condition-poll loop (ring full on send, ring
-// empty on receive): the first spinIterBudget pauses yield the processor to
-// runnable goroutines — the common case resolves here, because the peer is
-// usually about to run — and every pause after that sleeps pollSleepQuantum.
-// A stalled peer therefore costs bounded CPU instead of pinning a core, which
-// is what used to happen when a wedged verifier left a producer hot-spinning
-// runtime.Gosched in SharedRing.Send. Declare a fresh pollBackoff per wait
-// episode; it must not be shared across goroutines.
-type pollBackoff struct{ iters int }
+func newWaiter() waiter { return waiter{wake: make(chan struct{}, 1)} }
 
-// pause burns one backoff step.
-func (b *pollBackoff) pause() {
-	b.iters++
-	if b.iters <= spinIterBudget {
+// wait returns once ready reports true. ready may become true only through
+// a store the peer follows with w.wakeUp, and only this side calls wait.
+func (w *waiter) wait(ready func() bool) {
+	for i := 0; i < spinIterBudget; i++ {
+		if ready() {
+			return
+		}
 		runtime.Gosched()
-		return
 	}
-	time.Sleep(pollSleepQuantum)
+	for {
+		w.parked.Store(true)
+		if ready() && w.parked.CompareAndSwap(true, false) {
+			return // no peer took the flag, so no token was sent
+		}
+		<-w.wake
+		if ready() {
+			return
+		}
+	}
+}
+
+// wakeUp releases the side parked on w, if any. Call it after the store that
+// may make that side's condition true. While nobody is parked it costs one
+// load.
+//
+// After the hand-off the waker yields. The runtime puts the woken goroutine
+// in the waker's processor's run-next slot, which an idle processor may take
+// only after a 3 µs usleep that lasts ≈ 60 µs on the reference VM: a woken
+// drain resumed 47 µs after its token on average, and on ring_stream it
+// often ended up sharing the producer's processor. Yielding runs the woken
+// side at once and leaves the waker in the global run queue, where the
+// processor the wake-up started takes it without that delay.
+func (w *waiter) wakeUp() {
+	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		w.wake <- struct{}{}
+		runtime.Gosched()
+	}
 }
 
 // spinWait waits for roughly d and returns how many loop iterations it took.
