@@ -27,7 +27,10 @@ vet:
 # arm64, and a 386 build of everything: the SipHash kernel's portable body
 # must keep compiling without any tag), the full test suite under the race detector (which runs every
 # hqbench experiment once at its smoke scope, the soaks included:
-# TestEveryExperimentRunsQuick), the hot-path benchmarks, ten
+# TestEveryExperimentRunsQuick), twenty raced runs each of the ring's
+# park/wake tests and of the hqnet client's goodbye resend and token tests
+# (a resend racing recvLoop's reconnect must fail here, not flake later),
+# the hot-path benchmarks, ten
 # seconds of fuzzing each on the frame decoder that feeds the verifier's drain,
 # on the allocation policies against their sorted-slice reference, on the
 # pointer table (and cfi's block operations) against a Go map and on the
@@ -53,6 +56,7 @@ check: vet build
 		echo "revert hooks named outside internal/{dsched,kernel,verify}:"; echo "$$named"; exit 1; fi
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
 	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes' ./internal/ipc
+	$(GO) test -race -count=20 -run 'TestCloseResendsLostGoodbye|TestResumeToken' ./internal/hqnet
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
 	$(GO) test -run xxx -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/ipc
@@ -83,8 +87,9 @@ verify-cover:
 # admission and one finalization in the supervisor, 25 141 with the model
 # checker's world a supervisor.System, 25 294 with the 8-lane SipHash
 # kernel's dispatch and portable body and the hqnet client sealing at flush,
-# 25 343 with the ring's sleep fallback replaced by park/wake; the
-# kernel's assembly is not counted).
+# 25 343 with the ring's sleep fallback replaced by park/wake, 25 072 with
+# the four enforcement soaks on one driver and the obs smoke and hqd lease
+# phases deleted; the kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount
 

@@ -35,9 +35,9 @@ func TestRunUsageErrorsAndOut(t *testing.T) {
 		},
 		{
 			name:       "-out with an experiment that has no Data",
-			args:       []string{"-exp", "obs", "-out", out},
+			args:       []string{"-exp", "chaos", "-out", out},
 			wantExit:   2,
-			wantStderr: []string{"obs has no JSON report"},
+			wantStderr: []string{"chaos has no JSON report"},
 		},
 		{
 			name:       "unknown scale",

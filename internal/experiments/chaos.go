@@ -9,12 +9,10 @@ import (
 
 	"herqules/internal/chaos"
 	"herqules/internal/compiler"
-	"herqules/internal/ipc"
 	"herqules/internal/kernel"
 	"herqules/internal/mir"
 	"herqules/internal/policy"
 	"herqules/internal/supervisor"
-	"herqules/internal/telemetry"
 	"herqules/internal/vm"
 )
 
@@ -44,17 +42,6 @@ func chaosInjector(seed uint64) *chaos.Injector {
 		chaos.WithTransientRecvErrors(0.02),
 		chaos.WithStall(0.01, time.Millisecond),
 	)
-}
-
-// chaosLaunch starts ins under sys over a fresh shared ring that the injector
-// wraps on both ends.
-func chaosLaunch(sys *supervisor.System, inj *chaos.Injector, ins *compiler.Instrumented) (*supervisor.Proc, error) {
-	raw := ipc.NewSharedRing(1 << 12)
-	return sys.Launch(ins, supervisor.LaunchOptions{Channel: &ipc.Channel{
-		Sender:   inj.Sender(raw.Sender),
-		Receiver: inj.Receiver(raw.Receiver),
-		Props:    raw.Props,
-	}})
 }
 
 // chaosVictim builds the soak workload: a loop of heap slots holding a
@@ -130,221 +117,12 @@ func chaosAttributable(reason string, hadViolations bool) bool {
 	return hadViolations
 }
 
-// chaosSoakReport summarizes one enforcement soak run.
-type chaosSoakReport struct {
-	procs, violators     int
-	cleanOK, cleanKilled int
-	violatorsKilled      int
-	kills                uint64
-	faults               chaos.Counts
-	scheduleHash         uint64
-	elapsed              time.Duration
-}
-
-// chaosSoak runs the enforcement phase: procs mixed clean/violating
-// processes (every third one violating) under one fail-closed System with
-// CheckSeq on, every channel wrapped by the seeded injector on both ends.
-// It returns an error on any violated invariant: a violator passing a gate,
-// a kill count not matching the killed-process count, a clean process dead
-// for a reason chaos cannot explain, or the wall budget running out.
-func chaosSoak(seed uint64, procs int, cleanIns, attackIns *compiler.Instrumented) (*chaosSoakReport, error) {
-	m := telemetry.New(0)
-	sys := supervisor.New(supervisor.Config{
-		KillOnViolation: true,
-		CheckSeq:        true,
-		Metrics:         m,
-		Epoch:           chaosEpoch,
-	})
-	inj := chaosInjector(seed)
-
-	rep := &chaosSoakReport{procs: procs}
-	start := time.Now()
-	handles := make([]*supervisor.Proc, procs)
-	for i := range handles {
-		ins := cleanIns
-		if i%3 == 2 {
-			ins = attackIns
-			rep.violators++
-		}
-		p, err := chaosLaunch(sys, inj, ins)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: launch %d: %w", i, err)
-		}
-		handles[i] = p
-	}
-	outcomes, err := soakCollect("chaos", waitProcs(handles), procs, chaosWallBudget)
-	if err != nil {
-		abort(sys)
-		return nil, err
-	}
-
-	// A clean process may die only for a reason the injected faults explain.
-	j := soakJudge{cleanDeath: func(id string, res *vm.Result, viols []*policy.Violation) []string {
-		if chaosAttributable(res.KillReason, len(viols) > 0) {
-			return nil
-		}
-		return []string{fmt.Sprintf("clean %s killed for unattributable reason %q", id, res.KillReason)}
-	}}
-	for i, out := range outcomes {
-		j.judge(fmt.Sprintf("%d (pid %d)", i, out.PID), i%3 == 2, out.Result, out.PolicyViolations)
-	}
-	rep.cleanOK, rep.cleanKilled, rep.violatorsKilled = j.cleanOK, j.cleanKilled, j.violatorsKilled
-	invariantErrs := j.errs
-
-	if err := drain(sys); err != nil {
-		return nil, fmt.Errorf("chaos: shutdown: %w", err)
-	}
-	rep.elapsed = time.Since(start)
-
-	// Exactly one kernel kill per killed process: the verifier marks a
-	// context dead on its first fatal violation and the kernel's Kill is
-	// idempotent, so chaos-induced violation storms must not double-kill.
-	rep.kills = m.Snapshot().Counters["kernel.kills"].Total
-	if killed := j.cleanKilled + j.violatorsKilled; rep.kills != uint64(killed) {
-		invariantErrs = append(invariantErrs,
-			fmt.Sprintf("kernel.kills = %d, want exactly %d (one per killed process)",
-				rep.kills, killed))
-	}
-	rep.faults = inj.Counts()
-	rep.scheduleHash = inj.ScheduleHash()
-	if rep.faults.Total() == 0 {
-		invariantErrs = append(invariantErrs, "fault schedule fired nothing: soak proved nothing")
-	}
-	return rep, failures("chaos", invariantErrs)
-}
-
-// chaosHmacReport summarizes the authenticated-channel phase.
-type chaosHmacReport struct {
-	procs, cleanOK, killed int
-	faults                 chaos.Counts
-	elapsed                time.Duration
-}
-
-// chaosHmacSoak runs the authenticated-channel phase: clean processes only,
-// under the default policy set extended with the hmac sealer, with the
-// injector limited to the two faults that tamper with sealed messages in
-// transit — duplication and payload bit-flips. Fail-closed here must mean
-// *integrity* kills: every death is attributed by the hmac policy as a
-// message-authentication failure, never misread as a sequence-counter gap
-// (the sealer runs before CheckSeq, so it gets first claim on a tampered
-// message) and never a silent drop — a tampered stream that nobody kills
-// shows up as a clean process with wrong output, which is also asserted.
-func chaosHmacSoak(seed uint64, procs int, cleanIns *compiler.Instrumented) (*chaosHmacReport, error) {
-	names := append(append([]string{}, policy.DefaultSet...), "hmac")
-	factory, err := policy.SetFactory(names...)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: hmac policy set: %w", err)
-	}
-	sys := supervisor.New(supervisor.Config{
-		Policies:        factory,
-		KillOnViolation: true,
-		CheckSeq:        true,
-		Epoch:           chaosEpoch,
-	})
-	// Higher per-fault rates than the main soak: only two fault classes are
-	// armed and both are fatal for the stream that draws one, so these rates
-	// leave a mix of authenticated-killed and untouched-surviving processes.
-	inj := chaos.NewInjector(seed,
-		chaos.WithDuplicate(0.002),
-		chaos.WithCorrupt(0.002),
-	)
-
-	rep := &chaosHmacReport{procs: procs}
-	start := time.Now()
-	handles := make([]*supervisor.Proc, procs)
-	for i := range handles {
-		p, err := chaosLaunch(sys, inj, cleanIns)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: hmac launch %d: %w", i, err)
-		}
-		handles[i] = p
-	}
-	outcomes, err := soakCollect("chaos: hmac", waitProcs(handles), procs, chaosWallBudget)
-	if err != nil {
-		abort(sys)
-		return nil, err
-	}
-
-	// Every death is an authentication failure the hmac policy recorded.
-	j := soakJudge{prefix: "hmac ", outputHint: " (silent tamper?)",
-		cleanDeath: func(id string, res *vm.Result, viols []*policy.Violation) []string {
-			var errs []string
-			if !strings.Contains(res.KillReason, "message authentication") {
-				errs = append(errs, fmt.Sprintf("hmac kill %s not attributed to authentication: %q", id, res.KillReason))
-			}
-			if strings.Contains(res.KillReason, "message counter") {
-				errs = append(errs, fmt.Sprintf("hmac kill %s misattributed to the sequence counter: %q", id, res.KillReason))
-			}
-			if !slices.ContainsFunc(viols, func(v *policy.Violation) bool { return v.Policy == "hmac" }) {
-				errs = append(errs, fmt.Sprintf("hmac kill %s: no recorded violation attributed to the hmac policy", id))
-			}
-			return errs
-		}}
-	for i, out := range outcomes {
-		j.judge(fmt.Sprintf("%d (pid %d)", i, out.PID), false, out.Result, out.PolicyViolations)
-	}
-	rep.cleanOK, rep.killed = j.cleanOK, j.cleanKilled
-	invariantErrs := j.errs
-
-	if err := drain(sys); err != nil {
-		return nil, fmt.Errorf("chaos: hmac shutdown: %w", err)
-	}
-	rep.elapsed = time.Since(start)
-	rep.faults = inj.Counts()
-	if rep.faults.Duplicated+rep.faults.Corrupted == 0 {
-		invariantErrs = append(invariantErrs, "hmac fault schedule fired nothing: phase proved nothing")
-	}
-	if rep.faults.Duplicated+rep.faults.Corrupted > 0 && rep.killed == 0 {
-		invariantErrs = append(invariantErrs,
-			fmt.Sprintf("hmac: %d tamper faults fired but no process was killed (silent drop?)",
-				rep.faults.Duplicated+rep.faults.Corrupted))
-	}
-	return rep, failures("chaos: hmac phase", invariantErrs)
-}
-
-// chaosDeterminism runs the reproducibility phase: clean processes only,
-// with every kill path off — KillOnViolation false, CheckSeq false (counter
-// violations are always fatal, §3.1.1, so they must not be evaluated here)
-// and DegradedLogOnly — so every process emits its complete stream and the
-// injector's per-message schedule covers identical inputs. Two runs with the
-// same seed must produce identical fault counts and schedule hash; a kill
-// would truncate a stream at a timing-dependent point and break that.
-func chaosDeterminism(seed uint64, procs int, cleanIns *compiler.Instrumented) (uint64, chaos.Counts, error) {
-	sys := supervisor.New(supervisor.Config{
-		Epoch:    chaosEpoch,
-		Degraded: kernel.DegradedLogOnly,
-	})
-	inj := chaosInjector(seed)
-	handles := make([]*supervisor.Proc, procs)
-	for i := 0; i < procs; i++ {
-		p, err := chaosLaunch(sys, inj, cleanIns)
-		if err != nil {
-			return 0, chaos.Counts{}, fmt.Errorf("chaos: determinism launch %d: %w", i, err)
-		}
-		handles[i] = p
-	}
-	for i, p := range handles {
-		out, err := p.Wait()
-		if err != nil {
-			return 0, chaos.Counts{}, fmt.Errorf("chaos: determinism wait %d: %w", i, err)
-		}
-		if out.Killed {
-			return 0, chaos.Counts{}, fmt.Errorf(
-				"chaos: determinism proc %d killed (%s) despite log-only degradation",
-				i, out.KillReason)
-		}
-	}
-	if err := drain(sys); err != nil {
-		return 0, chaos.Counts{}, fmt.Errorf("chaos: determinism shutdown: %w", err)
-	}
-	return inj.ScheduleHash(), inj.Counts(), nil
-}
-
 // Chaos is the fault-injection soak behind `hqbench -exp chaos`: an
 // enforcement phase asserting the fail-closed invariants under a seeded
-// fault schedule, then a reproducibility phase asserting the schedule is a
-// pure function of the seed. It returns a human-readable report on success
-// and an error naming every violated invariant otherwise.
+// fault schedule, an authenticated-channel phase, then a reproducibility
+// phase asserting the schedule is a pure function of the seed. It returns a
+// human-readable report on success and an error naming every violated
+// invariant otherwise.
 func Chaos(c Config) (Report, error) {
 	seed, procs := c.Seed, c.Procs
 	if procs <= 0 {
@@ -352,51 +130,115 @@ func Chaos(c Config) (Report, error) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	cleanIns, err := chaosVictim(false)
-	if err != nil {
-		return Report{}, err
+	// The enforcement phase: mixed clean/violating processes (every third
+	// one violating) under one fail-closed System with CheckSeq on, every
+	// channel wrapped by the seeded injector on both ends. A clean process
+	// may die only for a reason the injected faults explain.
+	enforce := soak{
+		name:   "chaos",
+		cfg:    supervisor.Config{KillOnViolation: true, CheckSeq: true, Epoch: chaosEpoch},
+		inj:    chaosInjector(seed),
+		attack: true,
+		judge: soakJudge{cleanDeath: func(id string, res *vm.Result, viols []*policy.Violation) []string {
+			if chaosAttributable(res.KillReason, len(viols) > 0) {
+				return nil
+			}
+			return []string{fmt.Sprintf("clean %s killed for unattributable reason %q", id, res.KillReason)}
+		}},
+		fired: func(f chaos.Counts, _ soakTally) string {
+			if f.Total() == 0 {
+				return "fault schedule fired nothing: soak proved nothing"
+			}
+			return ""
+		},
 	}
-	attackIns, err := chaosVictim(true)
+	rep, err := enforce.run(procs)
 	if err != nil {
 		return Report{}, err
 	}
 
-	rep, err := chaosSoak(seed, procs, cleanIns, attackIns)
+	// The authenticated-channel phase: clean processes only, under the
+	// default policy set extended with the hmac sealer, with the injector
+	// limited to the two faults that tamper with sealed messages in transit
+	// — duplication and payload bit-flips. Fail-closed here must mean
+	// *integrity* kills: every death is attributed by the hmac policy as a
+	// message-authentication failure, never misread as a sequence-counter
+	// gap (the sealer runs before CheckSeq, so it gets first claim on a
+	// tampered message) and never a silent drop — a tampered stream that
+	// nobody kills shows up as a clean process with wrong output, which the
+	// judgement also catches.
+	hmac := soak{
+		name: "chaos: hmac",
+		cfg:  supervisor.Config{Policies: sealedPolicies(), KillOnViolation: true, CheckSeq: true, Epoch: chaosEpoch},
+		// Higher per-fault rates than the enforcement phase: only two fault
+		// classes are armed and both are fatal for the stream that draws
+		// one, so these rates leave a mix of authenticated-killed and
+		// untouched-surviving processes.
+		inj: chaos.NewInjector(seed, chaos.WithDuplicate(0.002), chaos.WithCorrupt(0.002)),
+		judge: soakJudge{prefix: "hmac ", outputHint: " (silent tamper?)",
+			cleanDeath: func(id string, res *vm.Result, viols []*policy.Violation) []string {
+				var errs []string
+				if !strings.Contains(res.KillReason, "message authentication") {
+					errs = append(errs, fmt.Sprintf("hmac kill %s not attributed to authentication: %q", id, res.KillReason))
+				}
+				if strings.Contains(res.KillReason, "message counter") {
+					errs = append(errs, fmt.Sprintf("hmac kill %s misattributed to the sequence counter: %q", id, res.KillReason))
+				}
+				if !slices.ContainsFunc(viols, func(v *policy.Violation) bool { return v.Policy == "hmac" }) {
+					errs = append(errs, fmt.Sprintf("hmac kill %s: no recorded violation attributed to the hmac policy", id))
+				}
+				return errs
+			}},
+		fired: func(f chaos.Counts, t soakTally) string {
+			if tamper := f.Duplicated + f.Corrupted; tamper == 0 {
+				return "hmac fault schedule fired nothing: phase proved nothing"
+			} else if t.cleanKilled == 0 {
+				return fmt.Sprintf("hmac: %d tamper faults fired but no process was killed (silent drop?)", tamper)
+			}
+			return ""
+		},
+	}
+	hmacProcs := min(procs, 8)
+	hrep, err := hmac.run(hmacProcs)
 	if err != nil {
 		return Report{}, err
 	}
 
-	hmacProcs := 8
-	if hmacProcs > procs {
-		hmacProcs = procs
+	// The reproducibility phase: clean processes only, with every kill path
+	// off — KillOnViolation false, CheckSeq false (counter violations are
+	// always fatal, §3.1.1, so they must not be evaluated here) and
+	// DegradedLogOnly — so every process emits its complete stream and the
+	// injector's per-message schedule covers identical inputs. Two runs with
+	// the same seed must produce identical fault counts and schedule hash; a
+	// kill would truncate a stream at a timing-dependent point and break
+	// that.
+	detProcs := min(procs, 4)
+	var hashes [2]uint64
+	var counts [2]chaos.Counts
+	for k := range hashes {
+		det := soak{
+			name: "chaos: determinism",
+			cfg:  supervisor.Config{Epoch: chaosEpoch, Degraded: kernel.DegradedLogOnly},
+			inj:  chaosInjector(seed),
+			judge: soakJudge{cleanDeath: func(id string, res *vm.Result, _ []*policy.Violation) []string {
+				return []string{fmt.Sprintf("determinism proc %s killed (%s) despite log-only degradation", id, res.KillReason)}
+			}},
+		}
+		if _, err := det.run(detProcs); err != nil {
+			return Report{}, err
+		}
+		// Per-message fault decisions are a pure function of (seed, stream,
+		// index) and must match exactly. Recv errors and stalls are drawn
+		// per RecvBatch call — how many calls the pump makes is scheduler
+		// timing — so they are excluded from both the schedule hash and this
+		// comparison.
+		hashes[k], counts[k] = det.inj.ScheduleHash(), det.inj.Counts()
+		counts[k].RecvErrors, counts[k].Stalls = 0, 0
 	}
-	hrep, err := chaosHmacSoak(seed, hmacProcs, cleanIns)
-	if err != nil {
-		return Report{}, err
-	}
-
-	detProcs := 4
-	if detProcs > procs {
-		detProcs = procs
-	}
-	h1, c1, err := chaosDeterminism(seed, detProcs, cleanIns)
-	if err != nil {
-		return Report{}, err
-	}
-	h2, c2, err := chaosDeterminism(seed, detProcs, cleanIns)
-	if err != nil {
-		return Report{}, err
-	}
-	// Per-message fault decisions are a pure function of (seed, stream,
-	// index) and must match exactly. Recv errors and stalls are drawn per
-	// RecvBatch call — how many calls the pump makes is scheduler timing —
-	// so they are excluded from both the schedule hash and this comparison.
-	c1.RecvErrors, c1.Stalls = 0, 0
-	c2.RecvErrors, c2.Stalls = 0, 0
-	if h1 != h2 || c1 != c2 {
+	if hashes[0] != hashes[1] || counts[0] != counts[1] {
 		return Report{}, fmt.Errorf(
 			"chaos: seed %#x is not reproducible:\n  run1 hash=%#016x %v\n  run2 hash=%#016x %v",
-			seed, h1, c1, h2, c2)
+			seed, hashes[0], counts[0], hashes[1], counts[1])
 	}
 
 	// Zero leaked goroutines: every phase fully shut down.
@@ -406,17 +248,17 @@ func Chaos(c Config) (Report, error) {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "seed %#x, %d procs (%d violating), epoch %v\n",
-		seed, rep.procs, rep.violators, chaosEpoch)
+		seed, procs, rep.violators, chaosEpoch)
 	fmt.Fprintf(&sb, "soak:        %d clean finished, %d clean killed (attributed), %d/%d violators killed, kernel kills=%d, elapsed %v\n",
 		rep.cleanOK, rep.cleanKilled, rep.violatorsKilled, rep.violators, rep.kills,
 		rep.elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&sb, "faults:      %v (schedule hash %#016x)\n", rep.faults, rep.scheduleHash)
-	fmt.Fprintf(&sb, "hmac:        %d clean procs, %d finished, %d killed as authentication failures (dup=%d corrupt=%d), elapsed %v\n",
-		hrep.procs, hrep.cleanOK, hrep.killed, hrep.faults.Duplicated, hrep.faults.Corrupted,
+	fmt.Fprintf(&sb, "faults:      %v (schedule hash %#016x)\n", enforce.inj.Counts(), enforce.inj.ScheduleHash())
+	fmt.Fprintf(&sb, "hmac:        %d clean procs, %d finished, %d killed as authentication failures (dup=%d corrupt=%d), kernel kills=%d, elapsed %v\n",
+		hmacProcs, hrep.cleanOK, hrep.cleanKilled, hmac.inj.Counts().Duplicated, hmac.inj.Counts().Corrupted, hrep.kills,
 		hrep.elapsed.Round(time.Millisecond))
 	fmt.Fprintf(&sb, "determinism: 2×%d clean procs, hash %#016x == %#016x, faults %v\n",
-		detProcs, h1, h2, c1)
-	sb.WriteString("invariants:  no violator passed a gate; one kill per killed process; " +
+		detProcs, hashes[0], hashes[1], counts[0])
+	sb.WriteString("invariants:  no violator passed a gate; one kill per killed process in every phase; " +
 		"clean deaths attributable; tampered sealed streams die as authentication, " +
 		"never counter gaps or silent drops; no goroutine leak; schedule reproducible\n")
 	return Report{Text: sb.String()}, nil

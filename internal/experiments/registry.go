@@ -87,7 +87,6 @@ var All = []Experiment{
 		r := Stats(c.Procs, c.Msgs)
 		return Report{FormatStats(r), r}, nil
 	}},
-	{"obs", "Observability endpoint smoke: scrape /metrics, /healthz, /violations over HTTP", ObsSmoke},
 	{"chaos", "Chaos soak: seeded fault injection across the IPC → verifier → kernel path", Chaos},
 	{"verify", "Gate-protocol model checking: exhaustive small-scope exploration", Verify},
 	{"policies", "Policy registry: fault-detection matrix with kill attribution and postmortems", Policies},

@@ -1,17 +1,233 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
+	"herqules/internal/chaos"
+	"herqules/internal/compiler"
+	"herqules/internal/hqnet"
+	"herqules/internal/ipc"
 	"herqules/internal/policy"
 	"herqules/internal/supervisor"
+	"herqules/internal/telemetry"
 	"herqules/internal/vm"
 )
 
-// soakJudge is the one judgement every enforcement soak (chaos, its hmac
-// phase, hqd) passes on its processes, and the tally of what it judged. A
+// soak is one enforcement soak as data: a population of chaosVictim
+// processes under one System, one transport and one injector, judged by one
+// rule. run is the one loop that launches, collects, judges and tears a
+// population down; a phase is its spec and its own "the schedule fired"
+// check.
+type soak struct {
+	name string            // prefixes every error ("chaos: hmac")
+	cfg  supervisor.Config // run adds the metrics registry
+	inj  *chaos.Injector
+	// net runs the population as hqd clients, over tcp and unix
+	// alternating, with inj.Conn wrapping every connection; otherwise each
+	// process gets a SharedRing that inj wraps on both ends.
+	net    bool
+	attack bool // every third process runs the corrupting victim
+	judge  soakJudge
+	// fired, when set, names what the run left unexercised ("" when the
+	// schedule did what the phase is for), from the injector's counts.
+	fired func(f chaos.Counts, t soakTally) string
+}
+
+// soakTally is what one run counted: the judge's verdicts and what run
+// counted beside them.
+type soakTally struct {
+	cleanOK, cleanKilled, violatorsKilled, violators int
+	kills, resumes                                   uint64
+	elapsed                                          time.Duration
+}
+
+// soakOutcome is one process's end, as run collects it. Only a ring process
+// has its PolicyViolations.
+type soakOutcome struct {
+	i int
+	*supervisor.Outcome
+	resumes uint64
+	err     error
+}
+
+// run launches procs processes, collects them within the wall budget, judges
+// each and drains the System (or the daemon in front of it). It returns the
+// tally, and an error naming every violated invariant or why the soak could
+// not run to the end. Beside the judgement and the fired check it holds
+// every soak to one invariant of its own: exactly one kernel kill per killed
+// process. The verifier marks a context dead on its first fatal violation
+// and the kernel's Kill is idempotent, so fault-induced violation storms,
+// resumes and lease scans must not double-kill, and a clean exit must not
+// end in a kill.
+func (s soak) run(procs int) (soakTally, error) {
+	cleanIns, err := chaosVictim(false)
+	if err != nil {
+		return soakTally{}, err
+	}
+	attackIns, err := chaosVictim(true)
+	if err != nil {
+		return soakTally{}, err
+	}
+	violator := func(i int) bool { return s.attack && i%3 == 2 }
+	victim := func(i int) *compiler.Instrumented {
+		if violator(i) {
+			return attackIns
+		}
+		return cleanIns
+	}
+
+	m := telemetry.New(0)
+	cfg := s.cfg
+	cfg.Metrics = m
+	sys := supervisor.New(cfg)
+	var stop interface{ Shutdown(context.Context) error } = sys
+	budget := chaosWallBudget
+	outcomes := make(chan soakOutcome, procs)
+	start := time.Now()
+	if s.net {
+		sockDir, err := os.MkdirTemp("", "hqd-soak-")
+		if err != nil {
+			abort(sys)
+			return soakTally{}, err
+		}
+		defer os.RemoveAll(sockDir)
+		sock := filepath.Join(sockDir, "hqd.sock")
+		srv := hqnet.NewServer(hqnet.Config{Sys: sys, Lease: hqdLease})
+		stop, budget = srv, hqdWallBudget
+		tcp, err := srv.Listen("tcp", "127.0.0.1:0")
+		if err == nil {
+			_, err = srv.Listen("unix", sock)
+		}
+		if err != nil {
+			abort(srv)
+			return soakTally{}, fmt.Errorf("%s: listen: %w", s.name, err)
+		}
+		for i := 0; i < procs; i++ {
+			network, addr := "tcp", tcp.Addr().String()
+			if i%2 == 1 {
+				network, addr = "unix", sock
+			}
+			go func(i int, ins *compiler.Instrumented) {
+				outcomes <- s.remote(i, ins, network, addr)
+			}(i, victim(i))
+		}
+	} else {
+		// Launched here, in launch order: the injector numbers its streams
+		// as they are wrapped, and the schedule is a function of that order.
+		handles := make([]*supervisor.Proc, procs)
+		for i := range handles {
+			raw := ipc.NewSharedRing(1 << 12)
+			p, err := sys.Launch(victim(i), supervisor.LaunchOptions{Channel: &ipc.Channel{
+				Sender:   s.inj.Sender(raw.Sender),
+				Receiver: s.inj.Receiver(raw.Receiver),
+				Props:    raw.Props,
+			}})
+			if err != nil {
+				abort(sys)
+				return soakTally{}, fmt.Errorf("%s: launch %d: %w", s.name, i, err)
+			}
+			handles[i] = p
+		}
+		go func() {
+			for i, p := range handles {
+				out, _ := p.Wait() // a launched process always has an outcome
+				outcomes <- soakOutcome{i: i, Outcome: out}
+			}
+		}()
+	}
+
+	// Collect within the wall budget; past it, the abort kills the
+	// stragglers.
+	timeout := time.After(budget)
+	j := s.judge
+	for n := 0; n < procs; n++ {
+		var o soakOutcome
+		select {
+		case o = <-outcomes:
+		case <-timeout:
+			abort(stop)
+			return soakTally{}, fmt.Errorf("%s: wall budget %v exceeded with %d/%d processes outstanding",
+				s.name, budget, procs-n, procs)
+		}
+		if o.err != nil {
+			abort(stop)
+			return soakTally{}, fmt.Errorf("%s: proc %d: %w", s.name, o.i, o.err)
+		}
+		if violator(o.i) {
+			j.violators++
+		}
+		j.resumes += o.resumes
+		j.judge(fmt.Sprintf("%d (pid %d)", o.i, o.PID), violator(o.i), o.Result, o.PolicyViolations)
+	}
+	if err := drain(stop); err != nil {
+		return soakTally{}, fmt.Errorf("%s: shutdown: %w", s.name, err)
+	}
+	j.elapsed = time.Since(start)
+
+	j.kills = m.Snapshot().Counters["kernel.kills"].Total
+	if killed := j.cleanKilled + j.violatorsKilled; j.kills != uint64(killed) {
+		j.errs = append(j.errs, fmt.Sprintf("kernel.kills = %d, want exactly %d (one per killed process)",
+			j.kills, killed))
+	}
+	if s.fired != nil {
+		if msg := s.fired(s.inj.Counts(), j.soakTally); msg != "" {
+			j.errs = append(j.errs, msg)
+		}
+	}
+	return j.soakTally, failures(s.name, j.errs)
+}
+
+// remote runs one instrumented program as an hqd client: its messages cross
+// the session (sealed when the daemon runs an authenticated policy set), its
+// system calls gate through the daemon's kernel, and its kill arrives as a
+// gate verdict or kill notice.
+func (s soak) remote(i int, ins *compiler.Instrumented, network, addr string) soakOutcome {
+	// At the soak's fault rates the chaos plane regularly kills the HELLO
+	// itself. Nothing is admitted then, so the process simply dials again.
+	var c *hqnet.Client
+	var err error
+	for attempt := 0; attempt < 8 && c == nil; attempt++ {
+		c, err = hqnet.Dial(context.Background(), hqnet.ClientConfig{
+			Network: network, Addr: addr,
+			Tenant:   uint64(i % 4),
+			WrapConn: s.inj.Conn,
+		})
+	}
+	if err != nil {
+		return soakOutcome{i: i, err: fmt.Errorf("dial %s: %w", network, err)}
+	}
+	defer c.Close()
+	cfg := ins.VMConfig()
+	cfg.PID = c.PID()
+	cfg.Kernel = c
+	cfg.Killed = c.Killed
+	cfg.Emit = c.Sender().Send
+	p, err := vm.NewProcess(ins.Mod, cfg)
+	if err != nil {
+		return soakOutcome{i: i, err: fmt.Errorf("load %s: %w", ins.Mod.Name, err)}
+	}
+	res := p.Run("main")
+	return soakOutcome{i: i, Outcome: &supervisor.Outcome{Result: res, PID: c.PID()}, resumes: c.Resumes()}
+}
+
+// sealedPolicies is hqd's default chain: the default policy set plus the
+// hmac sealer. Every name is the registry's own, so an error is a broken
+// build, not a soak outcome.
+func sealedPolicies() func() []policy.Policy {
+	factory, err := policy.SetFactory(append(append([]string{}, policy.DefaultSet...), "hmac")...)
+	if err != nil {
+		panic(err)
+	}
+	return factory
+}
+
+// soakJudge is the one judgement every enforcement soak passes on its
+// processes, and the tally of what it judged (run adds its own counts). A
 // violator must be killed and must never commit its gated payload, exit(99);
 // the ungated exploit marker may race the kill (§2.2 bounds the window, it
 // does not close it), so the marker is not asserted — the gated side effect
@@ -24,8 +240,8 @@ type soakJudge struct {
 	// violates (none: the soak explains it); id names the process.
 	cleanDeath func(id string, res *vm.Result, viols []*policy.Violation) []string
 
-	cleanOK, cleanKilled, violatorsKilled int
-	errs                                  []string
+	soakTally
+	errs []string
 }
 
 // judge applies the soak invariants to one process's result; id names it in
@@ -55,35 +271,31 @@ func (j *soakJudge) fail(format string, args ...any) {
 	j.errs = append(j.errs, j.prefix+fmt.Sprintf(format, args...))
 }
 
-// waitProcs waits for each handle in turn on a goroutine of its own and
-// sends the outcomes in launch order.
-func waitProcs(handles []*supervisor.Proc) <-chan *supervisor.Outcome {
-	outs := make(chan *supervisor.Outcome, len(handles))
-	go func() {
-		for _, p := range handles {
-			out, _ := p.Wait() // a launched process always has an outcome
-			outs <- out
-		}
-	}()
-	return outs
+// drain shuts a System or an hqnet.Server down, giving in-flight work 15 s.
+func drain(s interface{ Shutdown(context.Context) error }) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	return s.Shutdown(ctx)
 }
 
-// soakCollect receives procs results in arrival order, failing when the wall
-// budget runs out first; the caller then tears its system down, which kills
-// the stragglers.
-func soakCollect[T any](name string, results <-chan T, procs int, budget time.Duration) ([]T, error) {
-	timeout := time.After(budget)
-	got := make([]T, 0, procs)
-	for len(got) < procs {
-		select {
-		case r := <-results:
-			got = append(got, r)
-		case <-timeout:
-			return nil, fmt.Errorf("%s: wall budget %v exceeded with %d/%d processes outstanding",
-				name, budget, procs-len(got), procs)
+// abort shuts a System or an hqnet.Server down at once, killing whatever is
+// still running.
+func abort(s interface{ Shutdown(context.Context) error }) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Shutdown(ctx)
+}
+
+// waitFor polls cond for up to d.
+func waitFor(d time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(d)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
 		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	return got, nil
+	return true
 }
 
 // settleGoroutines is the soaks' zero-leak invariant: with every system shut

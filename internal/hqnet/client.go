@@ -156,7 +156,7 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	c.ctx, c.cancel = context.WithCancel(ctx)
 
 	hello := ipc.Message{Op: ipc.OpHello, Arg1: WireVersion, Arg2: cfg.Tenant}
-	nc, dec, welcome, err := c.handshake(hello)
+	nc, dec, welcome, err := c.handshake(c.ctx, hello)
 	if err != nil {
 		c.cancel()
 		return nil, err
@@ -186,9 +186,9 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 }
 
 // handshake dials and exchanges exactly one request/welcome pair.
-func (c *Client) handshake(req ipc.Message) (net.Conn, *ipc.FrameDecoder, ipc.Message, error) {
+func (c *Client) handshake(ctx context.Context, req ipc.Message) (net.Conn, *ipc.FrameDecoder, ipc.Message, error) {
 	d := net.Dialer{Timeout: c.cfg.DialTimeout}
-	nc, err := d.DialContext(c.ctx, c.cfg.Network, c.cfg.Addr)
+	nc, err := d.DialContext(ctx, c.cfg.Network, c.cfg.Addr)
 	if err != nil {
 		return nil, nil, ipc.Message{}, err
 	}
@@ -339,11 +339,12 @@ func (c *Client) off(n uint64) int {
 // heartbeat or goodbye) behind them: one writev on a bare socket, consecutive
 // Writes on a wrapped one. Callers must not hold c.mu: recvLoop's trim takes
 // it, and the daemon writes acks from the goroutine that reads our frames, so
-// holding c.mu across a write(2) would close a cycle.
-func (c *Client) flush(ctrl *ipc.Message) {
+// holding c.mu across a write(2) would close a cycle. It reports what
+// flushLocked does.
+func (c *Client) flush(ctrl *ipc.Message) bool {
 	c.wmu.Lock()
-	c.flushLocked(ctrl)
-	c.wmu.Unlock()
+	defer c.wmu.Unlock()
+	return c.flushLocked(ctrl)
 }
 
 // flushLocked is flush for a holder of c.wmu. It reports false when nothing
@@ -470,19 +471,59 @@ func (c *Client) Flush(timeout time.Duration) bool {
 
 // Close ends the session cleanly: flush (bounded by one lease), goodbye,
 // teardown. Safe to call on a dead session. Implements ipc.Sender's Close.
+//
+// A goodbye whose write fails is said again on a resumed connection, but
+// only when the daemon acked every frame first: the process has exited and
+// the daemon has validated all it sent, so without the goodbye the lease
+// would kill a clean process. With frames unacked the lease kill stands —
+// the daemon never validated the tail, and it must fail closed.
 func (c *Client) Close() error {
 	lease := c.lease
 	if lease <= 0 {
 		lease = time.Second
 	}
-	c.Flush(lease)
+	goodbye := ipc.Message{Op: ipc.OpGoodbye, PID: c.pid}
+	acked := c.Flush(lease)
+	lost := false
 	if c.markDead("hqnet: client closed") {
-		c.flush(&ipc.Message{Op: ipc.OpGoodbye, PID: c.pid})
+		lost = !c.flush(&goodbye)
 	}
 	c.teardown()
 	c.cancel()
+	// The resend waits for recvLoop: a resume still in flight there must not
+	// take the session's transport over after the goodbye's.
 	c.wg.Wait()
+	if lost && acked {
+		c.resendGoodbye(goodbye)
+	}
 	return nil
+}
+
+// resendGoodbye presents the session token on a fresh connection and says
+// goodbye there, up to ResumeAttempts times on the reconnect ladder. A
+// rejection ends it: the session is over, by the lost goodbye itself or by
+// the lease.
+func (c *Client) resendGoodbye(goodbye ipc.Message) {
+	ctx := context.WithoutCancel(c.ctx) // c.ctx is canceled: the session is closed
+	resume := ipc.Message{Op: ipc.OpResume, PID: c.pid, Arg1: c.token, Arg2: c.cfg.Tenant}
+	var frame [ipc.MessageSize]byte
+	goodbye.Encode(frame[:])
+	for attempt := 1; attempt <= c.cfg.ResumeAttempts; attempt++ {
+		time.Sleep(resumeBackoff(attempt))
+		nc, _, _, err := c.handshake(ctx, resume)
+		var rej *RejectedError
+		if errors.As(err, &rej) {
+			return
+		}
+		if err != nil {
+			continue
+		}
+		_, err = nc.Write(frame[:])
+		nc.Close()
+		if err == nil {
+			return
+		}
+	}
 }
 
 // die marks the session terminally dead: sends fail, a pending gate fails
@@ -662,7 +703,7 @@ func (c *Client) reconnect(nc net.Conn, gen uint64) {
 			return
 		case <-time.After(resumeBackoff(attempt)):
 		}
-		nc2, dec2, welcome, err := c.handshake(resume)
+		nc2, dec2, welcome, err := c.handshake(c.ctx, resume)
 		if err != nil {
 			var rej *RejectedError
 			if errors.As(err, &rej) {

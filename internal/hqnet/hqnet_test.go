@@ -225,6 +225,10 @@ func TestLeaseExpiryKillsFailClosed(t *testing.T) {
 		rep, ok := h.sys.Forensics(c.PID())
 		return ok && rep.KillReason == kernel.ReasonLeaseExpired
 	})
+	// And counted once on the connection plane.
+	if got := m.Snapshot().Counters["hqnet.lease.expired"].Total; got != 1 {
+		t.Fatalf("hqnet.lease.expired = %d, want 1", got)
+	}
 }
 
 // TestResumeReplaysGapFree severs the transport mid-stream and asserts the
@@ -342,6 +346,71 @@ func TestStaleResumeRejected(t *testing.T) {
 	if killed, _ := h.sys.Kernel().Killed(live.PID()); killed {
 		t.Fatal("live proc killed by a forged resume")
 	}
+}
+
+// TestResumeTokenNotDerivableFromAnother dials two sessions back to back and
+// has the first client forge the second's token from its own the way a
+// counter through the splitmix64 finalizer would allow: invert the mixer,
+// step the counter, mix again. The forged (token, PID) pair must resume
+// nothing, because a resume that matches takes over even a live session.
+func TestResumeTokenNotDerivableFromAnother(t *testing.T) {
+	h := newHarness(t, supervisor.Config{}, Config{Lease: 2 * time.Second})
+	a := h.dial(t, ClientConfig{})
+	defer a.Close()
+	b := h.dial(t, ClientConfig{})
+	defer b.Close()
+	if a.token == 0 || a.token == b.token {
+		t.Fatalf("tokens %#x and %#x: want two distinct non-zero tokens", a.token, b.token)
+	}
+
+	forged := splitmix64(unmix64(a.token) + 0x9e3779b97f4a7c15)
+	nc, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := ipc.NewFrameWriter(nc).WriteMessage(ipc.Message{Op: ipc.OpResume, PID: b.PID(), Arg1: forged}); err != nil {
+		t.Fatal(err)
+	}
+	var one [1]ipc.Message
+	if n, _, _ := ipc.NewFrameDecoder(nc).Decode(one[:]); n != 1 || one[0].Op != ipc.OpReject || one[0].Arg1 != RejectUnknownSession {
+		t.Fatalf("resume with a token derived from pid %d's: got %+v, want OpReject/RejectUnknownSession (pid %d's session hijacked)",
+			a.PID(), one[0], b.PID())
+	}
+}
+
+// splitmix64 is the splitmix64 output finalizer.
+func splitmix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// unmix64 inverts splitmix64: each xor-shift is undone by re-applying it
+// until the shifted-in bits run out, each odd multiplier by its inverse
+// modulo 2^64.
+func unmix64(x uint64) uint64 {
+	unshift := func(x uint64, s uint) uint64 {
+		y := x
+		for i := s; i < 64; i += s {
+			y = x ^ y>>s
+		}
+		return y
+	}
+	inv := func(a uint64) uint64 { // Newton's iteration, 6 correct bits doubling
+		y := a
+		for i := 0; i < 5; i++ {
+			y *= 2 - a*y
+		}
+		return y
+	}
+	x = unshift(x, 31)
+	x *= inv(0x94d049bb133111eb)
+	x = unshift(x, 27)
+	x *= inv(0xbf58476d1ce4e5b9)
+	return unshift(x, 30)
 }
 
 // TestDuplicateHelloSeversThenLeaseKills sends a second HELLO on an admitted

@@ -6,6 +6,7 @@ import (
 	"net"
 	"regexp"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,9 +281,102 @@ func TestAttachAfterEndClosesTransport(t *testing.T) {
 
 	ours, theirs := net.Pipe()
 	defer theirs.Close()
-	sess.attach(ours, ipc.NewFrameWriter(ours), ipc.NewFrameDecoder(ours))
+	sess.attach(ours, ipc.NewFrameWriter(ours), ipc.NewFrameDecoder(ours), 0)
 	_ = theirs.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := theirs.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("read on a transport attached to an ended session: %v, want EOF (closed)", err)
+	}
+}
+
+// TestLateResumeDoesNotDisplaceNewer: a resume whose handshake finished
+// first but attaches last must not cut off the transport a later resume
+// already attached — what the client wrote there (a resent goodbye, say)
+// would go unread.
+func TestLateResumeDoesNotDisplaceNewer(t *testing.T) {
+	h := newHarness(t, supervisor.Config{}, Config{Lease: 2 * time.Second})
+	_, pid := h.rawSession(t)
+	sess := h.session(pid)
+
+	newer, newerPeer := net.Pipe()
+	defer newerPeer.Close()
+	older, olderPeer := net.Pipe()
+	defer olderPeer.Close()
+	sess.attach(newer, ipc.NewFrameWriter(newer), ipc.NewFrameDecoder(newer), 2)
+	sess.attach(older, ipc.NewFrameWriter(older), ipc.NewFrameDecoder(older), 1)
+	_ = olderPeer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := olderPeer.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the late resume's transport: %v, want EOF (closed)", err)
+	}
+	sess.mu.Lock()
+	live := sess.conn
+	sess.mu.Unlock()
+	if live != newer {
+		t.Fatal("the late resume displaced the newer transport")
+	}
+	sess.end()
+}
+
+// goodbyeDropper fails the first Write that carries an OpGoodbye, the way a
+// transport dying under it would: none of it is written and the connection
+// closes.
+type goodbyeDropper struct {
+	net.Conn
+	dropped *atomic.Bool
+}
+
+func (d *goodbyeDropper) Write(p []byte) (int, error) {
+	for off := 0; off+ipc.MessageSize <= len(p); off += ipc.MessageSize {
+		m, err := ipc.DecodeMessage(p[off : off+ipc.MessageSize])
+		if err == nil && m.Op == ipc.OpGoodbye && d.dropped.CompareAndSwap(false, true) {
+			d.Conn.Close()
+			return 0, net.ErrClosed
+		}
+	}
+	return d.Conn.Write(p)
+}
+
+// TestCloseResendsLostGoodbye loses the goodbye of a process whose every
+// frame the daemon acked: Close must say it again on a resumed connection,
+// so the process ends exited — not killed by the lease for "connection lease
+// expired", with a kill counted and a forensic report frozen.
+func TestCloseResendsLostGoodbye(t *testing.T) {
+	m := telemetry.New(0)
+	h := newHarness(t,
+		supervisor.Config{Metrics: m, CheckSeq: true, KillOnViolation: true, FlightRecorder: 64},
+		Config{Lease: 100 * time.Millisecond})
+	var dropped atomic.Bool
+	c := h.dial(t, ClientConfig{WrapConn: func(nc net.Conn) net.Conn {
+		return &goodbyeDropper{Conn: nc, dropped: &dropped}
+	}})
+	for i := 0; i < 32; i++ {
+		if err := c.Sender().Send(ipc.Message{Op: ipc.OpCounterInc, Arg1: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	if !dropped.Load() {
+		t.Fatal("no goodbye went out to be dropped")
+	}
+
+	var row supervisor.ProcStats
+	waitFor(t, 5*time.Second, "the process to finish", func() bool {
+		for _, p := range h.sys.Stats().Procs {
+			if p.PID == c.PID() && p.State != "running" {
+				row = p
+				return true
+			}
+		}
+		return false
+	})
+	if row.State != "exited" || row.KillReason != "" {
+		t.Fatalf("pid %d ended %s %q, want exited with no kill", row.PID, row.State, row.KillReason)
+	}
+	// A lease kill would land a lease later; wait past it.
+	time.Sleep(3 * h.srv.lease)
+	if kills := m.Snapshot().Counters["kernel.kills"].Total; kills != 0 {
+		t.Fatalf("kernel.kills = %d, want 0", kills)
+	}
+	if _, ok := h.sys.Forensics(c.PID()); ok {
+		t.Fatal("forensic report frozen for a clean exit")
 	}
 }

@@ -2,10 +2,11 @@ package hqnet
 
 import (
 	"context"
+	crand "crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"herqules/internal/ipc"
@@ -55,9 +56,8 @@ type Server struct {
 	draining  bool
 	closed    bool
 
-	tokens atomic.Uint64
-	wg     sync.WaitGroup // accept loops, handshakes, gate waiters, session finalizers, lease scanner
-	stop   chan struct{}
+	wg   sync.WaitGroup // accept loops, handshakes, gate waiters, session finalizers, lease scanner
+	stop chan struct{}
 
 	admitted   *telemetry.Counter
 	resumed    *telemetry.Counter
@@ -86,7 +86,6 @@ func NewServer(cfg Config) *Server {
 		tenants:  make(map[uint64]int),
 		stop:     make(chan struct{}),
 	}
-	s.tokens.Store(uint64(time.Now().UnixNano()))
 	if m := cfg.Metrics; m != nil {
 		s.admitted = m.Counter("hqnet.sessions.admitted")
 		s.resumed = m.Counter("hqnet.sessions.resumed")
@@ -105,21 +104,20 @@ func count(c *telemetry.Counter) {
 	}
 }
 
-// nextToken returns a fresh session token. Tokens gate resume, so they must
-// be unguessable in deployment terms; the splitmix64 stream over a
-// time-seeded counter models that without pulling in a CSPRNG this research
-// harness does not need.
-func (s *Server) nextToken() uint64 {
-	x := s.tokens.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	if x == 0 {
-		x = 1
+// nextToken returns a fresh session token from crypto/rand. A token and its
+// PID resume a session, taking over even a live one, so no token may say
+// anything about another: a counter through a bijective mixer would let a
+// client invert its own token and step to its neighbour's.
+func nextToken() uint64 {
+	var b [8]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		// Without entropy every token is forgeable: refuse to run.
+		panic("hqnet: session token entropy unavailable: " + err.Error())
 	}
-	return x
+	if x := binary.LittleEndian.Uint64(b[:]); x != 0 {
+		return x
+	}
+	return 1
 }
 
 // Listen opens a listener on network/addr ("tcp", "127.0.0.1:9411" or
@@ -278,7 +276,7 @@ func (s *Server) admit(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, h
 			return
 		}
 	}
-	sess.attach(c, fw, dec)
+	sess.attach(c, fw, dec, 0)
 }
 
 // resume serves an OpResume: token lookup, then welcome-with-ack so the
@@ -319,7 +317,7 @@ func (s *Server) resume(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, 
 		c.Close()
 		return
 	}
-	sess.attach(c, fw, dec)
+	sess.attach(c, fw, dec, resumes)
 }
 
 // leaseScanner kills processes whose sessions have gone silent past the

@@ -60,6 +60,7 @@ type session struct {
 	fw      *ipc.FrameWriter  // writer over conn; nil while severed
 	dec     *ipc.FrameDecoder // reader over conn; nil while severed
 	resumes uint64
+	connOrd uint64 // which handshake conn came from: 0 the HELLO, n the nth resume
 	ended   bool
 
 	// Gate replay state: the client may retransmit a gate request after a
@@ -72,7 +73,7 @@ type session struct {
 }
 
 func newSession(srv *Server, tenant uint64) *session {
-	s := &session{srv: srv, token: srv.nextToken(), tenant: tenant, fin: make(chan struct{})}
+	s := &session{srv: srv, token: nextToken(), tenant: tenant, fin: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	s.touch()
 	return s
@@ -83,20 +84,23 @@ func (s *session) done() <-chan struct{} { return s.fin }
 // touch renews the lease clock.
 func (s *session) touch() { s.lastRecv.Store(time.Now().UnixNano()) }
 
-// attach installs a (new) transport, closing any previous one, and wakes the
-// drain goroutine if it is parked. From here a read stages one client burst.
-func (s *session) attach(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder) {
+// attach installs a (new) transport from handshake ord, closing any previous
+// one, and wakes the drain goroutine if it is parked. From here a read stages
+// one client burst.
+func (s *session) attach(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, ord uint64) {
 	dec.Grow(burstFrames)
 	s.mu.Lock()
-	if s.ended {
-		// The session ended between the handshake and here; its drain is
-		// gone, so nothing would ever read (or close) this transport.
+	if s.ended || ord < s.connOrd {
+		// The session ended between the handshake and here, and its drain is
+		// gone, so nothing would ever read (or close) this transport; or a
+		// later resume attached first, and this one must not cut what the
+		// client sent there (a goodbye, say) off unread.
 		s.mu.Unlock()
 		c.Close()
 		return
 	}
 	old := s.conn
-	s.conn, s.fw, s.dec = c, fw, dec
+	s.conn, s.fw, s.dec, s.connOrd = c, fw, dec, ord
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	if old != nil {

@@ -211,6 +211,9 @@ func TestMetricsEndpointLiveSystem(t *testing.T) {
 	}
 	samples := checkExposition(t, body)
 
+	if v := samples["herqules_messages_verified_total"]; v <= 0 {
+		t.Errorf("herqules_messages_verified_total = %v, want > 0", v)
+	}
 	if c := samples["herqules_verifier_pump_stall_ns_count"]; c <= 0 {
 		t.Errorf("pump_stall histogram empty: count=%v\n%s", c, body)
 	}
