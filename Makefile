@@ -33,8 +33,9 @@ vet:
 # the hot-path benchmarks, ten
 # seconds of fuzzing each on the frame decoder that feeds the verifier's drain,
 # on the allocation policies against their sorted-slice reference, on the
-# pointer table (and cfi's block operations) against a Go map and on the
-# hmac sealer's run unseal against a loop of one-message calls,
+# pointer table (and cfi's block operations) against a Go map, on the
+# hmac sealer's run unseal against a loop of one-message calls and on every
+# policy's HandleRun against a loop of one-message Handle calls,
 # the quick end-to-end benchmark (all four workloads, every correctness
 # check), and the line count. The one piece run without the race detector is
 # the sweep's model-checker entry: it explores ~103k states with dsched
@@ -63,6 +64,7 @@ check: vet build
 	$(GO) test -run xxx -fuzz FuzzAllocPolicies -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzPtrTable -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzUnsealRun -fuzztime 10s ./internal/policy
+	$(GO) test -run xxx -fuzz FuzzHandleRun -fuzztime 10s ./internal/policy
 	$(GO) run ./bench -quick
 	$(MAKE) verify-cover
 	$(MAKE) loc
@@ -89,7 +91,8 @@ verify-cover:
 # kernel's dispatch and portable body and the hqnet client sealing at flush,
 # 25 343 with the ring's sleep fallback replaced by park/wake, 25 072 with
 # the four enforcement soaks on one driver and the obs smoke and hqd lease
-# phases deleted; the kernel's assembly is not counted).
+# phases deleted, 25 190 with policies taking a run of messages per call;
+# the kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount
 
@@ -109,9 +112,9 @@ bench:
 # policies alone over ring_policy's allocation mix at its sizes (2048 live
 # spans among some 2000 tombstones, cache-resident: it prices the interval
 # search, which the full chain hides behind its pointer-table misses), one
-# pass of hqd's sealed chain over the hot mix (window, 8-lane unseal and op
-# routing with every table in cache; -benchmem must read 0 allocs/op), the
-# networked client's send path
+# pass each of ring_stream's chain and hqd's sealed chain over the hot mix
+# (window, runs and, sealed, the 8-lane unseal with every table in cache;
+# -benchmem must read 0 allocs/op), the networked client's send path
 # (sealed stream to an in-process daemon over a Unix socket, with its
 # zero-alloc test: Send encodes into the replay ring, a burst is sealed in
 # place and is one writev from it, the daemon acks once per read) and its gated round trip (16 sealed

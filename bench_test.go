@@ -464,15 +464,16 @@ func BenchmarkVerifierDrain(b *testing.B) {
 // The sealed chain through DeliverBatch
 // ---------------------------------------------------------------------------
 
-// sealedChain starts a one-shard verifier with CheckSeq on over the named
-// chain (which holds hmac) for one process, and returns it with a function
-// that seals ms at the stream's next positions, untimed, and then delivers it
-// in DefaultBatchSize batches with b's timer running.
-func sealedChain(b *testing.B, pid int32, names ...string) (*verifier.Verifier, func(ms []ipc.Message)) {
+// deliverChain starts a one-shard verifier with CheckSeq on over the named
+// chain for one process, and returns it with a function that numbers ms at the
+// stream's next positions — and seals it, when the chain holds hmac — untimed,
+// and then delivers it in DefaultBatchSize batches with b's timer running.
+func deliverChain(b *testing.B, pid int32, names ...string) (*verifier.Verifier, func(ms []ipc.Message)) {
 	factory, err := policy.SetFactory(names...)
 	if err != nil {
 		b.Fatal(err)
 	}
+	sealed := slices.Contains(names, "hmac")
 	kr := policy.NewKeyringSeeded(1)
 	kr.Program(pid)
 	key, _ := kr.Key(pid)
@@ -485,7 +486,9 @@ func sealedChain(b *testing.B, pid int32, names ...string) (*verifier.Verifier, 
 		for i := range ms {
 			sent++
 			ms[i].Seq = sent
-			ms[i].Mac = ipc.MacSeal(key, ms[i], sent)
+			if sealed {
+				ms[i].Mac = ipc.MacSeal(key, ms[i], sent)
+			}
 		}
 		b.StartTimer()
 		for i := 0; i < len(ms); i += verifier.DefaultBatchSize {
@@ -495,12 +498,14 @@ func sealedChain(b *testing.B, pid int32, names ...string) (*verifier.Verifier, 
 	}
 }
 
-// BenchmarkDeliverHotChain runs hqd's chain (the default set behind the hmac
-// sealer) over a hot mix — pointer define, check, redefine and invalidate over
-// 4096 slots, every table cache-resident — and reports ns per message: what
-// the window, the 8-lane unseal and the op routing cost when no policy
-// misses the cache. It is the in-tree stand-in for the ledger's
-// verifier.deliver_hot_hqd_ns_per_msg, and -benchmem shows the path allocates
+// BenchmarkDeliverHotChain runs a hot mix — pointer define, check, redefine
+// and invalidate over 4096 slots, every table cache-resident — through two
+// chains and reports ns per message: what the window, the runs and (sealed)
+// the 8-lane unseal cost when no policy misses the cache. /ring is
+// ring_stream's chain, cfi and counter unsealed, the in-tree stand-in for the
+// ledger's verifier.deliver_hot_ring_ns_per_msg; /hqd is hqd's (the default
+// set behind the hmac sealer), the stand-in for
+// verifier.deliver_hot_hqd_ns_per_msg. -benchmem shows the path allocates
 // nothing.
 func BenchmarkDeliverHotChain(b *testing.B) {
 	const (
@@ -528,19 +533,29 @@ func BenchmarkDeliverHotChain(b *testing.B) {
 		}
 		stream = append(stream, m)
 	}
-	v, deliver := sealedChain(b, pid, append(append([]string{}, policy.DefaultSet...), "hmac")...)
-	b.ReportAllocs()
-	b.StopTimer()
-	deliver(stream) // the pointer table reaches its size
-	b.ResetTimer()
-	b.StopTimer()
-	for i := 0; i < b.N; i++ {
-		deliver(stream)
+	for _, c := range []struct {
+		name  string
+		chain []string
+	}{
+		{"ring", []string{"cfi", "counter"}},
+		{"hqd", append(append([]string{}, policy.DefaultSet...), "hmac")},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			v, deliver := deliverChain(b, pid, c.chain...)
+			b.ReportAllocs()
+			b.StopTimer()
+			deliver(stream) // the pointer table reaches its size
+			b.ResetTimer()
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				deliver(stream)
+			}
+			if viol := v.Violations(pid); len(viol) > 0 {
+				b.Fatalf("clean stream flagged: %v", viol[0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/msg")
+		})
 	}
-	if viol := v.Violations(pid); len(viol) > 0 {
-		b.Fatalf("clean stream flagged: %v", viol[0])
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/msg")
 }
 
 // ---------------------------------------------------------------------------
@@ -620,7 +635,7 @@ func BenchmarkPolicyChainLargeState(b *testing.B) {
 		}
 	}
 
-	v, deliver := sealedChain(b, pid, "cfi", "memsafety", "counter", "dfi", "temporal", "hmac")
+	v, deliver := deliverChain(b, pid, "cfi", "memsafety", "counter", "dfi", "temporal", "hmac")
 	b.StopTimer()
 	deliver(prefill)
 	deliver(run) // warm-up pass: tombstones reach their steady population

@@ -208,7 +208,7 @@ func TestIdleHeartbeatSessionKeepsLeaseWithDrainParked(t *testing.T) {
 	waitFor(t, 5*time.Second, "drain goroutine blocked in read", func() bool { return drainState() == "IO wait" })
 }
 
-// wedgePolicy blocks the session's drain inside its first Handle until
+// wedgePolicy blocks the session's drain inside its first HandleRun until
 // released, the burst it read undelivered in its hands.
 type wedgePolicy struct {
 	policy.Hooks
@@ -217,8 +217,12 @@ type wedgePolicy struct {
 
 func (p *wedgePolicy) Name() string                         { return "wedge" }
 func (p *wedgePolicy) Handle(ipc.Message) *policy.Violation { <-p.release; return nil }
-func (p *wedgePolicy) Clone() policy.Policy                 { return p }
-func (p *wedgePolicy) Entries() int                         { return 0 }
+func (p *wedgePolicy) HandleRun(ms []ipc.Message) (int, *policy.Violation) {
+	<-p.release
+	return len(ms), nil
+}
+func (p *wedgePolicy) Clone() policy.Policy { return p }
+func (p *wedgePolicy) Entries() int         { return 0 }
 
 // TestWedgedVerifierEndsInLeaseKill is the admission backpressure story end
 // to end: a wedged policy blocks the drain inside a delivery, the drain stops

@@ -48,6 +48,9 @@ func (p *refMemSafety) Clone() Policy {
 	return n
 }
 
+// HandleRun implements Policy.
+func (p *refMemSafety) HandleRun(ms []ipc.Message) (int, *Violation) { return handleEach(p.Handle, ms) }
+
 // Handle implements Policy.
 func (p *refMemSafety) Handle(m ipc.Message) *Violation {
 	switch m.Op {
@@ -185,6 +188,9 @@ func (t *refTemporal) Clone() Policy {
 	n.maxEntries = t.maxEntries
 	return n
 }
+
+// HandleRun implements Policy.
+func (t *refTemporal) HandleRun(ms []ipc.Message) (int, *Violation) { return handleEach(t.Handle, ms) }
 
 // Handle implements Policy over the §4.2 allocation message set.
 func (t *refTemporal) Handle(m ipc.Message) *Violation {

@@ -49,8 +49,21 @@ func (c *CFI) Ops() []ipc.Op {
 		ipc.OpPointerBlockCopy, ipc.OpPointerBlockMove, ipc.OpPointerBlockInvalidate}
 }
 
-// Handle implements Policy, dispatching the §4.1.3/§4.1.5 message set.
-func (c *CFI) Handle(m ipc.Message) *Violation {
+// Handle implements Policy.
+func (c *CFI) Handle(m ipc.Message) *Violation { return c.handle(&m) }
+
+// HandleRun implements Policy.
+func (c *CFI) HandleRun(ms []ipc.Message) (int, *Violation) {
+	for i := range ms {
+		if v := c.handle(&ms[i]); v != nil {
+			return i, v
+		}
+	}
+	return len(ms), nil
+}
+
+// handle dispatches the §4.1.3/§4.1.5 message set.
+func (c *CFI) handle(m *ipc.Message) *Violation {
 	switch m.Op {
 	case ipc.OpPointerDefine:
 		c.define(m.Arg1, m.Arg2)
@@ -93,7 +106,7 @@ func (c *CFI) define(addr, val uint64) {
 	}
 }
 
-func (c *CFI) check(m ipc.Message, invalidate bool) *Violation {
+func (c *CFI) check(m *ipc.Message, invalidate bool) *Violation {
 	stored, ok := c.table.get(m.Arg1)
 	if !ok {
 		return &Violation{

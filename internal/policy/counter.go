@@ -40,7 +40,19 @@ func (c *Counter) Clone() Policy {
 func (c *Counter) Ops() []ipc.Op { return []ipc.Op{ipc.OpCounterInc} }
 
 // Handle implements Policy.
-func (c *Counter) Handle(m ipc.Message) *Violation {
+func (c *Counter) Handle(m ipc.Message) *Violation { return c.handle(&m) }
+
+// HandleRun implements Policy.
+func (c *Counter) HandleRun(ms []ipc.Message) (int, *Violation) {
+	for i := range ms {
+		if v := c.handle(&ms[i]); v != nil {
+			return i, v
+		}
+	}
+	return len(ms), nil
+}
+
+func (c *Counter) handle(m *ipc.Message) *Violation {
 	if m.Op != ipc.OpCounterInc {
 		return nil
 	}

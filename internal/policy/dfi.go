@@ -69,7 +69,19 @@ func (d *DFI) Clone() Policy {
 func (d *DFI) Ops() []ipc.Op { return []ipc.Op{ipc.OpDFIDeclare, ipc.OpDFISet, ipc.OpDFICheck} }
 
 // Handle implements Policy.
-func (d *DFI) Handle(m ipc.Message) *Violation {
+func (d *DFI) Handle(m ipc.Message) *Violation { return d.handle(&m) }
+
+// HandleRun implements Policy.
+func (d *DFI) HandleRun(ms []ipc.Message) (int, *Violation) {
+	for i := range ms {
+		if v := d.handle(&ms[i]); v != nil {
+			return i, v
+		}
+	}
+	return len(ms), nil
+}
+
+func (d *DFI) handle(m *ipc.Message) *Violation {
 	switch m.Op {
 	case ipc.OpDFIDeclare:
 		set, ok := d.sets[m.Arg1]

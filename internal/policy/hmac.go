@@ -81,6 +81,9 @@ func (h *HMAC) Clone() Policy {
 // Handle implements Policy; all of the sealer's checking happens in UnsealRun.
 func (h *HMAC) Handle(m ipc.Message) *Violation { return nil }
 
+// HandleRun implements Policy: like Handle, it consumes nothing.
+func (h *HMAC) HandleRun(ms []ipc.Message) (int, *Violation) { return len(ms), nil }
+
 // Ops implements Policy: Handle consumes nothing.
 func (h *HMAC) Ops() []ipc.Op { return []ipc.Op{} }
 

@@ -41,7 +41,19 @@ var allocOps = []ipc.Op{ipc.OpAllocCreate, ipc.OpAllocCheck, ipc.OpAllocCheckBas
 func (p *MemSafety) Ops() []ipc.Op { return allocOps }
 
 // Handle implements Policy.
-func (p *MemSafety) Handle(m ipc.Message) *Violation {
+func (p *MemSafety) Handle(m ipc.Message) *Violation { return p.handle(&m) }
+
+// HandleRun implements Policy.
+func (p *MemSafety) HandleRun(ms []ipc.Message) (int, *Violation) {
+	for i := range ms {
+		if v := p.handle(&ms[i]); v != nil {
+			return i, v
+		}
+	}
+	return len(ms), nil
+}
+
+func (p *MemSafety) handle(m *ipc.Message) *Violation {
 	switch m.Op {
 	case ipc.OpAllocCreate:
 		return p.create(m, m.Arg1, m.Arg2)
@@ -75,7 +87,7 @@ func (p *MemSafety) Handle(m ipc.Message) *Violation {
 	return nil
 }
 
-func (p *MemSafety) create(m ipc.Message, base, size uint64) *Violation {
+func (p *MemSafety) create(m *ipc.Message, base, size uint64) *Violation {
 	if v := wrapViolation(m, base, size); v != nil {
 		return v
 	}
@@ -94,7 +106,7 @@ func (p *MemSafety) create(m ipc.Message, base, size uint64) *Violation {
 	return nil
 }
 
-func (p *MemSafety) destroy(m ipc.Message, base uint64) *Violation {
+func (p *MemSafety) destroy(m *ipc.Message, base uint64) *Violation {
 	s, at := p.allocs.find(base)
 	if s == nil || s.base != base {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base,
@@ -104,7 +116,7 @@ func (p *MemSafety) destroy(m ipc.Message, base uint64) *Violation {
 	return nil
 }
 
-func (p *MemSafety) destroyAll(m ipc.Message, base, size uint64) *Violation {
+func (p *MemSafety) destroyAll(m *ipc.Message, base, size uint64) *Violation {
 	removed := p.allocs.removeIf(func(s *span) bool { return s.base >= base && s.base < base+size })
 	if removed == 0 {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base, Value: size,

@@ -52,6 +52,12 @@ type Policy interface {
 	// check fails. Messages whose Op the policy does not recognize must be
 	// ignored (multiple policies can share one message stream).
 	Handle(m ipc.Message) *Violation
+	// HandleRun processes ms in order, as len(ms) calls of Handle would, and
+	// stops at the first violation: it returns that message's index and the
+	// violation, or len(ms) and nil when the run is clean. It must not retain
+	// or modify ms. The verifier calls it, not Handle, once per run of one
+	// process's messages whose op it alone consumes (else a run of one).
+	HandleRun(ms []ipc.Message) (n int, v *Violation)
 	// Ops lists the operation codes Handle acts on; the verifier routes a
 	// message only to the policies that list its Op, so a policy pays for
 	// its own checks and not for its neighbours' messages. nil means every

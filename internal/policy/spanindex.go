@@ -49,7 +49,7 @@ func wraps(base, size uint64) bool { return base+size < base }
 // wrapViolation is the violation both policies answer a wrapping
 // OpAllocCreate/OpAllocExtend with, before touching their index. A zero size
 // counts as the one byte it is stored as.
-func wrapViolation(m ipc.Message, base, size uint64) *Violation {
+func wrapViolation(m *ipc.Message, base, size uint64) *Violation {
 	if !wraps(base, max(size, 1)) {
 		return nil
 	}

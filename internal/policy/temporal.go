@@ -76,8 +76,21 @@ func (t *Temporal) Clone() Policy {
 // Ops implements Policy.
 func (t *Temporal) Ops() []ipc.Op { return allocOps }
 
-// Handle implements Policy over the §4.2 allocation message set.
-func (t *Temporal) Handle(m ipc.Message) *Violation {
+// Handle implements Policy.
+func (t *Temporal) Handle(m ipc.Message) *Violation { return t.handle(&m) }
+
+// HandleRun implements Policy.
+func (t *Temporal) HandleRun(ms []ipc.Message) (int, *Violation) {
+	for i := range ms {
+		if v := t.handle(&ms[i]); v != nil {
+			return i, v
+		}
+	}
+	return len(ms), nil
+}
+
+// handle evaluates the §4.2 allocation message set.
+func (t *Temporal) handle(m *ipc.Message) *Violation {
 	switch m.Op {
 	case ipc.OpAllocCreate:
 		return t.create(m, m.Arg1, m.Arg2)
@@ -105,7 +118,7 @@ func (t *Temporal) Handle(m ipc.Message) *Violation {
 	return nil
 }
 
-func (t *Temporal) create(m ipc.Message, base, size uint64) *Violation {
+func (t *Temporal) create(m *ipc.Message, base, size uint64) *Violation {
 	if v := wrapViolation(m, base, size); v != nil {
 		return v
 	}
@@ -130,7 +143,7 @@ func (t *Temporal) create(m ipc.Message, base, size uint64) *Violation {
 	return nil
 }
 
-func (t *Temporal) check(m ipc.Message, addr uint64) *Violation {
+func (t *Temporal) check(m *ipc.Message, addr uint64) *Violation {
 	s, _ := t.regions.find(addr)
 	if s == nil {
 		// Purely temporal: an address outside every known generation is the
@@ -144,7 +157,7 @@ func (t *Temporal) check(m ipc.Message, addr uint64) *Violation {
 	return nil
 }
 
-func (t *Temporal) destroy(m ipc.Message, base uint64) *Violation {
+func (t *Temporal) destroy(m *ipc.Message, base uint64) *Violation {
 	s, _ := t.regions.find(base)
 	if s == nil || s.base != base {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base,
@@ -159,7 +172,7 @@ func (t *Temporal) destroy(m ipc.Message, base uint64) *Violation {
 	return nil
 }
 
-func (t *Temporal) destroyAll(m ipc.Message, base, size uint64) *Violation {
+func (t *Temporal) destroyAll(m *ipc.Message, base, size uint64) *Violation {
 	freed := 0
 	t.regions.each(func(s *span) {
 		if s.base >= base && s.base < base+size && s.tag&tagDead == 0 {

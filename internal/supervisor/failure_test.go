@@ -22,6 +22,12 @@ func (panicOnCheck) Handle(m ipc.Message) *policy.Violation {
 	}
 	return nil
 }
+func (p panicOnCheck) HandleRun(ms []ipc.Message) (int, *policy.Violation) {
+	for i := range ms {
+		p.Handle(ms[i])
+	}
+	return len(ms), nil
+}
 func (panicOnCheck) Clone() policy.Policy { return panicOnCheck{} }
 func (panicOnCheck) Entries() int         { return 0 }
 

@@ -64,18 +64,25 @@ func TestSeqViolationReasonsReachTheGate(t *testing.T) {
 }
 
 // bombPolicy panics when it sees the trigger message — a stand-in for any
-// bug in policy evaluation code.
+// bug in policy evaluation code. It consumes counter messages alone.
 type bombPolicy struct {
 	policy.Hooks
 	trigger uint64
 }
 
-func (p *bombPolicy) Name() string { return "bomb" }
+func (p *bombPolicy) Name() string  { return "bomb" }
+func (p *bombPolicy) Ops() []ipc.Op { return []ipc.Op{ipc.OpCounterInc} }
 func (p *bombPolicy) Handle(m ipc.Message) *policy.Violation {
 	if m.Op == ipc.OpCounterInc && m.Arg1 == p.trigger {
 		panic("bomb: policy bug")
 	}
 	return nil
+}
+func (p *bombPolicy) HandleRun(ms []ipc.Message) (int, *policy.Violation) {
+	for i := range ms {
+		p.Handle(ms[i])
+	}
+	return len(ms), nil
 }
 func (p *bombPolicy) Clone() policy.Policy { return &bombPolicy{trigger: p.trigger} }
 func (p *bombPolicy) Entries() int         { return 0 }

@@ -7,6 +7,7 @@ import (
 
 	"herqules/internal/ipc"
 	"herqules/internal/policy"
+	"herqules/internal/telemetry"
 )
 
 // noPrefetch hides a policy's Prefetch method and its Ops list (and nothing the
@@ -105,8 +106,11 @@ func lookAheadStream() [][]ipc.Message {
 // TestLookAheadChangesNothingObservable delivers one sealed stream through
 // two verifiers that differ only in whether the policies expose Prefetch and
 // Ops. The look-ahead pass is a hint and op routing only skips calls that
-// would have returned at once: violations, message counts and entry counts
-// must be identical with and without them.
+// would have returned at once: violations, message counts, entry counts and
+// every flight record (the last 65 536 of each process's) must be identical
+// with and without them. Hiding Ops also gives every op several consumers,
+// so the hidden side evaluates each message as a run of one: this is also the
+// twin of the run one HandleRun call takes, at ring_policy's shape.
 func TestLookAheadChangesNothingObservable(t *testing.T) {
 	names := []string{"cfi", "memsafety", "counter", "dfi", "temporal", "hmac"}
 	plain, err := policy.SetFactory(names...)
@@ -129,12 +133,14 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 		violations [2][]policy.Violation
 		messages   [2]uint64
 		entries    [2]int
+		flight     [2][]telemetry.FlightRecord
 	}
 	deliver := func(factory PolicyFactory, wantPrefetchers, wantOnSyscall int) outcome {
 		kr := policy.NewKeyringSeeded(1)
 		v := NewSharded(factory, nil, 1)
 		v.CheckSeq = true
 		v.KillOnViolation = false // keep evaluating past the faults
+		v.EnableFlightRecorder(telemetry.MaxFlightSlots)
 		v.SetKeyring(kr)
 		var keys [2]ipc.MacKey
 		for p := range keys {
@@ -172,6 +178,10 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 			}
 			o.messages[p] = v.Messages(pid)
 			o.entries[p], _ = v.Entries(pid)
+			o.flight[p] = v.shards[0].procs[pid].flight.Records()
+			for i := range o.flight[p] {
+				o.flight[p][i].Nanos = 0 // the lifecycle events' wall clock
+			}
 			if o.messages[p] != seq[p] {
 				t.Fatalf("pid %d: %d of %d messages evaluated", pid, o.messages[p], seq[p])
 			}
@@ -179,8 +189,19 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 		return o
 	}
 	with, without := deliver(plain, 2, 0), deliver(hidden, 0, len(names)-1)
+	for p, recs := range with.flight {
+		if len(recs) != telemetry.MaxFlightSlots || len(without.flight[p]) != len(recs) {
+			t.Fatalf("pid %d: %d flight records with look-ahead and op routing, %d without; want a full ring of %d",
+				p+1, len(recs), len(without.flight[p]), telemetry.MaxFlightSlots)
+		}
+		for i := range recs {
+			if recs[i] != without.flight[p][i] {
+				t.Fatalf("pid %d: flight record %d = %+v with look-ahead and op routing, %+v without", p+1, i, recs[i], without.flight[p][i])
+			}
+		}
+	}
 	if !reflect.DeepEqual(with, without) {
-		t.Fatalf("look-ahead and op routing changed the outcome:\nwith:    %+v\nwithout: %+v", with, without)
+		t.Fatalf("look-ahead and op routing changed the outcome:\nwith:    %+v\nwithout: %+v", with.violations, without.violations)
 	}
 	if len(with.violations[0]) != 0 {
 		t.Errorf("clean pid 1 flagged: %+v", with.violations[0][0])
@@ -198,6 +219,9 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 type prefetchBomb struct{ bombPolicy }
 
 func (p *prefetchBomb) Handle(ipc.Message) *policy.Violation { return nil }
+func (p *prefetchBomb) HandleRun(ms []ipc.Message) (int, *policy.Violation) {
+	return len(ms), nil
+}
 func (p *prefetchBomb) Prefetch(ms []ipc.Message) {
 	for _, m := range ms {
 		if m.Arg1 == p.trigger {
@@ -330,5 +354,64 @@ func TestSealerPanicMidWindowKillsOnlyItsProcess(t *testing.T) {
 	}
 	if c, ok := v.Policy(1, "counter").(*policy.Counter); !ok || c.Count(1) != lookAhead {
 		t.Errorf("pid 1's counter holds %d, want the first window's %d", c.Count(1), lookAhead)
+	}
+}
+
+// TestPolicyPanicMidRunKillsOnlyItsProcess: HandleRun is policy code, so a
+// panic inside it — here at the 40th message of a 64-message run, fed through
+// Pump — is one kill, attributed to the policy by name and charged to the
+// run's first message; the rest of the run is dropped with the dead context,
+// the shard stays healthy and a bystander on it is delivered in full.
+func TestPolicyPanicMidRunKillsOnlyItsProcess(t *testing.T) {
+	g := newFakeGate()
+	v := NewSharded(bombFactory, g, 1)
+	v.CheckSeq = true
+	v.EnableFlightRecorder(256)
+	v.ProcessStarted(1)
+	v.ProcessStarted(2)
+	var seq [3]uint64
+	var msgs []ipc.Message
+	add := func(pid int32, n int, bombAt int) {
+		for i := 0; i < n; i++ {
+			seq[pid]++
+			m := ipc.Message{Op: ipc.OpCounterInc, PID: pid, Arg1: 1, Seq: seq[pid]}
+			if i == bombAt {
+				m.Arg1 = 0xdead
+			}
+			msgs = append(msgs, m)
+		}
+	}
+	add(2, 10, -1)
+	add(1, lookAhead, 39)
+	add(2, 10, -1)
+	v.Pump(ipc.NewReplay(msgs))
+
+	if got := v.PoisonedShards(); got != 0 {
+		t.Fatalf("PoisonedShards = %d, want 0", got)
+	}
+	if reason := g.kills[1]; !strings.Contains(reason, `"bomb" panicked`) {
+		t.Errorf("pid 1 kill reason %q lacks the policy's name", reason)
+	}
+	if g.kills[2] != "" {
+		t.Errorf("bystander killed: %s", g.kills[2])
+	}
+	if st, _ := v.ProcStats(1); st.Messages != 1 || st.Dropped != lookAhead-1 {
+		t.Errorf("pid 1 evaluated %d and dropped %d messages, want the run's first charged and %d dropped", st.Messages, st.Dropped, lookAhead-1)
+	}
+	rep, ok := v.Forensics(1)
+	if !ok {
+		t.Fatal("pid 1 has no forensic report")
+	}
+	var stamped []FlightEntry
+	for _, e := range rep.Window {
+		if e.Kind == "message" {
+			stamped = append(stamped, e)
+		}
+	}
+	if len(stamped) != 1 || stamped[0].Code != "policy-panic" || stamped[0].Seq != 1 {
+		t.Errorf("pid 1's black box holds %+v, want one policy-panic stamp on seq 1", stamped)
+	}
+	if got := v.Messages(2); got != 20 {
+		t.Errorf("pid 2 evaluated %d messages, want 20", got)
 	}
 }

@@ -55,49 +55,72 @@ func oracleFaulty(sealed bool) []int32 {
 	return []int32{oracleCFIViolator, oracleSeqGap, oracleSeqDup, oracleErrTarget}
 }
 
-// oracleStream builds a seeded multi-PID stream interleaved at random
-// quantum lengths, with one fault per faulty role at a random position of
-// the first third of that process's own stream, and picks the global index
-// (past the last fault) at which the receiver fails with a ProcessError
-// attributed to oracleErrTarget. With keys
-// the stream is sealed, quanta run to 150 messages so that one process's run
-// fills and outlasts the verifier's 64-message window, and the sealed-only
-// faults are applied; the seeded positions put them in either lane of the
-// sealer's pairs and on the first and last frames of windows.
-func oracleStream(rng *rand.Rand, keys []ipc.MacKey) (msgs []ipc.Message, errAt int) {
+// oracleStream builds a seeded multi-PID stream from stretches: 1–150
+// pointer messages of one process — a define, then a check of it, in turns —
+// which cfi alone consumes, so that a stretch is one run that fills and
+// outlasts the verifier's 64-message window, closed by a counter message or,
+// one time in four, a System-Call message. Stretches of random processes
+// follow one another whole. Every faulty role has one fault at a random
+// position of the first third of its own stream; the CFI violator's is a bad
+// check placed, by place, at a stretch's first, middle or last message or on
+// either side of a window boundary, and each later stretch of its carries one
+// more bad check, which only a log-only verifier gets to see. errAt is the
+// global index (past the first fault of every role) at which the receiver
+// fails with a ProcessError attributed to oracleErrTarget. With keys the
+// stream is sealed and the sealed-only faults are applied; the seeded
+// positions put them in either lane of the sealer's pairs and on the first
+// and last frames of windows.
+func oracleStream(rng *rand.Rand, keys []ipc.MacKey, place int) (msgs []ipc.Message, errAt int) {
 	const perPID = 600
-	maxQuantum := 40
-	if keys != nil {
-		maxQuantum = 150
-	}
 	var seq, sent [oraclePIDs + 1]uint64
 	var faultAt [oraclePIDs + 1]uint64
-	lastFault := 0
+	lastFault, violating := 0, false
 	for pid := range faultAt {
 		faultAt[pid] = uint64(50 + rng.Intn(perPID/4))
 	}
 	for len(msgs) < oraclePIDs*perPID {
 		pid := int32(1 + rng.Intn(oraclePIDs))
-		for q := 1 + rng.Intn(maxQuantum); q > 0 && sent[pid] < perPID; q-- {
+		stretch, bad := 1+rng.Intn(150), -1
+		if pid == oracleCFIViolator && sent[pid] >= faultAt[pid] {
+			switch {
+			case violating:
+				bad = rng.Intn(stretch)
+			case place == 0:
+				bad = 0
+			case place == 1:
+				stretch = max(stretch, 3)
+				bad = 1 + rng.Intn(stretch-2)
+			case place == 2:
+				bad = stretch - 1
+			default:
+				stretch = max(stretch, lookAhead+1)
+				bad = lookAhead - rng.Intn(2)
+			}
+		}
+		for j := 0; j <= stretch && sent[pid] < perPID; j++ {
 			i := sent[pid]
 			sent[pid]++
 			seq[pid]++
-			addr := uint64(0x1000 + 8*(i/3%64))
-			m := ipc.Message{PID: pid, Arg1: addr, Arg2: addr + 1}
-			switch i % 3 {
-			case 0:
-				m.Op = ipc.OpPointerDefine
-			case 1:
-				m.Op = ipc.OpPointerCheck
-			default:
+			addr := uint64(0x1000 + 8*(j/2%64))
+			m := ipc.Message{Op: ipc.OpPointerDefine, PID: pid, Arg1: addr, Arg2: addr + 1}
+			switch {
+			case j == stretch && rng.Intn(4) == 0:
+				m.Op = ipc.OpSyscall
+			case j == stretch:
 				m.Op = ipc.OpCounterInc
+			case j == bad:
+				m.Op, m.Arg2 = ipc.OpPointerCheck, 0xbad
+			case j%2 == 1:
+				m.Op = ipc.OpPointerCheck
 			}
 			fault := i == faultAt[pid]
+			if pid == oracleCFIViolator {
+				fault = j == bad && !violating
+				violating = violating || fault
+			}
 			if fault {
 				lastFault = len(msgs)
 				switch pid {
-				case oracleCFIViolator:
-					m.Op, m.Arg2 = ipc.OpPointerCheck, 0xbad
 				case oracleSeqGap:
 					seq[pid]++
 				case oracleSeqDup:
@@ -174,18 +197,23 @@ func (r *oracleReceiver) perPID() []*oracleReceiver {
 	return srcs
 }
 
-// oracleOutcome is everything the differential test compares.
+// oracleOutcome is everything the differential test compares. Forensics
+// holds each killed process's frozen report without its wall-clock fields
+// and its shard, which is the only thing the shard count may change.
 type oracleOutcome struct {
 	Kills      map[int32]string
+	Syncs      [oraclePIDs + 1]int
 	Messages   [oraclePIDs + 1]uint64
 	Violations [oraclePIDs + 1][]string
+	Forensics  [oraclePIDs + 1]*ForensicReport
 	Total      uint64
 }
 
-// runOracle delivers the seed's stream through pump. Unsealed, the chain is
-// cfi+counter; sealed, it is hqd's — the default set behind the hmac sealer —
-// with every frame sealed under its process's key.
-func runOracle(seed int64, shards int, sealed bool, pump func(*Verifier, ipc.Receiver)) oracleOutcome {
+// runOracle delivers the seed's stream through pump, with the flight recorder
+// armed. Unsealed, the chain is cfi+counter; sealed, it is hqd's — the
+// default set behind the hmac sealer — with every frame sealed under its
+// process's key. logOnly turns KillOnViolation off.
+func runOracle(seed int64, shards int, sealed, logOnly bool, pump func(*Verifier, ipc.Receiver)) oracleOutcome {
 	g := newFakeGate()
 	factory := PolicyFactory(cfiFactory)
 	var keys []ipc.MacKey
@@ -202,9 +230,11 @@ func runOracle(seed int64, shards int, sealed bool, pump func(*Verifier, ipc.Rec
 			keys[pid], _ = kr.Key(pid)
 		}
 	}
-	msgs, errAt := oracleStream(rand.New(rand.NewSource(seed)), keys)
+	msgs, errAt := oracleStream(rand.New(rand.NewSource(seed)), keys, int(seed%4))
 	v := NewSharded(factory, g, shards)
 	v.CheckSeq = true
+	v.KillOnViolation = !logOnly
+	v.EnableFlightRecorder(1024)
 	v.SetKeyring(kr)
 	for pid := int32(1); pid <= oraclePIDs; pid++ {
 		v.ProcessStarted(pid)
@@ -214,10 +244,22 @@ func runOracle(seed int64, shards int, sealed bool, pump func(*Verifier, ipc.Rec
 		err: &ipc.ProcessError{PID: oracleErrTarget, Err: ipc.ErrIntegrity},
 	})
 	out := oracleOutcome{Kills: g.kills, Total: v.TotalMessages()}
+	for _, pid := range g.syncs {
+		out.Syncs[pid]++
+	}
 	for pid := int32(1); pid <= oraclePIDs; pid++ {
 		out.Messages[pid] = v.Messages(pid)
 		for _, viol := range v.Violations(pid) {
 			out.Violations[pid] = append(out.Violations[pid], viol.Error())
+		}
+		if rep, ok := v.Forensics(pid); ok {
+			r := *rep
+			r.Shard, r.FrozenUnixNanos = 0, 0
+			r.Window = append([]FlightEntry(nil), rep.Window...)
+			for i := range r.Window {
+				r.Window[i].UnixNanos = 0
+			}
+			out.Forensics[pid] = &r
 		}
 	}
 	return out
@@ -227,16 +269,19 @@ func runOracle(seed int64, shards int, sealed bool, pump func(*Verifier, ipc.Rec
 // path: on seeded random multi-PID streams carrying a CFI violator, a
 // sequence gap, a duplicate sequence number and a mid-stream attributed
 // receive error, Pump and PumpSet at 1, 2 and 4 shards must produce exactly
-// the reference loop's kill set, kill reasons, per-PID message counts and
-// per-PID violations — fed the stream through one receiver, and fed it split
-// into one source per PID, all attached at once: several drain goroutines
-// delivering into one shard, the interleaving production runs. The sealed
-// variant runs hqd's chain on a sealed stream
+// the reference loop's kill set, kill reasons, gate releases, per-PID message
+// counts, per-PID violations and forensic reports — fed the stream through
+// one receiver, and fed it split into one source per PID, all attached at
+// once: several drain goroutines delivering into one shard, the interleaving
+// production runs. The sealed variant runs hqd's chain on a sealed stream
 // that also carries a flipped tag bit, a frame spliced in under another
-// process's key and a replayed sealed frame. The reference delivers one
-// message at a time — windows of one, so every frame goes through the
-// sealer's scalar check and no look-ahead happens — which makes it the slow
-// twin of the 64-message window with its 8-lane unseal.
+// process's key and a replayed sealed frame. The log-only variant keeps the
+// CFI violator alive, so every later violation of its must match too. The
+// reference delivers one message at a time — windows of one and runs of one,
+// so every frame goes through the sealer's scalar check, no look-ahead
+// happens and every policy call is a run of one — which makes it the slow
+// twin of the 64-message window with its 8-lane unseal and of the run that
+// one HandleRun call takes.
 func TestPumpMatchesReferenceOracle(t *testing.T) {
 	pumps := map[string]func(*Verifier, ipc.Receiver){
 		"Pump": (*Verifier).Pump,
@@ -260,23 +305,31 @@ func TestPumpMatchesReferenceOracle(t *testing.T) {
 		},
 	}
 	for _, sealed := range []bool{false, true} {
-		faulty := oracleFaulty(sealed)
-		for seed := int64(1); seed <= 12; seed++ {
-			want := runOracle(seed, 1, sealed, referencePump)
-			for _, pid := range faulty {
-				if want.Kills[pid] == "" {
-					t.Fatalf("sealed=%v seed %d: reference did not kill faulty pid %d: %v", sealed, seed, pid, want.Kills)
+		for _, logOnly := range []bool{false, true} {
+			faulty := oracleFaulty(sealed)
+			if logOnly {
+				faulty = faulty[1:] // all but oracleCFIViolator
+			}
+			for seed := int64(1); seed <= 12; seed++ {
+				want := runOracle(seed, 1, sealed, logOnly, referencePump)
+				for _, pid := range faulty {
+					if want.Kills[pid] == "" {
+						t.Fatalf("sealed=%v logOnly=%v seed %d: reference did not kill faulty pid %d: %v", sealed, logOnly, seed, pid, want.Kills)
+					}
 				}
-			}
-			if len(want.Kills) != len(faulty) {
-				t.Fatalf("sealed=%v seed %d: reference killed a clean process: %v", sealed, seed, want.Kills)
-			}
-			for name, pump := range pumps {
-				for _, shards := range []int{1, 2, 4} {
-					got := runOracle(seed, shards, sealed, pump)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("sealed=%v seed %d %s shards=%d diverges from the reference:\n got  %+v\n want %+v",
-							sealed, seed, name, shards, got, want)
+				if len(want.Kills) != len(faulty) {
+					t.Fatalf("sealed=%v logOnly=%v seed %d: reference killed a clean process: %v", sealed, logOnly, seed, want.Kills)
+				}
+				if n := len(want.Violations[oracleCFIViolator]); n == 0 || logOnly && n < 2 {
+					t.Fatalf("sealed=%v logOnly=%v seed %d: the CFI violator recorded %d violations", sealed, logOnly, seed, n)
+				}
+				for name, pump := range pumps {
+					for _, shards := range []int{1, 2, 4} {
+						got := runOracle(seed, shards, sealed, logOnly, pump)
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("sealed=%v logOnly=%v seed %d %s shards=%d diverges from the reference:\n got  %+v\n want %+v",
+								sealed, logOnly, seed, name, shards, got, want)
+						}
 					}
 				}
 			}

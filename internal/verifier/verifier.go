@@ -22,6 +22,7 @@ package verifier
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -57,17 +58,21 @@ type procCtx struct {
 	// the message goes to byOp[m.Op] — the non-sealer policies, in chain
 	// order, whose Ops list that op or are nil. The last slot, which no op
 	// indexes, holds the nil-declaring ones alone and serves every op beyond
-	// the table. prefetchers are the members (of either role) that want a
-	// look-ahead pass, see lookAhead.
+	// the table. route[op] is 1 + the chain index of byOp[op]'s one policy,
+	// 0 when no policy consumes the op and routeSeveral when several do:
+	// consecutive messages with the same route other than routeSeveral are
+	// one run, for that policy's HandleRun or for no call at all. One byte
+	// per op keeps the context small. prefetchers are the members (of
+	// either role) that want a look-ahead pass, see lookAhead.
 	policies    []policy.Policy
 	sealers     []policy.Sealer
 	byOp        [ipc.NumOps + 1][]policy.Policy
+	route       [ipc.NumOps + 1]uint8
 	prefetchers []policy.Prefetcher
 	violations  []*policy.Violation
 	messages    uint64
 	dropped     uint64 // messages dropped after the context went dead
 	lastSeq     uint64
-	seqValid    bool
 	// flight is the per-process black-box ring (nil unless
 	// EnableFlightRecorder ran before registration). Accessed only under the
 	// owning shard's mutex — see the concurrency note in telemetry/flight.go.
@@ -82,6 +87,8 @@ type procCtx struct {
 	// remaining in-flight message.
 	dead bool
 }
+
+const routeSeveral = math.MaxUint8 // procCtx.route of an op several policies consume
 
 // cacheLinePad pads hot per-shard structures that live in slices to
 // cache-line multiples, so drains delivering into neighboring shards never
@@ -308,8 +315,8 @@ func (v *Verifier) newFlightRecorder() *telemetry.FlightRecorder {
 // splitting it by role and by op once at birth so the delivery path neither
 // type-asserts nor offers a message to a policy that ignores its op.
 func newProcCtx(pid int32, policies []policy.Policy, fr *telemetry.FlightRecorder, dead bool) *procCtx {
-	pc := &procCtx{pid: pid, policies: policies, flight: fr, dead: dead, seqValid: true}
-	for _, p := range policies {
+	pc := &procCtx{pid: pid, policies: policies, flight: fr, dead: dead}
+	for i, p := range policies {
 		if pf, ok := p.(policy.Prefetcher); ok {
 			pc.prefetchers = append(pc.prefetchers, pf)
 		}
@@ -317,10 +324,17 @@ func newProcCtx(pid int32, policies []policy.Policy, fr *telemetry.FlightRecorde
 			pc.sealers = append(pc.sealers, sl)
 			continue
 		}
+		consume := func(op int) {
+			pc.byOp[op] = append(pc.byOp[op], p)
+			pc.route[op] = routeSeveral
+			if len(pc.byOp[op]) == 1 && 1+i < routeSeveral {
+				pc.route[op] = uint8(1 + i)
+			}
+		}
 		ops := p.Ops()
 		if ops == nil {
 			for op := range pc.byOp {
-				pc.byOp[op] = append(pc.byOp[op], p)
+				consume(op)
 			}
 			continue
 		}
@@ -328,7 +342,7 @@ func newProcCtx(pid int32, policies []policy.Policy, fr *telemetry.FlightRecorde
 		for _, op := range ops {
 			if op < ipc.NumOps && !listed[op] {
 				listed[op] = true
-				pc.byOp[op] = append(pc.byOp[op], p)
+				consume(int(op))
 			}
 		}
 	}
@@ -402,7 +416,7 @@ func (v *Verifier) ProcessStarted(pid int32) {
 	}
 	fr := v.newFlightRecorder()
 	s.mu.Lock()
-	// seqValid from birth: the sender-side counter starts at registration
+	// lastSeq is 0 from birth: the sender-side counter starts at registration
 	// (§3.1.1, every IPC backend stamps the first Send with Seq 1), so the
 	// expected next Seq is known before any message arrives. Leaving the
 	// baseline to the first *observed* message would let a reordered or
@@ -595,9 +609,9 @@ type deliverState struct {
 	pc                                                  *procCtx
 	pcPID                                               int32
 	pcValid                                             bool
-	// i is the cursor into the batch; a segment that dies mid-message leaves
-	// it pointing at the offending message so the recover path can attribute
-	// and skip it.
+	// i is the cursor into the batch; a segment that dies in policy code
+	// leaves it at the first message of the run or window being evaluated,
+	// which the recover path charges and skips.
 	i int
 }
 
@@ -688,26 +702,27 @@ func (v *Verifier) deliverLocked(s *shard, si int, ms []ipc.Message) {
 // deliverLocked. It works a window at a time (procCtx.openWindow): at the
 // first message of a run of one live process, that process's Prefetchers
 // touch the table lines the next lookAhead messages of the run will need and
-// its Sealers authenticate and strip those messages in place; then each
-// message of the window gets its sequence check and goes to the policies that
-// consume its Op (procCtx.byOp), in chain order. A sealer's reject is raised
+// its Sealers authenticate and strip those messages in place. Inside the
+// window it works a run at a time: a message that passes the sequence check
+// and those behind it with its route (procCtx.route) go to the op's one
+// policy in one HandleRun call; an op several policies consume is a run of
+// one for each (procCtx.byOp, chain order). A sealer's reject is raised
 // when the cursor reaches the rejected message. The first violating policy
 // is the one the kill is attributed to via Violation.Policy.
 //
-// A panic inside a policy's Prefetch, UnsealRun or Handle is contained to that
-// policy's process: the recover below converts it into an attributed
+// A panic inside a policy's Prefetch, UnsealRun or HandleRun is contained to
+// that policy's process: the recover below converts it into an attributed
 // violation and kill, marks the context dead, and returns with the cursor past
-// the offending message — the window's first, for the two window passes — so
-// deliverLocked resumes the batch. Panics outside policy code (cur == nil)
-// are delivery-path bugs and re-panic into safeDeliver's shard-poisoning
-// containment.
+// the offending message — the window's or the run's first — so deliverLocked
+// resumes the batch. Panics outside policy code (cur == nil) are delivery-path
+// bugs and re-panic into safeDeliver's shard-poisoning containment.
 //
-// cur — the policy whose Prefetch/UnsealRun/Handle is executing right now, nil
-// outside policy code — is the panic-attribution anchor. It is a local captured by
-// the deferred recover (not a deliverState field) so that the interface
-// method calls on it in the cold recover path don't make escape analysis
-// treat the whole deliverState as leaking, which would heap-allocate the
-// gate-action buffer once per batch.
+// cur — the policy whose Prefetch/UnsealRun/HandleRun is executing right now,
+// nil outside policy code — is the panic-attribution anchor. It is a local
+// captured by the deferred recover (not a deliverState field) so that the
+// interface method calls on it in the cold recover path don't make escape
+// analysis treat the whole deliverState as leaking, which would heap-allocate
+// the gate-action buffer once per batch.
 // The gate-action list is threaded through as a parameter and (named)
 // result rather than living in deliverState: appending through a pointed-to
 // struct field would make escape analysis move the caller's stack buffer to
@@ -727,13 +742,13 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 		viol := &policy.Violation{PID: st.pc.pid, Op: ms[st.i].Op, Policy: name,
 			Reason: fmt.Sprintf("policy %q panicked: %v", name, r)}
 		out = append(out, v.condemn(st, si, &ms[st.i], viol, telemetry.FlightPolicyPanic))
-		st.i++ // resume after the detonating message
+		st.i++ // resume after the message charged
 	}()
 	// The open window ends at winEnd; reject, when set, is the violation a
 	// sealer raised for ms[winEnd]. A segment starts with no window open.
-	winEnd := st.i
+	winEnd, checkSeq := st.i, st.checkSeq
 	var reject *policy.Violation
-	for ; st.i < len(ms); st.i++ {
+	for st.i < len(ms) {
 		m := &ms[st.i]
 		if !st.pcValid || m.PID != st.pcPID {
 			st.pc = s.procs[m.PID]
@@ -744,6 +759,7 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 			// Message from an unregistered process: ignore. Authenticity
 			// is the kernel's job (PID register, §3.1.1); an unknown PID
 			// means the process never enabled HerQules.
+			st.i++
 			continue
 		}
 		if pc.dead {
@@ -752,10 +768,9 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 			// action and the context stops accumulating state.
 			st.dropped++
 			pc.dropped++
+			st.i++
 			continue
 		}
-		st.delivered++
-		pc.messages++
 		// A window never outlasts its process's run, so a live message at or
 		// past winEnd opens the next window or is the one a sealer rejected.
 		if st.i >= winEnd {
@@ -771,28 +786,45 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 				// to the process, so continuing to evaluate would validate an
 				// attacker-controlled stream.
 				out = append(out, v.condemn(st, si, m, reject, telemetry.FlightSealerReject))
+				st.i++
 				continue
 			}
 		}
-		if st.checkSeq && pc.seqValid && m.Seq != pc.lastSeq+1 {
+		if checkSeq && m.Seq != pc.lastSeq+1 {
 			viol := &policy.Violation{PID: m.PID, Op: m.Op, Policy: "seq",
 				Reason: seqViolationReason(m.Seq, pc.lastSeq)}
 			// Integrity violations are always fatal (§3.1.1).
 			out = append(out, v.condemn(st, si, m, viol, telemetry.FlightSeqGap))
+			st.i++
 			continue
 		}
-		pc.lastSeq, pc.seqValid = m.Seq, true
 
+		// The run: m and the messages behind it in the window with its route
+		// and the next Seq, up to a System-Call message, whose gate waits for
+		// nothing behind it.
+		op := min(m.Op, ipc.NumOps)
+		end := st.i + 1
+		if r := pc.route[op]; r != routeSeveral {
+			for end < winEnd && ms[end-1].Op != ipc.OpSyscall && pc.route[min(ms[end].Op, ipc.NumOps)] == r &&
+				(!checkSeq || ms[end].Seq == ms[end-1].Seq+1) {
+				end++
+			}
+		}
+		run := ms[st.i:end]
+		n := len(run) // the clean prefix; the violator joins it below
 		var violated *policy.Violation
-		for _, p := range pc.byOp[min(m.Op, ipc.NumOps)] {
+		for _, p := range pc.byOp[op] {
 			cur = p
-			viol := p.Handle(*m)
+			k, viol := p.HandleRun(run)
 			if viol != nil {
+				if uint(k) >= uint(len(run)) { // would land on a message outside the run
+					panic("violation outside its run")
+				}
 				if viol.Policy == "" {
 					viol.Policy = p.Name()
 				}
 				if violated == nil {
-					violated = viol
+					violated, n = viol, k
 				}
 				pc.violations = append(pc.violations, viol)
 				st.violCount++
@@ -800,29 +832,41 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 			}
 		}
 		cur = nil
-		// Flight stamp: exactly one record per evaluated message with its
-		// final policy-chain outcome. This is the hot-path cost of the black
-		// box — a nil check on clean configs, one ring store when armed.
+		// Flight stamps: one record per evaluated message with its chain's
+		// outcome, the clean prefix first — a nil check on clean configs, one
+		// ring store per message when armed.
 		if fr := pc.flight; fr != nil {
-			code := telemetry.FlightOK
-			if violated != nil {
-				code = telemetry.FlightViolated
+			for i := range run[:n] {
+				c := &run[i]
+				fr.StampMessage(c.PID, uint16(c.Op), c.Seq, c.Arg1^c.Arg2^c.Arg3, telemetry.FlightOK)
 			}
-			fr.StampMessage(m.PID, uint16(m.Op), m.Seq, m.Arg1^m.Arg2^m.Arg3, code)
+			if violated != nil {
+				c := &run[n]
+				fr.StampMessage(c.PID, uint16(c.Op), c.Seq, c.Arg1^c.Arg2^c.Arg3, telemetry.FlightViolated)
+			}
 		}
+		if violated != nil {
+			n++ // the violator is evaluated too
+		}
+		st.delivered += uint64(n)
+		pc.messages += uint64(n)
+		st.i += n
+		last := &run[n-1]
+		pc.lastSeq = last.Seq
 		if violated != nil && st.killOnViolation {
+			// Frozen after the counts, so the report's Messages holds the run.
 			pc.dead = true
 			v.freezeLocked(pc, si, violated, violated.Reason)
-			out = append(out, gateAction{pid: m.PID, kill: true, reason: violated.Reason})
+			out = append(out, gateAction{pid: pc.pid, kill: true, reason: violated.Reason})
 			st.killCount++
 			continue
 		}
-		if m.Op == ipc.OpSyscall {
+		if last.Op == ipc.OpSyscall {
 			// A System-Call message indicates all outstanding messages
 			// have been processed; resume the syscall unless a prior
 			// violation is pending and fatal (§2.2).
 			if len(pc.violations) == 0 || !st.killOnViolation {
-				out = append(out, gateAction{pid: m.PID})
+				out = append(out, gateAction{pid: pc.pid})
 				st.syncCount++
 			}
 		}
@@ -832,10 +876,13 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 
 // condemn records viol, raised by message m, as the violation st.pc dies of
 // whatever KillOnViolation says — a sealer reject, a counter violation, a
-// policy panic — and returns the kill to issue once the shard lock drops: the
-// context goes dead, its black box gets m stamped with code and is frozen.
+// policy panic — and returns the kill to issue once the shard lock drops: m is
+// counted as evaluated, the context goes dead, its black box gets m stamped
+// with code and is frozen.
 func (v *Verifier) condemn(st *deliverState, si int, m *ipc.Message, viol *policy.Violation, code telemetry.FlightCode) gateAction {
 	pc := st.pc
+	st.delivered++
+	pc.messages++
 	pc.violations = append(pc.violations, viol)
 	st.violCount++
 	pc.dead = true

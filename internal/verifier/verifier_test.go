@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -72,6 +73,12 @@ func (p *opSpy) Handle(m ipc.Message) *policy.Violation {
 	p.seen = append(p.seen, m.Op)
 	return nil
 }
+func (p *opSpy) HandleRun(ms []ipc.Message) (int, *policy.Violation) {
+	for i := range ms {
+		p.Handle(ms[i])
+	}
+	return len(ms), nil
+}
 
 // TestMessagesAreRoutedByDeclaredOps pins the routing table built from
 // Policy.Ops: a policy listing ops is handed those and nothing else (once,
@@ -116,6 +123,85 @@ func TestMessagesAreRoutedByDeclaredOps(t *testing.T) {
 	}
 	if len(g.kills) != 0 || v.Messages(1) != uint64(2*len(sent)) {
 		t.Errorf("kills %v, %d messages evaluated; want none and %d", g.kills, v.Messages(1), 2*len(sent))
+	}
+}
+
+// runSpy records the length of every run it is handed.
+type runSpy struct {
+	opSpy
+	runs []int
+}
+
+func (p *runSpy) HandleRun(ms []ipc.Message) (int, *policy.Violation) {
+	p.runs = append(p.runs, len(ms))
+	return p.opSpy.HandleRun(ms)
+}
+
+// TestRunsEndWhereTheEngineMustLook pins where a run ends: at the window's
+// edge, at a process change, after a System-Call message (whose gate is
+// released even though the policy consumes what follows it), at a sequence
+// discontinuity, and wherever the next op has another consumer; an op two
+// policies consume is a run of one for each of them.
+func TestRunsEndWhereTheEngineMustLook(t *testing.T) {
+	msg := func(pid int32, op ipc.Op, seq uint64) ipc.Message {
+		return ipc.Message{Op: op, PID: pid, Arg1: 1, Seq: seq}
+	}
+	stream := func(pid int32, ops ...ipc.Op) []ipc.Message {
+		var ms []ipc.Message
+		for i, op := range ops {
+			ms = append(ms, msg(pid, op, uint64(i+1)))
+		}
+		return ms
+	}
+	repeat := func(n int, op ipc.Op) []ipc.Op {
+		ops := make([]ipc.Op, n)
+		for i := range ops {
+			ops[i] = op
+		}
+		return ops
+	}
+	c, s, d := ipc.OpCounterInc, ipc.OpSyscall, ipc.OpDFISet
+	for _, tc := range []struct {
+		name      string
+		ops       [][]ipc.Op // ops of each spy; nil offers it every op
+		batch     []ipc.Message
+		runs      [][]int // per spy
+		syncs     int
+		killedPID int32
+	}{
+		{"window", [][]ipc.Op{nil}, stream(1, repeat(150, c)...), [][]int{{lookAhead, lookAhead, 150 - 2*lookAhead}}, 0, 0},
+		{"syscall", [][]ipc.Op{nil}, stream(1, c, c, s, c, s), [][]int{{3, 2}}, 2, 0},
+		{"process", [][]ipc.Op{nil}, append(stream(1, c, c, c), stream(2, c, c)...), [][]int{{3, 2}}, 0, 0},
+		{"sequence", [][]ipc.Op{nil}, []ipc.Message{msg(1, c, 1), msg(1, c, 2), msg(1, c, 4), msg(1, c, 5)}, [][]int{{2}}, 0, 1},
+		{"route", [][]ipc.Op{{c}, {d}}, stream(1, c, c, d, d, d, c), [][]int{{2, 1}, {3}}, 0, 0},
+		{"shared op", [][]ipc.Op{{c, d}, {c}}, stream(1, d, d, c, c), [][]int{{2, 1, 1}, {1, 1}}, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Both processes share the spies, so they see every run.
+			spies := make([]*runSpy, len(tc.ops))
+			chain := make([]policy.Policy, len(tc.ops))
+			for i, ops := range tc.ops {
+				spies[i] = &runSpy{opSpy: opSpy{name: fmt.Sprint("spy", i), ops: ops}}
+				chain[i] = spies[i]
+			}
+			g := newFakeGate()
+			v := NewSharded(func() []policy.Policy { return chain }, g, 1)
+			v.CheckSeq = true
+			v.ProcessStarted(1)
+			v.ProcessStarted(2)
+			v.DeliverBatch(tc.batch)
+			for i, want := range tc.runs {
+				if !reflect.DeepEqual(spies[i].runs, want) {
+					t.Errorf("spy %d was handed runs of %v, want %v", i, spies[i].runs, want)
+				}
+			}
+			if len(g.syncs) != tc.syncs {
+				t.Errorf("%d gates released, want %d", len(g.syncs), tc.syncs)
+			}
+			if killed := len(g.kills) > 0; killed != (tc.killedPID != 0) || killed && g.kills[tc.killedPID] == "" {
+				t.Errorf("kills %v, want pid %d killed", g.kills, tc.killedPID)
+			}
+		})
 	}
 }
 
