@@ -28,14 +28,17 @@ vet:
 # must keep compiling without any tag), the full test suite under the race detector (which runs every
 # hqbench experiment once at its smoke scope, the soaks included:
 # TestEveryExperimentRunsQuick), twenty raced runs each of the ring's
-# park/wake tests and of the hqnet client's goodbye resend and token tests
-# (a resend racing recvLoop's reconnect must fail here, not flake later),
+# park/wake and fenced-point tests and of the hqnet client's goodbye resend
+# and token tests (a resend racing recvLoop's reconnect must fail here, not
+# flake later), twenty runs of the ring's tests without the race detector
+# (only that build publishes the ring's head with a plain store),
 # the hot-path benchmarks, ten
 # seconds of fuzzing each on the frame decoder that feeds the verifier's drain,
 # on the allocation policies against their sorted-slice reference, on the
 # pointer table (and cfi's block operations) against a Go map, on the
-# hmac sealer's run unseal against a loop of one-message calls and on every
-# policy's HandleRun against a loop of one-message Handle calls,
+# hmac sealer's run unseal against a loop of one-message calls, on every
+# policy's HandleRun against a loop of one-message Handle calls and on the
+# model checker's Replay over arbitrary schedules,
 # the quick end-to-end benchmark (all four workloads, every correctness
 # check), and the line count. The one piece run without the race detector is
 # the sweep's model-checker entry: it explores ~103k states with dsched
@@ -56,7 +59,8 @@ check: vet build
 		grep -vE '^\./internal/(dsched|kernel|verify)/'); if [ -n "$$named" ]; then \
 		echo "revert hooks named outside internal/{dsched,kernel,verify}:"; echo "$$named"; exit 1; fi
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
-	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes' ./internal/ipc
+	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints' ./internal/ipc
+	$(GO) test -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints' ./internal/ipc
 	$(GO) test -race -count=20 -run 'TestCloseResendsLostGoodbye|TestResumeToken' ./internal/hqnet
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
@@ -65,6 +69,7 @@ check: vet build
 	$(GO) test -run xxx -fuzz FuzzPtrTable -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzUnsealRun -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzHandleRun -fuzztime 10s ./internal/policy
+	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime 10s ./internal/verify
 	$(GO) run ./bench -quick
 	$(MAKE) verify-cover
 	$(MAKE) loc

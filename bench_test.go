@@ -370,9 +370,11 @@ func BenchmarkVerifierThroughput_16Procs(b *testing.B) { benchVerifierDrain(b, 1
 // BenchmarkVerifierThroughput_Ring drives the pump from a live SharedRing
 // producer instead of a prerecorded replay, so it exercises the ring's
 // RecvBatch (wrap-around bulk copy, empty-ring park and wake) with real
-// producer/consumer contention. The ring
-// assigns its own consecutive sequence numbers on Send, so a single producer
-// process keeps CheckSeq satisfied.
+// producer/consumer contention. The ring assigns its own consecutive
+// sequence numbers on Send, so a single producer process keeps CheckSeq
+// satisfied. Each pass fails unless the verifier evaluated every message it
+// was sent and recorded no violation, so a faster ring cannot be a lossy
+// one.
 func BenchmarkVerifierThroughput_Ring(b *testing.B) {
 	const messages = 1 << 18
 	stream := verifierBenchStream(1, messages)
@@ -394,6 +396,9 @@ func BenchmarkVerifierThroughput_Ring(b *testing.B) {
 			_ = ch.Sender.Close()
 		}()
 		v.Pump(ch.Receiver)
+		if got, viol := v.Messages(1), v.Violations(1); got != messages || len(viol) != 0 {
+			b.Fatalf("pass %d: the verifier evaluated %d of %d messages, violations %v", i, got, messages, viol)
+		}
 	}
 	b.ReportMetric(float64(messages)*float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 }

@@ -70,12 +70,20 @@ func NewSharedRing(capacity int) *Channel {
 	}}
 }
 
-// Send writes m into the next free slot. A full ring applies backpressure:
-// the producer yields spinIterBudget times while the drain is expected to
-// catch up, then parks until the drain's next tail store (or Close) wakes it,
-// so a stalled verifier costs the producer no CPU. After its own head store
-// Send wakes a parked drain, which then validates while the producer goes on
-// sending.
+// Send writes m into the next free slot, publishes it with one store to
+// head and wakes a parked drain. The program meets its verifier only at a
+// system call (§2.2), so the store is fenced only where the producer can
+// stop sending and wait on the drain: a System-Call message, whose gate
+// waits for the drain to reach it, and the moment before the producer waits
+// on a full ring, where it stores head again so that the drain cannot sleep
+// on a stale head while the producer sleeps on a full ring (Close is the
+// third fenced point). Elsewhere the store is publish, one MOVQ on amd64: a
+// send costs a memory write and a load of the drain's parked flag, as Table
+// 2 prices it, and a drain that parks at that instant is woken by a later
+// Send or fenced point (see waiter). A full ring applies backpressure: the
+// producer yields spinIterBudget times while the drain catches up, then
+// parks until the drain's next tail store (or Close) wakes it, so a stalled
+// verifier costs the producer no CPU.
 func (r *SharedRing) Send(m Message) error {
 	if r.closed.Load() {
 		return ErrClosed
@@ -83,6 +91,8 @@ func (r *SharedRing) Send(m Message) error {
 	head := r.head.Load()
 	size := uint64(len(r.slots))
 	if head-r.tail.Load() >= size {
+		r.head.Store(head)
+		r.recv.wakeUp()
 		r.send.wait(func() bool { return head-r.tail.Load() < size || r.closed.Load() })
 		if r.closed.Load() {
 			return ErrClosed
@@ -91,13 +101,20 @@ func (r *SharedRing) Send(m Message) error {
 	r.seq++
 	m.Seq = r.seq
 	r.slots[head&r.mask] = m
-	r.head.Store(head + 1)
+	if m.Op == OpSyscall {
+		r.head.Store(head + 1)
+	} else {
+		publish(&r.head, head+1)
+	}
 	r.recv.wakeUp()
 	return nil
 }
 
 // Close marks the ring closed and wakes both sides: a parked producer gets
-// ErrClosed, and the drain empties the remaining slots.
+// ErrClosed, and the drain empties the remaining slots. The flag's store is
+// sequentially consistent, so it is a fenced point: the drain sees it, or
+// Close sees the drain parked, and either way the drain then reads the last
+// published head.
 func (r *SharedRing) Close() error {
 	r.closed.Store(true)
 	r.recv.wakeUp()

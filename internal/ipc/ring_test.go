@@ -3,6 +3,7 @@ package ipc
 import (
 	"math/rand/v2"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -211,4 +212,183 @@ func TestSharedRingLayout(t *testing.T) {
 	if o := unsafe.Offsetof(r.recv); o != 64 {
 		t.Fatalf("recv waiter at offset %d, want 64", o)
 	}
+}
+
+// orderedDrain empties r on a goroutine of its own, counting what it has
+// received and checking that the ring's sequence numbers arrive gap-free,
+// once each and in order.
+type orderedDrain struct {
+	got  atomic.Int64
+	bad  atomic.Bool
+	done chan struct{}
+}
+
+func startOrderedDrain(r *SharedRing) *orderedDrain {
+	d := &orderedDrain{done: make(chan struct{})}
+	go func() {
+		defer close(d.done)
+		buf := make([]Message, 8)
+		var got int64
+		for {
+			n, ok, _ := r.RecvBatch(buf)
+			if !ok {
+				return
+			}
+			for _, m := range buf[:n] {
+				got++
+				if m.Seq != uint64(got) {
+					d.bad.Store(true)
+				}
+			}
+			d.got.Store(got)
+		}
+	}()
+	return d
+}
+
+// awaitRing yields until cond holds and fails the test after a deadline, so
+// a lost wake-up fails instead of hanging the run.
+func awaitRing(t *testing.T, r *SharedRing, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: gave up after 5 s with head %d tail %d, parked send %t recv %t",
+				what, r.head.Load(), r.tail.Load(), r.send.parked.Load(), r.recv.parked.Load())
+		}
+		runtime.Gosched()
+	}
+}
+
+// spinFor keeps the processor for d.
+func spinFor(d time.Duration) {
+	for end := time.Now().Add(d); time.Now().Before(end); {
+	}
+}
+
+// TestSharedRingFencedPointsWakeParkedDrain: a producer that stops sending
+// at a fenced point and waits on the drain is never left waiting on a drain
+// that parked on a stale head. Every episode starts with the drain parked.
+// In the syscall arm the producer sends k messages and then the System-Call
+// message and waits for the drain to return it; in the full arm it sends
+// past the capacity of a ring of 8, so it waits on the drain for room, and
+// then the System-Call message, and waits for the drain to return it; in
+// the close arm it sends k messages and closes the ring, and the drain must
+// return all k and then ok=false. In the syscall arm, and in every other
+// episode of the close arm, the producer waits until the woken drain has
+// returned the k messages and then pauses for a time drawn across the
+// drain's spin budget, so the last send or the Close often lands as the
+// drain parks again: the instant a plain publish can miss.
+func TestSharedRingFencedPointsWakeParkedDrain(t *testing.T) {
+	const episodes = 3334 // per arm, 10 002 in all
+	rng := rand.New(rand.NewPCG(37, 37))
+	counter := Message{Op: OpCounterInc}
+
+	// respin estimates how long a woken drain yields before it parks again,
+	// from the episodes so far; the pause before the last send is drawn
+	// from [0, 1.5 respin).
+	respin := 20 * time.Microsecond
+	pauseBeforeLast := func() {
+		spinFor(time.Duration(rng.Int64N(int64(respin) * 3 / 2)))
+	}
+	sendCounters := func(t *testing.T, r *SharedRing, k int64) {
+		for i := int64(0); i < k; i++ {
+			if err := r.Send(counter); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// settle waits until the drain has returned n messages in all.
+	settle := func(t *testing.T, r *SharedRing, d *orderedDrain, n int64) {
+		awaitRing(t, r, "messages not returned", func() bool { return d.got.Load() == n })
+	}
+	awaitParked := func(t *testing.T, r *SharedRing, since time.Time) {
+		awaitRing(t, r, "drain never parked", r.recv.parked.Load)
+		respin = (7*respin + time.Since(since)) / 8
+	}
+
+	t.Run("syscall", func(t *testing.T) {
+		r := NewSharedRing(64).Sender.(*SharedRing)
+		d := startOrderedDrain(r)
+		defer func() { r.Close(); <-d.done }()
+		var sent int64
+		last := time.Now()
+		for e := 0; e < episodes; e++ {
+			awaitParked(t, r, last)
+			k := int64(rng.IntN(16))
+			sendCounters(t, r, k)
+			settle(t, r, d, sent+k)
+			pauseBeforeLast()
+			if err := r.Send(Message{Op: OpSyscall}); err != nil {
+				t.Fatal(err)
+			}
+			sent += k + 1
+			awaitRing(t, r, "System-Call message not returned", func() bool { return d.got.Load() == sent })
+			last = time.Now()
+		}
+		if d.bad.Load() {
+			t.Fatal("the drain saw a gap, a duplicate or a reorder")
+		}
+	})
+
+	t.Run("full", func(t *testing.T) {
+		r := NewSharedRing(8).Sender.(*SharedRing)
+		d := startOrderedDrain(r)
+		defer func() { r.Close(); <-d.done }()
+		var sent int64
+		last := time.Now()
+		for e := 0; e < episodes; e++ {
+			awaitParked(t, r, last)
+			// The producer runs on a goroutine of its own, so one stuck in
+			// a full ring fails at the deadline. The System-Call message
+			// ends the episode: the producer waits on the drain only at a
+			// fenced point.
+			k := int64(9 + rng.IntN(16))
+			var produced atomic.Bool
+			go func() {
+				for i := int64(0); i < k; i++ {
+					if err := r.Send(counter); err != nil {
+						return
+					}
+				}
+				if r.Send(Message{Op: OpSyscall}) == nil {
+					produced.Store(true)
+				}
+			}()
+			awaitRing(t, r, "producer stuck on a full ring", produced.Load)
+			sent += k + 1
+			awaitRing(t, r, "messages past capacity not returned", func() bool { return d.got.Load() == sent })
+			last = time.Now()
+		}
+		if d.bad.Load() {
+			t.Fatal("the drain saw a gap, a duplicate or a reorder")
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		for e := 0; e < episodes; e++ {
+			r := NewSharedRing(64).Sender.(*SharedRing)
+			d := startOrderedDrain(r)
+			awaitParked(t, r, time.Now())
+			k := int64(rng.IntN(16))
+			sendCounters(t, r, k)
+			if e%2 == 0 {
+				settle(t, r, d, k)
+			}
+			pauseBeforeLast()
+			r.Close()
+			awaitRing(t, r, "drain not released by Close", func() bool {
+				select {
+				case <-d.done:
+					return true
+				default:
+					return false
+				}
+			})
+			if got := d.got.Load(); got != k || d.bad.Load() {
+				t.Fatalf("episode %d: the drain returned %d of %d messages before ok=false (out of order: %t)",
+					e, got, k, d.bad.Load())
+			}
+		}
+	})
 }

@@ -22,16 +22,29 @@ const spinIterBudget = 256
 // yielded. A parked side costs no CPU and resumes on its peer's next cursor
 // store.
 //
-// No wake-up is lost. The waiter stores parked and then loads its condition's
-// cursor; the peer stores that cursor and then loads parked. sync/atomic is
-// sequentially consistent, so the waiter sees the new cursor, or the peer
-// sees the flag, or both. When both do, the compare-and-swap on the flag
-// decides: whoever takes it from true to false owns the one token, and the
-// waiter takes a token for every raise it does not take back itself, so the
-// channel never holds more than one. A token does not prove the condition:
-// a waker that loaded the flag during one park may win the next, after the
-// waiter has consumed what it woke for. So the waiter checks again and parks
-// again.
+// No wake-up is lost where a side can block. The waiter stores parked and
+// then loads its condition's cursor; at a fenced point the peer stores that
+// cursor with a sequentially consistent store and then loads parked, so the
+// waiter sees the new cursor, or the peer sees the flag, or both. When both
+// do, the compare-and-swap on the flag decides: whoever takes it from true
+// to false owns the one token, and the waiter takes a token for every raise
+// it does not take back itself, so the channel never holds more than one. A
+// token does not prove the condition: a waker that loaded the flag during
+// one park may win the next, after the waiter has consumed what it woke
+// for. So the waiter checks again and parks again.
+//
+// Every tail store of the drain is a fenced point, so a producer waiting on
+// a full ring is always woken. The producer's head store is fenced only
+// where the producer can stop sending and wait on the drain: a System-Call
+// message, a full ring and Close (SharedRing.Send). Between those points it
+// is publish, a release store, and on amd64 the load of parked that follows
+// may pass it: a drain that parks at that instant can miss the wake-up and
+// sleep on a stale head. Nothing is lost by it. The slot and head are
+// written, the drain is only late: its raised flag is in memory before it
+// reads head, so a later Send's load sees it and wakes it, and the next
+// fenced point does so at the latest, since it waits until every earlier
+// store is visible before it loads the flag. The drain then reads the
+// current head, so no message is skipped, reordered or delivered twice.
 type waiter struct {
 	parked atomic.Bool
 	wake   chan struct{}
