@@ -37,8 +37,9 @@ vet:
 # on the allocation policies against their sorted-slice reference, on the
 # pointer table (and cfi's block operations) against a Go map, on the
 # hmac sealer's run unseal against a loop of one-message calls, on every
-# policy's HandleRun against a loop of one-message Handle calls and on the
-# model checker's Replay over arbitrary schedules,
+# policy's HandleRun against a loop of one-message Handle calls, on the
+# model checker's Replay over arbitrary schedules and on the hqnet daemon's
+# handshake and session filter over arbitrary control-frame sequences,
 # the quick end-to-end benchmark (all four workloads, every correctness
 # check), and the line count. The one piece run without the race detector is
 # the sweep's model-checker entry: it explores ~103k states with dsched
@@ -70,6 +71,7 @@ check: vet build
 	$(GO) test -run xxx -fuzz FuzzUnsealRun -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzHandleRun -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime 10s ./internal/verify
+	$(GO) test -run xxx -fuzz FuzzControlFrames -fuzztime 10s ./internal/hqnet
 	$(GO) run ./bench -quick
 	$(MAKE) verify-cover
 	$(MAKE) loc
@@ -96,7 +98,9 @@ verify-cover:
 # kernel's dispatch and portable body and the hqnet client sealing at flush,
 # 25 343 with the ring's sleep fallback replaced by park/wake, 25 072 with
 # the four enforcement soaks on one driver and the obs smoke and hqd lease
-# phases deleted, 25 190 with policies taking a run of messages per call;
+# phases deleted, 25 190 with policies taking a run of messages per call,
+# 25 246 with the ring's one-store send, 24 823 with the chaos injector's
+# faults in tables, the hqd abuse battery deleted and one soak report;
 # the kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount

@@ -20,6 +20,7 @@ func TestRunUsageErrorsAndOut(t *testing.T) {
 		wantExit   int
 		wantStderr []string // every substring must appear
 		wantFile   bool
+		slow       bool // skipped under -short
 	}{
 		{
 			name:       "unknown experiment lists the registry",
@@ -34,10 +35,13 @@ func TestRunUsageErrorsAndOut(t *testing.T) {
 			wantStderr: []string{"-out needs exactly one experiment"},
 		},
 		{
+			// The one entry without Data; it runs the model checker's smoke
+			// scope first.
 			name:       "-out with an experiment that has no Data",
-			args:       []string{"-exp", "chaos", "-out", out},
+			args:       []string{"-exp", "verify", "-quick", "-out", out},
 			wantExit:   2,
-			wantStderr: []string{"chaos has no JSON report"},
+			wantStderr: []string{"verify has no JSON report"},
+			slow:       true,
 		},
 		{
 			name:       "unknown scale",
@@ -59,6 +63,9 @@ func TestRunUsageErrorsAndOut(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && testing.Short() {
+				t.Skip("runs the model checker's smoke scope (~13 s)")
+			}
 			os.Remove(out)
 			var stdout, stderr bytes.Buffer
 			if got := run(tc.args, &stdout, &stderr); got != tc.wantExit {

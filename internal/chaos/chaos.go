@@ -22,19 +22,20 @@
 package chaos
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
-
-	"herqules/internal/telemetry"
 )
 
 // Fault identifies one injectable fault class.
 type Fault int
 
 // Fault classes, in schedule-hash encoding order. FaultNone must stay zero:
-// a clean message hashes as decision 0.
+// a clean message hashes as decision 0. A class keeps its number for good:
+// draw hashes it, so renumbering one would move every schedule.
 const (
 	FaultNone      Fault = iota
 	FaultDrop            // receiver discards the message
@@ -52,105 +53,125 @@ const (
 	FaultConnDrop         // transport dies mid-frame: half a frame written, then closed
 	FaultConnDropBoundary // transport dies exactly at a frame boundary: whole frames, then closed
 	FaultConnStall        // one write stalls (a frozen network path)
-	FaultDupHello         // per connection: client sends a duplicate HELLO (protocol abuse)
-	FaultStaleResume      // per connection: client resumes with a forged/stale token
 	numFaults
 )
 
-var faultNames = [...]string{
+// faultNames gives each fault its one name: what String prints and the key
+// Counts carries it under, in text and in JSON.
+var faultNames = [numFaults]string{
 	FaultNone:             "none",
-	FaultDrop:             "drop",
-	FaultDuplicate:        "duplicate",
-	FaultReorder:          "reorder",
-	FaultCorrupt:          "corrupt",
-	FaultDelay:            "delay",
-	FaultSendErr:          "send-err",
-	FaultRecvErr:          "recv-err",
-	FaultStall:            "stall",
-	FaultConnDrop:         "conn-drop",
-	FaultConnDropBoundary: "conn-drop-boundary",
-	FaultConnStall:        "conn-stall",
-	FaultDupHello:         "dup-hello",
-	FaultStaleResume:      "stale-resume",
+	FaultDrop:             "dropped",
+	FaultDuplicate:        "duplicated",
+	FaultReorder:          "reordered",
+	FaultCorrupt:          "corrupted",
+	FaultDelay:            "delayed",
+	FaultSendErr:          "send_errors",
+	FaultRecvErr:          "recv_errors",
+	FaultStall:            "stalls",
+	FaultConnDrop:         "conn_drops",
+	FaultConnDropBoundary: "conn_drop_boundaries",
+	FaultConnStall:        "conn_stalls",
 }
 
 func (f Fault) String() string {
-	if int(f) < len(faultNames) {
+	if f >= 0 && f < numFaults {
 		return faultNames[f]
 	}
 	return fmt.Sprintf("fault(%d)", int(f))
 }
 
-// Counts is a snapshot of how many times each fault actually fired.
-type Counts struct {
-	Dropped    uint64 `json:"dropped"`
-	Duplicated uint64 `json:"duplicated"`
-	Reordered  uint64 `json:"reordered"`
-	Corrupted  uint64 `json:"corrupted"`
-	Delayed    uint64 `json:"delayed"`
-	SendErrors uint64 `json:"send_errors"`
-	RecvErrors uint64 `json:"recv_errors"`
-	Stalls     uint64 `json:"stalls"`
-
-	// Connection-level faults (networked attestation plane).
-	ConnDrops          uint64 `json:"conn_drops"`
-	ConnDropBoundaries uint64 `json:"conn_drop_boundaries"`
-	ConnStalls         uint64 `json:"conn_stalls"`
-	DupHellos          uint64 `json:"dup_hellos"`
-	StaleResumes       uint64 `json:"stale_resumes"`
-}
+// Counts is how many times each fault actually fired, indexed by Fault.
+// FaultNone's slot stays zero.
+type Counts [numFaults]uint64
 
 // Total sums every fired fault.
 func (c Counts) Total() uint64 {
-	return c.Dropped + c.Duplicated + c.Reordered + c.Corrupted +
-		c.Delayed + c.SendErrors + c.RecvErrors + c.Stalls +
-		c.ConnDrops + c.ConnDropBoundaries + c.ConnStalls + c.DupHellos + c.StaleResumes
+	var t uint64
+	for _, n := range c {
+		t += n
+	}
+	return t
 }
 
+// String lists every fault class by name: "dropped=3 duplicated=1 ...".
 func (c Counts) String() string {
-	return fmt.Sprintf("drop=%d dup=%d reorder=%d corrupt=%d delay=%d senderr=%d recverr=%d stall=%d conndrop=%d conndropbound=%d connstall=%d duphello=%d staleresume=%d",
-		c.Dropped, c.Duplicated, c.Reordered, c.Corrupted,
-		c.Delayed, c.SendErrors, c.RecvErrors, c.Stalls,
-		c.ConnDrops, c.ConnDropBoundaries, c.ConnStalls, c.DupHellos, c.StaleResumes)
+	var sb strings.Builder
+	for f := FaultDrop; f < numFaults; f++ {
+		if f > FaultDrop {
+			sb.WriteByte(' ')
+		}
+		fmt.Fprintf(&sb, "%s=%d", faultNames[f], c[f])
+	}
+	return sb.String()
 }
 
-// config holds the per-fault rates and parameters. Rates are probabilities
-// in [0, 1], evaluated deterministically per message (or per call for the
-// call-scoped faults).
-type config struct {
-	drop      float64
-	duplicate float64
-	reorder   float64
-	window    int // max messages a reordered message may be held back
-	corrupt   float64
-	delay     float64
-	maxDelay  time.Duration
-	sendErr   float64
-	recvErr   float64
-	stall     float64
-	stallFor  time.Duration
+// MarshalJSON writes an object keyed by fault name, in Fault order.
+func (c Counts) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for f := FaultDrop; f < numFaults; f++ {
+		if f > FaultDrop {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, "%q:%d", faultNames[f], c[f])
+	}
+	return append(b, '}'), nil
+}
 
-	connDrop         float64
-	connDropBoundary float64
-	connStall        float64
-	connStallFor     time.Duration
-	dupHello         float64
-	staleResume      float64
+// UnmarshalJSON reads what MarshalJSON writes. An unknown key is an error.
+func (c *Counts) UnmarshalJSON(data []byte) error {
+	var byName map[string]uint64
+	if err := json.Unmarshal(data, &byName); err != nil {
+		return err
+	}
+	*c = Counts{}
+	for name, n := range byName {
+		f := FaultDrop
+		for f < numFaults && faultNames[f] != name {
+			f++
+		}
+		if f == numFaults {
+			return fmt.Errorf("chaos: unknown fault %q", name)
+		}
+		c[f] = n
+	}
+	return nil
+}
+
+// config holds the per-fault rates and the four parameters beside them.
+// Rates are probabilities in [0, 1], evaluated deterministically per message
+// (or per call for the call-scoped faults).
+type config struct {
+	rate         [numFaults]float64
+	window       int // max messages a reordered message may be held back
+	maxDelay     time.Duration
+	stallFor     time.Duration
+	connStallFor time.Duration
 }
 
 // Option configures an Injector.
 type Option func(*config)
 
+// withRate sets fault f's rate.
+func withRate(f Fault, rate float64) Option {
+	return func(c *config) { c.rate[f] = clampRate(rate) }
+}
+
+// orDefault is d, or a millisecond when d is not positive.
+func orDefault(d time.Duration) time.Duration {
+	if d <= 0 {
+		return time.Millisecond
+	}
+	return d
+}
+
 // WithDrop discards each received message with probability rate. Dropped
 // messages leave a sequence gap the verifier must flag (§3.1.1).
-func WithDrop(rate float64) Option { return func(c *config) { c.drop = clampRate(rate) } }
+func WithDrop(rate float64) Option { return withRate(FaultDrop, rate) }
 
 // WithDuplicate delivers each received message twice with probability rate.
 // The duplicate carries the identical sequence number, so CheckSeq must
 // classify it as a duplicate, not a gap.
-func WithDuplicate(rate float64) Option {
-	return func(c *config) { c.duplicate = clampRate(rate) }
-}
+func WithDuplicate(rate float64) Option { return withRate(FaultDuplicate, rate) }
 
 // WithReorder holds each received message back with probability rate,
 // releasing it after up to window subsequent messages have been delivered.
@@ -158,54 +179,41 @@ func WithDuplicate(rate float64) Option {
 // replay/reorder violation.
 func WithReorder(rate float64, window int) Option {
 	return func(c *config) {
-		c.reorder = clampRate(rate)
-		if window < 1 {
-			window = 1
-		}
-		c.window = window
+		withRate(FaultReorder, rate)(c)
+		c.window = max(window, 1)
 	}
 }
 
 // WithCorrupt flips one deterministically chosen bit in each received
 // message's payload (Arg1/Arg2/Arg3/Seq) with probability rate.
-func WithCorrupt(rate float64) Option { return func(c *config) { c.corrupt = clampRate(rate) } }
+func WithCorrupt(rate float64) Option { return withRate(FaultCorrupt, rate) }
 
 // WithDelay sleeps up to max before a send with probability rate, modelling
 // scheduling jitter on the producer side.
 func WithDelay(rate float64, max time.Duration) Option {
 	return func(c *config) {
-		c.delay = clampRate(rate)
-		if max <= 0 {
-			max = time.Millisecond
-		}
-		c.maxDelay = max
+		withRate(FaultDelay, rate)(c)
+		c.maxDelay = orDefault(max)
 	}
 }
 
 // WithTransientSendErrors fails each Send with an ipc.Transient error with
 // probability rate. The message is not sent; a correct producer retries
 // (ipc.SendWithRetry) and no sequence number is consumed.
-func WithTransientSendErrors(rate float64) Option {
-	return func(c *config) { c.sendErr = clampRate(rate) }
-}
+func WithTransientSendErrors(rate float64) Option { return withRate(FaultSendErr, rate) }
 
 // WithTransientRecvErrors fails each RecvBatch call with an ipc.Transient
 // error with probability rate, exercising the pump's bounded retry path.
 // Call-scoped: excluded from the schedule hash.
-func WithTransientRecvErrors(rate float64) Option {
-	return func(c *config) { c.recvErr = clampRate(rate) }
-}
+func WithTransientRecvErrors(rate float64) Option { return withRate(FaultRecvErr, rate) }
 
 // WithStall makes each RecvBatch call, with probability rate, sleep for d
 // before reading — the backlog then arrives as one burst. Call-scoped:
 // excluded from the schedule hash.
 func WithStall(rate float64, d time.Duration) Option {
 	return func(c *config) {
-		c.stall = clampRate(rate)
-		if d <= 0 {
-			d = time.Millisecond
-		}
-		c.stallFor = d
+		withRate(FaultStall, rate)(c)
+		c.stallFor = orDefault(d)
 	}
 }
 
@@ -215,9 +223,7 @@ func WithStall(rate float64, d time.Duration) Option {
 // fd channels a terminal integrity violation, on the networked plane a
 // severed connection the client must survive by resuming. Call-scoped
 // against the transport write sequence: excluded from the schedule hash.
-func WithConnDrop(rate float64) Option {
-	return func(c *config) { c.connDrop = clampRate(rate) }
-}
+func WithConnDrop(rate float64) Option { return withRate(FaultConnDrop, rate) }
 
 // WithConnDropAtBoundary kills a wrapped connection exactly at a frame
 // boundary with probability rate, evaluated per write: half the frames of
@@ -228,9 +234,7 @@ func WithConnDrop(rate float64) Option {
 // framing: by the session lease (the sender goes silent) or by CheckSeq (the
 // surviving stream has a sequence gap). Call-scoped against the transport
 // write sequence: excluded from the schedule hash.
-func WithConnDropAtBoundary(rate float64) Option {
-	return func(c *config) { c.connDropBoundary = clampRate(rate) }
-}
+func WithConnDropAtBoundary(rate float64) Option { return withRate(FaultConnDropBoundary, rate) }
 
 // WithConnStall freezes a wrapped connection's write for d with probability
 // rate, modelling a stalled network path. A stall that outlives the
@@ -238,39 +242,13 @@ func WithConnDropAtBoundary(rate float64) Option {
 // unattributed hang. Call-scoped: excluded from the schedule hash.
 func WithConnStall(rate float64, d time.Duration) Option {
 	return func(c *config) {
-		c.connStall = clampRate(rate)
-		if d <= 0 {
-			d = time.Millisecond
-		}
-		c.connStallFor = d
+		withRate(FaultConnStall, rate)(c)
+		c.connStallFor = orDefault(d)
 	}
-}
-
-// WithDupHello makes a chaos-driven client, with probability rate per
-// connection, send a second HELLO after admission — a protocol violation
-// the daemon must answer by severing the transport (and letting the lease
-// dispose of the process), not by corrupting any session state.
-// Per-connection: folded into the schedule hash.
-func WithDupHello(rate float64) Option {
-	return func(c *config) { c.dupHello = clampRate(rate) }
-}
-
-// WithStaleResume makes a chaos-driven client, with probability rate per
-// connection, attempt a resume with a forged token before its real
-// handshake. The daemon must reject it without touching any live session.
-// Per-connection: folded into the schedule hash.
-func WithStaleResume(rate float64) Option {
-	return func(c *config) { c.staleResume = clampRate(rate) }
 }
 
 func clampRate(r float64) float64 {
-	if r < 0 {
-		return 0
-	}
-	if r > 1 {
-		return 1
-	}
-	return r
+	return min(max(r, 0), 1)
 }
 
 // errInjected is the root cause carried by injected transient errors.
@@ -287,40 +265,7 @@ type Injector struct {
 
 	streams atomic.Uint64 // next stream id
 	hash    atomic.Uint64 // XOR-combined FNV-1a of per-message decisions
-
-	dropped    atomic.Uint64
-	duplicated atomic.Uint64
-	reordered  atomic.Uint64
-	corrupted  atomic.Uint64
-	delayed    atomic.Uint64
-	sendErrs   atomic.Uint64
-	recvErrs   atomic.Uint64
-	stalls     atomic.Uint64
-
-	connDrops          atomic.Uint64
-	connDropBoundaries atomic.Uint64
-	connStalls         atomic.Uint64
-	dupHellos          atomic.Uint64
-	staleResumes       atomic.Uint64
-
-	tm *chaosMetrics
-}
-
-type chaosMetrics struct {
-	dropped    *telemetry.Counter
-	duplicated *telemetry.Counter
-	reordered  *telemetry.Counter
-	corrupted  *telemetry.Counter
-	delayed    *telemetry.Counter
-	sendErrs   *telemetry.Counter
-	recvErrs   *telemetry.Counter
-	stalls     *telemetry.Counter
-
-	connDrops          *telemetry.Counter
-	connDropBoundaries *telemetry.Counter
-	connStalls         *telemetry.Counter
-	dupHellos          *telemetry.Counter
-	staleResumes       *telemetry.Counter
+	counts  [numFaults]atomic.Uint64
 }
 
 // NewInjector builds an injector for seed with the given fault options.
@@ -335,116 +280,25 @@ func NewInjector(seed uint64, opts ...Option) *Injector {
 // Seed reports the injector's seed.
 func (inj *Injector) Seed() uint64 { return inj.seed }
 
-// EnableTelemetry mirrors the fault counters into a metrics registry under
-// chaos.* names. Call before wrapping channels that will be used
-// concurrently.
-func (inj *Injector) EnableTelemetry(m *telemetry.Metrics) {
-	inj.tm = &chaosMetrics{
-		dropped:    m.Counter("chaos.dropped"),
-		duplicated: m.Counter("chaos.duplicated"),
-		reordered:  m.Counter("chaos.reordered"),
-		corrupted:  m.Counter("chaos.corrupted"),
-		delayed:    m.Counter("chaos.delayed"),
-		sendErrs:   m.Counter("chaos.send_errors"),
-		recvErrs:   m.Counter("chaos.recv_errors"),
-		stalls:     m.Counter("chaos.stalls"),
-
-		connDrops:          m.Counter("chaos.conn_drops"),
-		connDropBoundaries: m.Counter("chaos.conn_drop_boundaries"),
-		connStalls:         m.Counter("chaos.conn_stalls"),
-		dupHellos:          m.Counter("chaos.dup_hellos"),
-		staleResumes:       m.Counter("chaos.stale_resumes"),
-	}
-}
-
 // Counts snapshots how many faults have fired so far.
 func (inj *Injector) Counts() Counts {
-	return Counts{
-		Dropped:    inj.dropped.Load(),
-		Duplicated: inj.duplicated.Load(),
-		Reordered:  inj.reordered.Load(),
-		Corrupted:  inj.corrupted.Load(),
-		Delayed:    inj.delayed.Load(),
-		SendErrors: inj.sendErrs.Load(),
-		RecvErrors: inj.recvErrs.Load(),
-		Stalls:     inj.stalls.Load(),
-
-		ConnDrops:          inj.connDrops.Load(),
-		ConnDropBoundaries: inj.connDropBoundaries.Load(),
-		ConnStalls:         inj.connStalls.Load(),
-		DupHellos:          inj.dupHellos.Load(),
-		StaleResumes:       inj.staleResumes.Load(),
+	var c Counts
+	for f := range c {
+		c[f] = inj.counts[f].Load()
 	}
+	return c
 }
 
-func (inj *Injector) count(f Fault) {
-	switch f {
-	case FaultDrop:
-		inj.dropped.Add(1)
-		if inj.tm != nil {
-			inj.tm.dropped.Inc()
-		}
-	case FaultDuplicate:
-		inj.duplicated.Add(1)
-		if inj.tm != nil {
-			inj.tm.duplicated.Inc()
-		}
-	case FaultReorder:
-		inj.reordered.Add(1)
-		if inj.tm != nil {
-			inj.tm.reordered.Inc()
-		}
-	case FaultCorrupt:
-		inj.corrupted.Add(1)
-		if inj.tm != nil {
-			inj.tm.corrupted.Inc()
-		}
-	case FaultDelay:
-		inj.delayed.Add(1)
-		if inj.tm != nil {
-			inj.tm.delayed.Inc()
-		}
-	case FaultSendErr:
-		inj.sendErrs.Add(1)
-		if inj.tm != nil {
-			inj.tm.sendErrs.Inc()
-		}
-	case FaultRecvErr:
-		inj.recvErrs.Add(1)
-		if inj.tm != nil {
-			inj.tm.recvErrs.Inc()
-		}
-	case FaultStall:
-		inj.stalls.Add(1)
-		if inj.tm != nil {
-			inj.tm.stalls.Inc()
-		}
-	case FaultConnDrop:
-		inj.connDrops.Add(1)
-		if inj.tm != nil {
-			inj.tm.connDrops.Inc()
-		}
-	case FaultConnDropBoundary:
-		inj.connDropBoundaries.Add(1)
-		if inj.tm != nil {
-			inj.tm.connDropBoundaries.Inc()
-		}
-	case FaultConnStall:
-		inj.connStalls.Add(1)
-		if inj.tm != nil {
-			inj.tm.connStalls.Inc()
-		}
-	case FaultDupHello:
-		inj.dupHellos.Add(1)
-		if inj.tm != nil {
-			inj.tm.dupHellos.Inc()
-		}
-	case FaultStaleResume:
-		inj.staleResumes.Add(1)
-		if inj.tm != nil {
-			inj.tm.staleResumes.Inc()
-		}
+// fires decides fault f for item idx of stream — a message, a call or a
+// write — and counts it when it fires.
+func (inj *Injector) fires(f Fault, stream, idx uint64) bool {
+	rate := inj.cfg.rate[f]
+	// Top 53 bits of the draw → uniform float64 in [0, 1).
+	if rate <= 0 || float64(inj.draw(f, stream, idx)>>11)/(1<<53) >= rate {
+		return false
 	}
+	inj.counts[f].Add(1)
+	return true
 }
 
 // ScheduleHash digests every per-message fault decision taken so far:
@@ -502,13 +356,4 @@ func (inj *Injector) draw(f Fault, stream, idx uint64) uint64 {
 		stream*0xd1b54a32d192ed03 ^
 		uint64(f)*0x2545f4914f6cdd1d ^
 		splitmix64(idx))
-}
-
-// hit converts a draw into a biased coin with probability rate.
-func hit(r uint64, rate float64) bool {
-	if rate <= 0 {
-		return false
-	}
-	// Top 53 bits → uniform float64 in [0, 1).
-	return float64(r>>11)/(1<<53) < rate
 }

@@ -1,7 +1,11 @@
 package chaos
 
 import (
+	"encoding/json"
+	"io"
 	"math/bits"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,11 +64,11 @@ func TestDropLeavesSequenceGaps(t *testing.T) {
 	msgs := stream(7, 1000)
 	got := drainAll(t, inj.Receiver(ipc.NewReplay(msgs)))
 	c := inj.Counts()
-	if c.Dropped == 0 {
+	if c[FaultDrop] == 0 {
 		t.Fatal("20% drop over 1000 messages fired nothing")
 	}
-	if len(got)+int(c.Dropped) != len(msgs) {
-		t.Fatalf("len(got)=%d + dropped=%d != %d", len(got), c.Dropped, len(msgs))
+	if len(got)+int(c[FaultDrop]) != len(msgs) {
+		t.Fatalf("len(got)=%d + dropped=%d != %d", len(got), c[FaultDrop], len(msgs))
 	}
 	// Survivors keep their original Seq, so every drop is a visible gap.
 	last := uint64(0)
@@ -88,11 +92,11 @@ func TestDuplicateRepeatsExactMessage(t *testing.T) {
 	msgs := stream(9, 1000)
 	got := drainAll(t, inj.Receiver(ipc.NewReplay(msgs)))
 	c := inj.Counts()
-	if c.Duplicated == 0 {
+	if c[FaultDuplicate] == 0 {
 		t.Fatal("10% duplication over 1000 messages fired nothing")
 	}
-	if len(got) != len(msgs)+int(c.Duplicated) {
-		t.Fatalf("len(got)=%d, want %d originals + %d dups", len(got), len(msgs), c.Duplicated)
+	if len(got) != len(msgs)+int(c[FaultDuplicate]) {
+		t.Fatalf("len(got)=%d, want %d originals + %d dups", len(got), len(msgs), c[FaultDuplicate])
 	}
 	dups := 0
 	for i := 1; i < len(got); i++ {
@@ -100,8 +104,8 @@ func TestDuplicateRepeatsExactMessage(t *testing.T) {
 			dups++
 		}
 	}
-	if dups != int(c.Duplicated) {
-		t.Fatalf("found %d adjacent exact duplicates, counter says %d", dups, c.Duplicated)
+	if dups != int(c[FaultDuplicate]) {
+		t.Fatalf("found %d adjacent exact duplicates, counter says %d", dups, c[FaultDuplicate])
 	}
 }
 
@@ -113,7 +117,7 @@ func TestReorderBoundedByWindow(t *testing.T) {
 	if len(got) != len(msgs) {
 		t.Fatalf("reorder changed message count: %d != %d", len(got), len(msgs))
 	}
-	if inj.Counts().Reordered == 0 {
+	if inj.Counts()[FaultReorder] == 0 {
 		t.Fatal("15% reorder over 2000 messages fired nothing")
 	}
 	// Every message may arrive at most `window` positions later than some
@@ -141,7 +145,7 @@ func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 		t.Fatalf("corruption changed message count: %d != %d", len(got), len(msgs))
 	}
 	c := inj.Counts()
-	if c.Corrupted == 0 {
+	if c[FaultCorrupt] == 0 {
 		t.Fatal("10% corruption over 1000 messages fired nothing")
 	}
 	flipped := 0
@@ -161,8 +165,8 @@ func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 			t.Fatalf("corruption touched Op/PID of message %d", i)
 		}
 	}
-	if flipped != int(c.Corrupted) {
-		t.Fatalf("%d messages corrupted, counter says %d", flipped, c.Corrupted)
+	if flipped != int(c[FaultCorrupt]) {
+		t.Fatalf("%d messages corrupted, counter says %d", flipped, c[FaultCorrupt])
 	}
 }
 
@@ -191,7 +195,7 @@ func TestTransientRecvErrorsAreTransient(t *testing.T) {
 	if total != 200 {
 		t.Fatalf("transient errors lost messages: drained %d of 200", total)
 	}
-	if got := inj.Counts().RecvErrors; got != uint64(errs) {
+	if got := inj.Counts()[FaultRecvErr]; got != uint64(errs) {
 		t.Fatalf("observed %d injected errors, counter says %d", errs, got)
 	}
 }
@@ -219,7 +223,7 @@ func TestTransientSendErrorsRetrySafely(t *testing.T) {
 			t.Fatalf("send-error retry perturbed seq: got %d at position %d", m.Seq, i)
 		}
 	}
-	if inj.Counts().SendErrors == 0 {
+	if inj.Counts()[FaultSendErr] == 0 {
 		t.Fatal("30% send-error rate fired nothing")
 	}
 }
@@ -232,7 +236,7 @@ func TestStallDelaysButDeliversEverything(t *testing.T) {
 	if len(got) != len(msgs) {
 		t.Fatalf("stall lost messages: %d != %d", len(got), len(msgs))
 	}
-	if inj.Counts().Stalls == 0 {
+	if inj.Counts()[FaultStall] == 0 {
 		t.Fatal("100% stall rate fired nothing")
 	}
 	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
@@ -280,6 +284,48 @@ func TestDeterministicSchedule(t *testing.T) {
 	if h3 == h1 {
 		t.Fatalf("different seeds produced the same schedule hash %#x", h1)
 	}
+
+	// The connection arm: conn faults are decided per write, outside the
+	// schedule hash, so what pins them is what reaches the far end. Each
+	// injector wraps the same sequence of pipes, in one order, and every
+	// pipe takes the same frame-aligned writes.
+	wire := func(seed uint64) (string, Counts) {
+		inj := NewInjector(seed, WithConnDrop(0.05), WithConnDropAtBoundary(0.05),
+			WithConnStall(0.05, time.Microsecond))
+		var far []byte
+		for c := 0; c < 32; c++ {
+			near, end := net.Pipe()
+			got := make(chan []byte)
+			go func() {
+				b, _ := io.ReadAll(end)
+				got <- b
+			}()
+			w := inj.Conn(near)
+			for k := 1; k <= 8; k++ {
+				msgs := stream(int32(c), k)
+				buf := make([]byte, k*ipc.MessageSize)
+				for i, m := range msgs {
+					m.Encode(buf[i*ipc.MessageSize:])
+				}
+				_, _ = w.Write(buf) // a dropped conn fails this and every later write
+			}
+			w.Close()
+			far = append(far, <-got...)
+			far = append(far, '|')
+		}
+		return string(far), inj.Counts()
+	}
+	w1, n1 := wire(0xfeedface)
+	w2, n2 := wire(0xfeedface)
+	if w1 != w2 || n1 != n2 {
+		t.Fatalf("same seed, different wire: %d vs %d far-end bytes, counts\n  %v\n  %v", len(w1), len(w2), n1, n2)
+	}
+	if n1[FaultConnDrop] == 0 || n1[FaultConnDropBoundary] == 0 || n1[FaultConnStall] == 0 {
+		t.Fatalf("a conn fault never fired over 256 writes: %v", n1)
+	}
+	if w3, n3 := wire(0xdeadbeef); w3 == w1 && n3 == n1 {
+		t.Fatal("different seeds produced the same far-end bytes and counts")
+	}
 }
 
 // TestSenderForwardsPIDRegister guards the supervisor wiring: hiding the
@@ -305,3 +351,32 @@ type recordingRegister struct {
 func (r *recordingRegister) Send(ipc.Message) error { return nil }
 func (r *recordingRegister) Close() error           { return nil }
 func (r *recordingRegister) SetPID(pid int32)       { r.pid = pid }
+
+// TestCountsJSONKeepsItsKeys pins the JSON shape soak artifacts carry: one
+// key per fault class, named as before Counts became an array, and a
+// round trip that loses nothing.
+func TestCountsJSONKeepsItsKeys(t *testing.T) {
+	var c Counts
+	for f := range c {
+		c[f] = uint64(f) * 3
+	}
+	data, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"dropped":3,"duplicated":6,"reordered":9,"corrupted":12,"delayed":15,` +
+		`"send_errors":18,"recv_errors":21,"stalls":24,"conn_drops":27,"conn_drop_boundaries":30,"conn_stalls":33}`
+	if string(data) != want {
+		t.Fatalf("Counts JSON =\n  %s\nwant\n  %s", data, want)
+	}
+	var back Counts
+	if err := json.Unmarshal(data, &back); err != nil || back != c {
+		t.Fatalf("round trip = %v (%v), want %v", back, err, c)
+	}
+	if err := json.Unmarshal([]byte(`{"dup_hellos":1}`), &back); err == nil {
+		t.Fatal("an unknown fault key decoded without error")
+	}
+	if got := c.String(); !strings.HasPrefix(got, "dropped=3 duplicated=6 ") || !strings.HasSuffix(got, " conn_stalls=33") {
+		t.Fatalf("Counts.String() = %q", got)
+	}
+}

@@ -44,12 +44,10 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 		// Already chaos-killed: behave like the closed socket it is.
 		return fc.Conn.Write(p)
 	}
-	if hit(inj.draw(FaultConnStall, fc.stream, i), inj.cfg.connStall) {
-		inj.count(FaultConnStall)
+	if inj.fires(FaultConnStall, fc.stream, i) {
 		time.Sleep(inj.cfg.connStallFor)
 	}
-	if hit(inj.draw(FaultConnDrop, fc.stream, i), inj.cfg.connDrop) {
-		inj.count(FaultConnDrop)
+	if inj.fires(FaultConnDrop, fc.stream, i) {
 		fc.dead.Store(true)
 		// Truncate exactly inside a frame: half the frames of the write and
 		// half of the next one escape, then the transport dies. The far
@@ -67,8 +65,7 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 		fc.Conn.Close()
 		return n, net.ErrClosed
 	}
-	if hit(inj.draw(FaultConnDropBoundary, fc.stream, i), inj.cfg.connDropBoundary) {
-		inj.count(FaultConnDropBoundary)
+	if inj.fires(FaultConnDropBoundary, fc.stream, i) {
 		fc.dead.Store(true)
 		// Truncate exactly AT a frame boundary: half the frames of the write
 		// (rounded down to whole frames) escape, then the transport dies.
@@ -86,40 +83,3 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 	}
 	return fc.Conn.Write(p)
 }
-
-// connStreams hands out per-connection stream identifiers for the
-// handshake-level decisions below; separate from the wrapper streams so a
-// driver that does not wrap its conns still draws deterministically.
-//
-// DupHello decides whether the chaos-driven client on stream should send a
-// duplicate HELLO after admission (a protocol violation the daemon answers
-// by severing). Per-connection, so it is folded into the schedule hash —
-// call it exactly once per connection stream.
-func (inj *Injector) DupHello(stream uint64) bool {
-	f := FaultNone
-	if hit(inj.draw(FaultDupHello, stream, uint64(FaultDupHello)), inj.cfg.dupHello) {
-		f = FaultDupHello
-		inj.count(f)
-	}
-	inj.recordDecision(stream, uint64(FaultDupHello), f)
-	return f == FaultDupHello
-}
-
-// StaleResume decides whether the chaos-driven client on stream should first
-// attempt a resume with a forged token (which the daemon must reject without
-// touching any live session). Per-connection, folded into the schedule hash —
-// call it exactly once per connection stream.
-func (inj *Injector) StaleResume(stream uint64) bool {
-	f := FaultNone
-	if hit(inj.draw(FaultStaleResume, stream, uint64(FaultStaleResume)), inj.cfg.staleResume) {
-		f = FaultStaleResume
-		inj.count(f)
-	}
-	inj.recordDecision(stream, uint64(FaultStaleResume), f)
-	return f == FaultStaleResume
-}
-
-// NextStream allocates a fresh stream identifier from the injector's
-// creation-order counter, for drivers that make per-connection decisions
-// (DupHello, StaleResume) without wrapping a Sender/Receiver/Conn.
-func (inj *Injector) NextStream() uint64 { return inj.streams.Add(1) }

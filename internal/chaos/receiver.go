@@ -62,14 +62,12 @@ func (fr *faultReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 	if !fr.exhausted() {
 		c := fr.calls
 		fr.calls++
-		if hit(inj.draw(FaultRecvErr, fr.stream, c), inj.cfg.recvErr) {
-			inj.count(FaultRecvErr)
+		if inj.fires(FaultRecvErr, fr.stream, c) {
 			return 0, true, ipc.Transient(fmt.Errorf("%w: recv call %d refused", errInjected, c))
 		}
-		if hit(inj.draw(FaultStall, fr.stream, c), inj.cfg.stall) {
+		if inj.fires(FaultStall, fr.stream, c) {
 			// Stall-then-burst: go silent while the producer keeps writing;
 			// the backlog then lands on the verifier as one burst.
-			inj.count(FaultStall)
 			time.Sleep(inj.cfg.stallFor)
 		}
 	}
@@ -106,19 +104,15 @@ func (fr *faultReceiver) pull(want int) {
 		// One fault per message, first match wins; the decision (including
 		// "none") is part of the deterministic schedule.
 		switch {
-		case hit(inj.draw(FaultDrop, fr.stream, i), cfg.drop):
-			inj.count(FaultDrop)
+		case inj.fires(FaultDrop, fr.stream, i):
 			inj.recordDecision(fr.stream, i, FaultDrop)
-		case hit(inj.draw(FaultDuplicate, fr.stream, i), cfg.duplicate):
-			inj.count(FaultDuplicate)
+		case inj.fires(FaultDuplicate, fr.stream, i):
 			inj.recordDecision(fr.stream, i, FaultDuplicate)
 			fr.pending = append(fr.pending, m, m)
-		case hit(inj.draw(FaultCorrupt, fr.stream, i), cfg.corrupt):
-			inj.count(FaultCorrupt)
+		case inj.fires(FaultCorrupt, fr.stream, i):
 			inj.recordDecision(fr.stream, i, FaultCorrupt)
 			fr.pending = append(fr.pending, corrupt(m, inj.draw(FaultNone, fr.stream, i)))
-		case hit(inj.draw(FaultReorder, fr.stream, i), cfg.reorder):
-			inj.count(FaultReorder)
+		case inj.fires(FaultReorder, fr.stream, i):
 			inj.recordDecision(fr.stream, i, FaultReorder)
 			release := i + 1 + inj.draw(FaultNone, fr.stream, i)%uint64(cfg.window)
 			fr.held = append(fr.held, heldMsg{m: m, releaseAt: release})

@@ -35,16 +35,14 @@ func (fs *faultSender) Send(m ipc.Message) error {
 	inj := fs.inj
 	i := fs.idx
 	fs.idx++
-	if hit(inj.draw(FaultSendErr, fs.stream, i), inj.cfg.sendErr) {
+	if inj.fires(FaultSendErr, fs.stream, i) {
 		// The message was never handed to the backend: no sequence number
 		// is consumed, so a retried send is indistinguishable from a clean
 		// one — exactly the contract ipc.SendWithRetry relies on.
-		inj.count(FaultSendErr)
 		inj.recordDecision(fs.stream, i, FaultSendErr)
 		return ipc.Transient(fmt.Errorf("%w: send %d dropped on the floor", errInjected, i))
 	}
-	if hit(inj.draw(FaultDelay, fs.stream, i), inj.cfg.delay) {
-		inj.count(FaultDelay)
+	if inj.fires(FaultDelay, fs.stream, i) {
 		inj.recordDecision(fs.stream, i, FaultDelay)
 		// Jitter amount is drawn deterministically too, in (0, maxDelay].
 		frac := inj.draw(FaultNone, fs.stream, i) % uint64(inj.cfg.maxDelay)

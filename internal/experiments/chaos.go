@@ -119,16 +119,22 @@ func chaosAttributable(reason string, hadViolations bool) bool {
 
 // Chaos is the fault-injection soak behind `hqbench -exp chaos`: an
 // enforcement phase asserting the fail-closed invariants under a seeded
-// fault schedule, an authenticated-channel phase, then a reproducibility
-// phase asserting the schedule is a pure function of the seed. It returns a
-// human-readable report on success and an error naming every violated
-// invariant otherwise.
+// fault schedule, an authenticated-channel phase, then two reproducibility
+// phases asserting the schedule is a pure function of the seed. It returns
+// a SoakReport on success and an error naming every violated invariant
+// otherwise.
 func Chaos(c Config) (Report, error) {
 	seed, procs := c.Seed, c.Procs
 	if procs <= 0 {
 		procs = 12
 	}
-	baseline := runtime.NumGoroutine()
+	rep := &SoakReport{Seed: seed, GoroutineBaseline: runtime.NumGoroutine()}
+	start := time.Now()
+	phase := func(s soak, procs int) error {
+		p, err := s.run(procs)
+		rep.Phases = append(rep.Phases, p)
+		return err
+	}
 
 	// The enforcement phase: mixed clean/violating processes (every third
 	// one violating) under one fail-closed System with CheckSeq on, every
@@ -145,15 +151,14 @@ func Chaos(c Config) (Report, error) {
 			}
 			return []string{fmt.Sprintf("clean %s killed for unattributable reason %q", id, res.KillReason)}
 		}},
-		fired: func(f chaos.Counts, _ soakTally) string {
-			if f.Total() == 0 {
+		fired: func(p SoakPhase) string {
+			if p.Faults.Total() == 0 {
 				return "fault schedule fired nothing: soak proved nothing"
 			}
 			return ""
 		},
 	}
-	rep, err := enforce.run(procs)
-	if err != nil {
+	if err := phase(enforce, procs); err != nil {
 		return Report{}, err
 	}
 
@@ -189,22 +194,20 @@ func Chaos(c Config) (Report, error) {
 				}
 				return errs
 			}},
-		fired: func(f chaos.Counts, t soakTally) string {
-			if tamper := f.Duplicated + f.Corrupted; tamper == 0 {
+		fired: func(p SoakPhase) string {
+			if tamper := p.Faults[chaos.FaultDuplicate] + p.Faults[chaos.FaultCorrupt]; tamper == 0 {
 				return "hmac fault schedule fired nothing: phase proved nothing"
-			} else if t.cleanKilled == 0 {
+			} else if p.CleanKilled == 0 {
 				return fmt.Sprintf("hmac: %d tamper faults fired but no process was killed (silent drop?)", tamper)
 			}
 			return ""
 		},
 	}
-	hmacProcs := min(procs, 8)
-	hrep, err := hmac.run(hmacProcs)
-	if err != nil {
+	if err := phase(hmac, min(procs, 8)); err != nil {
 		return Report{}, err
 	}
 
-	// The reproducibility phase: clean processes only, with every kill path
+	// The reproducibility phases: clean processes only, with every kill path
 	// off — KillOnViolation false, CheckSeq false (counter violations are
 	// always fatal, §3.1.1, so they must not be evaluated here) and
 	// DegradedLogOnly — so every process emits its complete stream and the
@@ -212,10 +215,7 @@ func Chaos(c Config) (Report, error) {
 	// the same seed must produce identical fault counts and schedule hash; a
 	// kill would truncate a stream at a timing-dependent point and break
 	// that.
-	detProcs := min(procs, 4)
-	var hashes [2]uint64
-	var counts [2]chaos.Counts
-	for k := range hashes {
+	for range 2 {
 		det := soak{
 			name: "chaos: determinism",
 			cfg:  supervisor.Config{Epoch: chaosEpoch, Degraded: kernel.DegradedLogOnly},
@@ -224,42 +224,28 @@ func Chaos(c Config) (Report, error) {
 				return []string{fmt.Sprintf("determinism proc %s killed (%s) despite log-only degradation", id, res.KillReason)}
 			}},
 		}
-		if _, err := det.run(detProcs); err != nil {
+		if err := phase(det, min(procs, 4)); err != nil {
 			return Report{}, err
 		}
 		// Per-message fault decisions are a pure function of (seed, stream,
 		// index) and must match exactly. Recv errors and stalls are drawn
 		// per RecvBatch call — how many calls the pump makes is scheduler
-		// timing — so they are excluded from both the schedule hash and this
-		// comparison.
-		hashes[k], counts[k] = det.inj.ScheduleHash(), det.inj.Counts()
-		counts[k].RecvErrors, counts[k].Stalls = 0, 0
+		// timing — so they are excluded from both the schedule hash and
+		// these phases' counts.
+		f := &rep.Phases[len(rep.Phases)-1].Faults
+		f[chaos.FaultRecvErr], f[chaos.FaultStall] = 0, 0
 	}
-	if hashes[0] != hashes[1] || counts[0] != counts[1] {
+	if d1, d2 := rep.Phases[2], rep.Phases[3]; d1.ScheduleHash != d2.ScheduleHash || d1.Faults != d2.Faults {
 		return Report{}, fmt.Errorf(
-			"chaos: seed %#x is not reproducible:\n  run1 hash=%#016x %v\n  run2 hash=%#016x %v",
-			seed, hashes[0], counts[0], hashes[1], counts[1])
+			"chaos: seed %#x is not reproducible:\n  run1 hash=%s %v\n  run2 hash=%s %v",
+			seed, d1.ScheduleHash, d1.Faults, d2.ScheduleHash, d2.Faults)
 	}
 
 	// Zero leaked goroutines: every phase fully shut down.
-	if _, err := settleGoroutines("chaos", baseline); err != nil {
+	var err error
+	if rep.GoroutineSettled, err = settleGoroutines("chaos", rep.GoroutineBaseline); err != nil {
 		return Report{}, err
 	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "seed %#x, %d procs (%d violating), epoch %v\n",
-		seed, procs, rep.violators, chaosEpoch)
-	fmt.Fprintf(&sb, "soak:        %d clean finished, %d clean killed (attributed), %d/%d violators killed, kernel kills=%d, elapsed %v\n",
-		rep.cleanOK, rep.cleanKilled, rep.violatorsKilled, rep.violators, rep.kills,
-		rep.elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&sb, "faults:      %v (schedule hash %#016x)\n", enforce.inj.Counts(), enforce.inj.ScheduleHash())
-	fmt.Fprintf(&sb, "hmac:        %d clean procs, %d finished, %d killed as authentication failures (dup=%d corrupt=%d), kernel kills=%d, elapsed %v\n",
-		hmacProcs, hrep.cleanOK, hrep.cleanKilled, hmac.inj.Counts().Duplicated, hmac.inj.Counts().Corrupted, hrep.kills,
-		hrep.elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&sb, "determinism: 2×%d clean procs, hash %#016x == %#016x, faults %v\n",
-		detProcs, hashes[0], hashes[1], counts[0])
-	sb.WriteString("invariants:  no violator passed a gate; one kill per killed process in every phase; " +
-		"clean deaths attributable; tampered sealed streams die as authentication, " +
-		"never counter gaps or silent drops; no goroutine leak; schedule reproducible\n")
-	return Report{Text: sb.String()}, nil
+	rep.ElapsedMs = time.Since(start).Milliseconds()
+	return Report{rep.Format(), rep}, nil
 }

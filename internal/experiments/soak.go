@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"herqules/internal/chaos"
@@ -34,16 +35,51 @@ type soak struct {
 	attack bool // every third process runs the corrupting victim
 	judge  soakJudge
 	// fired, when set, names what the run left unexercised ("" when the
-	// schedule did what the phase is for), from the injector's counts.
-	fired func(f chaos.Counts, t soakTally) string
+	// schedule did what the phase is for), from the phase's counts.
+	fired func(p SoakPhase) string
 }
 
-// soakTally is what one run counted: the judge's verdicts and what run
-// counted beside them.
-type soakTally struct {
-	cleanOK, cleanKilled, violatorsKilled, violators int
-	kills, resumes                                   uint64
-	elapsed                                          time.Duration
+// SoakPhase is what one soak run counted: the judge's verdicts, what run
+// counted beside them and what the injector fired. Chaos and HQD report
+// every phase they ran in this one shape.
+type SoakPhase struct {
+	Name            string       `json:"name"`
+	Procs           int          `json:"procs"`
+	Violators       int          `json:"violators"`
+	CleanOK         int          `json:"clean_ok"`
+	CleanKilled     int          `json:"clean_killed"`
+	ViolatorsKilled int          `json:"violators_killed"`
+	Kills           uint64       `json:"kernel_kills"`
+	Resumes         uint64       `json:"resumes"`
+	Faults          chaos.Counts `json:"faults"`
+	ScheduleHash    string       `json:"schedule_hash"`
+	ElapsedMs       int64        `json:"elapsed_ms"`
+}
+
+// SoakReport is a soak's machine-readable artifact (`hqbench -exp chaos|hqd
+// -out`): its phases in run order, and the goroutine count it settled back
+// to once every phase had shut down.
+type SoakReport struct {
+	Seed              uint64      `json:"seed"`
+	Phases            []SoakPhase `json:"phases"`
+	GoroutineBaseline int         `json:"goroutine_baseline"`
+	GoroutineSettled  int         `json:"goroutine_settled"`
+	ElapsedMs         int64       `json:"elapsed_ms"`
+}
+
+// Format renders a soak report: one line per phase and its faults under it.
+func (r *SoakReport) Format() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "seed %#x\n", r.Seed)
+	for _, p := range r.Phases {
+		fmt.Fprintf(&sb, "%-19s %d procs (%d violating): %d clean finished, %d clean killed, %d/%d violators killed, kernel kills=%d, resumes=%d, elapsed %v\n",
+			p.Name+":", p.Procs, p.Violators, p.CleanOK, p.CleanKilled, p.ViolatorsKilled, p.Violators,
+			p.Kills, p.Resumes, time.Duration(p.ElapsedMs)*time.Millisecond)
+		fmt.Fprintf(&sb, "%19s faults %v, schedule hash %s\n", "", p.Faults, p.ScheduleHash)
+	}
+	fmt.Fprintf(&sb, "teardown: goroutines %d -> %d (baseline), elapsed %v\n",
+		r.GoroutineBaseline, r.GoroutineSettled, time.Duration(r.ElapsedMs)*time.Millisecond)
+	return sb.String()
 }
 
 // soakOutcome is one process's end, as run collects it. Only a ring process
@@ -57,21 +93,21 @@ type soakOutcome struct {
 
 // run launches procs processes, collects them within the wall budget, judges
 // each and drains the System (or the daemon in front of it). It returns the
-// tally, and an error naming every violated invariant or why the soak could
+// phase, and an error naming every violated invariant or why the soak could
 // not run to the end. Beside the judgement and the fired check it holds
 // every soak to one invariant of its own: exactly one kernel kill per killed
 // process. The verifier marks a context dead on its first fatal violation
 // and the kernel's Kill is idempotent, so fault-induced violation storms,
 // resumes and lease scans must not double-kill, and a clean exit must not
 // end in a kill.
-func (s soak) run(procs int) (soakTally, error) {
+func (s soak) run(procs int) (SoakPhase, error) {
 	cleanIns, err := chaosVictim(false)
 	if err != nil {
-		return soakTally{}, err
+		return SoakPhase{}, err
 	}
 	attackIns, err := chaosVictim(true)
 	if err != nil {
-		return soakTally{}, err
+		return SoakPhase{}, err
 	}
 	violator := func(i int) bool { return s.attack && i%3 == 2 }
 	victim := func(i int) *compiler.Instrumented {
@@ -93,7 +129,7 @@ func (s soak) run(procs int) (soakTally, error) {
 		sockDir, err := os.MkdirTemp("", "hqd-soak-")
 		if err != nil {
 			abort(sys)
-			return soakTally{}, err
+			return SoakPhase{}, err
 		}
 		defer os.RemoveAll(sockDir)
 		sock := filepath.Join(sockDir, "hqd.sock")
@@ -105,7 +141,7 @@ func (s soak) run(procs int) (soakTally, error) {
 		}
 		if err != nil {
 			abort(srv)
-			return soakTally{}, fmt.Errorf("%s: listen: %w", s.name, err)
+			return SoakPhase{}, fmt.Errorf("%s: listen: %w", s.name, err)
 		}
 		for i := 0; i < procs; i++ {
 			network, addr := "tcp", tcp.Addr().String()
@@ -129,7 +165,7 @@ func (s soak) run(procs int) (soakTally, error) {
 			}})
 			if err != nil {
 				abort(sys)
-				return soakTally{}, fmt.Errorf("%s: launch %d: %w", s.name, i, err)
+				return SoakPhase{}, fmt.Errorf("%s: launch %d: %w", s.name, i, err)
 			}
 			handles[i] = p
 		}
@@ -151,35 +187,37 @@ func (s soak) run(procs int) (soakTally, error) {
 		case o = <-outcomes:
 		case <-timeout:
 			abort(stop)
-			return soakTally{}, fmt.Errorf("%s: wall budget %v exceeded with %d/%d processes outstanding",
+			return SoakPhase{}, fmt.Errorf("%s: wall budget %v exceeded with %d/%d processes outstanding",
 				s.name, budget, procs-n, procs)
 		}
 		if o.err != nil {
 			abort(stop)
-			return soakTally{}, fmt.Errorf("%s: proc %d: %w", s.name, o.i, o.err)
+			return SoakPhase{}, fmt.Errorf("%s: proc %d: %w", s.name, o.i, o.err)
 		}
 		if violator(o.i) {
-			j.violators++
+			j.Violators++
 		}
-		j.resumes += o.resumes
+		j.Resumes += o.resumes
 		j.judge(fmt.Sprintf("%d (pid %d)", o.i, o.PID), violator(o.i), o.Result, o.PolicyViolations)
 	}
 	if err := drain(stop); err != nil {
-		return soakTally{}, fmt.Errorf("%s: shutdown: %w", s.name, err)
+		return SoakPhase{}, fmt.Errorf("%s: shutdown: %w", s.name, err)
 	}
-	j.elapsed = time.Since(start)
+	p := &j.SoakPhase
+	p.Name, p.Procs, p.ElapsedMs = s.name, procs, time.Since(start).Milliseconds()
+	p.Faults, p.ScheduleHash = s.inj.Counts(), fmt.Sprintf("%#016x", s.inj.ScheduleHash())
 
-	j.kills = m.Snapshot().Counters["kernel.kills"].Total
-	if killed := j.cleanKilled + j.violatorsKilled; j.kills != uint64(killed) {
+	p.Kills = m.Snapshot().Counters["kernel.kills"].Total
+	if killed := p.CleanKilled + p.ViolatorsKilled; p.Kills != uint64(killed) {
 		j.errs = append(j.errs, fmt.Sprintf("kernel.kills = %d, want exactly %d (one per killed process)",
-			j.kills, killed))
+			p.Kills, killed))
 	}
 	if s.fired != nil {
-		if msg := s.fired(s.inj.Counts(), j.soakTally); msg != "" {
+		if msg := s.fired(*p); msg != "" {
 			j.errs = append(j.errs, msg)
 		}
 	}
-	return j.soakTally, failures(s.name, j.errs)
+	return *p, failures(s.name, j.errs)
 }
 
 // remote runs one instrumented program as an hqd client: its messages cross
@@ -240,7 +278,7 @@ type soakJudge struct {
 	// violates (none: the soak explains it); id names the process.
 	cleanDeath func(id string, res *vm.Result, viols []*policy.Violation) []string
 
-	soakTally
+	SoakPhase
 	errs []string
 }
 
@@ -251,19 +289,19 @@ func (j *soakJudge) judge(id string, violator bool, res *vm.Result, viols []*pol
 	case violator && !res.Killed:
 		j.fail("violator %s was not killed", id)
 	case violator:
-		j.violatorsKilled++
+		j.ViolatorsKilled++
 		if res.ExitCode == 99 {
 			j.fail("violator %s: gated payload committed", id)
 		}
 	case res.Killed:
-		j.cleanKilled++
+		j.CleanKilled++
 		j.errs = append(j.errs, j.cleanDeath(id, res, viols)...)
 	case res.Err != nil:
 		j.fail("clean %s: error %v", id, res.Err)
 	case len(res.Output) != 1 || res.Output[0] != 42:
 		j.fail("clean %s: output %v, want [42]%s", id, res.Output, j.outputHint)
 	default:
-		j.cleanOK++
+		j.CleanOK++
 	}
 }
 

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -15,28 +17,50 @@ import (
 // seed and three others: a different fault schedule must satisfy the same
 // invariants. Each soak enforces its invariants itself (violators never pass
 // a gate, every kill is attributed and counted exactly once, goroutines
-// drain, schedules reproduce), so any violation is an error from it.
+// drain, schedules reproduce), so any violation is an error from it. Both
+// hand back a SoakReport that survives a JSON round trip with every phase.
 func TestSoaksHoldAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soaks skipped in -short mode")
 	}
 	for _, seed := range []uint64{0xda0517, 7, 1, 42} {
-		t.Run(fmt.Sprintf("chaos/%#x", seed), func(t *testing.T) {
-			rep, err := Chaos(Config{Seed: seed, Procs: 6})
-			if err != nil {
-				t.Fatalf("chaos soak at seed %#x: %v", seed, err)
-			}
-			for _, want := range []string{"soak:", "hmac:", "determinism:", "invariants:"} {
-				if !strings.Contains(rep.Text, want) {
-					t.Errorf("report missing %q section:\n%s", want, rep.Text)
+		for _, tc := range []struct {
+			name   string
+			run    func(Config) (Report, error)
+			procs  int // 0: the soak's default
+			phases []string
+		}{
+			{"chaos", Chaos, 6, []string{"chaos", "chaos: hmac", "chaos: determinism", "chaos: determinism"}},
+			{"hqd", HQD, 0, []string{"hqd"}},
+		} {
+			t.Run(fmt.Sprintf("%s/%#x", tc.name, seed), func(t *testing.T) {
+				rep, err := tc.run(Config{Seed: seed, Procs: tc.procs})
+				if err != nil {
+					t.Fatalf("%s soak at seed %#x: %v", tc.name, seed, err)
 				}
-			}
-		})
-		t.Run(fmt.Sprintf("hqd/%#x", seed), func(t *testing.T) {
-			if _, err := HQD(Config{Seed: seed}); err != nil {
-				t.Fatalf("hqd soak at seed %#x: %v", seed, err)
-			}
-		})
+				data, err := json.Marshal(rep.Data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var back SoakReport
+				if err := json.Unmarshal(data, &back); err != nil {
+					t.Fatalf("report does not decode as a SoakReport: %v\n%s", err, data)
+				}
+				if !reflect.DeepEqual(&back, rep.Data) {
+					t.Errorf("round trip changed the report:\n  %+v\n  %+v", back, rep.Data)
+				}
+				var names []string
+				for _, p := range back.Phases {
+					names = append(names, p.Name)
+					if !strings.Contains(rep.Text, p.Name+":") {
+						t.Errorf("report text has no %q line:\n%s", p.Name, rep.Text)
+					}
+				}
+				if back.Seed != seed || !slices.Equal(names, tc.phases) {
+					t.Errorf("seed %#x, phases %q: want %#x and %q", back.Seed, names, seed, tc.phases)
+				}
+			})
+		}
 	}
 }
 
@@ -77,8 +101,8 @@ func TestSoakJudgeCatchesEachInvariant(t *testing.T) {
 	j.judge("0", false, &vm.Result{Output: []uint64{42}}, nil)
 	j.judge("1", true, &vm.Result{Killed: true}, nil)
 	j.judge("2", false, &vm.Result{Killed: true, KillReason: "explained"}, nil)
-	if len(j.errs) != 0 || j.cleanOK != 1 || j.violatorsKilled != 1 || j.cleanKilled != 1 {
+	if len(j.errs) != 0 || j.CleanOK != 1 || j.ViolatorsKilled != 1 || j.CleanKilled != 1 {
 		t.Errorf("accepted outcomes: errs %q, tally %d/%d/%d, want none and 1/1/1",
-			j.errs, j.cleanOK, j.violatorsKilled, j.cleanKilled)
+			j.errs, j.CleanOK, j.ViolatorsKilled, j.CleanKilled)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"herqules/internal/ipc"
@@ -110,9 +109,6 @@ type Client struct {
 	wg sync.WaitGroup
 }
 
-// clientJitter seeds the resume backoff's splitmix64 stream.
-var clientJitter atomic.Uint64
-
 // resumeBackoff is the reconnect ladder: full jitter under an exponential
 // envelope (1ms base, 50ms cap) so a rack of clients severed by one network
 // event does not re-dial in lockstep.
@@ -129,13 +125,7 @@ func resumeBackoff(attempt int) time.Duration {
 			ceil = cap
 		}
 	}
-	x := clientJitter.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return 1 + time.Duration(x%uint64(ceil))
+	return ipc.Jitter(ceil)
 }
 
 // Dial connects, performs the HELLO admission handshake, and starts the

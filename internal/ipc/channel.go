@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -95,18 +94,14 @@ func RetryBackoff(attempt int) time.Duration {
 	return d
 }
 
-// jitterState seeds JitteredBackoff's lock-free splitmix64 stream. A shared
-// atomic counter decorrelates concurrent retriers (each Add claims a distinct
-// stream position) without consulting a global RNG.
+// jitterState seeds Jitter's lock-free splitmix64 stream. A shared atomic
+// counter decorrelates concurrent retriers (each Add claims a distinct stream
+// position) without consulting a global RNG.
 var jitterState atomic.Uint64
 
-// JitteredBackoff returns a full-jitter sleep for retry attempt n: uniform in
-// [1, RetryBackoff(n)]. Deterministic backoff synchronizes retry stampedes —
-// every connection that failed together retries together, re-colliding at
-// each rung of the ladder — so sleeps are drawn uniformly under the
-// exponential envelope instead of sitting on it.
-func JitteredBackoff(attempt int) time.Duration {
-	ceil := RetryBackoff(attempt)
+// Jitter draws a sleep uniformly from [1ns, ceil]: the full-jitter draw every
+// retry ladder in the module sleeps on, each under its own envelope.
+func Jitter(ceil time.Duration) time.Duration {
 	x := jitterState.Add(0x9e3779b97f4a7c15)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -116,27 +111,23 @@ func JitteredBackoff(attempt int) time.Duration {
 	return 1 + time.Duration(x%uint64(ceil))
 }
 
-// SendWithRetry sends m through s, retrying transient failures with
-// exponential backoff up to attempts tries (<= 0 selects
-// DefaultSendAttempts). Terminal errors return immediately. When the retry
-// budget is exhausted the last transient error is converted into a terminal
-// one — a transport that fails persistently is indistinguishable from a
-// broken one, and the enforcement path must degrade fail-closed, not spin.
-func SendWithRetry(s Sender, m Message, attempts int) error {
-	return SendWithRetryCtx(context.Background(), s, m, attempts)
-}
+// JitteredBackoff returns a full-jitter sleep for retry attempt n: uniform in
+// [1, RetryBackoff(n)]. Deterministic backoff synchronizes retry stampedes —
+// every connection that failed together retries together, re-colliding at
+// each rung of the ladder — so sleeps are drawn uniformly under the
+// exponential envelope instead of sitting on it.
+func JitteredBackoff(attempt int) time.Duration { return Jitter(RetryBackoff(attempt)) }
 
-// SendWithRetryCtx is SendWithRetry with a cancellation point at every rung
-// of the backoff ladder: a canceled context interrupts the sleep and returns
-// the context's error (terminal — cancellation is not a transport fault, so
-// it is deliberately not marked Transient). Sleeps use JitteredBackoff so
-// connections that failed together do not retry in lockstep.
-func SendWithRetryCtx(ctx context.Context, s Sender, m Message, attempts int) error {
+// SendWithRetry sends m through s, retrying transient failures with
+// jittered exponential backoff (JitteredBackoff) up to attempts tries (<= 0
+// selects DefaultSendAttempts). Terminal errors return immediately. When the
+// retry budget is exhausted the last transient error is converted into a
+// terminal one — a transport that fails persistently is indistinguishable
+// from a broken one, and the enforcement path must degrade fail-closed, not
+// spin.
+func SendWithRetry(s Sender, m Message, attempts int) error {
 	if attempts <= 0 {
 		attempts = DefaultSendAttempts
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("ipc: send canceled: %w", err)
 	}
 	var err error
 	for try := 1; try <= attempts; try++ {
@@ -145,15 +136,10 @@ func SendWithRetryCtx(ctx context.Context, s Sender, m Message, attempts int) er
 			return err
 		}
 		if try < attempts {
-			t := time.NewTimer(JitteredBackoff(try))
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				// %v for the send error: the terminal result must not unwrap
-				// to the TransientError (see the exhaustion return below).
-				return fmt.Errorf("ipc: send canceled after %d attempts (%v): %w", try, err, ctx.Err())
-			case <-t.C:
-			}
+			// A timer, not time.Sleep: a sub-microsecond Sleep often
+			// oversleeps by a millisecond on Linux, a timer's channel fires
+			// within microseconds, and the ladder's first rungs are 1–4 µs.
+			<-time.NewTimer(JitteredBackoff(try)).C
 		}
 	}
 	// %v, not %w: the returned error must NOT unwrap to the TransientError,

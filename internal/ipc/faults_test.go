@@ -178,6 +178,11 @@ func TestSendWithRetryExhaustionIsTerminal(t *testing.T) {
 	if s2.attempts != 1 {
 		t.Errorf("terminal error retried %d times", s2.attempts)
 	}
+	// A budget <= 0 selects DefaultSendAttempts.
+	s3 := &flakySender{failures: 1 << 30}
+	if err := SendWithRetry(s3, Message{}, 0); err == nil || IsTransient(err) || s3.attempts != DefaultSendAttempts {
+		t.Errorf("default budget: err = %v after %d attempts, want terminal after %d", err, s3.attempts, DefaultSendAttempts)
+	}
 }
 
 type closedSender struct{ attempts int }

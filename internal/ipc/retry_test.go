@@ -1,8 +1,6 @@
 package ipc
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
 )
@@ -55,57 +53,5 @@ func TestJitteredBackoffUnderEnvelope(t *testing.T) {
 		if !varied && ceil > 1 {
 			t.Errorf("JitteredBackoff(%d) returned %v 257 times; jitter is not jittering", n, first)
 		}
-	}
-}
-
-func TestSendWithRetryCtxCancelInterruptsBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// Pre-canceled context: no Send at all.
-	s := &flakySender{failures: 1 << 30}
-	err := SendWithRetryCtx(ctx, s, Message{Op: OpCounterInc}, 0)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled context: err = %v, want context.Canceled", err)
-	}
-	if s.attempts != 0 {
-		t.Errorf("pre-canceled context still attempted %d sends", s.attempts)
-	}
-	// Cancellation is terminal, not transient: a retry loop above this one
-	// must not spin on a canceled context.
-	if IsTransient(err) {
-		t.Error("context cancellation classified transient")
-	}
-
-	// Cancel mid-ladder: the sleep must be interrupted promptly even though
-	// the transient failures would otherwise burn the whole budget.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	s2 := &flakySender{failures: 1 << 30}
-	done := make(chan error, 1)
-	go func() { done <- SendWithRetryCtx(ctx2, s2, Message{Op: OpCounterInc}, 1<<20) }()
-	time.Sleep(2 * time.Millisecond)
-	cancel2()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("mid-ladder cancel: err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("SendWithRetryCtx did not observe cancellation")
-	}
-}
-
-func TestSendWithRetryCtxMatchesUncanceledSemantics(t *testing.T) {
-	s := &flakySender{failures: 2}
-	if err := SendWithRetryCtx(context.Background(), s, Message{Op: OpCounterInc}, 4); err != nil {
-		t.Fatalf("retry within budget failed: %v", err)
-	}
-	if len(s.sent) != 1 || s.attempts != 3 {
-		t.Errorf("sent=%d attempts=%d, want 1 message on the 3rd attempt", len(s.sent), s.attempts)
-	}
-	// Exhaustion stays terminal and non-transient through the ctx variant.
-	s2 := &flakySender{failures: 1 << 30}
-	err := SendWithRetryCtx(context.Background(), s2, Message{}, 3)
-	if err == nil || IsTransient(err) {
-		t.Errorf("exhausted budget: err = %v, want terminal non-transient", err)
 	}
 }

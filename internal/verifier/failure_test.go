@@ -373,7 +373,6 @@ func TestPumpTransientFaultThatNeverClearsIsTerminal(t *testing.T) {
 	g := newFakeGate()
 	m := telemetry.New(1)
 	v := NewSharded(cfiFactory, g, 2)
-	v.MaxRecvRetries = 3
 	v.EnableTelemetry(m)
 	v.ProcessStarted(1)
 	v.Pump(&transientReceiver{sticky: ipc.Transient(errors.New("wedged ring"))})
@@ -381,8 +380,8 @@ func TestPumpTransientFaultThatNeverClearsIsTerminal(t *testing.T) {
 		t.Fatalf("unattributed transient exhaustion killed: %v", g.kills)
 	}
 	snap := m.Snapshot()
-	if got := snap.Counters["verifier.recv_transient_retries"].Total; got != 3 {
-		t.Errorf("recv_transient_retries = %d, want exactly MaxRecvRetries=3", got)
+	if got := snap.Counters["verifier.recv_transient_retries"].Total; got != DefaultMaxRecvRetries {
+		t.Errorf("recv_transient_retries = %d, want exactly DefaultMaxRecvRetries=%d", got, DefaultMaxRecvRetries)
 	}
 	if got := snap.Counters["verifier.recv_terminal_errors"].Total; got != 1 {
 		t.Errorf("recv_terminal_errors = %d, want 1", got)

@@ -42,10 +42,6 @@ import (
 // re-reads or drops them.
 func (v *Verifier) Pump(r ipc.Receiver) {
 	tm := v.tm
-	maxRetries := v.MaxRecvRetries
-	if maxRetries <= 0 {
-		maxRetries = DefaultMaxRecvRetries
-	}
 	retries := 0
 	buf := make([]ipc.Message, DefaultBatchSize)
 	for {
@@ -61,7 +57,7 @@ func (v *Verifier) Pump(r ipc.Receiver) {
 		}
 		v.deliverRuns(buf[:n], true)
 		if err != nil {
-			if ipc.IsTransient(err) && retries < maxRetries {
+			if ipc.IsTransient(err) && retries < DefaultMaxRecvRetries {
 				retries++
 				if tm != nil {
 					tm.retries.Inc()

@@ -109,8 +109,7 @@ type shard struct {
 	_   [cacheLinePad - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(map[int32]*procCtx(nil))+unsafe.Sizeof([1]ipc.Message{}))%cacheLinePad]byte
 }
 
-// Pump tuning: the burst size is fixed; the Verifier's MaxRecvRetries field
-// overrides the retry bound.
+// Pump tuning: the burst size and the retry bound are fixed.
 const (
 	// DefaultBatchSize is the per-RecvBatch burst size used by Pump, and so
 	// the most messages of one source the verifier ever holds.
@@ -160,12 +159,6 @@ type Verifier struct {
 	// sequence numbers means messages were dropped or overwritten, which
 	// is itself a fatal integrity violation (§3.1.1).
 	CheckSeq bool
-
-	// MaxRecvRetries overrides DefaultMaxRecvRetries, the number of times a
-	// pump drain loop retries a transient receive error (ipc.IsTransient)
-	// with backoff before treating the source as terminally failed
-	// (0 keeps the default).
-	MaxRecvRetries int
 
 	totalMessages atomic.Uint64
 
