@@ -47,8 +47,12 @@ vet:
 # to watch and costs 8x (internal/verify's own tests do run under it). check
 # also fails when a non-test file outside internal/dsched, internal/kernel and
 # internal/verify names the kernel's revert hooks (the pre-fix races the
-# checker's detectors reopen), and prints the checker's coverage of the
-# trusted core (verify-cover). check leaves `git status` clean: nothing here
+# checker's detectors reopen), fails when a non-test file under
+# internal/verifier, internal/kernel or internal/supervisor calls time.Sleep
+# or time.After (the enforcement path never sleeps: the kernel's epoch wait
+# is a dsched.AfterFunc timer and a condition variable, and a drain ends at
+# its first receive error instead of backing off), and prints the checker's
+# coverage of the trusted core (verify-cover). check leaves `git status` clean: nothing here
 # writes outside .bench_build/ and bench/out/.
 check: vet build
 	GOARCH=arm64 $(GO) vet ./internal/ipc ./internal/policy ./internal/hqnet
@@ -59,6 +63,9 @@ check: vet build
 		'Revert(LateNotify|EpochTimer)|Reverted\(|Unsafe(LateNotify|EpochTimer)' . | \
 		grep -vE '^\./internal/(dsched|kernel|verify)/'); if [ -n "$$named" ]; then \
 		echo "revert hooks named outside internal/{dsched,kernel,verify}:"; echo "$$named"; exit 1; fi
+	@slept=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'time\.(Sleep|After)\(' \
+		internal/verifier internal/kernel internal/supervisor); if [ -n "$$slept" ]; then \
+		echo "time.Sleep or time.After on the enforcement path:"; echo "$$slept"; exit 1; fi
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
 	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints' ./internal/ipc
 	$(GO) test -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints' ./internal/ipc
@@ -100,7 +107,8 @@ verify-cover:
 # the four enforcement soaks on one driver and the obs smoke and hqd lease
 # phases deleted, 25 190 with policies taking a run of messages per call,
 # 25 246 with the ring's one-store send, 24 823 with the chaos injector's
-# faults in tables, the hqd abuse battery deleted and one soak report;
+# faults in tables, the hqd abuse battery deleted and one soak report,
+# 24 675 with every channel error terminal and the retry ladders gone;
 # the kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount

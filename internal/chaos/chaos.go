@@ -1,20 +1,20 @@
 // Package chaos is a deterministic fault injector for the HerQules IPC
 // plane. It wraps any ipc.Sender / ipc.Receiver pair with composable fault
 // stages — message drop, duplication, bounded reordering, payload bit-flip
-// corruption, send delay/jitter, receive stall-then-burst, and transient
-// send/receive errors — so the verifier→kernel enforcement path can be
-// soaked against exactly the failure classes its design claims to survive:
-// a dropped or replayed message must surface as a CheckSeq violation
-// (§3.1.1), a silent channel must surface as an epoch expiry (§2.2), and a
-// transient transport hiccup must be retried rather than degrade anything.
+// corruption, send delay/jitter and receive stall-then-burst — and a
+// net.Conn with connection faults, so the verifier→kernel enforcement path
+// can be soaked against exactly the failure classes its design claims to
+// survive: a dropped or replayed message must surface as a CheckSeq
+// violation (§3.1.1), and a silent channel must surface as an epoch expiry
+// (§2.2). A late message or a late burst must change nothing.
 //
 // Determinism. Every per-message fault decision is a pure function of
 // (seed, stream, message index): the same seed over the same message
 // streams yields bit-identical fault schedules, independent of scheduling,
-// timing, or how receives batch. Per-call faults (stall-then-burst,
-// transient receive errors) necessarily depend on how many RecvBatch calls
-// the consumer makes — a timing artifact — so they are decided from a
-// separate per-call counter and excluded from the schedule hash.
+// timing, or how receives batch. The stall-then-burst fault necessarily
+// depends on how many RecvBatch calls the consumer makes — a timing
+// artifact — so it is decided from a separate per-call counter and excluded
+// from the schedule hash.
 //
 // The injector itself is pure wrapping: code that does not install a
 // wrapper pays nothing, and a wrapper whose rates are all zero only pays a
@@ -23,7 +23,6 @@ package chaos
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -35,7 +34,8 @@ type Fault int
 
 // Fault classes, in schedule-hash encoding order. FaultNone must stay zero:
 // a clean message hashes as decision 0. A class keeps its number for good:
-// draw hashes it, so renumbering one would move every schedule.
+// draw hashes it, so renumbering one would move every schedule. A retired
+// class leaves its number unused.
 const (
 	FaultNone      Fault = iota
 	FaultDrop            // receiver discards the message
@@ -43,8 +43,8 @@ const (
 	FaultReorder         // message delivered late, within the reorder window
 	FaultCorrupt         // one payload bit flipped before delivery
 	FaultDelay           // sender sleeps before the send
-	FaultSendErr         // Send returns a transient error (message not sent)
-	FaultRecvErr         // RecvBatch returns a transient error (per call)
+	_                    // retired: Send failed and was retried
+	_                    // retired: RecvBatch failed and was retried
 	FaultStall           // RecvBatch stalls, then delivers the backlog burst
 
 	// Connection-level faults for the networked attestation plane
@@ -57,7 +57,8 @@ const (
 )
 
 // faultNames gives each fault its one name: what String prints and the key
-// Counts carries it under, in text and in JSON.
+// Counts carries it under, in text and in JSON. A retired number has none,
+// and Counts skips it.
 var faultNames = [numFaults]string{
 	FaultNone:             "none",
 	FaultDrop:             "dropped",
@@ -65,8 +66,6 @@ var faultNames = [numFaults]string{
 	FaultReorder:          "reordered",
 	FaultCorrupt:          "corrupted",
 	FaultDelay:            "delayed",
-	FaultSendErr:          "send_errors",
-	FaultRecvErr:          "recv_errors",
 	FaultStall:            "stalls",
 	FaultConnDrop:         "conn_drops",
 	FaultConnDropBoundary: "conn_drop_boundaries",
@@ -74,14 +73,14 @@ var faultNames = [numFaults]string{
 }
 
 func (f Fault) String() string {
-	if f >= 0 && f < numFaults {
+	if f >= 0 && f < numFaults && faultNames[f] != "" {
 		return faultNames[f]
 	}
 	return fmt.Sprintf("fault(%d)", int(f))
 }
 
 // Counts is how many times each fault actually fired, indexed by Fault.
-// FaultNone's slot stays zero.
+// FaultNone's slot and the retired ones stay zero.
 type Counts [numFaults]uint64
 
 // Total sums every fired fault.
@@ -97,6 +96,9 @@ func (c Counts) Total() uint64 {
 func (c Counts) String() string {
 	var sb strings.Builder
 	for f := FaultDrop; f < numFaults; f++ {
+		if faultNames[f] == "" {
+			continue
+		}
 		if f > FaultDrop {
 			sb.WriteByte(' ')
 		}
@@ -109,6 +111,9 @@ func (c Counts) String() string {
 func (c Counts) MarshalJSON() ([]byte, error) {
 	b := []byte{'{'}
 	for f := FaultDrop; f < numFaults; f++ {
+		if faultNames[f] == "" {
+			continue
+		}
 		if f > FaultDrop {
 			b = append(b, ',')
 		}
@@ -129,7 +134,7 @@ func (c *Counts) UnmarshalJSON(data []byte) error {
 		for f < numFaults && faultNames[f] != name {
 			f++
 		}
-		if f == numFaults {
+		if f == numFaults || name == "" {
 			return fmt.Errorf("chaos: unknown fault %q", name)
 		}
 		c[f] = n
@@ -197,16 +202,6 @@ func WithDelay(rate float64, max time.Duration) Option {
 	}
 }
 
-// WithTransientSendErrors fails each Send with an ipc.Transient error with
-// probability rate. The message is not sent; a correct producer retries
-// (ipc.SendWithRetry) and no sequence number is consumed.
-func WithTransientSendErrors(rate float64) Option { return withRate(FaultSendErr, rate) }
-
-// WithTransientRecvErrors fails each RecvBatch call with an ipc.Transient
-// error with probability rate, exercising the pump's bounded retry path.
-// Call-scoped: excluded from the schedule hash.
-func WithTransientRecvErrors(rate float64) Option { return withRate(FaultRecvErr, rate) }
-
 // WithStall makes each RecvBatch call, with probability rate, sleep for d
 // before reading — the backlog then arrives as one burst. Call-scoped:
 // excluded from the schedule hash.
@@ -250,9 +245,6 @@ func WithConnStall(rate float64, d time.Duration) Option {
 func clampRate(r float64) float64 {
 	return min(max(r, 0), 1)
 }
-
-// errInjected is the root cause carried by injected transient errors.
-var errInjected = errors.New("chaos: injected fault")
 
 // Injector derives deterministic fault schedules from one seed and hands out
 // Sender/Receiver wrappers that apply them. One Injector may wrap any number
@@ -305,7 +297,7 @@ func (inj *Injector) fires(f Fault, stream, idx uint64) bool {
 // FNV-1a over (stream, index, decision) records, XOR-combined so the digest
 // is independent of goroutine interleaving. Two runs with the same seed,
 // wrapping order, and message streams produce the same hash even when their
-// timing differs; call-scoped faults (stall, transient receive errors) are
+// timing differs; call-scoped faults (stalls, connection faults) are
 // deliberately outside the digest.
 func (inj *Injector) ScheduleHash() uint64 { return inj.hash.Load() }
 

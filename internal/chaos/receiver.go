@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"time"
 
 	"herqules/internal/ipc"
@@ -15,8 +14,8 @@ type heldMsg struct {
 }
 
 // faultReceiver applies consumer-side faults — drop, duplication, bounded
-// reorder, payload corruption, stall-then-burst, and transient receive
-// errors — around a wrapped receiver. All integrity-violating faults live
+// reorder, payload corruption and stall-then-burst — around a wrapped
+// receiver. All integrity-violating faults live
 // here rather than in the sender because the backends assign sequence
 // numbers inside Send: only a message that already carries its Seq can be
 // dropped, replayed, or corrupted in a way the verifier's CheckSeq and
@@ -55,16 +54,13 @@ func (fr *faultReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 	}
 	inj := fr.inj
 
-	// Call-scoped faults fire before any receive work. They are decided
+	// The call-scoped stall fires before any receive work. It is decided
 	// from the call counter, not the message index: how many calls a
-	// consumer makes is a timing artifact, which is also why these
-	// decisions stay out of the schedule hash.
+	// consumer makes is a timing artifact, which is also why the decision
+	// stays out of the schedule hash.
 	if !fr.exhausted() {
 		c := fr.calls
 		fr.calls++
-		if inj.fires(FaultRecvErr, fr.stream, c) {
-			return 0, true, ipc.Transient(fmt.Errorf("%w: recv call %d refused", errInjected, c))
-		}
 		if inj.fires(FaultStall, fr.stream, c) {
 			// Stall-then-burst: go silent while the producer keeps writing;
 			// the backlog then lands on the verifier as one burst.

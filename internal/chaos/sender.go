@@ -1,25 +1,24 @@
 package chaos
 
 import (
-	"fmt"
 	"time"
 
 	"herqules/internal/ipc"
 )
 
-// faultSender applies producer-side faults — transient send errors and
-// delay/jitter — around a wrapped sender. Producer-side faults deliberately
-// exclude drops and corruption: every backend in the ipc package assigns
-// the message's sequence number inside Send, so a message discarded before
-// Send would never consume a sequence number and the verifier's CheckSeq
-// could not see the loss. Loss and corruption are injected on the receiver
-// side (see faultReceiver), where they are observable as the integrity
-// violations the design must catch.
+// faultSender applies the one producer-side fault — delay/jitter — around a
+// wrapped sender. Producer-side faults deliberately exclude drops and
+// corruption: every backend in the ipc package assigns the message's
+// sequence number inside Send, so a message discarded before Send would
+// never consume a sequence number and the verifier's CheckSeq could not see
+// the loss. Loss and corruption are injected on the receiver side (see
+// faultReceiver), where they are observable as the integrity violations the
+// design must catch.
 type faultSender struct {
 	inj    *Injector
 	s      ipc.Sender
 	stream uint64
-	// idx counts Send attempts. Plain, not atomic: every backend in the
+	// idx counts Sends. Plain, not atomic: every backend in the
 	// ipc package already requires a single producer goroutine per channel.
 	idx uint64
 }
@@ -35,13 +34,6 @@ func (fs *faultSender) Send(m ipc.Message) error {
 	inj := fs.inj
 	i := fs.idx
 	fs.idx++
-	if inj.fires(FaultSendErr, fs.stream, i) {
-		// The message was never handed to the backend: no sequence number
-		// is consumed, so a retried send is indistinguishable from a clean
-		// one — exactly the contract ipc.SendWithRetry relies on.
-		inj.recordDecision(fs.stream, i, FaultSendErr)
-		return ipc.Transient(fmt.Errorf("%w: send %d dropped on the floor", errInjected, i))
-	}
 	if inj.fires(FaultDelay, fs.stream, i) {
 		inj.recordDecision(fs.stream, i, FaultDelay)
 		// Jitter amount is drawn deterministically too, in (0, maxDelay].

@@ -31,15 +31,13 @@ func chaosInjector(seed uint64) *chaos.Injector {
 	// stream that draws one, so their combined rate is tuned to roughly one
 	// per three process streams: the soak then exercises both clean-process
 	// outcomes — surviving untouched and dying attributably. Timing faults
-	// (delay/transient errors/stalls) are survivable and run much hotter.
+	// (send delays, receive stalls) change no message and run much hotter.
 	return chaos.NewInjector(seed,
 		chaos.WithDrop(0.0012),
 		chaos.WithDuplicate(0.0010),
 		chaos.WithReorder(0.0010, 4),
 		chaos.WithCorrupt(0.0010),
 		chaos.WithDelay(0.02, 200*time.Microsecond),
-		chaos.WithTransientSendErrors(0.02),
-		chaos.WithTransientRecvErrors(0.02),
 		chaos.WithStall(0.01, time.Millisecond),
 	)
 }
@@ -228,12 +226,11 @@ func Chaos(c Config) (Report, error) {
 			return Report{}, err
 		}
 		// Per-message fault decisions are a pure function of (seed, stream,
-		// index) and must match exactly. Recv errors and stalls are drawn
-		// per RecvBatch call — how many calls the pump makes is scheduler
-		// timing — so they are excluded from both the schedule hash and
-		// these phases' counts.
-		f := &rep.Phases[len(rep.Phases)-1].Faults
-		f[chaos.FaultRecvErr], f[chaos.FaultStall] = 0, 0
+		// index) and must match exactly. Stalls are drawn per RecvBatch
+		// call — how many calls the pump makes is scheduler timing — so
+		// they are excluded from both the schedule hash and these phases'
+		// counts.
+		rep.Phases[len(rep.Phases)-1].Faults[chaos.FaultStall] = 0
 	}
 	if d1, d2 := rep.Phases[2], rep.Phases[3]; d1.ScheduleHash != d2.ScheduleHash || d1.Faults != d2.Faults {
 		return Report{}, fmt.Errorf(

@@ -21,86 +21,16 @@ var (
 	ErrIntegrity = errors.New("ipc: message integrity violated")
 )
 
-// TransientError marks a send/receive failure as retryable: the operation
-// failed for a reason that does not impugn message integrity (a momentary
-// resource shortage, a modelled fault injection), so the caller may retry
-// with backoff instead of degrading. Every error NOT wrapped in a
-// TransientError is terminal by construction — the enforcement path fails
-// closed on anything it cannot positively classify as transient.
-type TransientError struct {
-	// Err is the underlying failure.
-	Err error
-}
-
-func (e *TransientError) Error() string { return "transient: " + e.Err.Error() }
-
-// Unwrap exposes the underlying error to errors.Is/errors.As.
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// Transient wraps err as retryable. A nil err stays nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &TransientError{Err: err}
-}
-
-// IsTransient reports whether err is classified as retryable. Integrity
-// failures, decode errors, and closed channels are all terminal; only errors
-// explicitly wrapped by Transient answer true.
-func IsTransient(err error) bool {
-	var te *TransientError
-	return errors.As(err, &te)
-}
-
-// Send-retry defaults used by SendWithRetry (and mirrored by the verifier's
-// receive-side retry in the pump drain loop).
-const (
-	// DefaultSendAttempts bounds how many times SendWithRetry tries before
-	// converting a persistent transient failure into a terminal error.
-	DefaultSendAttempts = 8
-	// retryBackoffBase is the first backoff step; it doubles per attempt.
-	retryBackoffBase = time.Microsecond
-	// RetryBackoffMax caps one backoff sleep.
-	RetryBackoffMax = time.Millisecond
-)
-
-// RetryBackoff returns the deterministic backoff ceiling preceding retry
-// attempt n (1-based): exponential from retryBackoffBase, capped at
-// RetryBackoffMax. The contract is total over int: attempt <= 1 (including
-// zero and negatives, which are out-of-domain but must not misbehave) clamps
-// to retryBackoffBase, and attempts past the top of the ladder saturate at
-// RetryBackoffMax. Callers that sleep should prefer JitteredBackoff; this
-// function is the monotone envelope it draws under.
-func RetryBackoff(attempt int) time.Duration {
-	if attempt <= 1 {
-		// Previously attempt <= 0 shifted by 2^64-ish and happened to land on
-		// the RetryBackoffMax branch via signed overflow — the *maximum*
-		// backoff for the *first* retry. Clamp to the bottom of the ladder
-		// instead so the contract is explicit, not an overflow accident.
-		return retryBackoffBase
-	}
-	shift := uint(attempt - 1)
-	// 1µs << 30 ≈ 18 minutes: far past RetryBackoffMax yet nowhere near
-	// int64 overflow, so bounding the shift first makes the comparison below
-	// safe for every attempt value.
-	if shift >= 30 {
-		return RetryBackoffMax
-	}
-	d := retryBackoffBase << shift
-	if d > RetryBackoffMax {
-		return RetryBackoffMax
-	}
-	return d
-}
-
 // jitterState seeds Jitter's lock-free splitmix64 stream. A shared atomic
-// counter decorrelates concurrent retriers (each Add claims a distinct stream
+// counter decorrelates concurrent callers (each Add claims a distinct stream
 // position) without consulting a global RNG.
 var jitterState atomic.Uint64
 
-// Jitter draws a sleep uniformly from [1ns, ceil]: the full-jitter draw every
-// retry ladder in the module sleeps on, each under its own envelope.
+// Jitter draws a sleep uniformly from [1ns, ceil]: the full-jitter draw the
+// hqnet client's reconnect ladder (hqnet.resumeBackoff) sleeps on, so a rack
+// of clients severed together does not re-dial in lockstep. That ladder is
+// its only caller: a channel's Send or RecvBatch error is terminal and is
+// never retried.
 func Jitter(ceil time.Duration) time.Duration {
 	x := jitterState.Add(0x9e3779b97f4a7c15)
 	x ^= x >> 30
@@ -109,43 +39,6 @@ func Jitter(ceil time.Duration) time.Duration {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return 1 + time.Duration(x%uint64(ceil))
-}
-
-// JitteredBackoff returns a full-jitter sleep for retry attempt n: uniform in
-// [1, RetryBackoff(n)]. Deterministic backoff synchronizes retry stampedes —
-// every connection that failed together retries together, re-colliding at
-// each rung of the ladder — so sleeps are drawn uniformly under the
-// exponential envelope instead of sitting on it.
-func JitteredBackoff(attempt int) time.Duration { return Jitter(RetryBackoff(attempt)) }
-
-// SendWithRetry sends m through s, retrying transient failures with
-// jittered exponential backoff (JitteredBackoff) up to attempts tries (<= 0
-// selects DefaultSendAttempts). Terminal errors return immediately. When the
-// retry budget is exhausted the last transient error is converted into a
-// terminal one — a transport that fails persistently is indistinguishable
-// from a broken one, and the enforcement path must degrade fail-closed, not
-// spin.
-func SendWithRetry(s Sender, m Message, attempts int) error {
-	if attempts <= 0 {
-		attempts = DefaultSendAttempts
-	}
-	var err error
-	for try := 1; try <= attempts; try++ {
-		err = s.Send(m)
-		if err == nil || !IsTransient(err) {
-			return err
-		}
-		if try < attempts {
-			// A timer, not time.Sleep: a sub-microsecond Sleep often
-			// oversleeps by a millisecond on Linux, a timer's channel fires
-			// within microseconds, and the ladder's first rungs are 1–4 µs.
-			<-time.NewTimer(JitteredBackoff(try)).C
-		}
-	}
-	// %v, not %w: the returned error must NOT unwrap to the TransientError,
-	// or the caller's IsTransient check would retry a budget-exhausted send
-	// forever.
-	return fmt.Errorf("ipc: send retry budget exhausted after %d attempts: %v", attempts, err)
 }
 
 // Sender is the monitored-program side of an IPC channel. Send transmits one

@@ -54,9 +54,6 @@ func TestTruncatedFrameIsTerminalError(t *testing.T) {
 	if !errors.Is(err, ErrIntegrity) {
 		t.Errorf("truncation error %v does not wrap ErrIntegrity", err)
 	}
-	if IsTransient(err) {
-		t.Error("truncation classified transient: a retry would re-read a corrupt stream")
-	}
 	if v := m.Snapshot().Counters["ipc.frame_errors"].Total; v != 1 {
 		t.Errorf("ipc.frame_errors = %d, want 1", v)
 	}
@@ -99,111 +96,30 @@ func TestGarbageBytesAreTerminalError(t *testing.T) {
 	if !errors.Is(err, ErrIntegrity) {
 		t.Errorf("decode error %v does not wrap ErrIntegrity", err)
 	}
-	if IsTransient(err) {
-		t.Error("decode failure classified transient")
-	}
 	if v := m.Snapshot().Counters["ipc.frame_errors"].Total; v != 1 {
 		t.Errorf("ipc.frame_errors = %d, want 1", v)
 	}
 }
 
-func TestTransientClassification(t *testing.T) {
-	base := errors.New("queue momentarily full")
-	if !IsTransient(Transient(base)) {
-		t.Error("Transient-wrapped error not classified transient")
-	}
-	if !errors.Is(Transient(base), base) {
-		t.Error("Transient wrapper hides the underlying error from errors.Is")
-	}
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) != nil")
-	}
-	// Everything not explicitly wrapped is terminal — the enforcement path
-	// fails closed on anything it cannot positively classify as retryable.
-	for _, err := range []error{ErrClosed, ErrIntegrity, base,
-		&ProcessError{PID: 1, Err: ErrIntegrity}} {
-		if IsTransient(err) {
-			t.Errorf("%v classified transient", err)
+// Jitter draws under its ceiling: positive, never above ceil, and not
+// constant (otherwise it is not jitter and the reconnect stampede it exists
+// to break re-forms).
+func TestJitterStaysUnderCeiling(t *testing.T) {
+	for _, ceil := range []time.Duration{1, time.Microsecond, time.Millisecond, 50 * time.Millisecond} {
+		varied := false
+		first := Jitter(ceil)
+		for i := 0; i < 256; i++ {
+			d := Jitter(ceil)
+			if d <= 0 || d > ceil {
+				t.Fatalf("Jitter(%v) = %v, outside (0, %v]", ceil, d, ceil)
+			}
+			if d != first {
+				varied = true
+			}
 		}
-	}
-}
-
-// flakySender fails the first n Sends transiently, then succeeds.
-type flakySender struct {
-	failures int
-	attempts int
-	sent     []Message
-}
-
-func (s *flakySender) Send(m Message) error {
-	s.attempts++
-	if s.attempts <= s.failures {
-		return Transient(errors.New("flaky"))
-	}
-	s.sent = append(s.sent, m)
-	return nil
-}
-
-func (s *flakySender) Close() error { return nil }
-
-func TestSendWithRetryRecoversFromTransientFaults(t *testing.T) {
-	s := &flakySender{failures: 2}
-	if err := SendWithRetry(s, Message{Op: OpCounterInc}, 4); err != nil {
-		t.Fatalf("retry within budget failed: %v", err)
-	}
-	if len(s.sent) != 1 || s.attempts != 3 {
-		t.Errorf("sent=%d attempts=%d, want 1 message on the 3rd attempt", len(s.sent), s.attempts)
-	}
-}
-
-func TestSendWithRetryExhaustionIsTerminal(t *testing.T) {
-	s := &flakySender{failures: 1 << 30}
-	err := SendWithRetry(s, Message{Op: OpCounterInc}, 3)
-	if err == nil {
-		t.Fatal("persistently failing sender reported success")
-	}
-	if s.attempts != 3 {
-		t.Errorf("attempts = %d, want exactly 3", s.attempts)
-	}
-	// The exhausted budget converts the transient failure to a terminal one:
-	// callers must not loop on it.
-	if IsTransient(err) {
-		t.Errorf("exhausted retry budget still transient: %v", err)
-	}
-	// A terminal error short-circuits the budget.
-	s2 := &closedSender{}
-	if err := SendWithRetry(s2, Message{}, 5); !errors.Is(err, ErrClosed) {
-		t.Errorf("terminal error not returned immediately: %v", err)
-	}
-	if s2.attempts != 1 {
-		t.Errorf("terminal error retried %d times", s2.attempts)
-	}
-	// A budget <= 0 selects DefaultSendAttempts.
-	s3 := &flakySender{failures: 1 << 30}
-	if err := SendWithRetry(s3, Message{}, 0); err == nil || IsTransient(err) || s3.attempts != DefaultSendAttempts {
-		t.Errorf("default budget: err = %v after %d attempts, want terminal after %d", err, s3.attempts, DefaultSendAttempts)
-	}
-}
-
-type closedSender struct{ attempts int }
-
-func (s *closedSender) Send(Message) error { s.attempts++; return ErrClosed }
-func (s *closedSender) Close() error       { return nil }
-
-func TestRetryBackoffIsBoundedAndMonotone(t *testing.T) {
-	prev := time.Duration(0)
-	for n := 1; n <= 64; n++ {
-		d := RetryBackoff(n)
-		if d <= 0 || d > RetryBackoffMax {
-			t.Fatalf("RetryBackoff(%d) = %v, outside (0, %v]", n, d, RetryBackoffMax)
+		if !varied && ceil > 1 {
+			t.Errorf("Jitter(%v) returned %v 257 times; jitter is not jittering", ceil, first)
 		}
-		if d < prev {
-			t.Fatalf("RetryBackoff(%d) = %v < RetryBackoff(%d) = %v", n, d, n-1, prev)
-		}
-		prev = d
-	}
-	if RetryBackoff(1000) != RetryBackoffMax {
-		t.Error("large attempt counts must saturate at RetryBackoffMax")
 	}
 }
 

@@ -135,7 +135,8 @@ type LaunchOptions struct {
 
 	// Inline selects deterministic inline delivery: messages are evaluated
 	// by the (shared) verifier at send time on the program's goroutine, the
-	// mode the reproducibility experiments need. No channel is involved.
+	// mode the reproducibility experiments need. No channel is involved:
+	// Launch refuses (and closes) a Channel passed with Inline.
 	Inline bool
 
 	// Cost is the cycle model (nil: no accounting).
@@ -277,6 +278,10 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 	if opts.Entry == "" {
 		opts.Entry = "main"
 	}
+	if opts.Inline && opts.Channel != nil {
+		opts.Channel.Close() // Launch owns the channel on every path
+		return nil, errors.New("supervisor: an inline launch takes no channel")
+	}
 	var ch *ipc.Channel
 	var recv ipc.Receiver
 	if !opts.Inline {
@@ -333,11 +338,8 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 		cfg.Kernel = s.k
 	}
 	cfg.Killed = func() (bool, string) { return s.k.Killed(p.PID()) }
-	// Transient transport failures (modelled fault injection, momentary
-	// resource shortages) are retried with bounded backoff instead of
-	// aborting the program; persistent failure degrades to a terminal error
-	// the VM surfaces.
-	cfg.Emit = func(m ipc.Message) error { return ipc.SendWithRetry(sender, m, 0) }
+	// A failed send is terminal: the VM ends the program with it.
+	cfg.Emit = sender.Send
 
 	vp, err := vm.NewProcess(ins.Mod, cfg)
 	if err != nil {

@@ -254,6 +254,72 @@ func TestLaunchRefusedClosesChannel(t *testing.T) {
 	}
 }
 
+// An inline launch has no use for a channel: Launch refuses the pair and,
+// owning the channel on every path, closes it.
+func TestInlineLaunchRefusesAndClosesChannel(t *testing.T) {
+	sys := New(Config{})
+	defer sys.Shutdown(context.Background())
+	ch := ipc.NewPipe()
+	if _, err := sys.Launch(instrumentHQ(t, victim(t, false)), LaunchOptions{Inline: true, Channel: ch}); err == nil {
+		t.Fatal("inline launch with a channel accepted")
+	}
+	if err := ch.Sender.Send(ipc.Message{Op: ipc.OpCounterInc}); !errors.Is(err, ipc.ErrClosed) {
+		t.Errorf("send on the refused channel: err = %v, want ipc.ErrClosed", err)
+	}
+	if h := sys.Health(); h.ActiveProcs != 0 {
+		t.Errorf("refused launch left %d active processes", h.ActiveProcs)
+	}
+}
+
+// failingSender fails its k-th Send, and every one after, with err.
+type failingSender struct {
+	ipc.Sender
+	k, sends int
+	err      error
+}
+
+func (s *failingSender) Send(m ipc.Message) error {
+	s.sends++
+	if s.sends >= s.k {
+		return s.err
+	}
+	return s.Sender.Send(m)
+}
+
+// A failed send is terminal at once: the program ends with the error, the
+// drain closes and the process leaves the system.
+func TestEmitFailureEndsProgram(t *testing.T) {
+	const k = 3
+	sys := New(Config{})
+	defer sys.Shutdown(context.Background())
+	ring := ipc.NewSharedRing(64)
+	broken := errors.New("transport gone")
+	fs := &failingSender{Sender: ring.Sender, k: k, err: broken}
+	p, err := sys.Launch(instrumentHQ(t, victim(t, false)),
+		LaunchOptions{Channel: &ipc.Channel{Sender: fs, Receiver: ring.Receiver, Props: ring.Props}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.sends != k {
+		t.Errorf("Send attempted %d times, want exactly %d", fs.sends, k)
+	}
+	if !errors.Is(out.Err, broken) {
+		t.Errorf("Outcome.Err = %v, want it to wrap %v", out.Err, broken)
+	}
+	select {
+	case <-p.drained:
+	default:
+		t.Error("the process's drain is still open after Wait")
+	}
+	if h := sys.Health(); h.ActiveProcs != 0 || h.PumpSources != 0 {
+		t.Errorf("after the failed run: %d active processes, %d pump sources; want 0, 0", h.ActiveProcs, h.PumpSources)
+	}
+}
+
 // TestLaunchedAndAdmittedShareOneLifecycle: a launched VM and a process
 // admitted over a ring the test feeds itself are finalized the same way —
 // both rows frozen as killed with a retained postmortem, both counted — and

@@ -309,81 +309,54 @@ func TestDeliveryPanicOnDrainPoisonsShardAndDrainSurvives(t *testing.T) {
 	}
 }
 
-// transientReceiver yields batches interleaved with transient errors, then
-// closes; or fails transiently forever when batches run out and sticky is set.
-type transientReceiver struct {
-	script []any // each item: []ipc.Message (burst) or error
-	sticky error // returned forever once the script is exhausted (nil = close)
+// failingReceiver returns one clean burst, then a burst together with err,
+// and counts every call: a drain that reads again after the error fails the
+// test.
+type failingReceiver struct {
+	bursts [2][]ipc.Message
+	err    error
+	calls  int
 }
 
-func (r *transientReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
-	for len(r.script) > 0 {
-		item := r.script[0]
-		r.script = r.script[1:]
-		switch it := item.(type) {
-		case error:
-			return 0, true, it
-		case []ipc.Message:
-			return copy(out, it), true, nil
-		}
+func (r *failingReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
+	r.calls++
+	switch r.calls {
+	case 1:
+		return copy(out, r.bursts[0]), true, nil
+	case 2:
+		return copy(out, r.bursts[1]), false, r.err
 	}
-	if r.sticky != nil {
-		return 0, true, r.sticky
-	}
-	return 0, false, nil
+	return 0, false, errors.New("read again after a terminal error")
 }
 
-func TestPumpRetriesTransientRecvErrors(t *testing.T) {
-	// Transient receive faults (ipc.IsTransient) must be retried with
-	// backoff, losing nothing: every message around the faults is delivered
-	// and no process is killed.
+func TestPumpEndsAtFirstRecvError(t *testing.T) {
+	// Any receive error ends the drain at its first occurrence. The
+	// messages that came with it are still delivered, and — the error being
+	// unattributed — no one is killed: fail-closed for the process comes
+	// from the kernel epoch, not from a guess at the guilty PID.
 	g := newFakeGate()
 	m := telemetry.New(1)
 	v := NewSharded(cfiFactory, g, 2)
 	v.EnableTelemetry(m)
 	v.ProcessStarted(1)
-	flaky := errors.New("ring momentarily unreadable")
-	v.Pump(&transientReceiver{script: []any{
-		[]ipc.Message{{Op: ipc.OpCounterInc, PID: 1, Arg1: 1}},
-		ipc.Transient(flaky),
-		ipc.Transient(flaky),
-		[]ipc.Message{{Op: ipc.OpCounterInc, PID: 1, Arg1: 2}},
-	}})
+	r := &failingReceiver{
+		bursts: [2][]ipc.Message{
+			{{Op: ipc.OpCounterInc, PID: 1, Arg1: 1}},
+			{{Op: ipc.OpCounterInc, PID: 1, Arg1: 2}, {Op: ipc.OpCounterInc, PID: 1, Arg1: 3}},
+		},
+		err: errors.New("ring momentarily unreadable"),
+	}
+	v.Pump(r)
+	if r.calls != 2 {
+		t.Errorf("RecvBatch called %d times, want 2: the drain must stop at the error", r.calls)
+	}
+	if got := v.Messages(1); got != 3 {
+		t.Errorf("Messages = %d, want 3 (the burst returned with the error delivered)", got)
+	}
 	if len(g.kills) != 0 {
-		t.Fatalf("transient faults killed: %v", g.kills)
+		t.Fatalf("unattributed receive error killed: %v", g.kills)
 	}
-	if got := v.Messages(1); got != 2 {
-		t.Errorf("Messages = %d, want 2 (nothing lost across retries)", got)
-	}
-	snap := m.Snapshot()
-	if got := snap.Counters["verifier.recv_transient_retries"].Total; got != 2 {
-		t.Errorf("recv_transient_retries = %d, want 2", got)
-	}
-	if got := snap.Counters["verifier.recv_terminal_errors"].Total; got != 0 {
-		t.Errorf("recv_terminal_errors = %d, want 0", got)
-	}
-}
-
-func TestPumpTransientFaultThatNeverClearsIsTerminal(t *testing.T) {
-	// A "transient" fault that persists past the retry budget means the
-	// source is broken: the drain must stop (not spin forever), record a
-	// terminal receive error, and — since the fault is unattributed — kill
-	// no one. Fail-closed for the process comes from the kernel epoch, not
-	// from a guess at the guilty PID.
-	g := newFakeGate()
-	m := telemetry.New(1)
-	v := NewSharded(cfiFactory, g, 2)
-	v.EnableTelemetry(m)
-	v.ProcessStarted(1)
-	v.Pump(&transientReceiver{sticky: ipc.Transient(errors.New("wedged ring"))})
-	if len(g.kills) != 0 {
-		t.Fatalf("unattributed transient exhaustion killed: %v", g.kills)
-	}
-	snap := m.Snapshot()
-	if got := snap.Counters["verifier.recv_transient_retries"].Total; got != DefaultMaxRecvRetries {
-		t.Errorf("recv_transient_retries = %d, want exactly DefaultMaxRecvRetries=%d", got, DefaultMaxRecvRetries)
-	}
-	if got := snap.Counters["verifier.recv_terminal_errors"].Total; got != 1 {
+	if got := m.Snapshot().Counters["verifier.recv_terminal_errors"].Total; got != 1 {
 		t.Errorf("recv_terminal_errors = %d, want 1", got)
 	}
 }

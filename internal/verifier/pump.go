@@ -34,15 +34,14 @@ import (
 // policies backs up in the channel itself (ring slots, socket buffer, client
 // replay ring) and the verifier never holds more than one burst of it.
 //
-// Transient receive failures (ipc.IsTransient) are retried with exponential
-// backoff up to a bound; everything else — and a transient fault that never
-// clears — is terminal: the source is treated as failed, the process the
-// receiver attributes the error to (if any) is killed, and the loop returns.
-// Messages received alongside an error are delivered first, so no retry
-// re-reads or drops them.
+// Every receive error is terminal, at its first occurrence: the messages
+// received alongside it are delivered, the source is treated as failed, the
+// process the receiver attributes the error to (if any) is killed, and the
+// loop returns. Nothing is retried: a dropped, reordered or overwritten
+// message is a policy violation (§3.1.1), and a source that goes silent
+// instead ends in an epoch kill (§2.2).
 func (v *Verifier) Pump(r ipc.Receiver) {
 	tm := v.tm
-	retries := 0
 	buf := make([]ipc.Message, DefaultBatchSize)
 	for {
 		var recvStart time.Time
@@ -57,21 +56,12 @@ func (v *Verifier) Pump(r ipc.Receiver) {
 		}
 		v.deliverRuns(buf[:n], true)
 		if err != nil {
-			if ipc.IsTransient(err) && retries < DefaultMaxRecvRetries {
-				retries++
-				if tm != nil {
-					tm.retries.Inc()
-				}
-				time.Sleep(ipc.RetryBackoff(retries))
-				continue
-			}
 			if tm != nil {
 				tm.recvErrs.Inc()
 			}
 			v.killAttributed(err)
 			return
 		}
-		retries = 0
 		if !ok {
 			return
 		}

@@ -109,17 +109,9 @@ type shard struct {
 	_   [cacheLinePad - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(map[int32]*procCtx(nil))+unsafe.Sizeof([1]ipc.Message{}))%cacheLinePad]byte
 }
 
-// Pump tuning: the burst size and the retry bound are fixed.
-const (
-	// DefaultBatchSize is the per-RecvBatch burst size used by Pump, and so
-	// the most messages of one source the verifier ever holds.
-	DefaultBatchSize = 256
-	// DefaultMaxRecvRetries bounds how many consecutive transient receive
-	// errors a pump drain loop retries (with ipc.RetryBackoff) before
-	// treating the source as terminally failed. The count resets on any
-	// successful receive.
-	DefaultMaxRecvRetries = 8
-)
+// DefaultBatchSize is the per-RecvBatch burst size used by Pump, and so the
+// most messages of one source the verifier ever holds.
+const DefaultBatchSize = 256
 
 // lookAhead bounds the window deliverSegment works in (procCtx.openWindow): a
 // run of one process's messages that its policy.Prefetchers touch and its
@@ -232,7 +224,6 @@ type verifierMetrics struct {
 	kills      *telemetry.Counter
 	syncs      *telemetry.Counter
 	poisons    *telemetry.Counter   // shards poisoned by delivery-path panics
-	retries    *telemetry.Counter   // transient receive errors retried by drains
 	recvErrs   *telemetry.Counter   // terminal receive errors that stopped a drain
 	batchSize  *telemetry.Histogram // deliverShardBatch run lengths
 	pumpStall  *telemetry.Histogram // ns the drain loop spent in RecvBatch
@@ -249,7 +240,6 @@ func (v *Verifier) EnableTelemetry(m *telemetry.Metrics) {
 		kills:      m.CounterLanes("verifier.kills", n),
 		syncs:      m.CounterLanes("verifier.syncs", n),
 		poisons:    m.Counter("verifier.poisoned_shards"),
-		retries:    m.Counter("verifier.recv_transient_retries"),
 		recvErrs:   m.Counter("verifier.recv_terminal_errors"),
 		batchSize:  m.Histogram("verifier.batch_size"),
 		pumpStall:  m.Histogram("verifier.pump_stall_ns"),
