@@ -28,16 +28,20 @@ vet:
 # must keep compiling without any tag), the full test suite under the race detector (which runs every
 # hqbench experiment once at its smoke scope, the soaks included:
 # TestEveryExperimentRunsQuick), twenty raced runs each of the ring's
-# park/wake and fenced-point tests and of the hqnet client's goodbye resend
+# park/wake and fenced-point tests, of the hqnet client's goodbye resend
 # and token tests (a resend racing recvLoop's reconnect must fail here, not
-# flake later), twenty runs of the ring's tests without the race detector
-# (only that build publishes the ring's head with a plain store),
+# flake later) and of its one-producer tests (a flush that reads a slot
+# before its tail store, or an ack that releases a frame in flight, shows as
+# a race or a changed byte only now and then), twenty runs of the ring's
+# tests without the race detector (only that build publishes the ring's head
+# with a plain store),
 # the hot-path benchmarks, ten
 # seconds of fuzzing each on the frame decoder that feeds the verifier's drain,
 # on the allocation policies against their sorted-slice reference, on the
 # pointer table (and cfi's block operations) against a Go map, on the
 # hmac sealer's run unseal against a loop of one-message calls, on every
-# policy's HandleRun against a loop of one-message Handle calls, on the
+# policy's HandleRun against a loop of one-message Handle calls (cfi's
+# one-probe define and check included, over tables that grow mid-run), on the
 # model checker's Replay over arbitrary schedules and on the hqnet daemon's
 # handshake and session filter over arbitrary control-frame sequences,
 # the quick end-to-end benchmark (all four workloads, every correctness
@@ -69,7 +73,7 @@ check: vet build
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
 	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints' ./internal/ipc
 	$(GO) test -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints' ./internal/ipc
-	$(GO) test -race -count=20 -run 'TestCloseResendsLostGoodbye|TestResumeToken' ./internal/hqnet
+	$(GO) test -race -count=20 -run 'TestCloseResendsLostGoodbye|TestResumeToken|TestConcurrentSendGateHeartbeatNeverSplitFrames|TestAckNeverReleasesInFlightFrames' ./internal/hqnet
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
 	$(GO) test -run xxx -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/ipc
@@ -108,8 +112,9 @@ verify-cover:
 # phases deleted, 25 190 with policies taking a run of messages per call,
 # 25 246 with the ring's one-store send, 24 823 with the chaos injector's
 # faults in tables, the hqd abuse battery deleted and one soak report,
-# 24 675 with every channel error terminal and the retry ladders gone;
-# the kernel's assembly is not counted).
+# 24 675 with every channel error terminal and the retry ladders gone,
+# 24 775 with the hqnet client's lock-free send and cfi's one-probe define
+# and check; the kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount
 
@@ -129,7 +134,9 @@ bench:
 # policies alone over ring_policy's allocation mix at its sizes (2048 live
 # spans among some 2000 tombstones, cache-resident: it prices the interval
 # search, which the full chain hides behind its pointer-table misses), one
-# pass each of ring_stream's chain and hqd's sealed chain over the hot mix
+# pass of cfi alone over the hot mix's random op sequence (the drain benches
+# replay a fixed triple the branch predictor learns, so they cannot see a
+# per-op dispatch branch), one pass each of ring_stream's chain and hqd's sealed chain over the hot mix
 # (window, runs and, sealed, the 8-lane unseal with every table in cache;
 # -benchmem must read 0 allocs/op), the networked client's send path
 # (sealed stream to an in-process daemon over a Unix socket, with its
@@ -143,7 +150,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkRingGateSparse' -benchtime 400x -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkPolicyChainLargeState' -benchtime 1x .
-	$(GO) test -run xxx -bench 'BenchmarkAllocPolicies' -benchtime 1x -benchmem ./internal/policy
+	$(GO) test -run xxx -bench 'BenchmarkAllocPolicies|BenchmarkCFIHotMix' -benchtime 1x -benchmem ./internal/policy
 	$(GO) test -run xxx -bench 'BenchmarkDeliverHotChain' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc|TestGateRoundTripAllocatesNothing' -bench 'BenchmarkClientSend|BenchmarkGateRoundTrip' -benchtime 200ms -benchmem -cpu 1,2 ./internal/hqnet
 	$(GO) test -run xxx -bench 'BenchmarkFrameDecoder' -benchtime 200ms -benchmem ./internal/ipc

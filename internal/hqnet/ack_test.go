@@ -156,44 +156,37 @@ func (l *lingerConn) Write(p []byte) (int, error) {
 }
 
 // TestAckNeverReleasesInFlightFrames: with a ring of 8 slots every ack frees
-// slots some Send is waiting for, and the daemon acks a burst long before the
-// client's Write of it returns. A slot released on that ack would be encoded
-// into by the next sender to come along while the Write still reads it: the
-// race detector sees that, and the byte comparison sees it without the
-// detector. (It takes several senders: a lone one is inside the Write itself.
-// That rules out the sealed stream, which has one producer by construction;
-// CheckSeq and the per-sender order stand in for the MAC downstream.)
+// slots the producer is waiting for, and the daemon acks a burst long before
+// the client's Write of it returns. A slot released on that ack would be
+// encoded into by the producer while the Write still reads it: the race
+// detector sees that, and the byte comparison sees it without the detector.
+// The producer's own flushes cannot show it, since the producer is inside
+// that Write itself; the writes that can are the concurrent flushers', the
+// gate goroutine's and the 1 ms heartbeat's. So the producer is paced, about
+// 10 µs a frame: slow enough that an ack lands while it still has ring left
+// to fill, fast enough that it wraps onto the frames such a write holds
+// before the write returns.
 func TestAckNeverReleasesInFlightFrames(t *testing.T) {
 	h := newHarness(t,
 		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
 		Config{Lease: 30 * time.Second})
 	var lc *lingerConn
-	c := h.dial(t, ClientConfig{ReplaySlots: 8, HeartbeatEvery: time.Hour, WrapConn: func(nc net.Conn) net.Conn {
+	c := h.dial(t, ClientConfig{ReplaySlots: 8, HeartbeatEvery: time.Millisecond, WrapConn: func(nc net.Conn) net.Conn {
 		lc = &lingerConn{Conn: nc}
 		return lc
 	}})
 	defer c.Close()
 
-	const senders, perSender = 4, 5000
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < perSender; i++ {
-				if err := c.Send(ipc.Message{Op: ipc.OpCounterInc, Arg1: uint64(s), Arg2: uint64(i)}); err != nil {
-					t.Errorf("sender %d, send %d: %v", s, i, err)
-					return
-				}
-				checkRing(t, c)
-			}
-		}(s)
-	}
-	wg.Wait()
+	const frames, gateEvery = 20000, 400
+	gates := produceWithGates(t, c, frames, gateEvery, func(i int) ipc.Message {
+		for t0 := time.Now(); time.Since(t0) < 10*time.Microsecond; {
+			runtime.Gosched()
+		}
+		return ipc.Message{Op: ipc.OpCounterInc, Arg1: uint64(i)}
+	})
 	if !c.Flush(20 * time.Second) {
 		t.Fatal("flush timed out")
 	}
-	gateThrough(t, c, c, 3)
 	if n := lc.changed.Load(); n != 0 {
 		t.Fatalf("%d writes saw their bytes change before they returned: a slot was released in flight", n)
 	}
@@ -202,8 +195,57 @@ func TestAckNeverReleasesInFlightFrames(t *testing.T) {
 	}
 	// An ack means received, not yet verified: wait for the row.
 	waitFor(t, 10*time.Second, "every message verified", func() bool {
-		return h.procMessages(c.PID()) == senders*perSender+1
+		return h.procMessages(c.PID()) == uint64(frames+gates)
 	})
+}
+
+// produceWithGates drives c as its contract allows. The calling goroutine is
+// the one producer: it sends frame(i) for i = 1..n and a System-Call message
+// after every gateEvery of them, checking the ring after each Send. A second
+// goroutine takes one gate per System-Call message through SyscallEnter, and
+// so flushes concurrently with the producer. The producer lets gate g go just
+// before it sends its System-Call message, so the request may reach the
+// daemon ahead of the message (the kernel then waits for it) or behind it.
+// It lets gate g+1 go only after gate g's verdict, because one System-Call
+// message readies one gate. It returns the number of gates.
+func produceWithGates(t *testing.T, c *Client, n, gateEvery int, frame func(i int) ipc.Message) int {
+	t.Helper()
+	next := make(chan struct{})
+	verdicts := make(chan error, 1)
+	defer close(next)
+	go func() {
+		for range next {
+			verdicts <- c.SyscallEnter(c.PID(), 3)
+		}
+	}()
+	gates := 0
+	verdict := func() {
+		if err := <-verdicts; err != nil {
+			t.Fatalf("gate %d: %v", gates, err)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		if err := c.Send(frame(i)); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		checkRing(t, c)
+		if i%gateEvery != 0 {
+			continue
+		}
+		if gates > 0 {
+			verdict()
+		}
+		next <- struct{}{}
+		gates++
+		if err := c.Send(ipc.Message{Op: ipc.OpSyscall, Arg1: 3}); err != nil {
+			t.Fatalf("send syscall %d: %v", gates, err)
+		}
+		checkRing(t, c)
+	}
+	if gates > 0 {
+		verdict()
+	}
+	return gates
 }
 
 // readTap records, on the daemon's side of a connection, where in the
@@ -298,7 +340,7 @@ func TestSessionAcksOncePerRead(t *testing.T) {
 		t.Fatal("flush timed out")
 	}
 	c.mu.Lock()
-	acked, nextSeq := c.acked, c.nextSeq
+	acked, nextSeq := c.acked, c.nextSeq.Load()
 	c.mu.Unlock()
 	if acked != nextSeq || nextSeq != bursts*burstFrames {
 		t.Fatalf("after Flush acked=%d nextSeq=%d, want both %d", acked, nextSeq, bursts*burstFrames)
@@ -324,11 +366,13 @@ func TestSessionAcksOncePerRead(t *testing.T) {
 	t.Logf("%d bursts of %d frames: %d reads, %d acks", bursts, burstFrames, rt.reads, len(rt.events))
 }
 
-// TestConcurrentSendGateHeartbeatNeverSplitFrames: four senders, a goroutine
-// at the gate and a 1 ms heartbeat all end in flush at once. Every Write must
-// be whole frames, the data frames must leave in Seq order with each sender's
-// own frames in the order it sent them, control frames sit only between
-// frames, and the daemon must verify every one. Run under -race.
+// TestConcurrentSendGateHeartbeatNeverSplitFrames: the producer's bursts,
+// gates taken on another goroutine and a 1 ms heartbeat all end in flush at
+// once. Every Write must be whole frames, the data frames must leave in Seq
+// order and in the order they were sent, each whole (a flush that read a slot
+// before the producer had finished it would put a stale or torn frame on the
+// wire), control frames sit only between frames, and the daemon must verify
+// every one. Run under -race.
 func TestConcurrentSendGateHeartbeatNeverSplitFrames(t *testing.T) {
 	h := newHarness(t,
 		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
@@ -336,45 +380,16 @@ func TestConcurrentSendGateHeartbeatNeverSplitFrames(t *testing.T) {
 	var tap wireTap
 	c := ringChecked(t, h, &tap, ClientConfig{HeartbeatEvery: time.Millisecond, ReplaySlots: 1024})
 
-	const senders, perSender, gates = 4, 5000, 50
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 1; i <= perSender; i++ {
-				m := ipc.Message{Op: ipc.OpCounterInc, Arg1: uint64(s)<<32 | uint64(i)}
-				m.Arg2 = ^m.Arg1
-				if err := c.Send(m); err != nil {
-					t.Errorf("sender %d: %v", s, err)
-					return
-				}
-				checkRing(t, c)
-			}
-		}(s)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for g := 0; g < gates; g++ {
-			if err := c.Send(ipc.Message{Op: ipc.OpSyscall, Arg1: 3}); err != nil {
-				t.Errorf("gate sender: %v", err)
-				return
-			}
-			if err := c.SyscallEnter(c.PID(), 3); err != nil {
-				t.Errorf("gate %d: %v", g, err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
+	const frames, gateEvery = 20000, 400
+	gates := produceWithGates(t, c, frames, gateEvery, func(i int) ipc.Message {
+		return ipc.Message{Op: ipc.OpCounterInc, Arg1: uint64(i), Arg2: ^uint64(i)}
+	})
 	if !c.Flush(10 * time.Second) {
 		t.Fatal("flush timed out")
 	}
 	c.Close()
 
-	var last [senders]uint64
-	var seq uint64
+	var last, seq uint64
 	heartbeats, gateReqs := 0, 0
 	for _, w := range tap.written(0) {
 		if len(w) == 0 || len(w)%ipc.MessageSize != 0 {
@@ -398,19 +413,17 @@ func TestConcurrentSendGateHeartbeatNeverSplitFrames(t *testing.T) {
 				if m.Op == ipc.OpSyscall {
 					continue
 				}
-				s := int(m.Arg1 >> 32)
-				if s >= senders || m.Arg2 != ^m.Arg1 {
+				if m.Arg2 != ^m.Arg1 {
 					t.Fatalf("frame %+v mixes fields of two frames", m)
 				}
-				if i := m.Arg1 & 0xffffffff; i != last[s]+1 {
-					t.Fatalf("sender %d: frame %d on the wire after frame %d", s, i, last[s])
-				} else {
-					last[s] = i
+				if m.Arg1 != last+1 {
+					t.Fatalf("frame %d on the wire after frame %d", m.Arg1, last)
 				}
+				last = m.Arg1
 			}
 		}
 	}
-	if want := uint64(senders*perSender + gates); seq != want {
+	if want := uint64(frames + gates); seq != want {
 		t.Fatalf("%d data frames on the wire, want %d", seq, want)
 	}
 	if gateReqs != gates || heartbeats == 0 {
@@ -422,6 +435,6 @@ func TestConcurrentSendGateHeartbeatNeverSplitFrames(t *testing.T) {
 	// The goodbye is sent; the daemon finishes the process once its drain
 	// has delivered everything, which freezes the row: wait for it.
 	waitFor(t, 10*time.Second, "every message verified", func() bool {
-		return h.procMessages(c.PID()) == senders*perSender+gates
+		return h.procMessages(c.PID()) == uint64(frames+gates)
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"herqules/internal/ipc"
@@ -56,6 +57,11 @@ func (e *RejectedError) Error() string { return "hqnet: rejected: " + RejectText
 // reconnects with bounded, jittered, context-cancellable backoff; a Client
 // that cannot get back in declares itself dead and every subsequent Send and
 // gate fails — the local mirror of the daemon's fail-closed lease kill.
+//
+// Like every ipc.Sender, a Client has one producer: Send, and the Send of
+// Sender(), are called from one goroutine at a time. SyscallEnter, Flush,
+// Close and the Client's own heartbeat and receive loops may run
+// concurrently with it.
 type Client struct {
 	cfg    ClientConfig
 	ctx    context.Context
@@ -78,7 +84,6 @@ type Client struct {
 	cond    *sync.Cond
 	conn    net.Conn // nil while severed
 	gen     uint64   // connection generation; stale recvLoops detect takeover
-	nextSeq uint64   // highest data Seq admitted to the ring
 	acked   uint64   // highest Seq the daemon has acked; never above nextSeq
 	resumes uint64
 
@@ -86,15 +91,20 @@ type Client struct {
 	// wire-format frames and three frame counts. [head, sent) is written and
 	// unacked, [sent, tail) admitted and unwritten. head never passes sent and
 	// Send writes only tail's slot, so no byte a Write is reading changes.
-	ring             []byte
-	head, sent, tail uint64
-	tailOff          int // byte offset of tail's slot: Send does not divide
+	// The producer alone writes tail's slot and then publishes tail and
+	// nextSeq with ipc.Publish; head and sent are stored under c.mu. Send
+	// loads all of them without c.mu.
+	ring       []byte
+	head, sent atomic.Uint64
+	tail       atomic.Uint64
+	nextSeq    atomic.Uint64 // highest data Seq admitted to the ring
+	tailOff    int           // the producer's: byte offset of tail's slot
 	// sealed marks, per slot, a frame sent through Sender(): the flush that
 	// writes it stamps its tag first. nil on a session without a key.
 	sealed []bool
 
 	hbOrd   uint64
-	dead    bool
+	dead    atomic.Bool // stored under c.mu, with deadErr
 	deadErr string
 	killed  bool
 	killRsn string
@@ -233,7 +243,8 @@ func (c *Client) Resumes() uint64 {
 // set, raw otherwise. A sealed frame carries the tag ipc.SealSender would
 // have put on it — over the PID and stream position the client stamps — but
 // the tag is computed when the frame is written, eight frames a pass
-// (ipc.SealFrames), not when it is sent.
+// (ipc.SealFrames), not when it is sent. It shares the Client's one
+// producer: Send on both from the same goroutine, never from two at once.
 func (c *Client) Sender() ipc.Sender {
 	if c.keyed {
 		return (*sealingClient)(c)
@@ -264,43 +275,39 @@ const burstFrames = 341
 
 // Send implements ipc.Sender. The frame is encoded into the ring's next free
 // slot (blocking while the ring is full — backpressure, not unbounded
-// queueing): one lock round, one copy, no system call, no allocation. Frames
-// reach the wire when burstFrames of them are unwritten, with the next gate
-// request or heartbeat, before Send blocks, and on Flush/Close; a failed
-// write or a severed transport loses none, the resume rewinds the write
-// cursor. Send only fails once the session is dead, and then terminally.
-// Its frames go out as given, unsealed even on a keyed session: Sender()
-// seals.
+// queueing): one copy and one store of tail, no lock, no system call, no
+// allocation. Frames reach the wire when burstFrames of them are unwritten,
+// with the next gate request or heartbeat, before Send blocks, and on
+// Flush/Close; a failed write or a severed transport loses none, the resume
+// rewinds the write cursor. Send only fails once the session is dead, and
+// then terminally. Its frames go out as given, unsealed even on a keyed
+// session: Sender() seals. Send must not be called from two goroutines at
+// once (see Client).
 func (c *Client) Send(m ipc.Message) error { return c.send(m, false) }
 
 // send is Send, marking the frame for sealing at flush when seal is set.
+// Only the producer writes tail's slot, tail and nextSeq, so it reads them
+// without c.mu. head, sent and dead only move under c.mu: a stale head is a
+// ring that looks fuller than it is, which waitRoom settles; a stale sent is
+// a burst seen late, which the next flush writes; a stale dead admits one
+// more frame to a dying session, as a Send just before the death would.
 func (c *Client) send(m ipc.Message, seal bool) error {
-	c.mu.Lock()
-	for !c.dead && c.tail-c.head == uint64(c.cfg.ReplaySlots) {
-		// Acks only come for frames the daemon has seen, and the frames
-		// filling the ring may all be unwritten still: write them out before
-		// waiting (never under c.mu — see flush), then look again.
-		c.mu.Unlock()
-		c.flush(nil)
-		c.mu.Lock()
-		if !c.dead && c.tail-c.head == uint64(c.cfg.ReplaySlots) {
-			c.cond.Wait()
+	tail := c.tail.Load()
+	if c.dead.Load() || tail-c.head.Load() == uint64(c.cfg.ReplaySlots) {
+		if err := c.waitRoom(tail); err != nil {
+			return err
 		}
 	}
-	if c.dead {
-		reason := c.deadErr
-		c.mu.Unlock()
-		return fmt.Errorf("hqnet: session dead: %s", reason)
-	}
+	seq := c.nextSeq.Load()
 	if m.Seq == 0 || seal {
 		// The client assigns the stream position, like a local channel
 		// backend would; the tag binds it at flush.
-		c.nextSeq++
-		m.Seq = c.nextSeq
-	} else if m.Seq > c.nextSeq {
+		seq++
+		m.Seq = seq
+	} else if m.Seq > seq {
 		// A raw frame with a position of its own (a test's gap, a caller's
 		// own SealSender) goes out with it.
-		c.nextSeq = m.Seq
+		seq = m.Seq
 	}
 	m.PID = c.pid
 	m.Encode(c.ring[c.tailOff : c.tailOff+ipc.MessageSize : c.tailOff+ipc.MessageSize])
@@ -310,12 +317,36 @@ func (c *Client) send(m ipc.Message, seal bool) error {
 	if c.tailOff += ipc.MessageSize; c.tailOff == len(c.ring) {
 		c.tailOff = 0
 	}
-	c.tail++
-	// One Send sees the count reach a burst; the others keep appending.
-	burst := c.tail-c.sent == burstFrames
-	c.mu.Unlock()
-	if burst {
+	// The slot, then tail: a flusher that loads tail sees the frame. Then
+	// nextSeq: a Seq that trim's clamp lets an ack cover is in the ring.
+	tail++
+	ipc.Publish(&c.tail, tail)
+	ipc.Publish(&c.nextSeq, seq)
+	if tail-c.sent.Load() == burstFrames {
 		c.flush(nil)
+	}
+	return nil
+}
+
+// waitRoom is Send's slow path, the one place it takes c.mu: it returns once
+// the ring has a free slot past tail, or fails once the session is dead.
+// release and teardown broadcast under c.mu, so no wake-up is lost.
+func (c *Client) waitRoom(tail uint64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !c.dead.Load() && tail-c.head.Load() == uint64(c.cfg.ReplaySlots) {
+		// Acks only come for frames the daemon has seen, and the frames
+		// filling the ring may all be unwritten still: write them out before
+		// waiting (never under c.mu — see flush), then look again.
+		c.mu.Unlock()
+		c.flush(nil)
+		c.mu.Lock()
+		if !c.dead.Load() && tail-c.head.Load() == uint64(c.cfg.ReplaySlots) {
+			c.cond.Wait()
+		}
+	}
+	if c.dead.Load() {
+		return fmt.Errorf("hqnet: session dead: %s", c.deadErr)
 	}
 	return nil
 }
@@ -344,7 +375,7 @@ func (c *Client) flush(ctrl *ipc.Message) bool {
 // retransmissions of a resume included; sealing one again changes no byte.
 func (c *Client) flushLocked(ctrl *ipc.Message) bool {
 	c.mu.Lock()
-	nc, from, to := c.conn, c.sent, c.tail
+	nc, from, to := c.conn, c.sent.Load(), c.tail.Load()
 	c.mu.Unlock()
 	if nc == nil {
 		return false
@@ -370,7 +401,7 @@ func (c *Client) flushLocked(ctrl *ipc.Message) bool {
 	}
 	if from != to { // same connection still: a resume takes c.wmu first
 		c.mu.Lock()
-		c.sent = to
+		c.sent.Store(to)
 		c.release() // acks that outran the write's return apply now
 		c.mu.Unlock()
 	}
@@ -409,7 +440,7 @@ func (c *Client) seal(from, to uint64) {
 func (c *Client) SyscallEnter(pid int32, syscallNo int) error {
 	c.wmu.Lock()
 	c.mu.Lock()
-	if c.dead {
+	if c.dead.Load() {
 		reason := c.deadErr
 		c.mu.Unlock()
 		c.wmu.Unlock()
@@ -453,10 +484,10 @@ func (c *Client) Flush(timeout time.Duration) bool {
 	defer t.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.head != c.tail && !c.dead && !expired {
+	for c.head.Load() != c.tail.Load() && !c.dead.Load() && !expired {
 		c.cond.Wait()
 	}
-	return c.head == c.tail
+	return c.head.Load() == c.tail.Load()
 }
 
 // Close ends the session cleanly: flush (bounded by one lease), goodbye,
@@ -529,10 +560,11 @@ func (c *Client) die(reason string) {
 func (c *Client) markDead(reason string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dead {
+	if c.dead.Load() {
 		return false
 	}
-	c.dead, c.deadErr = true, reason
+	c.deadErr = reason
+	c.dead.Store(true)
 	return true
 }
 
@@ -582,7 +614,7 @@ func (c *Client) heartbeatLoop() {
 // session is dead.
 func (c *Client) heartbeat() bool {
 	c.mu.Lock()
-	if c.dead {
+	if c.dead.Load() {
 		c.mu.Unlock()
 		return false
 	}
@@ -645,7 +677,7 @@ func (c *Client) handle(m ipc.Message) {
 // lie: an ack past the highest Seq admitted counts for that Seq, no further.
 func (c *Client) trim(ack uint64) {
 	c.mu.Lock()
-	if ack = min(ack, c.nextSeq); ack > c.acked {
+	if ack = min(ack, c.nextSeq.Load()); ack > c.acked {
 		c.acked = ack
 		c.release()
 	}
@@ -657,14 +689,14 @@ func (c *Client) trim(ack uint64) {
 // being read by a write in flight, stays whatever the ack says, and flush
 // calls again once sent has moved.
 func (c *Client) release() {
-	head := c.head
-	for off := c.off(head); head < c.sent && ipc.FrameSeq(c.ring[off:]) <= c.acked; head++ {
+	head, sent := c.head.Load(), c.sent.Load()
+	for off := c.off(head); head < sent && ipc.FrameSeq(c.ring[off:]) <= c.acked; head++ {
 		if off += ipc.MessageSize; off == len(c.ring) {
 			off = 0
 		}
 	}
-	if head != c.head {
-		c.head = head
+	if head != c.head.Load() {
+		c.head.Store(head)
 		c.cond.Broadcast()
 	}
 }
@@ -677,7 +709,7 @@ func (c *Client) release() {
 // terminally.
 func (c *Client) reconnect(nc net.Conn, gen uint64) {
 	c.mu.Lock()
-	if c.dead || c.gen != gen {
+	if c.dead.Load() || c.gen != gen {
 		c.mu.Unlock()
 		return // session over, or a resume already replaced this transport
 	}
@@ -723,7 +755,7 @@ func (c *Client) catchUp(nc net.Conn, ack uint64) (uint64, bool) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.mu.Lock()
-	if c.dead {
+	if c.dead.Load() {
 		c.mu.Unlock()
 		nc.Close()
 		return 0, false
@@ -731,18 +763,18 @@ func (c *Client) catchUp(nc net.Conn, ack uint64) (uint64, bool) {
 	c.gen++
 	gen := c.gen
 	c.conn = nc // die and Close can now cut a blocked retransmission short
-	c.acked = max(c.acked, min(ack, c.nextSeq))
+	c.acked = max(c.acked, min(ack, c.nextSeq.Load()))
 	c.release()
-	c.sent = c.head
+	c.sent.Store(c.head.Load())
 	c.resumes++
-	// No recvLoop reads acks yet, so the senders run out of ring and this
+	// No recvLoop reads acks yet, so the producer runs out of ring and this
 	// ends; a write that fails leaves the rest to the next resume.
-	for ok := true; ok && !c.dead && c.sent != c.tail; {
+	for ok := true; ok && !c.dead.Load() && c.sent.Load() != c.tail.Load(); {
 		c.mu.Unlock()
 		ok = c.flushLocked(nil)
 		c.mu.Lock()
 	}
-	if c.dead {
+	if c.dead.Load() {
 		c.mu.Unlock()
 		return 0, false // die or Close closes nc
 	}

@@ -139,9 +139,7 @@ func TestSealedResumeAfterSeverWithUnwrittenFrames(t *testing.T) {
 
 	const first = burstFrames + 100 // one burst written, 100 frames not
 	sendN(t, s, first)
-	c.mu.Lock()
-	unwritten := c.tail - c.sent
-	c.mu.Unlock()
+	unwritten := c.tail.Load() - c.sent.Load()
 	if unwritten != 100 {
 		t.Fatalf("%d frames unwritten before the sever, want 100", unwritten)
 	}

@@ -121,23 +121,34 @@ func dataSeqs(t *testing.T, writes [][]byte) []uint64 {
 
 var counterInc = ipc.Message{Op: ipc.OpCounterInc, Arg1: 1}
 
-// checkRing asserts the ring's invariants under c.mu: the three cursors in
-// order, no more than a ring between head and tail, the ack high-water no
-// further than what was admitted, and tailOff on tail's slot.
-func checkRing(t testing.TB, c *Client) {
+// checkCursors asserts the ring's invariants under c.mu, from any goroutine:
+// the three cursors in order, no more than a ring between head and tail, and
+// the ack high-water no further than what was admitted. head, sent and acked
+// hold still under c.mu; tail and nextSeq only grow, so they are loaded last.
+func checkCursors(t testing.TB, c *Client) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !(c.head <= c.sent && c.sent <= c.tail) || c.tail-c.head > uint64(c.cfg.ReplaySlots) ||
-		c.acked > c.nextSeq || c.tailOff != c.off(c.tail) {
-		t.Errorf("ring invariant broken: head=%d sent=%d tail=%d slots=%d acked=%d nextSeq=%d tailOff=%d",
-			c.head, c.sent, c.tail, c.cfg.ReplaySlots, c.acked, c.nextSeq, c.tailOff)
+	head, sent, acked := c.head.Load(), c.sent.Load(), c.acked
+	tail, nextSeq := c.tail.Load(), c.nextSeq.Load()
+	if !(head <= sent && sent <= tail) || tail-head > uint64(c.cfg.ReplaySlots) || acked > nextSeq {
+		t.Errorf("ring invariant broken: head=%d sent=%d tail=%d slots=%d acked=%d nextSeq=%d",
+			head, sent, tail, c.cfg.ReplaySlots, acked, nextSeq)
 	}
 }
 
-// ringChecked dials through tap with checkRing hooked to every Write and Read
-// of the client's connections: a Read follows every batch of acks recvLoop
-// has applied (head moved) and the Writes bracket every flush (sent moved);
-// callers add a check after each Send (tail moved).
+// checkRing is checkCursors for the producer's goroutine, which alone may
+// also read tailOff: it must sit on tail's slot.
+func checkRing(t testing.TB, c *Client) {
+	checkCursors(t, c)
+	if tail := c.tail.Load(); c.tailOff != c.off(tail) {
+		t.Errorf("tailOff=%d, want tail %d's slot at %d", c.tailOff, tail, c.off(tail))
+	}
+}
+
+// ringChecked dials through tap with checkCursors hooked to every Write and
+// Read of the client's connections: a Read follows every batch of acks
+// recvLoop has applied (head moved) and the Writes bracket every flush (sent
+// moved); callers add a checkRing after each Send (tail moved).
 func ringChecked(t *testing.T, h *harness, tap *wireTap, cfg ClientConfig) *Client {
 	t.Helper()
 	var c *Client
@@ -145,7 +156,7 @@ func ringChecked(t *testing.T, h *harness, tap *wireTap, cfg ClientConfig) *Clie
 	tap.onIO = func() {
 		select {
 		case <-ready:
-			checkRing(t, c)
+			checkCursors(t, c)
 		default: // still inside Dial's handshake
 		}
 	}
@@ -544,7 +555,7 @@ func clientSendZeroAlloc(t *testing.T, key *ipc.MacKey) {
 		// Flush's, not of the data path measured here.
 		c.flush(nil)
 		c.mu.Lock()
-		for c.head != c.tail && !c.dead {
+		for c.head.Load() != c.tail.Load() && !c.dead.Load() {
 			c.cond.Wait()
 		}
 		c.mu.Unlock()

@@ -45,6 +45,13 @@ func Jitter(ceil time.Duration) time.Duration {
 // fixed-size message; implementations differ in cost (system call, memory
 // write, MMIO write) and in whether previously sent messages can later be
 // altered by the sender.
+//
+// A channel has one producer: Send is called from one goroutine at a time,
+// never from two at once. Every backend numbers messages inside Send
+// (Message.Seq) and SealSender binds that number into the tag, so the stream
+// position is only defined for one producer; the SharedRing and the hqnet
+// client go further and publish their write cursor with a plain store
+// (Publish) that only their one producer may make.
 type Sender interface {
 	// Send appends one message. It may block when the channel applies
 	// back-pressure, or return ErrFull when it cannot.

@@ -4,7 +4,7 @@ package ipc
 
 import "sync/atomic"
 
-// publish stores v into *p. Off amd64, where a plain store may pass an
+// Publish stores v into *p. Off amd64, where a plain store may pass an
 // earlier one, and under -race, where the detector must see the hand-off,
 // it is the sequentially consistent atomic store.
-func publish(p *atomic.Uint64, v uint64) { p.Store(v) }
+func Publish(p *atomic.Uint64, v uint64) { p.Store(v) }

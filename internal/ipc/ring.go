@@ -77,7 +77,7 @@ func NewSharedRing(capacity int) *Channel {
 // waits for the drain to reach it, and the moment before the producer waits
 // on a full ring, where it stores head again so that the drain cannot sleep
 // on a stale head while the producer sleeps on a full ring (Close is the
-// third fenced point). Elsewhere the store is publish, one MOVQ on amd64: a
+// third fenced point). Elsewhere the store is Publish, one MOVQ on amd64: a
 // send costs a memory write and a load of the drain's parked flag, as Table
 // 2 prices it, and a drain that parks at that instant is woken by a later
 // Send or fenced point (see waiter). A full ring applies backpressure: the
@@ -104,7 +104,7 @@ func (r *SharedRing) Send(m Message) error {
 	if m.Op == OpSyscall {
 		r.head.Store(head + 1)
 	} else {
-		publish(&r.head, head+1)
+		Publish(&r.head, head+1)
 	}
 	r.recv.wakeUp()
 	return nil

@@ -37,7 +37,7 @@ const spinIterBudget = 256
 // a full ring is always woken. The producer's head store is fenced only
 // where the producer can stop sending and wait on the drain: a System-Call
 // message, a full ring and Close (SharedRing.Send). Between those points it
-// is publish, a release store, and on amd64 the load of parked that follows
+// is Publish, a release store, and on amd64 the load of parked that follows
 // may pass it: a drain that parks at that instant can miss the wake-up and
 // sleep on a stale head. Nothing is lost by it. The slot and head are
 // written, the drain is only late: its raised flag is in memory before it

@@ -1,6 +1,10 @@
 package policy
 
-import "herqules/internal/ipc"
+import (
+	"math/bits"
+
+	"herqules/internal/ipc"
+)
 
 // CFI is the pointer-integrity control-flow-integrity policy (§4.1.2): the
 // verifier keeps an authoritative copy of every writable control-flow
@@ -52,14 +56,67 @@ func (c *CFI) Ops() []ipc.Op {
 // Handle implements Policy.
 func (c *CFI) Handle(m ipc.Message) *Violation { return c.handle(&m) }
 
-// HandleRun implements Policy.
+// HandleRun implements Policy. A define or a check of a non-zero key is one
+// probe, for the slot holding the key or the empty slot it would take, and
+// one store of {key, Arg2} there: a define's new value, or the value a check
+// has just matched. Which of the two it is only selects masks, so a run that
+// mixes them pays no mispredicted branch per op, which was half of a CFI op's
+// cost on a random mix. Everything else goes through handle: the other ops,
+// key 0, a define that would grow the table, a check that fails, which
+// handle turns into its Violation, and every op on a table past the cache
+// (worthTouching), where the probe's miss hides the branch and a check's
+// store would dirty a line that a load alone leaves clean.
 func (c *CFI) HandleRun(ms []ipc.Message) (int, *Violation) {
-	for i := range ms {
+	for i := c.probeRun(ms); i < len(ms); i += 1 + c.probeRun(ms[i+1:]) {
 		if v := c.handle(&ms[i]); v != nil {
 			return i, v
 		}
 	}
 	return len(ms), nil
+}
+
+// probeRun takes the longest prefix of ms that the one-probe path can take
+// and returns its length. It calls nothing, so the loop keeps its state in
+// registers.
+func (c *CFI) probeRun(ms []ipc.Message) int {
+	t := c.table
+	if t.worthTouching() {
+		return 0
+	}
+	n, live, peak := len(ms), t.live, c.maxEntries
+	for i := range ms {
+		m := &ms[i]
+		check := uint64(m.Op - ipc.OpPointerDefine)
+		if check > 1 || m.Arg1 == 0 {
+			n = i
+			break
+		}
+		key := m.Arg1
+		j := t.slot(key)
+		for k := t.ents[j].key; nonzero(k^key)&nonzero(k) != 0; k = t.ents[j].key {
+			j = (j + 1) & t.mask
+		}
+		e := &t.ents[j]
+		absent := nonzero(e.key) ^ 1
+		_, full := bits.Sub64(uint64(3*len(t.ents)), uint64(4*(live+1)), 0)
+		// A check fails on an absent key or another value; a define of an
+		// absent key into a table at 3/4 load grows it.
+		if check&(absent|nonzero(e.val^m.Arg2))|(check^1)&absent&full != 0 {
+			n = i
+			break
+		}
+		*e = ptrEntry{key, m.Arg2}
+		live += int(absent)
+		peak = max(peak, live)
+	}
+	t.live, c.maxEntries = live, peak
+	return n
+}
+
+// nonzero is 1 if x is not 0, else 0, from the borrow of 0 - x: no branch.
+func nonzero(x uint64) uint64 {
+	_, b := bits.Sub64(0, x, 0)
+	return b
 }
 
 // handle dispatches the §4.1.3/§4.1.5 message set.

@@ -37,9 +37,11 @@ func newPtrTable() *ptrTable {
 }
 
 // slot is the Fibonacci multiply-shift hash: the high bits of key*φ⁻¹ spread
-// both dense (stack addresses stepping by 8) and sparse keys uniformly.
+// both dense (stack addresses stepping by 8) and sparse keys uniformly. shift
+// is below 64, so the mask changes nothing but spares the compiler's branch-
+// free fix-up for a shift of 64 or more.
 func (t *ptrTable) slot(key uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> t.shift
+	return (key * 0x9E3779B97F4A7C15) >> (t.shift & 63)
 }
 
 // get returns the value stored for key.
