@@ -37,6 +37,8 @@ vet:
 # with a plain store),
 # the hot-path benchmarks, ten
 # seconds of fuzzing each on the frame decoder that feeds the verifier's drain,
+# on the sealed ring (eight-at-a-time sealing and publishing) against the
+# per-message sealer under a concurrent drain,
 # on the allocation policies against their sorted-slice reference, on the
 # pointer table (and cfi's block operations) against a Go map, on the
 # hmac sealer's run unseal against a loop of one-message calls, on every
@@ -77,6 +79,7 @@ check: vet build
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
 	$(GO) test -run xxx -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/ipc
+	$(GO) test -run xxx -fuzz FuzzSealedRing -fuzztime 10s ./internal/ipc
 	$(GO) test -run xxx -fuzz FuzzAllocPolicies -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzPtrTable -fuzztime 10s ./internal/policy
 	$(GO) test -run xxx -fuzz FuzzUnsealRun -fuzztime 10s ./internal/policy
@@ -114,7 +117,8 @@ verify-cover:
 # faults in tables, the hqd abuse battery deleted and one soak report,
 # 24 675 with every channel error terminal and the retry ladders gone,
 # 24 775 with the hqnet client's lock-free send and cfi's one-probe define
-# and check; the kernel's assembly is not counted).
+# and check, 24 889 with the sealed ring's eight-at-a-time view; the
+# kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount
 
@@ -145,7 +149,9 @@ bench:
 # sends, the System-Call message and the gate against hqd's chain, answered
 # by the daemon's drain; with its zero-alloc test) — both at -cpu 1,2 because
 # the second processor is the daemon's — and the daemon's cursor decoder below
-# the session (one client burst of staging, 256 frames a call, 0 allocs/op).
+# the session (one client burst of staging, 256 frames a call, 0 allocs/op),
+# and a sealed send into a drained local ring (eight tags a MacSeal8 pass,
+# one head store a group; 0 allocs/op) at -cpu 1,2.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkRingGateSparse' -benchtime 400x -cpu 1,2 .
@@ -154,3 +160,4 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkDeliverHotChain' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc|TestGateRoundTripAllocatesNothing' -bench 'BenchmarkClientSend|BenchmarkGateRoundTrip' -benchtime 200ms -benchmem -cpu 1,2 ./internal/hqnet
 	$(GO) test -run xxx -bench 'BenchmarkFrameDecoder' -benchtime 200ms -benchmem ./internal/ipc
+	$(GO) test -run xxx -bench 'BenchmarkSealedRingSend' -benchtime 200ms -benchmem -cpu 1,2 ./internal/ipc

@@ -27,13 +27,14 @@ type SharedRing struct {
 	// a size class whose objects start on a line boundary.
 	recv waiter // the drain, parked on an empty ring
 	send waiter // the producer, parked on a full ring
-	_    [128 - 64 - 2*16]byte
+	_    [128 - 64 - 2*24]byte
 }
 
 var (
 	_ Sender   = (*SharedRing)(nil)
 	_ Receiver = (*SharedRing)(nil)
 	_ Pender   = (*SharedRing)(nil)
+	_ Sender   = (*sealedRing)(nil)
 )
 
 // Shared-ring capacity bounds: requests are clamped into [MinRingCapacity,
@@ -108,6 +109,92 @@ func (r *SharedRing) Send(m Message) error {
 	}
 	r.recv.wakeUp()
 	return nil
+}
+
+// sealedRing is the view SealSender returns for a bare SharedRing: the
+// ring's one producer, sealing eight messages at a time. Send numbers a
+// message and writes it into the ring's next free slot without moving head,
+// so the open group sits in slots the drain cannot read yet. publish tags the
+// group with one MacSeal8 pass and hands it over with one head store: at the
+// eighth message (Publish), and fenced, as SharedRing.Send fences, at a
+// System-Call message, before the producer waits on a full ring and at
+// Close. The raw ring stays unsealed; a raw Send while a group is open would
+// overwrite it, so the view, once made, is the ring's only producer.
+type sealedRing struct {
+	r    *SharedRing
+	key  MacKey
+	open uint64 // messages written past head, not yet published
+}
+
+func (s *sealedRing) Send(m Message) error {
+	r := s.r
+	if r.closed.Load() {
+		return ErrClosed
+	}
+	end := r.head.Load() + s.open
+	size := uint64(len(r.slots))
+	if end-r.tail.Load() >= size {
+		s.publish(true)
+		r.send.wait(func() bool { return end-r.tail.Load() < size || r.closed.Load() })
+		if r.closed.Load() {
+			return ErrClosed
+		}
+	}
+	r.seq++
+	m.Seq = r.seq
+	r.slots[end&r.mask] = m
+	s.open++
+	if m.Op == OpSyscall {
+		s.publish(true)
+	} else if s.open == 8 {
+		s.publish(false)
+	}
+	return nil
+}
+
+// publish seals the open group, stores head past it (fenced or with
+// Publish) and wakes a parked drain. With no group open a fenced publish
+// still stores head: before a full-ring wait that store is what keeps the
+// drain from sleeping on a stale head.
+func (s *sealedRing) publish(fenced bool) {
+	r := s.r
+	head := r.head.Load()
+	n := s.open
+	if n == 1 {
+		m := &r.slots[head&r.mask]
+		m.Mac = MacSeal(s.key, *m, m.Seq)
+	} else if n > 1 {
+		var tags [8]uint64
+		if i := head & r.mask; i+8 <= uint64(len(r.slots)) {
+			// Lanes past the group hash stale slots; their tags are dropped.
+			tags = MacSeal8(s.key, (*[8]Message)(r.slots[i:i+8]))
+		} else {
+			// The group wraps the ring's end: seal it from a copy.
+			var g [8]Message
+			for k := uint64(0); k < n; k++ {
+				g[k] = r.slots[(head+k)&r.mask]
+			}
+			tags = MacSeal8(s.key, &g)
+		}
+		for k := uint64(0); k < n; k++ {
+			r.slots[(head+k)&r.mask].Mac = tags[k]
+		}
+	}
+	s.open = 0
+	if fenced {
+		r.head.Store(head + n)
+	} else {
+		Publish(&r.head, head+n)
+	}
+	r.recv.wakeUp()
+}
+
+// Close publishes the open group and closes the ring.
+func (s *sealedRing) Close() error {
+	if s.open > 0 {
+		s.publish(true)
+	}
+	return s.r.Close()
 }
 
 // Close marks the ring closed and wakes both sides: a parked producer gets

@@ -201,7 +201,23 @@ func (f SenderFunc) Close() error { return nil }
 // so the tag it computes binds the same stream position the verifier will
 // observe in Message.Seq. Like the backends, it requires a single producer
 // goroutine per channel.
+//
+// Given a bare *SharedRing, SealSender returns a sealed view of the ring
+// that tags eight messages in one MacSeal8 pass and publishes them with one
+// store. Its visibility contract is the one the hqnet client keeps for its
+// bursts: at most seven accepted messages wait unpublished, until the
+// eighth, a System-Call message, a full ring or the view's Close, so the
+// verifier has every message by the next system call (§2.2). Close the view,
+// not the ring: closing the ring drops the open group. The ring's own Send
+// stays unsealed, and the view must be the ring's only producer. Every other
+// sender, an append-only channel above all, is sealed message by message: a
+// message held back in front of an append-only channel is one a hijacked
+// program could still erase, while a ring's writer can rewrite any unread
+// slot anyway (SharedRing.Corrupt).
 func SealSender(s Sender, key MacKey) Sender {
+	if r, ok := s.(*SharedRing); ok {
+		return &sealedRing{r: r, key: key}
+	}
 	return &sealingSender{s: s, key: key}
 }
 

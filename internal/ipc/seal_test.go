@@ -219,17 +219,23 @@ func TestSealSenderFailedSendConsumesNoOrdinal(t *testing.T) {
 
 func TestSealSenderMatchesBackendSeq(t *testing.T) {
 	// The sealing wrapper derives Seq itself; the backend assigns its own on
-	// accept. The two must agree, or the tag binds the wrong position.
+	// accept. The two must agree, or the tag binds the wrong position. The
+	// stream ends in a System-Call message: a sealed ring publishes a group
+	// of fewer than eight only there (or at a full ring or Close).
 	ch := NewSharedRing(64)
 	defer ch.Close()
 	k := MacKey{K0: 3, K1: 4}
 	s := SealSender(ch.Sender, k)
-	for i := 0; i < 5; i++ {
-		if err := s.Send(Message{Op: OpCounterInc, PID: 1, Arg1: uint64(i)}); err != nil {
+	for i := 0; i < 6; i++ {
+		m := Message{Op: OpCounterInc, PID: 1, Arg1: uint64(i)}
+		if i == 5 {
+			m = Message{Op: OpSyscall, PID: 1}
+		}
+		if err := s.Send(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		m, ok, err := RecvOne(ch.Receiver)
 		if err != nil || !ok {
 			t.Fatalf("recv %d: ok=%t err=%v", i, ok, err)

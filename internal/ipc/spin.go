@@ -45,8 +45,14 @@ const spinIterBudget = 256
 // fenced point does so at the latest, since it waits until every earlier
 // store is visible before it loads the flag. The drain then reads the
 // current head, so no message is skipped, reordered or delivered twice.
+//
+// parks and wakes count the side's blocking receives and the tokens its peer
+// hands it. Both move only on those slow paths: they let a test see that a
+// parked side stays parked.
 type waiter struct {
 	parked atomic.Bool
+	parks  atomic.Uint32
+	wakes  atomic.Uint32
 	wake   chan struct{}
 }
 
@@ -66,6 +72,7 @@ func (w *waiter) wait(ready func() bool) {
 		if ready() && w.parked.CompareAndSwap(true, false) {
 			return // no peer took the flag, so no token was sent
 		}
+		w.parks.Add(1)
 		<-w.wake
 		if ready() {
 			return
@@ -86,6 +93,7 @@ func (w *waiter) wait(ready func() bool) {
 // processor the wake-up started takes it without that delay.
 func (w *waiter) wakeUp() {
 	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		w.wakes.Add(1)
 		w.wake <- struct{}{}
 		runtime.Gosched()
 	}

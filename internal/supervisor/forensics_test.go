@@ -13,12 +13,14 @@ import (
 // TestForensicsRetainedPastTeardown is the retention contract: a monitored
 // program killed for a CFI violation leaves a postmortem that survives its
 // verifier context's teardown — System.Forensics answers "why was this PID
-// killed?" after the process is fully gone.
+// killed?" after the process is fully gone. The victim makes a gated system
+// call before it violates: the kill can land before the program reaches the
+// attacker's gated payload, and a report of no system calls is then correct.
 func TestForensicsRetainedPastTeardown(t *testing.T) {
 	sys := New(Config{KillOnViolation: true, FlightRecorder: 64})
 	defer shutdown(t, sys)
 
-	p, err := sys.Launch(instrumentHQ(t, victim(t, true)), LaunchOptions{})
+	p, err := sys.Launch(instrumentHQ(t, victimWithPayload(t, true, true, true)), LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

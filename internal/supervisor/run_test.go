@@ -12,7 +12,7 @@ import (
 // both delivery modes.
 
 func TestDeterministicCleanRun(t *testing.T) {
-	ins := instrumentHQ(t, victimWithPayload(t, false, false))
+	ins := instrumentHQ(t, victimWithPayload(t, false, false, false))
 	out, err := Run(Config{KillOnViolation: true}, ins, LaunchOptions{Inline: true})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestDeterministicCleanRun(t *testing.T) {
 }
 
 func TestDeterministicAttackKilledBeforeSideEffects(t *testing.T) {
-	ins := instrumentHQ(t, victimWithPayload(t, true, false))
+	ins := instrumentHQ(t, victimWithPayload(t, true, false, false))
 	out, err := Run(Config{KillOnViolation: true}, ins, LaunchOptions{Inline: true})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestConcurrentModeOverEveryTransport(t *testing.T) {
 	}
 	for name, f := range mk {
 		t.Run(name, func(t *testing.T) {
-			ins := instrumentHQ(t, victimWithPayload(t, true, true))
+			ins := instrumentHQ(t, victimWithPayload(t, true, true, false))
 			out, err := Run(Config{KillOnViolation: true}, ins, LaunchOptions{Channel: f()})
 			if err != nil {
 				t.Fatal(err)
@@ -76,7 +76,7 @@ func TestConcurrentModeOverEveryTransport(t *testing.T) {
 }
 
 func TestMonitoringModeRecordsWithoutKilling(t *testing.T) {
-	ins := instrumentHQ(t, victimWithPayload(t, true, false))
+	ins := instrumentHQ(t, victimWithPayload(t, true, false, false))
 	out, err := Run(Config{KillOnViolation: false}, ins, LaunchOptions{Inline: true})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestMonitoringModeRecordsWithoutKilling(t *testing.T) {
 }
 
 func TestBaselineNotGated(t *testing.T) {
-	mod := victimWithPayload(t, false, false)
+	mod := victimWithPayload(t, false, false, false)
 	base, err := compiler.Instrument(mod, compiler.Baseline, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestBaselineNotGated(t *testing.T) {
 }
 
 func TestCustomPolicySet(t *testing.T) {
-	ins := instrumentHQ(t, victimWithPayload(t, false, false))
+	ins := instrumentHQ(t, victimWithPayload(t, false, false, false))
 	counter := policy.NewCounter()
 	out, err := Run(Config{
 		Policies: func() []policy.Policy { return []policy.Policy{counter, policy.NewCFI()} },
@@ -127,7 +127,7 @@ func TestCustomPolicySet(t *testing.T) {
 }
 
 func TestRunErrorsOnMissingEntry(t *testing.T) {
-	ins := instrumentHQ(t, victimWithPayload(t, false, false))
+	ins := instrumentHQ(t, victimWithPayload(t, false, false, false))
 	out, err := Run(Config{}, ins, LaunchOptions{Entry: "nonexistent", Inline: true})
 	if err != nil {
 		t.Fatal(err)

@@ -358,8 +358,11 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 			res := vp.Run(opts.Entry, opts.Args...)
 			if ch != nil {
 				// Done emitting: closing the channel is how the pump learns
-				// the source is done.
-				ch.Close()
+				// the source is done. It is closed through the emit path,
+				// so a sealed ring publishes the group it still holds: a
+				// failing check among the program's last messages is
+				// verified, not dropped.
+				sender.Close()
 			}
 			p.finish(res)
 		}()

@@ -12,6 +12,7 @@ import (
 	"herqules/internal/compiler"
 	"herqules/internal/ipc"
 	"herqules/internal/mir"
+	"herqules/internal/policy"
 	"herqules/internal/telemetry"
 	"herqules/internal/vm"
 )
@@ -20,12 +21,14 @@ import (
 // integer alias before dispatch; the attacker carries a *gated* payload
 // (exit 99) so bounded asynchronous validation has a side effect to block.
 func victim(t *testing.T, corrupt bool) *mir.Module {
-	return victimWithPayload(t, corrupt, true)
+	return victimWithPayload(t, corrupt, true, false)
 }
 
 // victimWithPayload makes the attacker's gated payload optional: without it
 // the hijacked call only sets the ungated exploit marker, like RIPE shellcode.
-func victimWithPayload(t *testing.T, corrupt, gatedPayload bool) *mir.Module {
+// With gateFirst, main makes a gated system call before the corruption, so
+// the process has entered the kernel gate whenever the verifier's kill lands.
+func victimWithPayload(t *testing.T, corrupt, gatedPayload, gateFirst bool) *mir.Module {
 	t.Helper()
 	mod := mir.NewModule("sup-victim")
 	b := mir.NewBuilder(mod)
@@ -42,6 +45,9 @@ func victimWithPayload(t *testing.T, corrupt, gatedPayload bool) *mir.Module {
 	b.Ret(b.Add(legit.Params[0], mir.ConstInt(1)))
 
 	b.Func("main", mir.FuncType(mir.I64))
+	if gateFirst {
+		b.Syscall(vm.SysSend)
+	}
 	slot := b.Cast(b.Malloc(mir.ConstInt(16)), mir.Ptr(mir.Ptr(sig)))
 	b.Store(b.FuncAddr(legit), slot)
 	if corrupt {
@@ -57,6 +63,53 @@ func victimWithPayload(t *testing.T, corrupt, gatedPayload bool) *mir.Module {
 		t.Fatal(err)
 	}
 	return mod
+}
+
+// TestLastCheckBeforeReturnIsVerified: under cfi,hmac on the default
+// SharedRing the sealed sender publishes eight messages at a time, so a
+// program's last messages can still be unpublished when main returns. Here
+// the last one is a failing pointer check with no system call after it;
+// Launch must end the emit path through the sealed sender, which publishes
+// the open group, so the check is verified and the process killed for it.
+// Closing only the raw ring would drop the group: a silent bypass.
+func TestLastCheckBeforeReturnIsVerified(t *testing.T) {
+	factory, err := policy.SetFactory("cfi", "hmac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := New(Config{Policies: factory, KillOnViolation: true})
+	defer shutdown(t, sys)
+
+	mod := mir.NewModule("last-check")
+	b := mir.NewBuilder(mod)
+	sig := mir.FuncType(mir.I64, mir.I64)
+	legit := b.Func("legit", sig, "x")
+	b.Ret(legit.Params[0])
+	b.Func("main", mir.FuncType(mir.I64))
+	slot := b.Cast(b.Malloc(mir.ConstInt(16)), mir.Ptr(mir.Ptr(sig)))
+	b.Store(b.FuncAddr(legit), slot)
+	b.Store(mir.ConstInt(0xbad0), b.Cast(slot, mir.Ptr(mir.I64)))
+	fp := b.Load(slot) // the failing check, and the program's last message
+	b.Ret(b.Cast(fp, mir.I64))
+	mod.Finalize()
+	if err := mir.Validate(mod); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := sys.Launch(instrumentHQ(t, mod), LaunchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Killed || out.Stats.Syscalls != 0 {
+		t.Fatalf("killed %t after %d system calls, want a kill with none: %+v", out.Killed, out.Stats.Syscalls, out.Result)
+	}
+	if len(out.PolicyViolations) != 1 || out.PolicyViolations[0].Policy != "cfi" {
+		t.Fatalf("violations %v, want one, attributed to cfi", out.PolicyViolations)
+	}
 }
 
 func instrumentHQ(t *testing.T, mod *mir.Module) *compiler.Instrumented {
