@@ -28,13 +28,14 @@ vet:
 # must keep compiling without any tag), the full test suite under the race detector (which runs every
 # hqbench experiment once at its smoke scope, the soaks included:
 # TestEveryExperimentRunsQuick), twenty raced runs each of the ring's
-# park/wake and fenced-point tests, of the hqnet client's goodbye resend
-# and token tests (a resend racing recvLoop's reconnect must fail here, not
-# flake later) and of its one-producer tests (a flush that reads a slot
-# before its tail store, or an ack that releases a frame in flight, shows as
-# a race or a changed byte only now and then), twenty runs of the ring's
-# tests without the race detector (only that build publishes the ring's head
-# with a plain store),
+# park/wake, fenced-point, close and sealed-view tests, of the hqnet
+# client's goodbye resend and token tests (a resend racing recvLoop's
+# reconnect must fail here, not flake later) and of its one-producer tests
+# (a flush that reads a slot before its tail store, or an ack that releases
+# a frame in flight, shows as a race or a changed byte only now and then),
+# twenty runs of the ring's
+# and sealed-view tests without the race detector (only that build publishes
+# the ring's head with a plain store, on the raw and the sealed path alike),
 # the hot-path benchmarks, ten
 # seconds of fuzzing each on the frame decoder that feeds the verifier's drain,
 # on the sealed ring (eight-at-a-time sealing and publishing) against the
@@ -73,8 +74,8 @@ check: vet build
 		internal/verifier internal/kernel internal/supervisor); if [ -n "$$slept" ]; then \
 		echo "time.Sleep or time.After on the enforcement path:"; echo "$$slept"; exit 1; fi
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
-	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints' ./internal/ipc
-	$(GO) test -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints' ./internal/ipc
+	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints|TestSharedRingCloseDeliversOpenGroup|TestSealSender' ./internal/ipc
+	$(GO) test -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints|TestSharedRingCloseDeliversOpenGroup|TestSealSender' ./internal/ipc
 	$(GO) test -race -count=20 -run 'TestCloseResendsLostGoodbye|TestResumeToken|TestConcurrentSendGateHeartbeatNeverSplitFrames|TestAckNeverReleasesInFlightFrames' ./internal/hqnet
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
@@ -117,8 +118,9 @@ verify-cover:
 # faults in tables, the hqd abuse battery deleted and one soak report,
 # 24 675 with every channel error terminal and the retry ladders gone,
 # 24 775 with the hqnet client's lock-free send and cfi's one-probe define
-# and check, 24 889 with the sealed ring's eight-at-a-time view; the
-# kernel's assembly is not counted).
+# and check, 24 889 with the sealed ring's eight-at-a-time view, 24 722
+# with one producer path onto the ring and the µarch multi-core model
+# deleted; the kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount
 

@@ -73,9 +73,6 @@ func Stats(procs, messages int) *StatsResult {
 			panic("experiments: stats: " + err.Error()) // nothing has shut sys down
 		}
 		pid := proc.PID()
-		if reg, ok := ch.Sender.(ipc.PIDRegister); ok {
-			reg.SetPID(pid)
-		}
 
 		senders.Add(1)
 		go func(p int) {

@@ -10,31 +10,41 @@ import (
 // every unread slot and can rewrite or erase messages before the verifier
 // reads them. The Corrupt method exposes exactly that weakness so tests and
 // examples can demonstrate why raw shared memory is unsuitable for HerQules.
+//
+// A SharedRing is a handle onto the ring's state. NewSharedRing returns the
+// raw one; SealSender returns a second, sealed handle onto the same state,
+// so both endpoints run the one Send body and neither pays a wrapper's call.
 type SharedRing struct {
+	*ringState
+	sealed bool // sends through this handle are sealed (SealSender)
+}
+
+type ringState struct {
 	slots []Message
 	mask  uint64
 
-	head   atomic.Uint64 // next slot to write
+	head   atomic.Uint64 // next slot to publish
 	tail   atomic.Uint64 // next slot to read
 	closed atomic.Bool
+	open   uint32 // sealed messages written past head, not yet published
 
 	seq uint64 // sender-side message counter (forgeable: sender-managed)
 
 	// The fields above fill one 64-byte line. The waiters get a second line
 	// of their own: a cursor store is followed by a load of the peer's
 	// parked flag, and a line written only when a side parks stays shared
-	// in both caches, so that load hits. The pad makes the struct 128 bytes,
-	// a size class whose objects start on a line boundary.
+	// in both caches, so that load hits. The sealing key, read once a group,
+	// fills the line: the struct is 128 bytes, a size class whose objects
+	// start on a line boundary.
 	recv waiter // the drain, parked on an empty ring
 	send waiter // the producer, parked on a full ring
-	_    [128 - 64 - 2*24]byte
+	key  MacKey // the sealed handle's key
 }
 
 var (
 	_ Sender   = (*SharedRing)(nil)
 	_ Receiver = (*SharedRing)(nil)
 	_ Pender   = (*SharedRing)(nil)
-	_ Sender   = (*sealedRing)(nil)
 )
 
 // Shared-ring capacity bounds: requests are clamped into [MinRingCapacity,
@@ -61,7 +71,7 @@ func NewSharedRing(capacity int) *Channel {
 	for n < uint64(capacity) {
 		n <<= 1
 	}
-	r := &SharedRing{slots: make([]Message, n), mask: n - 1, recv: newWaiter(), send: newWaiter()}
+	r := &SharedRing{ringState: &ringState{slots: make([]Message, n), mask: n - 1, recv: newWaiter(), send: newWaiter()}}
 	return &Channel{Sender: r, Receiver: r, Props: Properties{
 		Name:            "Shared Memory",
 		AppendOnly:      false,
@@ -85,102 +95,60 @@ func NewSharedRing(capacity int) *Channel {
 // producer yields spinIterBudget times while the drain catches up, then
 // parks until the drain's next tail store (or Close) wakes it, so a stalled
 // verifier costs the producer no CPU.
+//
+// Send is the ring's one producer body, for the raw handle and the sealed
+// one. It numbers m and writes it into the slot after the open group. On
+// the raw handle m goes out unsealed and is published at once, with the
+// group ahead of it. On the sealed handle it joins the group, which is
+// published at its eighth message and, fenced, at a System-Call message,
+// before the producer waits on a full ring and at Close.
 func (r *SharedRing) Send(m Message) error {
 	if r.closed.Load() {
 		return ErrClosed
 	}
 	head := r.head.Load()
-	size := uint64(len(r.slots))
-	if head-r.tail.Load() >= size {
-		r.head.Store(head)
-		r.recv.wakeUp()
-		r.send.wait(func() bool { return head-r.tail.Load() < size || r.closed.Load() })
-		if r.closed.Load() {
+	open := uint64(r.open)
+	if head+open-r.tail.Load() >= uint64(len(r.slots)) {
+		if !r.awaitRoom(head, open) {
 			return ErrClosed
 		}
+		head, open = head+open, 0
 	}
 	r.seq++
 	m.Seq = r.seq
-	r.slots[head&r.mask] = m
-	if m.Op == OpSyscall {
-		r.head.Store(head + 1)
-	} else {
-		Publish(&r.head, head+1)
-	}
-	r.recv.wakeUp()
-	return nil
-}
-
-// sealedRing is the view SealSender returns for a bare SharedRing: the
-// ring's one producer, sealing eight messages at a time. Send numbers a
-// message and writes it into the ring's next free slot without moving head,
-// so the open group sits in slots the drain cannot read yet. publish tags the
-// group with one MacSeal8 pass and hands it over with one head store: at the
-// eighth message (Publish), and fenced, as SharedRing.Send fences, at a
-// System-Call message, before the producer waits on a full ring and at
-// Close. The raw ring stays unsealed; a raw Send while a group is open would
-// overwrite it, so the view, once made, is the ring's only producer.
-type sealedRing struct {
-	r    *SharedRing
-	key  MacKey
-	open uint64 // messages written past head, not yet published
-}
-
-func (s *sealedRing) Send(m Message) error {
-	r := s.r
-	if r.closed.Load() {
-		return ErrClosed
-	}
-	end := r.head.Load() + s.open
-	size := uint64(len(r.slots))
-	if end-r.tail.Load() >= size {
-		s.publish(true)
-		r.send.wait(func() bool { return end-r.tail.Load() < size || r.closed.Load() })
-		if r.closed.Load() {
-			return ErrClosed
+	r.slots[(head+open)&r.mask] = m
+	g := open
+	if r.sealed {
+		r.open++
+		if open < 7 && m.Op != OpSyscall {
+			return nil
 		}
+		g++
 	}
-	r.seq++
-	m.Seq = r.seq
-	r.slots[end&r.mask] = m
-	s.open++
-	if m.Op == OpSyscall {
-		s.publish(true)
-	} else if s.open == 8 {
-		s.publish(false)
-	}
+	r.publish(head, open+1, g, m.Op == OpSyscall)
 	return nil
 }
 
-// publish seals the open group, stores head past it (fenced or with
-// Publish) and wakes a parked drain. With no group open a fenced publish
+// awaitRoom publishes the open group, fenced, and waits until the slot
+// after it is free. It reports false if the ring was closed first.
+func (r *SharedRing) awaitRoom(head, open uint64) bool {
+	r.publish(head, open, open, true)
+	end, size := head+open, uint64(len(r.slots))
+	r.send.wait(func() bool { return end-r.tail.Load() < size || r.closed.Load() })
+	return !r.closed.Load()
+}
+
+// publish hands the n messages written past head to the drain: it seals
+// the first g of them, the open group, stores head past all n (fenced or
+// with Publish) and wakes a parked drain. Between the caller's slot write
+// and the head store it reads nothing from the cursors' line, which the
+// drain's tail store may have taken. With nothing written a fenced publish
 // still stores head: before a full-ring wait that store is what keeps the
 // drain from sleeping on a stale head.
-func (s *sealedRing) publish(fenced bool) {
-	r := s.r
-	head := r.head.Load()
-	n := s.open
-	if n == 1 {
-		m := &r.slots[head&r.mask]
-		m.Mac = MacSeal(s.key, *m, m.Seq)
-	} else if n > 1 {
-		var tags [8]uint64
-		if i := head & r.mask; i+8 <= uint64(len(r.slots)) {
-			// Lanes past the group hash stale slots; their tags are dropped.
-			tags = MacSeal8(s.key, (*[8]Message)(r.slots[i:i+8]))
-		} else {
-			// The group wraps the ring's end: seal it from a copy.
-			var g [8]Message
-			for k := uint64(0); k < n; k++ {
-				g[k] = r.slots[(head+k)&r.mask]
-			}
-			tags = MacSeal8(s.key, &g)
-		}
-		for k := uint64(0); k < n; k++ {
-			r.slots[(head+k)&r.mask].Mac = tags[k]
-		}
+func (r *SharedRing) publish(head, n, g uint64, fenced bool) {
+	if g > 0 {
+		r.seal(head, g)
 	}
-	s.open = 0
 	if fenced {
 		r.head.Store(head + n)
 	} else {
@@ -189,20 +157,45 @@ func (s *sealedRing) publish(fenced bool) {
 	r.recv.wakeUp()
 }
 
-// Close publishes the open group and closes the ring.
-func (s *sealedRing) Close() error {
-	if s.open > 0 {
-		s.publish(true)
+// seal tags the open group, the g messages from head on, with one MacSeal8
+// pass (a group of one with MacSeal), and closes it. Only sealed sends open
+// a group, so a ring never sent on sealed never writes open (see Close).
+func (r *SharedRing) seal(head, g uint64) {
+	r.open = 0
+	if g == 1 {
+		m := &r.slots[head&r.mask]
+		m.Mac = MacSeal(r.key, *m, m.Seq)
+		return
 	}
-	return s.r.Close()
+	var tags [8]uint64
+	if i := head & r.mask; i+8 <= uint64(len(r.slots)) {
+		// Lanes past the group hash stale slots; their tags are dropped.
+		tags = MacSeal8(r.key, (*[8]Message)(r.slots[i:i+8]))
+	} else {
+		// The group wraps the ring's end: seal it from a copy.
+		var w [8]Message
+		for k := uint64(0); k < g; k++ {
+			w[k] = r.slots[(head+k)&r.mask]
+		}
+		tags = MacSeal8(r.key, &w)
+	}
+	for k := uint64(0); k < g; k++ {
+		r.slots[(head+k)&r.mask].Mac = tags[k]
+	}
 }
 
-// Close marks the ring closed and wakes both sides: a parked producer gets
-// ErrClosed, and the drain empties the remaining slots. The flag's store is
-// sequentially consistent, so it is a fenced point: the drain sees it, or
-// Close sees the drain parked, and either way the drain then reads the last
-// published head.
+// Close publishes the open group, marks the ring closed and wakes both
+// sides: a parked producer gets ErrClosed, and the drain empties the
+// remaining slots. The flag's store is sequentially consistent, so it is a
+// fenced point: the drain sees it, or Close sees the drain parked, and
+// either way the drain then reads the last published head. Behind a sealed
+// producer, Close runs on the producer's goroutine or after it. A ring that
+// is never sent on sealed has no group open, so its Close writes nothing but
+// the flag and may run beside the producer, even one parked on a full ring.
 func (r *SharedRing) Close() error {
+	if g := uint64(r.open); g > 0 {
+		r.publish(r.head.Load(), g, g, false)
+	}
 	r.closed.Store(true)
 	r.recv.wakeUp()
 	r.send.wakeUp()

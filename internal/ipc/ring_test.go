@@ -199,15 +199,19 @@ func TestSharedRingParkedRoundTripAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSharedRingLayout: the cursors share the first cache line and the
-// waiters the second, and the struct is exactly two lines.
+// TestSharedRingLayout: the cursors and the open-group count share the
+// first cache line of the ring's state and the waiters the second, and the
+// state is exactly two lines.
 func TestSharedRingLayout(t *testing.T) {
-	var r SharedRing
+	var r ringState
 	if s := unsafe.Sizeof(r); s != 128 {
-		t.Fatalf("SharedRing is %d bytes, want 128", s)
+		t.Fatalf("the ring's state is %d bytes, want 128", s)
 	}
 	if o := unsafe.Offsetof(r.seq); o >= 64 {
 		t.Fatalf("seq at offset %d, want it on the first line", o)
+	}
+	if o := unsafe.Offsetof(r.open); o >= 64 {
+		t.Fatalf("open at offset %d, want it on the first line", o)
 	}
 	if o := unsafe.Offsetof(r.recv); o != 64 {
 		t.Fatalf("recv waiter at offset %d, want 64", o)

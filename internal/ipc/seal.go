@@ -202,21 +202,24 @@ func (f SenderFunc) Close() error { return nil }
 // observe in Message.Seq. Like the backends, it requires a single producer
 // goroutine per channel.
 //
-// Given a bare *SharedRing, SealSender returns a sealed view of the ring
-// that tags eight messages in one MacSeal8 pass and publishes them with one
-// store. Its visibility contract is the one the hqnet client keeps for its
+// Given a *SharedRing, SealSender returns a second, sealed handle onto the
+// ring, whose sends are tagged eight at a time in one MacSeal8 pass and
+// published with one store. Its visibility contract is the one the hqnet client keeps for its
 // bursts: at most seven accepted messages wait unpublished, until the
-// eighth, a System-Call message, a full ring or the view's Close, so the
-// verifier has every message by the next system call (§2.2). Close the view,
-// not the ring: closing the ring drops the open group. The ring's own Send
-// stays unsealed, and the view must be the ring's only producer. Every other
-// sender, an append-only channel above all, is sealed message by message: a
-// message held back in front of an append-only channel is one a hijacked
-// program could still erase, while a ring's writer can rewrite any unread
-// slot anyway (SharedRing.Corrupt).
+// eighth, a System-Call message, a full ring, a raw Send or Close, so the
+// verifier has every message by the next system call (§2.2). The telemetry
+// shim does not hide a ring: the sealed handle goes under it. Every other sender, an
+// append-only channel above all, is sealed message by message: a message
+// held back in front of an append-only channel is one a hijacked program
+// could still erase, while a ring's writer can rewrite any unread slot
+// anyway (SharedRing.Corrupt).
 func SealSender(s Sender, key MacKey) Sender {
-	if r, ok := s.(*SharedRing); ok {
-		return &sealedRing{r: r, key: key}
+	switch t := s.(type) {
+	case *SharedRing:
+		t.key = key
+		return &SharedRing{ringState: t.ringState, sealed: true}
+	case *instrumentedSender:
+		return &instrumentedSender{s: SealSender(t.s, key), sends: t.sends, errs: t.errs}
 	}
 	return &sealingSender{s: s, key: key}
 }
@@ -244,16 +247,7 @@ func (ss *sealingSender) Send(m Message) error {
 
 func (ss *sealingSender) Close() error { return ss.s.Close() }
 
-// SetPID implements PIDRegister by forwarding to the wrapped sender, keeping
-// the kernel-managed register reachable through the sealing layer.
-func (ss *sealingSender) SetPID(pid int32) {
-	if reg, ok := ss.s.(PIDRegister); ok {
-		reg.SetPID(pid)
-	}
-}
-
 var (
-	_ Sender      = SenderFunc(nil)
-	_ Sender      = (*sealingSender)(nil)
-	_ PIDRegister = (*sealingSender)(nil)
+	_ Sender = SenderFunc(nil)
+	_ Sender = (*sealingSender)(nil)
 )

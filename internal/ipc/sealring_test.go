@@ -14,17 +14,21 @@ import (
 // reference) and through SealSender over a bare SharedRing of 8 to 64 slots,
 // which a concurrent drain empties in bursts of varying size and now and
 // then stops reading, so the producer meets full rings and waits. System-Call
-// messages land where the input puts them, and so may the view's Close. The
-// drain must read exactly the reference's frames, bit for bit (Seq and Mac
-// included), none lost, duplicated or reordered; every accepted message must
-// be published (readable) once the Send of a System-Call message returns and
-// once Close returns; and a Send after Close must fail.
+// messages land where the input puts them, and so may raw sends on the ring
+// (unsealed, they must not overwrite an open group) and the Close of the
+// sealed or the raw handle. The drain must read exactly the reference's frames,
+// bit for bit (Seq and Mac included; a raw frame keeps its Mac), none lost,
+// duplicated or reordered; every accepted message must be published
+// (readable) once the Send of a System-Call message or a raw Send returns
+// and once Close returns; and a Send after Close must fail.
 func FuzzSealedRing(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 0x10})
 	f.Add(uint8(1), uint64(2), []byte{0x10, 1, 0x10, 2, 3, 0x10, 0xfe, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0xff, 1})
 	f.Add(uint8(0), uint64(3), append(make([]byte, 40), 0xfe, 0xfe, 0x10))
 	f.Add(uint8(3), uint64(4), append(append(make([]byte, 70), 0xfe), make([]byte, 70)...))
 	f.Add(uint8(2), uint64(5), []byte{0xfe, 0xfe, 0xfe, 1, 2, 3, 0xff})
+	f.Add(uint8(0), uint64(6), []byte{1, 2, 3, 0xfd, 4, 5, 6, 7, 8, 9, 10, 0xfd, 11, 0xfc})
+	f.Add(uint8(0), uint64(7), append(make([]byte, 13), 0xfc, 1))
 	f.Fuzz(func(t *testing.T, size uint8, seed uint64, ops []byte) {
 		if len(ops) > 1024 {
 			ops = ops[:1024]
@@ -35,8 +39,8 @@ func FuzzSealedRing(f *testing.F) {
 		r := ch.Sender.(*SharedRing)
 		defer r.Close() // a failed run still ends its drain
 		s := SealSender(r, k)
-		if _, ok := s.(*sealedRing); !ok {
-			t.Fatalf("SealSender over a bare SharedRing is a %T, want the sealed view", s)
+		if v, ok := s.(*SharedRing); !ok || !v.sealed {
+			t.Fatalf("SealSender over a bare SharedRing is a %T, want the sealed handle", s)
 		}
 		var want []Message
 		ref := SealSender(SenderFunc(func(m Message) error { want = append(want, m); return nil }), k)
@@ -71,8 +75,12 @@ func FuzzSealedRing(f *testing.F) {
 			case 0xfe:
 				stalls.Add(1)
 				continue
-			case 0xff:
-				if err := s.Close(); err != nil {
+			case 0xfc, 0xff:
+				closeFn := s.Close
+				if b == 0xfc {
+					closeFn = r.Close
+				}
+				if err := closeFn(); err != nil {
 					t.Fatal(err)
 				}
 				if head := r.head.Load(); head != uint64(len(want)) {
@@ -83,7 +91,13 @@ func FuzzSealedRing(f *testing.F) {
 			}
 			x = x*6364136223846793005 + 1442695040888963407
 			m := Message{Op: Op(b) % numOps, PID: int32(b) - 100, Arg1: x, Arg2: x >> 17, Arg3: uint64(i), Mac: x >> 5}
-			err := s.Send(m)
+			raw := b == 0xfd
+			var err error
+			if raw {
+				err = r.Send(m)
+			} else {
+				err = s.Send(m)
+			}
 			if closed {
 				if !errors.Is(err, ErrClosed) {
 					t.Fatalf("Send after Close: %v, want ErrClosed", err)
@@ -93,10 +107,16 @@ func FuzzSealedRing(f *testing.F) {
 			if err != nil {
 				t.Fatalf("send %d: %v", i, err)
 			}
-			_ = ref.Send(m)
-			if m.Op == OpSyscall {
+			if raw {
+				m.Seq = uint64(len(want)) + 1
+				want = append(want, m)
+				ref.(*sealingSender).n++
+			} else {
+				_ = ref.Send(m)
+			}
+			if m.Op == OpSyscall || raw {
 				if head := r.head.Load(); head != uint64(len(want)) {
-					t.Fatalf("System-Call message %d returned with head %d, %d messages accepted", i, head, len(want))
+					t.Fatalf("message %d (%v, raw %t) returned with head %d, %d messages accepted", i, m.Op, raw, head, len(want))
 				}
 			}
 		}
@@ -120,18 +140,17 @@ func FuzzSealedRing(f *testing.F) {
 	})
 }
 
-// TestSealSenderHoldsBackOnlyOnABareRing: only a bare SharedRing gets the
-// grouped view. A sealed message on an append-only channel, or on a ring
-// behind the telemetry shim, is in the channel when Send returns.
+// TestSealSenderHoldsBackOnlyOnABareRing: a ring, bare or behind the telemetry
+// shim, gets the grouped view: seven sealed messages wait unpublished and
+// the eighth publishes all eight, and the shim still counts every send. A
+// sealed message on an append-only channel is in the channel when Send
+// returns.
 func TestSealSenderHoldsBackOnlyOnABareRing(t *testing.T) {
 	k := MacKey{K0: 5, K1: 6}
-	wrapped := NewSharedRing(64)
-	wrapped.EnableTelemetry(telemetry.New(1))
 	for name, ch := range map[string]*Channel{
-		"message queue":         NewMessageQueue(),
-		"pipe":                  NewPipe(),
-		"socket":                NewSocket(),
-		"ring behind telemetry": wrapped,
+		"message queue": NewMessageQueue(),
+		"pipe":          NewPipe(),
+		"socket":        NewSocket(),
 	} {
 		s := SealSender(ch.Sender, k)
 		if err := s.Send(Message{Op: OpCounterInc, PID: 1}); err != nil {
@@ -144,24 +163,68 @@ func TestSealSenderHoldsBackOnlyOnABareRing(t *testing.T) {
 		s.Close()
 	}
 
-	ch := NewSharedRing(64)
-	r := ch.Sender.(*SharedRing)
-	s := SealSender(r, k)
-	for i := 0; i < 7; i++ {
+	for _, metered := range []bool{false, true} {
+		ch := NewSharedRing(64)
+		r := ch.Sender.(*SharedRing)
+		tm := telemetry.New(1)
+		if metered {
+			ch.EnableTelemetry(tm)
+		}
+		s := SealSender(ch.Sender, k)
+		for i := 0; i < 7; i++ {
+			if err := s.Send(Message{Op: OpCounterInc, PID: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := r.Pending(); n != 0 {
+			t.Errorf("metered %t: seven sealed messages on a ring, %d published, want the group held", metered, n)
+		}
 		if err := s.Send(Message{Op: OpCounterInc, PID: 1}); err != nil {
 			t.Fatal(err)
 		}
+		if n := r.Pending(); n != 8 {
+			t.Errorf("metered %t: the eighth sealed message, %d published, want 8", metered, n)
+		}
+		s.Close()
+		if err := s.Send(Message{Op: OpCounterInc, PID: 1}); !errors.Is(err, ErrClosed) {
+			t.Errorf("metered %t: send after Close returned %v, want ErrClosed", metered, err)
+		}
+		c := tm.Snapshot().Counters
+		if metered && (c["ipc.sends"].Total != 8 || c["ipc.send_errors"].Total != 1) {
+			t.Errorf("ipc.sends %d, ipc.send_errors %d, want 8 and 1", c["ipc.sends"].Total, c["ipc.send_errors"].Total)
+		}
 	}
-	if n := r.Pending(); n != 0 {
-		t.Errorf("seven sealed messages on a bare ring: %d published, want the group held", n)
+}
+
+// TestSharedRingCloseDeliversOpenGroup: a sealed stream of fewer than eight
+// messages with no System-Call message, closed through the raw handle
+// rather than the sealed one, reaches the drain whole, every message under
+// its tag.
+func TestSharedRingCloseDeliversOpenGroup(t *testing.T) {
+	k := MacKey{K0: 9, K1: 10}
+	for n := 1; n < 8; n++ {
+		ch := NewSharedRing(64)
+		s := SealSender(ch.Sender, k)
+		for i := 0; i < n; i++ {
+			if err := s.Send(Message{Op: OpCounterInc, PID: 3, Arg1: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ch.Sender.Close()
+		buf := make([]Message, 16)
+		got, ok, err := ch.Receiver.RecvBatch(buf)
+		if !ok || err != nil || got != n {
+			t.Fatalf("%d sealed sends, then the ring's Close: drain read %d (ok=%t err=%v)", n, got, ok, err)
+		}
+		for i, m := range buf[:got] {
+			if m.Seq != uint64(i+1) || m.Arg1 != uint64(i) || m.Mac != MacSeal(k, m, m.Seq) {
+				t.Errorf("%d sealed sends: frame %d is %+v, want seq %d under its tag", n, i, m, i+1)
+			}
+		}
+		if _, ok, _ := ch.Receiver.RecvBatch(buf); ok {
+			t.Errorf("%d sealed sends: the closed ring still reads ok after the group", n)
+		}
 	}
-	if err := s.Send(Message{Op: OpCounterInc, PID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if n := r.Pending(); n != 8 {
-		t.Errorf("the eighth sealed message: %d published, want 8", n)
-	}
-	s.Close()
 }
 
 // BenchmarkSealedRingSend prices a sealed send into a SharedRing that a

@@ -90,9 +90,16 @@ func (w *waiter) wait(ready func() bool) {
 // drain resumed 47 µs after its token on average, and on ring_stream it
 // often ended up sharing the producer's processor. Yielding runs the woken
 // side at once and leaves the waker in the global run queue, where the
-// processor the wake-up started takes it without that delay.
+// processor the wake-up started takes it without that delay. The load is
+// inlined into every cursor store; the hand-off is not.
 func (w *waiter) wakeUp() {
-	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+	if w.parked.Load() {
+		w.handOff()
+	}
+}
+
+func (w *waiter) handOff() {
+	if w.parked.CompareAndSwap(true, false) {
 		w.wakes.Add(1)
 		w.wake <- struct{}{}
 		runtime.Gosched()

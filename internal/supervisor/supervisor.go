@@ -307,8 +307,8 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 
 	// One emit path: the channel's sender, or delivery on the program's own
 	// goroutine. Under an authenticated policy set it is sealed under the
-	// key the kernel programmed at Register; the wrapper goes on after any
-	// telemetry shim, so the MAC binds the final message contents, and it
+	// key the kernel programmed at Register (a ring's sealed handle goes
+	// beneath the telemetry shim, which changes no message), and the sealer
 	// assigns the sequence numbers a channel backend would have, so the hmac
 	// policy's stream-position check holds inline too.
 	var sender ipc.Sender = ipc.SenderFunc(func(m ipc.Message) error { s.v.Deliver(m); return nil })
@@ -358,11 +358,8 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 			res := vp.Run(opts.Entry, opts.Args...)
 			if ch != nil {
 				// Done emitting: closing the channel is how the pump learns
-				// the source is done. It is closed through the emit path,
-				// so a sealed ring publishes the group it still holds: a
-				// failing check among the program's last messages is
-				// verified, not dropped.
-				sender.Close()
+				// the source is done (a ring publishes its open group first).
+				ch.Close()
 			}
 			p.finish(res)
 		}()

@@ -69,17 +69,14 @@ func victimWithPayload(t *testing.T, corrupt, gatedPayload, gateFirst bool) *mir
 // SharedRing the sealed sender publishes eight messages at a time, so a
 // program's last messages can still be unpublished when main returns. Here
 // the last one is a failing pointer check with no system call after it;
-// Launch must end the emit path through the sealed sender, which publishes
-// the open group, so the check is verified and the process killed for it.
-// Closing only the raw ring would drop the group: a silent bypass.
+// closing the channel must publish the open group, so the check is verified
+// and the process killed for it, with telemetry on (the ring sealed beneath
+// the counting shim) as without.
 func TestLastCheckBeforeReturnIsVerified(t *testing.T) {
 	factory, err := policy.SetFactory("cfi", "hmac")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(Config{Policies: factory, KillOnViolation: true})
-	defer shutdown(t, sys)
-
 	mod := mir.NewModule("last-check")
 	b := mir.NewBuilder(mod)
 	sig := mir.FuncType(mir.I64, mir.I64)
@@ -95,20 +92,25 @@ func TestLastCheckBeforeReturnIsVerified(t *testing.T) {
 	if err := mir.Validate(mod); err != nil {
 		t.Fatal(err)
 	}
+	ins := instrumentHQ(t, mod)
 
-	p, err := sys.Launch(instrumentHQ(t, mod), LaunchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Killed || out.Stats.Syscalls != 0 {
-		t.Fatalf("killed %t after %d system calls, want a kill with none: %+v", out.Killed, out.Stats.Syscalls, out.Result)
-	}
-	if len(out.PolicyViolations) != 1 || out.PolicyViolations[0].Policy != "cfi" {
-		t.Fatalf("violations %v, want one, attributed to cfi", out.PolicyViolations)
+	for _, m := range []*telemetry.Metrics{nil, telemetry.New(1)} {
+		sys := New(Config{Policies: factory, KillOnViolation: true, Metrics: m})
+		p, err := sys.Launch(ins, LaunchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.Wait()
+		shutdown(t, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Killed || out.Stats.Syscalls != 0 {
+			t.Fatalf("metrics %t: killed %t after %d system calls, want a kill with none: %+v", m != nil, out.Killed, out.Stats.Syscalls, out.Result)
+		}
+		if len(out.PolicyViolations) != 1 || out.PolicyViolations[0].Policy != "cfi" {
+			t.Fatalf("metrics %t: violations %v, want one, attributed to cfi", m != nil, out.PolicyViolations)
+		}
 	}
 }
 

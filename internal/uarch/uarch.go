@@ -148,20 +148,6 @@ func (d *Device) RecvBatch(out []ipc.Message) (int, bool, error) {
 	if d.readAddr == d.core.AppendAddr {
 		return 0, false, nil
 	}
-	return d.recvBatchLocked(out)
-}
-
-// TryRecvBatch reads up to len(out) messages without blocking.
-func (d *Device) TryRecvBatch(out []ipc.Message) (int, bool, error) {
-	if len(out) == 0 {
-		return 0, true, nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recvBatchLocked(out)
-}
-
-func (d *Device) recvBatchLocked(out []ipc.Message) (int, bool, error) {
 	n := 0
 	var buf [ipc.MessageSize]byte
 	for n < len(out) && d.readAddr != d.core.AppendAddr {

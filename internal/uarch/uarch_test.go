@@ -188,3 +188,39 @@ func TestDeviceRecvBatch(t *testing.T) {
 		t.Fatalf("drained %d, want %d", got, n)
 	}
 }
+
+func TestMultiCoreAMRsAreIsolated(t *testing.T) {
+	// Each writer core gets a unique AMR (§2.3.2): two devices mapped side
+	// by side in one memory. A writer's traffic must never appear under
+	// another core's region, and the MMU must reject ordinary stores to
+	// any of them.
+	m := mem.New()
+	const size = 8 * ipc.MessageSize
+	var devs [2]*Device
+	for i := range devs {
+		d, err := NewDevice(m, 0x7f10_0000_0000+uint64(i)*(size+mem.PageSize), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs[i] = d
+	}
+	if err := devs[0].Append(ipc.Message{Op: ipc.OpInit, Arg1: 7}); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range devs {
+		if err := m.Write(d.Base(), []byte{1}); err == nil {
+			t.Fatal("ordinary store to a per-core AMR succeeded")
+		}
+	}
+	if p := devs[1].Pending(); p != 0 {
+		t.Fatalf("message leaked into another core's AMR: Pending = %d", p)
+	}
+	var got [1]ipc.Message
+	if n, _, err := devs[0].RecvBatch(got[:]); n != 1 || err != nil || got[0].Arg1 != 7 {
+		t.Fatalf("core 0 AMR: %v n=%d %v", got[0], n, err)
+	}
+	devs[1].Close()
+	if n, ok, _ := devs[1].RecvBatch(got[:]); n != 0 || ok {
+		t.Fatal("message leaked into another core's AMR")
+	}
+}
