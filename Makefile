@@ -120,7 +120,8 @@ verify-cover:
 # 24 775 with the hqnet client's lock-free send and cfi's one-probe define
 # and check, 24 889 with the sealed ring's eight-at-a-time view, 24 722
 # with one producer path onto the ring and the µarch multi-core model
-# deleted; the kernel's assembly is not counted).
+# deleted, 24 750 with the wire paced by one 2730-frame burst; the kernel's
+# assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount
 
@@ -147,13 +148,16 @@ bench:
 # -benchmem must read 0 allocs/op), the networked client's send path
 # (sealed stream to an in-process daemon over a Unix socket, with its
 # zero-alloc test: Send encodes into the replay ring, a burst is sealed in
-# place and is one writev from it, the daemon acks once per read) and its gated round trip (16 sealed
+# place and is one writev from it, the daemon acks once per read; it reports
+# the daemon's reads and acks per 1000 messages) and its gated round trip (16 sealed
 # sends, the System-Call message and the gate against hqd's chain, answered
 # by the daemon's drain; with its zero-alloc test) — both at -cpu 1,2 because
 # the second processor is the daemon's — and the daemon's cursor decoder below
-# the session (one client burst of staging, 256 frames a call, 0 allocs/op),
-# and a sealed send into a drained local ring (eight tags a MacSeal8 pass,
-# one head store a group; 0 allocs/op) at -cpu 1,2.
+# the session (one client burst of staging, 2730 frames or 128 KiB, 256
+# frames a call, 0 allocs/op), and a sealed and a raw send into a drained
+# local ring (sealed: eight tags a MacSeal8 pass, one head store a group;
+# raw: one head store a message; 0 allocs/op each; both report the drain's
+# mean burst and each side's parks and wake-ups per 1000 sends) at -cpu 1,2.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkRingGateSparse' -benchtime 400x -cpu 1,2 .
@@ -162,4 +166,4 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkDeliverHotChain' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc|TestGateRoundTripAllocatesNothing' -bench 'BenchmarkClientSend|BenchmarkGateRoundTrip' -benchtime 200ms -benchmem -cpu 1,2 ./internal/hqnet
 	$(GO) test -run xxx -bench 'BenchmarkFrameDecoder' -benchtime 200ms -benchmem ./internal/ipc
-	$(GO) test -run xxx -bench 'BenchmarkSealedRingSend' -benchtime 200ms -benchmem -cpu 1,2 ./internal/ipc
+	$(GO) test -run xxx -bench 'BenchmarkSealedRingSend|BenchmarkRawRingSend' -benchtime 200ms -benchmem -cpu 1,2 ./internal/ipc

@@ -131,7 +131,7 @@ func TestFrameCarryOverSocketpair(t *testing.T) {
 // coalesced write of an even number of frames is the case that matters: half
 // its bytes is a frame boundary.
 func TestChaosConnDropTruncatesExactlyMidFrame(t *testing.T) {
-	for _, frames := range []int{1, 2, 341} { // 341: one hqnet client burst
+	for _, frames := range []int{1, 2, 341, 2730} { // 341: a large odd write; 2730: one hqnet client burst
 		t.Run(fmt.Sprintf("%d-frame-write", frames), func(t *testing.T) {
 			w, r := socketpair(t)
 			inj := NewInjector(42, WithConnDrop(1))

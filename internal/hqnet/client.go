@@ -31,7 +31,8 @@ type ClientConfig struct {
 	ResumeAttempts int
 
 	// ReplaySlots bounds the unacked-frame replay buffer (<= 0 selects
-	// 4096). A full buffer blocks Send — bounded memory, backpressure up
+	// three bursts: one being written, one on the wire, one awaiting its
+	// ack). A full buffer blocks Send — bounded memory, backpressure up
 	// into the monitored program, exactly like a full local channel.
 	ReplaySlots int
 
@@ -149,7 +150,7 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 		cfg.ResumeAttempts = 8
 	}
 	if cfg.ReplaySlots <= 0 {
-		cfg.ReplaySlots = 4096
+		cfg.ReplaySlots = 3 * burstFrames
 	}
 	c := &Client{cfg: cfg, ring: make([]byte, cfg.ReplaySlots*ipc.MessageSize), gateCh: make(chan error, 1)}
 	c.cond = sync.NewCond(&c.mu)
@@ -268,15 +269,19 @@ func (c *Client) Killed() (bool, string) {
 	return c.killed, c.killRsn
 }
 
-// burstFrames is how many unwritten frames Send lets pile up before it writes
-// them out, and what the daemon stages per read: just under 16 KiB.
-// Throughput is flat from a quarter to four times it: no setting.
-const burstFrames = 341
+// burstFrames paces the wire: Send writes the ring's unwritten frames out
+// once this many have piled up, the daemon stages this many per read(2) and
+// acks each read once, and the replay ring defaults to three of them. 2730
+// frames (131 040 bytes) are the most whole frames in 128 KiB; against 341
+// (16 KiB) they pay the writev, the daemon's read and wake-up, the ack and
+// the client's trim an eighth as often (EXPERIMENTS.md "One burst sets the
+// wire's pace"). No setting.
+const burstFrames = 2730
 
 // Send implements ipc.Sender. The frame is encoded into the ring's next free
 // slot (blocking while the ring is full — backpressure, not unbounded
-// queueing): one copy and one store of tail, no lock, no system call, no
-// allocation. Frames reach the wire when burstFrames of them are unwritten,
+// queueing): one copy and one store of tail, no lock (but for the rewind of
+// an empty ring), no system call, no allocation. Frames reach the wire when burstFrames of them are unwritten,
 // with the next gate request or heartbeat, before Send blocks, and on
 // Flush/Close; a failed write or a severed transport loses none, the resume
 // rewinds the write cursor. Send only fails once the session is dead, and
@@ -292,11 +297,13 @@ func (c *Client) Send(m ipc.Message) error { return c.send(m, false) }
 // a burst seen late, which the next flush writes; a stale dead admits one
 // more frame to a dying session, as a Send just before the death would.
 func (c *Client) send(m ipc.Message, seal bool) error {
-	tail := c.tail.Load()
-	if c.dead.Load() || tail-c.head.Load() == uint64(c.cfg.ReplaySlots) {
+	tail, head := c.tail.Load(), c.head.Load()
+	if c.dead.Load() || tail-head == uint64(c.cfg.ReplaySlots) {
 		if err := c.waitRoom(tail); err != nil {
 			return err
 		}
+	} else if head == tail && c.tailOff != 0 {
+		tail = c.rewind(tail)
 	}
 	seq := c.nextSeq.Load()
 	if m.Seq == 0 || seal {
@@ -349,6 +356,27 @@ func (c *Client) waitRoom(tail uint64) error {
 		return fmt.Errorf("hqnet: session dead: %s", c.deadErr)
 	}
 	return nil
+}
+
+// rewind restarts an empty ring at its first slot and returns the new tail:
+// head, sent and tail all move to the next count whose slot is the first.
+// A program whose every burst is acked before it sends the next (one gated
+// request at a time) then writes the same few cache lines over and over
+// instead of walking the whole ring, which three bursts make 384 KiB. The
+// ring is empty only if head has caught up with tail, and then no frame is
+// unwritten or in flight, so no flush or release is reading a slot; head and
+// sent stay where they are until this producer's next frame, and they move
+// under c.mu as everywhere else.
+func (c *Client) rewind(tail uint64) uint64 {
+	slots := uint64(c.cfg.ReplaySlots)
+	next := (tail/slots + 1) * slots
+	c.mu.Lock()
+	c.head.Store(next)
+	c.sent.Store(next)
+	c.tail.Store(next)
+	c.mu.Unlock()
+	c.tailOff = 0
+	return next
 }
 
 // off is the ring byte offset of frame count n's slot.

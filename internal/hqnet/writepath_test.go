@@ -440,9 +440,10 @@ func TestStreamingCoalescesWrites(t *testing.T) {
 	waitFor(t, 5*time.Second, "delivery", func() bool { return h.procMessages(c.PID()) == frames })
 }
 
-// TestResumeRetransmitsInFewWrites: a full replay ring (4096 frames the
-// daemon never saw) goes out on the resumed connection straight from the
-// ring, in at most 3 writes: the resume request and the ring's two halves.
+// TestResumeRetransmitsInFewWrites: a full replay ring (the default three
+// bursts, frames the daemon never saw) goes out on the resumed connection
+// straight from the ring, in at most 3 writes: the resume request and the
+// ring's two halves.
 func TestResumeRetransmitsInFewWrites(t *testing.T) {
 	h := newHarness(t,
 		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
@@ -451,7 +452,7 @@ func TestResumeRetransmitsInFewWrites(t *testing.T) {
 	c := h.dial(t, ClientConfig{WrapConn: tap.wrap, HeartbeatEvery: time.Hour})
 	defer c.Close()
 
-	const frames = 4096 // the default ReplaySlots: the last Send does not block
+	const frames = 3 * burstFrames // the default ReplaySlots: the last Send does not block
 	sendN(t, c, frames)
 	tap.sever(0)
 	if !c.Flush(10 * time.Second) {
@@ -464,6 +465,39 @@ func TestResumeRetransmitsInFewWrites(t *testing.T) {
 		t.Fatalf("%d writes to retransmit %d frames, want at most 3", writes, frames)
 	}
 	waitFor(t, 5*time.Second, "delivery", func() bool { return h.procMessages(c.PID()) == frames })
+}
+
+// TestEmptyRingRestartsAtFirstSlot: once every frame is acked, the next Send
+// writes the ring's first slot wherever the cursors stood, and the stream
+// the daemon verifies (CheckSeq, kills on) stays unbroken across each
+// rewind, a group that wraps and blocks on the full ring included.
+func TestEmptyRingRestartsAtFirstSlot(t *testing.T) {
+	h := newHarness(t,
+		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		Config{Lease: 10 * time.Second})
+	c := h.dial(t, ClientConfig{ReplaySlots: 64, HeartbeatEvery: time.Hour})
+	defer c.Close()
+
+	total := 0
+	for _, n := range []int{5, 64, 100, 3, 1} {
+		if err := c.Send(counterInc); err != nil {
+			t.Fatal(err)
+		}
+		if c.tailOff != ipc.MessageSize {
+			t.Fatalf("the first frame after %d acked ones went to byte %d, want the first slot", total, c.tailOff-ipc.MessageSize)
+		}
+		checkRing(t, c)
+		sendN(t, c, n-1)
+		checkRing(t, c)
+		if !c.Flush(10 * time.Second) {
+			t.Fatal("flush timed out")
+		}
+		total += n
+	}
+	waitFor(t, 5*time.Second, "delivery", func() bool { return h.procMessages(c.PID()) == uint64(total) })
+	if killed, reason := c.Killed(); killed {
+		t.Fatalf("killed: %s", reason)
+	}
 }
 
 // ackingPeer is the least daemon a client can talk to: it grants one HELLO,
@@ -571,6 +605,8 @@ func clientSendZeroAlloc(t *testing.T, key *ipc.MacKey) {
 // BenchmarkClientSend measures the client's data path end to end against an
 // in-process daemon: a sealed stream through Client.Sender() over a Unix
 // socket into the hmac+counter chain, all of it acked before the clock stops.
+// The daemon's side of the socket is a readTap, so the benchmark also reports
+// what a burst amortises: the daemon's reads and acks per 1000 messages.
 func BenchmarkClientSend(b *testing.B) {
 	factory, err := policy.SetFactory("hmac", "counter")
 	if err != nil {
@@ -580,14 +616,18 @@ func BenchmarkClientSend(b *testing.B) {
 		supervisor.Config{Policies: factory, KillOnViolation: true, Shards: 2},
 		Config{Lease: 10 * time.Second})
 	sock := filepath.Join(b.TempDir(), "hqd.sock")
-	if _, err := h.srv.Listen("unix", sock); err != nil {
+	inner, err := net.Listen("unix", sock)
+	if err != nil {
 		b.Fatal(err)
 	}
+	ln := tapListener{Listener: inner, conns: make(chan *readTap, 1)}
+	h.srv.Serve(ln)
 	c, err := Dial(context.Background(), ClientConfig{Network: "unix", Addr: sock})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	rt := <-ln.conns
 	sender := c.Sender()
 
 	b.ReportAllocs()
@@ -604,4 +644,9 @@ func BenchmarkClientSend(b *testing.B) {
 	if killed, reason := c.Killed(); killed {
 		b.Fatalf("killed: %s", reason)
 	}
+	rt.mu.Lock()
+	reads, acks := rt.reads, len(rt.events)
+	rt.mu.Unlock()
+	b.ReportMetric(float64(reads)*1000/float64(b.N), "reads/kmsg")
+	b.ReportMetric(float64(acks)*1000/float64(b.N), "acks/kmsg")
 }

@@ -102,7 +102,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // without touching the stream again until less than a frame is left — the
 // property the session's "ack when Buffered() == 0" rule stands on.
 func TestFrameDecoderServesOneReadAcrossCalls(t *testing.T) {
-	const staging, frames = 341, 1000
+	const staging, frames = 2730, 8000 // hqnet's burst: 2730 frames, 128 KiB
 	src := &countingReader{}
 	src.r.Reset(append(encodeFrames(frames), 0xAA, 0xBB)) // ends two bytes into a frame
 	dec := NewFrameDecoder(src)
@@ -138,9 +138,9 @@ func TestFrameDecoderServesOneReadAcrossCalls(t *testing.T) {
 	if got != frames {
 		t.Fatalf("decoded %d frames, want %d", got, frames)
 	}
-	// Three reads bring frames (341, 341, 318 and the two stray bytes), each
-	// served by two calls of which the second empties the staging buffer; the
-	// fourth read finds the end of the stream.
+	// Three reads bring frames (2730, 2730, 2540 and the two stray bytes), each
+	// served by eleven or ten calls of which the last empties the staging
+	// buffer; the fourth read finds the end of the stream.
 	if src.reads != 4 || emptied != 3 {
 		t.Fatalf("%d reads, %d calls that left no whole frame staged; want 4 and 3", src.reads, emptied)
 	}
@@ -174,14 +174,15 @@ func TestFrameDecoderPoisonedStreamStaysPoisoned(t *testing.T) {
 }
 
 // BenchmarkFrameDecoder is the daemon's receive path below the session: 65 536
-// pre-encoded frames through one client burst of staging, 256 per call, the
-// sizes session.RecvBatch runs with. -benchmem must read 0 allocs/op.
+// pre-encoded frames through one hqnet client burst of staging (2730 frames),
+// 256 per call, the sizes session.RecvBatch runs with. -benchmem must read 0
+// allocs/op.
 func BenchmarkFrameDecoder(b *testing.B) {
 	const frames = 1 << 16
 	wire := encodeFrames(frames)
 	var src bytes.Reader
 	dec := NewFrameDecoder(&src)
-	dec.Grow(341)
+	dec.Grow(2730)
 	out := make([]Message, 256)
 	b.SetBytes(MessageSize)
 	b.ReportAllocs()

@@ -228,10 +228,23 @@ func TestSharedRingCloseDeliversOpenGroup(t *testing.T) {
 }
 
 // BenchmarkSealedRingSend prices a sealed send into a SharedRing that a
-// concurrent drain empties, per message: ring_policy's block shape (4096
-// data messages of a define/check/counter/allocation mix, then a System-Call
-// message) into a ring of its size. It must read 0 allocs/op.
-func BenchmarkSealedRingSend(b *testing.B) {
+// concurrent drain empties, per message: ring_policy's block shape into a
+// ring of its size (see benchmarkRingSend). It must read 0 allocs/op.
+func BenchmarkSealedRingSend(b *testing.B) { benchmarkRingSend(b, true) }
+
+// BenchmarkRawRingSend is BenchmarkSealedRingSend through the raw handle:
+// the same mix, ring and drain, each message unsealed and published on its
+// own. It must read 0 allocs/op.
+func BenchmarkRawRingSend(b *testing.B) { benchmarkRingSend(b, false) }
+
+// benchmarkRingSend sends ring_policy's block shape (4096 data messages of a
+// define/check/counter/allocation mix, then a System-Call message), round
+// and round, into a 4096-slot ring, sealed or raw, which a concurrent drain
+// empties 256 slots at a time. Besides ns/op it reports the drain's mean
+// burst (msgs/recv) and, per 1000 sends, how often each side of the ring
+// parked and how many wake-ups its peer handed it: the drain's on an empty
+// ring, the producer's on a full one.
+func benchmarkRingSend(b *testing.B, sealed bool) {
 	const block = 4096
 	mix := make([]Message, block+1)
 	x := uint64(1)
@@ -243,15 +256,21 @@ func BenchmarkSealedRingSend(b *testing.B) {
 	mix[block] = Message{Op: OpSyscall, PID: 7}
 
 	ch := NewSharedRing(block)
-	s := SealSender(ch.Sender, MacKey{K0: 1, K1: 2})
+	r, s := ch.Sender.(*SharedRing), ch.Sender
+	if sealed {
+		s = SealSender(ch.Sender, MacKey{K0: 1, K1: 2})
+	}
+	var recvs, msgs int
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		buf := make([]Message, 256)
 		for {
-			if _, ok, _ := ch.Receiver.RecvBatch(buf); !ok {
+			n, ok, _ := ch.Receiver.RecvBatch(buf)
+			if !ok {
 				return
 			}
+			recvs, msgs = recvs+1, msgs+n
 		}
 	}()
 	b.ReportAllocs()
@@ -263,4 +282,11 @@ func BenchmarkSealedRingSend(b *testing.B) {
 	}
 	s.Close()
 	<-done
+	b.StopTimer()
+	perK := func(n *atomic.Uint32) float64 { return float64(n.Load()) * 1000 / float64(b.N) }
+	b.ReportMetric(float64(msgs)/float64(max(recvs, 1)), "msgs/recv")
+	b.ReportMetric(perK(&r.recv.parks), "drain-parks/ksend")
+	b.ReportMetric(perK(&r.recv.wakes), "drain-wakes/ksend")
+	b.ReportMetric(perK(&r.send.parks), "send-parks/ksend")
+	b.ReportMetric(perK(&r.send.wakes), "send-wakes/ksend")
 }
