@@ -49,7 +49,7 @@ vet:
 # handshake and session filter over arbitrary control-frame sequences,
 # the quick end-to-end benchmark (all four workloads, every correctness
 # check), and the line count. The one piece run without the race detector is
-# the sweep's model-checker entry: it explores ~103k states with dsched
+# the sweep's model-checker entry: it explores ~32k states with dsched
 # handing control from one goroutine to the next, so the detector has little
 # to watch and costs 8x (internal/verify's own tests do run under it). check
 # also fails when a non-test file outside internal/dsched, internal/kernel and
@@ -58,7 +58,10 @@ vet:
 # internal/verifier, internal/kernel or internal/supervisor calls time.Sleep
 # or time.After (the enforcement path never sleeps: the kernel's epoch wait
 # is a dsched.AfterFunc timer and a condition variable, and a drain ends at
-# its first receive error instead of backing off), and prints the checker's
+# its first receive error instead of backing off), fails when NewSharded or
+# supervisor.Config's Shards (the two shims the frozen bench/ still compiles
+# against) appears outside bench/ other than in its own declaration, and
+# prints the checker's
 # coverage of the trusted core (verify-cover). check leaves `git status` clean: nothing here
 # writes outside .bench_build/ and bench/out/.
 check: vet build
@@ -73,6 +76,10 @@ check: vet build
 	@slept=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'time\.(Sleep|After)\(' \
 		internal/verifier internal/kernel internal/supervisor); if [ -n "$$slept" ]; then \
 		echo "time.Sleep or time.After on the enforcement path:"; echo "$$slept"; exit 1; fi
+	@shims=$$(grep -rnwE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build 'NewSharded|Shards' . | \
+		grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | \
+		grep -vE '^\./internal/verifier/verifier\.go:[0-9]+:func NewSharded\(|^\./internal/supervisor/supervisor\.go:[0-9]+:[[:space:]]Shards int$$'); \
+		if [ -n "$$shims" ]; then echo "bench/'s shims used outside bench/:"; echo "$$shims"; exit 1; fi
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
 	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints|TestSharedRingCloseDeliversOpenGroup|TestSealSender' ./internal/ipc
 	$(GO) test -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints|TestSharedRingCloseDeliversOpenGroup|TestSealSender' ./internal/ipc
@@ -120,8 +127,9 @@ verify-cover:
 # 24 775 with the hqnet client's lock-free send and cfi's one-probe define
 # and check, 24 889 with the sealed ring's eight-at-a-time view, 24 722
 # with one producer path onto the ring and the µarch multi-core model
-# deleted, 24 750 with the wire paced by one 2730-frame burst; the kernel's
-# assembly is not counted).
+# deleted, 24 750 with the wire paced by one 2730-frame burst, 24 480 with
+# the verifier's shards deleted (the process context is the unit of
+# locking and poisoning); the kernel's assembly is not counted).
 loc:
 	@$(GO) run ./cmd/loccount
 

@@ -331,7 +331,7 @@ func verifierBenchStream(procs, messages int) []ipc.Message {
 // requested pump and reports sustained messages/sec. Telemetry is enabled,
 // as in production, so these numbers include the instrumentation cost the
 // telemetry layer must keep under its overhead budget.
-func benchVerifierDrain(b *testing.B, procs, shards int, scalar bool) {
+func benchVerifierDrain(b *testing.B, procs int, scalar bool) {
 	b.Helper()
 	const messages = 1 << 18
 	stream := verifierBenchStream(procs, messages)
@@ -341,7 +341,7 @@ func benchVerifierDrain(b *testing.B, procs, shards int, scalar bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		v := verifier.NewSharded(verifierBenchPolicies, nil, shards)
+		v := verifier.New(verifierBenchPolicies, nil)
 		v.CheckSeq = true
 		v.EnableTelemetry(tm)
 		for pid := 1; pid <= procs; pid++ {
@@ -360,12 +360,12 @@ func benchVerifierDrain(b *testing.B, procs, shards int, scalar bool) {
 	b.ReportMetric(float64(messages)*float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 }
 
-// BenchmarkVerifierThroughput_* measure Pump at the default shard count
-// (GOMAXPROCS) over replayed 1/4/16-process streams. A replay is one source,
+// BenchmarkVerifierThroughput_* measure Pump over replayed 1/4/16-process
+// streams. A replay is one source,
 // so one goroutine reads and evaluates it whatever -cpu says.
-func BenchmarkVerifierThroughput_1Procs(b *testing.B)  { benchVerifierDrain(b, 1, 0, false) }
-func BenchmarkVerifierThroughput_4Procs(b *testing.B)  { benchVerifierDrain(b, 4, 0, false) }
-func BenchmarkVerifierThroughput_16Procs(b *testing.B) { benchVerifierDrain(b, 16, 0, false) }
+func BenchmarkVerifierThroughput_1Procs(b *testing.B)  { benchVerifierDrain(b, 1, false) }
+func BenchmarkVerifierThroughput_4Procs(b *testing.B)  { benchVerifierDrain(b, 4, false) }
+func BenchmarkVerifierThroughput_16Procs(b *testing.B) { benchVerifierDrain(b, 16, false) }
 
 // BenchmarkVerifierThroughput_Ring drives the pump from a live SharedRing
 // producer instead of a prerecorded replay, so it exercises the ring's
@@ -383,7 +383,7 @@ func BenchmarkVerifierThroughput_Ring(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		v := verifier.NewSharded(verifierBenchPolicies, nil, 0)
+		v := verifier.New(verifierBenchPolicies, nil)
 		v.CheckSeq = true
 		v.EnableTelemetry(tm)
 		v.ProcessStarted(1)
@@ -452,15 +452,15 @@ func BenchmarkRingGateSparse(b *testing.B) {
 }
 
 // BenchmarkVerifierDrain pits the scalar loop (a one-slot RecvBatch + one
-// Deliver per message, the pre-sharding design) against Pump on the same
+// Deliver per message, the pre-batching design) against Pump on the same
 // multi-process stream; the msgs/sec ratio is the batching speedup.
 func BenchmarkVerifierDrain(b *testing.B) {
 	for _, procs := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("scalar-%dprocs", procs), func(b *testing.B) {
-			benchVerifierDrain(b, procs, 1, true)
+			benchVerifierDrain(b, procs, true)
 		})
 		b.Run(fmt.Sprintf("batch-%dprocs", procs), func(b *testing.B) {
-			benchVerifierDrain(b, procs, 0, false)
+			benchVerifierDrain(b, procs, false)
 		})
 	}
 }
@@ -469,7 +469,7 @@ func BenchmarkVerifierDrain(b *testing.B) {
 // The sealed chain through DeliverBatch
 // ---------------------------------------------------------------------------
 
-// deliverChain starts a one-shard verifier with CheckSeq on over the named
+// deliverChain starts a verifier with CheckSeq on over the named
 // chain for one process, and returns it with a function that numbers ms at the
 // stream's next positions — and seals it, when the chain holds hmac — untimed,
 // and then delivers it in DefaultBatchSize batches with b's timer running.
@@ -482,7 +482,7 @@ func deliverChain(b *testing.B, pid int32, names ...string) (*verifier.Verifier,
 	kr := policy.NewKeyringSeeded(1)
 	kr.Program(pid)
 	key, _ := kr.Key(pid)
-	v := verifier.NewSharded(factory, nil, 1)
+	v := verifier.New(factory, nil)
 	v.CheckSeq = true
 	v.SetKeyring(kr)
 	v.ProcessStarted(pid)

@@ -1,5 +1,5 @@
 // Command hqd is the resident HerQules attestation daemon: one verifier
-// process hosting the kernel gate and sharded verifier behind TCP and
+// process hosting the kernel gate and verifier behind TCP and
 // Unix-domain listeners, enforcing every connected program remotely.
 //
 // The paper runs HerQules as a resident service multiplexing all enforced
@@ -56,7 +56,6 @@ func main() {
 	httpAddr := flag.String("http", "", "observability HTTP address (/metrics, /conns, /healthz, /violations; empty disables)")
 	lease := flag.Duration("lease", time.Second, "session lease: max silence before a fail-closed kill")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
-	shards := flag.Int("shards", 0, "verifier shard count (0 selects GOMAXPROCS)")
 	policies := flag.String("policies", defaultPolicies, "comma-separated policy set from the registry")
 	checkSeq := flag.Bool("checkseq", true, "enforce per-process message-counter continuity")
 	kill := flag.Bool("kill", true, "kill on policy violation (false: record only)")
@@ -85,7 +84,6 @@ func main() {
 		KillOnViolation: *kill,
 		CheckSeq:        *checkSeq,
 		Metrics:         m,
-		Shards:          *shards,
 		Epoch:           *epoch,
 		FlightRecorder:  *flight,
 	})
@@ -122,8 +120,8 @@ func main() {
 		}
 		log.Printf("observability on http://%s/metrics (also /conns /healthz /procs /violations)", obsrv.Addr())
 	}
-	log.Printf("policies=[%s] lease=%v checkseq=%t kill=%t shards=%d",
-		strings.Join(names, " "), *lease, *checkSeq, *kill, *shards)
+	log.Printf("policies=[%s] lease=%v checkseq=%t kill=%t",
+		strings.Join(names, " "), *lease, *checkSeq, *kill)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

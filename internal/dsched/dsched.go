@@ -8,7 +8,7 @@
 //
 //   - Yield points sit at lock-free interleaving edges (a lifecycle
 //     notification about to be published, a run of messages about to be
-//     delivered into its shard). An installed hook MAY park the calling goroutine there
+//     delivered into its process's context). An installed hook MAY park the calling goroutine there
 //     and hand control to a scheduler, which is how the model checker
 //     (internal/verify) explores orderings the Go scheduler would choose
 //     arbitrarily.
@@ -74,14 +74,15 @@ const (
 	// gate goroutine has reached quiescence.
 	PointGateBlocked
 
-	// PointShardDeliver is yielded by a verifier drain loop immediately
-	// before it delivers a run of the burst it has read into the run's
-	// shard. The goroutine holds no lock there.
-	PointShardDeliver
+	// PointDeliver is yielded by a verifier drain loop immediately before
+	// it delivers a run of the burst it has read, before it looks up the
+	// run's process context. The goroutine holds no lock there.
+	PointDeliver
 
 	// PointPoisonCheck is noted by the delivery path when it consults the
-	// shard's poisoned flag (observation only: the check is the first step
-	// of the locked delivery round).
+	// context's dead and exited flags — a poisoned context is dead
+	// (observation only: the check is the first step of the locked delivery
+	// round).
 	PointPoisonCheck
 
 	// PointLaunchAdmitted is yielded by the supervisor after a Launch has
@@ -113,7 +114,7 @@ var pointNames = [...]string{
 	PointExitNotify:      "exit-notify",
 	PointKillNotify:      "kill-notify",
 	PointGateBlocked:     "gate-blocked",
-	PointShardDeliver:    "shard-deliver",
+	PointDeliver:         "deliver",
 	PointPoisonCheck:     "poison-check",
 	PointLaunchAdmitted:  "launch-admitted",
 	PointProcFinished:    "proc-finished",

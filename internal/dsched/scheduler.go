@@ -82,7 +82,7 @@ func (t *Task) Done() bool { return t.done.Load() }
 // The controller (the checker's goroutine) is single-threaded: it resumes
 // exactly one task at a time with Step and waits for that task's next event
 // before doing anything else. Code the controller runs inline (message
-// delivery, shard poisoning) may hit Yield points too; they no-op, because
+// delivery, poisoning) may hit Yield points too; they no-op, because
 // no task is current.
 type Scheduler struct {
 	reverts Revert // fixed at construction, read by Install

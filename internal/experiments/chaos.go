@@ -106,7 +106,7 @@ func chaosAttributable(reason string, hadViolations bool) bool {
 		"synchronization epoch expired", // §2.2 deadline, incl. wedged detail
 		"message integrity violated",    // receiver-attributed framing error
 		"message authentication",        // hmac sealer: MAC mismatch or stream position
-		"poisoned",                      // shard poisoned by a delivery-path failure
+		"poisoned",                      // context poisoned by a delivery-path failure
 	} {
 		if strings.Contains(reason, marker) {
 			return true

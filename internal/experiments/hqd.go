@@ -61,7 +61,6 @@ func HQD(c Config) (Report, error) {
 			KillOnViolation: true,
 			CheckSeq:        true,
 			Epoch:           hqdEpoch,
-			Shards:          2,
 		},
 		// Write-side connection faults only: drops sever mid-frame (the far
 		// side's decoder must see truncation, the client must resume),

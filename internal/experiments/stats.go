@@ -14,7 +14,7 @@ import (
 )
 
 // StatsResult is one run of the component-telemetry experiment: a concurrent
-// multi-process pipeline (kernel gate + sharded verifier + per-process
+// multi-process pipeline (kernel gate + verifier + per-process
 // shared-memory channels) with the telemetry layer wired through every
 // component, reported as a snapshot diff over exactly the measured interval.
 type StatsResult struct {
@@ -116,7 +116,7 @@ func Stats(procs, messages int) *StatsResult {
 }
 
 // FormatStats renders the component-level breakdown: headline drain rate
-// and the full snapshot (counters with per-shard lanes, histograms with
+// and the full snapshot (counters with per-lane breakdowns, histograms with
 // p50/p90/p99).
 func FormatStats(r *StatsResult) string {
 	var sb strings.Builder

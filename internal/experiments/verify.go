@@ -11,7 +11,7 @@ import (
 // Verify runs the gate-protocol model checker (internal/verify) and formats
 // the evidence both ways:
 //
-//  1. Soundness of the system: the default 2-proc × 2-shard scope — every
+//  1. Soundness of the system: the default 2-process scope — every
 //     transition family enabled, §3.1.1 counter checking on — is explored
 //     EXHAUSTIVELY (the state space closes under the configured bounds) and
 //     must be clean.
@@ -23,8 +23,8 @@ import (
 //     fail proves nothing.
 //
 // Without Quick it additionally explores the 3-process scope (minutes); the
-// smoke scope (~103k states with the connection-churn family) finishes in
-// about fifteen seconds.
+// smoke scope (~32k states with the connection-churn family) finishes in
+// about six seconds.
 func Verify(c Config) (Report, error) {
 	var b strings.Builder
 	var firstErr error
@@ -69,7 +69,7 @@ func Verify(c Config) (Report, error) {
 	}
 
 	b.WriteString("Exhaustive exploration (all fixes in place):\n")
-	clean("2 procs x 2 shards, all families + churn", verify.Defaults())
+	clean("2 procs, all families + churn", verify.Defaults())
 	if !c.Quick {
 		// The 3-proc scope runs without the connection-churn family: churn
 		// triples the per-process state and the 3-proc product does not
@@ -81,7 +81,7 @@ func Verify(c Config) (Report, error) {
 		cfg.Conn = false
 		cfg.MaxDepth = 30
 		cfg.MaxStates = 5_000_000
-		clean("3 procs x 2 shards, all families, no churn", cfg)
+		clean("3 procs, all families, no churn", cfg)
 	} else {
 		b.WriteString("  (3-proc scope skipped; run without -quick for the full exploration)\n")
 	}

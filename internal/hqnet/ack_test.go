@@ -168,7 +168,7 @@ func (l *lingerConn) Write(p []byte) (int, error) {
 // before the write returns.
 func TestAckNeverReleasesInFlightFrames(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 30 * time.Second})
 	var lc *lingerConn
 	c := h.dial(t, ClientConfig{ReplaySlots: 8, HeartbeatEvery: time.Millisecond, WrapConn: func(nc net.Conn) net.Conn {
@@ -310,7 +310,7 @@ func (l tapListener) Accept() (net.Conn, error) {
 // ends with everything acked.
 func TestSessionAcksOncePerRead(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -375,7 +375,7 @@ func TestSessionAcksOncePerRead(t *testing.T) {
 // every one. Run under -race.
 func TestConcurrentSendGateHeartbeatNeverSplitFrames(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 	var tap wireTap
 	c := ringChecked(t, h, &tap, ClientConfig{HeartbeatEvery: time.Millisecond, ReplaySlots: 1024})

@@ -44,7 +44,7 @@ func readUntil(t *testing.T, nc net.Conn, dec *ipc.FrameDecoder, op ipc.Op) []ip
 // carrying the System-Call message's Seq as the ack, with no ack ahead of it.
 func TestGateAnsweredByDrain(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 	// A Unix socket: the request and the frames before it, one writev, are
 	// one read on the daemon's side.

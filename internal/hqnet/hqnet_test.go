@@ -84,7 +84,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // goodbye that finalizes (not kills) the resident process.
 func TestSessionRoundTrip(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 2 * time.Second})
 	c := h.dial(t, ClientConfig{Tenant: 7})
 	if c.PID() <= 0 {
@@ -137,7 +137,7 @@ func TestKeyedSessionSealsOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := newHarness(t,
-		supervisor.Config{Policies: factory, KillOnViolation: true, Shards: 2},
+		supervisor.Config{Policies: factory, KillOnViolation: true},
 		Config{Lease: 2 * time.Second})
 	c := h.dial(t, ClientConfig{})
 	if !c.keyed {
@@ -168,7 +168,7 @@ func TestKeyedSessionSealsOverWire(t *testing.T) {
 // client — the fail-closed path for a genuinely misbehaving process.
 func TestViolatorKilledAtGate(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 2 * time.Second})
 	c := h.dial(t, ClientConfig{})
 
@@ -238,7 +238,7 @@ func TestResumeReplaysGapFree(t *testing.T) {
 	var mu sync.Mutex
 	var conns []net.Conn
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 5 * time.Second})
 	c := h.dial(t, ClientConfig{
 		WrapConn: func(nc net.Conn) net.Conn {
@@ -567,7 +567,7 @@ func TestReasonCodeClassifiesWrappedAndBare(t *testing.T) {
 		{kernel.ReasonEpochExpired, ReasonCodeEpoch},
 		{"kernel: pid 7 killed: " + kernel.ReasonEpochExpired, ReasonCodeEpoch},
 		{kernel.ReasonWedgedVerifier, ReasonCodeWedged},
-		{"kernel: pid 7 killed: " + kernel.ReasonWedgedVerifier + ": shard 2", ReasonCodeWedged},
+		{"kernel: pid 7 killed: " + kernel.ReasonWedgedVerifier + ": pid 7 poisoned", ReasonCodeWedged},
 		{"hqd: daemon shutdown", ReasonCodeShutdown},
 		{"cfi: pointer check failed", ReasonCodeOther},
 	}

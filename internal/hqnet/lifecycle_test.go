@@ -101,7 +101,7 @@ func (h *harness) session(pid int32) *session {
 // finalize (beside the drain, not on it) instead of deadlocking.
 func TestGoodbyeInBurstDeliversPrecedingFrames(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 2 * time.Second})
 	nc, pid := h.rawSession(t)
 	const n = 20
@@ -128,7 +128,7 @@ func TestViolationMidBurstSeversWithoutForwardingRest(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			h := newHarness(t,
-				supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+				supervisor.Config{CheckSeq: true, KillOnViolation: true},
 				Config{Lease: time.Second})
 			_, victim := h.rawSession(t)
 			nc, pid := h.rawSession(t)
@@ -235,7 +235,6 @@ func TestWedgedVerifierEndsInLeaseKill(t *testing.T) {
 		supervisor.Config{
 			Policies:        func() []policy.Policy { return []policy.Policy{&wedgePolicy{release: release}} },
 			KillOnViolation: true,
-			Shards:          1,
 		},
 		Config{Lease: 300 * time.Millisecond})
 	c := h.dial(t, ClientConfig{})

@@ -24,7 +24,7 @@ func sealedHarness(t *testing.T) *harness {
 		t.Fatal(err)
 	}
 	return newHarness(t,
-		supervisor.Config{Policies: factory, KillOnViolation: true, Shards: 2},
+		supervisor.Config{Policies: factory, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 }
 

@@ -372,7 +372,7 @@ func (s *Server) expireLease(sess *session, overdue time.Duration) {
 // admission flips to rejecting, and existing sessions get until ctx's
 // deadline to finish (OpGoodbye or lease expiry). Sessions still alive at
 // the deadline are ended; the underlying System is then shut down, which
-// flushes every shard and freezes outstanding forensics.
+// drains every source and freezes outstanding forensics.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {

@@ -1,5 +1,5 @@
 // Package hqnet is the networked attestation plane: it hosts the resident
-// supervisor.System (kernel + sharded verifier) behind TCP and Unix-domain
+// supervisor.System (kernel + verifier) behind TCP and Unix-domain
 // listeners so monitored programs on the other end of a real network
 // transport — one that can drop, stall, duplicate and lie — attest into the
 // same enforcement domain local processes do.

@@ -208,7 +208,7 @@ func TestSendDuringResumeStaysBehindReplayedFrames(t *testing.T) {
 		},
 	}
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 	c := ringChecked(t, h, tap, ClientConfig{HeartbeatEvery: time.Hour})
 
@@ -279,7 +279,7 @@ func TestWireBytesMatchPerFrameWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := newHarness(t,
-		supervisor.Config{Policies: factory, KillOnViolation: true, Shards: 2},
+		supervisor.Config{Policies: factory, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 	var tap wireTap
 	// Heartbeats are issued by hand below, at seeded points in the stream.
@@ -349,7 +349,7 @@ func TestWireBytesMatchPerFrameWriter(t *testing.T) {
 // (no heartbeat, and the gates sit behind the data).
 func TestSmallReplayBufferFlushesBeforeBlocking(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 30 * time.Second})
 	c := h.dial(t, ClientConfig{ReplaySlots: 8, HeartbeatEvery: time.Hour})
 	defer c.Close()
@@ -396,7 +396,7 @@ func TestSmallReplayBufferFlushesBeforeBlocking(t *testing.T) {
 func TestQuietSenderVerifiedWithinHeartbeatPeriod(t *testing.T) {
 	const lease = 2 * time.Second
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: lease})
 	mute := h.dial(t, ClientConfig{HeartbeatEvery: time.Hour})
 	defer mute.Close()
@@ -422,7 +422,7 @@ func TestQuietSenderVerifiedWithinHeartbeatPeriod(t *testing.T) {
 // burst that wraps the ring is two.
 func TestStreamingCoalescesWrites(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 	var tap wireTap
 	c := h.dial(t, ClientConfig{WrapConn: tap.wrap, HeartbeatEvery: time.Hour})
@@ -446,7 +446,7 @@ func TestStreamingCoalescesWrites(t *testing.T) {
 // ring's two halves.
 func TestResumeRetransmitsInFewWrites(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 	tap := &wireTap{blackhole: func(conn int) bool { return conn == 0 }}
 	c := h.dial(t, ClientConfig{WrapConn: tap.wrap, HeartbeatEvery: time.Hour})
@@ -473,7 +473,7 @@ func TestResumeRetransmitsInFewWrites(t *testing.T) {
 // rewind, a group that wraps and blocks on the full ring included.
 func TestEmptyRingRestartsAtFirstSlot(t *testing.T) {
 	h := newHarness(t,
-		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		supervisor.Config{CheckSeq: true, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 	c := h.dial(t, ClientConfig{ReplaySlots: 64, HeartbeatEvery: time.Hour})
 	defer c.Close()
@@ -613,7 +613,7 @@ func BenchmarkClientSend(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := newHarness(b,
-		supervisor.Config{Policies: factory, KillOnViolation: true, Shards: 2},
+		supervisor.Config{Policies: factory, KillOnViolation: true},
 		Config{Lease: 10 * time.Second})
 	sock := filepath.Join(b.TempDir(), "hqd.sock")
 	inner, err := net.Listen("unix", sock)

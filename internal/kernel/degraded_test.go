@@ -21,12 +21,12 @@ func (w *fakeWatchdog) WedgedFor(int32) (bool, string) {
 }
 
 func TestEpochExpiryCarriesWedgedVerifierReason(t *testing.T) {
-	// When the watchdog attributes a stall to a dead verifier shard, the
+	// When the watchdog attributes a stall to a poisoned verifier context, the
 	// epoch-expiry kill must say so: "epoch expired" alone sends an operator
 	// hunting a slow channel, while the wedged reason names the real fault.
 	k := New(nil)
 	k.Epoch = 15 * time.Millisecond
-	w := &fakeWatchdog{wedged: true, detail: "verifier shard 2 poisoned: worker panic: bomb"}
+	w := &fakeWatchdog{wedged: true, detail: "verifier poisoned: delivery panic: bomb"}
 	k.SetWatchdog(w)
 	pid := k.Register()
 	if err := k.SyscallEnter(pid, 1); err == nil {
@@ -39,7 +39,7 @@ func TestEpochExpiryCarriesWedgedVerifierReason(t *testing.T) {
 	if !strings.HasPrefix(reason, ReasonWedgedVerifier) {
 		t.Errorf("reason = %q, want prefix %q", reason, ReasonWedgedVerifier)
 	}
-	if !strings.Contains(reason, "shard 2 poisoned") {
+	if !strings.Contains(reason, "delivery panic: bomb") {
 		t.Errorf("reason = %q, lost the watchdog detail", reason)
 	}
 	if w.probes == 0 {
@@ -111,7 +111,7 @@ func TestWedgedKillCountsInTelemetry(t *testing.T) {
 	k := New(nil)
 	k.EnableTelemetry(m)
 	k.Epoch = 15 * time.Millisecond
-	k.SetWatchdog(&fakeWatchdog{wedged: true, detail: "shard 0 poisoned"})
+	k.SetWatchdog(&fakeWatchdog{wedged: true, detail: "verifier poisoned"})
 	pid := k.Register()
 	if err := k.SyscallEnter(pid, 1); err == nil {
 		t.Fatal("syscall survived a wedged verifier")

@@ -36,8 +36,8 @@ var ErrProcessExited = errors.New("process exited")
 // generic §2.2 timeout: no System-Call message arrived, cause unknown.
 // ReasonWedgedVerifier is the distinct degraded-mode reason recorded when
 // the watchdog can positively attribute the silence to a verifier that has
-// stopped making progress for this process (e.g. its shard was poisoned by a
-// contained worker panic); the full reason carries the watchdog's detail
+// stopped making progress for this process (e.g. its context was poisoned by
+// a contained delivery-path panic); the full reason carries the watchdog's detail
 // after a colon.
 const (
 	ReasonEpochExpired   = "synchronization epoch expired"
@@ -170,8 +170,9 @@ type KeyProgrammer interface {
 
 // pendingReg is the bookkeeping for a process whose verifier context is
 // being created but whose kernel context is not yet visible (the
-// register-before-visible window). A kill arriving in that window — a
-// poisoned shard kills at birth — is buffered here and applied the moment
+// register-before-visible window). A kill arriving in that window — the
+// verifier condemning a violating first message, delivered once its context
+// exists — is buffered here and applied the moment
 // the context is inserted, so exactly-one-kill holds across the hand-off.
 type pendingReg struct {
 	killed bool
@@ -268,7 +269,7 @@ func (k *Kernel) SetWatchdog(wd Watchdog) {
 
 // SetFlightStamper attaches the per-process flight recorder relay: the gate
 // stamps its lifecycle events (stalls, epoch expiries, degraded bypasses)
-// into each process's black box. The stamper takes verifier shard locks, so
+// into each process's black box. The stamper takes verifier context locks, so
 // the kernel only invokes it outside k.mu — the same discipline as listener
 // callbacks. Must be set before concurrent use, like the other setters.
 func (k *Kernel) SetFlightStamper(fs telemetry.FlightStamper) {
@@ -302,7 +303,7 @@ func (k *Kernel) DegradedMode() DegradedPolicy {
 // process could reach a verifier that had no policy context for it and be
 // dropped as unregistered. Register-before-visible closes that window
 // without holding k.mu across the listener call — the listener may call
-// back into Kill (a poisoned shard kills at birth), which takes k.mu; such
+// back into Kill (a verifier kill for the new pid), which takes k.mu; such
 // kills land in the registering buffer and are applied at insertion. (The
 // old ordering survives only as dsched.RevertLateNotify, for the model
 // checker.)
@@ -651,7 +652,7 @@ func (k *Kernel) Kill(pid int32, reason string) {
 	if !ok {
 		// The context may be mid-registration: the verifier already knows
 		// the pid (notify-before-visible) and can legitimately kill it —
-		// e.g. its shard is poisoned and fails closed at birth. Buffer the
+		// e.g. for a violating first message. Buffer the
 		// kill; finishRegister applies it and notifies the KillListener.
 		if pr, reg := k.registering[pid]; reg && !pr.killed {
 			pr.killed = true

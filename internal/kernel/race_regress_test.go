@@ -21,7 +21,8 @@ type visibilityListener struct {
 	killed         map[int32][]string
 
 	// killOnStart, when non-empty, makes ProcessStarted kill the new pid
-	// with this reason — the poisoned-shard-at-birth callback shape.
+	// with this reason — the shape of a verifier kill for a pid still in its
+	// registration window.
 	killOnStart string
 }
 
@@ -113,13 +114,13 @@ func TestUnsafeLateNotifyRestoresOldOrdering(t *testing.T) {
 
 // TestKillDuringRegistrationBuffered covers the deadlock-free half of the
 // register fix: the listener's ProcessStarted callback kills the new pid
-// (as the verifier does when the pid hashes to a poisoned, fail-closed
-// shard). The kill lands while the context is mid-registration, must not
+// (as the verifier does when it condemns a violating first message delivered
+// inside the registration window). The kill lands while the context is mid-registration, must not
 // deadlock, must stick, and must notify the KillListener exactly once.
 func TestKillDuringRegistrationBuffered(t *testing.T) {
 	k := New(nil)
 	l := newVisibilityListener(k)
-	l.killOnStart = "shard poisoned: fail closed"
+	l.killOnStart = "verifier kill in the registration window"
 	k.SetListener(l)
 
 	done := make(chan int32, 1)

@@ -139,16 +139,6 @@ func (m *Memory) Unmap(addr, size uint64) {
 	}
 }
 
-// PermAt returns the permissions of the page containing addr, and whether a
-// page is mapped there at all.
-func (m *Memory) PermAt(addr uint64) (Perm, bool) {
-	pg, ok := m.pages[addr&^(PageSize-1)]
-	if !ok {
-		return 0, false
-	}
-	return pg.perm, true
-}
-
 // check verifies that every byte of [addr, addr+n) is mapped with need.
 // An Append page rejects ordinary writes even when Write is also set,
 // enforcing the AMR property of §2.3.2.

@@ -169,9 +169,6 @@ func (t *Type) IsVTablePtr() bool {
 // a direct function pointer or a vtable pointer.
 func (t *Type) IsCtrlPtr() bool { return t.IsFuncPtr() || t.IsVTablePtr() }
 
-// IsInt reports whether t is an integer type.
-func (t *Type) IsInt() bool { return t.Kind == KindInt }
-
 // ContainsFuncPtr reports whether a value of type t stored in memory may
 // contain a control-flow pointer at any offset. The final-lowering pass uses
 // this "strict subtype check" to elide instrumentation on block memory

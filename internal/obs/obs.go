@@ -93,8 +93,9 @@ func (s *Server) SetConnReporter(r ConnReporter) { s.conns = r }
 // Handler returns the endpoint mux:
 //
 //	/metrics          Prometheus text exposition (counters, peaks, histograms,
-//	                  per-PID and per-shard series, per-policy violations)
+//	                  per-PID series, per-policy violations)
 //	/healthz          liveness JSON; 200 while up, 503 once shutdown has begun
+//	                  or a delivery-path panic has poisoned a process
 //	/procs            per-PID attribution JSON (the Stats serialization)
 //	/violations       kill-postmortem index (one summary per ForensicReport)
 //	/violations/<pid> full ForensicReport JSON for one killed process
@@ -187,10 +188,10 @@ func (s *Server) handleConns(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := s.sys.Health()
 	w.Header().Set("Content-Type", "application/json")
-	// A poisoned verifier shard is permanent lost capacity — the probe
-	// reports it as unhealthy (503) just like shutdown, so an orchestrator
-	// replaces the instance instead of routing new launches at shards that
-	// kill everything they're handed.
+	// A poisoned verifier context means the verifier hit a bug in its own
+	// delivery path — the probe reports it as unhealthy (503) just like
+	// shutdown, so an orchestrator replaces the instance running suspect
+	// code.
 	if !h.Up || h.Degraded() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
@@ -212,7 +213,6 @@ type violationSummary struct {
 	PID             int32  `json:"pid"`
 	Policy          string `json:"policy,omitempty"`
 	KillReason      string `json:"kill_reason"`
-	Shard           int    `json:"shard"`
 	Window          int    `json:"window"` // retained flight records
 	FrozenUnixNanos int64  `json:"frozen_unix_nanos"`
 }
@@ -225,7 +225,6 @@ func (s *Server) handleViolations(w http.ResponseWriter, _ *http.Request) {
 			PID:             r.PID,
 			Policy:          r.Policy,
 			KillReason:      r.KillReason,
-			Shard:           r.Shard,
 			Window:          len(r.Window),
 			FrozenUnixNanos: r.FrozenUnixNanos,
 		}

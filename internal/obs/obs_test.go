@@ -23,7 +23,7 @@ import (
 
 // cleanProgram builds a small HQ-instrumented program: an indirect call
 // through a heap slot plus two gated syscalls, enough to exercise the
-// AppendWrite channel, the verifier shard and the kernel gate.
+// AppendWrite channel, the verifier and the kernel gate.
 func cleanProgram(t *testing.T) *compiler.Instrumented {
 	t.Helper()
 	mod := mir.NewModule("obs-prog")
@@ -243,8 +243,8 @@ func TestMetricsEndpointLiveSystem(t *testing.T) {
 	if err := json.Unmarshal([]byte(hbody), &h); err != nil {
 		t.Fatalf("/healthz: bad JSON: %v", err)
 	}
-	if !h.Up || h.Shards <= 0 {
-		t.Errorf("healthz = %+v, want up with shards", h)
+	if !h.Up || h.Poisoned != 0 || h.Degraded() {
+		t.Errorf("healthz = %+v, want up and not degraded", h)
 	}
 
 	// /procs: the Stats document, with one row per launched PID.
@@ -354,11 +354,10 @@ func TestWriteMetricsSynthetic(t *testing.T) {
 	}
 }
 
-// TestWriteMetricsViolationAndShardSeries: the forensics series — per-policy
-// violation counters with escaped label values, and per-shard occupancy
-// gauges — must render as well-formed exposition even for hostile policy
-// names.
-func TestWriteMetricsViolationAndShardSeries(t *testing.T) {
+// TestWriteMetricsViolationSeries: the forensics series — per-policy
+// violation counters with escaped label values — must render as well-formed
+// exposition even for hostile policy names.
+func TestWriteMetricsViolationSeries(t *testing.T) {
 	st := supervisor.Stats{
 		ViolationsByPolicy: map[string]uint64{
 			"cfi":         3,
@@ -366,10 +365,6 @@ func TestWriteMetricsViolationAndShardSeries(t *testing.T) {
 			"back\\slash": 2,
 			"multi\nline": 4,
 			"seq":         7,
-		},
-		Shards: []supervisor.ShardRow{
-			{Shard: 0, Procs: 2, Dead: 1},
-			{Shard: 1, Procs: 0, Poisoned: true},
 		},
 	}
 	var b strings.Builder
@@ -383,10 +378,6 @@ func TestWriteMetricsViolationAndShardSeries(t *testing.T) {
 		`herqules_violations_total{policy="evil\"name"}`:  1,
 		`herqules_violations_total{policy="back\\slash"}`: 2,
 		`herqules_violations_total{policy="multi\nline"}`: 4,
-		`herqules_shard_procs{shard="0"}`:                 2,
-		`herqules_shard_dead_procs{shard="0"}`:            1,
-		`herqules_shard_poisoned{shard="1"}`:              1,
-		`herqules_shard_poisoned{shard="0"}`:              0,
 	} {
 		if got := samples[key]; got != want {
 			t.Errorf("%s = %v, want %v\n%s", key, got, want, body)
@@ -402,12 +393,13 @@ func TestWriteMetricsViolationAndShardSeries(t *testing.T) {
 	}
 }
 
-// degradedSystem is a synthetic System whose Health reports poisoned shards.
+// degradedSystem is a synthetic System whose Health reports poisoned
+// processes.
 type degradedSystem struct{ poisoned int }
 
 func (d degradedSystem) Stats() supervisor.Stats { return supervisor.Stats{} }
 func (d degradedSystem) Health() supervisor.Health {
-	return supervisor.Health{Up: true, Shards: 4, PoisonedShards: d.poisoned,
+	return supervisor.Health{Up: true, Poisoned: d.poisoned,
 		DegradedPolicy: "fail-closed"}
 }
 func (d degradedSystem) Forensics(pid int32) (supervisor.ForensicReport, bool) {
@@ -415,9 +407,10 @@ func (d degradedSystem) Forensics(pid int32) (supervisor.ForensicReport, bool) {
 }
 func (d degradedSystem) AllForensics() []supervisor.ForensicReport { return nil }
 
-// TestHealthzReportsDegradedAs503: a poisoned verifier shard is permanent
-// lost capacity — the probe must go unhealthy even though the system is
-// still up, so an orchestrator replaces the instance.
+// TestHealthzReportsDegradedAs503: a poisoned process context means the
+// verifier hit a bug in its own delivery path — the probe must go unhealthy
+// even though the system is still up, so an orchestrator replaces the
+// instance.
 func TestHealthzReportsDegradedAs503(t *testing.T) {
 	srv := NewServer(degradedSystem{poisoned: 1})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
@@ -426,17 +419,17 @@ func TestHealthzReportsDegradedAs503(t *testing.T) {
 	defer srv.Close()
 	code, body := get(t, "http://"+srv.Addr()+"/healthz")
 	if code != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz with poisoned shard: status %d, want 503", code)
+		t.Fatalf("/healthz with a poisoned process: status %d, want 503", code)
 	}
 	var h supervisor.Health
 	if err := json.Unmarshal([]byte(body), &h); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if !h.Up || h.PoisonedShards != 1 || !h.Degraded() {
+	if !h.Up || h.Poisoned != 1 || !h.Degraded() {
 		t.Errorf("health document = %+v, want up-but-degraded", h)
 	}
 
-	// Zero poisoned shards: healthy.
+	// Nothing poisoned: healthy.
 	srv2 := NewServer(degradedSystem{poisoned: 0})
 	if err := srv2.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -552,7 +545,7 @@ func TestViolationsEndpointsLiveSystem(t *testing.T) {
 	}
 
 	// The kill must surface on /metrics as an attributed violation counter,
-	// and the shard gauges must be present on a live system.
+	// and a policy violation is not a poison.
 	code, body = get(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics: status %d", code)
@@ -561,15 +554,8 @@ func TestViolationsEndpointsLiveSystem(t *testing.T) {
 	if got := samples[`herqules_violations_total{policy="cfi"}`]; got != 1 {
 		t.Errorf(`herqules_violations_total{policy="cfi"} = %v, want 1`, got)
 	}
-	foundShard := false
-	for key := range samples {
-		if strings.HasPrefix(key, "herqules_shard_procs{") {
-			foundShard = true
-			break
-		}
-	}
-	if !foundShard {
-		t.Errorf("no per-shard occupancy gauges in exposition:\n%s", body)
+	if got := samples["herqules_verifier_poisoned_total"]; got != 0 {
+		t.Errorf("herqules_verifier_poisoned_total = %v, want 0", got)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -38,8 +38,6 @@ func WriteMetrics(w io.Writer, st supervisor.Stats) {
 		}
 	}
 
-	writeShardSeries(w, st.Shards)
-
 	// Registry counters, sorted for a stable exposition.
 	for _, name := range sortedKeys(st.Snapshot.Counters) {
 		writeScalar(w, metricName(name)+"_total", "counter", "", st.Snapshot.Counters[name].Total)
@@ -93,34 +91,6 @@ func writeProcSeries(w io.Writer, procs []supervisor.ProcStats) {
 	fmt.Fprintf(w, "# TYPE herqules_proc_syscall_stall_ns histogram\n")
 	for _, p := range procs {
 		writeHistogramSeries(w, "herqules_proc_syscall_stall_ns", `pid=`+strconv.Quote(pidLabel(p.PID)), p.StallNs)
-	}
-}
-
-// writeShardSeries emits the per-shard occupancy gauges — resident/dead
-// contexts, poisoned flag — the series a shard rebalancer watches.
-func writeShardSeries(w io.Writer, shards []supervisor.ShardRow) {
-	if len(shards) == 0 {
-		return
-	}
-	type column struct {
-		name  string
-		value func(r supervisor.ShardRow) uint64
-	}
-	cols := []column{
-		{"herqules_shard_procs", func(r supervisor.ShardRow) uint64 { return uint64(r.Procs) }},
-		{"herqules_shard_dead_procs", func(r supervisor.ShardRow) uint64 { return uint64(r.Dead) }},
-		{"herqules_shard_poisoned", func(r supervisor.ShardRow) uint64 {
-			if r.Poisoned {
-				return 1
-			}
-			return 0
-		}},
-	}
-	for _, c := range cols {
-		fmt.Fprintf(w, "# TYPE %s gauge\n", c.name)
-		for _, r := range shards {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", c.name, r.Shard, c.value(r))
-		}
 	}
 }
 

@@ -14,7 +14,7 @@ import "math/bits"
 // array is the whole table and its size follows the live entries alone.
 //
 // Not safe for concurrent use — policy state is confined to one verifier
-// shard, which serializes access per process (verifier shard lock).
+// process context, whose lock serializes access.
 type ptrTable struct {
 	ents  []ptrEntry // key 0 marks an empty slot
 	live  int        // entries, the zero key's included

@@ -14,7 +14,7 @@ import (
 
 // ForensicReport is the full postmortem served by System.Forensics and the
 // /violations endpoint: the verifier's frozen black box (attributed policy,
-// last-N message window, decision trail, shard health) plus the kernel's
+// last-N message window, decision trail, poison state) plus the kernel's
 // syscall-gate figures and the supervisor's lifecycle context. The embedded
 // report's fields flatten into the JSON document.
 type ForensicReport struct {
@@ -27,10 +27,6 @@ type ForensicReport struct {
 	SyncStalls     uint64 `json:"sync_stalls,omitempty"`
 	DegradedAllows uint64 `json:"degraded_allows,omitempty"`
 	DegradedPolicy string `json:"degraded_policy"`
-
-	// System degradation context: poisoned shards across the whole verifier
-	// (the report's own ShardPoisoned covers only the process's shard).
-	PoisonedShards int `json:"poisoned_shards,omitempty"`
 
 	StartedUnixNanos  int64 `json:"started_unix_nanos,omitempty"`
 	FinishedUnixNanos int64 `json:"finished_unix_nanos,omitempty"`
@@ -49,7 +45,6 @@ func (s *System) forensicsLive(pid int32, started int64) (ForensicReport, bool) 
 		ForensicReport:   *vr,
 		State:            stateKilled,
 		DegradedPolicy:   s.k.DegradedMode().String(),
-		PoisonedShards:   s.v.PoisonedShards(),
 		StartedUnixNanos: started,
 	}
 	if ks, ok := s.k.Stats(pid); ok {
@@ -106,10 +101,3 @@ func (s *System) AllForensics() []ForensicReport {
 	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
 	return out
 }
-
-// ShardRow is one verifier shard's occupancy row in Stats — live and dead
-// context counts and the poisoned flag, the placement signals a rebalancer
-// consumes — exported as per-shard gauges on /metrics. There is no queue to
-// report beside them: a source's drain goroutine delivers what it reads, so
-// its backlog sits in its own channel (ConnRow.ForwardedSeq for a session).
-type ShardRow = verifier.ShardStat

@@ -1,5 +1,5 @@
 // Package supervisor is the resident HerQules runtime: one kernel module,
-// one PID-sharded verifier and one shared telemetry registry serving *many*
+// one verifier and one shared telemetry registry serving *many*
 // concurrently monitored programs — the deployment model of the paper's
 // Figure 1, where a single trusted verifier process multiplexes every
 // application that has enabled HerQules.
@@ -45,7 +45,7 @@ var ErrShutdown = errors.New("supervisor: system is shut down")
 
 // Config parameterizes a System. The zero value is usable: default policy
 // set, kills disabled (the paper's measurement default), shared-memory ring
-// transport, GOMAXPROCS verifier shards, no telemetry.
+// transport, no telemetry.
 type Config struct {
 	// Policies builds the verifier policy set per monitored process; nil
 	// installs the registry default set, policy.DefaultSet (currently
@@ -65,7 +65,7 @@ type Config struct {
 	CheckSeq bool
 
 	// Metrics, when non-nil, wires the telemetry layer through the whole
-	// stack once at construction: kernel gate, verifier shards, and every
+	// stack once at construction: kernel gate, verifier, and every
 	// channel the System creates or is handed.
 	Metrics *telemetry.Metrics
 
@@ -74,7 +74,8 @@ type Config struct {
 	// shared-memory ring.
 	ChannelKind ipc.Kind
 
-	// Shards overrides the verifier shard count (<= 0 selects GOMAXPROCS).
+	// Shards is unread, kept only for the frozen bench/; delete when ROADMAP
+	// item 3 thaws it.
 	Shards int
 
 	// Epoch overrides the kernel synchronization timeout (0 keeps
@@ -82,7 +83,7 @@ type Config struct {
 	Epoch time.Duration
 
 	// Degraded selects the kernel's epoch-expiry behaviour when validation
-	// stops making progress (a wedged or poisoned verifier shard, a silent
+	// stops making progress (a poisoned verifier context, a silent
 	// channel). The zero value is kernel.DegradedFailClosed: the stalled
 	// process is killed at the deadline. kernel.DegradedLogOnly records the
 	// bypass and lets the call through — measurement runs only.
@@ -153,7 +154,7 @@ type LaunchOptions struct {
 	Seed uint64
 }
 
-// System is the resident runtime: one kernel, one sharded verifier, one
+// System is the resident runtime: one kernel, one verifier, one
 // multi-source pump, N concurrently monitored programs.
 type System struct {
 	cfg Config
@@ -193,7 +194,7 @@ type System struct {
 const maxProcRecords = 4096
 
 // procRecord tracks one admitted process for per-PID attribution. While the
-// process runs, stats are assembled live from the verifier shard, the kernel
+// process runs, stats are assembled live from the verifier context, the kernel
 // context and the channel's pending peak; once it finishes, the final row is
 // frozen here (the live sources tear their state down on exit).
 type procRecord struct {
@@ -217,12 +218,12 @@ func New(cfg Config) *System {
 	if cfg.Epoch > 0 {
 		k.Epoch = cfg.Epoch
 	}
-	v := verifier.NewSharded(factory, k, cfg.Shards)
+	v := verifier.New(factory, k)
 	v.KillOnViolation = cfg.KillOnViolation
 	v.CheckSeq = cfg.CheckSeq
 	k.SetListener(v)
 	// The verifier doubles as the kernel's epoch watchdog: at a deadline the
-	// kernel asks (lock-free) whether the silent process's shard is poisoned,
+	// kernel asks whether the silent process's context is poisoned,
 	// which turns an anonymous epoch expiry into an attributed wedged-verifier
 	// kill under the configured degraded policy.
 	k.SetWatchdog(v)
@@ -230,7 +231,7 @@ func New(cfg Config) *System {
 	if cfg.FlightRecorder > 0 {
 		// Arm the black box before any registration, then point the kernel's
 		// lifecycle stamps at the verifier-owned rings. The stamper locks
-		// verifier shards, which the kernel only calls outside its own mutex.
+		// verifier contexts, which the kernel only calls outside its own mutex.
 		v.EnableFlightRecorder(cfg.FlightRecorder)
 		k.SetFlightStamper(v)
 	}
@@ -460,7 +461,7 @@ type ProcStats struct {
 }
 
 // liveProcStats assembles a row for a still-registered process from the live
-// sources (verifier shard, kernel context, channel peak). Each source takes
+// sources (verifier context, kernel context, channel peak). Each source takes
 // its own lock; s.mu must NOT be held. rec's identity fields are immutable
 // after Admit, so reading them unlocked is safe.
 func (s *System) liveProcStats(rec *procRecord) ProcStats {
@@ -517,21 +518,21 @@ type Health struct {
 	Up          bool `json:"up"`           // accepting launches (Shutdown not begun)
 	ActiveProcs int  `json:"active_procs"` // admitted and not yet finished
 	PumpSources int  `json:"pump_sources"` // channels currently attached and draining
-	Shards      int  `json:"shards"`       // verifier shards
 
-	// PoisonedShards counts verifier shards disabled by contained
-	// delivery-path panics. Non-zero means the system is degraded: processes routed to a
-	// poisoned shard are killed fail-closed (or bypassed under log-only),
-	// and /healthz reports 503.
-	PoisonedShards int `json:"poisoned_shards"`
+	// Poisoned counts the processes whose verifier contexts contained
+	// delivery-path panics have poisoned since start: each was killed
+	// fail-closed, no other process with it. Non-zero means the system is
+	// degraded — the verifier hit a bug in its own delivery path — and
+	// /healthz reports 503.
+	Poisoned int `json:"poisoned"`
 	// DegradedPolicy names the kernel's epoch-expiry policy ("fail-closed"
 	// or "log-only").
 	DegradedPolicy string `json:"degraded_policy"`
 }
 
-// Degraded reports whether the system has lost capacity it will not regain
-// (any poisoned verifier shard).
-func (h Health) Degraded() bool { return h.PoisonedShards > 0 }
+// Degraded reports whether the verifier has hit a bug in its own delivery
+// path (any poisoned process context).
+func (h Health) Degraded() bool { return h.Poisoned > 0 }
 
 // Health reports the system's liveness summary.
 func (s *System) Health() Health {
@@ -543,8 +544,7 @@ func (s *System) Health() Health {
 		Up:             up,
 		ActiveProcs:    active,
 		PumpSources:    s.pumps.Sources(),
-		Shards:         s.v.Shards(),
-		PoisonedShards: s.v.PoisonedShards(),
+		Poisoned:       s.v.Poisoned(),
 		DegradedPolicy: s.k.DegradedMode().String(),
 	}
 }
@@ -565,10 +565,6 @@ type Stats struct {
 	// policy name (Violation.Policy) — the source of the
 	// herqules_violations_total{policy=...} exposition.
 	ViolationsByPolicy map[string]uint64
-
-	// Shards is the per-shard occupancy snapshot (contexts, dead contexts,
-	// poisoned flag) behind the per-shard gauges.
-	Shards []ShardRow
 }
 
 // statsHist is the compact histogram form Stats.MarshalJSON emits: the
@@ -613,7 +609,6 @@ func (st Stats) MarshalJSON() ([]byte, error) {
 		MessagesVerified   uint64               `json:"messages_verified"`
 		Procs              []ProcStats          `json:"procs"`
 		ViolationsByPolicy map[string]uint64    `json:"violations_by_policy,omitempty"`
-		Shards             []ShardRow           `json:"shards,omitempty"`
 		Counters           map[string]uint64    `json:"counters,omitempty"`
 		Peaks              map[string]uint64    `json:"peaks,omitempty"`
 		Histograms         map[string]statsHist `json:"histograms,omitempty"`
@@ -625,7 +620,6 @@ func (st Stats) MarshalJSON() ([]byte, error) {
 		MessagesVerified:   st.MessagesVerified,
 		Procs:              st.Procs,
 		ViolationsByPolicy: st.ViolationsByPolicy,
-		Shards:             st.Shards,
 		Counters:           counters,
 		Peaks:              st.Snapshot.Peaks,
 		Histograms:         hists,
@@ -668,7 +662,6 @@ func (s *System) Stats() Stats {
 	st.MessagesVerified = s.v.TotalMessages()
 	st.Procs = s.ProcStats()
 	st.ViolationsByPolicy = s.v.ViolationsByPolicy()
-	st.Shards = s.v.ShardStats()
 	if s.m != nil {
 		st.Snapshot = s.m.Snapshot().Diff(s.base)
 	}

@@ -145,7 +145,7 @@ func waitGoroutines(t *testing.T, want int) {
 
 // TestSystemConcurrentMixedProcesses is the multi-tenant soak the supervisor
 // exists for: many monitored programs — clean and violating, mixed — run
-// concurrently under ONE kernel + ONE sharded verifier, each over its own
+// concurrently under ONE kernel + ONE verifier, each over its own
 // AppendWrite channel multiplexed into the shared pump. Asserted: per-PID
 // outcome isolation, exactly one kernel kill per violator, and a clean
 // Shutdown that leaks no pump goroutines. Run under -race by `make check`.

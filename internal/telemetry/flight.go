@@ -11,7 +11,7 @@ import "time"
 // Concurrency model: a FlightRecorder has NO internal synchronization. Every
 // recorder belongs to exactly one verifier procCtx, and every access — hot
 // stamps from the delivery loop, lifecycle stamps relayed from the kernel,
-// the freeze, and the snapshot read — happens under that context's shard
+// the freeze, and the snapshot read — happens under that context's own
 // mutex. Single writer domain, plain stores: the per-message stamp is a
 // bounds-free ring write plus an increment, no atomics, no allocation, no
 // time.Now (wall-clock stamps are reserved for the cold lifecycle events).
@@ -23,7 +23,7 @@ const (
 	// FlightMessage is a per-message stamp from the verifier delivery path.
 	FlightMessage FlightKind = iota + 1
 	// FlightLifecycle is a process-lifecycle stamp (register, fork, gate
-	// stall, epoch expiry, kill, shard poison).
+	// stall, epoch expiry, kill, poison).
 	FlightLifecycle
 )
 
@@ -63,9 +63,8 @@ const (
 	// FlightDegradedAllow: an expired epoch was bypassed under the log-only
 	// degraded policy (value = syscall number).
 	FlightDegradedAllow
-	// FlightShardPoisoned: the verifier shard hosting this context was
-	// poisoned (value = shard index).
-	FlightShardPoisoned
+	// FlightPoisoned: a delivery-path panic poisoned this context (value 0).
+	FlightPoisoned
 	// FlightLeaseGranted: the networked plane admitted this process and
 	// granted its connection lease (value = lease nanoseconds).
 	FlightLeaseGranted
@@ -90,7 +89,7 @@ var flightCodeNames = map[FlightCode]string{
 	FlightGateStall:     "gate-stall",
 	FlightEpochExpired:  "epoch-expired",
 	FlightDegradedAllow: "degraded-allow",
-	FlightShardPoisoned: "shard-poisoned",
+	FlightPoisoned:      "poisoned",
 	FlightLeaseGranted:  "lease-granted",
 	FlightLeaseRenewed:  "lease-renewed",
 	FlightLeaseExpired:  "lease-expired",
@@ -144,7 +143,7 @@ const (
 )
 
 // FlightRecorder is the fixed-slot ring. All methods must be called under the
-// owning shard's mutex (see the package comment above); none allocate after
+// owning context's mutex (see the package comment above); none allocate after
 // construction except Records, which copies the window out.
 type FlightRecorder struct {
 	buf    []FlightRecord
@@ -243,8 +242,9 @@ func (r *FlightRecorder) Records() []FlightRecord {
 // FlightStamper relays lifecycle events into a process's flight recorder
 // across the kernel/verifier boundary: the kernel knows the events (gate
 // stalls, epoch expiries, degraded bypasses) but the verifier owns the rings.
-// *verifier.Verifier implements it by locking the owning shard, so the kernel
-// must only call it OUTSIDE its own mutex — the shard lock is taken inside.
+// *verifier.Verifier implements it by locking the owning process context, so
+// the kernel must only call it OUTSIDE its own mutex — the context lock is
+// taken inside.
 type FlightStamper interface {
 	StampFlightEvent(pid int32, code FlightCode, value uint64)
 }

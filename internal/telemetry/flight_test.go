@@ -145,8 +145,8 @@ func TestFlightCodeString(t *testing.T) {
 	if got := FlightSeqGap.String(); got != "seq-violation" {
 		t.Errorf("FlightSeqGap.String() = %q", got)
 	}
-	if got := FlightShardPoisoned.String(); got != "shard-poisoned" {
-		t.Errorf("FlightShardPoisoned.String() = %q", got)
+	if got := FlightPoisoned.String(); got != "poisoned" {
+		t.Errorf("FlightPoisoned.String() = %q", got)
 	}
 	if got := FlightCode(200).String(); got != "code(200)" {
 		t.Errorf("unknown code renders %q, want code(200)", got)

@@ -8,8 +8,9 @@
 // Design constraints, in order:
 //
 //  1. Hot-path cost: one uncontended atomic add per counter update. Counters
-//     are lane-striped (one cache-line-padded cell per lane, typically one
-//     lane per verifier shard) so concurrent writers never share a line.
+//     are lane-striped (one cache-line-padded cell per lane; a verifier
+//     process context writes the lane its PID selects) so concurrent writers
+//     rarely share a line.
 //  2. Always safe to leave wired: every instrumented component guards its
 //     telemetry with a single nil check, so an un-instrumented run pays one
 //     predictable branch per event.
@@ -43,7 +44,7 @@ type counterLane struct {
 }
 
 // Counter is a monotonically increasing, lane-striped event counter. Writers
-// that know their lane (a verifier shard index, a worker id) use AddAt to
+// that know their lane (a verifier context's PID, a worker id) use AddAt to
 // stay contention-free; writers without a natural lane use Add, which is a
 // single atomic add on lane 0.
 type Counter struct {
@@ -184,7 +185,7 @@ func (m *Metrics) Peak(name string) *Peak {
 type CounterSnapshot struct {
 	Total uint64
 	// Lanes carries the per-lane breakdown when the counter is striped
-	// wider than one lane (per-shard message counts, for example).
+	// wider than one lane (the verifier's message counts, for example).
 	Lanes []uint64
 }
 

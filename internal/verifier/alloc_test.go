@@ -2,7 +2,6 @@ package verifier
 
 import (
 	"testing"
-	"unsafe"
 
 	"herqules/internal/ipc"
 	"herqules/internal/policy"
@@ -51,7 +50,7 @@ func TestDrainSteadyStateZeroAlloc(t *testing.T) {
 		msgs[i] = ipc.Message{Op: ipc.OpCounterInc, PID: 1, Arg1: 1}
 	}
 
-	v := NewSharded(counterOnlyFactory, nil, 1)
+	v := New(counterOnlyFactory, nil)
 	v.EnableFlightRecorder(64)
 	v.ProcessStarted(1)
 
@@ -97,7 +96,7 @@ func TestDrainSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestDeliverAllocatesNothing pins the inline path: Deliver's batch of one is
-// the shard's scratch slot, not a local that the window's interface calls
+// the context's scratch slot, not a local that the window's interface calls
 // (Prefetch, UnsealRun) force onto the heap once per message.
 func TestDeliverAllocatesNothing(t *testing.T) {
 	for _, names := range [][]string{
@@ -111,7 +110,7 @@ func TestDeliverAllocatesNothing(t *testing.T) {
 		kr := policy.NewKeyringSeeded(1)
 		kr.Program(1)
 		key, _ := kr.Key(1)
-		v := NewSharded(factory, nil, 1)
+		v := New(factory, nil)
 		v.CheckSeq = true
 		v.SetKeyring(kr)
 		v.ProcessStarted(1)
@@ -132,17 +131,5 @@ func TestDeliverAllocatesNothing(t *testing.T) {
 		if got := v.Violations(1); len(got) != 0 || v.Messages(1) != seq {
 			t.Fatalf("chain %v: %d of %d messages evaluated, violations %v", names, v.Messages(1), seq, got)
 		}
-	}
-}
-
-// TestShardStatePadding keeps the false-sharing fix honest: the per-shard
-// structs the drains hammer concurrently must stay cache-line multiples, or
-// adjacent shards in the slice start bouncing each other's lines again.
-func TestShardStatePadding(t *testing.T) {
-	if s := unsafe.Sizeof(shard{}); s%cacheLinePad != 0 {
-		t.Errorf("sizeof(shard) = %d, not a multiple of %d", s, cacheLinePad)
-	}
-	if s := unsafe.Sizeof(shardHealth{}); s%cacheLinePad != 0 {
-		t.Errorf("sizeof(shardHealth) = %d, not a multiple of %d", s, cacheLinePad)
 	}
 }

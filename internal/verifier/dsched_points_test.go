@@ -19,7 +19,7 @@ func goroutineID() string {
 }
 
 // deliverSpotter is a Recorder that also notes which goroutines yield
-// PointShardDeliver.
+// PointDeliver.
 type deliverSpotter struct {
 	*dsched.Recorder
 	mu  sync.Mutex
@@ -27,7 +27,7 @@ type deliverSpotter struct {
 }
 
 func (s *deliverSpotter) Yield(p dsched.Point, pid int32) {
-	if p == dsched.PointShardDeliver {
+	if p == dsched.PointDeliver {
 		s.mu.Lock()
 		s.ids[goroutineID()] = true
 		s.mu.Unlock()
@@ -37,8 +37,8 @@ func (s *deliverSpotter) Yield(p dsched.Point, pid int32) {
 
 // TestPipelinePointsRecorded asserts the interleaving points the model
 // checker schedules actually exist on the pump path: a pumped stream hits
-// shard-deliver (a run read, not yet delivered) and poison-check (delivery
-// round) at least once each, and shard-deliver only ever on the goroutine
+// deliver (a run read, not yet delivered) and poison-check (delivery round)
+// at least once each, and deliver only ever on the goroutine
 // that called Pump — there is no other for a delivery to happen on. This is
 // the cheap half of the schedule-hook contract — internal/verify relies on
 // these points being there.
@@ -47,7 +47,7 @@ func TestPipelinePointsRecorded(t *testing.T) {
 	dsched.Install(r)
 	defer dsched.Uninstall()
 
-	v := NewSharded(func() []policy.Policy { return nil }, nil, 2)
+	v := New(func() []policy.Policy { return nil }, nil)
 	const pid = int32(7)
 	v.ProcessStarted(pid)
 
@@ -63,33 +63,71 @@ func TestPipelinePointsRecorded(t *testing.T) {
 	if got := v.Messages(pid); got != 100 {
 		t.Fatalf("delivered %d messages, want 100", got)
 	}
-	for _, p := range []dsched.Point{dsched.PointShardDeliver, dsched.PointPoisonCheck} {
+	for _, p := range []dsched.Point{dsched.PointDeliver, dsched.PointPoisonCheck} {
 		if r.Count(p) == 0 {
 			t.Errorf("point %s never recorded on the pump path", p)
 		}
 	}
 	if me := goroutineID(); len(r.ids) != 1 || !r.ids[me] {
-		t.Errorf("shard-deliver yielded on goroutines %v, want only Pump's caller (%s)", r.ids, me)
+		t.Errorf("deliver yielded on goroutines %v, want only Pump's caller (%s)", r.ids, me)
 	}
 }
 
-// TestShardOfMatchesDelivery pins the exported routing: a message for pid is
-// validated on the shard ShardOf names.
-func TestShardOfMatchesDelivery(t *testing.T) {
-	v := NewSharded(func() []policy.Policy { return nil }, nil, 2)
+// TestPoisonProcessDropsOnlyItsMessages pins the unit of poisoning: a
+// poisoned process's messages are dropped with its dead context, and a
+// neighbour's, whatever its PID, are validated.
+func TestPoisonProcessDropsOnlyItsMessages(t *testing.T) {
+	g := newFakeGate()
+	v := New(func() []policy.Policy { return nil }, g)
 	a, b := int32(101), int32(102)
 	v.ProcessStarted(a)
 	v.ProcessStarted(b)
-	v.PoisonShard(v.ShardOf(a), "test poison")
-	v.Deliver(ipc.Message{Op: ipc.OpCounterInc, PID: a, Seq: 1})
-	if got := v.Messages(a); got != 0 {
-		t.Fatalf("poisoned shard validated %d messages for pid %d, want fail-closed drop", got, a)
+	v.PoisonProcess(a, "test poison")
+	v.PoisonProcess(a, "second poison") // first caller wins
+	v.DeliverBatch([]ipc.Message{
+		{Op: ipc.OpCounterInc, PID: a, Seq: 1},
+		{Op: ipc.OpCounterInc, PID: b, Seq: 1},
+	})
+	if st, _ := v.ProcStats(a); st.Messages != 0 || st.Dropped != 1 || !st.Dead {
+		t.Fatalf("poisoned pid %d: %+v, want its message dropped with the dead context", a, st)
 	}
-	if v.ShardOf(a) == v.ShardOf(b) {
-		t.Skip("pids 101/102 hash to one shard here; routing assertion vacuous")
-	}
-	v.Deliver(ipc.Message{Op: ipc.OpCounterInc, PID: b, Seq: 1})
 	if got := v.Messages(b); got != 1 {
-		t.Fatalf("healthy shard delivered %d for pid %d, want 1", got, b)
+		t.Fatalf("pid %d: %d messages validated, want 1", b, got)
+	}
+	if g.kills[a] != "test poison" || g.kills[b] != "" || v.Poisoned() != 1 {
+		t.Fatalf("kills %v, Poisoned %d: want pid %d alone killed, once", g.kills, v.Poisoned(), a)
+	}
+}
+
+// exitingReceiver serves one burst for pid, then exits pid's context and
+// serves a second: the drain still holds a pointer to the exited context.
+type exitingReceiver struct {
+	v     *Verifier
+	pid   int32
+	calls int
+}
+
+func (r *exitingReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
+	r.calls++
+	out[0] = ipc.Message{Op: ipc.OpCounterInc, PID: r.pid, Seq: uint64(r.calls)}
+	if r.calls == 2 {
+		r.v.ProcessExited(r.pid)
+		return 1, false, nil
+	}
+	return 1, true, nil
+}
+
+// TestPumpDropsRunOfExitedContext: Pump caches the context it delivered to
+// last; once that process exits, its next run is dropped as an unregistered
+// PID's would be, not delivered to the torn-down context.
+func TestPumpDropsRunOfExitedContext(t *testing.T) {
+	v := New(func() []policy.Policy { return nil }, nil)
+	v.ProcessStarted(5)
+	v.Pump(&exitingReceiver{v: v, pid: 5})
+	if got := v.TotalMessages(); got != 1 {
+		t.Fatalf("TotalMessages = %d, want 1: the run after the exit must be dropped", got)
+	}
+	if _, ok := v.ProcStats(5); ok {
+		t.Fatal("exited context still registered")
 	}
 }

@@ -94,13 +94,12 @@ func bombFactory() []policy.Policy {
 func TestPolicyPanicKillsProcessFailClosed(t *testing.T) {
 	// A panic inside policy evaluation is contained per policy, per process:
 	// the detonating process is killed fail-closed with the policy named in
-	// the reason, while the shard — and every other process resident on it —
-	// keeps validating. (Shard poisoning remains, via safeDeliver, for
-	// defects in the delivery machinery itself; see failure semantics in
-	// DESIGN.md.)
+	// the reason, while every other process keeps validating. (Poisoning
+	// remains, via safeDeliver, for defects in the delivery machinery itself;
+	// see failure semantics in DESIGN.md.)
 	g := newFakeGate()
 	m := telemetry.New(1)
-	v := NewSharded(bombFactory, g, 1) // one shard: every pid routes to it
+	v := New(bombFactory, g)
 	v.EnableTelemetry(m)
 	v.ProcessStarted(1)
 	v.ProcessStarted(2)
@@ -116,8 +115,8 @@ func TestPolicyPanicKillsProcessFailClosed(t *testing.T) {
 	<-done
 	ps.Close()
 
-	if got := v.PoisonedShards(); got != 0 {
-		t.Fatalf("PoisonedShards = %d, want 0 (panic contained per policy)", got)
+	if got := v.Poisoned(); got != 0 {
+		t.Fatalf("Poisoned = %d, want 0 (panic contained per policy)", got)
 	}
 	reason := g.kills[1]
 	if reason == "" {
@@ -127,18 +126,18 @@ func TestPolicyPanicKillsProcessFailClosed(t *testing.T) {
 		t.Errorf("pid 1 kill reason %q lacks policy/panic attribution", reason)
 	}
 	if g.kills[2] != "" {
-		t.Errorf("bystander pid 2 on the same shard killed: %s", g.kills[2])
+		t.Errorf("bystander pid 2 killed: %s", g.kills[2])
 	}
 	if wedged, detail := v.WedgedFor(1); wedged {
-		t.Errorf("shard reported wedged after contained policy panic: %q", detail)
+		t.Errorf("pid 1 reported wedged after contained policy panic: %q", detail)
 	}
-	if got := m.Snapshot().Counters["verifier.poisoned_shards"].Total; got != 0 {
-		t.Errorf("poisoned_shards counter = %d, want 0", got)
+	if got := m.Snapshot().Counters["verifier.poisoned"].Total; got != 0 {
+		t.Errorf("poisoned counter = %d, want 0", got)
 	}
 
-	// The shard stays open for business: a process registered after the
-	// detonation is admitted and validated (it is NOT born dead), and if it
-	// trips the same bug it is killed individually, with its own attribution.
+	// A process registered after the detonation is admitted and validated,
+	// and if it trips the same bug it is killed individually, with its own
+	// attribution.
 	v.ProcessStarted(3)
 	if g.kills[3] != "" {
 		t.Errorf("process started after contained panic killed at birth: %s", g.kills[3])
@@ -158,11 +157,10 @@ func TestPolicyPanicKillsProcessFailClosed(t *testing.T) {
 }
 
 func TestPolicyPanicDoesNotDisturbOtherProcesses(t *testing.T) {
-	// Same-shard containment: the victim and a bystander share one shard;
-	// the victim's detonation kills only the victim, and the bystander's
-	// stream keeps validating on the same shard afterwards.
+	// The victim's detonation kills only the victim, and the bystander's
+	// stream keeps validating afterwards.
 	g := newFakeGate()
-	v := NewSharded(bombFactory, g, 1)
+	v := New(bombFactory, g)
 	victim, bystander := int32(1), int32(2)
 	v.ProcessStarted(victim)
 	v.ProcessStarted(bystander)
@@ -189,13 +187,13 @@ func TestPolicyPanicDoesNotDisturbOtherProcesses(t *testing.T) {
 		t.Error("detonating victim not killed")
 	}
 	if g.kills[bystander] != "" {
-		t.Errorf("bystander on the same shard killed: %s", g.kills[bystander])
+		t.Errorf("bystander killed: %s", g.kills[bystander])
 	}
 	if got := v.Messages(bystander); got != 2 {
 		t.Errorf("bystander messages = %d, want 2", got)
 	}
 	if wedged, _ := v.WedgedFor(bystander); wedged {
-		t.Error("shard reported wedged after contained policy panic")
+		t.Error("bystander reported wedged after contained policy panic")
 	}
 }
 
@@ -223,26 +221,17 @@ func (g *bombGate) Kill(pid int32, reason string) {
 	g.mu.Unlock()
 }
 
-func TestDeliveryPanicOnDrainPoisonsShardAndDrainSurvives(t *testing.T) {
+func TestDeliveryPanicOnDrainKillsOnlyItsProcess(t *testing.T) {
 	// A real panic on the delivery path, thrown on a source's own drain
-	// goroutine: the shard is poisoned and its residents die exactly once,
-	// but the drain outlives the panic and keeps emptying its channel — a
-	// producer must never wedge behind a dead consumer — while a source
-	// validating on another shard never notices.
+	// goroutine: the victim's context is poisoned and the victim dies exactly
+	// once, but the drain outlives the panic and keeps emptying its channel —
+	// a producer must never wedge behind a dead consumer — while every other
+	// process, whatever its PID, keeps validating and passing its gates.
 	const victim = int32(1)
 	g := &bombGate{pid: victim, kills: make(map[int32][]string), syncs: make(map[int32]int)}
-	v := NewSharded(cfiFactory, g, 2)
-	resident, bystander := int32(0), int32(0)
-	for pid := int32(2); resident == 0 || bystander == 0; pid++ {
-		if v.ShardOf(pid) == v.ShardOf(victim) {
-			if resident == 0 {
-				resident = pid
-			}
-		} else if bystander == 0 {
-			bystander = pid
-		}
-	}
-	for _, pid := range []int32{victim, resident, bystander} {
+	v := New(cfiFactory, g)
+	others := []int32{2, 3}
+	for _, pid := range append([]int32{victim}, others...) {
 		v.ProcessStarted(pid)
 	}
 
@@ -252,14 +241,14 @@ func TestDeliveryPanicOnDrainPoisonsShardAndDrainSurvives(t *testing.T) {
 	const n = 5000
 	ps := v.NewPumpSet()
 	var producers sync.WaitGroup
-	dones := make(map[int32]<-chan struct{})
-	for _, pid := range []int32{victim, bystander} {
+	var dones []<-chan struct{}
+	for _, pid := range append([]int32{victim}, others...) {
 		ch := ipc.NewSharedRing(1 << 6)
 		done, err := ps.Attach(ch.Receiver)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dones[pid] = done
+		dones = append(dones, done)
 		producers.Add(1)
 		go func(pid int32) {
 			defer producers.Done()
@@ -279,33 +268,37 @@ func TestDeliveryPanicOnDrainPoisonsShardAndDrainSurvives(t *testing.T) {
 	// A producer or a drain wedged behind the panic hangs here, and the test
 	// timeout's goroutine dump names it.
 	producers.Wait()
-	<-dones[victim]
-	<-dones[bystander]
+	for _, done := range dones {
+		<-done
+	}
 	ps.Close()
 
-	if got := v.PoisonedShards(); got != 1 {
-		t.Fatalf("PoisonedShards = %d, want 1", got)
+	if got := v.Poisoned(); got != 1 {
+		t.Fatalf("Poisoned = %d, want 1", got)
 	}
 	wedged, why := v.WedgedFor(victim)
-	if !wedged || !strings.Contains(why, "worker panic: bomb: gate bug") {
-		t.Errorf("WedgedFor(victim) = %v, %q; want the shard wedged by the contained panic", wedged, why)
+	if !wedged || !strings.Contains(why, "delivery panic: bomb: gate bug") {
+		t.Errorf("WedgedFor(victim) = %v, %q; want it wedged by the contained panic", wedged, why)
 	}
-	for _, pid := range []int32{victim, resident} {
-		if k := g.kills[pid]; len(k) != 1 || !strings.Contains(k[0], "worker panic") {
-			t.Errorf("pid %d on the poisoned shard: kills %q, want exactly one, for the worker panic", pid, k)
-		}
+	if k := g.kills[victim]; len(k) != 1 || !strings.Contains(k[0], "delivery panic") {
+		t.Errorf("victim: kills %q, want exactly one, for the delivery panic", k)
 	}
 	if got := v.Messages(victim); got >= n {
-		t.Errorf("victim had %d of %d messages validated on a poisoned shard", got, n)
+		t.Errorf("victim had %d of %d messages validated after its poison", got, n)
 	}
-	if k := g.kills[bystander]; len(k) != 0 {
-		t.Errorf("bystander on the healthy shard killed: %q", k)
-	}
-	if got := v.Messages(bystander); got != n {
-		t.Errorf("bystander: %d messages validated, want %d", got, n)
-	}
-	if got := g.syncs[bystander]; got != n/10 {
-		t.Errorf("bystander: %d system calls released, want %d", got, n/10)
+	for _, pid := range others {
+		if k := g.kills[pid]; len(k) != 0 {
+			t.Errorf("pid %d killed by the victim's poison: %q", pid, k)
+		}
+		if wedged, why := v.WedgedFor(pid); wedged {
+			t.Errorf("pid %d reported wedged: %q", pid, why)
+		}
+		if got := v.Messages(pid); got != n {
+			t.Errorf("pid %d: %d messages validated, want %d", pid, got, n)
+		}
+		if got := g.syncs[pid]; got != n/10 {
+			t.Errorf("pid %d: %d system calls released, want %d", pid, got, n/10)
+		}
 	}
 }
 
@@ -336,7 +329,7 @@ func TestPumpEndsAtFirstRecvError(t *testing.T) {
 	// from the kernel epoch, not from a guess at the guilty PID.
 	g := newFakeGate()
 	m := telemetry.New(1)
-	v := NewSharded(cfiFactory, g, 2)
+	v := New(cfiFactory, g)
 	v.EnableTelemetry(m)
 	v.ProcessStarted(1)
 	r := &failingReceiver{

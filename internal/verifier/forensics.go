@@ -13,7 +13,7 @@ import (
 // This file turns a frozen flight ring into the structured postmortem the
 // observability plane serves: freezeLocked runs at every kill decision
 // (violation, policy panic, sealer reject, counter gap, kernel epoch expiry,
-// shard poison) and snapshots the context into an immutable ForensicReport.
+// poison) and snapshots the context into an immutable ForensicReport.
 
 // FlightEntry is one decoded flight-ring record: a per-message stamp from the
 // delivery path ("message") or a lifecycle event ("lifecycle"). Decoding —
@@ -27,7 +27,7 @@ type FlightEntry struct {
 	Seq uint64 `json:"seq,omitempty"` // sender-side message counter
 	Arg string `json:"arg,omitempty"` // hex XOR digest of the message args
 	// Lifecycle-record fields.
-	Value     uint64 `json:"value,omitempty"`      // event payload (stall ns, syscall no, shard, parent pid)
+	Value     uint64 `json:"value,omitempty"`      // event payload (stall ns, syscall no, parent pid)
 	UnixNanos int64  `json:"unix_nanos,omitempty"` // wall clock of the event
 }
 
@@ -45,7 +45,6 @@ type PolicyDecision struct {
 // context (syscalls, stalls, degraded mode) before serving it.
 type ForensicReport struct {
 	PID        int32  `json:"pid"`
-	Shard      int    `json:"shard"`
 	Policy     string `json:"policy,omitempty"` // attributed policy (empty for kernel/poison kills)
 	KillReason string `json:"kill_reason"`
 
@@ -63,19 +62,19 @@ type ForensicReport struct {
 
 	Decisions []PolicyDecision `json:"decisions,omitempty"`
 
-	// Shard health at the time of death.
-	ShardPoisoned     bool   `json:"shard_poisoned,omitempty"`
-	ShardPoisonReason string `json:"shard_poison_reason,omitempty"`
+	// Poisoned is set when a delivery-path panic poisoned the context
+	// (Verifier.poison) before the freeze, with the panic's reason.
+	Poisoned     bool   `json:"poisoned,omitempty"`
+	PoisonReason string `json:"poison_reason,omitempty"`
 }
 
 // freezeLocked closes pid's black box: stamps the terminal kill event,
-// freezes the ring, and builds the immutable report. Caller holds the shard
-// lock. fatal is the attributed violation (nil for kernel-originated or
+// freezes the ring, and builds the immutable report. Caller holds pc.mu. fatal is the attributed violation (nil for kernel-originated or
 // poison kills). Idempotent — the first kill decision wins, later echoes
 // (e.g. the kernel reporting back a verifier-requested kill) are no-ops.
 // No-op when the flight recorder is disabled: reports exist only where a
 // window exists to anchor them.
-func (v *Verifier) freezeLocked(pc *procCtx, si int, fatal *policy.Violation, reason string) {
+func (v *Verifier) freezeLocked(pc *procCtx, fatal *policy.Violation, reason string) {
 	fr := pc.flight
 	if fr == nil || pc.report != nil {
 		return
@@ -85,7 +84,6 @@ func (v *Verifier) freezeLocked(pc *procCtx, si int, fatal *policy.Violation, re
 
 	rep := &ForensicReport{
 		PID:                pc.pid,
-		Shard:              si,
 		KillReason:         reason,
 		Messages:           pc.messages,
 		Dropped:            pc.dropped,
@@ -124,9 +122,8 @@ func (v *Verifier) freezeLocked(pc *procCtx, si int, fatal *policy.Violation, re
 			}
 		}
 	}
-	if v.health[si].poisoned.Load() {
-		rep.ShardPoisoned = true
-		rep.ShardPoisonReason = v.poisonReason(si)
+	if r := pc.poison.Load(); r != nil {
+		rep.Poisoned, rep.PoisonReason = true, *r
 	}
 	pc.report = rep
 }
@@ -134,30 +131,28 @@ func (v *Verifier) freezeLocked(pc *procCtx, si int, fatal *policy.Violation, re
 // Forensics returns the frozen postmortem for pid, if one exists (the
 // process was killed with the flight recorder armed and its context has not
 // been torn down yet). The report is immutable; callers may retain it.
-func (v *Verifier) Forensics(pid int32) (*ForensicReport, bool) {
-	s := v.shardFor(pid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if pc, ok := s.procs[pid]; ok && pc.report != nil {
-		return pc.report, true
-	}
-	return nil, false
+func (v *Verifier) Forensics(pid int32) (rep *ForensicReport, ok bool) {
+	v.withProc(pid, func(pc *procCtx) { rep = pc.report })
+	return rep, rep != nil
 }
 
-// AllForensics returns every live frozen report, ascending by PID. Like
-// AllProcStats it is a snapshot: contexts (and their reports) disappear at
-// ProcessExited — the supervisor retains reports across teardown.
+// AllForensics returns every live frozen report, ascending by PID. It is a
+// snapshot: contexts (and their reports) disappear at ProcessExited — the
+// supervisor retains reports across teardown.
 func (v *Verifier) AllForensics() []*ForensicReport {
+	v.mu.Lock()
+	pcs := make([]*procCtx, 0, len(v.procs))
+	for _, pc := range v.procs {
+		pcs = append(pcs, pc)
+	}
+	v.mu.Unlock()
 	var out []*ForensicReport
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.mu.Lock()
-		for _, pc := range s.procs {
-			if pc.report != nil {
-				out = append(out, pc.report)
-			}
+	for _, pc := range pcs {
+		pc.mu.Lock()
+		if pc.report != nil {
+			out = append(out, pc.report)
 		}
-		s.mu.Unlock()
+		pc.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
 	return out
@@ -165,48 +160,16 @@ func (v *Verifier) AllForensics() []*ForensicReport {
 
 // StampFlightEvent implements telemetry.FlightStamper: the kernel relays
 // lifecycle events (gate stalls, epoch expiries, degraded-mode bypasses)
-// into the process's ring. Takes the owning shard's lock, so the kernel must
-// call it outside its own mutex (the same discipline as listener callbacks).
+// into the process's ring. Takes the process's context lock, so the kernel
+// must call it outside its own mutex (the same discipline as listener
+// callbacks).
 func (v *Verifier) StampFlightEvent(pid int32, code telemetry.FlightCode, value uint64) {
 	if v.flightSlots == 0 {
 		return
 	}
-	s := v.shardFor(pid)
-	s.mu.Lock()
-	if pc, ok := s.procs[pid]; ok {
+	v.withProc(pid, func(pc *procCtx) {
 		if fr := pc.flight; fr != nil {
 			fr.StampEvent(pid, code, value)
 		}
-	}
-	s.mu.Unlock()
-}
-
-// ShardStat is one shard's occupancy row for the health/metrics plane: how
-// many contexts it hosts, how many of those are dead awaiting teardown, and
-// whether the shard has been poisoned.
-type ShardStat struct {
-	Shard    int  `json:"shard"`
-	Procs    int  `json:"procs"`
-	Dead     int  `json:"dead,omitempty"`
-	Poisoned bool `json:"poisoned,omitempty"`
-}
-
-// ShardStats returns one row per shard. Each shard is locked once; the
-// result is a snapshot.
-func (v *Verifier) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(v.shards))
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.mu.Lock()
-		dead := 0
-		for _, pc := range s.procs {
-			if pc.dead {
-				dead++
-			}
-		}
-		out[i] = ShardStat{Shard: i, Procs: len(s.procs), Dead: dead}
-		s.mu.Unlock()
-		out[i].Poisoned = v.health[i].poisoned.Load()
-	}
-	return out
+	})
 }

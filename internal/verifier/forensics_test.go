@@ -136,34 +136,37 @@ func TestForensicsKernelKill(t *testing.T) {
 	}
 }
 
-// TestForensicsPoisonedShard: a poisoned shard closes every resident's black
-// box with the poison event and the shard-health fields set.
-func TestForensicsPoisonedShard(t *testing.T) {
-	v := NewSharded(cfiFactory, newFakeGate(), 2)
+// TestForensicsPoisonedProcess: a poison closes the process's black box with
+// the poison event and the poison fields set, and leaves a neighbour's alone.
+func TestForensicsPoisonedProcess(t *testing.T) {
+	v := New(cfiFactory, newFakeGate())
 	v.EnableFlightRecorder(32)
 	v.ProcessStarted(1)
+	v.ProcessStarted(2)
 	v.Deliver(ipc.Message{Op: ipc.OpPointerDefine, PID: 1, Arg1: 0x10, Arg2: 0x20, Seq: 1})
-	si := v.ShardOf(1)
-	v.PoisonShard(si, "verifier shard poisoned: injected delivery-path failure")
+	v.PoisonProcess(1, "verifier poisoned: injected delivery-path failure")
 
 	rep, ok := v.Forensics(1)
 	if !ok {
-		t.Fatal("no report after shard poison")
+		t.Fatal("no report after poison")
 	}
-	if !rep.ShardPoisoned || !strings.Contains(rep.ShardPoisonReason, "injected") {
-		t.Errorf("shard health not recorded: poisoned=%v reason=%q", rep.ShardPoisoned, rep.ShardPoisonReason)
+	if !rep.Poisoned || !strings.Contains(rep.PoisonReason, "injected") {
+		t.Errorf("poison not recorded: poisoned=%v reason=%q", rep.Poisoned, rep.PoisonReason)
 	}
 	if rep.Policy != "" {
 		t.Errorf("poison kill attributed to policy %q", rep.Policy)
 	}
 	found := false
 	for _, e := range rep.Window {
-		if e.Code == "shard-poisoned" && e.Value == uint64(si) {
+		if e.Code == "poisoned" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no shard-poisoned event in the window: %+v", rep.Window)
+		t.Errorf("no poisoned event in the window: %+v", rep.Window)
+	}
+	if _, ok := v.Forensics(2); ok {
+		t.Error("the neighbour's black box was frozen by another process's poison")
 	}
 }
 

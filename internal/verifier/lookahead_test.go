@@ -137,7 +137,7 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 	}
 	deliver := func(factory PolicyFactory, wantPrefetchers, wantOnSyscall int) outcome {
 		kr := policy.NewKeyringSeeded(1)
-		v := NewSharded(factory, nil, 1)
+		v := New(factory, nil)
 		v.CheckSeq = true
 		v.KillOnViolation = false // keep evaluating past the faults
 		v.EnableFlightRecorder(telemetry.MaxFlightSlots)
@@ -148,7 +148,7 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 			keys[p], _ = kr.Key(int32(p + 1))
 			v.ProcessStarted(int32(p + 1))
 		}
-		pc := v.shards[0].procs[1]
+		pc := v.lookup(1)
 		if got := len(pc.prefetchers); got != wantPrefetchers {
 			t.Fatalf("process context holds %d prefetchers, want %d", got, wantPrefetchers)
 		}
@@ -178,7 +178,7 @@ func TestLookAheadChangesNothingObservable(t *testing.T) {
 			}
 			o.messages[p] = v.Messages(pid)
 			o.entries[p], _ = v.Entries(pid)
-			o.flight[p] = v.shards[0].procs[pid].flight.Records()
+			o.flight[p] = v.lookup(pid).flight.Records()
 			for i := range o.flight[p] {
 				o.flight[p][i].Nanos = 0 // the lifecycle events' wall clock
 			}
@@ -232,12 +232,12 @@ func (p *prefetchBomb) Prefetch(ms []ipc.Message) {
 
 // TestPrefetchPanicKillsOnlyItsProcess: Prefetch is policy code like Handle,
 // so its panic is an attributed kill of the process whose window it was
-// looking at, not a poisoned shard.
+// looking at, not a poison.
 func TestPrefetchPanicKillsOnlyItsProcess(t *testing.T) {
 	g := newFakeGate()
-	v := NewSharded(func() []policy.Policy {
+	v := New(func() []policy.Policy {
 		return []policy.Policy{&prefetchBomb{bombPolicy{trigger: 0xdead}}, policy.NewCounter()}
-	}, g, 1)
+	}, g)
 	v.ProcessStarted(1)
 	v.ProcessStarted(2)
 	v.DeliverBatch([]ipc.Message{
@@ -252,8 +252,8 @@ func TestPrefetchPanicKillsOnlyItsProcess(t *testing.T) {
 	batch = append(batch, ipc.Message{Op: ipc.OpCounterInc, PID: 2, Arg1: 1})
 	v.DeliverBatch(batch)
 
-	if got := v.PoisonedShards(); got != 0 {
-		t.Fatalf("PoisonedShards = %d, want 0", got)
+	if got := v.Poisoned(); got != 0 {
+		t.Fatalf("Poisoned = %d, want 0", got)
 	}
 	if reason := g.kills[1]; !strings.Contains(reason, `"bomb" panicked`) {
 		t.Errorf("pid 1 kill reason %q lacks the policy's name", reason)
@@ -292,14 +292,14 @@ func (s sealerBomb) UnsealRun(ms []ipc.Message) (int, *policy.Violation) {
 // TestSealerPanicMidWindowKillsOnlyItsProcess: UnsealRun is policy code, so a
 // panic inside it — here after it has stripped part of the window — is one
 // kill, attributed to the sealer by name and charged to the window's first
-// frame; the stripped prefix is dropped with the dead context, the shard stays
-// healthy and the other process's part of the batch is delivered.
+// frame; the stripped prefix is dropped with the dead context, nothing is
+// poisoned and the other process's part of the batch is delivered.
 func TestSealerPanicMidWindowKillsOnlyItsProcess(t *testing.T) {
 	g := &countingGate{}
 	kr := policy.NewKeyringSeeded(1)
-	v := NewSharded(func() []policy.Policy {
+	v := New(func() []policy.Policy {
 		return []policy.Policy{policy.NewCounter(), sealerBomb{noPrefetchSealer{policy.NewHMAC(nil)}, 0xdead}}
-	}, g, 1)
+	}, g)
 	v.CheckSeq = true
 	v.SetKeyring(kr)
 	var keys [3]ipc.MacKey
@@ -331,8 +331,8 @@ func TestSealerPanicMidWindowKillsOnlyItsProcess(t *testing.T) {
 	}
 	v.DeliverBatch(batch)
 
-	if got := v.PoisonedShards(); got != 0 {
-		t.Fatalf("PoisonedShards = %d, want 0", got)
+	if got := v.Poisoned(); got != 0 {
+		t.Fatalf("Poisoned = %d, want 0", got)
 	}
 	if len(g.kills) != 1 || g.kills[0] != 1 {
 		t.Fatalf("kill actions for pids %v, want exactly one, for pid 1", g.kills)
@@ -361,10 +361,10 @@ func TestSealerPanicMidWindowKillsOnlyItsProcess(t *testing.T) {
 // panic inside it — here at the 40th message of a 64-message run, fed through
 // Pump — is one kill, attributed to the policy by name and charged to the
 // run's first message; the rest of the run is dropped with the dead context,
-// the shard stays healthy and a bystander on it is delivered in full.
+// nothing is poisoned and a bystander is delivered in full.
 func TestPolicyPanicMidRunKillsOnlyItsProcess(t *testing.T) {
 	g := newFakeGate()
-	v := NewSharded(bombFactory, g, 1)
+	v := New(bombFactory, g)
 	v.CheckSeq = true
 	v.EnableFlightRecorder(256)
 	v.ProcessStarted(1)
@@ -386,8 +386,8 @@ func TestPolicyPanicMidRunKillsOnlyItsProcess(t *testing.T) {
 	add(2, 10, -1)
 	v.Pump(ipc.NewReplay(msgs))
 
-	if got := v.PoisonedShards(); got != 0 {
-		t.Fatalf("PoisonedShards = %d, want 0", got)
+	if got := v.Poisoned(); got != 0 {
+		t.Fatalf("Poisoned = %d, want 0", got)
 	}
 	if reason := g.kills[1]; !strings.Contains(reason, `"bomb" panicked`) {
 		t.Errorf("pid 1 kill reason %q lacks the policy's name", reason)

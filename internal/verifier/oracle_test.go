@@ -198,8 +198,7 @@ func (r *oracleReceiver) perPID() []*oracleReceiver {
 }
 
 // oracleOutcome is everything the differential test compares. Forensics
-// holds each killed process's frozen report without its wall-clock fields
-// and its shard, which is the only thing the shard count may change.
+// holds each killed process's frozen report without its wall-clock fields.
 type oracleOutcome struct {
 	Kills      map[int32]string
 	Syncs      [oraclePIDs + 1]int
@@ -213,7 +212,7 @@ type oracleOutcome struct {
 // armed. Unsealed, the chain is cfi+counter; sealed, it is hqd's — the
 // default set behind the hmac sealer — with every frame sealed under its
 // process's key. logOnly turns KillOnViolation off.
-func runOracle(seed int64, shards int, sealed, logOnly bool, pump func(*Verifier, ipc.Receiver)) oracleOutcome {
+func runOracle(seed int64, sealed, logOnly bool, pump func(*Verifier, ipc.Receiver)) oracleOutcome {
 	g := newFakeGate()
 	factory := PolicyFactory(cfiFactory)
 	var keys []ipc.MacKey
@@ -231,7 +230,7 @@ func runOracle(seed int64, shards int, sealed, logOnly bool, pump func(*Verifier
 		}
 	}
 	msgs, errAt := oracleStream(rand.New(rand.NewSource(seed)), keys, int(seed%4))
-	v := NewSharded(factory, g, shards)
+	v := New(factory, g)
 	v.CheckSeq = true
 	v.KillOnViolation = !logOnly
 	v.EnableFlightRecorder(1024)
@@ -254,7 +253,7 @@ func runOracle(seed int64, shards int, sealed, logOnly bool, pump func(*Verifier
 		}
 		if rep, ok := v.Forensics(pid); ok {
 			r := *rep
-			r.Shard, r.FrozenUnixNanos = 0, 0
+			r.FrozenUnixNanos = 0
 			r.Window = append([]FlightEntry(nil), rep.Window...)
 			for i := range r.Window {
 				r.Window[i].UnixNanos = 0
@@ -268,12 +267,12 @@ func runOracle(seed int64, shards int, sealed, logOnly bool, pump func(*Verifier
 // TestPumpMatchesReferenceOracle is the differential check of the one drain
 // path: on seeded random multi-PID streams carrying a CFI violator, a
 // sequence gap, a duplicate sequence number and a mid-stream attributed
-// receive error, Pump and PumpSet at 1, 2 and 4 shards must produce exactly
+// receive error, Pump and PumpSet must produce exactly
 // the reference loop's kill set, kill reasons, gate releases, per-PID message
 // counts, per-PID violations and forensic reports — fed the stream through
 // one receiver, and fed it split into one source per PID, all attached at
-// once: several drain goroutines delivering into one shard, the interleaving
-// production runs. The sealed variant runs hqd's chain on a sealed stream
+// once: several drain goroutines delivering into one verifier, the
+// interleaving production runs. The sealed variant runs hqd's chain on a sealed stream
 // that also carries a flipped tag bit, a frame spliced in under another
 // process's key and a replayed sealed frame. The log-only variant keeps the
 // CFI violator alive, so every later violation of its must match too. The
@@ -311,7 +310,7 @@ func TestPumpMatchesReferenceOracle(t *testing.T) {
 				faulty = faulty[1:] // all but oracleCFIViolator
 			}
 			for seed := int64(1); seed <= 12; seed++ {
-				want := runOracle(seed, 1, sealed, logOnly, referencePump)
+				want := runOracle(seed, sealed, logOnly, referencePump)
 				for _, pid := range faulty {
 					if want.Kills[pid] == "" {
 						t.Fatalf("sealed=%v logOnly=%v seed %d: reference did not kill faulty pid %d: %v", sealed, logOnly, seed, pid, want.Kills)
@@ -324,12 +323,10 @@ func TestPumpMatchesReferenceOracle(t *testing.T) {
 					t.Fatalf("sealed=%v logOnly=%v seed %d: the CFI violator recorded %d violations", sealed, logOnly, seed, n)
 				}
 				for name, pump := range pumps {
-					for _, shards := range []int{1, 2, 4} {
-						got := runOracle(seed, shards, sealed, logOnly, pump)
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("sealed=%v logOnly=%v seed %d %s shards=%d diverges from the reference:\n got  %+v\n want %+v",
-								sealed, logOnly, seed, name, shards, got, want)
-						}
+					got := runOracle(seed, sealed, logOnly, pump)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("sealed=%v logOnly=%v seed %d %s diverges from the reference:\n got  %+v\n want %+v",
+							sealed, logOnly, seed, name, got, want)
 					}
 				}
 			}

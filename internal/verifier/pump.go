@@ -17,14 +17,15 @@ import (
 //  1. A burst is received into the one DefaultBatchSize buffer the loop owns
 //     for the life of the source. A message is written once, by RecvBatch,
 //     and every later stage reads it in place.
-//  2. The burst is cut into runs of same-shard messages (Verifier.nextRun:
-//     boundaries by PID change, so the shard hash is paid once per run and a
-//     single-shard verifier takes the burst whole). Production sources are
-//     per-process channels, so their bursts are single runs; only synthetic
-//     multi-PID streams split, at scheduler-quantum granularity.
-//  3. Each run is delivered under its shard's lock (safeDeliver) before the
-//     next is looked at, and the gate calls it produced are made once the
-//     lock has dropped. Then the loop reads again.
+//  2. The burst is cut into runs of one process's messages (nextRun).
+//     Production sources are per-process channels, so their bursts are
+//     single runs; only a forked child riding its parent's channel, or a
+//     synthetic multi-PID stream, splits.
+//  3. Each run is delivered under its process's context lock (safeDeliver)
+//     before the next is looked at, and the gate calls it produced are made
+//     once the lock has dropped. The loop keeps the context it delivered to
+//     last, so the PID → context map is read only when the PID changes or
+//     the context exits. Then the loop reads again.
 //
 // Messages for one process arrive over one channel, which one goroutine
 // drains, delivering synchronously: per-process ordering (and CheckSeq) holds
@@ -43,6 +44,7 @@ import (
 func (v *Verifier) Pump(r ipc.Receiver) {
 	tm := v.tm
 	buf := make([]ipc.Message, DefaultBatchSize)
+	var pc *procCtx
 	for {
 		var recvStart time.Time
 		if tm != nil {
@@ -54,7 +56,7 @@ func (v *Verifier) Pump(r ipc.Receiver) {
 			// drain loop stalled waiting for the producer.
 			tm.pumpStall.Observe(uint64(time.Since(recvStart)))
 		}
-		v.deliverRuns(buf[:n], true)
+		v.deliverRuns(buf[:n], true, &pc)
 		if err != nil {
 			if tm != nil {
 				tm.recvErrs.Inc()
@@ -74,7 +76,7 @@ var ErrPumpClosed = errors.New("verifier: pump set closed")
 // PumpSet drains a dynamic set of receivers into one verifier — the
 // verifier-side heart of the multi-process supervisor: one monitored program
 // per attached channel, each on a drain goroutine of its own (Pump), all
-// validating on the same shards. Sources register as processes launch
+// validating into the same verifier. Sources register as processes launch
 // (Attach) and deregister themselves once their channel has closed; Close
 // waits for every attached source to finish, so no received message is ever
 // dropped by shutdown. The set itself runs nothing: its only goroutines are
@@ -88,7 +90,7 @@ type PumpSet struct {
 	drains sync.WaitGroup
 }
 
-// NewPumpSet creates an empty pump set over v's shards.
+// NewPumpSet creates an empty pump set over v.
 func (v *Verifier) NewPumpSet() *PumpSet {
 	return &PumpSet{v: v}
 }

@@ -38,7 +38,7 @@ func pumpStream(pid int32, n int) []ipc.Message {
 func TestPumpSetMultiSourceIntegrity(t *testing.T) {
 	const procs, perProc = 6, 3000
 	g := newFakeGate()
-	v := NewSharded(cfiFactory, g, 4)
+	v := New(cfiFactory, g)
 	v.CheckSeq = true
 
 	ps := v.NewPumpSet()
@@ -78,7 +78,7 @@ func TestPumpSetMultiSourceIntegrity(t *testing.T) {
 // draining live ring channels — the supervisor's launch/exit churn.
 func TestPumpSetDynamicAttachDetach(t *testing.T) {
 	g := newFakeGate()
-	v := NewSharded(cfiFactory, g, 2)
+	v := New(cfiFactory, g)
 	v.CheckSeq = true
 	ps := v.NewPumpSet()
 
@@ -132,7 +132,7 @@ func TestPumpSetDynamicAttachDetach(t *testing.T) {
 func TestPumpSetDoneMeansDelivered(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		g := newFakeGate()
-		v := NewSharded(cfiFactory, g, 4)
+		v := New(cfiFactory, g)
 		v.CheckSeq = true
 		ps := v.NewPumpSet()
 
@@ -175,7 +175,7 @@ func TestPumpSetDoneMeansDelivered(t *testing.T) {
 // figures: a goroutine left over from an earlier test (or the race
 // detector's) may still be exiting while this one runs.
 func TestPumpStartsOneGoroutinePerSource(t *testing.T) {
-	v := NewSharded(cfiFactory, nil, 4)
+	v := New(cfiFactory, nil)
 	v.ProcessStarted(1)
 	base := runtime.NumGoroutine()
 	settle := func(most int, when string) {
@@ -240,7 +240,7 @@ func TestPumpSetAttachAfterClose(t *testing.T) {
 // disturbing the other attached sources.
 func TestPumpSetAttributedErrorKillsOnlyThatSource(t *testing.T) {
 	g := newFakeGate()
-	v := NewSharded(cfiFactory, g, 2)
+	v := New(cfiFactory, g)
 	ps := v.NewPumpSet()
 
 	v.ProcessStarted(1)

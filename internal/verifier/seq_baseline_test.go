@@ -14,7 +14,7 @@ import (
 // reordered sync could release the gate with earlier messages unvalidated.
 func TestSeqBaselineKnownAtRegistration(t *testing.T) {
 	g := &countingGate{}
-	v := NewSharded(cfiFactory, g, 2)
+	v := New(cfiFactory, g)
 	v.CheckSeq = true
 	v.ProcessStarted(1)
 	// Seq 2 arrives first: under reorder this is the sync overtaking the
@@ -29,7 +29,7 @@ func TestSeqBaselineKnownAtRegistration(t *testing.T) {
 
 	// The happy path is untouched: Seq 1 first is clean.
 	g2 := &countingGate{}
-	v2 := NewSharded(cfiFactory, g2, 2)
+	v2 := New(cfiFactory, g2)
 	v2.CheckSeq = true
 	v2.ProcessStarted(1)
 	v2.Deliver(ipc.Message{Op: ipc.OpCounterInc, PID: 1, Seq: 1})
@@ -46,7 +46,7 @@ func TestSeqBaselineKnownAtRegistration(t *testing.T) {
 // child's channel counter restarts, so its first message must be Seq 1.
 func TestSeqBaselineForkedChild(t *testing.T) {
 	g := &countingGate{}
-	v := NewSharded(cfiFactory, g, 2)
+	v := New(cfiFactory, g)
 	v.CheckSeq = true
 	v.ProcessStarted(1)
 	v.Deliver(ipc.Message{Op: ipc.OpCounterInc, PID: 1, Seq: 1})

@@ -8,13 +8,15 @@
 // per second so syscall-sync waits stay bounded (§3.4, §5.3). Two mechanisms
 // provide the headroom:
 //
-//   - Sharding: per-process contexts live in N independent shards keyed by
-//     PID hash, each with its own lock. Messages from different monitored
-//     processes validate concurrently; messages from one process always land
-//     in the same shard, preserving per-process ordering and the §3.1.1
-//     counter semantics.
+//   - One context per process: each monitored process's policy context
+//     carries its own lock, and each process sends over a channel of its
+//     own, drained by a goroutine of its own. Messages from different
+//     processes validate concurrently; one process's messages are evaluated
+//     in order under its one lock, preserving the §3.1.1 counter semantics.
+//     The context is also the unit of failure: a bug in the delivery path
+//     poisons the one process it was delivering for, never its neighbours.
 //   - Batch draining: Pump pulls whole bursts from the channel via
-//     ipc.Receiver.RecvBatch and evaluates each shard's share under one lock
+//     ipc.Receiver.RecvBatch and evaluates each process's run under one lock
 //     round, on the goroutine that read it, amortizing atomics, syscalls and
 //     map lookups across the burst instead of paying them per message.
 package verifier
@@ -23,11 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"herqules/internal/dsched"
 	"herqules/internal/ipc"
@@ -48,9 +47,24 @@ type Gate interface {
 // PolicyFactory builds a fresh policy set for a newly registered process.
 type PolicyFactory func() []policy.Policy
 
-// procCtx is the verifier-side context for one monitored process.
+// procCtx is the verifier-side context for one monitored process, and the
+// unit of locking, poisoning and fate: everything below is guarded by mu
+// except pid and the split policy tables (fixed at birth), and poison and
+// exited (atomics, written under mu). No goroutine ever holds two contexts'
+// locks at once.
 type procCtx struct {
+	mu sync.Mutex
+	// one is Deliver's batch of one, filled under mu: the batch goes to policy
+	// interfaces, so an array local to Deliver would be heap-allocated per call.
+	one [1]ipc.Message
 	pid int32
+	// poison is the reason a delivery-path panic gave when it poisoned the
+	// context, nil while healthy. Lock-free, so WedgedFor can read it under
+	// the kernel's lock.
+	poison atomic.Pointer[string]
+	// exited is set by ProcessExited, under mu, before the context leaves the
+	// verifier's map: a drain still holding a pointer to it drops its run.
+	exited atomic.Bool
 	// policies is the full attached set in chain order, the view Entries,
 	// Policy and fork cloning iterate. The delivery path reads the same
 	// instances split by role, once at birth: sealers authenticate and strip
@@ -74,40 +88,21 @@ type procCtx struct {
 	dropped     uint64 // messages dropped after the context went dead
 	lastSeq     uint64
 	// flight is the per-process black-box ring (nil unless
-	// EnableFlightRecorder ran before registration). Accessed only under the
-	// owning shard's mutex — see the concurrency note in telemetry/flight.go.
+	// EnableFlightRecorder ran before registration). Accessed only under mu —
+	// see the concurrency note in telemetry/flight.go.
 	flight *telemetry.FlightRecorder
 	// report is the frozen postmortem, built exactly once at the kill
 	// decision (freezeLocked) and immutable afterwards.
 	report *ForensicReport
-	// dead marks a context whose process has been (or is being) killed:
-	// subsequent messages are dropped instead of evaluated, which both
-	// bounds the context's memory (the violations slice stops growing)
-	// and prevents one counter gap from spawning a kill action per
-	// remaining in-flight message.
+	// dead marks a context whose process has been (or is being) killed, a
+	// poisoned one included: subsequent messages are dropped instead of
+	// evaluated, which both bounds the context's memory (the violations slice
+	// stops growing) and prevents one counter gap from spawning a kill action
+	// per remaining in-flight message.
 	dead bool
 }
 
 const routeSeveral = math.MaxUint8 // procCtx.route of an op several policies consume
-
-// cacheLinePad pads hot per-shard structures that live in slices to
-// cache-line multiples, so drains delivering into neighboring shards never
-// invalidate each other's lines (false sharing). 64 bytes covers x86-64 and
-// most arm64.
-const cacheLinePad = 64
-
-// shard owns the contexts of the processes hashed to it. Shards live in a
-// contiguous slice, each mutex bounced by the drain goroutines of the
-// processes resident there; padding keeps adjacent shards on distinct cache
-// lines.
-type shard struct {
-	mu    sync.Mutex
-	procs map[int32]*procCtx
-	// one is Deliver's batch of one, filled under mu: the batch goes to policy
-	// interfaces, so an array local to Deliver would be heap-allocated per call.
-	one [1]ipc.Message
-	_   [cacheLinePad - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(map[int32]*procCtx(nil))+unsafe.Sizeof([1]ipc.Message{}))%cacheLinePad]byte
-}
 
 // DefaultBatchSize is the per-RecvBatch burst size used by Pump, and so the
 // most messages of one source the verifier ever holds.
@@ -120,24 +115,13 @@ const DefaultBatchSize = 256
 // 1 M-entry sealed chain; 32, 64 and 128 read the same, 16 and 256 worse.
 const lookAhead = 64
 
-// shardHealth is the lock-free poisoned-shard flag consulted by the hot
-// delivery path, the kernel watchdog (WedgedFor runs under the kernel lock,
-// so it must not take shard locks), and Health. reason is set exactly once,
-// before the flag flips, so a reader that observes poisoned==true always
-// sees the reason.
-type shardHealth struct {
-	reason   atomic.Pointer[string]
-	poisoned atomic.Bool
-	// Padded like shard: health flags sit 1:1 with shards in a slice and are
-	// read once per delivered batch by every drain; a poison write on one
-	// shard must not evict its neighbors' lines.
-	_ [cacheLinePad - (unsafe.Sizeof(atomic.Bool{})+unsafe.Sizeof(atomic.Pointer[string]{}))%cacheLinePad]byte
-}
-
 // Verifier is the policy-enforcement process.
 type Verifier struct {
-	shards  []shard
-	health  []shardHealth // 1:1 with shards
+	// mu guards procs, the PID → context map. Only lifecycle events (start,
+	// fork, exit) write it; a drain reads it once per PID change, and no one
+	// holds mu across a context lock, a gate call or a policy call.
+	mu      sync.Mutex
+	procs   map[int32]*procCtx
 	factory PolicyFactory
 	gate    Gate
 
@@ -153,6 +137,7 @@ type Verifier struct {
 	CheckSeq bool
 
 	totalMessages atomic.Uint64
+	poisoned      atomic.Uint64 // contexts poisoned since start
 
 	// keyring, when set, is bound to every KeyBinder policy (the hmac
 	// sealer) as process contexts are created.
@@ -215,90 +200,63 @@ func (v *Verifier) ViolationsByPolicy() map[string]uint64 {
 func (v *Verifier) SetKeyring(kr *policy.Keyring) { v.keyring = kr }
 
 // verifierMetrics caches the verifier's telemetry instruments; the
-// per-message counters are striped one lane per shard so deliveries into
-// different shards never contend on a cache line.
+// per-message counters are striped at the registry's default width, and a
+// context adds to the lane its PID selects, so deliveries for consecutive
+// PIDs never contend on a cache line.
 type verifierMetrics struct {
-	messages   *telemetry.Counter // per-shard delivered messages
+	messages   *telemetry.Counter // delivered messages
 	dropped    *telemetry.Counter // messages dropped on dead contexts
 	violations *telemetry.Counter
 	kills      *telemetry.Counter
 	syncs      *telemetry.Counter
-	poisons    *telemetry.Counter   // shards poisoned by delivery-path panics
+	poisons    *telemetry.Counter   // contexts poisoned by delivery-path panics
 	recvErrs   *telemetry.Counter   // terminal receive errors that stopped a drain
-	batchSize  *telemetry.Histogram // deliverShardBatch run lengths
+	batchSize  *telemetry.Histogram // delivered run lengths
 	pumpStall  *telemetry.Histogram // ns the drain loop spent in RecvBatch
 }
 
-// EnableTelemetry attaches the metrics registry. Per-shard counters are
-// striped to the shard count; call before concurrent use.
+// EnableTelemetry attaches the metrics registry; call before concurrent use.
 func (v *Verifier) EnableTelemetry(m *telemetry.Metrics) {
-	n := len(v.shards)
 	v.tm = &verifierMetrics{
-		messages:   m.CounterLanes("verifier.messages", n),
-		dropped:    m.CounterLanes("verifier.dropped_dead", n),
-		violations: m.CounterLanes("verifier.violations", n),
-		kills:      m.CounterLanes("verifier.kills", n),
-		syncs:      m.CounterLanes("verifier.syncs", n),
-		poisons:    m.Counter("verifier.poisoned_shards"),
+		messages:   m.CounterLanes("verifier.messages", 0),
+		dropped:    m.CounterLanes("verifier.dropped_dead", 0),
+		violations: m.CounterLanes("verifier.violations", 0),
+		kills:      m.CounterLanes("verifier.kills", 0),
+		syncs:      m.CounterLanes("verifier.syncs", 0),
+		poisons:    m.Counter("verifier.poisoned"),
 		recvErrs:   m.Counter("verifier.recv_terminal_errors"),
 		batchSize:  m.Histogram("verifier.batch_size"),
 		pumpStall:  m.Histogram("verifier.pump_stall_ns"),
 	}
 }
 
-// New creates a verifier with one shard per GOMAXPROCS. gate may be nil for
-// standalone policy evaluation.
+// New creates a verifier. gate may be nil for standalone policy evaluation.
 func New(factory PolicyFactory, gate Gate) *Verifier {
-	return NewSharded(factory, gate, 0)
-}
-
-// NewSharded creates a verifier with an explicit shard count (<= 0 selects
-// GOMAXPROCS). One shard degenerates to the original single-lock design.
-func NewSharded(factory PolicyFactory, gate Gate, shards int) *Verifier {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	v := &Verifier{
-		shards:          make([]shard, shards),
-		health:          make([]shardHealth, shards),
+	return &Verifier{
+		procs:           make(map[int32]*procCtx),
 		factory:         factory,
 		gate:            gate,
 		KillOnViolation: true,
 	}
-	for i := range v.shards {
-		v.shards[i].procs = make(map[int32]*procCtx)
-	}
-	return v
 }
 
-// Shards reports the shard count.
-func (v *Verifier) Shards() int { return len(v.shards) }
+// NewSharded is New with an ignored third argument, kept only for the
+// frozen bench/; delete when ROADMAP item 3 thaws it.
+func NewSharded(f PolicyFactory, g Gate, _ int) *Verifier { return New(f, g) }
 
-// shardFor returns the shard owning pid. The multiplicative hash spreads
-// consecutive PIDs (the common case) across shards.
-func (v *Verifier) shardFor(pid int32) *shard {
-	return &v.shards[v.shardIndex(pid)]
-}
-
-func (v *Verifier) shardIndex(pid int32) int {
-	h := uint32(pid) * 2654435761 // Knuth multiplicative hash
-	return int(h % uint32(len(v.shards)))
-}
-
-// newFlightRecorder allocates the per-context ring when the feature is armed.
-// Called outside the shard lock (ring allocation is not hot-path work).
-func (v *Verifier) newFlightRecorder() *telemetry.FlightRecorder {
-	if v.flightSlots == 0 {
-		return nil
-	}
-	return telemetry.NewFlightRecorder(v.flightSlots)
+// lookup returns pid's live context, nil when it has none.
+func (v *Verifier) lookup(pid int32) *procCtx {
+	v.mu.Lock()
+	pc := v.procs[pid]
+	v.mu.Unlock()
+	return pc
 }
 
 // newProcCtx builds a context around an already-prepared policy set,
 // splitting it by role and by op once at birth so the delivery path neither
 // type-asserts nor offers a message to a policy that ignores its op.
-func newProcCtx(pid int32, policies []policy.Policy, fr *telemetry.FlightRecorder, dead bool) *procCtx {
-	pc := &procCtx{pid: pid, policies: policies, flight: fr, dead: dead}
+func newProcCtx(pid int32, policies []policy.Policy) *procCtx {
+	pc := &procCtx{pid: pid, policies: policies}
 	for i, p := range policies {
 		if pf, ok := p.(policy.Prefetcher); ok {
 			pc.prefetchers = append(pc.prefetchers, pf)
@@ -332,26 +290,19 @@ func newProcCtx(pid int32, policies []policy.Policy, fr *telemetry.FlightRecorde
 	return pc
 }
 
-// openWindow starts the window at ms[i], the first message of a run of pc's:
-// the run's next lookAhead messages at most. The prefetchers touch it, then
-// each sealer authenticates and strips it in place, in chain order, a later
-// sealer seeing only what the earlier ones passed. It returns the end of the
-// authenticated part and, when that is short of the window, the violation of
-// the message at end, which deliverSegment raises when its cursor gets there.
-// A process that dies inside the window leaves the rest of it touched and
-// stripped; those messages are dropped with the dead context like any others.
-// *cur names the policy running, for deliverSegment's panic attribution. It is
-// a method for the sake of deliverSegment's code generation: written out in
-// that loop, the touch pass alone cost the cache-resident chain 8 %.
+// openWindow starts the window at ms[i]: the run's next lookAhead messages at
+// most (a run is one process's). The prefetchers touch it, then each sealer
+// authenticates and strips it in place, in chain order, a later sealer seeing
+// only what the earlier ones passed. It returns the end of the authenticated
+// part and, when that is short of the window, the violation of the message at
+// end, which deliverSegment raises when its cursor gets there. A process that
+// dies inside the window leaves the rest of it touched and stripped; those
+// messages are dropped with the dead context like any others. *cur names the
+// policy running, for deliverSegment's panic attribution. It is a method for
+// the sake of deliverSegment's code generation: written out in that loop, the
+// touch pass alone cost the cache-resident chain 8 %.
 func (pc *procCtx) openWindow(ms []ipc.Message, i int, cur *policy.Policy) (end int, reject *policy.Violation) {
-	end = min(i+lookAhead, len(ms))
-	for j := i + 1; j < end; j++ {
-		if ms[j].PID != pc.pid {
-			end = j
-			break
-		}
-	}
-	w := ms[i:end]
+	w := ms[i:min(i+lookAhead, len(ms))]
 	for _, pf := range pc.prefetchers {
 		*cur = pf
 		pf.Prefetch(w)
@@ -359,7 +310,7 @@ func (pc *procCtx) openWindow(ms []ipc.Message, i int, cur *policy.Policy) (end 
 	for _, sl := range pc.sealers {
 		*cur = sl
 		if n, v := sl.UnsealRun(w); v != nil {
-			if n >= len(w) { // would land on whoever owns ms[end]; here it kills sl's process
+			if n >= len(w) { // would land on a message outside the window
 				panic("rejected a message outside its window")
 			}
 			w, reject = w[:n], v
@@ -381,67 +332,53 @@ func (v *Verifier) bindKeyring(policies []policy.Policy) {
 	}
 }
 
+// register publishes a context for pid around a prepared policy set, its
+// black box opened with the lifecycle event code. The context is complete —
+// flight ring stamped — before the map makes it visible, so no lock of its
+// own is taken here.
+func (v *Verifier) register(pid int32, policies []policy.Policy, code telemetry.FlightCode, value uint64) {
+	pc := newProcCtx(pid, policies)
+	if v.flightSlots != 0 {
+		pc.flight = telemetry.NewFlightRecorder(v.flightSlots)
+		pc.flight.StampEvent(pid, code, value)
+	}
+	v.mu.Lock()
+	v.procs[pid] = pc
+	v.mu.Unlock()
+}
+
 // ProcessStarted implements kernel.Listener: allocate a policy context. The
 // policy set is constructed, bound to the keyring, and given its
-// ProcessStarted hook outside the shard lock — policy construction may be
-// arbitrarily expensive and the hooks may take the keyring lock. A process
-// routed to a poisoned shard is born dead and killed immediately — the shard
-// can no longer validate anything, so admitting the process would let its
-// messages pass unevaluated (fail-open).
+// ProcessStarted hook before any lock is taken — policy construction may be
+// arbitrarily expensive and the hooks may take the keyring lock.
+//
+// lastSeq is 0 from birth: the sender-side counter starts at registration
+// (§3.1.1, every IPC backend stamps the first Send with Seq 1), so the
+// expected next Seq is known before any message arrives. Leaving the baseline
+// to the first *observed* message would let a reordered or dropped first
+// message establish a bogus baseline and pass CheckSeq — a blind spot the
+// model checker (internal/verify) flushes out as a gate-invariant violation.
 func (v *Verifier) ProcessStarted(pid int32) {
-	si := v.shardIndex(pid)
-	s := &v.shards[si]
-	poisoned := v.health[si].poisoned.Load()
 	policies := v.factory()
 	v.bindKeyring(policies)
 	for _, p := range policies {
 		p.ProcessStarted(pid)
 	}
-	fr := v.newFlightRecorder()
-	s.mu.Lock()
-	// lastSeq is 0 from birth: the sender-side counter starts at registration
-	// (§3.1.1, every IPC backend stamps the first Send with Seq 1), so the
-	// expected next Seq is known before any message arrives. Leaving the
-	// baseline to the first *observed* message would let a reordered or
-	// dropped first message establish a bogus baseline and pass CheckSeq —
-	// a blind spot the model checker (internal/verify) flushes out as a
-	// gate-invariant violation.
-	pc := newProcCtx(pid, policies, fr, poisoned)
-	s.procs[pid] = pc
-	if fr != nil {
-		fr.StampEvent(pid, telemetry.FlightRegistered, 0)
-	}
-	if poisoned {
-		// Born dead on a poisoned shard: close the black box immediately —
-		// the kill below may race teardown, and the report must exist by the
-		// time the gate echo arrives.
-		if fr != nil {
-			fr.StampEvent(pid, telemetry.FlightShardPoisoned, uint64(si))
-		}
-		v.freezeLocked(pc, si, nil, v.poisonReason(si))
-	}
-	s.mu.Unlock()
-	if poisoned && v.gate != nil {
-		v.gate.Kill(pid, v.poisonReason(si))
-	}
+	v.register(pid, policies, telemetry.FlightRegistered, 0)
 }
 
 // ProcessForked implements kernel.Listener: copy the parent's context. The
-// parent and child may hash to different shards; the parent's shard lock is
-// released before the child's is taken, so no two shard locks are ever held
-// at once (no lock-order deadlock). The clones' ProcessForked hooks run
-// between the two lock rounds, before any child message can be delivered.
+// parent's lock is released before the child is built, so no two context
+// locks are ever held at once; the clones' ProcessForked hooks run before the
+// child becomes visible, so before any child message can be delivered.
 func (v *Verifier) ProcessForked(parent, child int32) {
-	ps := v.shardFor(parent)
-	ps.mu.Lock()
 	var policies []policy.Policy
-	if pc, ok := ps.procs[parent]; ok {
+	v.withProc(parent, func(pc *procCtx) {
 		policies = make([]policy.Policy, 0, len(pc.policies))
 		for _, p := range pc.policies {
 			policies = append(policies, p.Clone())
 		}
-	}
-	ps.mu.Unlock()
+	})
 	if policies == nil {
 		// Unknown parent: treat the child as a fresh registration.
 		policies = v.factory()
@@ -455,24 +392,27 @@ func (v *Verifier) ProcessForked(parent, child int32) {
 			p.ProcessForked(parent, child)
 		}
 	}
-	fr := v.newFlightRecorder()
-	cs := v.shardFor(child)
-	cs.mu.Lock()
 	// The child gets its own channel, whose counter restarts at 1 — same
 	// known-baseline rule as ProcessStarted.
-	cs.procs[child] = newProcCtx(child, policies, fr, false)
-	if fr != nil {
-		fr.StampEvent(child, telemetry.FlightForked, uint64(uint32(parent)))
-	}
-	cs.mu.Unlock()
+	v.register(child, policies, telemetry.FlightForked, uint64(uint32(parent)))
 }
 
-// ProcessExited implements kernel.Listener: destroy the context.
+// ProcessExited implements kernel.Listener: destroy the context. It is marked
+// exited under its own lock first, so a drain that still holds a pointer to
+// it drops what it delivers from then on, then it leaves the map.
 func (v *Verifier) ProcessExited(pid int32) {
-	s := v.shardFor(pid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.procs, pid)
+	pc := v.lookup(pid)
+	if pc == nil {
+		return
+	}
+	pc.mu.Lock()
+	pc.exited.Store(true)
+	pc.mu.Unlock()
+	v.mu.Lock()
+	if v.procs[pid] == pc {
+		delete(v.procs, pid)
+	}
+	v.mu.Unlock()
 }
 
 // ProcessKilled implements kernel.KillListener: the kernel reports that pid
@@ -485,21 +425,16 @@ func (v *Verifier) ProcessExited(pid int32) {
 // reason. For verifier-originated kills the echo is a no-op — freezeLocked
 // already ran at the violation and is idempotent.
 func (v *Verifier) ProcessKilled(pid int32, reason string) {
-	si := v.shardIndex(pid)
-	s := &v.shards[si]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if pc, ok := s.procs[pid]; ok {
+	v.withProc(pid, func(pc *procCtx) {
 		pc.dead = true
-		v.freezeLocked(pc, si, nil, reason)
-	}
+		v.freezeLocked(pc, nil, reason)
+	})
 }
 
-// gateAction is a deferred kernel interaction: policy evaluation happens
-// under the shard lock, kernel calls after it is released (the kernel may
-// block or call back into process teardown).
+// gateAction is a deferred kernel interaction for the run's process: policy
+// evaluation happens under the context's lock, kernel calls after it is
+// released (the kernel may block or call back into process teardown).
 type gateAction struct {
-	pid    int32
 	kill   bool
 	reason string
 }
@@ -508,62 +443,65 @@ type gateAction struct {
 // wrapper over the batch path, used by deterministic experiments that
 // evaluate messages inline at send time.
 func (v *Verifier) Deliver(m ipc.Message) {
-	si := v.shardIndex(m.PID)
-	s := &v.shards[si]
-	s.mu.Lock()
-	s.one[0] = m
-	v.deliverLocked(s, si, s.one[:])
+	if pc := v.lookup(m.PID); pc != nil {
+		pc.mu.Lock()
+		pc.one[0] = m
+		v.deliverLocked(pc, pc.one[:])
+	}
 }
 
-// DeliverBatch processes a burst of messages, taking each involved shard's
-// lock once per run of same-shard messages instead of once per message.
-// Message order within the batch is preserved, which keeps per-process
-// ordering intact for any partition of one process's stream into batches.
+// DeliverBatch processes a burst of messages, taking each process's lock once
+// per run of its messages instead of once per message. Message order within
+// the batch is preserved, which keeps per-process ordering intact for any
+// partition of one process's stream into batches.
 func (v *Verifier) DeliverBatch(ms []ipc.Message) {
-	v.deliverRuns(ms, false)
+	var pc *procCtx
+	v.deliverRuns(ms, false, &pc)
 }
 
 // deliverRuns is the run loop DeliverBatch and Pump share: cut ms into runs of
-// same-shard messages (nextRun) and deliver each in order, one shard lock per
-// run and never two held. Work is proportional to the number of runs, not the
-// shard count. drain selects Pump's form of a delivery: the model checker's
+// one process's messages (nextRun) and deliver each in order, under that
+// process's lock, never two held. *pc is the context the caller delivered to
+// last, kept across calls by Pump: the PID → context map is read only when
+// the run's PID differs from it or it has exited, so a single-process source
+// never reads the map in steady state. A PID with no context (never
+// registered, or exited) is dropped: authenticity is the kernel's job (PID
+// register, §3.1.1), and an unknown PID means the process never enabled
+// HerQules. drain selects Pump's form of a delivery: the model checker's
 // interleaving point ahead of it — the run is read but not yet delivered, the
 // window a lifecycle event (exit, kill, poison) can slip into; the goroutine
 // holds no lock there — and safeDeliver's containment around it. Both are per
 // run, never per message.
-func (v *Verifier) deliverRuns(ms []ipc.Message, drain bool) {
+func (v *Verifier) deliverRuns(ms []ipc.Message, drain bool, pc **procCtx) {
 	for start := 0; start < len(ms); {
-		si, end := v.nextRun(ms, start)
+		pid, end := ms[start].PID, nextRun(ms, start)
 		if drain {
-			dsched.Yield(dsched.PointShardDeliver, ms[start].PID)
-			v.safeDeliver(si, ms[start:end])
-		} else {
-			v.deliverShardBatch(si, ms[start:end])
+			dsched.Yield(dsched.PointDeliver, pid)
+		}
+		if c := *pc; c == nil || c.pid != pid || c.exited.Load() {
+			*pc = v.lookup(pid)
+		}
+		if c := *pc; c != nil {
+			if drain {
+				v.safeDeliver(c, ms[start:end])
+			} else {
+				c.mu.Lock()
+				v.deliverLocked(c, ms[start:end])
+			}
 		}
 		start = end
 	}
 }
 
-// nextRun returns the shard ms[start] validates on and the end of the longest
-// run ms[start:end] that validates there with it. Boundaries are found by
-// comparing PIDs — the shard hash is paid when the PID changes, not per
-// message — and a single-shard verifier takes the whole of ms as one run.
-func (v *Verifier) nextRun(ms []ipc.Message, start int) (si, end int) {
-	if len(v.shards) == 1 {
-		return 0, len(ms)
-	}
+// nextRun returns the end of the longest run ms[start:end] of ms[start]'s
+// process. Production sources are per-process channels, so their bursts are
+// single runs; only a forked child riding its parent's channel, or a
+// synthetic multi-PID stream, splits.
+func nextRun(ms []ipc.Message, start int) (end int) {
 	pid := ms[start].PID
-	si = v.shardIndex(pid)
-	for end = start + 1; end < len(ms); end++ {
-		if p := ms[end].PID; p != pid {
-			// Adjacent processes that hash to the same shard stay one run.
-			if v.shardIndex(p) != si {
-				break
-			}
-			pid = p
-		}
+	for end = start + 1; end < len(ms) && ms[end].PID == pid; end++ {
 	}
-	return si, end
+	return end
 }
 
 // seqViolationReason classifies a failed per-process counter check (§3.1.1)
@@ -582,44 +520,29 @@ func seqViolationReason(got, last uint64) string {
 	}
 }
 
-// deliverState is the per-batch evaluation state shared between
-// deliverShardBatch and its deliverSegment resumption loop. It lives on
-// deliverShardBatch's stack (passed by pointer, never retained), so the
-// engine dispatch adds no per-message allocation.
+// deliverState is the per-run evaluation state shared between deliverLocked
+// and its deliverSegment resumption loop. It lives on deliverLocked's stack
+// (passed by pointer, never retained), so the engine dispatch adds no
+// per-message allocation.
 type deliverState struct {
 	delivered, dropped, violCount, killCount, syncCount uint64
 	checkSeq, killOnViolation                           bool
-	pc                                                  *procCtx
-	pcPID                                               int32
-	pcValid                                             bool
-	// i is the cursor into the batch; a segment that dies in policy code
-	// leaves it at the first message of the run or window being evaluated,
-	// which the recover path charges and skips.
+	// i is the cursor into the run; a segment that dies in policy code
+	// leaves it at the first message of the policy run or window being
+	// evaluated, which the recover path charges and skips.
 	i int
 }
 
-// deliverShardBatch evaluates a run of messages that all hash to shard si:
-// one lock round for the whole run, with the procCtx lookup cached across
-// consecutive messages from the same process (the dominant pattern). On a
-// poisoned shard nothing is evaluated: every process in the batch is killed
-// fail-closed instead (see poisonShard).
-func (v *Verifier) deliverShardBatch(si int, ms []ipc.Message) {
-	s := &v.shards[si]
-	s.mu.Lock()
-	v.deliverLocked(s, si, ms)
-}
-
-// deliverLocked is deliverShardBatch from the lock on: it is entered with
-// s.mu held and returns with it released, the gate calls made.
-func (v *Verifier) deliverLocked(s *shard, si int, ms []ipc.Message) {
-	if len(ms) > 0 {
-		// Observation point for the model checker: the poison check below is
-		// the first act of a delivery round. Once per batch, never per
-		// message.
-		dsched.Note(dsched.PointPoisonCheck, ms[0].PID)
-	}
-	if v.health[si].poisoned.Load() {
-		v.poisonedDrop(s, si, ms)
+// deliverLocked evaluates a run of pc's messages: it is entered with pc.mu
+// held and returns with it released, the gate calls made. An exited context
+// drops the run, like an unregistered PID.
+func (v *Verifier) deliverLocked(pc *procCtx, ms []ipc.Message) {
+	// Observation point for the model checker: the dead and exited checks —
+	// a poisoned context is dead — are the first act of a delivery round.
+	// Once per run, never per message.
+	dsched.Note(dsched.PointPoisonCheck, pc.pid)
+	if pc.exited.Load() {
+		pc.mu.Unlock()
 		return
 	}
 	var actsBuf [4]gateAction
@@ -632,41 +555,40 @@ func (v *Verifier) deliverLocked(s *shard, si int, ms []ipc.Message) {
 	locked := true
 	// A panic escaping deliverSegment (a delivery-path bug, not a policy
 	// panic — those are contained per policy inside the segment) must not
-	// leave the shard mutex held: the drain's recover path (safeDeliver →
-	// poisonShard) re-takes it to mark residents dead, and every other
-	// process hashed here would otherwise wedge behind a lock nobody drops.
+	// leave the context's mutex held: the drain's recover path (safeDeliver →
+	// poison) re-takes it to mark the context dead.
 	defer func() {
 		if locked {
-			s.mu.Unlock()
+			pc.mu.Unlock()
 		}
 	}()
-	// In the panic-free common case deliverSegment consumes the whole batch
-	// in one call; after a contained policy panic it resumes past the
-	// offending message, so one misbehaving policy costs its own process,
-	// not the rest of the batch and not the shard.
+	// In the panic-free common case deliverSegment consumes the whole run in
+	// one call; after a contained policy panic it resumes past the offending
+	// message, whose process is dead by then, so the rest is dropped.
 	for st.i < len(ms) {
-		acts = v.deliverSegment(s, si, ms, &st, acts)
+		acts = v.deliverSegment(pc, ms, &st, acts)
 	}
 	locked = false
-	s.mu.Unlock()
+	pc.mu.Unlock()
 
 	if st.delivered > 0 {
 		v.totalMessages.Add(st.delivered)
 	}
 	if tm := v.tm; tm != nil {
-		tm.messages.AddAt(si, st.delivered)
-		tm.batchSize.ObserveAt(si, uint64(len(ms)))
+		lane := int(pc.pid)
+		tm.messages.AddAt(lane, st.delivered)
+		tm.batchSize.ObserveAt(lane, uint64(len(ms)))
 		if st.dropped > 0 {
-			tm.dropped.AddAt(si, st.dropped)
+			tm.dropped.AddAt(lane, st.dropped)
 		}
 		if st.violCount > 0 {
-			tm.violations.AddAt(si, st.violCount)
+			tm.violations.AddAt(lane, st.violCount)
 		}
 		if st.killCount > 0 {
-			tm.kills.AddAt(si, st.killCount)
+			tm.kills.AddAt(lane, st.killCount)
 		}
 		if st.syncCount > 0 {
-			tm.syncs.AddAt(si, st.syncCount)
+			tm.syncs.AddAt(lane, st.syncCount)
 		}
 	}
 	if v.gate == nil {
@@ -674,31 +596,32 @@ func (v *Verifier) deliverLocked(s *shard, si int, ms []ipc.Message) {
 	}
 	for _, a := range acts {
 		if a.kill {
-			v.gate.Kill(a.pid, a.reason)
+			v.gate.Kill(pc.pid, a.reason)
 		} else {
-			v.gate.NotifySyncReady(a.pid)
+			v.gate.NotifySyncReady(pc.pid)
 		}
 	}
 }
 
-// deliverSegment runs the engine over ms[st.i:] under the shard lock held by
-// deliverLocked. It works a window at a time (procCtx.openWindow): at the
-// first message of a run of one live process, that process's Prefetchers
-// touch the table lines the next lookAhead messages of the run will need and
-// its Sealers authenticate and strip those messages in place. Inside the
-// window it works a run at a time: a message that passes the sequence check
-// and those behind it with its route (procCtx.route) go to the op's one
-// policy in one HandleRun call; an op several policies consume is a run of
-// one for each (procCtx.byOp, chain order). A sealer's reject is raised
-// when the cursor reaches the rejected message. The first violating policy
-// is the one the kill is attributed to via Violation.Policy.
+// deliverSegment runs the engine over ms[st.i:], a run of pc's messages,
+// under pc.mu held by deliverLocked. It works a window at a time
+// (procCtx.openWindow): pc's Prefetchers touch the table lines the next
+// lookAhead messages will need and its Sealers authenticate and strip those
+// messages in place. Inside the window it works a policy run at a time: a
+// message that passes the sequence check and those behind it with its route
+// (procCtx.route) go to the op's one policy in one HandleRun call; an op
+// several policies consume is a run of one for each (procCtx.byOp, chain
+// order). A sealer's reject is raised when the cursor reaches the rejected
+// message. The first violating policy is the one the kill is attributed to
+// via Violation.Policy.
 //
 // A panic inside a policy's Prefetch, UnsealRun or HandleRun is contained to
-// that policy's process: the recover below converts it into an attributed
-// violation and kill, marks the context dead, and returns with the cursor past
-// the offending message — the window's or the run's first — so deliverLocked
-// resumes the batch. Panics outside policy code (cur == nil) are delivery-path
-// bugs and re-panic into safeDeliver's shard-poisoning containment.
+// the process: the recover below converts it into an attributed violation and
+// kill, marks the context dead, and returns with the cursor past the
+// offending message — the window's or the policy run's first — so
+// deliverLocked resumes, dropping the rest. Panics outside policy code
+// (cur == nil) are delivery-path bugs and re-panic into safeDeliver, which
+// poisons the context.
 //
 // cur — the policy whose Prefetch/UnsealRun/HandleRun is executing right now,
 // nil outside policy code — is the panic-attribution anchor. It is a local
@@ -710,7 +633,7 @@ func (v *Verifier) deliverLocked(s *shard, si int, ms []ipc.Message) {
 // result rather than living in deliverState: appending through a pointed-to
 // struct field would make escape analysis move the caller's stack buffer to
 // the heap, reintroducing a per-batch allocation on the zero-alloc drain.
-func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *deliverState, acts []gateAction) (out []gateAction) {
+func (v *Verifier) deliverSegment(pc *procCtx, ms []ipc.Message, st *deliverState, acts []gateAction) (out []gateAction) {
 	out = acts
 	var cur policy.Policy
 	defer func() {
@@ -718,13 +641,13 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 		if r == nil {
 			return
 		}
-		if cur == nil || st.pc == nil {
+		if cur == nil {
 			panic(r)
 		}
 		name := cur.Name()
-		viol := &policy.Violation{PID: st.pc.pid, Op: ms[st.i].Op, Policy: name,
+		viol := &policy.Violation{PID: pc.pid, Op: ms[st.i].Op, Policy: name,
 			Reason: fmt.Sprintf("policy %q panicked: %v", name, r)}
-		out = append(out, v.condemn(st, si, &ms[st.i], viol, telemetry.FlightPolicyPanic))
+		out = append(out, v.condemn(st, pc, &ms[st.i], viol, telemetry.FlightPolicyPanic))
 		st.i++ // resume after the message charged
 	}()
 	// The open window ends at winEnd; reject, when set, is the violation a
@@ -732,30 +655,19 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 	winEnd, checkSeq := st.i, st.checkSeq
 	var reject *policy.Violation
 	for st.i < len(ms) {
-		m := &ms[st.i]
-		if !st.pcValid || m.PID != st.pcPID {
-			st.pc = s.procs[m.PID]
-			st.pcPID, st.pcValid = m.PID, true
-		}
-		pc := st.pc
-		if pc == nil {
-			// Message from an unregistered process: ignore. Authenticity
-			// is the kernel's job (PID register, §3.1.1); an unknown PID
-			// means the process never enabled HerQules.
-			st.i++
-			continue
-		}
 		if pc.dead {
 			// The process is already being killed: drop instead of
 			// evaluating, so one fatal violation yields exactly one kill
 			// action and the context stops accumulating state.
-			st.dropped++
-			pc.dropped++
-			st.i++
-			continue
+			n := uint64(len(ms) - st.i)
+			st.dropped += n
+			pc.dropped += n
+			st.i = len(ms)
+			break
 		}
-		// A window never outlasts its process's run, so a live message at or
-		// past winEnd opens the next window or is the one a sealer rejected.
+		m := &ms[st.i]
+		// A live message at or past winEnd opens the next window or is the
+		// one a sealer rejected.
 		if st.i >= winEnd {
 			if reject == nil || st.i > winEnd {
 				winEnd, reject = pc.openWindow(ms, st.i, &cur)
@@ -768,7 +680,7 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 				// counter violations: the message cannot be trusted to belong
 				// to the process, so continuing to evaluate would validate an
 				// attacker-controlled stream.
-				out = append(out, v.condemn(st, si, m, reject, telemetry.FlightSealerReject))
+				out = append(out, v.condemn(st, pc, m, reject, telemetry.FlightSealerReject))
 				st.i++
 				continue
 			}
@@ -777,14 +689,14 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 			viol := &policy.Violation{PID: m.PID, Op: m.Op, Policy: "seq",
 				Reason: seqViolationReason(m.Seq, pc.lastSeq)}
 			// Integrity violations are always fatal (§3.1.1).
-			out = append(out, v.condemn(st, si, m, viol, telemetry.FlightSeqGap))
+			out = append(out, v.condemn(st, pc, m, viol, telemetry.FlightSeqGap))
 			st.i++
 			continue
 		}
 
-		// The run: m and the messages behind it in the window with its route
-		// and the next Seq, up to a System-Call message, whose gate waits for
-		// nothing behind it.
+		// The policy run: m and the messages behind it in the window with its
+		// route and the next Seq, up to a System-Call message, whose gate
+		// waits for nothing behind it.
 		op := min(m.Op, ipc.NumOps)
 		end := st.i + 1
 		if r := pc.route[op]; r != routeSeveral {
@@ -839,8 +751,8 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 		if violated != nil && st.killOnViolation {
 			// Frozen after the counts, so the report's Messages holds the run.
 			pc.dead = true
-			v.freezeLocked(pc, si, violated, violated.Reason)
-			out = append(out, gateAction{pid: pc.pid, kill: true, reason: violated.Reason})
+			v.freezeLocked(pc, violated, violated.Reason)
+			out = append(out, gateAction{kill: true, reason: violated.Reason})
 			st.killCount++
 			continue
 		}
@@ -849,7 +761,7 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 			// have been processed; resume the syscall unless a prior
 			// violation is pending and fatal (§2.2).
 			if len(pc.violations) == 0 || !st.killOnViolation {
-				out = append(out, gateAction{pid: pc.pid})
+				out = append(out, gateAction{})
 				st.syncCount++
 			}
 		}
@@ -857,13 +769,12 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 	return out
 }
 
-// condemn records viol, raised by message m, as the violation st.pc dies of
+// condemn records viol, raised by message m, as the violation pc dies of
 // whatever KillOnViolation says — a sealer reject, a counter violation, a
-// policy panic — and returns the kill to issue once the shard lock drops: m is
-// counted as evaluated, the context goes dead, its black box gets m stamped
-// with code and is frozen.
-func (v *Verifier) condemn(st *deliverState, si int, m *ipc.Message, viol *policy.Violation, code telemetry.FlightCode) gateAction {
-	pc := st.pc
+// policy panic — and returns the kill to issue once the context's lock drops:
+// m is counted as evaluated, the context goes dead, its black box gets m
+// stamped with code and is frozen.
+func (v *Verifier) condemn(st *deliverState, pc *procCtx, m *ipc.Message, viol *policy.Violation, code telemetry.FlightCode) gateAction {
 	st.delivered++
 	pc.messages++
 	pc.violations = append(pc.violations, viol)
@@ -873,149 +784,84 @@ func (v *Verifier) condemn(st *deliverState, si int, m *ipc.Message, viol *polic
 	if fr := pc.flight; fr != nil {
 		fr.StampMessage(m.PID, uint16(m.Op), m.Seq, m.Arg1^m.Arg2^m.Arg3, code)
 	}
-	v.freezeLocked(pc, si, viol, viol.Reason)
+	v.freezeLocked(pc, viol, viol.Reason)
 	st.killCount++
-	return gateAction{pid: pc.pid, kill: true, reason: viol.Reason}
+	return gateAction{kill: true, reason: viol.Reason}
 }
 
 // safeDeliver is the drain loop's delivery entry point and the outer ring of
 // panic containment. Policy panics never reach it — deliverSegment converts
-// those into an attributed kill of the one offending process — so a panic
-// arriving here is a bug in the delivery path itself (or in a gate call made
-// from it), and the shard's state can no longer be trusted. The shard is
-// poisoned — every process resident on it is killed fail-closed, and
-// everything subsequently routed to it dies on arrival — instead of the panic
-// tearing down the whole verifier process and silently un-gating every
-// monitored program. The drain that caught it keeps reading: its producer
-// never wedges behind a dead consumer, and its later bursts take
-// poisonedDrop. The poisoned/degraded state is checked once per delivered
-// run inside deliverLocked, never per message.
-func (v *Verifier) safeDeliver(si int, ms []ipc.Message) {
+// those into an attributed kill of the process — so a panic arriving here is
+// a bug in the delivery path itself (or in a gate call made from it), and the
+// context's state can no longer be trusted. The context is poisoned: its
+// process is killed fail-closed, once, and its later messages are dropped
+// with the dead context, instead of the panic tearing down the whole verifier
+// process and silently un-gating every monitored program. No other process
+// is touched. The drain that caught it keeps reading: its producer never
+// wedges behind a dead consumer.
+func (v *Verifier) safeDeliver(pc *procCtx, ms []ipc.Message) {
 	defer func() {
 		if r := recover(); r != nil {
-			v.poisonShard(si, fmt.Sprintf("verifier shard %d poisoned: worker panic: %v", si, r))
+			v.poison(pc, fmt.Sprintf("verifier poisoned for pid %d: delivery panic: %v", pc.pid, r))
 		}
 	}()
-	v.deliverShardBatch(si, ms)
+	pc.mu.Lock()
+	v.deliverLocked(pc, ms)
 }
 
-// poisonShard marks shard si permanently failed: the poisoned flag diverts
-// all future deliveries to the fail-closed drop path, every resident process
-// is killed, and the kernel watchdog (WedgedFor) reports the shard wedged so
-// a process already stalled in SyscallEnter dies at its epoch deadline with
-// an attributable reason. First caller wins; later calls are no-ops.
-func (v *Verifier) poisonShard(si int, reason string) {
-	h := &v.health[si]
-	h.reason.CompareAndSwap(nil, &reason)
-	if h.poisoned.Swap(true) {
-		return // already poisoned
+// poison marks pc permanently failed: it is marked dead (its later messages
+// are dropped), its black box is closed with the poison event and frozen,
+// WedgedFor reports it wedged so a gate already stalled in SyscallEnter dies
+// at its epoch deadline with an attributable reason, and its process is
+// killed unless it was already dead. First caller wins; later calls are
+// no-ops.
+func (v *Verifier) poison(pc *procCtx, reason string) {
+	if !pc.poison.CompareAndSwap(nil, &reason) {
+		return
 	}
-	s := &v.shards[si]
-	s.mu.Lock()
-	pids := make([]int32, 0, len(s.procs))
-	for pid, pc := range s.procs {
-		if !pc.dead {
-			pc.dead = true
-			pids = append(pids, pid)
-		}
-		// Every resident — already-dead ones included — gets its black box
-		// closed out with the poison event: the shard's state is suspect
-		// from here on, so no later stamp may be trusted.
-		if fr := pc.flight; fr != nil {
-			fr.StampEvent(pid, telemetry.FlightShardPoisoned, uint64(si))
-		}
-		v.freezeLocked(pc, si, nil, reason)
+	pc.mu.Lock()
+	kill := !pc.dead
+	pc.dead = true
+	if fr := pc.flight; fr != nil {
+		fr.StampEvent(pc.pid, telemetry.FlightPoisoned, 0)
 	}
-	s.mu.Unlock()
+	v.freezeLocked(pc, nil, reason)
+	pc.mu.Unlock()
+	v.poisoned.Add(1)
 	if tm := v.tm; tm != nil {
 		tm.poisons.Inc()
 	}
-	if v.gate != nil {
-		for _, pid := range pids {
-			v.gate.Kill(pid, v.poisonReason(si))
-		}
+	if kill && v.gate != nil {
+		v.gate.Kill(pc.pid, reason)
 	}
 }
 
-// PoisonShard marks shard si permanently failed exactly as a contained
-// delivery-path panic would (see poisonShard): future deliveries fail closed,
-// residents are killed, WedgedFor reports the shard wedged. Exported for
-// the model checker (internal/verify), which explores shard poisoning as an
-// explicit lifecycle transition rather than by throwing a real panic.
-func (v *Verifier) PoisonShard(si int, reason string) {
-	v.poisonShard(si, reason)
-}
-
-// ShardOf reports the shard index pid's messages validate on — the public
-// name for the PID-hash routing, so tests and the model checker can pick
-// PIDs that do (or do not) share a shard without duplicating the hash.
-func (v *Verifier) ShardOf(pid int32) int { return v.shardIndex(pid) }
-
-// poisonReason returns the kill reason recorded when shard si was poisoned.
-func (v *Verifier) poisonReason(si int) string {
-	if r := v.health[si].reason.Load(); r != nil {
-		return *r
-	}
-	return fmt.Sprintf("verifier shard %d poisoned", si)
-}
-
-// poisonedDrop is the fail-closed delivery path of a poisoned shard: no
-// message is evaluated (the shard's policy state is suspect), and every
-// not-yet-dead process appearing in the batch is killed — a process whose
-// messages cannot be validated must not be allowed to pass gates. Like
-// deliverLocked, it is entered with s.mu held and releases it.
-func (v *Verifier) poisonedDrop(s *shard, si int, ms []ipc.Message) {
-	var killPIDs []int32
-	var dropped uint64
-	for i := range ms {
-		pc := s.procs[ms[i].PID]
-		if pc == nil {
-			continue
-		}
-		dropped++
-		pc.dropped++
-		if !pc.dead {
-			pc.dead = true
-			killPIDs = append(killPIDs, pc.pid)
-			if fr := pc.flight; fr != nil {
-				fr.StampEvent(pc.pid, telemetry.FlightShardPoisoned, uint64(si))
-			}
-			v.freezeLocked(pc, si, nil, v.poisonReason(si))
-		}
-	}
-	s.mu.Unlock()
-	if tm := v.tm; tm != nil && dropped > 0 {
-		tm.dropped.AddAt(si, dropped)
-	}
-	if v.gate != nil {
-		for _, pid := range killPIDs {
-			v.gate.Kill(pid, v.poisonReason(si))
-		}
+// PoisonProcess poisons pid's context exactly as a contained delivery-path
+// panic would (see poison). Exported for the model checker
+// (internal/verify), which explores poisoning as an explicit lifecycle
+// transition rather than by throwing a real panic. A pid with no context is
+// a no-op.
+func (v *Verifier) PoisonProcess(pid int32, reason string) {
+	if pc := v.lookup(pid); pc != nil {
+		v.poison(pc, reason)
 	}
 }
 
-// PoisonedShards reports how many shards have been poisoned by contained
-// delivery-path panics. Non-zero means the verifier is running degraded:
-// processes hashed to those shards are being killed fail-closed. Surfaced
-// through supervisor.Health and /healthz.
-func (v *Verifier) PoisonedShards() int {
-	n := 0
-	for i := range v.health {
-		if v.health[i].poisoned.Load() {
-			n++
-		}
-	}
-	return n
-}
+// Poisoned reports how many process contexts contained delivery-path panics
+// have poisoned since the verifier started. Non-zero means the verifier has
+// hit a bug in its own delivery path. Surfaced through supervisor.Health and
+// /healthz.
+func (v *Verifier) Poisoned() int { return int(v.poisoned.Load()) }
 
 // WedgedFor implements the kernel's watchdog probe (kernel.Watchdog): it
-// reports whether the verifier can still make validation progress for pid.
-// It reads only atomics — the kernel calls it with its own lock held, so it
-// must never take a shard lock (lock-order inversion with the gate path).
+// reports whether the verifier can still make validation progress for pid —
+// not when pid's context is poisoned. It takes no lock that anyone holds
+// across a gate or kernel call: the kernel calls it with its own lock held.
 func (v *Verifier) WedgedFor(pid int32) (bool, string) {
-	si := v.shardIndex(pid)
-	if v.health[si].poisoned.Load() {
-		return true, v.poisonReason(si)
+	if pc := v.lookup(pid); pc != nil {
+		if r := pc.poison.Load(); r != nil {
+			return true, *r
+		}
 	}
 	return false, ""
 }
@@ -1034,26 +880,29 @@ func (v *Verifier) killAttributed(err error) {
 	}
 }
 
-// Violations returns the violations recorded for pid.
-func (v *Verifier) Violations(pid int32) []*policy.Violation {
-	s := v.shardFor(pid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if pc, ok := s.procs[pid]; ok {
-		return append([]*policy.Violation(nil), pc.violations...)
+// withProc runs f on pid's context under its lock and reports whether pid has
+// one.
+func (v *Verifier) withProc(pid int32, f func(pc *procCtx)) bool {
+	pc := v.lookup(pid)
+	if pc == nil {
+		return false
 	}
-	return nil
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	f(pc)
+	return true
+}
+
+// Violations returns the violations recorded for pid.
+func (v *Verifier) Violations(pid int32) (out []*policy.Violation) {
+	v.withProc(pid, func(pc *procCtx) { out = append(out, pc.violations...) })
+	return out
 }
 
 // Messages returns the number of messages processed for pid.
-func (v *Verifier) Messages(pid int32) uint64 {
-	s := v.shardFor(pid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if pc, ok := s.procs[pid]; ok {
-		return pc.messages
-	}
-	return 0
+func (v *Verifier) Messages(pid int32) (n uint64) {
+	v.withProc(pid, func(pc *procCtx) { n = pc.messages })
+	return n
 }
 
 // TotalMessages returns the number of messages processed for all processes.
@@ -1061,9 +910,9 @@ func (v *Verifier) TotalMessages() uint64 {
 	return v.totalMessages.Load()
 }
 
-// ProcStats is the verifier-side per-process attribution row: one monitored
-// process's share of the shard it validates on. The supervisor merges it
-// with the kernel's per-process figures for /procs and System.Stats.
+// ProcStats is the verifier-side per-process attribution row. The supervisor
+// merges it with the kernel's per-process figures for /procs and
+// System.Stats.
 type ProcStats struct {
 	PID        int32  `json:"pid"`
 	Messages   uint64 `json:"messages"`   // validated deliveries
@@ -1075,78 +924,46 @@ type ProcStats struct {
 // ProcStats returns the per-process verifier statistics for pid in one lock
 // round; ok is false when the process has no live context (never registered,
 // or already exited).
-func (v *Verifier) ProcStats(pid int32) (ProcStats, bool) {
-	s := v.shardFor(pid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pc, ok := s.procs[pid]
-	if !ok {
-		return ProcStats{}, false
-	}
-	return procCtxStats(pc), true
-}
-
-// AllProcStats returns one row per live verifier context, ascending by PID.
-// Each shard is locked once; like the kernel's process listing, the result
-// is a snapshot — contexts may come and go as soon as a shard is released.
-func (v *Verifier) AllProcStats() []ProcStats {
-	var out []ProcStats
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.mu.Lock()
-		for _, pc := range s.procs {
-			out = append(out, procCtxStats(pc))
+func (v *Verifier) ProcStats(pid int32) (st ProcStats, ok bool) {
+	ok = v.withProc(pid, func(pc *procCtx) {
+		st = ProcStats{
+			PID:        pc.pid,
+			Messages:   pc.messages,
+			Dropped:    pc.dropped,
+			Violations: uint64(len(pc.violations)),
+			Dead:       pc.dead,
 		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
-}
-
-func procCtxStats(pc *procCtx) ProcStats {
-	return ProcStats{
-		PID:        pc.pid,
-		Messages:   pc.messages,
-		Dropped:    pc.dropped,
-		Violations: uint64(len(pc.violations)),
-		Dead:       pc.dead,
-	}
+	})
+	return st, ok
 }
 
 // Entries returns the current and maximum metadata entries across the
 // policies of pid (the §5.4 memory-overhead metric). Max is only available
 // for policies that track it.
 func (v *Verifier) Entries(pid int32) (cur, max int) {
-	s := v.shardFor(pid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pc, ok := s.procs[pid]
-	if !ok {
-		return 0, 0
-	}
-	for _, p := range pc.policies {
-		cur += p.Entries()
-		type maxer interface{ MaxEntries() int }
-		if mp, ok := p.(maxer); ok {
-			max += mp.MaxEntries()
+	v.withProc(pid, func(pc *procCtx) {
+		for _, p := range pc.policies {
+			cur += p.Entries()
+			type maxer interface{ MaxEntries() int }
+			if mp, ok := p.(maxer); ok {
+				max += mp.MaxEntries()
+			}
 		}
-	}
+	})
 	return cur, max
 }
 
 // Policy returns the first attached policy of pid matching name — a registry
 // name such as "cfi" or "counter" (policy.Names) — for examples and tests
 // that read policy state (e.g. counter values).
-func (v *Verifier) Policy(pid int32, name string) policy.Policy {
-	s := v.shardFor(pid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if pc, ok := s.procs[pid]; ok {
+func (v *Verifier) Policy(pid int32, name string) (found policy.Policy) {
+	v.withProc(pid, func(pc *procCtx) {
 		for _, p := range pc.policies {
 			if p.Name() == name {
-				return p
+				found = p
+				return
 			}
 		}
-	}
-	return nil
+	})
+	return found
 }

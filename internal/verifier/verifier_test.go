@@ -93,7 +93,7 @@ func TestMessagesAreRoutedByDeclaredOps(t *testing.T) {
 	far := &opSpy{name: "far", ops: []ipc.Op{ipc.OpCounterInc, ipc.NumOps + 3}}
 	counter := policy.NewCounter()
 	g := newFakeGate()
-	v := NewSharded(func() []policy.Policy { return []policy.Policy{all, some, none, far, counter} }, g, 1)
+	v := New(func() []policy.Policy { return []policy.Policy{all, some, none, far, counter} }, g)
 	v.ProcessStarted(1)
 	sent := []ipc.Op{ipc.OpCounterInc, ipc.OpDFISet, ipc.OpSyscall, ipc.OpPointerCheck, ipc.NumOps, ipc.NumOps + 3, 0xffffffff}
 	batch := make([]ipc.Message, len(sent))
@@ -185,7 +185,7 @@ func TestRunsEndWhereTheEngineMustLook(t *testing.T) {
 				chain[i] = spies[i]
 			}
 			g := newFakeGate()
-			v := NewSharded(func() []policy.Policy { return chain }, g, 1)
+			v := New(func() []policy.Policy { return chain }, g)
 			v.CheckSeq = true
 			v.ProcessStarted(1)
 			v.ProcessStarted(2)
@@ -349,7 +349,7 @@ func TestCounterGapYieldsExactlyOneKillAction(t *testing.T) {
 	// gate.Kill. One gap must produce exactly one violation and one kill,
 	// and the rest of the dead process's batch must be dropped.
 	g := &countingGate{}
-	v := NewSharded(cfiFactory, g, 2)
+	v := New(cfiFactory, g)
 	v.CheckSeq = true
 	v.ProcessStarted(1)
 	v.DeliverBatch([]ipc.Message{
@@ -379,7 +379,7 @@ func TestOneKillActionPerGapAcrossProcesses(t *testing.T) {
 	// Two interleaved processes, each with one gap: one kill each, and the
 	// innocent third process is untouched.
 	g := &countingGate{}
-	v := NewSharded(cfiFactory, g, 4)
+	v := New(cfiFactory, g)
 	v.CheckSeq = true
 	for pid := int32(1); pid <= 3; pid++ {
 		v.ProcessStarted(pid)
@@ -411,7 +411,7 @@ func TestViolationKillDropsRestOfBatch(t *testing.T) {
 	// dead: the remainder of the batch is dropped and a trailing forged
 	// sync message cannot release the syscall.
 	g := &countingGate{}
-	v := NewSharded(cfiFactory, g, 2)
+	v := New(cfiFactory, g)
 	v.ProcessStarted(1)
 	v.DeliverBatch([]ipc.Message{
 		{Op: ipc.OpPointerCheck, PID: 1, Arg1: 0x10, Arg2: 0xbad}, // violation
@@ -490,7 +490,7 @@ func TestSeqGapAcrossDeliverBatchBoundary(t *testing.T) {
 	// A gap that straddles two batches must be detected: the per-process
 	// lastSeq carries across DeliverBatch calls.
 	g := newFakeGate()
-	v := NewSharded(cfiFactory, g, 4)
+	v := New(cfiFactory, g)
 	v.CheckSeq = true
 	v.ProcessStarted(1)
 	v.DeliverBatch([]ipc.Message{
@@ -513,7 +513,7 @@ func TestSeqGapAcrossPumpBatches(t *testing.T) {
 	// Same property through the full pipelined Pump: two RecvBatch bursts
 	// with the gap at the boundary.
 	g := newFakeGate()
-	v := NewSharded(cfiFactory, g, 4)
+	v := New(cfiFactory, g)
 	v.CheckSeq = true
 	v.ProcessStarted(7)
 	r := &seqReceiver{batches: [][]ipc.Message{
@@ -534,7 +534,7 @@ func TestDeliverBatchMixedPIDsMatchesScalar(t *testing.T) {
 	// the same per-process state as scalar delivery.
 	mk := func() (*Verifier, *fakeGate) {
 		g := newFakeGate()
-		v := NewSharded(cfiFactory, g, 3)
+		v := New(cfiFactory, g)
 		for pid := int32(1); pid <= 4; pid++ {
 			v.ProcessStarted(pid)
 		}
@@ -572,9 +572,9 @@ func TestDeliverBatchMixedPIDsMatchesScalar(t *testing.T) {
 func TestPumpPreservesPerProcessOrdering(t *testing.T) {
 	// Pointer define/check pairs are order-sensitive: any reordering
 	// within one process's stream would produce a false violation. Drive
-	// an interleaved multi-process stream through the sharded pipeline.
+	// an interleaved multi-process stream through one drain.
 	g := newFakeGate()
-	v := NewSharded(cfiFactory, g, 4)
+	v := New(cfiFactory, g)
 	const procs = 8
 	for pid := int32(1); pid <= procs; pid++ {
 		v.ProcessStarted(pid)
@@ -606,13 +606,13 @@ func TestPumpPreservesPerProcessOrdering(t *testing.T) {
 	}
 }
 
-func TestForkExitRaceAcrossShards(t *testing.T) {
+func TestForkExitRaceAcrossProcesses(t *testing.T) {
 	// Concurrent fork/exit lifecycle events while messages for parents and
-	// children are in flight across different shards. Run under -race; the
+	// children are in flight, each process under its own context lock. Run under -race; the
 	// invariant checked here is absence of data races, deadlocks, and
 	// kills.
 	g := newFakeGate()
-	v := NewSharded(cfiFactory, g, 4)
+	v := New(cfiFactory, g)
 	const parents = 4
 	const children = 8
 	for pid := int32(1); pid <= parents; pid++ {
@@ -676,7 +676,7 @@ func TestPumpKillsOnlyAttributedErrors(t *testing.T) {
 	// Unattributed receive error: no process may be killed, even though
 	// the torn message carries a plausible (stale) PID.
 	g := newFakeGate()
-	v := NewSharded(cfiFactory, g, 2)
+	v := New(cfiFactory, g)
 	v.ProcessStarted(1)
 	v.Pump(&errReceiver{
 		msgs: []ipc.Message{{Op: ipc.OpCounterInc, PID: 1, Arg1: 1}},
@@ -691,7 +691,7 @@ func TestPumpKillsOnlyAttributedErrors(t *testing.T) {
 
 	// Attributed error: exactly the named process dies.
 	g2 := newFakeGate()
-	v2 := NewSharded(cfiFactory, g2, 2)
+	v2 := New(cfiFactory, g2)
 	v2.ProcessStarted(1)
 	v2.ProcessStarted(2)
 	v2.Pump(&errReceiver{err: &ipc.ProcessError{PID: 2, Err: ipc.ErrIntegrity}})

@@ -24,7 +24,7 @@ func FuzzReplay(f *testing.F) {
 		{"launch:A", "visible:A", "gate:A", "disconnect:A", "connect:A", "deliver:A"},
 		{"launch:A", "visible:A", "exit:A", "exitdone:A"},
 		{"launch:A", "visible:A", "send:A", "gate:A", "deliver:A@1", "deliver:A"},
-		{"launch:A", "visible:A", "kill:A", "launch:B", "visible:B", "send:B", "poison:0", "deliver:B", "gate:B"},
+		{"launch:A", "visible:A", "launch:B", "visible:B", "send:B", "poison:A", "deliver:B", "gate:B"},
 		{"visible:A"},
 		{"launch:A", "frobnicate:A"},
 	}

@@ -1,6 +1,6 @@
 // Package verify is a small-scope model checker for the HerQules gate
 // protocol: it exhaustively enumerates interleavings of process lifecycle
-// events — launch, fork, exit, explicit kill, epoch expiry, shard poison,
+// events — launch, fork, exit, explicit kill, epoch expiry, poison,
 // message delivery (optionally reordered), connection sever/resume/lease
 // expiry — against the production lifecycle itself, driven deterministically
 // through the internal/dsched schedule hooks. Each world is one
@@ -16,6 +16,9 @@
 //     invariant dies without ever looking violated);
 //   - exactly-one-kill: a killed process produces exactly one
 //     KillListener notification, never zero, never two;
+//   - poison-kills-one: poisoning a process's verifier context (a contained
+//     delivery-path panic) kills that process and no other, whose messages
+//     are still validated and whose gates still pass;
 //   - no-leaked-context: once a process has exited, the verifier holds no
 //     policy context for it;
 //   - gate liveness: a gate whose epoch deadline fires resolves — it is
@@ -38,7 +41,7 @@
 //
 // The small-scope hypothesis (Sotoudeh & Yedidia; the zeonica verify
 // harness) is the design bet: protocol bugs in this plane show up with 2–3
-// processes and 2 shards or not at all.
+// processes or not at all.
 package verify
 
 import (
@@ -55,8 +58,6 @@ type Config struct {
 	// Procs is the maximum number of processes alive over a run (launches
 	// plus forks). Default 2; the full exploration uses 3.
 	Procs int
-	// Shards is the verifier shard count. Default 2.
-	Shards int
 	// MaxSends bounds the non-sync messages each process may send. Default 1.
 	MaxSends int
 	// MaxGates bounds the gate (syscall) attempts per process. Default 1.
@@ -68,7 +69,7 @@ type Config struct {
 	Exit    bool // voluntary exit (requires a drained queue, as the supervisor guarantees)
 	Kill    bool // external kill (supervisor shutdown sweep)
 	Expire  bool // fire the epoch timer of a blocked gate at exactly its deadline
-	Poison  bool // poison a verifier shard (contained worker panic)
+	Poison  bool // poison a live process's verifier context (contained delivery panic)
 	Reorder bool // deliver the second pending message before the first
 
 	// CheckSeq mirrors verifier.CheckSeq (§3.1.1 counter verification).
@@ -117,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.Procs <= 0 {
 		c.Procs = 2
 	}
-	if c.Shards <= 0 {
-		c.Shards = 2
-	}
 	if c.MaxSends <= 0 {
 		c.MaxSends = 1
 	}
@@ -144,7 +142,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Defaults is the base 2-proc × 2-shard scope with every transition family
+// Defaults is the base 2-process scope with every transition family
 // enabled and CheckSeq on — the configuration `hqbench -exp verify` runs.
 // MaxDepth 28 (not the generic 24) is the measured closure depth once the
 // connection-churn family is in: longest schedules run launch, visibility,
@@ -186,6 +184,7 @@ const (
 	InvGate        = "gate-invariant"        // gate passed before prior messages validated
 	InvLostMessage = "no-lost-message"       // delivered message silently ignored
 	InvOneKill     = "exactly-one-kill"      // 0 or 2+ kill notifications for one kill
+	InvPoison      = "poison-kills-one"      // a poison spared its process or killed another
 	InvLeak        = "no-leaked-context"     // verifier context survives exit
 	InvLiveness    = "gate-liveness"         // gate stalled past its epoch deadline
 	InvStamp       = "liveness-stamp"        // gate passed without stamping LastSyscall

@@ -6,7 +6,7 @@ import (
 )
 
 // TestBaseScopeClean explores the always-on families (launch, visibility,
-// send, deliver, gate) at the default 2-proc × 2-shard scope with all fixes
+// send, deliver, gate) at the default 2-process scope with all fixes
 // in place: no reachable interleaving violates an invariant.
 func TestBaseScopeClean(t *testing.T) {
 	res := Check(Config{CheckSeq: true})
@@ -20,7 +20,7 @@ func TestBaseScopeClean(t *testing.T) {
 }
 
 // TestLifecycleScopeClean adds the lifecycle families — fork, exit, kill,
-// epoch expiry, shard poison — still clean. This is the scope that exercises
+// epoch expiry, poison — still clean. This is the scope that exercises
 // the two fixed races (registration-window kill buffering, epoch timer
 // re-arm) from every reachable direction.
 func TestLifecycleScopeClean(t *testing.T) {

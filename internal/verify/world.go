@@ -55,13 +55,14 @@ type wproc struct {
 	sends   int    // non-sync sends so far
 	queue   []ipc.Message
 
-	// expectValidated counts messages delivered while the process was
-	// healthy (not killed, shard not poisoned): each must appear in
-	// verifier.Messages or it was silently lost.
+	// expectValidated counts messages delivered while the process was not
+	// killed (a poison kills too): each must appear in verifier.Messages or
+	// it was silently lost.
 	expectValidated uint64
 
 	// killed is model-side: a kill has been issued for this pid before it
 	// began to exit. It is what a launched process's frozen row must say.
+	// A poisoned process is killed, and nothing else of it differs.
 	killed bool
 
 	// Connection-churn state (Config.Conn). A severed process's transport
@@ -160,9 +161,8 @@ type world struct {
 	v   *verifier.Verifier
 	lis *tapListener
 
-	procs    map[string]*wproc
-	order    []string
-	poisoned map[int]bool
+	procs map[string]*wproc
+	order []string
 }
 
 func noPolicies() []policy.Policy { return nil }
@@ -181,14 +181,12 @@ func newWorld(cfg Config) *world {
 		Policies:        noPolicies,
 		KillOnViolation: true,
 		CheckSeq:        cfg.CheckSeq,
-		Shards:          cfg.Shards,
 	})
 	lis := &tapListener{v: sys.Verifier(), killCount: make(map[int32]int)}
 	sys.Kernel().SetListener(lis)
 	return &world{
 		cfg: cfg, s: s, sys: sys, k: sys.Kernel(), v: sys.Verifier(), lis: lis,
-		procs:    make(map[string]*wproc),
-		poisoned: make(map[int]bool),
+		procs: make(map[string]*wproc),
 	}
 }
 
@@ -283,6 +281,9 @@ func (w *world) enabled() []string {
 			len(p.queue) == 0 && !(p.launched() && w.ridden(p)) {
 			en = append(en, "exit:"+name)
 		}
+		if w.cfg.Poison && p.phase == phaseLive && !p.killed {
+			en = append(en, "poison:"+name)
+		}
 		if w.cfg.Fork && p.phase == phaseLive && threadFree && !p.killed &&
 			len(w.order) < w.cfg.Procs {
 			en = append(en, "fork:"+name+">"+w.nextName())
@@ -293,13 +294,6 @@ func (w *world) enabled() []string {
 			}
 			if p.severed {
 				en = append(en, "connect:"+name, "lease-expire:"+name)
-			}
-		}
-	}
-	if w.cfg.Poison {
-		for si := 0; si < w.cfg.Shards; si++ {
-			if !w.poisoned[si] {
-				en = append(en, "poison:"+strconv.Itoa(si))
 			}
 		}
 	}
@@ -317,11 +311,6 @@ func (w *world) apply(tr string) *Violation {
 	case "fork":
 		parent, child, _ := strings.Cut(arg, ">")
 		return w.applyFork(w.procs[parent], child)
-	case "poison":
-		si, _ := strconv.Atoi(arg)
-		w.poisoned[si] = true
-		w.v.PoisonShard(si, fmt.Sprintf("verify: shard %d poisoned", si))
-		return w.awaitWakes()
 	}
 	name, idx, _ := strings.Cut(arg, "@")
 	p := w.procs[name]
@@ -337,6 +326,8 @@ func (w *world) apply(tr string) *Violation {
 		return w.applyDeliver(p, i)
 	case "gate":
 		return w.applyGate(p)
+	case "poison":
+		return w.applyPoison(p)
 	case "expire":
 		return w.applyExpire(p)
 	case "kill":
@@ -448,8 +439,8 @@ func (w *world) parkedInWindow(p *wproc, point dsched.Point, what string) *Viola
 }
 
 func (w *world) applyVisible(p *wproc) *Violation {
-	// The tail of registration may park again (e.g. a poisoned-shard birth
-	// kill yields at kill-notify); run it out — the interleaving of interest
+	// The tail of registration may park again (e.g. a kill buffered in the
+	// registration window yields at kill-notify); run it out — the interleaving of interest
 	// was the window itself, already explored via the other transitions. A
 	// launched process's Admit attaches its source on the way out.
 	if v := w.runOut(p.task, "registration of "+p.name); v != nil {
@@ -466,11 +457,38 @@ func (w *world) applyDeliver(p *wproc, idx int) *Violation {
 	p.reordered = p.reordered || idx > 0
 	m := p.queue[idx]
 	p.queue = append(p.queue[:idx], p.queue[idx+1:]...)
-	if !p.killed && !w.poisoned[w.v.ShardOf(p.pid)] {
+	if !p.killed {
 		p.expectValidated++
 	}
 	p.src.deliver(m)
 	return w.awaitWakes()
+}
+
+// applyPoison poisons p's verifier context as a contained delivery-path panic
+// would, and checks that the poison was the process's fate alone: p is
+// killed, and every process that was not killed before still is not — its
+// later messages validated and its gates passing, which the global
+// invariants go on to check.
+func (w *world) applyPoison(p *wproc) *Violation {
+	killedBefore := make(map[string]bool, len(w.order))
+	for _, name := range w.order {
+		killedBefore[name] = w.procs[name].killed
+	}
+	w.v.PoisonProcess(p.pid, "verify: "+p.name+" poisoned")
+	if v := w.awaitWakes(); v != nil {
+		return v
+	}
+	if !p.killed {
+		return &Violation{Invariant: InvPoison,
+			Detail: fmt.Sprintf("poisoned process %s was not killed", p.name)}
+	}
+	for _, name := range w.order {
+		if q := w.procs[name]; q != p && q.killed && !killedBefore[name] {
+			return &Violation{Invariant: InvPoison,
+				Detail: fmt.Sprintf("poisoning %s killed %s too", p.name, name)}
+		}
+	}
+	return nil
 }
 
 func (w *world) applyGate(p *wproc) *Violation {
@@ -693,7 +711,7 @@ func (w *world) checkInvariants() *Violation {
 			}
 			continue
 		}
-		if !p.killed && !w.poisoned[w.v.ShardOf(p.pid)] {
+		if !p.killed {
 			if got := w.v.Messages(p.pid); got < p.expectValidated {
 				return &Violation{Invariant: InvLostMessage,
 					Detail: fmt.Sprintf("process %s: %d messages delivered but only %d validated (message silently lost)",
@@ -743,7 +761,6 @@ func (w *world) fingerprint() (fp [16]byte) {
 		}
 		b.Write([]byte{';'})
 	}
-	fmt.Fprint(b, w.poisoned)
 	b.Sum(fp[:0])
 	return fp
 }

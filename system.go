@@ -40,7 +40,7 @@ type Proc = supervisor.Proc
 // System is the resident HerQules runtime — the deployment model of the
 // paper's Figure 1, where one kernel module and one verifier serve every
 // monitored program on the machine. A System owns one kernel, one
-// PID-sharded verifier and one multi-source message pump; any number of
+// verifier (a policy context per process) and one multi-source message pump; any number of
 // instrumented programs Launch into it, run concurrently (each over its own
 // AppendWrite channel), and exit independently. Shutdown drains all
 // in-flight messages before stopping.
@@ -72,7 +72,7 @@ type systemConfig struct {
 type SystemOption func(*systemConfig)
 
 // WithMetrics wires a telemetry registry through the whole stack: kernel
-// gate, verifier shards, and every channel the System binds.
+// gate, verifier, and every channel the System binds.
 func WithMetrics(m *Metrics) SystemOption {
 	return func(c *systemConfig) { c.sup.Metrics = m }
 }
@@ -123,11 +123,6 @@ func WithChannelKind(kind ChannelKind) SystemOption {
 	return func(c *systemConfig) { c.sup.ChannelKind = kind }
 }
 
-// WithShards overrides the verifier shard count (default: GOMAXPROCS).
-func WithShards(n int) SystemOption {
-	return func(c *systemConfig) { c.sup.Shards = n }
-}
-
 // DegradedPolicy selects how the kernel treats a synchronization-epoch
 // expiry — the moment validation is detectably not keeping up (§2.2).
 type DegradedPolicy = kernel.DegradedPolicy
@@ -136,7 +131,7 @@ type DegradedPolicy = kernel.DegradedPolicy
 const (
 	// DegradedFailClosed (the default) kills the stalled process at the
 	// epoch deadline, with a distinct wedged-verifier reason when the
-	// verifier shard serving it is known to be dead.
+	// verifier has poisoned its context.
 	DegradedFailClosed = kernel.DegradedFailClosed
 	// DegradedLogOnly records every bypassed epoch (counters, events,
 	// per-process stats) and lets the system call proceed. Fail-open:
@@ -145,15 +140,15 @@ const (
 )
 
 // WithDegradedPolicy selects the kernel's behaviour when validation stops
-// making progress for a process (silent channel, wedged or poisoned verifier
-// shard). The default is DegradedFailClosed.
+// making progress for a process (silent channel, poisoned verifier
+// context). The default is DegradedFailClosed.
 func WithDegradedPolicy(p DegradedPolicy) SystemOption {
 	return func(c *systemConfig) { c.sup.Degraded = p }
 }
 
 // ForensicReport is the kill postmortem captured by the flight recorder: the
 // attributed policy, kill reason, last-N message window, per-policy decision
-// trail and shard health frozen at the instant of the kill, wrapped with the
+// trail and poison state frozen at the instant of the kill, wrapped with the
 // kernel's syscall-gate figures and lifecycle timestamps. Retrieve with
 // System.Forensics, or scrape /violations when an HTTP endpoint is attached.
 type ForensicReport = supervisor.ForensicReport
@@ -167,7 +162,7 @@ const DefaultFlightSlots = telemetry.DefaultFlightSlots
 // events (register, fork, gate stalls, epoch expiries, kill), frozen at the
 // moment a process is killed and served as a ForensicReport. n is rounded to
 // a power of two; n <= 0 selects DefaultFlightSlots. The stamp is one store
-// into a preallocated slot under the shard lock the verifier already holds —
+// into a preallocated slot under the context lock the verifier already holds —
 // no allocation, no extra synchronization — so it is safe to leave on in
 // production.
 func WithFlightRecorder(n int) SystemOption {
@@ -194,7 +189,7 @@ func WithHTTPAddr(addr string) SystemOption {
 
 // NewSystem constructs a resident runtime. The zero configuration is
 // usable: default policies, violations recorded but not killed, shared-ring
-// transport, GOMAXPROCS verifier shards.
+// transport.
 func NewSystem(opts ...SystemOption) *System {
 	var cfg systemConfig
 	for _, o := range opts {
