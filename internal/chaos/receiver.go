@@ -176,14 +176,4 @@ func corrupt(m ipc.Message, r uint64) ipc.Message {
 	return m
 }
 
-// Pending implements ipc.Pender: the backend's queue plus everything the
-// injector is holding (pending delivery or reorder-held).
-func (fr *faultReceiver) Pending() int {
-	n, _ := ipc.PendingOf(fr.r)
-	return n + len(fr.pending) + len(fr.held)
-}
-
-var (
-	_ ipc.Receiver = (*faultReceiver)(nil)
-	_ ipc.Pender   = (*faultReceiver)(nil)
-)
+var _ ipc.Receiver = (*faultReceiver)(nil)

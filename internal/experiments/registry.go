@@ -83,7 +83,7 @@ var All = []Experiment{
 		m := CollectMetrics(c.Scale)
 		return Report{atScale(c.Scale, m.Format()), m}, nil
 	}},
-	{"stats", "Component telemetry: kernel gate, verifier, IPC channels", func(c Config) (Report, error) {
+	{"stats", "Component telemetry: kernel gate and verifier", func(c Config) (Report, error) {
 		r := Stats(c.Procs, c.Msgs)
 		return Report{FormatStats(r), r}, nil
 	}},

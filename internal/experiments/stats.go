@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"herqules/internal/ipc"
@@ -15,13 +16,16 @@ import (
 
 // StatsResult is one run of the component-telemetry experiment: a concurrent
 // multi-process pipeline (kernel gate + verifier + per-process
-// shared-memory channels) with the telemetry layer wired through every
-// component, reported as a snapshot diff over exactly the measured interval.
+// shared-memory channels) with the kernel's and the verifier's telemetry
+// wired, reported as a snapshot diff over exactly the measured interval.
 type StatsResult struct {
 	Procs    int
 	Messages int
-	Elapsed  time.Duration
-	Snap     telemetry.Snapshot
+	// Sent counts the sends the channels accepted: every one of them is
+	// either validated or dropped after its process died.
+	Sent    uint64
+	Elapsed time.Duration
+	Snap    telemetry.Snapshot
 }
 
 // statsSyncEvery is how many define/check/invalidate triples a monitored
@@ -65,9 +69,9 @@ func Stats(procs, messages int) *StatsResult {
 	start := time.Now()
 
 	var senders sync.WaitGroup
+	var sent atomic.Uint64
 	for p := 0; p < procs; p++ {
 		ch := ipc.NewSharedRing(1 << 12)
-		ch.EnableTelemetry(m)
 		proc, err := sys.Admit(ch.Receiver)
 		if err != nil {
 			panic("experiments: stats: " + err.Error()) // nothing has shut sys down
@@ -79,6 +83,11 @@ func Stats(procs, messages int) *StatsResult {
 			defer senders.Done()
 			defer proc.Close()
 			defer ch.Close()
+			send := func(m ipc.Message) {
+				if ch.Sender.Send(m) == nil {
+					sent.Add(1)
+				}
+			}
 			corruptAt := -1
 			if p == 0 {
 				corruptAt = perProc / 3 * 9 / 10 // violation late in the stream
@@ -89,14 +98,14 @@ func Stats(procs, messages int) *StatsResult {
 					// Check a pointer that was never defined: a
 					// pointer-integrity violation the verifier must
 					// kill for (§4.1.3).
-					ch.Sender.Send(ipc.Message{Op: ipc.OpPointerCheck, PID: pid, Arg1: 0xdead, Arg2: 0xbeef})
+					send(ipc.Message{Op: ipc.OpPointerCheck, PID: pid, Arg1: 0xdead, Arg2: 0xbeef})
 					continue
 				}
-				ch.Sender.Send(ipc.Message{Op: ipc.OpPointerDefine, PID: pid, Arg1: addr, Arg2: addr + 1})
-				ch.Sender.Send(ipc.Message{Op: ipc.OpPointerCheck, PID: pid, Arg1: addr, Arg2: addr + 1})
-				ch.Sender.Send(ipc.Message{Op: ipc.OpPointerInvalidate, PID: pid, Arg1: addr})
+				send(ipc.Message{Op: ipc.OpPointerDefine, PID: pid, Arg1: addr, Arg2: addr + 1})
+				send(ipc.Message{Op: ipc.OpPointerCheck, PID: pid, Arg1: addr, Arg2: addr + 1})
+				send(ipc.Message{Op: ipc.OpPointerInvalidate, PID: pid, Arg1: addr})
 				if i%statsSyncEvery == statsSyncEvery-1 {
-					ch.Sender.Send(ipc.Message{Op: ipc.OpSyscall, PID: pid, Arg1: 1})
+					send(ipc.Message{Op: ipc.OpSyscall, PID: pid, Arg1: 1})
 					if err := k.SyscallEnter(pid, 1); err != nil {
 						return // killed (or exited): stop emitting
 					}
@@ -110,6 +119,7 @@ func Stats(procs, messages int) *StatsResult {
 	return &StatsResult{
 		Procs:    procs,
 		Messages: messages,
+		Sent:     sent.Load(),
 		Elapsed:  elapsed,
 		Snap:     m.Snapshot().Diff(before),
 	}

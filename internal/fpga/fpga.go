@@ -199,18 +199,9 @@ func (r *receiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 	return n, true, nil
 }
 
-// Pending implements ipc.Pender: messages the AFU has written but the
-// verifier has not yet read.
-func (r *receiver) Pending() int {
-	r.dev.mu.Lock()
-	defer r.dev.mu.Unlock()
-	return int(r.dev.head - r.dev.tail)
-}
-
 var (
 	_ ipc.PIDRegister = (*sender)(nil)
 	_ ipc.Receiver    = (*receiver)(nil)
-	_ ipc.Pender      = (*receiver)(nil)
 )
 
 // New creates an AppendWrite-FPGA channel with the given buffer capacity in

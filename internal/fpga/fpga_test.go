@@ -219,16 +219,6 @@ func TestRecvBatchAttributesDropToProcess(t *testing.T) {
 	}
 }
 
-func TestReceiverPending(t *testing.T) {
-	ch, _ := New(64)
-	for i := 0; i < 7; i++ {
-		ch.Sender.Send(ipc.Message{Op: ipc.OpCounterInc})
-	}
-	if p, ok := ipc.PendingOf(ch.Receiver); !ok || p != 7 {
-		t.Errorf("Pending = %d ok=%t, want 7", p, ok)
-	}
-}
-
 func TestNewChannelValidatesCapacity(t *testing.T) {
 	if _, err := NewChannel(-1); err == nil {
 		t.Fatal("negative capacity accepted")

@@ -71,6 +71,12 @@ func FuzzControlFrames(f *testing.F) {
 		fuzzFrame(ipc.Message{Op: ipc.OpSyscall, Arg1: 1, Seq: 3}),
 		fuzzFrame(ipc.Message{Op: ipc.OpGateEnter, Arg1: 1, Arg2: 1}), goodbye))
 	f.Add(script(hello, data(1, 0), data(2, pid+1), data(3, 0)))
+	// A heartbeat, and a gate, as the first frame after the HELLO, stamped
+	// with the stream's first Seq: both are answered, neither takes that
+	// position, so the data frame behind is a gap, and only a control frame
+	// kept as data lets both reach the policy chain.
+	f.Add(script(hello, fuzzFrame(ipc.Message{Op: ipc.OpHeartbeat, Seq: 1}), data(2, 0), goodbye))
+	f.Add(script(hello, fuzzFrame(ipc.Message{Op: ipc.OpGateEnter, Arg1: 1, Arg2: 1, Seq: 1}), data(2, 0), goodbye))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 64*ipc.MessageSize {

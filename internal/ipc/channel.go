@@ -106,23 +106,6 @@ type PIDRegister interface {
 	SetPID(pid int32)
 }
 
-// Pender is implemented by receivers that can report how many messages are
-// sent but not yet received, making backpressure observable uniformly across
-// backends.
-type Pender interface {
-	// Pending reports the number of sent-but-unread messages.
-	Pending() int
-}
-
-// PendingOf reports r's queue depth when r implements Pender; ok is false
-// when the backend cannot observe it.
-func PendingOf(r interface{}) (n int, ok bool) {
-	if p, okP := r.(Pender); okP {
-		return p.Pending(), true
-	}
-	return 0, false
-}
-
 // ProcessError attributes a receive-side integrity error to the monitored
 // process that caused it. Backends that authenticate the PID field (the FPGA
 // AFU's kernel-managed PID register, §3.1.1) wrap ErrIntegrity in a

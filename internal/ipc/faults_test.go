@@ -3,35 +3,28 @@ package ipc
 import (
 	"errors"
 	"os"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"herqules/internal/telemetry"
 )
 
-// fdFramingPair builds an instrumented fd channel over a raw pipe so tests
-// can write arbitrary (including corrupt) bytes at the sender side.
-func fdFramingPair(t *testing.T) (*os.File, *Channel, *telemetry.Metrics) {
+// fdFramingPair builds an fd channel over a raw pipe so tests can write
+// arbitrary (including corrupt) bytes at the sender side. The verifier's
+// pump counts the terminal errors these tests provoke
+// (TestPumpEndsAtFirstRecvError); the receiver itself counts nothing.
+func fdFramingPair(t *testing.T) (*os.File, *Channel) {
 	t.Helper()
 	pr, pw, err := os.Pipe()
 	if err != nil {
 		t.Skip("pipes unavailable")
 	}
-	m := telemetry.New(1)
-	ch := &Channel{
-		Sender:   &fdSender{w: pw, pending: new(atomic.Int64)},
-		Receiver: newFDReceiver(pr, new(atomic.Int64)),
-	}
-	ch.EnableTelemetry(m)
-	return pw, ch, m
+	return pw, &Channel{Sender: &fdSender{w: pw}, Receiver: newFDReceiver(pr)}
 }
 
 func TestTruncatedFrameIsTerminalError(t *testing.T) {
 	// A stream that ends mid-frame has lost (possibly violating) message
 	// bytes: the receiver must surface a terminal integrity error — never
-	// silently skip the trailing bytes, never panic — and count it.
-	pw, ch, m := fdFramingPair(t)
+	// silently skip the trailing bytes, never panic.
+	pw, ch := fdFramingPair(t)
 	var frame [MessageSize]byte
 	Message{Op: OpCounterInc, Arg1: 7, Seq: 1}.Encode(frame[:])
 	if _, err := pw.Write(frame[:]); err != nil {
@@ -54,16 +47,13 @@ func TestTruncatedFrameIsTerminalError(t *testing.T) {
 	if !errors.Is(err, ErrIntegrity) {
 		t.Errorf("truncation error %v does not wrap ErrIntegrity", err)
 	}
-	if v := m.Snapshot().Counters["ipc.frame_errors"].Total; v != 1 {
-		t.Errorf("ipc.frame_errors = %d, want 1", v)
-	}
 }
 
 func TestGarbageBytesAreTerminalError(t *testing.T) {
 	// Corruption inside a full-size frame (an op code no backend emits)
 	// cannot be resynchronized — every later frame boundary is suspect. The
 	// receiver must deliver the preceding intact frames, then fail terminally.
-	pw, ch, m := fdFramingPair(t)
+	pw, ch := fdFramingPair(t)
 	var good [MessageSize]byte
 	Message{Op: OpPointerDefine, Arg1: 0x10, Arg2: 0x20, Seq: 1}.Encode(good[:])
 	garbage := make([]byte, MessageSize)
@@ -95,9 +85,6 @@ func TestGarbageBytesAreTerminalError(t *testing.T) {
 	}
 	if !errors.Is(err, ErrIntegrity) {
 		t.Errorf("decode error %v does not wrap ErrIntegrity", err)
-	}
-	if v := m.Snapshot().Counters["ipc.frame_errors"].Total; v != 1 {
-		t.Errorf("ipc.frame_errors = %d, want 1", v)
 	}
 }
 

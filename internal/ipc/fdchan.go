@@ -4,10 +4,7 @@ import (
 	"errors"
 	"os"
 	"sync"
-	"sync/atomic"
 	"syscall"
-
-	"herqules/internal/telemetry"
 )
 
 // fdSender writes framed messages to a kernel-backed file descriptor. Every
@@ -16,11 +13,10 @@ import (
 // hundreds of nanoseconds on the monitored program's critical path — the
 // weakness Table 2 attributes to message queues, pipes and sockets.
 type fdSender struct {
-	mu      sync.Mutex
-	w       *os.File
-	seq     uint64
-	buf     [MessageSize]byte
-	pending *atomic.Int64 // shared with the paired fdReceiver
+	mu  sync.Mutex
+	w   *os.File
+	seq uint64
+	buf [MessageSize]byte
 }
 
 func (s *fdSender) Send(m Message) error {
@@ -32,11 +28,8 @@ func (s *fdSender) Send(m Message) error {
 	s.seq++
 	m.Seq = s.seq
 	m.Encode(s.buf[:])
-	if _, err := s.w.Write(s.buf[:]); err != nil {
-		return err
-	}
-	s.pending.Add(1)
-	return nil
+	_, err := s.w.Write(s.buf[:])
+	return err
 }
 
 func (s *fdSender) Close() error {
@@ -56,28 +49,12 @@ func (s *fdSender) Close() error {
 // receive syscall cost is amortized across the burst instead of paid per
 // message.
 type fdReceiver struct {
-	r       *os.File
-	dec     *FrameDecoder
-	pending *atomic.Int64 // shared with the paired fdSender
-
-	// carries counts bursts that ended in a partial frame carried to the
-	// next call (set by Channel.EnableTelemetry, nil otherwise).
-	carries *telemetry.Counter
-	// frameErrs counts terminal framing failures — undecodable frames and
-	// streams truncated mid-frame (set by Channel.EnableTelemetry, nil
-	// otherwise).
-	frameErrs *telemetry.Counter
+	r   *os.File
+	dec *FrameDecoder
 }
 
-func newFDReceiver(r *os.File, pending *atomic.Int64) *fdReceiver {
-	return &fdReceiver{r: r, dec: NewFrameDecoder(r), pending: pending}
-}
-
-// countFrameErr bumps the framing-failure counter when telemetry is wired.
-func (r *fdReceiver) countFrameErr() {
-	if r.frameErrs != nil {
-		r.frameErrs.Inc()
-	}
+func newFDReceiver(r *os.File) *fdReceiver {
+	return &fdReceiver{r: r, dec: NewFrameDecoder(r)}
 }
 
 // RecvBatch implements Receiver: one read(2) per burst, then frame
@@ -90,10 +67,6 @@ func (r *fdReceiver) countFrameErr() {
 // PID field.
 func (r *fdReceiver) RecvBatch(out []Message) (int, bool, error) {
 	n, ok, err := r.dec.Decode(out)
-	r.pending.Add(int64(-n))
-	if err != nil {
-		r.countFrameErr()
-	}
 	if !ok {
 		// Stream over (cleanly or not): release the fd eagerly, matching the
 		// pre-decoder behavior that freed the descriptor at EOF. A decode
@@ -104,25 +77,10 @@ func (r *fdReceiver) RecvBatch(out []Message) (int, bool, error) {
 		}
 		return n, false, err
 	}
-	if r.carries != nil && r.dec.Carried() {
-		r.carries.Inc()
-	}
 	return n, true, nil
 }
 
-// Pending reports messages written but not yet received. The kernel's own
-// buffer is not directly observable, so the endpoints share a counter.
-func (r *fdReceiver) Pending() int {
-	if n := r.pending.Load(); n > 0 {
-		return int(n)
-	}
-	return 0
-}
-
-var (
-	_ Receiver = (*fdReceiver)(nil)
-	_ Pender   = (*fdReceiver)(nil)
-)
+var _ Receiver = (*fdReceiver)(nil)
 
 // NewPipe builds a channel over an anonymous kernel pipe (the "Named Pipe"
 // row of Table 2). If pipe creation is unavailable the constructor falls
@@ -139,10 +97,9 @@ func NewPipe() *Channel {
 	if err != nil {
 		return newFallbackQueue(props)
 	}
-	pending := new(atomic.Int64)
 	return &Channel{
-		Sender:   &fdSender{w: pw, pending: pending},
-		Receiver: newFDReceiver(pr, pending),
+		Sender:   &fdSender{w: pw},
+		Receiver: newFDReceiver(pr),
 		Props:    props,
 	}
 }
@@ -189,10 +146,9 @@ func newSocketpairChannel(typ int, props Properties) *Channel {
 	syscall.SetNonblock(fds[1], true)
 	w := os.NewFile(uintptr(fds[0]), props.Name+"-send")
 	r := os.NewFile(uintptr(fds[1]), props.Name+"-recv")
-	pending := new(atomic.Int64)
 	return &Channel{
-		Sender:   &fdSender{w: w, pending: pending},
-		Receiver: newFDReceiver(r, pending),
+		Sender:   &fdSender{w: w},
+		Receiver: newFDReceiver(r),
 		Props:    props,
 	}
 }
@@ -261,14 +217,4 @@ func (q *memQueue) RecvBatch(out []Message) (int, bool, error) {
 	return n, true, nil
 }
 
-// Pending implements Pender.
-func (q *memQueue) Pending() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.queue)
-}
-
-var (
-	_ Receiver = (*memQueue)(nil)
-	_ Pender   = (*memQueue)(nil)
-)
+var _ Receiver = (*memQueue)(nil)

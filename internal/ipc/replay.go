@@ -8,7 +8,7 @@ import "sync"
 // evaluation only. The zero cost of "production" also makes one-slot-vs-burst
 // drain comparisons clean — both modes replay the identical stream.
 //
-// A Replay is safe for one concurrent consumer plus concurrent Pending calls;
+// A Replay is safe for one consumer at a time plus concurrent Rewind calls;
 // the per-call mutex models the synchronization a real receiver pays once
 // per RecvBatch, so a one-slot drain pays it per message.
 type Replay struct {
@@ -35,13 +35,6 @@ func (r *Replay) RecvBatch(out []Message) (int, bool, error) {
 	return n, true, nil
 }
 
-// Pending implements Pender.
-func (r *Replay) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.msgs) - r.next
-}
-
 // Rewind restarts the stream from the beginning.
 func (r *Replay) Rewind() {
 	r.mu.Lock()
@@ -49,7 +42,4 @@ func (r *Replay) Rewind() {
 	r.mu.Unlock()
 }
 
-var (
-	_ Receiver = (*Replay)(nil)
-	_ Pender   = (*Replay)(nil)
-)
+var _ Receiver = (*Replay)(nil)

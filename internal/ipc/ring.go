@@ -44,7 +44,6 @@ type ringState struct {
 var (
 	_ Sender   = (*SharedRing)(nil)
 	_ Receiver = (*SharedRing)(nil)
-	_ Pender   = (*SharedRing)(nil)
 )
 
 // Shared-ring capacity bounds: requests are clamped into [MinRingCapacity,
@@ -235,11 +234,6 @@ func (r *SharedRing) RecvBatch(buf []Message) (int, bool, error) {
 	r.tail.Store(tail + uint64(n))
 	r.send.wakeUp()
 	return n, true, nil
-}
-
-// Pending reports the number of sent-but-unread messages.
-func (r *SharedRing) Pending() int {
-	return int(r.head.Load() - r.tail.Load())
 }
 
 // Corrupt overwrites the i-th unread message (0 = oldest), simulating a

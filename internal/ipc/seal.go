@@ -204,22 +204,18 @@ func (f SenderFunc) Close() error { return nil }
 //
 // Given a *SharedRing, SealSender returns a second, sealed handle onto the
 // ring, whose sends are tagged eight at a time in one MacSeal8 pass and
-// published with one store. Its visibility contract is the one the hqnet client keeps for its
-// bursts: at most seven accepted messages wait unpublished, until the
-// eighth, a System-Call message, a full ring, a raw Send or Close, so the
-// verifier has every message by the next system call (§2.2). The telemetry
-// shim does not hide a ring: the sealed handle goes under it. Every other sender, an
-// append-only channel above all, is sealed message by message: a message
-// held back in front of an append-only channel is one a hijacked program
-// could still erase, while a ring's writer can rewrite any unread slot
-// anyway (SharedRing.Corrupt).
+// published with one store. Its visibility contract is the one the hqnet
+// client keeps for its bursts: at most seven accepted messages wait
+// unpublished, until the eighth, a System-Call message, a full ring, a raw
+// Send or Close, so the verifier has every message by the next system call
+// (§2.2). Every other sender, an append-only channel above all, is sealed
+// message by message: a message held back in front of an append-only
+// channel is one a hijacked program could still erase, while a ring's writer
+// can rewrite any unread slot anyway (SharedRing.Corrupt).
 func SealSender(s Sender, key MacKey) Sender {
-	switch t := s.(type) {
-	case *SharedRing:
+	if t, ok := s.(*SharedRing); ok {
 		t.key = key
 		return &SharedRing{ringState: t.ringState, sealed: true}
-	case *instrumentedSender:
-		return &instrumentedSender{s: SealSender(t.s, key), sends: t.sends, errs: t.errs}
 	}
 	return &sealingSender{s: s, key: key}
 }
@@ -227,8 +223,8 @@ func SealSender(s Sender, key MacKey) Sender {
 type sealingSender struct {
 	s   Sender
 	key MacKey
-	// n counts successful sends, mirroring the backend's Seq (see
-	// instrumentedSender for the single-producer argument).
+	// n counts successful sends, mirroring the backend's Seq; with one
+	// producer the two advance together.
 	n uint64
 }
 

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"herqules/internal/telemetry"
 )
 
 // FuzzSealedRing is the sealed ring's differential test: one stream goes
@@ -140,10 +138,9 @@ func FuzzSealedRing(f *testing.F) {
 	})
 }
 
-// TestSealSenderHoldsBackOnlyOnABareRing: a ring, bare or behind the telemetry
-// shim, gets the grouped view: seven sealed messages wait unpublished and
-// the eighth publishes all eight, and the shim still counts every send. A
-// sealed message on an append-only channel is in the channel when Send
+// TestSealSenderHoldsBackOnlyOnABareRing: a ring gets the grouped view:
+// seven sealed messages wait unpublished and the eighth publishes all eight.
+// A sealed message on an append-only channel is in the channel when Send
 // returns.
 func TestSealSenderHoldsBackOnlyOnABareRing(t *testing.T) {
 	k := MacKey{K0: 5, K1: 6}
@@ -163,36 +160,26 @@ func TestSealSenderHoldsBackOnlyOnABareRing(t *testing.T) {
 		s.Close()
 	}
 
-	for _, metered := range []bool{false, true} {
-		ch := NewSharedRing(64)
-		r := ch.Sender.(*SharedRing)
-		tm := telemetry.New(1)
-		if metered {
-			ch.EnableTelemetry(tm)
-		}
-		s := SealSender(ch.Sender, k)
-		for i := 0; i < 7; i++ {
-			if err := s.Send(Message{Op: OpCounterInc, PID: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := r.Pending(); n != 0 {
-			t.Errorf("metered %t: seven sealed messages on a ring, %d published, want the group held", metered, n)
-		}
+	ch := NewSharedRing(64)
+	r := ch.Sender.(*SharedRing)
+	s := SealSender(ch.Sender, k)
+	for i := 0; i < 7; i++ {
 		if err := s.Send(Message{Op: OpCounterInc, PID: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if n := r.Pending(); n != 8 {
-			t.Errorf("metered %t: the eighth sealed message, %d published, want 8", metered, n)
-		}
-		s.Close()
-		if err := s.Send(Message{Op: OpCounterInc, PID: 1}); !errors.Is(err, ErrClosed) {
-			t.Errorf("metered %t: send after Close returned %v, want ErrClosed", metered, err)
-		}
-		c := tm.Snapshot().Counters
-		if metered && (c["ipc.sends"].Total != 8 || c["ipc.send_errors"].Total != 1) {
-			t.Errorf("ipc.sends %d, ipc.send_errors %d, want 8 and 1", c["ipc.sends"].Total, c["ipc.send_errors"].Total)
-		}
+	}
+	if n := r.head.Load() - r.tail.Load(); n != 0 {
+		t.Errorf("seven sealed messages on a ring, %d published, want the group held", n)
+	}
+	if err := s.Send(Message{Op: OpCounterInc, PID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.head.Load() - r.tail.Load(); n != 8 {
+		t.Errorf("the eighth sealed message, %d published, want 8", n)
+	}
+	s.Close()
+	if err := s.Send(Message{Op: OpCounterInc, PID: 1}); !errors.Is(err, ErrClosed) {
+		t.Errorf("send after Close returned %v, want ErrClosed", err)
 	}
 }
 

@@ -8,9 +8,8 @@
 // requires answering "is the verifier keeping up, and for which process is
 // it not?" without stopping it. The endpoints here serve exactly that: the
 // drains' pump-stall distribution (utilisation = 1 − Σ stall ÷ wall), per-PID
-// syscall-gate stalls, channel backpressure peaks and, for a killed process,
-// the flight window that led up to the kill, all read from live state
-// without pausing any drain.
+// syscall-gate stalls and, for a killed process, the flight window that led
+// up to the kill, all read from live state without pausing any drain.
 //
 // The package sits strictly above supervisor and telemetry — nothing in the
 // enforcement path imports it, and a System built without WithHTTPAddr never
@@ -92,7 +91,7 @@ func (s *Server) SetConnReporter(r ConnReporter) { s.conns = r }
 
 // Handler returns the endpoint mux:
 //
-//	/metrics          Prometheus text exposition (counters, peaks, histograms,
+//	/metrics          Prometheus text exposition (counters, histograms,
 //	                  per-PID series, per-policy violations)
 //	/healthz          liveness JSON; 200 while up, 503 once shutdown has begun
 //	                  or a delivery-path panic has poisoned a process

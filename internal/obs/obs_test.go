@@ -316,8 +316,7 @@ func TestWriteMetricsSynthetic(t *testing.T) {
 			{PID: 9, State: "killed", Messages: 2, Violations: 1, KillReason: "cfi"},
 		},
 		Snapshot: telemetry.Snapshot{
-			Counters:   map[string]telemetry.CounterSnapshot{"ipc.sends": {Total: 42}},
-			Peaks:      map[string]uint64{"ipc.pending_peak": 17},
+			Counters:   map[string]telemetry.CounterSnapshot{"verifier.messages": {Total: 42}},
 			Histograms: map[string]telemetry.HistogramSnapshot{"verifier.pump_stall_ns": h},
 		},
 	}
@@ -327,8 +326,7 @@ func TestWriteMetricsSynthetic(t *testing.T) {
 	samples := checkExposition(t, body)
 
 	for key, want := range map[string]float64{
-		"herqules_ipc_sends_total":                      42,
-		"herqules_ipc_pending_peak_peak":                17,
+		"herqules_verifier_messages_total":              42,
 		"herqules_verifier_pump_stall_ns_count":         5,
 		"herqules_verifier_pump_stall_ns_sum":           1013,
 		`herqules_proc_messages_total{pid="7"}`:         40,

@@ -12,7 +12,7 @@ import (
 )
 
 // WriteMetrics renders st in the Prometheus text exposition format (version
-// 0.0.4): every registry counter, peak and histogram under a sanitized
+// 0.0.4): every registry counter and histogram under a sanitized
 // `herqules_` name, the system lifecycle totals, and one labeled series per
 // launched PID. Histograms are emitted cumulatively — `_bucket{le="..."}`
 // lines are monotone non-decreasing and end at `le="+Inf"` — with the
@@ -42,10 +42,6 @@ func WriteMetrics(w io.Writer, st supervisor.Stats) {
 	for _, name := range sortedKeys(st.Snapshot.Counters) {
 		writeScalar(w, metricName(name)+"_total", "counter", "", st.Snapshot.Counters[name].Total)
 	}
-	// Peaks are high-water marks: gauges.
-	for _, name := range sortedKeys(st.Snapshot.Peaks) {
-		writeScalar(w, metricName(name)+"_peak", "gauge", "", st.Snapshot.Peaks[name])
-	}
 	// Registry histograms.
 	for _, name := range sortedKeys(st.Snapshot.Histograms) {
 		writeHistogram(w, metricName(name), "", st.Snapshot.Histograms[name])
@@ -71,7 +67,6 @@ func writeProcSeries(w io.Writer, procs []supervisor.ProcStats) {
 		{"herqules_proc_violations_total", "counter", func(p supervisor.ProcStats) uint64 { return p.Violations }},
 		{"herqules_proc_syscalls_total", "counter", func(p supervisor.ProcStats) uint64 { return p.Syscalls }},
 		{"herqules_proc_sync_stalls_total", "counter", func(p supervisor.ProcStats) uint64 { return p.SyncStalls }},
-		{"herqules_proc_pending_peak", "gauge", func(p supervisor.ProcStats) uint64 { return p.PendingPeak }},
 		{"herqules_proc_last_syscall_unix_nanos", "gauge", func(p supervisor.ProcStats) uint64 { return uint64(p.LastSyscallUnixNanos) }},
 	}
 	for _, c := range cols {

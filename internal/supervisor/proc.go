@@ -97,11 +97,6 @@ func (s *System) Admit(recv ipc.Receiver) (*Proc, error) {
 			return nil, ErrShutdown
 		}
 		p.drained = drained
-		// The telemetry wrapper (when wired) tracks this source's own
-		// pending high-water mark; keep a handle for per-PID attribution.
-		if pp, ok := recv.(ipc.PeakPender); ok {
-			p.rec.peak = pp
-		}
 	}
 	if s.keys != nil {
 		p.key, p.keyed = s.keys.Key(pid)

@@ -194,13 +194,12 @@ type System struct {
 const maxProcRecords = 4096
 
 // procRecord tracks one admitted process for per-PID attribution. While the
-// process runs, stats are assembled live from the verifier context, the kernel
-// context and the channel's pending peak; once it finishes, the final row is
-// frozen here (the live sources tear their state down on exit).
+// process runs, stats are assembled live from the verifier context and the
+// kernel context; once it finishes, the final row is frozen here (the live
+// sources tear their state down on exit).
 type procRecord struct {
 	pid      int32
 	started  int64           // UnixNano at launch
-	peak     ipc.PeakPender  // per-channel pending high-water; nil without telemetry or channel
 	final    *ProcStats      // frozen at exit; nil while running
 	forensic *ForensicReport // kill postmortem, retained past verifier teardown
 }
@@ -293,9 +292,6 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 				return nil, err
 			}
 		}
-		if s.m != nil {
-			ch.EnableTelemetry(s.m)
-		}
 		recv = ch.Receiver
 	}
 	p, err := s.Admit(recv)
@@ -308,10 +304,9 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 
 	// One emit path: the channel's sender, or delivery on the program's own
 	// goroutine. Under an authenticated policy set it is sealed under the
-	// key the kernel programmed at Register (a ring's sealed handle goes
-	// beneath the telemetry shim, which changes no message), and the sealer
-	// assigns the sequence numbers a channel backend would have, so the hmac
-	// policy's stream-position check holds inline too.
+	// key the kernel programmed at Register, and the sealer assigns the
+	// sequence numbers a channel backend would have, so the hmac policy's
+	// stream-position check holds inline too.
 	var sender ipc.Sender = ipc.SenderFunc(func(m ipc.Message) error { s.v.Deliver(m); return nil })
 	if ch != nil {
 		// Transports with a kernel-managed PID register (the FPGA's
@@ -429,10 +424,10 @@ const (
 )
 
 // ProcStats is the supervisor's per-PID attribution row, merging the
-// verifier's validation totals, the kernel's syscall-gate figures and the
-// channel's backpressure peak for one monitored process. Rows for finished
-// processes are frozen at exit time. The JSON form is the single
-// serialization consumed by both `hqrun -metrics` and the /procs endpoint.
+// verifier's validation totals and the kernel's syscall-gate figures for one
+// monitored process. Rows for finished processes are frozen at exit time. The
+// JSON form is the single serialization consumed by both `hqrun -metrics` and
+// the /procs endpoint.
 type ProcStats struct {
 	PID   int32  `json:"pid"`
 	State string `json:"state"` // "running", "exited" or "killed"
@@ -442,10 +437,6 @@ type ProcStats struct {
 	Dropped    uint64 `json:"dropped,omitempty"` // dropped after the context died
 	Violations uint64 `json:"violations"`        // recorded policy violations
 	KillReason string `json:"kill_reason,omitempty"`
-
-	// Channel-side attribution: this process's sent-but-unread high-water
-	// mark (0 when telemetry is not wired or delivery is inline).
-	PendingPeak uint64 `json:"pending_peak"`
 
 	// Kernel-side attribution.
 	Syscalls             uint64 `json:"syscalls"`
@@ -461,9 +452,9 @@ type ProcStats struct {
 }
 
 // liveProcStats assembles a row for a still-registered process from the live
-// sources (verifier context, kernel context, channel peak). Each source takes
-// its own lock; s.mu must NOT be held. rec's identity fields are immutable
-// after Admit, so reading them unlocked is safe.
+// sources (verifier context, kernel context). Each source takes its own lock;
+// s.mu must NOT be held. rec's identity fields are immutable after Admit, so
+// reading them unlocked is safe.
 func (s *System) liveProcStats(rec *procRecord) ProcStats {
 	ps := ProcStats{PID: rec.pid, State: stateRunning, StartedUnixNanos: rec.started}
 	if vs, ok := s.v.ProcStats(rec.pid); ok {
@@ -479,9 +470,6 @@ func (s *System) liveProcStats(rec *procRecord) ProcStats {
 	}
 	if killed, reason := s.k.Killed(rec.pid); killed {
 		ps.State, ps.KillReason = stateKilled, reason
-	}
-	if rec.peak != nil {
-		ps.PendingPeak = rec.peak.PendingPeak()
 	}
 	return ps
 }
@@ -610,7 +598,6 @@ func (st Stats) MarshalJSON() ([]byte, error) {
 		Procs              []ProcStats          `json:"procs"`
 		ViolationsByPolicy map[string]uint64    `json:"violations_by_policy,omitempty"`
 		Counters           map[string]uint64    `json:"counters,omitempty"`
-		Peaks              map[string]uint64    `json:"peaks,omitempty"`
 		Histograms         map[string]statsHist `json:"histograms,omitempty"`
 	}{
 		Launched:           st.Launched,
@@ -621,7 +608,6 @@ func (st Stats) MarshalJSON() ([]byte, error) {
 		Procs:              st.Procs,
 		ViolationsByPolicy: st.ViolationsByPolicy,
 		Counters:           counters,
-		Peaks:              st.Snapshot.Peaks,
 		Histograms:         hists,
 	})
 }
@@ -634,11 +620,11 @@ func (st Stats) String() string {
 	fmt.Fprintf(&b, "launched=%d active=%d finished=%d killed=%d messages_verified=%d\n",
 		st.Launched, st.Active, st.Finished, st.Killed, st.MessagesVerified)
 	if len(st.Procs) > 0 {
-		fmt.Fprintf(&b, "%6s  %-8s %12s %6s %10s %10s %8s %14s\n",
-			"PID", "STATE", "MSGS", "VIOL", "PENDPEAK", "SYSCALLS", "STALLS", "P99STALL(ns)")
+		fmt.Fprintf(&b, "%6s  %-8s %12s %6s %10s %8s %14s\n",
+			"PID", "STATE", "MSGS", "VIOL", "SYSCALLS", "STALLS", "P99STALL(ns)")
 		for _, p := range st.Procs {
-			fmt.Fprintf(&b, "%6d  %-8s %12d %6d %10d %10d %8d %14.0f\n",
-				p.PID, p.State, p.Messages, p.Violations, p.PendingPeak,
+			fmt.Fprintf(&b, "%6d  %-8s %12d %6d %10d %8d %14.0f\n",
+				p.PID, p.State, p.Messages, p.Violations,
 				p.Syscalls, p.SyncStalls, p.StallNs.Quantile(0.99))
 		}
 	}

@@ -70,8 +70,7 @@ func victimWithPayload(t *testing.T, corrupt, gatedPayload, gateFirst bool) *mir
 // program's last messages can still be unpublished when main returns. Here
 // the last one is a failing pointer check with no system call after it;
 // closing the channel must publish the open group, so the check is verified
-// and the process killed for it, with telemetry on (the ring sealed beneath
-// the counting shim) as without.
+// and the process killed for it, with telemetry on as without.
 func TestLastCheckBeforeReturnIsVerified(t *testing.T) {
 	factory, err := policy.SetFactory("cfi", "hmac")
 	if err != nil {

@@ -91,12 +91,24 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// diff subtracts prev bucket-by-bucket; Max keeps the current value (a
-// high-water mark cannot be un-observed).
+// diff subtracts prev bucket-by-bucket. The lifetime Max may predate the
+// window, so the window's Max is bounded by its highest non-empty bucket:
+// s.Max when it lies in that bucket, else the bucket's upper edge, and 0 for
+// an empty window.
 func (s HistogramSnapshot) diff(prev HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum, Max: s.Max}
+	out := HistogramSnapshot{Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum}
+	top := -1
 	for i := range s.Buckets {
-		out.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
+		if out.Buckets[i] = s.Buckets[i] - prev.Buckets[i]; out.Buckets[i] != 0 {
+			top = i
+		}
+	}
+	switch {
+	case top < 0:
+	case bits.Len64(s.Max) == top:
+		out.Max = s.Max
+	default:
+		out.Max = BucketUpperBound(top)
 	}
 	return out
 }

@@ -1,5 +1,5 @@
 // Package telemetry is the low-overhead metrics subsystem shared by the
-// kernel gate, the verifier pipeline and the IPC channels. The
+// kernel gate and the verifier pipeline. The
 // paper's evaluation (§5.2–§5.4) is built on per-component measurements —
 // syscall stall time, message rates, queue occupancy, metadata entries — and
 // Burow et al. argue that CFI systems are only comparable when such overheads
@@ -79,31 +79,7 @@ func (c *Counter) Value() uint64 {
 // Lanes reports the stripe width.
 func (c *Counter) Lanes() int { return len(c.lanes) }
 
-// Peak is a high-water mark: Observe records v if it exceeds the current
-// maximum. Used for queue-occupancy high-water marks where a full histogram
-// would be overkill.
-type Peak struct {
-	name string
-	v    atomic.Uint64
-}
-
-// Name reports the peak's registered name.
-func (p *Peak) Name() string { return p.name }
-
-// Observe raises the high-water mark to v when v exceeds it.
-func (p *Peak) Observe(v uint64) {
-	for {
-		cur := p.v.Load()
-		if v <= cur || p.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Value returns the high-water mark.
-func (p *Peak) Value() uint64 { return p.v.Load() }
-
-// Metrics is a registry of named counters, histograms and peaks. All lookup
+// Metrics is a registry of named counters and histograms. All lookup
 // methods are get-or-create and safe for concurrent use; instruments should
 // be resolved once at wiring time and cached, never looked up on a hot path.
 type Metrics struct {
@@ -111,7 +87,6 @@ type Metrics struct {
 	lanes    int
 	counters map[string]*Counter
 	hists    map[string]*Histogram
-	peaks    map[string]*Peak
 }
 
 // New creates a registry whose instruments default to the given stripe width
@@ -124,7 +99,6 @@ func New(lanes int) *Metrics {
 		lanes:    lanes,
 		counters: make(map[string]*Counter),
 		hists:    make(map[string]*Histogram),
-		peaks:    make(map[string]*Peak),
 	}
 }
 
@@ -169,18 +143,6 @@ func (m *Metrics) HistogramLanes(name string, lanes int) *Histogram {
 	return h
 }
 
-// Peak returns the named high-water mark, creating it on first use.
-func (m *Metrics) Peak(name string) *Peak {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.peaks[name]; ok {
-		return p
-	}
-	p := &Peak{name: name}
-	m.peaks[name] = p
-	return p
-}
-
 // CounterSnapshot is a point-in-time counter reading.
 type CounterSnapshot struct {
 	Total uint64
@@ -195,7 +157,6 @@ type CounterSnapshot struct {
 type Snapshot struct {
 	Counters   map[string]CounterSnapshot
 	Histograms map[string]HistogramSnapshot
-	Peaks      map[string]uint64
 }
 
 // Snapshot reads every registered instrument.
@@ -209,16 +170,11 @@ func (m *Metrics) Snapshot() Snapshot {
 	for _, h := range m.hists {
 		hists = append(hists, h)
 	}
-	peaks := make([]*Peak, 0, len(m.peaks))
-	for _, p := range m.peaks {
-		peaks = append(peaks, p)
-	}
 	m.mu.Unlock()
 
 	s := Snapshot{
 		Counters:   make(map[string]CounterSnapshot, len(counters)),
 		Histograms: make(map[string]HistogramSnapshot, len(hists)),
-		Peaks:      make(map[string]uint64, len(peaks)),
 	}
 	for _, c := range counters {
 		cs := CounterSnapshot{Lanes: make([]uint64, len(c.lanes))}
@@ -231,20 +187,15 @@ func (m *Metrics) Snapshot() Snapshot {
 	for _, h := range hists {
 		s.Histograms[h.name] = h.snapshot()
 	}
-	for _, p := range peaks {
-		s.Peaks[p.name] = p.Value()
-	}
 	return s
 }
 
 // Diff returns the change from prev to s: counters and histograms subtract
-// (an instrument absent from prev counts from zero), peaks keep the current
-// high-water mark.
+// (an instrument absent from prev counts from zero).
 func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	d := Snapshot{
 		Counters:   make(map[string]CounterSnapshot, len(s.Counters)),
 		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-		Peaks:      make(map[string]uint64, len(s.Peaks)),
 	}
 	for name, cs := range s.Counters {
 		pc := prev.Counters[name]
@@ -260,15 +211,12 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	for name, hs := range s.Histograms {
 		d.Histograms[name] = hs.diff(prev.Histograms[name])
 	}
-	for name, v := range s.Peaks {
-		d.Peaks[name] = v
-	}
 	return d
 }
 
 // Format renders the snapshot as an aligned, name-sorted text block:
 // counters with per-lane breakdowns, histograms with count/mean/p50/p90/
-// p99/max, peaks as plain values.
+// p99/max.
 func (s Snapshot) Format() string {
 	var sb strings.Builder
 	names := make([]string, 0, len(s.Counters))
@@ -298,14 +246,6 @@ func (s Snapshot) Format() string {
 		fmt.Fprintf(&sb, "%-32s count=%d mean=%.0f p50=%.0f p90=%.0f p99=%.0f max=%d\n",
 			name, hs.Count, hs.Mean(),
 			hs.Quantile(0.50), hs.Quantile(0.90), hs.Quantile(0.99), hs.Max)
-	}
-	names = names[:0]
-	for name := range s.Peaks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&sb, "%-32s %12d  (high-water)\n", name, s.Peaks[name])
 	}
 	return sb.String()
 }

@@ -38,20 +38,30 @@ func TestCounterGetOrCreate(t *testing.T) {
 	if m.Histogram("h") != m.Histogram("h") {
 		t.Error("same name returned distinct histograms")
 	}
-	if m.Peak("p") != m.Peak("p") {
-		t.Error("same name returned distinct peaks")
-	}
 }
 
-func TestPeakKeepsMaximum(t *testing.T) {
+// TestDiffMaxStaysInWindow: a window's Max and quantiles describe the
+// window's samples, never a larger sample observed before it.
+func TestDiffMaxStaysInWindow(t *testing.T) {
 	m := New(1)
-	p := m.Peak("hw")
-	p.Observe(5)
-	p.Observe(3)
-	p.Observe(9)
-	p.Observe(7)
-	if p.Value() != 9 {
-		t.Errorf("peak = %d, want 9", p.Value())
+	h := m.Histogram("lat")
+	h.Observe(1 << 20)
+	before := m.Snapshot()
+	h.Observe(5)
+	d := m.Snapshot().Diff(before).Histograms["lat"]
+	if d.Max < 4 || d.Max > 7 {
+		t.Errorf("window Max = %d, want within the window's bucket [4, 7]", d.Max)
+	}
+	if q := d.Quantile(0.5); q < 4 || q > 7 {
+		t.Errorf("window p50 = %f, want within [4, 7]", q)
+	}
+	// The lifetime Max is exact when it lies in the window's top bucket.
+	h.Observe(1<<20 + 1)
+	if d := m.Snapshot().Diff(before).Histograms["lat"]; d.Max != 1<<20+1 {
+		t.Errorf("window Max = %d, want the exact %d", d.Max, 1<<20+1)
+	}
+	if d := m.Snapshot().Diff(m.Snapshot()).Histograms["lat"]; d.Max != 0 || d.Count != 0 {
+		t.Errorf("empty window = %+v, want Max 0", d)
 	}
 }
 
@@ -133,9 +143,8 @@ func TestFormatMentionsEveryInstrument(t *testing.T) {
 	m := New(2)
 	m.Counter("alpha").Add(7)
 	m.Histogram("beta").Observe(3)
-	m.Peak("gamma").Observe(11)
 	out := m.Snapshot().Format()
-	for _, want := range []string{"alpha", "beta", "gamma", "p50", "p99", "high-water"} {
+	for _, want := range []string{"alpha", "beta", "p50", "p99"} {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Errorf("format output missing %q:\n%s", want, out)
 		}
@@ -148,7 +157,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	m := New(4)
 	c := m.Counter("c")
 	h := m.Histogram("h")
-	p := m.Peak("p")
 	const workers = 8
 	const per = 2000
 	var wg sync.WaitGroup
@@ -160,7 +168,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.AddAt(w, 1)
 				h.ObserveAt(w, uint64(i))
-				p.Observe(uint64(i))
 				if i%500 == 0 {
 					_ = m.Snapshot()
 				}
@@ -175,8 +182,8 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got := s.Histograms["h"].Count; got != workers*per {
 		t.Errorf("histogram count = %d, want %d", got, workers*per)
 	}
-	if s.Peaks["p"] != per-1 {
-		t.Errorf("peak = %d, want %d", s.Peaks["p"], per-1)
+	if got := s.Histograms["h"].Max; got != per-1 {
+		t.Errorf("histogram max = %d, want %d", got, per-1)
 	}
 }
 
@@ -245,7 +252,6 @@ func TestSnapshotDiffFewerSeriesInBase(t *testing.T) {
 	m.Counter("new").Add(11)
 	m.Histogram("oldh").Observe(3)
 	m.Histogram("newh").Observe(9)
-	m.Peak("newp").Observe(42)
 
 	d := m.Snapshot().Diff(base)
 	if got := d.Counters["old"].Total; got != 5 {
@@ -260,9 +266,6 @@ func TestSnapshotDiffFewerSeriesInBase(t *testing.T) {
 	nh := d.Histograms["newh"]
 	if nh.Count != 1 || nh.Sum != 9 {
 		t.Errorf("histogram missing from base: diff = %+v, want count=1 sum=9", nh)
-	}
-	if got := d.Peaks["newp"]; got != 42 {
-		t.Errorf("peak missing from base = %d, want 42", got)
 	}
 }
 

@@ -166,13 +166,6 @@ func (d *Device) RecvBatch(out []ipc.Message) (int, bool, error) {
 	return n, n > 0, nil
 }
 
-// Pending reports the number of appended-but-unread messages.
-func (d *Device) Pending() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int((d.core.AppendAddr - d.readAddr) / ipc.MessageSize)
-}
-
 // Close marks the device closed.
 func (d *Device) Close() error {
 	d.mu.Lock()
@@ -191,10 +184,7 @@ type deviceSender struct{ d *Device }
 func (s deviceSender) Send(m ipc.Message) error { return s.d.Append(m) }
 func (s deviceSender) Close() error             { return s.d.Close() }
 
-var (
-	_ ipc.Receiver = (*Device)(nil)
-	_ ipc.Pender   = (*Device)(nil)
-)
+var _ ipc.Receiver = (*Device)(nil)
 
 // New creates an AppendWrite-µarch channel with hardware semantics: an AMR
 // of the given size mapped at base within memory. Used by the simulator

@@ -153,7 +153,7 @@ func TestCostOrderingAcrossAppendWriteVariants(t *testing.T) {
 
 func TestDeviceRecvBatch(t *testing.T) {
 	m := mem.New()
-	ch, dev, err := New(m, 0x7000_0000, 64*ipc.MessageSize)
+	ch, _, err := New(m, 0x7000_0000, 64*ipc.MessageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +162,6 @@ func TestDeviceRecvBatch(t *testing.T) {
 		if err := ch.Sender.Send(ipc.Message{Op: ipc.OpCounterInc, Arg1: uint64(i)}); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
-	}
-	if got := dev.Pending(); got != n {
-		t.Fatalf("Pending = %d, want %d", got, n)
 	}
 	ch.Close()
 	buf := make([]ipc.Message, 16)
@@ -211,9 +208,6 @@ func TestMultiCoreAMRsAreIsolated(t *testing.T) {
 		if err := m.Write(d.Base(), []byte{1}); err == nil {
 			t.Fatal("ordinary store to a per-core AMR succeeded")
 		}
-	}
-	if p := devs[1].Pending(); p != 0 {
-		t.Fatalf("message leaked into another core's AMR: Pending = %d", p)
 	}
 	var got [1]ipc.Message
 	if n, _, err := devs[0].RecvBatch(got[:]); n != 1 || err != nil || got[0].Arg1 != 7 {

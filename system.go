@@ -10,7 +10,7 @@ import (
 )
 
 // Metrics is the telemetry registry shared by every component of a System:
-// lane-striped counters, latency histograms and high-water marks, readable
+// lane-striped counters and latency histograms, readable
 // without stopping the world. Attach one with WithMetrics.
 type Metrics = telemetry.Metrics
 
@@ -26,8 +26,8 @@ func NewMetrics() *Metrics { return telemetry.New(0) }
 type SystemStats = supervisor.Stats
 
 // ProcStats is one per-PID attribution row of a SystemStats: validated
-// messages, violations, channel backpressure peak, syscall-gate figures and
-// the per-process stall distribution.
+// messages, violations, syscall-gate figures and the per-process stall
+// distribution.
 type ProcStats = supervisor.ProcStats
 
 // SystemHealth is the liveness summary served by the /healthz endpoint.
