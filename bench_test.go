@@ -341,9 +341,8 @@ func benchVerifierDrain(b *testing.B, procs int, scalar bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		v := verifier.New(verifierBenchPolicies, nil)
+		v := verifier.NewWithMetrics(verifierBenchPolicies, nil, tm)
 		v.CheckSeq = true
-		v.EnableTelemetry(tm)
 		for pid := 1; pid <= procs; pid++ {
 			v.ProcessStarted(int32(pid))
 		}
@@ -383,9 +382,8 @@ func BenchmarkVerifierThroughput_Ring(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		v := verifier.New(verifierBenchPolicies, nil)
+		v := verifier.NewWithMetrics(verifierBenchPolicies, nil, tm)
 		v.CheckSeq = true
-		v.EnableTelemetry(tm)
 		v.ProcessStarted(1)
 		ch := ipc.NewSharedRing(1 << 14)
 		b.StartTimer()

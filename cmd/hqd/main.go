@@ -60,7 +60,7 @@ func main() {
 	checkSeq := flag.Bool("checkseq", true, "enforce per-process message-counter continuity")
 	kill := flag.Bool("kill", true, "kill on policy violation (false: record only)")
 	epoch := flag.Duration("epoch", kernel.DefaultEpoch, "kernel synchronization epoch")
-	flight := flag.Int("flight", 256, "flight-recorder slots per process (0 disables forensics)")
+	flight := flag.Int("flight", telemetry.DefaultFlightSlots, "flight-recorder slots per process (rounded up to a power of two; <= 0 selects the default)")
 	maxSessions := flag.Int("max-sessions", 256, "global concurrent session cap")
 	tenantQuota := flag.Int("tenant-quota", 0, "per-tenant concurrent session cap (0 = no cap)")
 	flag.Parse()
@@ -78,12 +78,10 @@ func main() {
 		log.Fatalf("policy set: %v", err)
 	}
 
-	m := telemetry.New(0)
 	sys := supervisor.New(supervisor.Config{
 		Policies:        factory,
 		KillOnViolation: *kill,
 		CheckSeq:        *checkSeq,
-		Metrics:         m,
 		Epoch:           *epoch,
 		FlightRecorder:  *flight,
 	})
@@ -92,7 +90,6 @@ func main() {
 		Lease:       *lease,
 		MaxSessions: *maxSessions,
 		TenantQuota: *tenantQuota,
-		Metrics:     m,
 	})
 
 	if *tcpAddr != "" {

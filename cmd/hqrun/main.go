@@ -17,7 +17,7 @@
 // (/metrics, /healthz, /procs, /violations, /debug/pprof/) on the given
 // address for the duration of the run.
 //
-// The flight recorder is always armed: when the run ends in a kill, the
+// Every System keeps a flight ring per process: when the run ends in a kill, the
 // frozen ForensicReport (attributed policy, kill reason, last-message window,
 // decision trail) is dumped to stderr as the exit artifact, and additionally
 // written to the file given with -forensics.
@@ -90,16 +90,7 @@ func run() int {
 		fmt.Println(ins.Mod.String())
 	}
 
-	// The flight recorder is cheap enough to always arm: one slot store per
-	// verified message, no allocation — and a kill without a postmortem is a
-	// support ticket.
-	sysOpts := []hq.SystemOption{
-		hq.WithKillOnViolation(!*monitor),
-		hq.WithFlightRecorder(hq.DefaultFlightSlots),
-	}
-	if *metrics {
-		sysOpts = append(sysOpts, hq.WithMetrics(hq.NewMetrics()))
-	}
+	sysOpts := []hq.SystemOption{hq.WithKillOnViolation(!*monitor)}
 	if *serve != "" {
 		sysOpts = append(sysOpts, hq.WithHTTPAddr(*serve))
 	}

@@ -139,8 +139,8 @@ type RunOptions struct {
 	// Seed randomizes information-hiding layout.
 	Seed uint64
 
-	// Metrics, when non-nil, wires the telemetry layer through the whole
-	// stack: kernel gate, verifier and — in concurrent mode — the channel.
+	// Metrics, when non-nil, is the registry the run counts into (kernel
+	// gate and verifier) instead of one of its own.
 	Metrics *Metrics
 }
 

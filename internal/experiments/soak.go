@@ -15,7 +15,6 @@ import (
 	"herqules/internal/ipc"
 	"herqules/internal/policy"
 	"herqules/internal/supervisor"
-	"herqules/internal/telemetry"
 	"herqules/internal/vm"
 )
 
@@ -25,8 +24,8 @@ import (
 // population down; a phase is its spec and its own "the schedule fired"
 // check.
 type soak struct {
-	name string            // prefixes every error ("chaos: hmac")
-	cfg  supervisor.Config // run adds the metrics registry
+	name string // prefixes every error ("chaos: hmac")
+	cfg  supervisor.Config
 	inj  *chaos.Injector
 	// net runs the population as hqd clients, over tcp and unix
 	// alternating, with inj.Conn wrapping every connection; otherwise each
@@ -117,10 +116,7 @@ func (s soak) run(procs int) (SoakPhase, error) {
 		return cleanIns
 	}
 
-	m := telemetry.New(0)
-	cfg := s.cfg
-	cfg.Metrics = m
-	sys := supervisor.New(cfg)
+	sys := supervisor.New(s.cfg)
 	var stop interface{ Shutdown(context.Context) error } = sys
 	budget := chaosWallBudget
 	outcomes := make(chan soakOutcome, procs)
@@ -207,7 +203,7 @@ func (s soak) run(procs int) (SoakPhase, error) {
 	p.Name, p.Procs, p.ElapsedMs = s.name, procs, time.Since(start).Milliseconds()
 	p.Faults, p.ScheduleHash = s.inj.Counts(), fmt.Sprintf("%#016x", s.inj.ScheduleHash())
 
-	p.Kills = m.Snapshot().Counters["kernel.kills"].Total
+	p.Kills = sys.Stats().Snapshot.Counters["kernel.kills"].Total
 	if killed := p.CleanKilled + p.ViolatorsKilled; p.Kills != uint64(killed) {
 		j.errs = append(j.errs, fmt.Sprintf("kernel.kills = %d, want exactly %d (one per killed process)",
 			p.Kills, killed))

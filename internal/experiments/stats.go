@@ -12,6 +12,7 @@ import (
 	"herqules/internal/policy"
 	"herqules/internal/supervisor"
 	"herqules/internal/telemetry"
+	"herqules/internal/verifier"
 )
 
 // StatsResult is one run of the component-telemetry experiment: a concurrent
@@ -52,7 +53,6 @@ func Stats(procs, messages int) *StatsResult {
 		perProc = 4 * statsSyncEvery
 	}
 
-	m := telemetry.New(0)
 	sys := supervisor.New(supervisor.Config{
 		// The §4.1 CFI policy plus the §2 counter, per process.
 		Policies: func() []policy.Policy {
@@ -60,10 +60,9 @@ func Stats(procs, messages int) *StatsResult {
 		},
 		CheckSeq:        true,
 		KillOnViolation: true,
-		Metrics:         m,
 	})
 	defer sys.Shutdown(context.Background())
-	k := sys.Kernel()
+	k, m := sys.Kernel(), sys.Metrics()
 
 	before := m.Snapshot()
 	start := time.Now()
@@ -130,7 +129,7 @@ func Stats(procs, messages int) *StatsResult {
 // p50/p90/p99).
 func FormatStats(r *StatsResult) string {
 	var sb strings.Builder
-	delivered := r.Snap.Counters["verifier.messages"].Total
+	delivered := r.Snap.Counters[verifier.MessagesVerified].Total
 	fmt.Fprintf(&sb, "procs=%d delivered=%d elapsed=%s rate=%.0f msgs/sec\n\n",
 		r.Procs, delivered, r.Elapsed.Round(time.Microsecond),
 		float64(delivered)/r.Elapsed.Seconds())

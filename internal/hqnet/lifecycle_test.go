@@ -6,6 +6,7 @@ import (
 	"net"
 	"regexp"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,6 +272,106 @@ func TestWedgedVerifierEndsInLeaseKill(t *testing.T) {
 			t.Fatal("client pushed every frame into a daemon that had stopped reading")
 		}
 	default: // still blocked on its full replay buffer: backpressure reached the client
+	}
+}
+
+// awaitKillNotice reads nc's frames until the daemon's kill notice arrives,
+// within d, and returns its reason code.
+func awaitKillNotice(t *testing.T, nc net.Conn, d time.Duration) uint64 {
+	t.Helper()
+	_ = nc.SetReadDeadline(time.Now().Add(d))
+	dec := ipc.NewFrameDecoder(nc)
+	var one [1]ipc.Message
+	for {
+		n, open, err := dec.Decode(one[:])
+		if n == 1 && one[0].Op == ipc.OpKillNotice {
+			return one[0].Arg1
+		}
+		if !open || err != nil {
+			t.Fatalf("no kill notice within %v: %v", d, err)
+		}
+	}
+}
+
+// TestWedgedContextDelaysNoOtherLease: a policy stuck under one process's
+// context lock must neither keep that process alive past its lease nor hold
+// up any other session's lease. Process A's drain wedges inside a delivery
+// and A is lease-killed; a second, silent session admitted afterwards must
+// still get its own lease kill on time. Nothing here reads System.Stats or
+// ProcStats, which take every live context's lock and would wait on A's.
+func TestWedgedContextDelaysNoOtherLease(t *testing.T) {
+	const lease = 300 * time.Millisecond
+	release := make(chan struct{})
+	h := newHarness(t,
+		supervisor.Config{
+			Policies:        func() []policy.Policy { return []policy.Policy{&wedgePolicy{release: release}} },
+			KillOnViolation: true,
+		},
+		Config{Lease: lease})
+	a := h.dial(t, ClientConfig{})
+	defer a.Close()
+	defer close(release) // before a.Close and Shutdown, which wait for A's drain
+	go func() {
+		for a.Send(ipc.Message{Op: ipc.OpCounterInc, Arg1: 1}) == nil {
+		}
+	}()
+	waitFor(t, 10*time.Second, "A's lease kill", func() bool {
+		killed, _ := h.sys.Kernel().Killed(a.PID())
+		return killed
+	})
+	if _, reason := h.sys.Kernel().Killed(a.PID()); reason != kernel.ReasonLeaseExpired {
+		t.Fatalf("A's kill reason = %q, want %q", reason, kernel.ReasonLeaseExpired)
+	}
+
+	b, _ := h.rawSession(t) // admitted while A's context is still wedged
+	if code := awaitKillNotice(t, b, 10*lease); code != ReasonCodeLease {
+		t.Fatalf("B's kill notice carries reason code %d, want the lease's %d", code, ReasonCodeLease)
+	}
+	if killed, _ := h.sys.Kernel().Killed(a.PID()); !killed {
+		t.Fatal("A is no longer in the kernel's table although its context is still wedged")
+	}
+}
+
+// TestLeaseKillWindowEndsInLeaseExpired is the lease's counterpart of the
+// supervisor's epoch-kill window test: a session that sends three frames and
+// falls silent is lease-killed, and its frozen flight window opens with the
+// admission (registered, lease-granted), holds the three messages, and ends
+// lease-expired (the overshoot past the lease, in ns) → killed.
+func TestLeaseKillWindowEndsInLeaseExpired(t *testing.T) {
+	const lease = 50 * time.Millisecond
+	h := newHarness(t, supervisor.Config{KillOnViolation: true, CheckSeq: true}, Config{Lease: lease})
+	nc, pid := h.rawSession(t)
+	writeBurst(t, nc, dataFrames(pid, 1, 3)...)
+	if code := awaitKillNotice(t, nc, 5*time.Second); code != ReasonCodeLease {
+		t.Fatalf("kill notice carries reason code %d, want the lease's %d", code, ReasonCodeLease)
+	}
+	var rep supervisor.ForensicReport
+	waitFor(t, 5*time.Second, "forensic report", func() bool {
+		var ok bool
+		rep, ok = h.sys.Forensics(pid)
+		return ok
+	})
+	if rep.KillReason != kernel.ReasonLeaseExpired {
+		t.Fatalf("kill reason %q, want %q", rep.KillReason, kernel.ReasonLeaseExpired)
+	}
+	var codes []string
+	for _, e := range rep.Window {
+		codes = append(codes, e.Code)
+	}
+	want := []string{"registered", "lease-granted", "ok", "ok", "ok", "lease-expired", "killed"}
+	if strings.Join(codes, " ") != strings.Join(want, " ") {
+		t.Fatalf("window %v, want %v\n%+v", codes, want, rep.Window)
+	}
+	for i, e := range rep.Window[2:5] {
+		if e.Kind != "message" || e.Seq != uint64(i+1) {
+			t.Errorf("window record %d = %+v, want message seq %d", i+2, e, i+1)
+		}
+	}
+	if got := rep.Window[1].Value; got != uint64(lease) {
+		t.Errorf("lease-granted value %d ns, want the %v lease", got, lease)
+	}
+	if rep.Window[5].Value == 0 {
+		t.Error("lease-expired carries no overshoot")
 	}
 }
 

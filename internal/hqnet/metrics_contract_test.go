@@ -6,6 +6,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"herqules/internal/obs"
 	"herqules/internal/policy"
 	"herqules/internal/supervisor"
-	"herqules/internal/telemetry"
 )
 
 // designFamilies reads the metrics contract, DESIGN.md's table of every
@@ -43,32 +43,55 @@ func designFamilies(t *testing.T) map[string]string {
 	return listed
 }
 
+// movingCounters are the counter families the contract test's session must
+// move: a family that reads 0 after a session sent, passed a gate, was
+// killed and ended shows nothing, served or not.
+var movingCounters = []string{
+	"herqules_messages_verified_total",
+	"herqules_kernel_syscalls_total",
+	"herqules_kernel_kills_total",
+	"herqules_violations_total",
+	"herqules_hqnet_sessions_admitted_total",
+	"herqules_procs_launched_total",
+	"herqules_procs_killed_total",
+	"herqules_procs_finished_total",
+}
+
 // TestMetricsFamiliesMatchDesign holds /metrics to its contract on a daemon
-// wired like hqd (hqd's policy set, metrics, flight recorder, kills,
-// CheckSeq, the connection plane's series): a session sends, passes a gate,
-// is killed by a violation and ends, and /metrics is scraped while it is
-// live, after the kill and after it ends. Every family served must be one
-// DESIGN.md lists, with the listed type, and every family listed must be
-// served in one of the scrapes.
+// built as hqd builds it (hqd's policy set, kills, CheckSeq, the System's own
+// registry and flight rings, the connection plane's series): a session
+// sends, passes a gate, is killed by a violation and ends, and /metrics is
+// scraped while it is live, after the kill and after it ends. Every family
+// served must be one DESIGN.md lists, with the listed type, every family
+// listed must be served in one of the scrapes, and every movingCounters
+// family must read above 0 (summed over its labels) in the last.
 func TestMetricsFamiliesMatchDesign(t *testing.T) {
 	factory, err := policy.SetFactory(append(append([]string{}, policy.DefaultSet...), "hmac")...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := telemetry.New(0)
 	h := newHarness(t,
-		supervisor.Config{Policies: factory, KillOnViolation: true, CheckSeq: true, Metrics: m, FlightRecorder: 256},
-		Config{Lease: 2 * time.Second, Metrics: m})
+		supervisor.Config{Policies: factory, KillOnViolation: true, CheckSeq: true},
+		Config{Lease: 2 * time.Second})
 	o := obs.NewServer(h.sys)
 	o.SetConnReporter(h.srv)
 	served := map[string]string{}
+	var last map[string]float64 // family -> sum of its samples in the last scrape
 	typeLine := regexp.MustCompile(`^# TYPE (\S+) (\S+)$`)
+	sample := regexp.MustCompile(`^([a-z0-9_]+)(?:\{[^}]*\})? (\S+)$`)
 	scrape := func() {
 		rec := httptest.NewRecorder()
 		o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		last = map[string]float64{}
 		for _, line := range strings.Split(rec.Body.String(), "\n") {
 			if m := typeLine.FindStringSubmatch(line); m != nil {
 				served[m[1]] = m[2]
+			} else if m := sample.FindStringSubmatch(line); m != nil {
+				v, err := strconv.ParseFloat(m[2], 64)
+				if err != nil {
+					t.Fatalf("sample %q: %v", line, err)
+				}
+				last[m[1]] += v
 			}
 		}
 	}
@@ -120,6 +143,11 @@ func TestMetricsFamiliesMatchDesign(t *testing.T) {
 	for name := range listed {
 		if _, ok := served[name]; !ok {
 			t.Errorf("DESIGN.md lists %s, which /metrics never served", name)
+		}
+	}
+	for _, name := range movingCounters {
+		if last[name] == 0 {
+			t.Errorf("%s reads 0 after the session ended", name)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"herqules/internal/ipc"
-	"herqules/internal/kernel"
 	"herqules/internal/obs"
 	"herqules/internal/supervisor"
 	"herqules/internal/telemetry"
@@ -36,8 +35,9 @@ type Config struct {
 	// means no per-tenant cap.
 	TenantQuota int
 
-	// Metrics, when non-nil, wires connection-plane counters
-	// (hqnet.sessions.*, hqnet.lease.expired, hqnet.conn.severed).
+	// Metrics is unread: the connection-plane counters (hqnet.sessions.*,
+	// hqnet.lease.expired, hqnet.conn.severed) count into Sys.Metrics(). Kept
+	// only for the frozen bench/; delete when ROADMAP item 3 thaws it.
 	Metrics *telemetry.Metrics
 }
 
@@ -56,7 +56,7 @@ type Server struct {
 	draining  bool
 	closed    bool
 
-	wg   sync.WaitGroup // accept loops, handshakes, gate waiters, session finalizers, lease scanner
+	wg   sync.WaitGroup // accept loops, handshakes, gate waiters, session finalizers, lease scanner and expiries
 	stop chan struct{}
 
 	admitted   *telemetry.Counter
@@ -78,30 +78,23 @@ func NewServer(cfg Config) *Server {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 256
 	}
+	m := cfg.Sys.Metrics()
 	s := &Server{
-		cfg:      cfg,
-		sys:      cfg.Sys,
-		lease:    cfg.Lease,
-		sessions: make(map[uint64]*session),
-		tenants:  make(map[uint64]int),
-		stop:     make(chan struct{}),
-	}
-	if m := cfg.Metrics; m != nil {
-		s.admitted = m.Counter("hqnet.sessions.admitted")
-		s.resumed = m.Counter("hqnet.sessions.resumed")
-		s.rejected = m.Counter("hqnet.sessions.rejected")
-		s.severed = m.Counter("hqnet.conn.severed")
-		s.leaseKills = m.Counter("hqnet.lease.expired")
+		cfg:        cfg,
+		sys:        cfg.Sys,
+		lease:      cfg.Lease,
+		sessions:   make(map[uint64]*session),
+		tenants:    make(map[uint64]int),
+		stop:       make(chan struct{}),
+		admitted:   m.Counter("hqnet.sessions.admitted"),
+		resumed:    m.Counter("hqnet.sessions.resumed"),
+		rejected:   m.Counter("hqnet.sessions.rejected"),
+		severed:    m.Counter("hqnet.conn.severed"),
+		leaseKills: m.Counter("hqnet.lease.expired"),
 	}
 	s.wg.Add(1)
 	go s.leaseScanner()
 	return s
-}
-
-func count(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }
 
 // nextToken returns a fresh session token from crypto/rand. A token and its
@@ -194,7 +187,7 @@ func (s *Server) serveConn(c net.Conn) {
 
 // reject refuses a handshake and closes the connection.
 func (s *Server) reject(c net.Conn, fw *ipc.FrameWriter, code uint64) {
-	count(s.rejected)
+	s.rejected.Inc()
 	_ = fw.WriteMessage(ipc.Message{Op: ipc.OpReject, Arg1: code})
 	c.Close()
 }
@@ -251,7 +244,7 @@ func (s *Server) admit(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, h
 	}
 	s.sessions[sess.token] = sess
 	s.mu.Unlock()
-	count(s.admitted)
+	s.admitted.Inc()
 
 	welcome := ipc.Message{
 		Op:   ipc.OpWelcome,
@@ -303,7 +296,7 @@ func (s *Server) resume(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, 
 	resumes := sess.resumes
 	sess.mu.Unlock()
 
-	count(s.resumed)
+	s.resumed.Inc()
 	sess.touch()
 	s.sys.Verifier().StampFlightEvent(sess.pid, telemetry.FlightLeaseRenewed, resumes)
 	welcome := ipc.Message{
@@ -323,7 +316,11 @@ func (s *Server) resume(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, 
 // leaseScanner kills processes whose sessions have gone silent past the
 // lease. It is the only place a connection-plane failure becomes a kill, so
 // every death it deals is attributable: reason kernel.ReasonLeaseExpired,
-// FlightLeaseExpired stamped with the overshoot.
+// FlightLeaseExpired stamped with the overshoot. The scanner only claims an
+// expiry — once per session — and hands it to a goroutine of its own: the
+// stamp, the kill notice and the session's end all wait on the process's
+// verifier context, and a context wedged under its lock must not hold up
+// any other session's lease.
 func (s *Server) leaseScanner() {
 	defer s.wg.Done()
 	tick := s.lease / 4
@@ -340,31 +337,30 @@ func (s *Server) leaseScanner() {
 		}
 		now := time.Now().UnixNano()
 		s.mu.Lock()
-		var expired []*session
 		for _, sess := range s.sessions {
-			if now-sess.lastRecv.Load() > int64(s.lease) {
-				expired = append(expired, sess)
+			overdue := time.Duration(now - sess.lastRecv.Load() - int64(s.lease))
+			if overdue > 0 && sess.expired.CompareAndSwap(false, true) {
+				// The scanner still holds its own slot, so this Add cannot
+				// race Shutdown's Wait.
+				s.wg.Add(1)
+				go s.expireLease(sess, overdue)
 			}
 		}
 		s.mu.Unlock()
-		for _, sess := range expired {
-			overdue := time.Duration(now - sess.lastRecv.Load() - int64(s.lease))
-			s.expireLease(sess, overdue)
-		}
 	}
 }
 
 // expireLease kills sess's process fail-closed and ends the session.
 func (s *Server) expireLease(sess *session, overdue time.Duration) {
+	defer s.wg.Done()
 	sess.mu.Lock()
 	if sess.ended {
 		sess.mu.Unlock()
 		return
 	}
 	sess.mu.Unlock()
-	count(s.leaseKills)
-	s.sys.Verifier().StampFlightEvent(sess.pid, telemetry.FlightLeaseExpired, uint64(overdue))
-	s.sys.Kernel().Kill(sess.pid, kernel.ReasonLeaseExpired)
+	s.leaseKills.Inc()
+	s.sys.Kernel().ExpireLease(sess.pid, overdue)
 	sess.end()
 }
 

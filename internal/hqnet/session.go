@@ -45,6 +45,9 @@ type session struct {
 	// any of the session's connections. Written by the drain goroutine, read
 	// by the lease scanner.
 	lastRecv atomic.Int64
+	// expired is set, once, by the lease scanner that claims the session's
+	// lease expiry.
+	expired atomic.Bool
 	// fwd is the highest data Seq forwarded to the verifier — the cumulative
 	// ack: the client may drop every frame with Seq <= fwd from its replay
 	// buffer. Written only by the drain goroutine, once per burst.
@@ -120,7 +123,7 @@ func (s *session) sever(c net.Conn) {
 	s.mu.Unlock()
 	c.Close()
 	if mine {
-		count(s.srv.severed)
+		s.srv.severed.Inc()
 	}
 }
 

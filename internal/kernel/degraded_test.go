@@ -65,8 +65,7 @@ func TestDegradedLogOnlyAllowsExpiredEpochs(t *testing.T) {
 	// the syscall proceed instead of killing, but every bypass is counted —
 	// in telemetry and in the per-process stats — so fail-open is loud.
 	m := telemetry.New(1)
-	k := New(nil)
-	k.EnableTelemetry(m)
+	k := NewWithMetrics(nil, m)
 	k.Epoch = 15 * time.Millisecond
 	k.SetDegradedPolicy(DegradedLogOnly)
 	pid := k.Register()
@@ -108,8 +107,7 @@ func TestDegradedLogOnlyStillHonorsExplicitKills(t *testing.T) {
 
 func TestWedgedKillCountsInTelemetry(t *testing.T) {
 	m := telemetry.New(1)
-	k := New(nil)
-	k.EnableTelemetry(m)
+	k := NewWithMetrics(nil, m)
 	k.Epoch = 15 * time.Millisecond
 	k.SetWatchdog(&fakeWatchdog{wedged: true, detail: "verifier poisoned"})
 	pid := k.Register()

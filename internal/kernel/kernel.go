@@ -147,9 +147,8 @@ type ProcStats struct {
 
 	// StallNs is this process's own syscall-gate stall distribution
 	// (nanoseconds spent waiting for the verifier to catch up, §2.2). It is
-	// maintained under the kernel lock only when telemetry is wired, and
-	// complements the registry-wide kernel.syscall_stall_ns histogram with
-	// per-PID attribution.
+	// maintained under the kernel lock and complements the registry-wide
+	// kernel.syscall_stall_ns histogram with per-PID attribution.
 	StallNs telemetry.HistogramSnapshot `json:"syscall_stall_ns"`
 }
 
@@ -195,11 +194,11 @@ type Kernel struct {
 	// DefaultEpoch.
 	Epoch time.Duration
 
-	tm *kernelMetrics
+	tm kernelMetrics
 }
 
 // kernelMetrics caches the kernel's telemetry instruments, resolved once at
-// wiring time so the hot path pays only a nil check plus atomic adds.
+// construction so the hot path pays only atomic adds.
 type kernelMetrics struct {
 	syscalls    *telemetry.Counter
 	stalls      *telemetry.Counter
@@ -212,35 +211,41 @@ type kernelMetrics struct {
 	stallNs     *telemetry.Histogram
 }
 
-// EnableTelemetry attaches the metrics registry: the kernel gate records a
-// stall-time histogram per gated system call plus lifecycle and kill
-// counters. Must be called before concurrent use.
-func (k *Kernel) EnableTelemetry(m *telemetry.Metrics) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.tm = &kernelMetrics{
-		syscalls:    m.Counter("kernel.syscalls"),
-		stalls:      m.Counter("kernel.sync_stalls"),
-		expiries:    m.Counter("kernel.epoch_expiries"),
-		kills:       m.Counter("kernel.kills"),
-		wedgedKills: m.Counter("kernel.wedged_kills"),
-		degraded:    m.Counter("kernel.degraded_allows"),
-		forks:       m.Counter("kernel.forks"),
-		exits:       m.Counter("kernel.exits"),
-		stallNs:     m.Histogram("kernel.syscall_stall_ns"),
-	}
-}
+// New creates a kernel module instance counting into a metrics registry of
+// its own. listener may be nil (no verifier attached; system calls then fail
+// closed only on explicit Kill).
+func New(listener Listener) *Kernel { return NewWithMetrics(listener, telemetry.New(0)) }
 
-// New creates a kernel module instance. listener may be nil (no verifier
-// attached; system calls then fail closed only on explicit Kill).
-func New(listener Listener) *Kernel {
+// NewWithMetrics is New counting into m, the registry a System shares among
+// its components: the gate records a stall-time histogram per gated system
+// call plus lifecycle and kill counters.
+func NewWithMetrics(listener Listener, m *telemetry.Metrics) *Kernel {
 	return &Kernel{
 		procs:       make(map[int32]*proc),
 		registering: make(map[int32]*pendingReg),
 		nextPID:     100,
 		listener:    listener,
+		flight:      noRings{},
+		tm: kernelMetrics{
+			syscalls:    m.Counter("kernel.syscalls"),
+			stalls:      m.Counter("kernel.sync_stalls"),
+			expiries:    m.Counter("kernel.epoch_expiries"),
+			kills:       m.Counter("kernel.kills"),
+			wedgedKills: m.Counter("kernel.wedged_kills"),
+			degraded:    m.Counter("kernel.degraded_allows"),
+			forks:       m.Counter("kernel.forks"),
+			exits:       m.Counter("kernel.exits"),
+			stallNs:     m.Histogram("kernel.syscall_stall_ns"),
+		},
 	}
 }
+
+// noRings is the flight stamper of a kernel no verifier has attached to with
+// SetFlightStamper: the rings belong to the verifier, so without one there is
+// no process black box to stamp.
+type noRings struct{}
+
+func (noRings) StampFlightEvent(int32, telemetry.FlightCode, uint64) {}
 
 // SetListener attaches the verifier's privileged channel after construction
 // (used to break the construction cycle between kernel and verifier).
@@ -354,7 +359,6 @@ func (k *Kernel) Fork(parent int32) (int32, error) {
 	k.nextPID++
 	child := k.nextPID
 	l := k.listener
-	tm := k.tm
 	keys := k.keys
 	if dsched.Reverted(dsched.RevertLateNotify) {
 		k.insertLocked(child)
@@ -362,9 +366,7 @@ func (k *Kernel) Fork(parent int32) (int32, error) {
 		if keys != nil {
 			keys.Inherit(parent, child)
 		}
-		if tm != nil {
-			tm.forks.Inc()
-		}
+		k.tm.forks.Inc()
 		dsched.Yield(dsched.PointForkVisible, child)
 		if l != nil {
 			l.ProcessForked(parent, child)
@@ -376,9 +378,7 @@ func (k *Kernel) Fork(parent int32) (int32, error) {
 	if keys != nil {
 		keys.Inherit(parent, child)
 	}
-	if tm != nil {
-		tm.forks.Inc()
-	}
+	k.tm.forks.Inc()
 	if l != nil {
 		l.ProcessForked(parent, child)
 	}
@@ -414,12 +414,9 @@ func (k *Kernel) finishRegister(pid int32) {
 		p.stats.KilledByAll = reason
 	}
 	l := k.listener
-	tm := k.tm
 	k.mu.Unlock()
 	if killedNow {
-		if tm != nil {
-			tm.kills.Inc()
-		}
+		k.tm.kills.Inc()
 		if kl, ok := l.(KillListener); ok {
 			kl.ProcessKilled(pid, reason)
 		}
@@ -439,16 +436,13 @@ func (k *Kernel) Exit(pid int32) {
 	}
 	delete(k.procs, pid)
 	l := k.listener
-	tm := k.tm
 	keys := k.keys
 	k.mu.Unlock()
 	if keys != nil {
 		keys.Drop(pid)
 	}
 	dsched.Yield(dsched.PointExitNotify, pid)
-	if tm != nil {
-		tm.exits.Inc()
-	}
+	k.tm.exits.Inc()
 	if l != nil {
 		l.ProcessExited(pid)
 	}
@@ -461,7 +455,7 @@ func (k *Kernel) Exit(pid int32) {
 // (§2.2). It returns an error when the process has been killed.
 func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 	k.mu.Lock()
-	tm := k.tm
+	tm := &k.tm
 	fs := k.flight
 	p, ok := k.procs[pid]
 	if !ok {
@@ -469,12 +463,8 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 		return fmt.Errorf("kernel: syscall from unregistered pid %d: %w", pid, ErrProcessExited)
 	}
 	p.stats.Syscalls++
-	// Liveness stamp is unconditional: /procs reports this figure whether or
-	// not a telemetry registry is wired.
 	p.stats.LastSyscallUnixNanos = time.Now().UnixNano()
-	if tm != nil {
-		tm.syscalls.Inc()
-	}
+	tm.syscalls.Inc()
 	if p.killed {
 		reason := p.killReason
 		k.mu.Unlock()
@@ -485,15 +475,10 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 	if !p.syncReady {
 		stalled = true
 		p.stats.SyncStalls++
-		var stallStart time.Time
-		if tm != nil {
-			tm.stalls.Inc()
-		}
+		tm.stalls.Inc()
 		// The stall clock feeds both the telemetry histograms and the flight
-		// recorder's gate timeline; start it when either consumer is wired.
-		if tm != nil || fs != nil {
-			stallStart = time.Now()
-		}
+		// recorder's gate timeline.
+		stallStart := time.Now()
 		epoch := k.Epoch
 		if epoch == 0 {
 			epoch = DefaultEpoch
@@ -551,16 +536,12 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 			p.cond.Wait()
 		}
 		timer.Stop()
-		if tm != nil || fs != nil {
-			stallNs = uint64(time.Since(stallStart))
-		}
-		if tm != nil {
-			tm.stallNs.Observe(stallNs)
-			// Per-PID attribution: fold the same stall into this process's
-			// private distribution (k.mu is held here — cond.Wait
-			// reacquired it — so the single-writer Record is safe).
-			p.stats.StallNs.Record(stallNs)
-		}
+		stallNs = uint64(time.Since(stallStart))
+		tm.stallNs.Observe(stallNs)
+		// Per-PID attribution: fold the same stall into this process's
+		// private distribution (k.mu is held here — cond.Wait reacquired it —
+		// so the single-writer Record is safe).
+		p.stats.StallNs.Record(stallNs)
 	}
 	if p.exited && !p.killed {
 		// The process exited while this call was pending: fail the call
@@ -573,15 +554,11 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 		// enforce. Leave syncReady false — the next gated call stalls again,
 		// so every bypassed epoch is individually counted.
 		k.mu.Unlock()
-		if tm != nil {
-			tm.expiries.Inc()
-			tm.degraded.Inc()
-		}
-		if fs != nil {
-			fs.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
-			fs.StampFlightEvent(pid, telemetry.FlightEpochExpired, uint64(syscallNo))
-			fs.StampFlightEvent(pid, telemetry.FlightDegradedAllow, uint64(syscallNo))
-		}
+		tm.expiries.Inc()
+		tm.degraded.Inc()
+		fs.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
+		fs.StampFlightEvent(pid, telemetry.FlightEpochExpired, uint64(syscallNo))
+		fs.StampFlightEvent(pid, telemetry.FlightDegradedAllow, uint64(syscallNo))
 		return nil
 	}
 	if p.killed {
@@ -589,20 +566,16 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 		l := k.listener
 		k.mu.Unlock()
 		if expired {
-			if tm != nil {
-				tm.expiries.Inc()
-				tm.kills.Inc()
-				if wedged {
-					tm.wedgedKills.Inc()
-				}
+			tm.expiries.Inc()
+			tm.kills.Inc()
+			if wedged {
+				tm.wedgedKills.Inc()
 			}
 			// Stamp the gate timeline BEFORE ProcessKilled: the kill listener
 			// freezes the flight ring, and the stall + expiry that triggered
 			// this kill belong inside the frozen window.
-			if fs != nil {
-				fs.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
-				fs.StampFlightEvent(pid, telemetry.FlightEpochExpired, uint64(syscallNo))
-			}
+			fs.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
+			fs.StampFlightEvent(pid, telemetry.FlightEpochExpired, uint64(syscallNo))
 			if kl, ok := l.(KillListener); ok {
 				kl.ProcessKilled(pid, reason)
 			}
@@ -612,7 +585,7 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 	// Reset the synchronization variable upon resumption (§3.3).
 	p.syncReady = false
 	k.mu.Unlock()
-	if fs != nil && stalled {
+	if stalled {
 		fs.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
 	}
 	return nil
@@ -646,7 +619,21 @@ func (k *Kernel) NotifySyncReady(pid int32) {
 // verifier invokes this on policy violation (default behaviour, §3.4). When
 // the listener implements KillListener it is notified, so the verifier stops
 // evaluating messages for the dead process.
-func (k *Kernel) Kill(pid int32, reason string) {
+func (k *Kernel) Kill(pid int32, reason string) { k.kill(pid, reason, 0, 0) }
+
+// ExpireLease kills pid for ReasonLeaseExpired, overdue past its connection
+// lease, with FlightLeaseExpired stamped into its black box ahead of the kill
+// notice that freezes it. The order is the epoch path's: the kill is marked
+// under the kernel lock alone before anything takes the process's verifier
+// context lock, so a context wedged under that lock holds up the window and
+// the notice, never the kill itself.
+func (k *Kernel) ExpireLease(pid int32, overdue time.Duration) {
+	k.kill(pid, ReasonLeaseExpired, telemetry.FlightLeaseExpired, uint64(overdue))
+}
+
+// kill is Kill, stamping code (when non-zero) with value between marking the
+// kill and notifying the KillListener.
+func (k *Kernel) kill(pid int32, reason string, code telemetry.FlightCode, value uint64) {
 	k.mu.Lock()
 	p, ok := k.procs[pid]
 	if !ok {
@@ -670,11 +657,12 @@ func (k *Kernel) Kill(pid int32, reason string) {
 	p.stats.KilledByAll = reason
 	p.cond.Broadcast()
 	l := k.listener
-	tm := k.tm
+	fs := k.flight
 	k.mu.Unlock()
 	dsched.Yield(dsched.PointKillNotify, pid)
-	if tm != nil {
-		tm.kills.Inc()
+	k.tm.kills.Inc()
+	if code != 0 {
+		fs.StampFlightEvent(pid, code, value)
 	}
 	if kl, ok := l.(KillListener); ok {
 		kl.ProcessKilled(pid, reason)

@@ -18,6 +18,7 @@ import (
 	"herqules/internal/mir"
 	"herqules/internal/supervisor"
 	"herqules/internal/telemetry"
+	"herqules/internal/verifier"
 	"herqules/internal/vm"
 )
 
@@ -316,7 +317,7 @@ func TestWriteMetricsSynthetic(t *testing.T) {
 			{PID: 9, State: "killed", Messages: 2, Violations: 1, KillReason: "cfi"},
 		},
 		Snapshot: telemetry.Snapshot{
-			Counters:   map[string]telemetry.CounterSnapshot{"verifier.messages": {Total: 42}},
+			Counters:   map[string]telemetry.CounterSnapshot{verifier.MessagesVerified: {Total: 42}},
 			Histograms: map[string]telemetry.HistogramSnapshot{"verifier.pump_stall_ns": h},
 		},
 	}
@@ -326,7 +327,6 @@ func TestWriteMetricsSynthetic(t *testing.T) {
 	samples := checkExposition(t, body)
 
 	for key, want := range map[string]float64{
-		"herqules_verifier_messages_total":              42,
 		"herqules_verifier_pump_stall_ns_count":         5,
 		"herqules_verifier_pump_stall_ns_sum":           1013,
 		`herqules_proc_messages_total{pid="7"}`:         40,

@@ -13,18 +13,18 @@ import (
 
 // WriteMetrics renders st in the Prometheus text exposition format (version
 // 0.0.4): every registry counter and histogram under a sanitized
-// `herqules_` name, the system lifecycle totals, and one labeled series per
-// launched PID. Histograms are emitted cumulatively — `_bucket{le="..."}`
-// lines are monotone non-decreasing and end at `le="+Inf"` — with the
-// power-of-two bucket upper bounds, which are exact for the integer samples
-// the registry records.
+// `herqules_` name (the verifier's verified-message count among them, as
+// herqules_messages_verified_total), the system lifecycle totals, and one
+// labeled series per launched PID. Histograms are emitted cumulatively —
+// `_bucket{le="..."}` lines are monotone non-decreasing and end at
+// `le="+Inf"` — with the power-of-two bucket upper bounds, which are exact
+// for the integer samples the registry records.
 func WriteMetrics(w io.Writer, st supervisor.Stats) {
-	// Lifecycle totals first: they exist even on a system with no registry.
+	// Lifecycle totals first.
 	writeScalar(w, "herqules_procs_launched_total", "counter", "", st.Launched)
 	writeScalar(w, "herqules_procs_finished_total", "counter", "", st.Finished)
 	writeScalar(w, "herqules_procs_killed_total", "counter", "", st.Killed)
 	writeScalar(w, "herqules_procs_active", "gauge", "", st.Active)
-	writeScalar(w, "herqules_messages_verified_total", "counter", "", st.MessagesVerified)
 
 	// Per-policy violation attribution, wired from Violation.Policy. Policy
 	// names are registry identifiers in practice, but the label value is
@@ -89,8 +89,8 @@ func writeProcSeries(w io.Writer, procs []supervisor.ProcStats) {
 	}
 }
 
-// WriteConnMetrics emits the connection plane's per-session gauges: one
-// series per live session, labeled by pid and tenant. Appended to the
+// WriteConnMetrics emits the connection plane's per-session series: one per
+// live session, labeled by pid and tenant. Appended to the
 // /metrics exposition when a ConnReporter is wired — the transport-level
 // signals (severed vs connected, resume counts, replay ack high-water, last
 // receive) an operator needs to tell "the network is flapping" from "the
@@ -101,22 +101,22 @@ func WriteConnMetrics(w io.Writer, rows []ConnRow) {
 		return
 	}
 	type column struct {
-		name  string
-		value func(r ConnRow) uint64
+		name, typ string
+		value     func(r ConnRow) uint64
 	}
 	cols := []column{
-		{"herqules_conn_connected", func(r ConnRow) uint64 {
+		{"herqules_conn_connected", "gauge", func(r ConnRow) uint64 {
 			if r.Connected {
 				return 1
 			}
 			return 0
 		}},
-		{"herqules_conn_resumes_total", func(r ConnRow) uint64 { return r.Resumes }},
-		{"herqules_conn_forwarded_seq", func(r ConnRow) uint64 { return r.ForwardedSeq }},
-		{"herqules_conn_last_recv_unix_nanos", func(r ConnRow) uint64 { return uint64(r.LastRecvUnixNanos) }},
+		{"herqules_conn_resumes_total", "counter", func(r ConnRow) uint64 { return r.Resumes }},
+		{"herqules_conn_forwarded_seq", "gauge", func(r ConnRow) uint64 { return r.ForwardedSeq }},
+		{"herqules_conn_last_recv_unix_nanos", "gauge", func(r ConnRow) uint64 { return uint64(r.LastRecvUnixNanos) }},
 	}
 	for _, c := range cols {
-		fmt.Fprintf(w, "# TYPE %s gauge\n", c.name)
+		fmt.Fprintf(w, "# TYPE %s %s\n", c.name, c.typ)
 		for _, r := range rows {
 			fmt.Fprintf(w, "%s{pid=%q,tenant=\"%d\"} %d\n", c.name, pidLabel(r.PID), r.Tenant, c.value(r))
 		}

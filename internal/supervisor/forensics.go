@@ -59,8 +59,8 @@ func (s *System) forensicsLive(pid int32, started int64) (ForensicReport, bool) 
 // process teardown when the process was launched through this System, or a
 // live assembly for a context that still exists (a kill observed before
 // teardown, or a pid registered directly against the kernel). ok is false
-// when pid was never killed with the flight recorder armed, or its report
-// has been evicted by bounded retention.
+// when pid was never killed, or its report has been evicted by bounded
+// retention.
 func (s *System) Forensics(pid int32) (ForensicReport, bool) {
 	var started int64
 	s.mu.Lock()

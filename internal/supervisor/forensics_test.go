@@ -82,28 +82,6 @@ func TestForensicsRetainedPastTeardown(t *testing.T) {
 	}
 }
 
-// TestForensicsDisabledWithoutRecorder: the postmortem layer is opt-in; with
-// FlightRecorder unset a kill leaves violations and stats but no report.
-func TestForensicsDisabledWithoutRecorder(t *testing.T) {
-	sys := New(Config{KillOnViolation: true})
-	defer shutdown(t, sys)
-
-	p, err := sys.Launch(instrumentHQ(t, victim(t, true)), LaunchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Killed {
-		t.Fatalf("violating program was not killed: %+v", out)
-	}
-	if rep, ok := sys.Forensics(p.PID()); ok {
-		t.Fatalf("recorder disarmed but a report exists: %+v", rep)
-	}
-}
-
 // TestStatsViolationsByPolicy: the aggregated per-policy counters surface in
 // Stats (and from there the /metrics exposition) after teardown.
 func TestStatsViolationsByPolicy(t *testing.T) {

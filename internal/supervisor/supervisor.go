@@ -45,7 +45,8 @@ var ErrShutdown = errors.New("supervisor: system is shut down")
 
 // Config parameterizes a System. The zero value is usable: default policy
 // set, kills disabled (the paper's measurement default), shared-memory ring
-// transport, no telemetry.
+// transport, a metrics registry of the System's own and a flight ring of
+// telemetry.DefaultFlightSlots per process.
 type Config struct {
 	// Policies builds the verifier policy set per monitored process; nil
 	// installs the registry default set, policy.DefaultSet (currently
@@ -64,9 +65,11 @@ type Config struct {
 	// enforcement and chaos runs turn it on.
 	CheckSeq bool
 
-	// Metrics, when non-nil, wires the telemetry layer through the whole
-	// stack once at construction: kernel gate, verifier, and every
-	// channel the System creates or is handed.
+	// Metrics is the registry the kernel gate, the verifier and the
+	// networked plane count into; nil gives the System one of its own. It
+	// chooses which registry, not whether there is one: Stats diffs it to the
+	// System's lifetime, so several Systems (or a System and unrelated
+	// instruments) may share one.
 	Metrics *telemetry.Metrics
 
 	// ChannelKind selects the AppendWrite transport Launch constructs for a
@@ -89,12 +92,12 @@ type Config struct {
 	// bypass and lets the call through — measurement runs only.
 	Degraded kernel.DegradedPolicy
 
-	// FlightRecorder, when > 0, arms a per-process flight recorder of that
-	// many slots (rounded up to a power of two): the verifier stamps every
-	// delivered message's policy-chain outcome, the kernel stamps gate/epoch
-	// lifecycle events, and a kill freezes the ring into a ForensicReport
-	// served by System.Forensics and the /violations endpoint. 0 disables —
-	// no ring, no per-message stamp, no reports.
+	// FlightRecorder sizes each process's flight ring, in slots (rounded up
+	// to a power of two; <= 0 selects telemetry.DefaultFlightSlots): the
+	// verifier stamps every delivered message's policy-chain outcome, the
+	// kernel stamps gate, epoch and lease lifecycle events, and a kill
+	// freezes the ring into a ForensicReport served by System.Forensics and
+	// the /violations endpoint.
 	FlightRecorder int
 }
 
@@ -204,20 +207,28 @@ type procRecord struct {
 	forensic *ForensicReport // kill postmortem, retained past verifier teardown
 }
 
-// New constructs a System: kernel and verifier are created once, wired
-// together over the privileged listener channel, and instrumented with the
-// configured metrics registry. Nothing runs until a program launches: a
-// process brings its own drain goroutine (verifier.PumpSet.Attach).
+// New constructs a System: kernel and verifier are created once, counting
+// into one metrics registry, and wired together over the privileged listener
+// channel. Nothing runs until a program launches: a process brings its own
+// drain goroutine (verifier.PumpSet.Attach).
 func New(cfg Config) *System {
 	factory := cfg.Policies
 	if factory == nil {
 		factory = DefaultPolicies
 	}
-	k := kernel.New(nil)
+	// Stats diffs the registry against its state here. A registry made here
+	// starts at zero, so only one handed in is read.
+	m, base := cfg.Metrics, telemetry.Snapshot{}
+	if m == nil {
+		m = telemetry.New(0)
+	} else {
+		base = m.Snapshot()
+	}
+	k := kernel.NewWithMetrics(nil, m)
 	if cfg.Epoch > 0 {
 		k.Epoch = cfg.Epoch
 	}
-	v := verifier.New(factory, k)
+	v := verifier.NewWithMetrics(factory, k, m)
 	v.KillOnViolation = cfg.KillOnViolation
 	v.CheckSeq = cfg.CheckSeq
 	k.SetListener(v)
@@ -227,18 +238,17 @@ func New(cfg Config) *System {
 	// kill under the configured degraded policy.
 	k.SetWatchdog(v)
 	k.SetDegradedPolicy(cfg.Degraded)
-	if cfg.FlightRecorder > 0 {
-		// Arm the black box before any registration, then point the kernel's
-		// lifecycle stamps at the verifier-owned rings. The stamper locks
-		// verifier contexts, which the kernel only calls outside its own mutex.
-		v.EnableFlightRecorder(cfg.FlightRecorder)
-		k.SetFlightStamper(v)
-	}
+	// Size the black boxes before any registration, then point the kernel's
+	// lifecycle stamps at the verifier-owned rings. The stamper locks verifier
+	// contexts, which the kernel only calls outside its own mutex.
+	v.EnableFlightRecorder(cfg.FlightRecorder)
+	k.SetFlightStamper(v)
 	s := &System{
 		cfg:     cfg,
 		k:       k,
 		v:       v,
-		m:       cfg.Metrics,
+		m:       m,
+		base:    base,
 		records: make(map[int32]*procRecord),
 	}
 	// Probe one throwaway policy set for a Sealer: a set containing the hmac
@@ -252,11 +262,6 @@ func New(cfg Config) *System {
 			break
 		}
 	}
-	if s.m != nil {
-		k.EnableTelemetry(s.m)
-		v.EnableTelemetry(s.m)
-		s.base = s.m.Snapshot()
-	}
 	s.pumps = v.NewPumpSet()
 	return s
 }
@@ -267,6 +272,10 @@ func (s *System) Kernel() *kernel.Kernel { return s.k }
 
 // Verifier exposes the system's shared verifier.
 func (s *System) Verifier() *verifier.Verifier { return s.v }
+
+// Metrics exposes the registry the system counts into (Config.Metrics, or
+// the one New made); the networked plane adds its counters to it.
+func (s *System) Metrics() *telemetry.Metrics { return s.m }
 
 // Launch starts ins as a new monitored process: Admit with the process's
 // AppendWrite channel (none under inline delivery), programming the
@@ -443,8 +452,7 @@ type ProcStats struct {
 	SyncStalls           uint64 `json:"sync_stalls"`
 	LastSyscallUnixNanos int64  `json:"last_syscall_unix_nanos,omitempty"`
 
-	// StallNs is the per-PID syscall-gate stall distribution (§2.2),
-	// populated only when telemetry is wired.
+	// StallNs is the per-PID syscall-gate stall distribution (§2.2).
 	StallNs telemetry.HistogramSnapshot `json:"syscall_stall_ns"`
 
 	StartedUnixNanos  int64 `json:"started_unix_nanos"`
@@ -528,26 +536,27 @@ func (s *System) Health() Health {
 	up := !s.down
 	active := int(s.launched - s.finished)
 	s.mu.Unlock()
+	poisoned := s.v.Poisoned() - int(s.base.Counters["verifier.poisoned"].Total)
 	return Health{
 		Up:             up,
 		ActiveProcs:    active,
 		PumpSources:    s.pumps.Sources(),
-		Poisoned:       s.v.Poisoned(),
+		Poisoned:       poisoned,
 		DegradedPolicy: s.k.DegradedMode().String(),
 	}
 }
 
 // Stats is the per-system aggregate: process lifecycle totals, the shared
-// verifier's message total, per-PID attribution rows, and — when a metrics
-// registry is wired — a telemetry snapshot diffed against the registry state
-// at construction, so one registry can serve several systems (or a system
-// plus unrelated instrumentation) and each still reports exactly its own
-// interval.
+// verifier's message total, per-PID attribution rows, and a telemetry
+// snapshot diffed against the registry state at construction, so one
+// registry can serve several systems (or a system plus unrelated
+// instrumentation) and each still reports exactly its own interval.
 type Stats struct {
 	Launched, Active, Finished, Killed uint64
-	MessagesVerified                   uint64
-	Procs                              []ProcStats
-	Snapshot                           telemetry.Snapshot
+	// MessagesVerified is Snapshot's verifier.MessagesVerified count.
+	MessagesVerified uint64
+	Procs            []ProcStats
+	Snapshot         telemetry.Snapshot
 
 	// ViolationsByPolicy counts recorded violations keyed by the attributed
 	// policy name (Violation.Policy) — the source of the
@@ -645,12 +654,10 @@ func (s *System) Stats() Stats {
 		Killed:   s.killed,
 	}
 	s.mu.Unlock()
-	st.MessagesVerified = s.v.TotalMessages()
 	st.Procs = s.ProcStats()
 	st.ViolationsByPolicy = s.v.ViolationsByPolicy()
-	if s.m != nil {
-		st.Snapshot = s.m.Snapshot().Diff(s.base)
-	}
+	st.Snapshot = s.m.Snapshot().Diff(s.base)
+	st.MessagesVerified = st.Snapshot.Counters[verifier.MessagesVerified].Total
 	return st
 }
 

@@ -77,7 +77,7 @@ const (
 	FlightLeaseExpired
 )
 
-var flightCodeNames = map[FlightCode]string{
+var flightCodeNames = [...]string{
 	FlightOK:            "ok",
 	FlightViolated:      "violation",
 	FlightSealerReject:  "sealer-reject",
@@ -96,8 +96,8 @@ var flightCodeNames = map[FlightCode]string{
 }
 
 func (c FlightCode) String() string {
-	if s, ok := flightCodeNames[c]; ok {
-		return s
+	if int(c) < len(flightCodeNames) && flightCodeNames[c] != "" {
+		return flightCodeNames[c]
 	}
 	return "code(" + itoa(uint64(c)) + ")"
 }

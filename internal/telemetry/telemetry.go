@@ -11,9 +11,11 @@
 //     are lane-striped (one cache-line-padded cell per lane; a verifier
 //     process context writes the lane its PID selects) so concurrent writers
 //     rarely share a line.
-//  2. Always safe to leave wired: every instrumented component guards its
-//     telemetry with a single nil check, so an un-instrumented run pays one
-//     predictable branch per event.
+//  2. Always on, so always measured the same way: a kernel, verifier or
+//     supervisor.System resolves its instruments once, at construction, in a
+//     registry it is given or one of its own, and counts unconditionally.
+//     There is no disarmed configuration to compare against or to guard
+//     for.
 //  3. Readable without stopping the world: Snapshot reads every cell with
 //     atomic loads; Diff subtracts two snapshots so an experiment can report
 //     exactly the interval it measured.
@@ -102,43 +104,28 @@ func New(lanes int) *Metrics {
 	}
 }
 
-// Counter returns the named counter with the default stripe width, creating
-// it on first use.
-func (m *Metrics) Counter(name string) *Counter { return m.CounterLanes(name, 0) }
-
-// CounterLanes returns the named counter, creating it with the given stripe
-// width (<= 0 selects the registry default). The width of an existing counter
-// is not changed.
-func (m *Metrics) CounterLanes(name string, lanes int) *Counter {
-	if lanes <= 0 {
-		lanes = m.lanes
-	}
+// Counter returns the named counter, creating it with the registry's stripe
+// width on first use.
+func (m *Metrics) Counter(name string) *Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if c, ok := m.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name, lanes: make([]counterLane, lanes)}
+	c := &Counter{name: name, lanes: make([]counterLane, m.lanes)}
 	m.counters[name] = c
 	return c
 }
 
-// Histogram returns the named histogram with the default stripe width,
-// creating it on first use.
-func (m *Metrics) Histogram(name string) *Histogram { return m.HistogramLanes(name, 0) }
-
-// HistogramLanes returns the named histogram, creating it with the given
-// stripe width (<= 0 selects the registry default).
-func (m *Metrics) HistogramLanes(name string, lanes int) *Histogram {
-	if lanes <= 0 {
-		lanes = m.lanes
-	}
+// Histogram returns the named histogram, creating it with the registry's
+// stripe width on first use.
+func (m *Metrics) Histogram(name string) *Histogram {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if h, ok := m.hists[name]; ok {
 		return h
 	}
-	h := &Histogram{name: name, lanes: make([]histLane, lanes)}
+	h := &Histogram{name: name, lanes: make([]histLane, m.lanes)}
 	m.hists[name] = h
 	return h
 }
@@ -162,30 +149,27 @@ type Snapshot struct {
 // Snapshot reads every registered instrument.
 func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()
-	counters := make([]*Counter, 0, len(m.counters))
-	for _, c := range m.counters {
-		counters = append(counters, c)
-	}
-	hists := make([]*Histogram, 0, len(m.hists))
-	for _, h := range m.hists {
-		hists = append(hists, h)
-	}
-	m.mu.Unlock()
-
+	defer m.mu.Unlock()
 	s := Snapshot{
-		Counters:   make(map[string]CounterSnapshot, len(counters)),
-		Histograms: make(map[string]HistogramSnapshot, len(hists)),
+		Counters:   make(map[string]CounterSnapshot, len(m.counters)),
+		Histograms: make(map[string]HistogramSnapshot, len(m.hists)),
 	}
-	for _, c := range counters {
-		cs := CounterSnapshot{Lanes: make([]uint64, len(c.lanes))}
-		for i := range c.lanes {
-			cs.Lanes[i] = c.lanes[i].v.Load()
-			cs.Total += cs.Lanes[i]
+	for name, c := range m.counters {
+		var cs CounterSnapshot
+		if len(c.lanes) > 1 {
+			cs.Lanes = make([]uint64, len(c.lanes))
 		}
-		s.Counters[c.name] = cs
+		for i := range c.lanes {
+			v := c.lanes[i].v.Load()
+			if cs.Lanes != nil {
+				cs.Lanes[i] = v
+			}
+			cs.Total += v
+		}
+		s.Counters[name] = cs
 	}
-	for _, h := range hists {
-		s.Histograms[h.name] = h.snapshot()
+	for name, h := range m.hists {
+		s.Histograms[name] = h.snapshot()
 	}
 	return s
 }

@@ -99,8 +99,7 @@ func TestPolicyPanicKillsProcessFailClosed(t *testing.T) {
 	// see failure semantics in DESIGN.md.)
 	g := newFakeGate()
 	m := telemetry.New(1)
-	v := New(bombFactory, g)
-	v.EnableTelemetry(m)
+	v := NewWithMetrics(bombFactory, g, m)
 	v.ProcessStarted(1)
 	v.ProcessStarted(2)
 
@@ -329,8 +328,7 @@ func TestPumpEndsAtFirstRecvError(t *testing.T) {
 	// from the kernel epoch, not from a guess at the guilty PID.
 	g := newFakeGate()
 	m := telemetry.New(1)
-	v := New(cfiFactory, g)
-	v.EnableTelemetry(m)
+	v := NewWithMetrics(cfiFactory, g, m)
 	v.ProcessStarted(1)
 	r := &failingReceiver{
 		bursts: [2][]ipc.Message{

@@ -1,8 +1,8 @@
 package verifier
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"herqules/internal/ipc"
@@ -72,13 +72,11 @@ type ForensicReport struct {
 // freezes the ring, and builds the immutable report. Caller holds pc.mu. fatal is the attributed violation (nil for kernel-originated or
 // poison kills). Idempotent — the first kill decision wins, later echoes
 // (e.g. the kernel reporting back a verifier-requested kill) are no-ops.
-// No-op when the flight recorder is disabled: reports exist only where a
-// window exists to anchor them.
 func (v *Verifier) freezeLocked(pc *procCtx, fatal *policy.Violation, reason string) {
-	fr := pc.flight
-	if fr == nil || pc.report != nil {
+	if pc.report != nil {
 		return
 	}
+	fr := pc.flight
 	fr.StampEvent(pc.pid, telemetry.FlightKilled, 0)
 	fr.Freeze()
 
@@ -103,7 +101,7 @@ func (v *Verifier) freezeLocked(pc *procCtx, fatal *policy.Violation, reason str
 			e.Kind = "message"
 			e.Op = ipc.Op(r.Op).String()
 			e.Seq = r.Seq
-			e.Arg = fmt.Sprintf("0x%x", r.Arg)
+			e.Arg = "0x" + strconv.FormatUint(r.Arg, 16)
 		} else {
 			e.Kind = "lifecycle"
 			e.Value = r.Arg
@@ -129,8 +127,8 @@ func (v *Verifier) freezeLocked(pc *procCtx, fatal *policy.Violation, reason str
 }
 
 // Forensics returns the frozen postmortem for pid, if one exists (the
-// process was killed with the flight recorder armed and its context has not
-// been torn down yet). The report is immutable; callers may retain it.
+// process was killed and its context has not been torn down yet). The
+// report is immutable; callers may retain it.
 func (v *Verifier) Forensics(pid int32) (rep *ForensicReport, ok bool) {
 	v.withProc(pid, func(pc *procCtx) { rep = pc.report })
 	return rep, rep != nil
@@ -164,12 +162,5 @@ func (v *Verifier) AllForensics() []*ForensicReport {
 // must call it outside its own mutex (the same discipline as listener
 // callbacks).
 func (v *Verifier) StampFlightEvent(pid int32, code telemetry.FlightCode, value uint64) {
-	if v.flightSlots == 0 {
-		return
-	}
-	v.withProc(pid, func(pc *procCtx) {
-		if fr := pc.flight; fr != nil {
-			fr.StampEvent(pid, code, value)
-		}
-	})
+	v.withProc(pid, func(pc *procCtx) { pc.flight.StampEvent(pid, code, value) })
 }

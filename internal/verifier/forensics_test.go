@@ -204,22 +204,6 @@ func TestForensicsFrozenRingStable(t *testing.T) {
 	}
 }
 
-// TestForensicsDisabledRecorder: with no flight recorder armed there is no
-// window to anchor a postmortem, so Forensics must report absence rather
-// than a hollow report.
-func TestForensicsDisabledRecorder(t *testing.T) {
-	g := newFakeGate()
-	v := New(cfiFactory, g)
-	v.ProcessStarted(1)
-	v.Deliver(ipc.Message{Op: ipc.OpPointerCheck, PID: 1, Arg1: 0x10, Arg2: 0xbad, Seq: 1})
-	if g.kills[1] == "" {
-		t.Fatal("violation did not kill")
-	}
-	if rep, ok := v.Forensics(1); ok {
-		t.Fatalf("recorder disarmed but a report exists: %+v", rep)
-	}
-}
-
 // TestViolationsByPolicyCounts: the per-policy counters behind the
 // herqules_violations_total series aggregate across processes and survive
 // context teardown.

@@ -42,25 +42,18 @@ import (
 // message is a policy violation (§3.1.1), and a source that goes silent
 // instead ends in an epoch kill (§2.2).
 func (v *Verifier) Pump(r ipc.Receiver) {
-	tm := v.tm
+	tm := &v.tm
 	buf := make([]ipc.Message, DefaultBatchSize)
 	var pc *procCtx
 	for {
-		var recvStart time.Time
-		if tm != nil {
-			recvStart = time.Now()
-		}
+		recvStart := time.Now()
 		n, ok, err := r.RecvBatch(buf)
-		if tm != nil {
-			// Time spent inside RecvBatch is (almost entirely) time the
-			// drain loop stalled waiting for the producer.
-			tm.pumpStall.Observe(uint64(time.Since(recvStart)))
-		}
+		// Time spent inside RecvBatch is (almost entirely) time the drain
+		// loop stalled waiting for the producer.
+		tm.pumpStall.Observe(uint64(time.Since(recvStart)))
 		v.deliverRuns(buf[:n], true, &pc)
 		if err != nil {
-			if tm != nil {
-				tm.recvErrs.Inc()
-			}
+			tm.recvErrs.Inc()
 			v.killAttributed(err)
 			return
 		}

@@ -87,9 +87,9 @@ type procCtx struct {
 	messages    uint64
 	dropped     uint64 // messages dropped after the context went dead
 	lastSeq     uint64
-	// flight is the per-process black-box ring (nil unless
-	// EnableFlightRecorder ran before registration). Accessed only under mu —
-	// see the concurrency note in telemetry/flight.go.
+	// flight is the per-process black-box ring, sized by EnableFlightRecorder.
+	// Accessed only under mu — see the concurrency note in
+	// telemetry/flight.go.
 	flight *telemetry.FlightRecorder
 	// report is the frozen postmortem, built exactly once at the kill
 	// decision (freezeLocked) and immutable afterwards.
@@ -136,15 +136,12 @@ type Verifier struct {
 	// is itself a fatal integrity violation (§3.1.1).
 	CheckSeq bool
 
-	totalMessages atomic.Uint64
-	poisoned      atomic.Uint64 // contexts poisoned since start
-
 	// keyring, when set, is bound to every KeyBinder policy (the hmac
 	// sealer) as process contexts are created.
 	keyring *policy.Keyring
 
-	// flightSlots, when non-zero, arms a per-process flight recorder of that
-	// many slots on every context created afterwards (EnableFlightRecorder).
+	// flightSlots sizes the flight ring of every context created afterwards
+	// (EnableFlightRecorder).
 	flightSlots int
 
 	// vbp counts recorded violations by attributed policy name, feeding the
@@ -154,16 +151,17 @@ type Verifier struct {
 	vbpMu sync.Mutex
 	vbp   map[string]uint64
 
-	tm *verifierMetrics
+	tm verifierMetrics
 }
 
-// EnableFlightRecorder arms a flight recorder of the given slot count (see
-// telemetry.NewFlightRecorder for rounding) on every process context created
-// after the call. Like EnableTelemetry and SetKeyring it must run before
-// registrations; already-live contexts are not retrofitted.
+// EnableFlightRecorder sizes the flight ring of every process context created
+// after the call (see telemetry.NewFlightRecorder for rounding); slots <= 0
+// selects telemetry.DefaultFlightSlots, the size a new Verifier starts with.
+// Like SetKeyring it must run before registrations; already-live contexts are
+// not resized.
 func (v *Verifier) EnableFlightRecorder(slots int) {
 	if slots <= 0 {
-		slots = 0
+		slots = telemetry.DefaultFlightSlots
 	}
 	v.flightSlots = slots
 }
@@ -196,7 +194,7 @@ func (v *Verifier) ViolationsByPolicy() map[string]uint64 {
 
 // SetKeyring attaches the message-authentication keyring consulted by
 // KeyBinder policies (the hmac sealer). Must be called before any process
-// registers, like EnableTelemetry.
+// registers.
 func (v *Verifier) SetKeyring(kr *policy.Keyring) { v.keyring = kr }
 
 // verifierMetrics caches the verifier's telemetry instruments; the
@@ -204,39 +202,45 @@ func (v *Verifier) SetKeyring(kr *policy.Keyring) { v.keyring = kr }
 // context adds to the lane its PID selects, so deliveries for consecutive
 // PIDs never contend on a cache line.
 type verifierMetrics struct {
-	messages   *telemetry.Counter // delivered messages
-	dropped    *telemetry.Counter // messages dropped on dead contexts
-	violations *telemetry.Counter
-	kills      *telemetry.Counter
-	syncs      *telemetry.Counter
-	poisons    *telemetry.Counter   // contexts poisoned by delivery-path panics
-	recvErrs   *telemetry.Counter   // terminal receive errors that stopped a drain
-	batchSize  *telemetry.Histogram // delivered run lengths
-	pumpStall  *telemetry.Histogram // ns the drain loop spent in RecvBatch
+	messages  *telemetry.Counter // delivered messages
+	dropped   *telemetry.Counter // messages dropped on dead contexts
+	kills     *telemetry.Counter
+	syncs     *telemetry.Counter
+	poisons   *telemetry.Counter   // contexts poisoned by delivery-path panics
+	recvErrs  *telemetry.Counter   // terminal receive errors that stopped a drain
+	batchSize *telemetry.Histogram // delivered run lengths
+	pumpStall *telemetry.Histogram // ns the drain loop spent in RecvBatch
 }
 
-// EnableTelemetry attaches the metrics registry; call before concurrent use.
-func (v *Verifier) EnableTelemetry(m *telemetry.Metrics) {
-	v.tm = &verifierMetrics{
-		messages:   m.CounterLanes("verifier.messages", 0),
-		dropped:    m.CounterLanes("verifier.dropped_dead", 0),
-		violations: m.CounterLanes("verifier.violations", 0),
-		kills:      m.CounterLanes("verifier.kills", 0),
-		syncs:      m.CounterLanes("verifier.syncs", 0),
-		poisons:    m.Counter("verifier.poisoned"),
-		recvErrs:   m.Counter("verifier.recv_terminal_errors"),
-		batchSize:  m.Histogram("verifier.batch_size"),
-		pumpStall:  m.Histogram("verifier.pump_stall_ns"),
-	}
-}
+// MessagesVerified is the registry name of the verifier's delivered-message
+// counter, served on /metrics as herqules_messages_verified_total.
+const MessagesVerified = "messages_verified"
 
-// New creates a verifier. gate may be nil for standalone policy evaluation.
+// New creates a verifier counting into a metrics registry of its own. gate
+// may be nil for standalone policy evaluation.
 func New(factory PolicyFactory, gate Gate) *Verifier {
+	return NewWithMetrics(factory, gate, telemetry.New(0))
+}
+
+// NewWithMetrics is New counting into m, the registry a System shares among
+// its components.
+func NewWithMetrics(factory PolicyFactory, gate Gate, m *telemetry.Metrics) *Verifier {
 	return &Verifier{
 		procs:           make(map[int32]*procCtx),
 		factory:         factory,
 		gate:            gate,
 		KillOnViolation: true,
+		flightSlots:     telemetry.DefaultFlightSlots,
+		tm: verifierMetrics{
+			messages:  m.Counter(MessagesVerified),
+			dropped:   m.Counter("verifier.dropped_dead"),
+			kills:     m.Counter("verifier.kills"),
+			syncs:     m.Counter("verifier.syncs"),
+			poisons:   m.Counter("verifier.poisoned"),
+			recvErrs:  m.Counter("verifier.recv_terminal_errors"),
+			batchSize: m.Histogram("verifier.batch_size"),
+			pumpStall: m.Histogram("verifier.pump_stall_ns"),
+		},
 	}
 }
 
@@ -338,10 +342,8 @@ func (v *Verifier) bindKeyring(policies []policy.Policy) {
 // own is taken here.
 func (v *Verifier) register(pid int32, policies []policy.Policy, code telemetry.FlightCode, value uint64) {
 	pc := newProcCtx(pid, policies)
-	if v.flightSlots != 0 {
-		pc.flight = telemetry.NewFlightRecorder(v.flightSlots)
-		pc.flight.StampEvent(pid, code, value)
-	}
+	pc.flight = telemetry.NewFlightRecorder(v.flightSlots)
+	pc.flight.StampEvent(pid, code, value)
 	v.mu.Lock()
 	v.procs[pid] = pc
 	v.mu.Unlock()
@@ -525,8 +527,8 @@ func seqViolationReason(got, last uint64) string {
 // (passed by pointer, never retained), so the engine dispatch adds no
 // per-message allocation.
 type deliverState struct {
-	delivered, dropped, violCount, killCount, syncCount uint64
-	checkSeq, killOnViolation                           bool
+	delivered, dropped, killCount, syncCount uint64
+	checkSeq, killOnViolation                bool
 	// i is the cursor into the run; a segment that dies in policy code
 	// leaves it at the first message of the policy run or window being
 	// evaluated, which the recover path charges and skips.
@@ -571,25 +573,17 @@ func (v *Verifier) deliverLocked(pc *procCtx, ms []ipc.Message) {
 	locked = false
 	pc.mu.Unlock()
 
-	if st.delivered > 0 {
-		v.totalMessages.Add(st.delivered)
+	tm, lane := &v.tm, int(pc.pid)
+	tm.messages.AddAt(lane, st.delivered)
+	tm.batchSize.ObserveAt(lane, uint64(len(ms)))
+	if st.dropped > 0 {
+		tm.dropped.AddAt(lane, st.dropped)
 	}
-	if tm := v.tm; tm != nil {
-		lane := int(pc.pid)
-		tm.messages.AddAt(lane, st.delivered)
-		tm.batchSize.ObserveAt(lane, uint64(len(ms)))
-		if st.dropped > 0 {
-			tm.dropped.AddAt(lane, st.dropped)
-		}
-		if st.violCount > 0 {
-			tm.violations.AddAt(lane, st.violCount)
-		}
-		if st.killCount > 0 {
-			tm.kills.AddAt(lane, st.killCount)
-		}
-		if st.syncCount > 0 {
-			tm.syncs.AddAt(lane, st.syncCount)
-		}
+	if st.killCount > 0 {
+		tm.kills.AddAt(lane, st.killCount)
+	}
+	if st.syncCount > 0 {
+		tm.syncs.AddAt(lane, st.syncCount)
 	}
 	if v.gate == nil {
 		return
@@ -722,23 +716,20 @@ func (v *Verifier) deliverSegment(pc *procCtx, ms []ipc.Message, st *deliverStat
 					violated, n = viol, k
 				}
 				pc.violations = append(pc.violations, viol)
-				st.violCount++
 				v.noteViolation(viol.Policy)
 			}
 		}
 		cur = nil
-		// Flight stamps: one record per evaluated message with its chain's
-		// outcome, the clean prefix first — a nil check on clean configs, one
-		// ring store per message when armed.
-		if fr := pc.flight; fr != nil {
-			for i := range run[:n] {
-				c := &run[i]
-				fr.StampMessage(c.PID, uint16(c.Op), c.Seq, c.Arg1^c.Arg2^c.Arg3, telemetry.FlightOK)
-			}
-			if violated != nil {
-				c := &run[n]
-				fr.StampMessage(c.PID, uint16(c.Op), c.Seq, c.Arg1^c.Arg2^c.Arg3, telemetry.FlightViolated)
-			}
+		// Flight stamps: one ring store per evaluated message with its
+		// chain's outcome, the clean prefix first.
+		fr := pc.flight
+		for i := range run[:n] {
+			c := &run[i]
+			fr.StampMessage(c.PID, uint16(c.Op), c.Seq, c.Arg1^c.Arg2^c.Arg3, telemetry.FlightOK)
+		}
+		if violated != nil {
+			c := &run[n]
+			fr.StampMessage(c.PID, uint16(c.Op), c.Seq, c.Arg1^c.Arg2^c.Arg3, telemetry.FlightViolated)
 		}
 		if violated != nil {
 			n++ // the violator is evaluated too
@@ -778,12 +769,9 @@ func (v *Verifier) condemn(st *deliverState, pc *procCtx, m *ipc.Message, viol *
 	st.delivered++
 	pc.messages++
 	pc.violations = append(pc.violations, viol)
-	st.violCount++
 	pc.dead = true
 	v.noteViolation(viol.Policy)
-	if fr := pc.flight; fr != nil {
-		fr.StampMessage(m.PID, uint16(m.Op), m.Seq, m.Arg1^m.Arg2^m.Arg3, code)
-	}
+	pc.flight.StampMessage(m.PID, uint16(m.Op), m.Seq, m.Arg1^m.Arg2^m.Arg3, code)
 	v.freezeLocked(pc, viol, viol.Reason)
 	st.killCount++
 	return gateAction{kill: true, reason: viol.Reason}
@@ -822,15 +810,10 @@ func (v *Verifier) poison(pc *procCtx, reason string) {
 	pc.mu.Lock()
 	kill := !pc.dead
 	pc.dead = true
-	if fr := pc.flight; fr != nil {
-		fr.StampEvent(pc.pid, telemetry.FlightPoisoned, 0)
-	}
+	pc.flight.StampEvent(pc.pid, telemetry.FlightPoisoned, 0)
 	v.freezeLocked(pc, nil, reason)
 	pc.mu.Unlock()
-	v.poisoned.Add(1)
-	if tm := v.tm; tm != nil {
-		tm.poisons.Inc()
-	}
+	v.tm.poisons.Inc()
 	if kill && v.gate != nil {
 		v.gate.Kill(pc.pid, reason)
 	}
@@ -849,9 +832,10 @@ func (v *Verifier) PoisonProcess(pid int32, reason string) {
 
 // Poisoned reports how many process contexts contained delivery-path panics
 // have poisoned since the verifier started. Non-zero means the verifier has
-// hit a bug in its own delivery path. Surfaced through supervisor.Health and
-// /healthz.
-func (v *Verifier) Poisoned() int { return int(v.poisoned.Load()) }
+// hit a bug in its own delivery path. It reads the registry's
+// verifier.poisoned counter, which a System diffs to its own lifetime for
+// supervisor.Health and /healthz.
+func (v *Verifier) Poisoned() int { return int(v.tm.poisons.Value()) }
 
 // WedgedFor implements the kernel's watchdog probe (kernel.Watchdog): it
 // reports whether the verifier can still make validation progress for pid —
@@ -905,10 +889,10 @@ func (v *Verifier) Messages(pid int32) (n uint64) {
 	return n
 }
 
-// TotalMessages returns the number of messages processed for all processes.
-func (v *Verifier) TotalMessages() uint64 {
-	return v.totalMessages.Load()
-}
+// TotalMessages returns the number of messages processed for all processes:
+// the registry's MessagesVerified counter, over every verifier counting into
+// it.
+func (v *Verifier) TotalMessages() uint64 { return v.tm.messages.Value() }
 
 // ProcStats is the verifier-side per-process attribution row. The supervisor
 // merges it with the kernel's per-process figures for /procs and

@@ -46,6 +46,7 @@ package verify
 
 import (
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"time"
@@ -243,6 +244,11 @@ func (r *Result) String() string {
 // returns what it found. Violating schedules are minimized before being
 // reported.
 func Check(cfg Config) *Result {
+	// Every replayed schedule builds a System and throws it away, so the
+	// exploration allocates gigabytes while holding a few MiB live: at the
+	// default GOGC the collector runs every few MiB. A larger target costs a
+	// few MiB of heap and saves most of those cycles.
+	defer debug.SetGCPercent(debug.SetGCPercent(400))
 	cfg = cfg.withDefaults()
 	c := &checker{cfg: cfg, seen: make(map[[16]byte]struct{}), res: &Result{}}
 	c.explore(nil, newWorld(cfg))

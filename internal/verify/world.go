@@ -12,6 +12,7 @@ import (
 	"herqules/internal/kernel"
 	"herqules/internal/policy"
 	"herqules/internal/supervisor"
+	"herqules/internal/telemetry"
 	"herqules/internal/verifier"
 )
 
@@ -163,9 +164,14 @@ type world struct {
 
 	procs map[string]*wproc
 	order []string
+	fpBuf []byte // fingerprint's scratch
 }
 
 func noPolicies() []policy.Policy { return nil }
+
+// worldMetrics is the one registry every world counts into. The checker reads
+// no counter, and a registry per world would be most of a world's setup.
+var worldMetrics = telemetry.New(1)
 
 func newWorld(cfg Config) *world {
 	var reverts dsched.Revert
@@ -181,6 +187,8 @@ func newWorld(cfg Config) *world {
 		Policies:        noPolicies,
 		KillOnViolation: true,
 		CheckSeq:        cfg.CheckSeq,
+		Metrics:         worldMetrics,
+		FlightRecorder:  telemetry.MinFlightSlots,
 	})
 	lis := &tapListener{v: sys.Verifier(), killCount: make(map[int32]int)}
 	sys.Kernel().SetListener(lis)
@@ -749,18 +757,32 @@ func rowState(rows []supervisor.ProcStats, pid int32) string {
 // that converge to the same protocol state — regardless of how they got
 // there — are explored once.
 func (w *world) fingerprint() (fp [16]byte) {
-	b := fnv.New128a()
+	// Appended by hand, not with fmt: every explored state is fingerprinted.
+	bo := strconv.AppendBool
+	u := func(b []byte, v uint64) []byte { return strconv.AppendUint(b, v, 10) }
+	b := w.fpBuf[:0]
 	for _, name := range w.order {
 		p := w.procs[name]
-		fmt.Fprintf(b, "%s<%s|ph%d|k%t|sr%t|gb%t|gd%d|sq%d|ev%d|vm%d|sv%t|sn%d|ro%t|q",
-			name, p.src.owner, p.phase, p.killed, w.k.SyncReady(p.pid), p.gateBlocked,
-			p.gatesDone, p.nextSeq, p.expectValidated, w.v.Messages(p.pid),
-			p.severed, p.severs, p.reordered)
+		b = append(append(append(append(b, name...), '<'), p.src.owner...), "|ph"...)
+		b = strconv.AppendInt(b, int64(p.phase), 10)
+		b = bo(append(b, "|k"...), p.killed)
+		b = bo(append(b, "|sr"...), w.k.SyncReady(p.pid))
+		b = bo(append(b, "|gb"...), p.gateBlocked)
+		b = strconv.AppendInt(append(b, "|gd"...), int64(p.gatesDone), 10)
+		b = u(append(b, "|sq"...), p.nextSeq)
+		b = u(append(b, "|ev"...), p.expectValidated)
+		b = u(append(b, "|vm"...), w.v.Messages(p.pid))
+		b = bo(append(b, "|sv"...), p.severed)
+		b = strconv.AppendInt(append(b, "|sn"...), int64(p.severs), 10)
+		b = append(bo(append(b, "|ro"...), p.reordered), "|q"...)
 		for _, m := range p.queue {
-			fmt.Fprintf(b, "%d.%d,", m.Op, m.Seq)
+			b = append(u(append(u(b, uint64(m.Op)), '.'), m.Seq), ',')
 		}
-		b.Write([]byte{';'})
+		b = append(b, ';')
 	}
-	b.Sum(fp[:0])
+	w.fpBuf = b
+	h := fnv.New128a()
+	h.Write(b)
+	h.Sum(fp[:0])
 	return fp
 }

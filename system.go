@@ -11,7 +11,8 @@ import (
 
 // Metrics is the telemetry registry shared by every component of a System:
 // lane-striped counters and latency histograms, readable
-// without stopping the world. Attach one with WithMetrics.
+// without stopping the world. Every System counts into one; WithMetrics
+// chooses which.
 type Metrics = telemetry.Metrics
 
 // NewMetrics creates a telemetry registry with the default stripe width
@@ -20,9 +21,9 @@ func NewMetrics() *Metrics { return telemetry.New(0) }
 
 // SystemStats is the per-system aggregate snapshot: process lifecycle
 // totals, the shared verifier's message total, per-PID attribution rows, and
-// (when a Metrics registry is attached) a telemetry snapshot covering
-// exactly this system's lifetime. Its String and MarshalJSON forms are the
-// canonical renderings shared by hqrun and the /procs endpoint.
+// a telemetry snapshot covering exactly this system's lifetime. Its String
+// and MarshalJSON forms are the canonical renderings shared by hqrun and the
+// /procs endpoint.
 type SystemStats = supervisor.Stats
 
 // ProcStats is one per-PID attribution row of a SystemStats: validated
@@ -71,8 +72,9 @@ type systemConfig struct {
 // SystemOption configures a System at construction.
 type SystemOption func(*systemConfig)
 
-// WithMetrics wires a telemetry registry through the whole stack: kernel
-// gate, verifier, and every channel the System binds.
+// WithMetrics makes the System count into m (kernel gate and verifier)
+// instead of a registry of its own, so several Systems or other
+// instrumentation can share one; Stats still reports this System's interval.
 func WithMetrics(m *Metrics) SystemOption {
 	return func(c *systemConfig) { c.sup.Metrics = m }
 }
@@ -153,36 +155,28 @@ func WithDegradedPolicy(p DegradedPolicy) SystemOption {
 // System.Forensics, or scrape /violations when an HTTP endpoint is attached.
 type ForensicReport = supervisor.ForensicReport
 
-// DefaultFlightSlots is the flight-recorder ring capacity WithFlightRecorder
-// uses when given n <= 0.
+// DefaultFlightSlots is the flight-ring capacity a System gives each process
+// unless WithFlightRecorder sizes it.
 const DefaultFlightSlots = telemetry.DefaultFlightSlots
 
-// WithFlightRecorder arms a per-process black box: a fixed-size ring of the
-// last n verified messages (with per-message policy outcomes) plus lifecycle
-// events (register, fork, gate stalls, epoch expiries, kill), frozen at the
-// moment a process is killed and served as a ForensicReport. n is rounded to
-// a power of two; n <= 0 selects DefaultFlightSlots. The stamp is one store
-// into a preallocated slot under the context lock the verifier already holds —
-// no allocation, no extra synchronization — so it is safe to leave on in
-// production.
+// WithFlightRecorder sizes each process's black box: a fixed-size ring of
+// the last n verified messages (with per-message policy outcomes) plus
+// lifecycle events (register, fork, gate stalls, epoch and lease expiries,
+// kill), frozen at the moment a process is killed and served as a
+// ForensicReport. Every System keeps one per process; n is rounded to a power
+// of two, and n <= 0 selects DefaultFlightSlots. The stamp is one store into
+// a preallocated slot under the context lock the verifier already holds — no
+// allocation, no extra synchronization.
 func WithFlightRecorder(n int) SystemOption {
-	return func(c *systemConfig) {
-		if n <= 0 {
-			n = DefaultFlightSlots
-		}
-		c.sup.FlightRecorder = n
-	}
+	return func(c *systemConfig) { c.sup.FlightRecorder = n }
 }
 
 // WithHTTPAddr serves the observability endpoints on addr (host:port;
 // ":8080" or "127.0.0.1:0" both work): /metrics in Prometheus text format,
-// /healthz, /procs, /violations and /debug/pprof/. If no Metrics registry is
-// attached, one is created and wired automatically, and unless
-// WithFlightRecorder was given the flight recorder is armed at
-// DefaultFlightSlots, so /violations has kill postmortems to serve. A bind
-// failure does not fail NewSystem —
-// the enforcement stack is independent of the scrape endpoint — but is
-// reported by HTTPAddr.
+// /healthz, /procs, /violations and /debug/pprof/, read from the System's
+// registry and flight rings. A bind failure does not fail NewSystem — the
+// enforcement stack is independent of the scrape endpoint — but is reported
+// by HTTPAddr.
 func WithHTTPAddr(addr string) SystemOption {
 	return func(c *systemConfig) { c.httpAddr = addr }
 }
@@ -194,17 +188,6 @@ func NewSystem(opts ...SystemOption) *System {
 	var cfg systemConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.httpAddr != "" {
-		// An observability endpoint without instruments would serve an
-		// empty exposition, and one without a flight recorder an empty
-		// /violations: imply both unless the caller chose them.
-		if cfg.sup.Metrics == nil {
-			cfg.sup.Metrics = telemetry.New(0)
-		}
-		if cfg.sup.FlightRecorder == 0 {
-			cfg.sup.FlightRecorder = DefaultFlightSlots
-		}
 	}
 	sys := &System{s: supervisor.New(cfg.sup)}
 	if cfg.httpAddr != "" {
@@ -312,8 +295,7 @@ func (s *System) Shutdown(ctx context.Context) error {
 func (s *System) Stats() SystemStats { return s.s.Stats() }
 
 // Forensics returns the kill postmortem for pid. ok is false when pid was
-// never killed, the flight recorder was not armed (WithFlightRecorder), or
-// the report has been evicted by bounded retention.
+// never killed or the report has been evicted by bounded retention.
 func (s *System) Forensics(pid int32) (ForensicReport, bool) { return s.s.Forensics(pid) }
 
 // AllForensics returns every retained kill postmortem, ascending by PID.

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"herqules/internal/verifier"
 )
 
 // TestSystemFacadeConcurrentLaunches drives the redesigned public API end to
@@ -85,9 +87,47 @@ func TestSystemFacadeConcurrentLaunches(t *testing.T) {
 	}
 }
 
+// TestDefaultSystemReportsKillAndCountsOnce: a System built with no
+// telemetry option still counts into a registry and keeps a flight ring per
+// process. A violating program's kill leaves its report, and Stats reads the
+// verified count from the one registry counter that holds it.
+func TestDefaultSystemReportsKillAndCountsOnce(t *testing.T) {
+	ins, err := Instrument(buildAPIVictim(t), HQSfeStk, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(WithKillOnViolation(true))
+	defer sys.Shutdown(context.Background())
+	p, err := sys.Launch(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Killed {
+		t.Fatalf("violating program was not killed: %+v", out)
+	}
+	rep, ok := sys.Forensics(p.PID())
+	if !ok {
+		t.Fatal("no forensic report for the killed process")
+	}
+	if n := len(rep.Window); n == 0 || rep.Window[n-1].Code != "killed" || rep.Policy == "" {
+		t.Errorf("report policy %q, window %+v: want an attributed policy and a window ending in the kill", rep.Policy, rep.Window)
+	}
+	st := sys.Stats()
+	if st.MessagesVerified == 0 || st.MessagesVerified != out.MessagesProcessed {
+		t.Errorf("MessagesVerified = %d, the process's verified messages %d", st.MessagesVerified, out.MessagesProcessed)
+	}
+	if got := st.Snapshot.Counters[verifier.MessagesVerified].Total; got != st.MessagesVerified {
+		t.Errorf("snapshot %s = %d, MessagesVerified = %d", verifier.MessagesVerified, got, st.MessagesVerified)
+	}
+}
+
 // TestSystemFacadeHTTPEndpoint: WithHTTPAddr stands up the observability
-// plane with an implied registry; /metrics serves the exposition, /healthz
-// tracks shutdown, and HTTPAddr reports the resolved port.
+// plane over the System's own registry; /metrics serves the exposition,
+// /healthz tracks shutdown, and HTTPAddr reports the resolved port.
 func TestSystemFacadeHTTPEndpoint(t *testing.T) {
 	clean := NewModule("obs-clean")
 	b := NewBuilder(clean)
@@ -101,8 +141,8 @@ func TestSystemFacadeHTTPEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No WithMetrics, no WithFlightRecorder: the endpoint implies a registry
-	// and a flight recorder of its own.
+	// No WithMetrics, no WithFlightRecorder: the endpoint serves the
+	// registry and flight rings every System keeps.
 	sys := NewSystem(WithHTTPAddr("127.0.0.1:0"))
 	addr, err := sys.HTTPAddr()
 	if err != nil {
