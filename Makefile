@@ -33,6 +33,13 @@ vet:
 # reconnect must fail here, not flake later) and of its one-producer tests
 # (a flush that reads a slot before its tail store, or an ack that releases
 # a frame in flight, shows as a race or a changed byte only now and then),
+# of the lock-free observer tests (a scrape of System.Stats racing two
+# streaming ring processes, one killed part-way, where a count read without
+# the context lock but written without an atomic is a race; the hqnet wedge
+# test, where /metrics, /procs, /violations and the System's stats and
+# postmortems must answer while a policy holds a lease-killed process's
+# context lock) and of the delivery-panic containment test on both emit paths
+# (a drain and inline delivery on the program's goroutine),
 # twenty runs of the ring's
 # and sealed-view tests without the race detector (only that build publishes
 # the ring's head with a plain store, on the raw and the sealed path alike),
@@ -83,7 +90,8 @@ check: vet build
 	$(GO) test -race -skip 'TestEveryExperimentRunsQuick/verify' ./...
 	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints|TestSharedRingCloseDeliversOpenGroup|TestSealSender' ./internal/ipc
 	$(GO) test -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints|TestSharedRingCloseDeliversOpenGroup|TestSealSender' ./internal/ipc
-	$(GO) test -race -count=20 -run 'TestCloseResendsLostGoodbye|TestResumeToken|TestConcurrentSendGateHeartbeatNeverSplitFrames|TestAckNeverReleasesInFlightFrames' ./internal/hqnet
+	$(GO) test -race -count=20 -run 'TestCloseResendsLostGoodbye|TestResumeToken|TestConcurrentSendGateHeartbeatNeverSplitFrames|TestAckNeverReleasesInFlightFrames|TestWedgedContextDelaysNoOtherLease' ./internal/hqnet
+	$(GO) test -race -count=20 -run 'TestStatsScrapeRacesDelivery|TestDeliveryPanicKillsOnlyItsProcess' ./internal/supervisor
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
 	$(GO) test -run xxx -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/ipc

@@ -63,7 +63,7 @@ const (
 	PointExitNotify
 
 	// PointKillNotify is yielded by Kernel.Kill between marking the
-	// process killed and notifying the KillListener: a window where the
+	// process killed and notifying the listener: a window where the
 	// kernel will fail the process's gates but the verifier still
 	// evaluates its in-flight messages.
 	PointKillNotify

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"net/http/httptest"
 	"regexp"
 	"runtime"
 	"strings"
@@ -293,12 +294,30 @@ func awaitKillNotice(t *testing.T, nc net.Conn, d time.Duration) uint64 {
 	}
 }
 
+// returnsWithin fails t unless f returns within d. A call that blocks is left
+// behind, parked, until whatever it waits on lets go.
+func returnsWithin(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v", what, d)
+	}
+}
+
 // TestWedgedContextDelaysNoOtherLease: a policy stuck under one process's
-// context lock must neither keep that process alive past its lease nor hold
-// up any other session's lease. Process A's drain wedges inside a delivery
-// and A is lease-killed; a second, silent session admitted afterwards must
-// still get its own lease kill on time. Nothing here reads System.Stats or
-// ProcStats, which take every live context's lock and would wait on A's.
+// context lock must neither keep that process alive past its lease, nor hold
+// up any other session's lease, nor hang an observer. Process A's drain wedges
+// inside a delivery and A is lease-killed; while A's context is still wedged,
+// the System's stats, per-PID rows and postmortems and the /metrics, /procs
+// and /violations endpoints all answer, A's row reading killed for the
+// lease; and a second, silent session admitted afterwards still gets its own
+// lease kill on time.
 func TestWedgedContextDelaysNoOtherLease(t *testing.T) {
 	const lease = 300 * time.Millisecond
 	release := make(chan struct{})
@@ -321,6 +340,34 @@ func TestWedgedContextDelaysNoOtherLease(t *testing.T) {
 	})
 	if _, reason := h.sys.Kernel().Killed(a.PID()); reason != kernel.ReasonLeaseExpired {
 		t.Fatalf("A's kill reason = %q, want %q", reason, kernel.ReasonLeaseExpired)
+	}
+
+	const answer = time.Second
+	var st supervisor.Stats
+	returnsWithin(t, answer, "System.Stats", func() { st = h.sys.Stats() })
+	row := false
+	for _, p := range st.Procs {
+		if p.PID == a.PID() {
+			row = true
+			if p.State != "killed" || p.KillReason != kernel.ReasonLeaseExpired {
+				t.Errorf("A's row reads %q (%q), want killed (%q)", p.State, p.KillReason, kernel.ReasonLeaseExpired)
+			}
+		}
+	}
+	if !row {
+		t.Errorf("Stats has no row for A: %+v", st.Procs)
+	}
+	returnsWithin(t, answer, "System.ProcStats", func() { h.sys.ProcStats() })
+	returnsWithin(t, answer, "System.Forensics(A)", func() { h.sys.Forensics(a.PID()) })
+	returnsWithin(t, answer, "System.AllForensics", func() { h.sys.AllForensics() })
+	o := obs.NewServer(h.srv)
+	o.SetConnReporter(h.srv)
+	for _, path := range []string{"/metrics", "/procs", "/violations"} {
+		rec := httptest.NewRecorder()
+		returnsWithin(t, answer, path, func() { o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil)) })
+		if rec.Code != 200 {
+			t.Errorf("%s: status %d", path, rec.Code)
+		}
 	}
 
 	b, _ := h.rawSession(t) // admitted while A's context is still wedged

@@ -8,26 +8,26 @@ import (
 	"herqules/internal/telemetry"
 )
 
-// fakeWatchdog reports a fixed wedged verdict for every pid.
-type fakeWatchdog struct {
+// wedgedListener reports a fixed wedged verdict for every pid.
+type wedgedListener struct {
+	nopListener
 	wedged bool
 	detail string
 	probes int
 }
 
-func (w *fakeWatchdog) WedgedFor(int32) (bool, string) {
+func (w *wedgedListener) WedgedFor(int32) (bool, string) {
 	w.probes++
 	return w.wedged, w.detail
 }
 
 func TestEpochExpiryCarriesWedgedVerifierReason(t *testing.T) {
-	// When the watchdog attributes a stall to a poisoned verifier context, the
+	// When the listener attributes a stall to a poisoned verifier context, the
 	// epoch-expiry kill must say so: "epoch expired" alone sends an operator
 	// hunting a slow channel, while the wedged reason names the real fault.
-	k := New(nil)
+	w := &wedgedListener{wedged: true, detail: "verifier poisoned: delivery panic: bomb"}
+	k := New(w)
 	k.Epoch = 15 * time.Millisecond
-	w := &fakeWatchdog{wedged: true, detail: "verifier poisoned: delivery panic: bomb"}
-	k.SetWatchdog(w)
 	pid := k.Register()
 	if err := k.SyscallEnter(pid, 1); err == nil {
 		t.Fatal("syscall survived a wedged verifier")
@@ -40,17 +40,16 @@ func TestEpochExpiryCarriesWedgedVerifierReason(t *testing.T) {
 		t.Errorf("reason = %q, want prefix %q", reason, ReasonWedgedVerifier)
 	}
 	if !strings.Contains(reason, "delivery panic: bomb") {
-		t.Errorf("reason = %q, lost the watchdog detail", reason)
+		t.Errorf("reason = %q, lost the listener's detail", reason)
 	}
 	if w.probes == 0 {
-		t.Error("watchdog never probed")
+		t.Error("WedgedFor never probed")
 	}
 }
 
 func TestEpochExpiryWithoutWedgeKeepsPlainReason(t *testing.T) {
-	k := New(nil)
+	k := New(&wedgedListener{wedged: false})
 	k.Epoch = 15 * time.Millisecond
-	k.SetWatchdog(&fakeWatchdog{wedged: false})
 	pid := k.Register()
 	if err := k.SyscallEnter(pid, 1); err == nil {
 		t.Fatal("syscall survived with no sync message")
@@ -107,9 +106,8 @@ func TestDegradedLogOnlyStillHonorsExplicitKills(t *testing.T) {
 
 func TestWedgedKillCountsInTelemetry(t *testing.T) {
 	m := telemetry.New(1)
-	k := NewWithMetrics(nil, m)
+	k := NewWithMetrics(&wedgedListener{wedged: true, detail: "verifier poisoned"}, m)
 	k.Epoch = 15 * time.Millisecond
-	k.SetWatchdog(&fakeWatchdog{wedged: true, detail: "verifier poisoned"})
 	pid := k.Register()
 	if err := k.SyscallEnter(pid, 1); err == nil {
 		t.Fatal("syscall survived a wedged verifier")

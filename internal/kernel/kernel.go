@@ -7,6 +7,12 @@
 //
 // The real system intercepts syscalls with kprobes/tracepoints; here the VM
 // calls SyscallEnter explicitly, which is the same interposition point.
+//
+// The kernel and the verifier talk over one privileged channel in each
+// direction: the kernel reaches the verifier only through its Listener
+// (lifecycle events, kills, the wedge probe at an epoch deadline and the
+// gate's flight stamps), and the verifier reaches the kernel only through
+// NotifySyncReady and Kill.
 package kernel
 
 import (
@@ -32,13 +38,13 @@ const DefaultEpoch = 2 * time.Second
 // policy was violated.
 var ErrProcessExited = errors.New("process exited")
 
-// Kill reasons recorded by the epoch watchdog. ReasonEpochExpired is the
+// Kill reasons recorded at an epoch deadline. ReasonEpochExpired is the
 // generic §2.2 timeout: no System-Call message arrived, cause unknown.
 // ReasonWedgedVerifier is the distinct degraded-mode reason recorded when
-// the watchdog can positively attribute the silence to a verifier that has
-// stopped making progress for this process (e.g. its context was poisoned by
-// a contained delivery-path panic); the full reason carries the watchdog's detail
-// after a colon.
+// the listener's WedgedFor positively attributes the silence to a verifier
+// that has stopped making progress for this process (e.g. its context was
+// poisoned by a contained delivery-path panic); the full reason carries its
+// detail after a colon.
 const (
 	ReasonEpochExpired   = "synchronization epoch expired"
 	ReasonWedgedVerifier = "synchronization epoch expired: verifier wedged"
@@ -79,41 +85,53 @@ func (p DegradedPolicy) String() string {
 	}
 }
 
-// Watchdog lets the kernel ask, at an epoch deadline, whether the verifier
-// can still make validation progress for a process. Implementations must be
-// lock-free with respect to kernel callbacks: the kernel probes with its own
-// lock held (*verifier.Verifier's WedgedFor reads only atomics).
-type Watchdog interface {
-	// WedgedFor reports whether validation for pid is permanently stuck,
-	// with a human-readable detail when it is.
-	WedgedFor(pid int32) (wedged bool, detail string)
-}
-
-// Listener is the kernel→verifier privileged notification channel (edges 1b
-// and 4a of Figure 1): the verifier learns about process lifecycle events
-// from the kernel, never from the untrusted program.
+// Listener is the kernel→verifier privileged channel (edges 1b and 4a of
+// Figure 1): the verifier learns about process lifecycle events, kills and
+// gate timelines from the kernel, never from the untrusted program, and the
+// kernel asks it, at an epoch deadline, whether validation is stuck. A
+// kernel always has one: New(nil) and SetListener(nil) install a no-op
+// listener. *verifier.Verifier implements it.
+//
+// Every method but WedgedFor is called outside the kernel's lock and may
+// take the verifier's own locks or call back into the kernel.
 type Listener interface {
-	// ProcessStarted is invoked when a process enables HerQules.
+	// ProcessStarted is invoked when a process enables HerQules, before its
+	// kernel context becomes visible.
 	ProcessStarted(pid int32)
-	// ProcessForked is invoked on fork/clone; the verifier duplicates the
-	// parent's policy context for the child (§3.4).
+	// ProcessForked is invoked on fork/clone, before the child's context
+	// becomes visible; the verifier duplicates the parent's policy context
+	// for the child (§3.4).
 	ProcessForked(parent, child int32)
 	// ProcessExited is invoked when a process terminates; the verifier
 	// destroys its policy context.
 	ProcessExited(pid int32)
+	// ProcessKilled is invoked once per killed process, after the kill is
+	// marked — explicit Kill calls and epoch-expiry kills alike — so the
+	// verifier stops evaluating (and stops accumulating violations for) a
+	// process that is already dead.
+	ProcessKilled(pid int32, reason string)
+	// WedgedFor reports whether validation for pid is permanently stuck,
+	// with a human-readable detail when it is. The kernel calls it at an
+	// epoch deadline with its own lock held, so it must be lock-free with
+	// respect to every path that calls into the kernel: it may take no lock
+	// the verifier holds across a Kill or NotifySyncReady.
+	WedgedFor(pid int32) (wedged bool, detail string)
+	// StampFlightEvent stamps a gate lifecycle event (a stall, an epoch
+	// expiry, a degraded bypass, a lease expiry) into pid's flight ring,
+	// which the verifier owns.
+	StampFlightEvent(pid int32, code telemetry.FlightCode, value uint64)
 }
 
-// KillListener is an optional extension of Listener: when the attached
-// listener implements it, the kernel reports every kill — explicit Kill
-// calls and epoch-expiry kills alike — over the privileged channel, so the
-// verifier can stop evaluating (and stop accumulating violations for) a
-// process that is already dead. Without this notification a gate-killed
-// process keeps a live verifier context until ProcessExited, and every
-// still-in-flight message grows its violation log.
-type KillListener interface {
-	// ProcessKilled is invoked after pid has been marked killed.
-	ProcessKilled(pid int32, reason string)
-}
+// nopListener is the listener of a kernel no verifier has attached to:
+// nothing hears its events, and no process is ever wedged.
+type nopListener struct{}
+
+func (nopListener) ProcessStarted(int32)                                 {}
+func (nopListener) ProcessForked(int32, int32)                           {}
+func (nopListener) ProcessExited(int32)                                  {}
+func (nopListener) ProcessKilled(int32, string)                          {}
+func (nopListener) WedgedFor(int32) (bool, string)                       { return false, "" }
+func (nopListener) StampFlightEvent(int32, telemetry.FlightCode, uint64) {}
 
 // proc is the kernel-side context for one monitored process: the boolean
 // synchronization variable of §3.3 plus bookkeeping.
@@ -130,10 +148,8 @@ type proc struct {
 
 // ProcStats are the per-process statistics the kernel context maintains.
 type ProcStats struct {
-	Syscalls    uint64 `json:"syscalls"`    // system calls gated
-	SyncStalls  uint64 `json:"sync_stalls"` // system calls that had to wait for the verifier
-	Forks       uint64 `json:"forks"`
-	KilledByAll string `json:"kill_reason,omitempty"` // reason, when killed
+	Syscalls   uint64 `json:"syscalls"`    // system calls gated
+	SyncStalls uint64 `json:"sync_stalls"` // system calls that had to wait for the verifier
 
 	// LastSyscallUnixNanos is the wall-clock epoch (UnixNano) of the most
 	// recent gated system call — the per-PID liveness figure /procs reports
@@ -185,10 +201,8 @@ type Kernel struct {
 	registering map[int32]*pendingReg // allocated PIDs not yet visible in procs
 	nextPID     int32
 	listener    Listener
-	watchdog    Watchdog
 	degraded    DegradedPolicy
 	keys        KeyProgrammer
-	flight      telemetry.FlightStamper
 
 	// Epoch is the synchronization timeout (§2.2). Zero means
 	// DefaultEpoch.
@@ -212,20 +226,18 @@ type kernelMetrics struct {
 }
 
 // New creates a kernel module instance counting into a metrics registry of
-// its own. listener may be nil (no verifier attached; system calls then fail
-// closed only on explicit Kill).
+// its own. listener may be nil: no verifier is attached, and system calls
+// then fail closed only on explicit Kill or at the epoch.
 func New(listener Listener) *Kernel { return NewWithMetrics(listener, telemetry.New(0)) }
 
 // NewWithMetrics is New counting into m, the registry a System shares among
 // its components: the gate records a stall-time histogram per gated system
 // call plus lifecycle and kill counters.
 func NewWithMetrics(listener Listener, m *telemetry.Metrics) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		procs:       make(map[int32]*proc),
 		registering: make(map[int32]*pendingReg),
 		nextPID:     100,
-		listener:    listener,
-		flight:      noRings{},
 		tm: kernelMetrics{
 			syscalls:    m.Counter("kernel.syscalls"),
 			stalls:      m.Counter("kernel.sync_stalls"),
@@ -238,18 +250,18 @@ func NewWithMetrics(listener Listener, m *telemetry.Metrics) *Kernel {
 			stallNs:     m.Histogram("kernel.syscall_stall_ns"),
 		},
 	}
+	k.SetListener(listener)
+	return k
 }
 
-// noRings is the flight stamper of a kernel no verifier has attached to with
-// SetFlightStamper: the rings belong to the verifier, so without one there is
-// no process black box to stamp.
-type noRings struct{}
-
-func (noRings) StampFlightEvent(int32, telemetry.FlightCode, uint64) {}
-
 // SetListener attaches the verifier's privileged channel after construction
-// (used to break the construction cycle between kernel and verifier).
+// (used to break the construction cycle between kernel and verifier); nil
+// installs the no-op listener. Must be called before concurrent use, like
+// the other setters.
 func (k *Kernel) SetListener(l Listener) {
+	if l == nil {
+		l = nopListener{}
+	}
 	k.mu.Lock()
 	k.listener = l
 	k.mu.Unlock()
@@ -260,26 +272,6 @@ func (k *Kernel) SetListener(l Listener) {
 func (k *Kernel) SetKeyring(kp KeyProgrammer) {
 	k.mu.Lock()
 	k.keys = kp
-	k.mu.Unlock()
-}
-
-// SetWatchdog attaches a verifier-liveness probe consulted at epoch
-// deadlines. wd.WedgedFor is called with the kernel lock held, so it must not
-// take locks the verifier's delivery path also holds (see Watchdog).
-func (k *Kernel) SetWatchdog(wd Watchdog) {
-	k.mu.Lock()
-	k.watchdog = wd
-	k.mu.Unlock()
-}
-
-// SetFlightStamper attaches the per-process flight recorder relay: the gate
-// stamps its lifecycle events (stalls, epoch expiries, degraded bypasses)
-// into each process's black box. The stamper takes verifier context locks, so
-// the kernel only invokes it outside k.mu — the same discipline as listener
-// callbacks. Must be set before concurrent use, like the other setters.
-func (k *Kernel) SetFlightStamper(fs telemetry.FlightStamper) {
-	k.mu.Lock()
-	k.flight = fs
 	k.mu.Unlock()
 }
 
@@ -325,9 +317,7 @@ func (k *Kernel) Register() int32 {
 			keys.Program(pid)
 		}
 		dsched.Yield(dsched.PointRegisterVisible, pid)
-		if l != nil {
-			l.ProcessStarted(pid)
-		}
+		l.ProcessStarted(pid)
 		return pid
 	}
 	k.registering[pid] = &pendingReg{}
@@ -337,9 +327,7 @@ func (k *Kernel) Register() int32 {
 	if keys != nil {
 		keys.Program(pid)
 	}
-	if l != nil {
-		l.ProcessStarted(pid)
-	}
+	l.ProcessStarted(pid)
 	dsched.Yield(dsched.PointRegisterVisible, pid)
 	k.finishRegister(pid)
 	return pid
@@ -350,12 +338,10 @@ func (k *Kernel) Register() int32 {
 // Same notify-before-visible ordering as Register, for the same race.
 func (k *Kernel) Fork(parent int32) (int32, error) {
 	k.mu.Lock()
-	pp, ok := k.procs[parent]
-	if !ok {
+	if _, ok := k.procs[parent]; !ok {
 		k.mu.Unlock()
 		return 0, fmt.Errorf("kernel: fork from unregistered pid %d", parent)
 	}
-	pp.stats.Forks++
 	k.nextPID++
 	child := k.nextPID
 	l := k.listener
@@ -368,9 +354,7 @@ func (k *Kernel) Fork(parent int32) (int32, error) {
 		}
 		k.tm.forks.Inc()
 		dsched.Yield(dsched.PointForkVisible, child)
-		if l != nil {
-			l.ProcessForked(parent, child)
-		}
+		l.ProcessForked(parent, child)
 		return child, nil
 	}
 	k.registering[child] = &pendingReg{}
@@ -379,9 +363,7 @@ func (k *Kernel) Fork(parent int32) (int32, error) {
 		keys.Inherit(parent, child)
 	}
 	k.tm.forks.Inc()
-	if l != nil {
-		l.ProcessForked(parent, child)
-	}
+	l.ProcessForked(parent, child)
 	dsched.Yield(dsched.PointForkVisible, child)
 	k.finishRegister(child)
 	return child, nil
@@ -398,7 +380,7 @@ func (k *Kernel) insertLocked(pid int32) *proc {
 
 // finishRegister makes a notified PID visible, applying any kill that was
 // buffered while the context was in flight (and only then telling the
-// KillListener, preserving exactly-one-kill).
+// listener, preserving exactly-one-kill).
 func (k *Kernel) finishRegister(pid int32) {
 	k.mu.Lock()
 	pr := k.registering[pid]
@@ -411,15 +393,12 @@ func (k *Kernel) finishRegister(pid int32) {
 		reason = pr.reason
 		p.killed = true
 		p.killReason = reason
-		p.stats.KilledByAll = reason
 	}
 	l := k.listener
 	k.mu.Unlock()
 	if killedNow {
 		k.tm.kills.Inc()
-		if kl, ok := l.(KillListener); ok {
-			kl.ProcessKilled(pid, reason)
-		}
+		l.ProcessKilled(pid, reason)
 	}
 }
 
@@ -443,9 +422,7 @@ func (k *Kernel) Exit(pid int32) {
 	}
 	dsched.Yield(dsched.PointExitNotify, pid)
 	k.tm.exits.Inc()
-	if l != nil {
-		l.ProcessExited(pid)
-	}
+	l.ProcessExited(pid)
 }
 
 // SyscallEnter gates one system call (edge 3b of Figure 1): it blocks until
@@ -456,7 +433,7 @@ func (k *Kernel) Exit(pid int32) {
 func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 	k.mu.Lock()
 	tm := &k.tm
-	fs := k.flight
+	l := k.listener
 	p, ok := k.procs[pid]
 	if !ok {
 		k.mu.Unlock()
@@ -501,20 +478,19 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 			now := dsched.Now()
 			if epochExpired(now, deadline, reverted) {
 				// No synchronization message within the epoch (§2.2).
-				// Ask the watchdog whether the silence has a positive
+				// Ask the listener whether the silence has a positive
 				// attribution — a verifier that can no longer make
 				// progress for this process — then apply the degraded
-				// policy. WedgedFor reads only atomics, so calling it
-				// with k.mu held cannot deadlock against delivery.
+				// policy. WedgedFor is lock-free (see Listener), so
+				// calling it with k.mu held cannot deadlock against
+				// delivery.
 				expired = true
 				reason := ReasonEpochExpired
-				if k.watchdog != nil {
-					if w, detail := k.watchdog.WedgedFor(pid); w {
-						wedged = true
-						reason = ReasonWedgedVerifier
-						if detail != "" {
-							reason = ReasonWedgedVerifier + ": " + detail
-						}
+				if w, detail := l.WedgedFor(pid); w {
+					wedged = true
+					reason = ReasonWedgedVerifier
+					if detail != "" {
+						reason = ReasonWedgedVerifier + ": " + detail
 					}
 				}
 				if k.degraded == DegradedLogOnly {
@@ -526,7 +502,6 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 				}
 				p.killed = true
 				p.killReason = reason
-				p.stats.KilledByAll = reason
 				break
 			}
 			if !reverted {
@@ -556,14 +531,13 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 		k.mu.Unlock()
 		tm.expiries.Inc()
 		tm.degraded.Inc()
-		fs.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
-		fs.StampFlightEvent(pid, telemetry.FlightEpochExpired, uint64(syscallNo))
-		fs.StampFlightEvent(pid, telemetry.FlightDegradedAllow, uint64(syscallNo))
+		l.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
+		l.StampFlightEvent(pid, telemetry.FlightEpochExpired, uint64(syscallNo))
+		l.StampFlightEvent(pid, telemetry.FlightDegradedAllow, uint64(syscallNo))
 		return nil
 	}
 	if p.killed {
 		reason := p.killReason
-		l := k.listener
 		k.mu.Unlock()
 		if expired {
 			tm.expiries.Inc()
@@ -571,14 +545,12 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 			if wedged {
 				tm.wedgedKills.Inc()
 			}
-			// Stamp the gate timeline BEFORE ProcessKilled: the kill listener
+			// Stamp the gate timeline BEFORE ProcessKilled: the kill notice
 			// freezes the flight ring, and the stall + expiry that triggered
 			// this kill belong inside the frozen window.
-			fs.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
-			fs.StampFlightEvent(pid, telemetry.FlightEpochExpired, uint64(syscallNo))
-			if kl, ok := l.(KillListener); ok {
-				kl.ProcessKilled(pid, reason)
-			}
+			l.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
+			l.StampFlightEvent(pid, telemetry.FlightEpochExpired, uint64(syscallNo))
+			l.ProcessKilled(pid, reason)
 		}
 		return fmt.Errorf("kernel: pid %d killed: %s", pid, reason)
 	}
@@ -586,7 +558,7 @@ func (k *Kernel) SyscallEnter(pid int32, syscallNo int) error {
 	p.syncReady = false
 	k.mu.Unlock()
 	if stalled {
-		fs.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
+		l.StampFlightEvent(pid, telemetry.FlightGateStall, stallNs)
 	}
 	return nil
 }
@@ -616,9 +588,9 @@ func (k *Kernel) NotifySyncReady(pid int32) {
 }
 
 // Kill marks pid killed; any pending or future system call fails. The
-// verifier invokes this on policy violation (default behaviour, §3.4). When
-// the listener implements KillListener it is notified, so the verifier stops
-// evaluating messages for the dead process.
+// verifier invokes this on policy violation (default behaviour, §3.4). The
+// listener is notified (ProcessKilled), so the verifier stops evaluating
+// messages for the dead process.
 func (k *Kernel) Kill(pid int32, reason string) { k.kill(pid, reason, 0, 0) }
 
 // ExpireLease kills pid for ReasonLeaseExpired, overdue past its connection
@@ -632,7 +604,7 @@ func (k *Kernel) ExpireLease(pid int32, overdue time.Duration) {
 }
 
 // kill is Kill, stamping code (when non-zero) with value between marking the
-// kill and notifying the KillListener.
+// kill and notifying the listener.
 func (k *Kernel) kill(pid int32, reason string, code telemetry.FlightCode, value uint64) {
 	k.mu.Lock()
 	p, ok := k.procs[pid]
@@ -640,7 +612,7 @@ func (k *Kernel) kill(pid int32, reason string, code telemetry.FlightCode, value
 		// The context may be mid-registration: the verifier already knows
 		// the pid (notify-before-visible) and can legitimately kill it —
 		// e.g. for a violating first message. Buffer the
-		// kill; finishRegister applies it and notifies the KillListener.
+		// kill; finishRegister applies it and notifies the listener.
 		if pr, reg := k.registering[pid]; reg && !pr.killed {
 			pr.killed = true
 			pr.reason = reason
@@ -654,19 +626,15 @@ func (k *Kernel) kill(pid int32, reason string, code telemetry.FlightCode, value
 	}
 	p.killed = true
 	p.killReason = reason
-	p.stats.KilledByAll = reason
 	p.cond.Broadcast()
 	l := k.listener
-	fs := k.flight
 	k.mu.Unlock()
 	dsched.Yield(dsched.PointKillNotify, pid)
 	k.tm.kills.Inc()
 	if code != 0 {
-		fs.StampFlightEvent(pid, code, value)
+		l.StampFlightEvent(pid, code, value)
 	}
-	if kl, ok := l.(KillListener); ok {
-		kl.ProcessKilled(pid, reason)
-	}
+	l.ProcessKilled(pid, reason)
 }
 
 // Pids returns the PIDs of every process with a live kernel context, in

@@ -13,6 +13,7 @@ import (
 // subject's kernel context was already visible in the process table at the
 // moment the verifier heard about it.
 type visibilityListener struct {
+	nopListener
 	k  *Kernel
 	mu sync.Mutex
 
@@ -51,8 +52,6 @@ func (l *visibilityListener) ProcessForked(parent, child int32) {
 	l.forkedVisible[child] = vis
 	l.mu.Unlock()
 }
-
-func (l *visibilityListener) ProcessExited(pid int32) {}
 
 func (l *visibilityListener) ProcessKilled(pid int32, reason string) {
 	l.mu.Lock()
@@ -116,7 +115,7 @@ func TestUnsafeLateNotifyRestoresOldOrdering(t *testing.T) {
 // register fix: the listener's ProcessStarted callback kills the new pid
 // (as the verifier does when it condemns a violating first message delivered
 // inside the registration window). The kill lands while the context is mid-registration, must not
-// deadlock, must stick, and must notify the KillListener exactly once.
+// deadlock, must stick, and must notify the listener exactly once.
 func TestKillDuringRegistrationBuffered(t *testing.T) {
 	k := New(nil)
 	l := newVisibilityListener(k)
@@ -143,7 +142,7 @@ func TestKillDuringRegistrationBuffered(t *testing.T) {
 	n := len(l.killed[pid])
 	l.mu.Unlock()
 	if n != 1 {
-		t.Fatalf("KillListener notified %d times, want exactly 1", n)
+		t.Fatalf("listener notified of the kill %d times, want exactly 1", n)
 	}
 }
 

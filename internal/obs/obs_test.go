@@ -470,9 +470,14 @@ func TestViolationsEndpointsLiveSystem(t *testing.T) {
 		t.Errorf("/violations/nonsense: status %d, want 400", code)
 	}
 
-	// Synthetic violator: register a kernel context, define a code pointer,
-	// then check it against a corrupted value — the cfi policy must kill.
-	pid := sys.Kernel().Register()
+	// Synthetic violator: admit a process with no channel, define a code
+	// pointer, then check it against a corrupted value — the cfi policy must
+	// kill.
+	p, err := sys.Admit(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := p.PID()
 	v := sys.Verifier()
 	v.Deliver(ipc.Message{Op: ipc.OpPointerDefine, PID: pid, Arg1: 0x40, Arg2: 0x1000, Seq: 1})
 	v.Deliver(ipc.Message{Op: ipc.OpPointerCheck, PID: pid, Arg1: 0x40, Arg2: 0xbad, Seq: 2})
@@ -556,6 +561,7 @@ func TestViolationsEndpointsLiveSystem(t *testing.T) {
 		t.Errorf("herqules_verifier_poisoned_total = %v, want 0", got)
 	}
 
+	p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := sys.Shutdown(ctx); err != nil {

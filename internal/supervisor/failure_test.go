@@ -147,47 +147,58 @@ func (p *nameBomb) Entries() int         { return 0 }
 // launched program runs poisons that program's verifier context alone. It is
 // killed, once, with the panic in its reason; Health counts one poison; and
 // every program launched afterwards, whatever its PID, runs to completion
-// with its gated system calls passing.
+// with its gated system calls passing. Both emit paths are contained: a
+// channel's drain, and inline delivery on the program's own goroutine.
 func TestDeliveryPanicKillsOnlyItsProcess(t *testing.T) {
-	var armed atomic.Int32
-	sys := New(Config{
-		Policies:        func() []policy.Policy { return []policy.Policy{&nameBomb{armed: &armed}} },
-		KillOnViolation: true,
-		Epoch:           200 * time.Millisecond,
-	})
-	defer shutdown(t, sys)
-	ins := instrumentHQ(t, victim(t, false))
+	for _, mode := range []struct {
+		name string
+		opts LaunchOptions
+	}{
+		{"drain", LaunchOptions{}},
+		{"inline", LaunchOptions{Inline: true}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			var armed atomic.Int32
+			sys := New(Config{
+				Policies:        func() []policy.Policy { return []policy.Policy{&nameBomb{armed: &armed}} },
+				KillOnViolation: true,
+				Epoch:           200 * time.Millisecond,
+			})
+			defer shutdown(t, sys)
+			ins := instrumentHQ(t, victim(t, false))
 
-	p, err := sys.Launch(ins, LaunchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Killed || !strings.Contains(out.KillReason, "injected delivery-path bug") {
-		t.Fatalf("poisoned process: killed=%v reason %q, want killed for the delivery panic", out.Killed, out.KillReason)
-	}
-	if h := sys.Health(); h.Poisoned != 1 || !h.Degraded() {
-		t.Fatalf("Health = %+v, want one poisoned process", h)
-	}
+			p, err := sys.Launch(ins, mode.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := p.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Killed || !strings.Contains(out.KillReason, "injected delivery-path bug") {
+				t.Fatalf("poisoned process: killed=%v reason %q, want killed for the delivery panic", out.Killed, out.KillReason)
+			}
+			if h := sys.Health(); h.Poisoned != 1 || !h.Degraded() {
+				t.Fatalf("Health = %+v, want one poisoned process", h)
+			}
 
-	for i := 0; i < 4; i++ {
-		p, err := sys.Launch(ins, LaunchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := p.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Killed || out.Err != nil || out.ExitCode != 0 || !slices.Equal(out.Output, []uint64{42}) {
-			t.Errorf("pid %d launched after the poison: killed=%v (%q) err=%v exit=%d output=%v, want a clean run",
-				out.PID, out.Killed, out.KillReason, out.Err, out.ExitCode, out.Output)
-		}
-	}
-	if st := sys.Stats(); st.Killed != 1 {
-		t.Errorf("Stats.Killed = %d, want 1: the poison killed only its process", st.Killed)
+			for i := 0; i < 4; i++ {
+				p, err := sys.Launch(ins, mode.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := p.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Killed || out.Err != nil || out.ExitCode != 0 || !slices.Equal(out.Output, []uint64{42}) {
+					t.Errorf("pid %d launched after the poison: killed=%v (%q) err=%v exit=%d output=%v, want a clean run",
+						out.PID, out.Killed, out.KillReason, out.Err, out.ExitCode, out.Output)
+				}
+			}
+			if st := sys.Stats(); st.Killed != 1 {
+				t.Errorf("Stats.Killed = %d, want 1: the poison killed only its process", st.Killed)
+			}
+		})
 	}
 }

@@ -32,12 +32,15 @@ type ForensicReport struct {
 	FinishedUnixNanos int64 `json:"finished_unix_nanos,omitempty"`
 }
 
-// forensicsLive assembles a report for a pid whose verifier context is still
-// alive. started is the launch timestamp (0 for processes the supervisor did
-// not launch, e.g. contexts registered directly against the kernel). Each
-// source takes its own lock; s.mu must NOT be held.
+// forensicsLive assembles a report for a pid whose kernel and verifier
+// contexts are both still alive; started is its admission timestamp. Neither
+// source waits on the process's context lock; s.mu must NOT be held.
 func (s *System) forensicsLive(pid int32, started int64) (ForensicReport, bool) {
 	vr, ok := s.v.Forensics(pid)
+	if !ok {
+		return ForensicReport{}, false
+	}
+	ks, ok := s.k.Stats(pid)
 	if !ok {
 		return ForensicReport{}, false
 	}
@@ -46,55 +49,64 @@ func (s *System) forensicsLive(pid int32, started int64) (ForensicReport, bool) 
 		State:            stateKilled,
 		DegradedPolicy:   s.k.DegradedMode().String(),
 		StartedUnixNanos: started,
-	}
-	if ks, ok := s.k.Stats(pid); ok {
-		fr.Syscalls = ks.Syscalls
-		fr.SyncStalls = ks.SyncStalls
-		fr.DegradedAllows = ks.DegradedAllows
+		Syscalls:         ks.Syscalls,
+		SyncStalls:       ks.SyncStalls,
+		DegradedAllows:   ks.DegradedAllows,
 	}
 	return fr, true
 }
 
-// Forensics returns the kill postmortem for pid: the retained copy frozen at
-// process teardown when the process was launched through this System, or a
-// live assembly for a context that still exists (a kill observed before
-// teardown, or a pid registered directly against the kernel). ok is false
-// when pid was never killed, or its report has been evicted by bounded
-// retention.
+// Forensics returns the kill postmortem for a process this System admitted:
+// the retained copy frozen at teardown, or a live assembly while the process
+// is still running (a kill observed before teardown). ok is false when pid
+// was never killed, was never admitted here, or its report has been evicted
+// by bounded retention.
 func (s *System) Forensics(pid int32) (ForensicReport, bool) {
-	var started int64
 	s.mu.Lock()
-	if rec, ok := s.records[pid]; ok {
-		if rec.forensic != nil {
-			fr := *rec.forensic
-			s.mu.Unlock()
-			return fr, true
-		}
-		started = rec.started
-	}
+	rec, ok := s.records[pid]
 	s.mu.Unlock()
-	return s.forensicsLive(pid, started)
+	if !ok {
+		return ForensicReport{}, false
+	}
+	return s.forensics(rec)
 }
 
-// AllForensics returns every available kill postmortem — retained and live —
-// ascending by PID. Retention is bounded with the ProcStats rows: evicting a
-// finished process's record drops its report too.
-func (s *System) AllForensics() []ForensicReport {
-	seen := make(map[int32]bool)
-	var out []ForensicReport
+// forensics is rec's report: a live assembly while rec runs, the retained
+// copy once it is finalized (Proc.finish publishes it before Exit). s.mu must
+// NOT be held.
+func (s *System) forensics(rec *procRecord) (ForensicReport, bool) {
 	s.mu.Lock()
-	for pid, rec := range s.records {
-		if rec.forensic != nil {
-			out = append(out, *rec.forensic)
-			seen[pid] = true
+	final := rec.final != nil
+	s.mu.Unlock()
+	if !final {
+		if fr, ok := s.forensicsLive(rec.pid, rec.started); ok {
+			return fr, true
 		}
 	}
+	// Finalized, before the live read or during it.
+	s.mu.Lock()
+	fr := rec.forensic
 	s.mu.Unlock()
-	for _, vr := range s.v.AllForensics() {
-		if seen[vr.PID] {
-			continue
-		}
-		if fr, ok := s.Forensics(vr.PID); ok {
+	if fr == nil {
+		return ForensicReport{}, false
+	}
+	return *fr, true
+}
+
+// AllForensics returns every kill postmortem of the processes this System
+// admitted — retained and live — ascending by PID. Retention is bounded with
+// the ProcStats rows: evicting a finished process's record drops its report
+// too.
+func (s *System) AllForensics() []ForensicReport {
+	s.mu.Lock()
+	recs := make([]*procRecord, 0, len(s.records))
+	for _, rec := range s.records {
+		recs = append(recs, rec)
+	}
+	s.mu.Unlock()
+	var out []ForensicReport
+	for _, rec := range recs {
+		if fr, ok := s.forensics(rec); ok {
 			out = append(out, fr)
 		}
 	}

@@ -102,28 +102,6 @@ func TestStatsViolationsByPolicy(t *testing.T) {
 	}
 }
 
-// TestForensicsDirectKernelRegistration covers the non-launched path the obs
-// smoke uses: a context registered straight against the kernel, killed by a
-// replayed violation, is served live by System.Forensics (no procRecord
-// exists to retain it).
-func TestForensicsDirectKernelRegistration(t *testing.T) {
-	sys := New(Config{KillOnViolation: true, FlightRecorder: 64})
-	defer shutdown(t, sys)
-
-	pid := sys.Kernel().Register()
-	v := sys.Verifier()
-	v.Deliver(ipc.Message{Op: ipc.OpPointerDefine, PID: pid, Arg1: 0x40, Arg2: 0x1000, Seq: 1})
-	v.Deliver(ipc.Message{Op: ipc.OpPointerCheck, PID: pid, Arg1: 0x40, Arg2: 0xbad, Seq: 2})
-
-	rep, ok := sys.Forensics(pid)
-	if !ok {
-		t.Fatalf("no live report for directly-registered pid %d", pid)
-	}
-	if rep.Policy != "cfi" || rep.KillReason == "" {
-		t.Errorf("report: policy %q reason %q", rep.Policy, rep.KillReason)
-	}
-}
-
 // gateTestMessages delivers a passing define/check stream of n pairs for pid
 // and returns the number of messages delivered.
 func gateTestMessages(sys *System, pid int32, n int) int {
@@ -150,7 +128,12 @@ func TestEpochKillWindowEndsInGateTimeline(t *testing.T) {
 		sys := New(Config{FlightRecorder: 64, Epoch: epoch})
 		defer shutdown(t, sys)
 
-		pid := sys.Kernel().Register()
+		p, err := sys.Admit(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		pid := p.PID()
 		msgs := gateTestMessages(sys, pid, 3)
 		if err := sys.Kernel().SyscallEnter(pid, syscallNo); err == nil {
 			t.Fatal("SyscallEnter without a System-Call message returned nil, want an epoch kill")
@@ -189,7 +172,12 @@ func TestEpochKillWindowEndsInGateTimeline(t *testing.T) {
 		sys := New(Config{FlightRecorder: 64, Epoch: epoch, Degraded: kernel.DegradedLogOnly, Metrics: m})
 		defer shutdown(t, sys)
 
-		pid := sys.Kernel().Register()
+		p, err := sys.Admit(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		pid := p.PID()
 		gateTestMessages(sys, pid, 3)
 		if err := sys.Kernel().SyscallEnter(pid, syscallNo); err != nil {
 			t.Fatalf("SyscallEnter under DegradedLogOnly = %v, want nil", err)

@@ -137,7 +137,7 @@ func (p *Proc) finish(res *vm.Result) {
 		<-p.drained
 	}
 
-	row := s.liveProcStats(p.rec)
+	row, _ := s.liveProcStats(p.rec) // both contexts live until Exit below
 	if res != nil {
 		if row.State == stateKilled && !res.Killed {
 			res.Killed, res.KillReason = true, row.KillReason
@@ -166,6 +166,12 @@ func (p *Proc) finish(res *vm.Result) {
 		forensic = &fr
 	}
 
+	// The row and the postmortem are published before Exit tears the live
+	// sources down: a scrape that finds a context gone reads these instead.
+	s.mu.Lock()
+	p.rec.final, p.rec.forensic = &row, forensic
+	s.mu.Unlock()
+
 	// Interleaving point: the source is fully drained and the outcome
 	// frozen, but the kernel context still exists.
 	dsched.Yield(dsched.PointProcFinished, pid)
@@ -176,7 +182,6 @@ func (p *Proc) finish(res *vm.Result) {
 	if row.State == stateKilled {
 		s.killed++
 	}
-	p.rec.final, p.rec.forensic = &row, forensic
 	s.doneFIFO = append(s.doneFIFO, pid)
 	for len(s.doneFIFO) > maxProcRecords {
 		delete(s.records, s.doneFIFO[0])

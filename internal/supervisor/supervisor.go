@@ -208,8 +208,10 @@ type procRecord struct {
 }
 
 // New constructs a System: kernel and verifier are created once, counting
-// into one metrics registry, and wired together over the privileged listener
-// channel. Nothing runs until a program launches: a process brings its own
+// into one metrics registry, and wired together over the privileged channel:
+// the verifier is the kernel's Listener (lifecycle, kills, the wedge probe
+// at an epoch deadline, gate flight stamps) and the kernel is the verifier's
+// Gate. Nothing runs until a program launches: a process brings its own
 // drain goroutine (verifier.PumpSet.Attach).
 func New(cfg Config) *System {
 	factory := cfg.Policies
@@ -231,18 +233,10 @@ func New(cfg Config) *System {
 	v := verifier.NewWithMetrics(factory, k, m)
 	v.KillOnViolation = cfg.KillOnViolation
 	v.CheckSeq = cfg.CheckSeq
-	k.SetListener(v)
-	// The verifier doubles as the kernel's epoch watchdog: at a deadline the
-	// kernel asks whether the silent process's context is poisoned,
-	// which turns an anonymous epoch expiry into an attributed wedged-verifier
-	// kill under the configured degraded policy.
-	k.SetWatchdog(v)
-	k.SetDegradedPolicy(cfg.Degraded)
-	// Size the black boxes before any registration, then point the kernel's
-	// lifecycle stamps at the verifier-owned rings. The stamper locks verifier
-	// contexts, which the kernel only calls outside its own mutex.
+	// Size the black boxes before any registration.
 	v.EnableFlightRecorder(cfg.FlightRecorder)
-	k.SetFlightStamper(v)
+	k.SetListener(v)
+	k.SetDegradedPolicy(cfg.Degraded)
 	s := &System{
 		cfg:     cfg,
 		k:       k,
@@ -460,26 +454,29 @@ type ProcStats struct {
 }
 
 // liveProcStats assembles a row for a still-registered process from the live
-// sources (verifier context, kernel context). Each source takes its own lock;
-// s.mu must NOT be held. rec's identity fields are immutable after Admit, so
-// reading them unlocked is safe.
-func (s *System) liveProcStats(rec *procRecord) ProcStats {
-	ps := ProcStats{PID: rec.pid, State: stateRunning, StartedUnixNanos: rec.started}
-	if vs, ok := s.v.ProcStats(rec.pid); ok {
-		ps.Messages = vs.Messages
-		ps.Dropped = vs.Dropped
-		ps.Violations = vs.Violations
-	}
-	if ks, ok := s.k.Stats(rec.pid); ok {
-		ps.Syscalls = ks.Syscalls
-		ps.SyncStalls = ks.SyncStalls
-		ps.LastSyscallUnixNanos = ks.LastSyscallUnixNanos
-		ps.StallNs = ks.StallNs
-	}
+// sources (kernel context, verifier context). The verifier's row is read
+// without the context's lock, so a policy that blocks holds no scrape up;
+// the kernel's takes its lock, which no one holds across a wait. ok is false
+// when either context was already torn down — the kernel's goes first, so
+// the order of the reads makes a true ok mean the kill state was read live
+// too — and then the row is finalized: Proc.finish publishes it before
+// Exit. s.mu must NOT be held. rec's identity fields are immutable after
+// Admit, so reading them unlocked is safe.
+func (s *System) liveProcStats(rec *procRecord) (ps ProcStats, ok bool) {
+	ps = ProcStats{PID: rec.pid, State: stateRunning, StartedUnixNanos: rec.started}
 	if killed, reason := s.k.Killed(rec.pid); killed {
 		ps.State, ps.KillReason = stateKilled, reason
 	}
-	return ps
+	ks, kok := s.k.Stats(rec.pid)
+	ps.Syscalls = ks.Syscalls
+	ps.SyncStalls = ks.SyncStalls
+	ps.LastSyscallUnixNanos = ks.LastSyscallUnixNanos
+	ps.StallNs = ks.StallNs
+	vs, vok := s.v.ProcStats(rec.pid)
+	ps.Messages = vs.Messages
+	ps.Dropped = vs.Dropped
+	ps.Violations = vs.Violations
+	return ps, kok && vok
 }
 
 // ProcStats returns one attribution row per launched process — running ones
@@ -500,7 +497,18 @@ func (s *System) ProcStats() []ProcStats {
 	}
 	s.mu.Unlock()
 	for _, r := range live {
-		rows = append(rows, s.liveProcStats(r))
+		row, ok := s.liveProcStats(r)
+		if !ok {
+			// Finalized since the listing (or aborted, and so no row).
+			s.mu.Lock()
+			final := r.final
+			s.mu.Unlock()
+			if final == nil {
+				continue
+			}
+			row = *final
+		}
+		rows = append(rows, row)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].PID < rows[j].PID })
 	return rows

@@ -448,6 +448,96 @@ func TestLaunchedAndAdmittedShareOneLifecycle(t *testing.T) {
 	}
 }
 
+// TestStatsScrapeRacesDelivery reads the per-PID rows the way /procs and
+// /metrics do, while two ring processes stream and one of them is killed by a
+// violation part-way: a scraper loops on Stats, which takes no context lock.
+// Each PID's Messages never goes down between scrapes; once both have
+// finished, each row's Messages + Dropped is what its process sent, and the
+// violator's row reads killed. Under the race detector it also catches a
+// count read without the lock but written without an atomic.
+func TestStatsScrapeRacesDelivery(t *testing.T) {
+	const n = 1 << 14
+	sys := New(Config{KillOnViolation: true})
+	defer shutdown(t, sys)
+
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		last := make(map[int32]uint64)
+		scrapes := 0
+		for {
+			select {
+			case <-stop:
+				scraped <- scrapes
+				return
+			default:
+			}
+			for _, r := range sys.Stats().Procs {
+				if r.Messages < last[r.PID] {
+					t.Errorf("pid %d: Messages went from %d to %d between scrapes", r.PID, last[r.PID], r.Messages)
+				}
+				last[r.PID] = r.Messages
+			}
+			scrapes++
+		}
+	}()
+
+	var procs [2]*Proc
+	var sent [2]uint64
+	var wg sync.WaitGroup
+	for i := range procs {
+		ring := ipc.NewSharedRing(256)
+		p, err := sys.Admit(ring.Receiver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = p
+		wg.Add(1)
+		go func(i int, pid int32) {
+			defer wg.Done()
+			send := func(m ipc.Message) {
+				m.PID = pid
+				if err := ring.Sender.Send(m); err != nil {
+					t.Errorf("pid %d: send: %v", pid, err)
+				}
+				sent[i]++
+			}
+			for j := 0; j < n; j++ {
+				if i == 1 && j == n/2 {
+					send(ipc.Message{Op: ipc.OpPointerDefine, Arg1: 0x40, Arg2: 0x1000})
+					send(ipc.Message{Op: ipc.OpPointerCheck, Arg1: 0x40, Arg2: 0xbad})
+				}
+				send(ipc.Message{Op: ipc.OpCounterInc, Arg1: 1})
+			}
+			ring.Sender.Close()
+			p.Close()
+		}(i, p.PID())
+	}
+	wg.Wait()
+	close(stop)
+	if got := <-scraped; got == 0 {
+		t.Error("the scraper never completed a scrape")
+	}
+
+	rows := make(map[int32]ProcStats)
+	for _, r := range sys.ProcStats() {
+		rows[r.PID] = r
+	}
+	for i, p := range procs {
+		r := rows[p.PID()]
+		if r.Messages+r.Dropped != sent[i] {
+			t.Errorf("pid %d: %d messages + %d dropped, want the %d sent", p.PID(), r.Messages, r.Dropped, sent[i])
+		}
+		want := []string{stateExited, stateKilled}[i]
+		if r.State != want {
+			t.Errorf("pid %d: row reads %q, want %q", p.PID(), r.State, want)
+		}
+	}
+	if r := rows[procs[1].PID()]; r.Dropped == 0 || r.Violations != 1 {
+		t.Errorf("violator's row %+v: want its tail dropped and one violation", r)
+	}
+}
+
 // TestSystemShutdownDeadlineKillsStragglers drives Shutdown with an
 // already-expired context while a process is still running: the sweep of
 // the kernel process table must kill it so the drain stays bounded.

@@ -238,13 +238,3 @@ func (r *FlightRecorder) Records() []FlightRecord {
 	}
 	return out
 }
-
-// FlightStamper relays lifecycle events into a process's flight recorder
-// across the kernel/verifier boundary: the kernel knows the events (gate
-// stalls, epoch expiries, degraded bypasses) but the verifier owns the rings.
-// *verifier.Verifier implements it by locking the owning process context, so
-// the kernel must only call it OUTSIDE its own mutex — the context lock is
-// taken inside.
-type FlightStamper interface {
-	StampFlightEvent(pid int32, code FlightCode, value uint64)
-}

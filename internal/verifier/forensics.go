@@ -1,7 +1,6 @@
 package verifier
 
 import (
-	"sort"
 	"strconv"
 	"time"
 
@@ -69,11 +68,15 @@ type ForensicReport struct {
 }
 
 // freezeLocked closes pid's black box: stamps the terminal kill event,
-// freezes the ring, and builds the immutable report. Caller holds pc.mu. fatal is the attributed violation (nil for kernel-originated or
-// poison kills). Idempotent — the first kill decision wins, later echoes
-// (e.g. the kernel reporting back a verifier-requested kill) are no-ops.
-func (v *Verifier) freezeLocked(pc *procCtx, fatal *policy.Violation, reason string) {
-	if pc.report != nil {
+// freezes the ring, and publishes the immutable report, which marks the
+// context dead. Caller holds pc.mu. fatal is the attributed violation (nil
+// for kernel-originated or poison kills); pending is the messages the run
+// being delivered has evaluated and not yet published to pc.messages (0
+// outside a run), which the report counts. Idempotent — the first kill
+// decision wins, later echoes (e.g. the kernel reporting back a
+// verifier-requested kill) are no-ops.
+func (v *Verifier) freezeLocked(pc *procCtx, fatal *policy.Violation, reason string, pending uint64) {
+	if pc.report.Load() != nil {
 		return
 	}
 	fr := pc.flight
@@ -83,8 +86,8 @@ func (v *Verifier) freezeLocked(pc *procCtx, fatal *policy.Violation, reason str
 	rep := &ForensicReport{
 		PID:                pc.pid,
 		KillReason:         reason,
-		Messages:           pc.messages,
-		Dropped:            pc.dropped,
+		Messages:           pc.messages.Load() + pending,
+		Dropped:            pc.dropped.Load(),
 		FrozenUnixNanos:    time.Now().UnixNano(),
 		WindowCap:          fr.Cap(),
 		RecordsTotal:       fr.Total(),
@@ -123,44 +126,26 @@ func (v *Verifier) freezeLocked(pc *procCtx, fatal *policy.Violation, reason str
 	if r := pc.poison.Load(); r != nil {
 		rep.Poisoned, rep.PoisonReason = true, *r
 	}
-	pc.report = rep
+	pc.report.Store(rep)
 }
 
 // Forensics returns the frozen postmortem for pid, if one exists (the
-// process was killed and its context has not been torn down yet). The
-// report is immutable; callers may retain it.
-func (v *Verifier) Forensics(pid int32) (rep *ForensicReport, ok bool) {
-	v.withProc(pid, func(pc *procCtx) { rep = pc.report })
-	return rep, rep != nil
-}
-
-// AllForensics returns every live frozen report, ascending by PID. It is a
-// snapshot: contexts (and their reports) disappear at ProcessExited — the
+// process was killed and its context has not been torn down yet), without
+// the context's lock. The report is immutable; callers may retain it. The
 // supervisor retains reports across teardown.
-func (v *Verifier) AllForensics() []*ForensicReport {
-	v.mu.Lock()
-	pcs := make([]*procCtx, 0, len(v.procs))
-	for _, pc := range v.procs {
-		pcs = append(pcs, pc)
-	}
-	v.mu.Unlock()
-	var out []*ForensicReport
-	for _, pc := range pcs {
-		pc.mu.Lock()
-		if pc.report != nil {
-			out = append(out, pc.report)
+func (v *Verifier) Forensics(pid int32) (*ForensicReport, bool) {
+	if pc := v.lookup(pid); pc != nil {
+		if rep := pc.report.Load(); rep != nil {
+			return rep, true
 		}
-		pc.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
+	return nil, false
 }
 
-// StampFlightEvent implements telemetry.FlightStamper: the kernel relays
-// lifecycle events (gate stalls, epoch expiries, degraded-mode bypasses)
-// into the process's ring. Takes the process's context lock, so the kernel
-// must call it outside its own mutex (the same discipline as listener
-// callbacks).
+// StampFlightEvent implements kernel.Listener: the kernel relays lifecycle
+// events (gate stalls, epoch expiries, degraded-mode bypasses, lease
+// expiries) into the process's ring. Takes the process's context lock, so the
+// kernel calls it outside its own mutex, like the other listener callbacks.
 func (v *Verifier) StampFlightEvent(pid int32, code telemetry.FlightCode, value uint64) {
 	v.withProc(pid, func(pc *procCtx) { pc.flight.StampEvent(pid, code, value) })
 }

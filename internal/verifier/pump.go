@@ -51,7 +51,7 @@ func (v *Verifier) Pump(r ipc.Receiver) {
 		// Time spent inside RecvBatch is (almost entirely) time the drain
 		// loop stalled waiting for the producer.
 		tm.pumpStall.Observe(uint64(time.Since(recvStart)))
-		v.deliverRuns(buf[:n], true, &pc)
+		v.deliverRuns(buf[:n], &pc)
 		if err != nil {
 			tm.recvErrs.Inc()
 			v.killAttributed(err)

@@ -48,19 +48,21 @@ type Gate interface {
 type PolicyFactory func() []policy.Policy
 
 // procCtx is the verifier-side context for one monitored process, and the
-// unit of locking, poisoning and fate: everything below is guarded by mu
-// except pid and the split policy tables (fixed at birth), and poison and
-// exited (atomics, written under mu). No goroutine ever holds two contexts'
-// locks at once.
+// unit of locking, poisoning and fate. mu guards evaluation — the policies'
+// state, lastSeq, the flight ring and the violation log — and is held for
+// the whole of a delivered run, so a policy that blocks holds it. Everything
+// an observer reads is published lock-free instead: the counts, report,
+// poison and exited are atomics, written under mu and read without it, and
+// pid and the split policy tables are fixed at birth. No goroutine ever
+// holds two contexts' locks at once.
 type procCtx struct {
 	mu sync.Mutex
-	// one is Deliver's batch of one, filled under mu: the batch goes to policy
+	// one is Deliver's run of one, filled under mu: the run goes to policy
 	// interfaces, so an array local to Deliver would be heap-allocated per call.
 	one [1]ipc.Message
 	pid int32
 	// poison is the reason a delivery-path panic gave when it poisoned the
-	// context, nil while healthy. Lock-free, so WedgedFor can read it under
-	// the kernel's lock.
+	// context, nil while healthy. Read by WedgedFor under the kernel's lock.
 	poison atomic.Pointer[string]
 	// exited is set by ProcessExited, under mu, before the context leaves the
 	// verifier's map: a drain still holding a pointer to it drops its run.
@@ -84,22 +86,23 @@ type procCtx struct {
 	route       [ipc.NumOps + 1]uint8
 	prefetchers []policy.Prefetcher
 	violations  []*policy.Violation
-	messages    uint64
-	dropped     uint64 // messages dropped after the context went dead
 	lastSeq     uint64
+	// messages counts evaluated messages, published once per delivered run;
+	// dropped counts those dropped after the context died; nviolations is
+	// len(violations).
+	messages, dropped, nviolations atomic.Uint64
 	// flight is the per-process black-box ring, sized by EnableFlightRecorder.
 	// Accessed only under mu — see the concurrency note in
 	// telemetry/flight.go.
 	flight *telemetry.FlightRecorder
-	// report is the frozen postmortem, built exactly once at the kill
-	// decision (freezeLocked) and immutable afterwards.
-	report *ForensicReport
-	// dead marks a context whose process has been (or is being) killed, a
-	// poisoned one included: subsequent messages are dropped instead of
+	// report is the frozen postmortem, stored exactly once at the kill
+	// decision (freezeLocked) and immutable afterwards. A context is dead
+	// exactly when it has one: its process has been (or is being) killed, a
+	// poisoned one included, and later messages are dropped instead of
 	// evaluated, which both bounds the context's memory (the violations slice
 	// stops growing) and prevents one counter gap from spawning a kill action
 	// per remaining in-flight message.
-	dead bool
+	report atomic.Pointer[ForensicReport]
 }
 
 const routeSeveral = math.MaxUint8 // procCtx.route of an op several policies consume
@@ -417,20 +420,17 @@ func (v *Verifier) ProcessExited(pid int32) {
 	v.mu.Unlock()
 }
 
-// ProcessKilled implements kernel.KillListener: the kernel reports that pid
-// was killed (a verifier-requested kill echoing back, or an epoch-expiry
-// kill the verifier never saw). The context is marked dead so messages still
-// in flight are dropped rather than evaluated, keeping the context's memory
-// bounded between the kill and the eventual ProcessExited. This is also the
-// freeze point for kernel-originated kills (epoch expiry, wedged verifier):
-// the flight ring stops here and the postmortem is built with the kernel's
-// reason. For verifier-originated kills the echo is a no-op — freezeLocked
-// already ran at the violation and is idempotent.
+// ProcessKilled implements kernel.Listener: the kernel reports that pid was
+// killed (a verifier-requested kill echoing back, or an epoch-expiry or lease
+// kill the verifier never saw). Freezing the report marks the context dead,
+// so messages still in flight are dropped rather than evaluated, keeping the
+// context's memory bounded between the kill and the eventual ProcessExited.
+// This is the freeze point for kernel-originated kills: the flight ring stops
+// here and the postmortem is built with the kernel's reason. For
+// verifier-originated kills the echo is a no-op — freezeLocked already ran at
+// the violation and is idempotent.
 func (v *Verifier) ProcessKilled(pid int32, reason string) {
-	v.withProc(pid, func(pc *procCtx) {
-		pc.dead = true
-		v.freezeLocked(pc, nil, reason)
-	})
+	v.withProc(pid, func(pc *procCtx) { v.freezeLocked(pc, nil, reason, 0) })
 }
 
 // gateAction is a deferred kernel interaction for the run's process: policy
@@ -441,14 +441,12 @@ type gateAction struct {
 	reason string
 }
 
-// Deliver processes one message synchronously. It is the compatibility
-// wrapper over the batch path, used by deterministic experiments that
-// evaluate messages inline at send time.
+// Deliver processes one message synchronously, on the caller's goroutine: the
+// emit path of an inline launch, which evaluates each message at send time.
+// It is contained like every delivery (safeDeliver).
 func (v *Verifier) Deliver(m ipc.Message) {
 	if pc := v.lookup(m.PID); pc != nil {
-		pc.mu.Lock()
-		pc.one[0] = m
-		v.deliverLocked(pc, pc.one[:])
+		v.safeDeliver(pc, nil, &m)
 	}
 }
 
@@ -458,38 +456,30 @@ func (v *Verifier) Deliver(m ipc.Message) {
 // partition of one process's stream into batches.
 func (v *Verifier) DeliverBatch(ms []ipc.Message) {
 	var pc *procCtx
-	v.deliverRuns(ms, false, &pc)
+	v.deliverRuns(ms, &pc)
 }
 
 // deliverRuns is the run loop DeliverBatch and Pump share: cut ms into runs of
-// one process's messages (nextRun) and deliver each in order, under that
-// process's lock, never two held. *pc is the context the caller delivered to
-// last, kept across calls by Pump: the PID → context map is read only when
-// the run's PID differs from it or it has exited, so a single-process source
-// never reads the map in steady state. A PID with no context (never
-// registered, or exited) is dropped: authenticity is the kernel's job (PID
-// register, §3.1.1), and an unknown PID means the process never enabled
-// HerQules. drain selects Pump's form of a delivery: the model checker's
-// interleaving point ahead of it — the run is read but not yet delivered, the
-// window a lifecycle event (exit, kill, poison) can slip into; the goroutine
-// holds no lock there — and safeDeliver's containment around it. Both are per
-// run, never per message.
-func (v *Verifier) deliverRuns(ms []ipc.Message, drain bool, pc **procCtx) {
+// one process's messages (nextRun) and deliver each in order through
+// safeDeliver, under that process's lock, never two held. *pc is the context
+// the caller delivered to last, kept across calls by Pump: the PID → context
+// map is read only when the run's PID differs from it or it has exited, so a
+// single-process source never reads the map in steady state. A PID with no
+// context (never registered, or exited) is dropped: authenticity is the
+// kernel's job (PID register, §3.1.1), and an unknown PID means the process
+// never enabled HerQules. Ahead of each run is the model checker's
+// interleaving point — the run is read but not yet delivered, the window a
+// lifecycle event (exit, kill, poison) can slip into; the goroutine holds no
+// lock there. Both it and the containment are per run, never per message.
+func (v *Verifier) deliverRuns(ms []ipc.Message, pc **procCtx) {
 	for start := 0; start < len(ms); {
 		pid, end := ms[start].PID, nextRun(ms, start)
-		if drain {
-			dsched.Yield(dsched.PointDeliver, pid)
-		}
+		dsched.Yield(dsched.PointDeliver, pid)
 		if c := *pc; c == nil || c.pid != pid || c.exited.Load() {
 			*pc = v.lookup(pid)
 		}
 		if c := *pc; c != nil {
-			if drain {
-				v.safeDeliver(c, ms[start:end])
-			} else {
-				c.mu.Lock()
-				v.deliverLocked(c, ms[start:end])
-			}
+			v.safeDeliver(c, ms[start:end], nil)
 		}
 		start = end
 	}
@@ -537,7 +527,9 @@ type deliverState struct {
 
 // deliverLocked evaluates a run of pc's messages: it is entered with pc.mu
 // held and returns with it released, the gate calls made. An exited context
-// drops the run, like an unregistered PID.
+// drops the run, like an unregistered PID. The run's evaluated messages are
+// published to pc.messages once, before the lock drops — on the panic path
+// too, so a poisoned context's count holds what it evaluated.
 func (v *Verifier) deliverLocked(pc *procCtx, ms []ipc.Message) {
 	// Observation point for the model checker: the dead and exited checks —
 	// a poisoned context is dead — are the first act of a delivery round.
@@ -557,10 +549,11 @@ func (v *Verifier) deliverLocked(pc *procCtx, ms []ipc.Message) {
 	locked := true
 	// A panic escaping deliverSegment (a delivery-path bug, not a policy
 	// panic — those are contained per policy inside the segment) must not
-	// leave the context's mutex held: the drain's recover path (safeDeliver →
-	// poison) re-takes it to mark the context dead.
+	// leave the context's mutex held: the recover path (safeDeliver →
+	// poison) re-takes it to freeze the context.
 	defer func() {
 		if locked {
+			pc.messages.Add(st.delivered)
 			pc.mu.Unlock()
 		}
 	}()
@@ -571,6 +564,7 @@ func (v *Verifier) deliverLocked(pc *procCtx, ms []ipc.Message) {
 		acts = v.deliverSegment(pc, ms, &st, acts)
 	}
 	locked = false
+	pc.messages.Add(st.delivered)
 	pc.mu.Unlock()
 
 	tm, lane := &v.tm, int(pc.pid)
@@ -649,13 +643,13 @@ func (v *Verifier) deliverSegment(pc *procCtx, ms []ipc.Message, st *deliverStat
 	winEnd, checkSeq := st.i, st.checkSeq
 	var reject *policy.Violation
 	for st.i < len(ms) {
-		if pc.dead {
+		if pc.report.Load() != nil {
 			// The process is already being killed: drop instead of
 			// evaluating, so one fatal violation yields exactly one kill
 			// action and the context stops accumulating state.
 			n := uint64(len(ms) - st.i)
 			st.dropped += n
-			pc.dropped += n
+			pc.dropped.Add(n)
 			st.i = len(ms)
 			break
 		}
@@ -715,8 +709,7 @@ func (v *Verifier) deliverSegment(pc *procCtx, ms []ipc.Message, st *deliverStat
 				if violated == nil {
 					violated, n = viol, k
 				}
-				pc.violations = append(pc.violations, viol)
-				v.noteViolation(viol.Policy)
+				v.recordLocked(pc, viol)
 			}
 		}
 		cur = nil
@@ -735,14 +728,12 @@ func (v *Verifier) deliverSegment(pc *procCtx, ms []ipc.Message, st *deliverStat
 			n++ // the violator is evaluated too
 		}
 		st.delivered += uint64(n)
-		pc.messages += uint64(n)
 		st.i += n
 		last := &run[n-1]
 		pc.lastSeq = last.Seq
 		if violated != nil && st.killOnViolation {
 			// Frozen after the counts, so the report's Messages holds the run.
-			pc.dead = true
-			v.freezeLocked(pc, violated, violated.Reason)
+			v.freezeLocked(pc, violated, violated.Reason, st.delivered)
 			out = append(out, gateAction{kill: true, reason: violated.Reason})
 			st.killCount++
 			continue
@@ -763,55 +754,65 @@ func (v *Verifier) deliverSegment(pc *procCtx, ms []ipc.Message, st *deliverStat
 // condemn records viol, raised by message m, as the violation pc dies of
 // whatever KillOnViolation says — a sealer reject, a counter violation, a
 // policy panic — and returns the kill to issue once the context's lock drops:
-// m is counted as evaluated, the context goes dead, its black box gets m
-// stamped with code and is frozen.
+// m is counted as evaluated, its black box gets m stamped with code, and the
+// context is frozen dead.
 func (v *Verifier) condemn(st *deliverState, pc *procCtx, m *ipc.Message, viol *policy.Violation, code telemetry.FlightCode) gateAction {
 	st.delivered++
-	pc.messages++
-	pc.violations = append(pc.violations, viol)
-	pc.dead = true
-	v.noteViolation(viol.Policy)
+	v.recordLocked(pc, viol)
 	pc.flight.StampMessage(m.PID, uint16(m.Op), m.Seq, m.Arg1^m.Arg2^m.Arg3, code)
-	v.freezeLocked(pc, viol, viol.Reason)
+	v.freezeLocked(pc, viol, viol.Reason, st.delivered)
 	st.killCount++
 	return gateAction{kill: true, reason: viol.Reason}
 }
 
-// safeDeliver is the drain loop's delivery entry point and the outer ring of
-// panic containment. Policy panics never reach it — deliverSegment converts
-// those into an attributed kill of the process — so a panic arriving here is
-// a bug in the delivery path itself (or in a gate call made from it), and the
-// context's state can no longer be trusted. The context is poisoned: its
-// process is killed fail-closed, once, and its later messages are dropped
-// with the dead context, instead of the panic tearing down the whole verifier
-// process and silently un-gating every monitored program. No other process
-// is touched. The drain that caught it keeps reading: its producer never
-// wedges behind a dead consumer.
-func (v *Verifier) safeDeliver(pc *procCtx, ms []ipc.Message) {
+// recordLocked appends viol to pc's violation log and counts it, for pc and
+// for its attributed policy. Caller holds pc.mu.
+func (v *Verifier) recordLocked(pc *procCtx, viol *policy.Violation) {
+	pc.violations = append(pc.violations, viol)
+	pc.nviolations.Add(1)
+	v.noteViolation(viol.Policy)
+}
+
+// safeDeliver is every delivery's entry point — Deliver's message (one, when
+// non-nil, copied into pc.one under the lock) or a run ms of DeliverBatch and
+// Pump — and the outer ring of panic containment. Policy panics never reach
+// it — deliverSegment converts those into an attributed kill of the process —
+// so a panic arriving here is a bug in the delivery path itself (or in a gate
+// call made from it), and the context's state can no longer be trusted. The
+// context is poisoned: its process is killed fail-closed, once, and its later
+// messages are dropped with the dead context, instead of the panic tearing
+// down the whole verifier process — or an inline program's goroutine, and the
+// program with it — and silently un-gating every monitored program. No other
+// process is touched. A drain that caught it keeps reading: its producer
+// never wedges behind a dead consumer.
+func (v *Verifier) safeDeliver(pc *procCtx, ms []ipc.Message, one *ipc.Message) {
 	defer func() {
 		if r := recover(); r != nil {
 			v.poison(pc, fmt.Sprintf("verifier poisoned for pid %d: delivery panic: %v", pc.pid, r))
 		}
 	}()
 	pc.mu.Lock()
+	if one != nil {
+		pc.one[0] = *one
+		ms = pc.one[:]
+	}
 	v.deliverLocked(pc, ms)
 }
 
-// poison marks pc permanently failed: it is marked dead (its later messages
-// are dropped), its black box is closed with the poison event and frozen,
-// WedgedFor reports it wedged so a gate already stalled in SyscallEnter dies
-// at its epoch deadline with an attributable reason, and its process is
-// killed unless it was already dead. First caller wins; later calls are
-// no-ops.
+// poison marks pc permanently failed: its black box is closed with the
+// poison event and frozen, which marks it dead (its later messages are
+// dropped), WedgedFor reports it wedged so a gate already stalled in
+// SyscallEnter dies at its epoch deadline with an attributable reason, and
+// its process is killed unless it was already dead. First caller wins; later
+// calls are no-ops.
 func (v *Verifier) poison(pc *procCtx, reason string) {
 	if !pc.poison.CompareAndSwap(nil, &reason) {
 		return
 	}
 	pc.mu.Lock()
-	kill := !pc.dead
-	pc.dead = true
+	kill := pc.report.Load() == nil
 	pc.flight.StampEvent(pc.pid, telemetry.FlightPoisoned, 0)
-	v.freezeLocked(pc, nil, reason)
+	v.freezeLocked(pc, nil, reason, 0)
 	pc.mu.Unlock()
 	v.tm.poisons.Inc()
 	if kill && v.gate != nil {
@@ -837,7 +838,7 @@ func (v *Verifier) PoisonProcess(pid int32, reason string) {
 // supervisor.Health and /healthz.
 func (v *Verifier) Poisoned() int { return int(v.tm.poisons.Value()) }
 
-// WedgedFor implements the kernel's watchdog probe (kernel.Watchdog): it
+// WedgedFor implements kernel.Listener's probe at an epoch deadline: it
 // reports whether the verifier can still make validation progress for pid —
 // not when pid's context is poisoned. It takes no lock that anyone holds
 // across a gate or kernel call: the kernel calls it with its own lock held.
@@ -865,7 +866,8 @@ func (v *Verifier) killAttributed(err error) {
 }
 
 // withProc runs f on pid's context under its lock and reports whether pid has
-// one.
+// one. Only what needs the policies, the ring or the violation log takes it;
+// a policy that blocks holds it.
 func (v *Verifier) withProc(pid int32, f func(pc *procCtx)) bool {
 	pc := v.lookup(pid)
 	if pc == nil {
@@ -883,10 +885,11 @@ func (v *Verifier) Violations(pid int32) (out []*policy.Violation) {
 	return out
 }
 
-// Messages returns the number of messages processed for pid.
-func (v *Verifier) Messages(pid int32) (n uint64) {
-	v.withProc(pid, func(pc *procCtx) { n = pc.messages })
-	return n
+// Messages returns the number of messages processed for pid, without its
+// context's lock.
+func (v *Verifier) Messages(pid int32) uint64 {
+	st, _ := v.ProcStats(pid)
+	return st.Messages
 }
 
 // TotalMessages returns the number of messages processed for all processes:
@@ -902,23 +905,25 @@ type ProcStats struct {
 	Messages   uint64 `json:"messages"`   // validated deliveries
 	Dropped    uint64 `json:"dropped"`    // dropped after the context died
 	Violations uint64 `json:"violations"` // recorded policy violations
-	Dead       bool   `json:"dead"`       // killed; context awaiting teardown
+	Dead       bool   `json:"dead"`       // killed (report frozen); context awaiting teardown
 }
 
-// ProcStats returns the per-process verifier statistics for pid in one lock
-// round; ok is false when the process has no live context (never registered,
-// or already exited).
-func (v *Verifier) ProcStats(pid int32) (st ProcStats, ok bool) {
-	ok = v.withProc(pid, func(pc *procCtx) {
-		st = ProcStats{
-			PID:        pc.pid,
-			Messages:   pc.messages,
-			Dropped:    pc.dropped,
-			Violations: uint64(len(pc.violations)),
-			Dead:       pc.dead,
-		}
-	})
-	return st, ok
+// ProcStats returns the per-process verifier statistics for pid without its
+// context's lock, so it answers while a policy holds it; ok is false when the
+// process has no live context (never registered, or already exited). The
+// fields are read one by one, not as a consistent cut.
+func (v *Verifier) ProcStats(pid int32) (ProcStats, bool) {
+	pc := v.lookup(pid)
+	if pc == nil {
+		return ProcStats{}, false
+	}
+	return ProcStats{
+		PID:        pc.pid,
+		Messages:   pc.messages.Load(),
+		Dropped:    pc.dropped.Load(),
+		Violations: pc.nviolations.Load(),
+		Dead:       pc.report.Load() != nil,
+	}, true
 }
 
 // Entries returns the current and maximum metadata entries across the

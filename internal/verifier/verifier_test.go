@@ -430,7 +430,7 @@ func TestViolationKillDropsRestOfBatch(t *testing.T) {
 }
 
 func TestProcessKilledDropsSubsequentMessages(t *testing.T) {
-	// The kernel's kill notification (kernel.KillListener) must stop the
+	// The kernel's kill notification (kernel.Listener's ProcessKilled) must stop the
 	// verifier from evaluating further messages, bounding the context's
 	// violation log between kill and ProcessExited.
 	g := newFakeGate()

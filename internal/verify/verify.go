@@ -15,7 +15,7 @@
 //     always evaluated (a silently ignored message is how the gate
 //     invariant dies without ever looking violated);
 //   - exactly-one-kill: a killed process produces exactly one
-//     KillListener notification, never zero, never two;
+//     ProcessKilled notification, never zero, never two;
 //   - poison-kills-one: poisoning a process's verifier context (a contained
 //     delivery-path panic) kills that process and no other, whose messages
 //     are still validated and whose gates still pass;

@@ -123,24 +123,20 @@ func (r *source) close() {
 func (p *wproc) launched() bool { return p.src.owner == p.name }
 
 // tapListener interposes the kernel→verifier listener to count
-// ProcessKilled notifications per pid (the exactly-one-kill invariant) while
-// forwarding everything to the real verifier.
+// ProcessKilled notifications per pid (the exactly-one-kill invariant); every
+// other event goes straight to the real verifier.
 type tapListener struct {
-	v *verifier.Verifier
+	*verifier.Verifier
 
 	mu        sync.Mutex
 	killCount map[int32]int
 }
 
-func (l *tapListener) ProcessStarted(pid int32)          { l.v.ProcessStarted(pid) }
-func (l *tapListener) ProcessForked(parent, child int32) { l.v.ProcessForked(parent, child) }
-func (l *tapListener) ProcessExited(pid int32)           { l.v.ProcessExited(pid) }
-
 func (l *tapListener) ProcessKilled(pid int32, reason string) {
 	l.mu.Lock()
 	l.killCount[pid]++
 	l.mu.Unlock()
-	l.v.ProcessKilled(pid, reason)
+	l.Verifier.ProcessKilled(pid, reason)
 }
 
 func (l *tapListener) kills(pid int32) int {
@@ -190,7 +186,7 @@ func newWorld(cfg Config) *world {
 		Metrics:         worldMetrics,
 		FlightRecorder:  telemetry.MinFlightSlots,
 	})
-	lis := &tapListener{v: sys.Verifier(), killCount: make(map[int32]int)}
+	lis := &tapListener{Verifier: sys.Verifier(), killCount: make(map[int32]int)}
 	sys.Kernel().SetListener(lis)
 	return &world{
 		cfg: cfg, s: s, sys: sys, k: sys.Kernel(), v: sys.Verifier(), lis: lis,

@@ -192,11 +192,15 @@ func TestSystemFacadeHTTPEndpoint(t *testing.T) {
 	if code, _ := fetch("/violations"); code != http.StatusOK {
 		t.Errorf("/violations: status %d, want 200", code)
 	}
-	kpid := sys.s.Kernel().Register()
-	sys.s.Kernel().Kill(kpid, "facade test kill")
-	if code, body := fetch("/violations/" + strconv.FormatInt(int64(kpid), 10)); code != http.StatusOK {
-		t.Errorf("/violations/%d: status %d, want 200 (flight recorder not implied?)\n%s", kpid, code, body)
+	kp, err := sys.s.Admit(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sys.s.Kernel().Kill(kp.PID(), "facade test kill")
+	if code, body := fetch("/violations/" + strconv.FormatInt(int64(kp.PID()), 10)); code != http.StatusOK {
+		t.Errorf("/violations/%d: status %d, want 200 (flight recorder not implied?)\n%s", kp.PID(), code, body)
+	}
+	kp.Close()
 
 	if err := sys.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
