@@ -38,8 +38,10 @@ vet:
 # the context lock but written without an atomic is a race; the hqnet wedge
 # test, where /metrics, /procs, /violations and the System's stats and
 # postmortems must answer while a policy holds a lease-killed process's
-# context lock) and of the delivery-panic containment test on both emit paths
-# (a drain and inline delivery on the program's goroutine),
+# context lock), of the delivery-panic containment test on both emit paths
+# (a drain and inline delivery on the program's goroutine) and of Shutdown
+# racing admissions (an admitted process's drain must deliver its whole
+# stream before Shutdown returns, and none may be left running),
 # twenty runs of the ring's
 # and sealed-view tests without the race detector (only that build publishes
 # the ring's head with a plain store, on the raw and the sealed path alike),
@@ -91,7 +93,7 @@ check: vet build
 	$(GO) test -race -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints|TestSharedRingCloseDeliversOpenGroup|TestSealSender' ./internal/ipc
 	$(GO) test -count=20 -run 'TestSharedRingParkWake|TestSharedRingCloseWakes|TestSharedRingFencedPoints|TestSharedRingCloseDeliversOpenGroup|TestSealSender' ./internal/ipc
 	$(GO) test -race -count=20 -run 'TestCloseResendsLostGoodbye|TestResumeToken|TestConcurrentSendGateHeartbeatNeverSplitFrames|TestAckNeverReleasesInFlightFrames|TestWedgedContextDelaysNoOtherLease' ./internal/hqnet
-	$(GO) test -race -count=20 -run 'TestStatsScrapeRacesDelivery|TestDeliveryPanicKillsOnlyItsProcess' ./internal/supervisor
+	$(GO) test -race -count=20 -run 'TestStatsScrapeRacesDelivery|TestDeliveryPanicKillsOnlyItsProcess|TestShutdownRacingAdmitsDeliversEverything' ./internal/supervisor
 	$(GO) test -run 'TestEveryExperimentRunsQuick/verify' ./internal/experiments
 	$(MAKE) bench-smoke
 	$(GO) test -run xxx -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/ipc

@@ -13,6 +13,16 @@ import (
 	"herqules/internal/vm"
 )
 
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+
+	// resumeAttempts bounds reconnection tries per outage. Exhausting them
+	// declares the session dead; the daemon's lease has long since disposed
+	// of the process by then.
+	resumeAttempts = 8
+)
+
 // ClientConfig parameterizes a Client.
 type ClientConfig struct {
 	// Network and Addr name the daemon ("tcp", "127.0.0.1:9411" or "unix",
@@ -21,14 +31,6 @@ type ClientConfig struct {
 
 	// Tenant identifies the client for per-tenant admission quotas.
 	Tenant uint64
-
-	// DialTimeout bounds one connection attempt (<= 0 selects 2s).
-	DialTimeout time.Duration
-
-	// ResumeAttempts bounds reconnection tries per outage (<= 0 selects 8).
-	// Exhausting them declares the session dead; the daemon's lease has
-	// long since disposed of the process by then.
-	ResumeAttempts int
 
 	// ReplaySlots bounds the unacked-frame replay buffer (<= 0 selects
 	// three bursts: one being written, one on the wire, one awaiting its
@@ -143,12 +145,6 @@ func resumeBackoff(attempt int) time.Duration {
 // session loops. ctx governs the whole session: canceling it interrupts any
 // backoff sleep and fails pending gates.
 func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.ResumeAttempts <= 0 {
-		cfg.ResumeAttempts = 8
-	}
 	if cfg.ReplaySlots <= 0 {
 		cfg.ReplaySlots = 3 * burstFrames
 	}
@@ -188,7 +184,7 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 
 // handshake dials and exchanges exactly one request/welcome pair.
 func (c *Client) handshake(ctx context.Context, req ipc.Message) (net.Conn, *ipc.FrameDecoder, ipc.Message, error) {
-	d := net.Dialer{Timeout: c.cfg.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	nc, err := d.DialContext(ctx, c.cfg.Network, c.cfg.Addr)
 	if err != nil {
 		return nil, nil, ipc.Message{}, err
@@ -549,7 +545,7 @@ func (c *Client) Close() error {
 }
 
 // resendGoodbye presents the session token on a fresh connection and says
-// goodbye there, up to ResumeAttempts times on the reconnect ladder. A
+// goodbye there, up to resumeAttempts times on the reconnect ladder. A
 // rejection ends it: the session is over, by the lost goodbye itself or by
 // the lease.
 func (c *Client) resendGoodbye(goodbye ipc.Message) {
@@ -557,7 +553,7 @@ func (c *Client) resendGoodbye(goodbye ipc.Message) {
 	resume := ipc.Message{Op: ipc.OpResume, PID: c.pid, Arg1: c.token, Arg2: c.cfg.Tenant}
 	var frame [ipc.MessageSize]byte
 	goodbye.Encode(frame[:])
-	for attempt := 1; attempt <= c.cfg.ResumeAttempts; attempt++ {
+	for attempt := 1; attempt <= resumeAttempts; attempt++ {
 		time.Sleep(resumeBackoff(attempt))
 		nc, _, _, err := c.handshake(ctx, resume)
 		var rej *RejectedError
@@ -746,7 +742,7 @@ func (c *Client) reconnect(nc net.Conn, gen uint64) {
 	nc.Close()
 
 	resume := ipc.Message{Op: ipc.OpResume, PID: c.pid, Arg1: c.token, Arg2: c.cfg.Tenant}
-	for attempt := 1; attempt <= c.cfg.ResumeAttempts; attempt++ {
+	for attempt := 1; attempt <= resumeAttempts; attempt++ {
 		select {
 		case <-c.ctx.Done():
 			c.die("hqnet: client closed")

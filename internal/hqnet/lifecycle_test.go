@@ -360,7 +360,7 @@ func TestWedgedContextDelaysNoOtherLease(t *testing.T) {
 	returnsWithin(t, answer, "System.ProcStats", func() { h.sys.ProcStats() })
 	returnsWithin(t, answer, "System.Forensics(A)", func() { h.sys.Forensics(a.PID()) })
 	returnsWithin(t, answer, "System.AllForensics", func() { h.sys.AllForensics() })
-	o := obs.NewServer(h.srv)
+	o := obs.NewServer(h.sys)
 	o.SetConnReporter(h.srv)
 	for _, path := range []string{"/metrics", "/procs", "/violations"} {
 		rec := httptest.NewRecorder()

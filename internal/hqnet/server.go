@@ -468,15 +468,6 @@ func (s *Server) Conns() []obs.ConnRow {
 
 var _ obs.ConnReporter = (*Server)(nil)
 
-// Stats/Health/Forensics passthroughs so a Server can stand directly behind
-// obs.NewServer as the obs.System.
-func (s *Server) Stats() supervisor.Stats                               { return s.sys.Stats() }
-func (s *Server) Health() supervisor.Health                             { return s.sys.Health() }
-func (s *Server) Forensics(pid int32) (supervisor.ForensicReport, bool) { return s.sys.Forensics(pid) }
-func (s *Server) AllForensics() []supervisor.ForensicReport             { return s.sys.AllForensics() }
-
-var _ obs.System = (*Server)(nil)
-
 // String summarizes the server state for logs.
 func (s *Server) String() string {
 	s.mu.Lock()

@@ -653,13 +653,6 @@ func (k *Kernel) Pids() []int32 {
 	return pids
 }
 
-// NumProcs reports the number of live kernel contexts.
-func (k *Kernel) NumProcs() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.procs)
-}
-
 // Killed reports whether pid has been killed and why.
 func (k *Kernel) Killed(pid int32) (bool, string) {
 	k.mu.Lock()
@@ -668,16 +661,6 @@ func (k *Kernel) Killed(pid int32) (bool, string) {
 		return p.killed, p.killReason
 	}
 	return false, ""
-}
-
-// Registered reports whether pid currently has a visible kernel context. A
-// pid in the notify-before-visible window reports false: it is known to the
-// verifier but not yet to the process table.
-func (k *Kernel) Registered(pid int32) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	_, ok := k.procs[pid]
-	return ok
 }
 
 // SyncReady reports the state of pid's synchronization variable (§3.3):

@@ -36,8 +36,16 @@ func newVisibilityListener(k *Kernel) *visibilityListener {
 	}
 }
 
+// registered reports whether pid has a visible kernel context. A pid in the
+// notify-before-visible window reports false: it is known to the verifier
+// but not yet to the process table.
+func registered(k *Kernel, pid int32) bool {
+	_, ok := k.Stats(pid)
+	return ok
+}
+
 func (l *visibilityListener) ProcessStarted(pid int32) {
-	vis := l.k.Registered(pid)
+	vis := registered(l.k, pid)
 	l.mu.Lock()
 	l.startedVisible[pid] = vis
 	l.mu.Unlock()
@@ -47,7 +55,7 @@ func (l *visibilityListener) ProcessStarted(pid int32) {
 }
 
 func (l *visibilityListener) ProcessForked(parent, child int32) {
-	vis := l.k.Registered(child)
+	vis := registered(l.k, child)
 	l.mu.Lock()
 	l.forkedVisible[child] = vis
 	l.mu.Unlock()
@@ -71,7 +79,7 @@ func TestRegisterNotifiesBeforeVisible(t *testing.T) {
 	if l.startedVisible[pid] {
 		t.Fatalf("pid %d was visible in the process table when ProcessStarted fired; want notify-before-visible", pid)
 	}
-	if !k.Registered(pid) {
+	if !registered(k, pid) {
 		t.Fatalf("pid %d not visible after Register returned", pid)
 	}
 
@@ -82,7 +90,7 @@ func TestRegisterNotifiesBeforeVisible(t *testing.T) {
 	if l.forkedVisible[child] {
 		t.Fatalf("child %d was visible when ProcessForked fired; want notify-before-visible", child)
 	}
-	if !k.Registered(child) {
+	if !registered(k, child) {
 		t.Fatalf("child %d not visible after Fork returned", child)
 	}
 }

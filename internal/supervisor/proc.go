@@ -23,7 +23,7 @@ import (
 type Proc struct {
 	sys     *System
 	rec     *procRecord
-	drained <-chan struct{} // closes once the pump has delivered the source; nil without one
+	drained <-chan struct{} // closes once Pump has delivered the source; nil without one
 	key     ipc.MacKey
 	keyed   bool
 	once    sync.Once // claimed by Launch's run goroutine, or by Close
@@ -64,10 +64,11 @@ func (p *Proc) Close() {
 }
 
 // Admit takes a process into the System: it takes a Shutdown in-flight slot,
-// registers a kernel context, attaches recv to the shared pump (a nil recv
-// means inline delivery: no source, no drain), and opens the process's
-// attribution record. The returned process must be finalized, on every
-// path: by Close once recv's sending side is closed, or by Launch's run.
+// registers a kernel context, starts the process's one drain goroutine
+// (verifier.Pump over recv; a nil recv means inline delivery: no source, no
+// drain), and opens the process's attribution record. The returned process
+// must be finalized, on every path: by Close once recv's sending side is
+// closed, or by Launch's run.
 func (s *System) Admit(recv ipc.Receiver) (*Proc, error) {
 	// The inflight count is raised under the lock Shutdown takes to flip
 	// down, so no admission slips past a closing system.
@@ -90,13 +91,14 @@ func (s *System) Admit(recv ipc.Receiver) (*Proc, error) {
 		done: make(chan struct{}),
 	}
 	if recv != nil {
-		drained, err := s.pumps.Attach(recv)
-		if err != nil {
-			// Shutdown won the race after admission.
-			p.abort()
-			return nil, ErrShutdown
-		}
+		drained := make(chan struct{})
 		p.drained = drained
+		s.drains.Add(1)
+		go func() {
+			s.v.Pump(recv)
+			s.drains.Add(-1)
+			close(drained)
+		}()
 	}
 	if s.keys != nil {
 		p.key, p.keyed = s.keys.Key(pid)

@@ -5,12 +5,13 @@
 // application that has enabled HerQules.
 //
 // A System is long-lived: programs Launch into it, run concurrently (each
-// with its own AppendWrite channel drained by a shared verifier.PumpSet),
-// and exit independently; Shutdown returns once every channel's drain has
-// delivered what it read. This is the configuration under which CFI
-// enforcement overheads are actually compared in the literature (Burow et
-// al.; de Clercq & Verbauwhede): one enforcement domain amortized across the
-// machine's workload, not one per process.
+// with its own AppendWrite channel, drained into the one verifier by a
+// goroutine of its own), and exit independently; Shutdown returns once every
+// process is finished, its channel's drain having delivered what it read.
+// This is the configuration under which CFI enforcement overheads are
+// actually compared in the literature (Burow et al.; de Clercq &
+// Verbauwhede): one enforcement domain amortized across the machine's
+// workload, not one per process.
 //
 // Run is the one-process convenience over a throwaway System; the public
 // facade surfaces this package as herqules.System and herqules.Run.
@@ -24,6 +25,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"herqules/internal/compiler"
@@ -157,16 +159,15 @@ type LaunchOptions struct {
 	Seed uint64
 }
 
-// System is the resident runtime: one kernel, one verifier, one
-// multi-source pump, N concurrently monitored programs.
+// System is the resident runtime: one kernel, one verifier, N concurrently
+// monitored programs, each drained by a goroutine of its own.
 type System struct {
 	cfg Config
 	k   *kernel.Kernel
 	v   *verifier.Verifier
 	m   *telemetry.Metrics
 
-	pumps *verifier.PumpSet
-	base  telemetry.Snapshot // registry state at construction, for Stats
+	base telemetry.Snapshot // registry state at construction, for Stats
 
 	// keys is the per-process message-authentication keyring, created only
 	// when the configured policy set contains a Sealer (the hmac policy):
@@ -177,6 +178,7 @@ type System struct {
 
 	mu       sync.Mutex
 	inflight sync.WaitGroup // one per admitted process, released when it is finalized
+	drains   atomic.Int32   // drain goroutines running (Health.PumpSources)
 	launched uint64
 	finished uint64
 	killed   uint64
@@ -211,8 +213,8 @@ type procRecord struct {
 // into one metrics registry, and wired together over the privileged channel:
 // the verifier is the kernel's Listener (lifecycle, kills, the wedge probe
 // at an epoch deadline, gate flight stamps) and the kernel is the verifier's
-// Gate. Nothing runs until a program launches: a process brings its own
-// drain goroutine (verifier.PumpSet.Attach).
+// Gate. Nothing runs until a program launches: Admit starts each process's
+// own drain goroutine.
 func New(cfg Config) *System {
 	factory := cfg.Policies
 	if factory == nil {
@@ -256,7 +258,6 @@ func New(cfg Config) *System {
 			break
 		}
 	}
-	s.pumps = v.NewPumpSet()
 	return s
 }
 
@@ -343,8 +344,8 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 	vp, err := vm.NewProcess(ins.Mod, cfg)
 	if err != nil {
 		if ch != nil {
-			// Closing the channel releases the transport and ends the drain
-			// the process holds attached to the pump.
+			// Closing the channel releases the transport and ends the
+			// process's drain, which abort waits out.
 			ch.Close()
 		}
 		p.abort()
@@ -366,13 +367,13 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 	return p, nil
 }
 
-// Shutdown stops the System gracefully: new launches are refused, in-flight
-// processes run to completion (their channels drain fully before their
-// outcomes are published), and the shared pump closes once every drain has
-// delivered what it read. If ctx expires first, every
-// process still in the kernel's table is killed — their VM loops observe the
-// kill at the next message or system call and terminate — and Shutdown then
-// finishes the same drain path, returning the context's error. Shutdown is
+// Shutdown stops the System gracefully: new launches are refused and
+// in-flight processes run to completion (each channel drains fully before
+// its process's outcome is published, so when the last process is finished
+// no drain is left). If ctx expires first, every process still in the
+// kernel's table is killed — their VM loops observe the kill at the next
+// message or system call and terminate — and Shutdown then waits out the
+// same finish path, returning the context's error. Shutdown is
 // idempotent; concurrent calls all return after the system is fully down.
 func (s *System) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -401,7 +402,6 @@ func (s *System) Shutdown(ctx context.Context) error {
 		}
 		<-done
 	}
-	s.pumps.Close()
 	return err
 }
 
@@ -516,12 +516,12 @@ func (s *System) ProcStats() []ProcStats {
 
 // Health is the liveness summary served by the /healthz endpoint: whether
 // the system still accepts launches, and the moving parts a stuck system
-// would show as wedged (attached pump sources that never drain, processes
-// that never finish).
+// would show as wedged (sources that never drain, processes that never
+// finish).
 type Health struct {
 	Up          bool `json:"up"`           // accepting launches (Shutdown not begun)
 	ActiveProcs int  `json:"active_procs"` // admitted and not yet finished
-	PumpSources int  `json:"pump_sources"` // channels currently attached and draining
+	PumpSources int  `json:"pump_sources"` // drain goroutines running: channels not yet drained
 
 	// Poisoned counts the processes whose verifier contexts contained
 	// delivery-path panics have poisoned since start: each was killed
@@ -548,7 +548,7 @@ func (s *System) Health() Health {
 	return Health{
 		Up:             up,
 		ActiveProcs:    active,
-		PumpSources:    s.pumps.Sources(),
+		PumpSources:    int(s.drains.Load()),
 		Poisoned:       poisoned,
 		DegradedPolicy: s.k.DegradedMode().String(),
 	}

@@ -145,9 +145,9 @@ func waitGoroutines(t *testing.T, want int) {
 // TestSystemConcurrentMixedProcesses is the multi-tenant soak the supervisor
 // exists for: many monitored programs — clean and violating, mixed — run
 // concurrently under ONE kernel + ONE verifier, each over its own
-// AppendWrite channel multiplexed into the shared pump. Asserted: per-PID
+// AppendWrite channel drained by a goroutine of its own. Asserted: per-PID
 // outcome isolation, exactly one kernel kill per violator, and a clean
-// Shutdown that leaks no pump goroutines. Run under -race by `make check`.
+// Shutdown that leaks no drain goroutines. Run under -race by `make check`.
 func TestSystemConcurrentMixedProcesses(t *testing.T) {
 	const procs = 10 // >= 8 per the acceptance bar; even index = clean
 	baseline := runtime.NumGoroutine()
@@ -230,7 +230,7 @@ func TestSystemConcurrentMixedProcesses(t *testing.T) {
 	if st.MessagesVerified == 0 {
 		t.Error("no messages verified")
 	}
-	if sys.Kernel().NumProcs() != 0 {
+	if len(sys.Kernel().Pids()) != 0 {
 		t.Errorf("kernel process table not empty: %v", sys.Kernel().Pids())
 	}
 
@@ -579,7 +579,7 @@ func TestSystemShutdownDeadlineKillsStragglers(t *testing.T) {
 	if out == nil {
 		t.Fatal("no outcome after deadline shutdown")
 	}
-	if sys.Kernel().NumProcs() != 0 {
+	if len(sys.Kernel().Pids()) != 0 {
 		t.Errorf("process table not empty after deadline shutdown: %v", sys.Kernel().Pids())
 	}
 }

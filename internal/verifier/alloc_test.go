@@ -55,11 +55,7 @@ func TestDrainSteadyStateZeroAlloc(t *testing.T) {
 	v.ProcessStarted(1)
 
 	r := &roundReceiver{msgs: msgs, pos: nmsgs, idle: make(chan struct{}), next: make(chan struct{})}
-	ps := v.NewPumpSet()
-	done, err := ps.Attach(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	done := drain(v, r)
 	<-r.idle
 	round := func() {
 		r.next <- struct{}{}
@@ -79,7 +75,6 @@ func TestDrainSteadyStateZeroAlloc(t *testing.T) {
 	}
 	close(r.next)
 	<-done
-	ps.Close()
 
 	// What a source costs is its burst buffer, whether it sends one burst or 64.
 	perSource := func(n int) float64 {

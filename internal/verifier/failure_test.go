@@ -103,16 +103,10 @@ func TestPolicyPanicKillsProcessFailClosed(t *testing.T) {
 	v.ProcessStarted(1)
 	v.ProcessStarted(2)
 
-	ps := v.NewPumpSet()
-	done, err := ps.Attach(ipc.NewReplay([]ipc.Message{
+	<-drain(v, ipc.NewReplay([]ipc.Message{
 		{Op: ipc.OpCounterInc, PID: 1, Arg1: 1, Seq: 1},
 		{Op: ipc.OpCounterInc, PID: 1, Arg1: 0xdead, Seq: 2}, // detonates
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	ps.Close()
 
 	if got := v.Poisoned(); got != 0 {
 		t.Fatalf("Poisoned = %d, want 0 (panic contained per policy)", got)
@@ -164,23 +158,13 @@ func TestPolicyPanicDoesNotDisturbOtherProcesses(t *testing.T) {
 	v.ProcessStarted(victim)
 	v.ProcessStarted(bystander)
 
-	ps := v.NewPumpSet()
-	doneV, err := ps.Attach(ipc.NewReplay([]ipc.Message{
+	<-drain(v, ipc.NewReplay([]ipc.Message{
 		{Op: ipc.OpCounterInc, PID: victim, Arg1: 0xdead, Seq: 1},
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-doneV
-	doneB, err := ps.Attach(ipc.NewReplay([]ipc.Message{
+	<-drain(v, ipc.NewReplay([]ipc.Message{
 		{Op: ipc.OpCounterInc, PID: bystander, Arg1: 1, Seq: 1},
 		{Op: ipc.OpCounterInc, PID: bystander, Arg1: 2, Seq: 2},
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-doneB
-	ps.Close()
 
 	if g.kills[victim] == "" {
 		t.Error("detonating victim not killed")
@@ -238,16 +222,11 @@ func TestDeliveryPanicOnDrainKillsOnlyItsProcess(t *testing.T) {
 	// detonates. The rings are far smaller than the streams, so a Send
 	// returns only because the drain took something out.
 	const n = 5000
-	ps := v.NewPumpSet()
 	var producers sync.WaitGroup
 	var dones []<-chan struct{}
 	for _, pid := range append([]int32{victim}, others...) {
 		ch := ipc.NewSharedRing(1 << 6)
-		done, err := ps.Attach(ch.Receiver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dones = append(dones, done)
+		dones = append(dones, drain(v, ch.Receiver))
 		producers.Add(1)
 		go func(pid int32) {
 			defer producers.Done()
@@ -270,7 +249,6 @@ func TestDeliveryPanicOnDrainKillsOnlyItsProcess(t *testing.T) {
 	for _, done := range dones {
 		<-done
 	}
-	ps.Close()
 
 	if got := v.Poisoned(); got != 1 {
 		t.Fatalf("Poisoned = %d, want 1", got)

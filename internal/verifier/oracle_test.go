@@ -267,12 +267,12 @@ func runOracle(seed int64, sealed, logOnly bool, pump func(*Verifier, ipc.Receiv
 // TestPumpMatchesReferenceOracle is the differential check of the one drain
 // path: on seeded random multi-PID streams carrying a CFI violator, a
 // sequence gap, a duplicate sequence number and a mid-stream attributed
-// receive error, Pump and PumpSet must produce exactly
+// receive error, Pump must produce exactly
 // the reference loop's kill set, kill reasons, gate releases, per-PID message
 // counts, per-PID violations and forensic reports — fed the stream through
-// one receiver, and fed it split into one source per PID, all attached at
-// once: several drain goroutines delivering into one verifier, the
-// interleaving production runs. The sealed variant runs hqd's chain on a sealed stream
+// one receiver on the caller's goroutine or on a drain goroutine, and fed it
+// split into one source per PID, all drained at once: several drain
+// goroutines delivering into one verifier, the interleaving production runs. The sealed variant runs hqd's chain on a sealed stream
 // that also carries a flipped tag bit, a frame spliced in under another
 // process's key and a replayed sealed frame. The log-only variant keeps the
 // CFI violator alive, so every later violation of its must match too. The
@@ -284,23 +284,17 @@ func runOracle(seed int64, sealed, logOnly bool, pump func(*Verifier, ipc.Receiv
 func TestPumpMatchesReferenceOracle(t *testing.T) {
 	pumps := map[string]func(*Verifier, ipc.Receiver){
 		"Pump": (*Verifier).Pump,
-		"PumpSet": func(v *Verifier, r ipc.Receiver) {
-			ps := v.NewPumpSet()
-			done, err := ps.Attach(r)
-			if err != nil {
-				panic(err)
-			}
-			<-done
-			ps.Close()
+		"Pump on a drain goroutine": func(v *Verifier, r ipc.Receiver) {
+			<-drain(v, r)
 		},
-		"PumpSet, a source per PID": func(v *Verifier, r ipc.Receiver) {
-			ps := v.NewPumpSet()
+		"Pump, a drain per PID": func(v *Verifier, r ipc.Receiver) {
+			var dones []<-chan struct{}
 			for _, src := range r.(*oracleReceiver).perPID() {
-				if _, err := ps.Attach(src); err != nil {
-					panic(err)
-				}
+				dones = append(dones, drain(v, src))
 			}
-			ps.Close()
+			for _, done := range dones {
+				<-done
+			}
 		},
 	}
 	for _, sealed := range []bool{false, true} {

@@ -1,8 +1,6 @@
 package verifier
 
 import (
-	"errors"
-	"sync"
 	"time"
 
 	"herqules/internal/ipc"
@@ -61,77 +59,4 @@ func (v *Verifier) Pump(r ipc.Receiver) {
 			return
 		}
 	}
-}
-
-// ErrPumpClosed is returned by PumpSet.Attach after Close has been called.
-var ErrPumpClosed = errors.New("verifier: pump set closed")
-
-// PumpSet drains a dynamic set of receivers into one verifier — the
-// verifier-side heart of the multi-process supervisor: one monitored program
-// per attached channel, each on a drain goroutine of its own (Pump), all
-// validating into the same verifier. Sources register as processes launch
-// (Attach) and deregister themselves once their channel has closed; Close
-// waits for every attached source to finish, so no received message is ever
-// dropped by shutdown. The set itself runs nothing: its only goroutines are
-// the ones Attach starts.
-type PumpSet struct {
-	v *Verifier
-
-	mu     sync.Mutex
-	active int
-	closed bool
-	drains sync.WaitGroup
-}
-
-// NewPumpSet creates an empty pump set over v.
-func (v *Verifier) NewPumpSet() *PumpSet {
-	return &PumpSet{v: v}
-}
-
-// Attach registers r as a new message source and starts draining it in a
-// dedicated goroutine. The returned channel is closed once r has been fully
-// drained (its channel closed or failed) — which, delivery being synchronous,
-// is after every one of its messages has been evaluated and any kill the
-// verifier issued for them has been made — so a caller that waits on done
-// before reading per-PID verifier state (or tearing the process down)
-// observes all of the source's deliveries, with no Close required first.
-func (ps *PumpSet) Attach(r ipc.Receiver) (done <-chan struct{}, err error) {
-	ps.mu.Lock()
-	if ps.closed {
-		ps.mu.Unlock()
-		return nil, ErrPumpClosed
-	}
-	ps.active++
-	ps.drains.Add(1)
-	ps.mu.Unlock()
-
-	ch := make(chan struct{})
-	go func() {
-		defer ps.drains.Done()
-		ps.v.Pump(r)
-		ps.mu.Lock()
-		ps.active--
-		ps.mu.Unlock()
-		close(ch)
-	}()
-	return ch, nil
-}
-
-// Sources reports the number of sources currently attached and draining.
-func (ps *PumpSet) Sources() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.active
-}
-
-// Close waits for every attached source to finish draining. Attach fails
-// with ErrPumpClosed from the moment Close is entered; Close itself is
-// idempotent. Sources still attached block Close until their channels close,
-// so the owner must close (or have closed) every monitored program's channel
-// first — the supervisor's Shutdown ordering.
-func (ps *PumpSet) Close() {
-	ps.mu.Lock()
-	ps.closed = true
-	ps.mu.Unlock()
-	ps.drains.Wait()
 }

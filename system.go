@@ -40,11 +40,11 @@ type Proc = supervisor.Proc
 
 // System is the resident HerQules runtime — the deployment model of the
 // paper's Figure 1, where one kernel module and one verifier serve every
-// monitored program on the machine. A System owns one kernel, one
-// verifier (a policy context per process) and one multi-source message pump; any number of
-// instrumented programs Launch into it, run concurrently (each over its own
-// AppendWrite channel), and exit independently. Shutdown drains all
-// in-flight messages before stopping.
+// monitored program on the machine. A System owns one kernel and one
+// verifier (a policy context per process); any number of instrumented
+// programs Launch into it, run concurrently (each over its own AppendWrite
+// channel, drained into the verifier by a goroutine of its own), and exit
+// independently. Shutdown drains all in-flight messages before stopping.
 //
 //	sys := herqules.NewSystem(herqules.WithKillOnViolation(true))
 //	defer sys.Shutdown(context.Background())
