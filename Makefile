@@ -27,7 +27,9 @@ vet:
 # arm64, and a 386 build of everything: the SipHash kernel's portable body
 # must keep compiling without any tag), the full test suite under the race detector (which runs every
 # hqbench experiment once at its smoke scope, the soaks included:
-# TestEveryExperimentRunsQuick), twenty raced runs each of the ring's
+# TestEveryExperimentRunsQuick; and TestNoTestOnlyExports, which fails on an
+# exported function or method that no non-test file names outside its own
+# declaration unless exports_test.go's allowlist gives a reason), twenty raced runs each of the ring's
 # park/wake, fenced-point, close and sealed-view tests, of the hqnet
 # client's goodbye resend and token tests (a resend racing recvLoop's
 # reconnect must fail here, not flake later) and of its one-producer tests
@@ -161,7 +163,8 @@ bench:
 # search, which the full chain hides behind its pointer-table misses), one
 # pass of cfi alone over the hot mix's random op sequence (the drain benches
 # replay a fixed triple the branch predictor learns, so they cannot see a
-# per-op dispatch branch), one pass each of ring_stream's chain and hqd's sealed chain over the hot mix
+# per-op dispatch branch), one destroy-all of four spans from an index of
+# 2^10 and of 2^14 under each allocation policy, one pass each of ring_stream's chain and hqd's sealed chain over the hot mix
 # (window, runs and, sealed, the 8-lane unseal with every table in cache;
 # -benchmem must read 0 allocs/op), the networked client's send path
 # (sealed stream to an in-process daemon over a Unix socket, with its
@@ -169,7 +172,8 @@ bench:
 # place and is one writev from it, the daemon acks once per read; it reports
 # the daemon's reads and acks per 1000 messages) and its gated round trip (16 sealed
 # sends, the System-Call message and the gate against hqd's chain, answered
-# by the daemon's drain; with its zero-alloc test) — both at -cpu 1,2 because
+# by the daemon's drain; with its zero-alloc test; closed loop only, the
+# 300 µs idle-gap variant and its Unix-socket floor take a minute) — both at -cpu 1,2 because
 # the second processor is the daemon's — and the daemon's cursor decoder below
 # the session (one client burst of staging, 2730 frames or 128 KiB, 256
 # frames a call, 0 allocs/op), and a sealed and a raw send into a drained
@@ -180,8 +184,8 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkRingGateSparse' -benchtime 400x -cpu 1,2 .
 	$(GO) test -run xxx -bench 'BenchmarkPolicyChainLargeState' -benchtime 1x .
-	$(GO) test -run xxx -bench 'BenchmarkAllocPolicies|BenchmarkCFIHotMix' -benchtime 1x -benchmem ./internal/policy
+	$(GO) test -run xxx -bench 'BenchmarkAllocPolicies|BenchmarkCFIHotMix|BenchmarkAllocDestroyAll' -benchtime 1x -benchmem ./internal/policy
 	$(GO) test -run xxx -bench 'BenchmarkDeliverHotChain' -benchtime 1x -benchmem .
-	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc|TestGateRoundTripAllocatesNothing' -bench 'BenchmarkClientSend|BenchmarkGateRoundTrip' -benchtime 200ms -benchmem -cpu 1,2 ./internal/hqnet
+	$(GO) test -run 'TestClientSendSteadyStateZeroAlloc|TestGateRoundTripAllocatesNothing' -bench 'BenchmarkClientSend|BenchmarkGateRoundTrip/idle=0$$' -benchtime 200ms -benchmem -cpu 1,2 ./internal/hqnet
 	$(GO) test -run xxx -bench 'BenchmarkFrameDecoder' -benchtime 200ms -benchmem ./internal/ipc
 	$(GO) test -run xxx -bench 'BenchmarkSealedRingSend|BenchmarkRawRingSend' -benchtime 200ms -benchmem -cpu 1,2 ./internal/ipc

@@ -187,8 +187,18 @@ func modelCost() *sim.CostModel {
 // BenchmarkAblation_SyncStrategy compares the paper's pipelined System-Call
 // message (§2.2) against a naive kernel↔verifier round trip per system call,
 // modelled as the full syscall latency added per gated call.
+// profileNamed looks up a benchmark profile.
+func profileNamed(name string) *workload.Profile {
+	for _, p := range workload.All() {
+		if p.Name == name {
+			return p
+		}
+	}
+	return nil
+}
+
 func BenchmarkAblation_SyncStrategy(b *testing.B) {
-	p := workload.ByName("nginx")
+	p := profileNamed("nginx")
 	for i := 0; i < b.N; i++ {
 		pipelined := modelCost()
 		cycles := runMonitored(b, p, compiler.DefaultOptions(), pipelined)
@@ -202,7 +212,7 @@ func BenchmarkAblation_SyncStrategy(b *testing.B) {
 // BenchmarkAblation_Optimizations measures store-to-load forwarding and
 // message elision: messages sent with and without them.
 func BenchmarkAblation_Optimizations(b *testing.B) {
-	p := workload.ByName("xalancbmk") // devirtualizable dispatch + dense checks
+	p := profileNamed("xalancbmk") // devirtualizable dispatch + dense checks
 	for i := 0; i < b.N; i++ {
 		on := compiler.DefaultOptions()
 		off := compiler.DefaultOptions()
@@ -217,7 +227,7 @@ func BenchmarkAblation_Optimizations(b *testing.B) {
 // BenchmarkAblation_Devirtualization measures the C++ devirtualization
 // bundle on a vtable-heavy benchmark.
 func BenchmarkAblation_Devirtualization(b *testing.B) {
-	p := workload.ByName("xalancbmk")
+	p := profileNamed("xalancbmk")
 	for i := 0; i < b.N; i++ {
 		on := compiler.DefaultOptions()
 		off := compiler.DefaultOptions()
@@ -232,7 +242,7 @@ func BenchmarkAblation_Devirtualization(b *testing.B) {
 // optimization: skipping synchronization messages and kernel gating for
 // read-only system calls, on a syscall-dense benchmark.
 func BenchmarkAblation_ReadOnlySyncElision(b *testing.B) {
-	p := workload.ByName("gcc") // syscall every 32 iterations
+	p := profileNamed("gcc") // syscall every 32 iterations
 	for i := 0; i < b.N; i++ {
 		off := compiler.DefaultOptions()
 		on := compiler.DefaultOptions()
@@ -246,7 +256,7 @@ func BenchmarkAblation_ReadOnlySyncElision(b *testing.B) {
 // BenchmarkAblation_SubtypeChecking compares strict subtype checking (plus
 // allowlist) against conservative instrumentation of every block operation.
 func BenchmarkAblation_SubtypeChecking(b *testing.B) {
-	p := workload.ByName("bzip2") // block-op heavy, types statically clean
+	p := profileNamed("bzip2") // block-op heavy, types statically clean
 	for i := 0; i < b.N; i++ {
 		strict := compiler.DefaultOptions()
 		loose := compiler.DefaultOptions()
@@ -335,7 +345,6 @@ func benchVerifierDrain(b *testing.B, procs int, scalar bool) {
 	b.Helper()
 	const messages = 1 << 18
 	stream := verifierBenchStream(procs, messages)
-	r := ipc.NewReplay(stream)
 	tm := telemetry.New(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -346,7 +355,7 @@ func benchVerifierDrain(b *testing.B, procs int, scalar bool) {
 		for pid := 1; pid <= procs; pid++ {
 			v.ProcessStarted(int32(pid))
 		}
-		r.Rewind()
+		r := ipc.NewReplay(stream)
 		b.StartTimer()
 		if scalar {
 			for m, ok, _ := ipc.RecvOne(r); ok; m, ok, _ = ipc.RecvOne(r) {

@@ -91,29 +91,6 @@ func TestDominatorsDiamond(t *testing.T) {
 	if !dom.Dominates(merge, merge) {
 		t.Error("dominance must be reflexive")
 	}
-	if dom.StrictlyDominates(merge, merge) {
-		t.Error("strict dominance must be irreflexive")
-	}
-}
-
-func TestPostDominatorsDiamond(t *testing.T) {
-	_, f := buildDiamond(t)
-	c := NewCFG(f)
-	pdom := PostDominators(c)
-	entry, left, right, merge, exit := f.Blocks[0], f.Blocks[1], f.Blocks[2], f.Blocks[3], f.Blocks[4]
-
-	if pdom.Idom[merge] != exit {
-		t.Errorf("ipdom(merge) = %v, want exit", pdom.Idom[merge])
-	}
-	if pdom.Idom[left] != merge || pdom.Idom[right] != merge {
-		t.Error("branch blocks must be post-dominated by merge")
-	}
-	if !pdom.Dominates(exit, entry) {
-		t.Error("exit must post-dominate entry")
-	}
-	if pdom.Dominates(left, entry) {
-		t.Error("left must not post-dominate entry")
-	}
 }
 
 func TestDominatorsWithLoop(t *testing.T) {
@@ -144,14 +121,6 @@ func TestDominatorsWithLoop(t *testing.T) {
 	dom := Dominators(c)
 	if dom.Idom[header] != entry || dom.Idom[body] != header || dom.Idom[exit] != header {
 		t.Errorf("loop dominators wrong: %v", dom.Idom)
-	}
-	pdom := PostDominators(c)
-	// exit post-dominates everything; body does not post-dominate header.
-	if !pdom.Dominates(exit, entry) || !pdom.Dominates(exit, body) {
-		t.Error("exit must post-dominate all blocks")
-	}
-	if pdom.Dominates(body, header) {
-		t.Error("body must not post-dominate header")
 	}
 }
 
@@ -195,7 +164,7 @@ func TestDetectFuncPtrsThroughCastAndPhi(t *testing.T) {
 	b.CondBr(f.Params[0], then, done)
 
 	b.SetBlock(then)
-	other := b.Cast(mir.ConstTyped(mir.Ptr(mir.I8), 0), mir.Ptr(mir.I8))
+	other := b.Cast(&mir.Const{Typ: mir.Ptr(mir.I8)}, mir.Ptr(mir.I8))
 	b.Br(done)
 
 	b.SetBlock(done)

@@ -1,10 +1,9 @@
 // Package analysis provides the static analyses the HerQules compiler passes
-// depend on: control-flow graphs, dominator and post-dominator trees (used to
-// place system-call synchronization messages, §3.2), a call graph, escape
-// analysis (used by store-to-load forwarding and message elision, §4.1.4),
-// and the function-pointer detection scheme of §4.1.4 that tracks pointer
-// values through casts and phi nodes to avoid false negatives from type
-// decay.
+// depend on: control-flow graphs, dominator trees (used to place system-call
+// synchronization messages, §3.2), a call graph, escape analysis (used by
+// store-to-load forwarding and message elision, §4.1.4), and the
+// function-pointer detection scheme of §4.1.4 that tracks pointer values
+// through casts and phi nodes to avoid false negatives from type decay.
 package analysis
 
 import (
@@ -71,132 +70,18 @@ type DomTree struct {
 // Cooper-Harvey-Kennedy algorithm ("A Simple, Fast Dominance Algorithm"),
 // the same fixpoint the paper's graph-dominator analysis [65] provides.
 func Dominators(c *CFG) *DomTree {
-	return buildDomTree(c.RPO, c.RPONum, func(b *mir.Block) []*mir.Block { return c.Preds[b] })
-}
-
-// PostDominators computes the post-dominator tree by running the dominance
-// algorithm over the reversed CFG rooted at a *virtual exit* with an edge
-// from every real exit (a block with no successors). The virtual node is
-// stripped from the returned tree: blocks post-dominated only by the virtual
-// exit (including the exits themselves) have no immediate post-dominator,
-// so no real exit ever appears to post-dominate a block that can bypass it
-// through a different exit.
-func PostDominators(c *CFG) *DomTree {
-	vexit := &mir.Block{Name: "~exit"}
-	var exits []*mir.Block
-	isExit := make(map[*mir.Block]bool)
-	for _, b := range c.RPO {
-		if len(b.Succs()) == 0 {
-			exits = append(exits, b)
-			isExit[b] = true
-		}
+	t := &DomTree{Idom: map[*mir.Block]*mir.Block{}, depth: map[*mir.Block]int{}}
+	if len(c.RPO) == 0 {
+		return t
 	}
-
-	// Reverse postorder of the reversed graph, rooted at vexit. In the
-	// reversed graph, vexit's successors are the exits, and a block's
-	// successors are its original predecessors.
-	revSuccs := func(b *mir.Block) []*mir.Block {
-		if b == vexit {
-			return exits
-		}
-		return c.Preds[b]
-	}
-	seen := map[*mir.Block]bool{}
-	var post []*mir.Block
-	var dfs func(b *mir.Block)
-	dfs = func(b *mir.Block) {
-		seen[b] = true
-		for _, s := range revSuccs(b) {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(vexit)
-	rpo := make([]*mir.Block, 0, len(post))
-	rpoNum := make(map[*mir.Block]int, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		rpoNum[post[i]] = len(rpo)
-		rpo = append(rpo, post[i])
-	}
-	// Predecessors in the reversed graph: original successors, plus vexit
-	// for the exit blocks.
-	revPreds := func(b *mir.Block) []*mir.Block {
-		if b == vexit {
-			return nil
-		}
-		ss := b.Succs()
-		if isExit[b] {
-			ss = append(append([]*mir.Block(nil), ss...), vexit)
-		}
-		return ss
-	}
-	t := buildDomTree(rpo, rpoNum, revPreds)
-	// Strip the virtual node: its children become parentless roots.
-	for b, p := range t.Idom {
-		if p == vexit {
-			delete(t.Idom, b)
-		}
-	}
-	delete(t.Idom, vexit)
-	delete(t.depth, vexit)
-	t.Root = nil
-	// Recompute depths against the stripped tree.
-	t.depth = make(map[*mir.Block]int, len(t.Idom))
-	var depthOf func(b *mir.Block) int
-	depthOf = func(b *mir.Block) int {
-		if d, ok := t.depth[b]; ok {
-			return d
-		}
-		p, ok := t.Idom[b]
-		if !ok {
-			t.depth[b] = 0
-			return 0
-		}
-		d := depthOf(p) + 1
-		t.depth[b] = d
-		return d
-	}
-	for _, b := range c.RPO {
-		if _, reachable := rpoNum[b]; reachable {
-			depthOf(b)
-		}
-	}
-	return t
-}
-
-// buildDomTree runs CHK with a single root (rpo[0]).
-func buildDomTree(rpo []*mir.Block, rpoNum map[*mir.Block]int,
-	preds func(*mir.Block) []*mir.Block) *DomTree {
-	if len(rpo) == 0 {
-		return &DomTree{Idom: map[*mir.Block]*mir.Block{}, depth: map[*mir.Block]int{}}
-	}
-	return buildDomTreeMulti(rpo, rpoNum, preds, []*mir.Block{rpo[0]})
-}
-
-// buildDomTreeMulti runs CHK where every block in roots is a tree root
-// (idom = nil). rpo must start with the roots.
-func buildDomTreeMulti(rpo []*mir.Block, rpoNum map[*mir.Block]int,
-	preds func(*mir.Block) []*mir.Block, roots []*mir.Block) *DomTree {
-	idom := make(map[*mir.Block]*mir.Block, len(rpo))
-	isRoot := make(map[*mir.Block]bool, len(roots))
-	for _, r := range roots {
-		isRoot[r] = true
-		idom[r] = r // self, per CHK convention; cleared at the end
-	}
+	root, idom := c.RPO[0], t.Idom
+	idom[root] = root // self, per CHK convention; cleared at the end
 	intersect := func(a, b *mir.Block) *mir.Block {
 		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				if idom[a] == a { // hit a root
-					return b
-				}
+			for c.RPONum[a] > c.RPONum[b] {
 				a = idom[a]
 			}
-			for rpoNum[b] > rpoNum[a] {
-				if idom[b] == b {
-					return a
-				}
+			for c.RPONum[b] > c.RPONum[a] {
 				b = idom[b]
 			}
 		}
@@ -204,17 +89,11 @@ func buildDomTreeMulti(rpo []*mir.Block, rpoNum map[*mir.Block]int,
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			if isRoot[b] {
-				continue
-			}
+		for _, b := range c.RPO[1:] {
 			var newIdom *mir.Block
-			for _, p := range preds(b) {
+			for _, p := range c.Preds[b] {
 				if _, processed := idom[p]; !processed {
-					continue
-				}
-				if _, reach := rpoNum[p]; !reach {
-					continue
+					continue // not yet visited, or unreachable
 				}
 				if newIdom == nil {
 					newIdom = p
@@ -228,25 +107,15 @@ func buildDomTreeMulti(rpo []*mir.Block, rpoNum map[*mir.Block]int,
 			}
 		}
 	}
-	t := &DomTree{Idom: idom, depth: make(map[*mir.Block]int, len(idom))}
-	if len(roots) > 0 {
-		t.Root = roots[0]
-	}
-	for _, r := range roots {
-		delete(idom, r) // roots have no idom
-		t.depth[r] = 0
-	}
+	t.Root = root
+	delete(idom, root) // the root has no idom
+	t.depth[root] = 0
 	var depthOf func(b *mir.Block) int
 	depthOf = func(b *mir.Block) int {
 		if d, ok := t.depth[b]; ok {
 			return d
 		}
-		p, ok := idom[b]
-		if !ok {
-			t.depth[b] = 0
-			return 0
-		}
-		d := depthOf(p) + 1
+		d := depthOf(idom[b]) + 1
 		t.depth[b] = d
 		return d
 	}
@@ -270,11 +139,6 @@ func (t *DomTree) Dominates(a, b *mir.Block) bool {
 		b = t.Idom[b]
 	}
 	return a == b
-}
-
-// StrictlyDominates reports whether a dominates b and a != b.
-func (t *DomTree) StrictlyDominates(a, b *mir.Block) bool {
-	return a != b && t.Dominates(a, b)
 }
 
 // DominatesInstr reports whether instruction a dominates instruction b:

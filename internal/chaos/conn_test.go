@@ -65,9 +65,6 @@ func TestFrameCarryOverSocketpair(t *testing.T) {
 	if err != nil || !ok || n != 1 {
 		t.Fatalf("phase 1 decode: n=%d ok=%t err=%v, want 1 true nil", n, ok, err)
 	}
-	if !dec.Carried() {
-		t.Fatal("decoder reports no carry with 24 trailing bytes buffered")
-	}
 	if dec.Buffered() != 0 {
 		t.Fatalf("buffered whole frames = %d, want 0 (only the carry remains)", dec.Buffered())
 	}
@@ -208,9 +205,6 @@ func TestChaosConnDropAtFrameBoundary(t *testing.T) {
 	if err != nil || !ok || n != 1 {
 		t.Fatalf("phase 1 decode: n=%d ok=%t err=%v, want 1 true nil", n, ok, err)
 	}
-	if !dec.Carried() {
-		t.Fatal("decoder reports no carry with half a frame buffered")
-	}
 
 	// Phase 2: complete the carried frame through the raw socket.
 	if _, err := w.Write(raw[ipc.MessageSize+ipc.MessageSize/2 : 2*ipc.MessageSize]); err != nil {
@@ -246,9 +240,6 @@ func TestChaosConnDropAtFrameBoundary(t *testing.T) {
 	}
 	if got != 4 {
 		t.Fatalf("decoded %d frames, want 4 (2 clean + 2 of the dropped burst)", got)
-	}
-	if dec.Carried() {
-		t.Fatal("boundary drop left a carry: cut did not land on a frame boundary")
 	}
 	for i := 0; i < got; i++ {
 		want := ipc.Message{Op: ipc.OpCounterInc, PID: 5, Arg1: uint64(i), Seq: uint64(i + 1)}

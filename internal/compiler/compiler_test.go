@@ -12,6 +12,9 @@ import (
 	"herqules/internal/vm"
 )
 
+// allDesigns lists every design, for the table-driven tests.
+var allDesigns = []Design{Baseline, HQSfeStk, HQRetPtr, ClangCFI, CCFI, CPI}
+
 // buildVictim constructs a small program with a protected function pointer:
 // main stores a handler into a global slot, a worker loads and calls it,
 // then main exits via syscall. withAttack optionally corrupts the slot
@@ -101,7 +104,7 @@ func TestBenignProgramRunsUnderEveryDesign(t *testing.T) {
 	if base.Err != nil || len(base.Output) != 1 || base.Output[0] != 42 {
 		t.Fatalf("baseline: err=%v output=%v", base.Err, base.Output)
 	}
-	for _, d := range AllDesigns() {
+	for _, d := range allDesigns {
 		ins := instrument(t, mod, d, DefaultOptions())
 		res, _ := launch(t, ins, "main")
 		if res.Err != nil {
@@ -620,7 +623,7 @@ func TestCPICrashesOnDecayedPointerPattern(t *testing.T) {
 func TestInstrumentationPreservesOriginalModule(t *testing.T) {
 	mod := buildVictim(false)
 	before := mod.String()
-	for _, d := range AllDesigns() {
+	for _, d := range allDesigns {
 		instrument(t, mod, d, DefaultOptions())
 	}
 	if mod.String() != before {

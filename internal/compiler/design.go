@@ -58,11 +58,6 @@ func (d Design) String() string {
 // IsHQ reports whether the design uses HerQules messaging.
 func (d Design) IsHQ() bool { return d == HQSfeStk || d == HQRetPtr }
 
-// AllDesigns lists every design for table-driven experiments.
-func AllDesigns() []Design {
-	return []Design{Baseline, HQSfeStk, HQRetPtr, ClangCFI, CCFI, CPI}
-}
-
 // Options tune the HQ pass pipeline (§4.1.4).
 type Options struct {
 	// Optimize enables store-to-load forwarding and message elision.

@@ -38,28 +38,6 @@ func TestYieldAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestRecorderCapturesPoints(t *testing.T) {
-	r := NewRecorder()
-	Install(r)
-	defer Uninstall()
-	Yield(PointRegisterVisible, 101)
-	Yield(PointExitNotify, 101)
-	Note(PointGateBlocked, 101)
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("recorded %d events, want 3: %v", len(evs), evs)
-	}
-	if evs[0].Point != PointRegisterVisible || evs[0].Note {
-		t.Errorf("event 0 = %v", evs[0])
-	}
-	if evs[2].Point != PointGateBlocked || !evs[2].Note {
-		t.Errorf("event 2 = %v", evs[2])
-	}
-	if r.Count(PointExitNotify) != 1 {
-		t.Errorf("Count(exit-notify) = %d", r.Count(PointExitNotify))
-	}
-}
-
 func TestSchedulerParkStepDone(t *testing.T) {
 	s := NewScheduler(0)
 	Install(s)

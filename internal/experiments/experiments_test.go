@@ -217,8 +217,11 @@ func TestTable5SampledAgainstPrediction(t *testing.T) {
 			t.Errorf("%s: outcome mismatch", a.Name())
 		}
 	}
-	// Formatting over predicted tables.
-	tabs := []*ripe.Table{ripe.ExpectedTable(compiler.Baseline), ripe.ExpectedTable(compiler.HQSfeStk)}
+	// Formatting over Table 5's baseline and HQ-CFI-SfeStk totals.
+	tabs := []*ripe.Table{
+		{Design: compiler.Baseline, ByOrgin: map[ripe.Origin]int{ripe.OriginStack: 954}, Total: 954},
+		{Design: compiler.HQSfeStk, ByOrgin: map[ripe.Origin]int{ripe.OriginBSS: 30}, Total: 30},
+	}
 	if s := FormatTable5(tabs); !strings.Contains(s, "954") {
 		t.Errorf("Table 5 formatting missing baseline total:\n%s", s)
 	}

@@ -105,7 +105,7 @@ func TestSendAfterCloseFails(t *testing.T) {
 
 func TestPropertiesSuitable(t *testing.T) {
 	ch, _ := New(8)
-	if !ch.Props.Suitable() {
+	if !ch.Props.AppendOnly || !ch.Props.AsyncValidation {
 		t.Error("AppendWrite-FPGA must satisfy both HerQules requirements")
 	}
 	if ch.Props.SendNanos != SendNanos {

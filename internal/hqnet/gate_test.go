@@ -2,8 +2,10 @@ package hqnet
 
 import (
 	"context"
+	"io"
 	"net"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -272,16 +274,91 @@ func TestGateRoundTripAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkGateRoundTrip measures one closed-loop gated request against an
-// in-process daemon with hqd's sealed chain, over a Unix socket.
+// idleGaps are the pauses the round-trip benchmarks take between requests:
+// none, and net_gate's 300 µs, which outlasts every spin budget on the path,
+// so each request pays the wake-ups an idle program's system call does.
+var idleGaps = []struct {
+	name string
+	gap  time.Duration
+}{{"idle=0", 0}, {"idle=300us", 300 * time.Microsecond}}
+
+// roundTrips times b.N calls of op in a closed loop, pausing gap before each
+// with the timer stopped, and reports their p50 and p90.
+func roundTrips(b *testing.B, gap time.Duration, op func() error) {
+	lat := make([]time.Duration, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range lat {
+		if gap > 0 {
+			b.StopTimer()
+			time.Sleep(gap)
+			b.StartTimer()
+		}
+		start := time.Now()
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = time.Since(start)
+	}
+	b.StopTimer()
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)/2])/1e3, "p50-us")
+	b.ReportMetric(float64(lat[len(lat)*9/10])/1e3, "p90-us")
+}
+
+// BenchmarkGateRoundTrip measures one gated request against an in-process
+// daemon with hqd's sealed chain, over a Unix socket.
 func BenchmarkGateRoundTrip(b *testing.B) {
 	c := hqdClient(b)
 	s := c.Sender()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := gateRoundTrip(c, s); err != nil {
-			b.Fatal(err)
+	for _, g := range idleGaps {
+		b.Run(g.name, func(b *testing.B) {
+			roundTrips(b, g.gap, func() error { return gateRoundTrip(c, s) })
+		})
+	}
+}
+
+// BenchmarkUnixRoundTrip is the floor under BenchmarkGateRoundTrip: one
+// 48-byte frame to a goroutine across a Unix socket and the same frame back,
+// with no framing, verifier or gate around it.
+func BenchmarkUnixRoundTrip(b *testing.B) {
+	sock := filepath.Join(b.TempDir(), "pingpong.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
+		defer conn.Close()
+		var frame [ipc.MessageSize]byte
+		for {
+			if _, err := io.ReadFull(conn, frame[:]); err != nil {
+				return
+			}
+			if _, err := conn.Write(frame[:]); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := net.Dial("unix", sock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	var frame [ipc.MessageSize]byte
+	for _, g := range idleGaps {
+		b.Run(g.name, func(b *testing.B) {
+			roundTrips(b, g.gap, func() error {
+				if _, err := c.Write(frame[:]); err != nil {
+					return err
+				}
+				_, err := io.ReadFull(c, frame[:])
+				return err
+			})
+		})
 	}
 }

@@ -114,7 +114,7 @@ func TestSessionRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	waitFor(t, 5*time.Second, "session end", func() bool { return h.srv.Sessions() == 0 })
+	waitFor(t, 5*time.Second, "session end", func() bool { return len(h.srv.Conns()) == 0 })
 	st := h.sys.Stats()
 	if st.Killed != 0 {
 		t.Fatalf("killed = %d, want 0", st.Killed)
@@ -157,7 +157,7 @@ func TestKeyedSessionSealsOverWire(t *testing.T) {
 		t.Fatalf("gate under hmac: %v (want pass)", err)
 	}
 	c.Close()
-	waitFor(t, 5*time.Second, "session end", func() bool { return h.srv.Sessions() == 0 })
+	waitFor(t, 5*time.Second, "session end", func() bool { return len(h.srv.Conns()) == 0 })
 	if st := h.sys.Stats(); st.Killed != 0 {
 		t.Fatalf("killed = %d, want 0 (sealed stream must authenticate)", st.Killed)
 	}
@@ -278,7 +278,7 @@ func TestResumeReplaysGapFree(t *testing.T) {
 		t.Fatalf("clean severed proc killed: %s", reason)
 	}
 	c.Close()
-	waitFor(t, 5*time.Second, "session end", func() bool { return h.srv.Sessions() == 0 })
+	waitFor(t, 5*time.Second, "session end", func() bool { return len(h.srv.Conns()) == 0 })
 	if st := h.sys.Stats(); st.Killed != 0 {
 		t.Fatalf("killed = %d, want 0", st.Killed)
 	}
@@ -312,7 +312,7 @@ func TestAdmissionQuotas(t *testing.T) {
 
 	// Quota slots release with the session.
 	c1.Close()
-	waitFor(t, 5*time.Second, "slot release", func() bool { return h.srv.Sessions() == 1 })
+	waitFor(t, 5*time.Second, "slot release", func() bool { return len(h.srv.Conns()) == 1 })
 	c3 := h.dial(t, ClientConfig{Tenant: 3})
 	c3.Close()
 }
@@ -340,8 +340,8 @@ func TestStaleResumeRejected(t *testing.T) {
 		t.Fatalf("forged resume: got %+v, want OpReject/RejectUnknownSession", one[0])
 	}
 	// The live session is untouched.
-	if h.srv.Sessions() != 1 {
-		t.Fatalf("sessions = %d after forged resume, want 1", h.srv.Sessions())
+	if len(h.srv.Conns()) != 1 {
+		t.Fatalf("sessions = %d after forged resume, want 1", len(h.srv.Conns()))
 	}
 	if killed, _ := h.sys.Kernel().Killed(live.PID()); killed {
 		t.Fatal("live proc killed by a forged resume")
@@ -461,7 +461,7 @@ func TestDuplicateHelloSeversThenLeaseKills(t *testing.T) {
 	if _, reason := h.killReason(pid); reason != kernel.ReasonLeaseExpired {
 		t.Fatalf("kill reason = %q, want %q", reason, kernel.ReasonLeaseExpired)
 	}
-	waitFor(t, 5*time.Second, "session disposal", func() bool { return h.srv.Sessions() == 0 })
+	waitFor(t, 5*time.Second, "session disposal", func() bool { return len(h.srv.Conns()) == 0 })
 }
 
 // TestPIDForgerySevers splices a data frame claiming another PID into an

@@ -109,7 +109,7 @@ func TestGoodbyeInBurstDeliversPrecedingFrames(t *testing.T) {
 	const n = 20
 	writeBurst(t, nc, append(dataFrames(pid, 1, n), ipc.Message{Op: ipc.OpGoodbye, PID: pid})...)
 
-	waitFor(t, 5*time.Second, "session finalized", func() bool { return h.srv.Sessions() == 0 })
+	waitFor(t, 5*time.Second, "session finalized", func() bool { return len(h.srv.Conns()) == 0 })
 	st := h.sys.Stats()
 	if st.Finished != 1 || st.Killed != 0 {
 		t.Fatalf("finished=%d killed=%d, want 1/0", st.Finished, st.Killed)

@@ -122,7 +122,7 @@ func TestMetricsFamiliesMatchDesign(t *testing.T) {
 	waitFor(t, 5*time.Second, "kill", func() bool { killed, _ := h.killReason(pid); return killed })
 	scrape()
 	c.Close()
-	waitFor(t, 5*time.Second, "session end", func() bool { return h.srv.Sessions() == 0 })
+	waitFor(t, 5*time.Second, "session end", func() bool { return len(h.srv.Conns()) == 0 })
 	scrape()
 
 	listed := designFamilies(t)

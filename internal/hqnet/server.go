@@ -432,13 +432,6 @@ func (s *Server) removeSession(sess *session) {
 	s.mu.Unlock()
 }
 
-// Sessions reports the number of live sessions.
-func (s *Server) Sessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
-
 // Conns implements obs.ConnReporter: one row per live session for the
 // /metrics per-connection gauges and the /conns listing.
 func (s *Server) Conns() []obs.ConnRow {

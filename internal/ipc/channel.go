@@ -147,10 +147,6 @@ type Properties struct {
 	SendNanos float64
 }
 
-// Suitable reports whether the primitive satisfies both HerQules
-// requirements: message integrity (append-only) and asynchronous validation.
-func (p Properties) Suitable() bool { return p.AppendOnly && p.AsyncValidation }
-
 func (p Properties) String() string {
 	return fmt.Sprintf("%s{append-only=%t async=%t cost=%s %.1fns}",
 		p.Name, p.AppendOnly, p.AsyncValidation, p.PrimaryCost, p.SendNanos)

@@ -60,10 +60,6 @@ func (d *FrameDecoder) Grow(frames int) {
 	}
 }
 
-// Carried reports whether a partial frame is currently staged — bytes read
-// from the stream but not yet completing a frame.
-func (d *FrameDecoder) Carried() bool { return (d.wr-d.rd)%MessageSize != 0 }
-
 // Buffered reports how many complete frames are staged and decodable without
 // touching the underlying reader.
 func (d *FrameDecoder) Buffered() int { return (d.wr - d.rd) / MessageSize }

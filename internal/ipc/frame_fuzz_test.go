@@ -46,7 +46,7 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 // the contiguous bytes yields, end the same way (cleanly at a boundary,
 // truncated mid-frame with the right trailing count, or on the first
 // undecodable frame), return no error that is not ErrIntegrity, and keep
-// Carried/Buffered equal to the bytes it has read but not yet decoded.
+// staged bytes equal to the bytes it has read but not yet decoded.
 func FuzzFrameDecoder(f *testing.F) {
 	var good [MessageSize]byte
 	Message{Op: OpPointerDefine, PID: 3, Arg1: 0x10, Arg2: 0x20, Seq: 1, Mac: 9}.Encode(good[:])
@@ -97,9 +97,9 @@ func FuzzFrameDecoder(f *testing.F) {
 			if errors.As(err, new(*TruncatedFrameError)) {
 				staged = 0 // the partial frame is discarded with the error
 			}
-			if dec.Buffered() != staged/MessageSize || dec.Carried() != (staged%MessageSize != 0) {
-				t.Fatalf("read %d bytes, decoded %d frames: Buffered=%d Carried=%t, want %d staged bytes",
-					r.pos, len(got), dec.Buffered(), dec.Carried(), staged)
+			if dec.Buffered() != staged/MessageSize || dec.wr-dec.rd != staged {
+				t.Fatalf("read %d bytes, decoded %d frames: Buffered=%d, %d bytes staged, want %d",
+					r.pos, len(got), dec.Buffered(), dec.wr-dec.rd, staged)
 			}
 			if err != nil {
 				if ok || !errors.Is(err, ErrIntegrity) {

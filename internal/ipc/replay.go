@@ -8,8 +8,7 @@ import "sync"
 // evaluation only. The zero cost of "production" also makes one-slot-vs-burst
 // drain comparisons clean — both modes replay the identical stream.
 //
-// A Replay is safe for one consumer at a time plus concurrent Rewind calls;
-// the per-call mutex models the synchronization a real receiver pays once
+// A Replay serves its stream once. The per-call mutex models the synchronization a real receiver pays once
 // per RecvBatch, so a one-slot drain pays it per message.
 type Replay struct {
 	mu   sync.Mutex
@@ -33,13 +32,6 @@ func (r *Replay) RecvBatch(out []Message) (int, bool, error) {
 	n := copy(out, r.msgs[r.next:])
 	r.next += n
 	return n, true, nil
-}
-
-// Rewind restarts the stream from the beginning.
-func (r *Replay) Rewind() {
-	r.mu.Lock()
-	r.next = 0
-	r.mu.Unlock()
 }
 
 var _ Receiver = (*Replay)(nil)

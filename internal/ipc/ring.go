@@ -8,8 +8,7 @@ import (
 // the "Shared Memory" row of Table 2: the fastest software primitive (a send
 // is one memory write), but *not* append-only — the writer retains access to
 // every unread slot and can rewrite or erase messages before the verifier
-// reads them. The Corrupt method exposes exactly that weakness so tests and
-// examples can demonstrate why raw shared memory is unsuitable for HerQules.
+// reads them, which is why raw shared memory is unsuitable for HerQules.
 //
 // A SharedRing is a handle onto the ring's state. NewSharedRing returns the
 // raw one; SealSender returns a second, sealed handle onto the same state,
@@ -234,20 +233,4 @@ func (r *SharedRing) RecvBatch(buf []Message) (int, bool, error) {
 	r.tail.Store(tail + uint64(n))
 	r.send.wakeUp()
 	return n, true, nil
-}
-
-// Corrupt overwrites the i-th unread message (0 = oldest), simulating a
-// compromised writer erasing evidence before the verifier reads it. It
-// returns false when no such unread slot exists. A raw shared-memory mapping
-// gives the monitored process precisely this power, which is why Table 2
-// marks shared memory as lacking the append-only property.
-func (r *SharedRing) Corrupt(i int, m Message) bool {
-	tail := r.tail.Load()
-	if uint64(i) >= r.head.Load()-tail {
-		return false
-	}
-	slot := (tail + uint64(i)) & r.mask
-	m.Seq = r.slots[slot].Seq // preserve the counter: corruption is invisible
-	r.slots[slot] = m
-	return true
 }

@@ -211,7 +211,7 @@ func (f SenderFunc) Close() error { return nil }
 // (§2.2). Every other sender, an append-only channel above all, is sealed
 // message by message: a message held back in front of an append-only
 // channel is one a hijacked program could still erase, while a ring's writer
-// can rewrite any unread slot anyway (SharedRing.Corrupt).
+// can rewrite any unread slot anyway.
 func SealSender(s Sender, key MacKey) Sender {
 	if t, ok := s.(*SharedRing); ok {
 		t.key = key

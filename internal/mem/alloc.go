@@ -112,18 +112,6 @@ func (a *Allocator) SizeOf(addr uint64) (uint64, bool) {
 	return c.size, ok
 }
 
-// LiveBytes reports the total bytes currently allocated.
-func (a *Allocator) LiveBytes() uint64 {
-	var total uint64
-	for _, c := range a.live {
-		total += c.size
-	}
-	return total
-}
-
-// LiveCount reports the number of live allocations.
-func (a *Allocator) LiveCount() int { return len(a.live) }
-
 // Contains reports whether addr falls inside any live allocation, returning
 // that allocation's base.
 func (a *Allocator) Contains(addr uint64) (base uint64, ok bool) {

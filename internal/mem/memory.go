@@ -8,10 +8,7 @@
 // corrupt neighbouring memory.
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PageSize is the granularity of protection, matching a 4 KiB x86-64 page.
 const PageSize = 4096
@@ -114,29 +111,6 @@ func (m *Memory) Map(addr, size uint64, perm Perm) error {
 		m.pages[p] = &page{perm: perm}
 	}
 	return nil
-}
-
-// Protect changes the permissions of all pages covering [addr, addr+size).
-func (m *Memory) Protect(addr, size uint64, perm Perm) error {
-	start := addr &^ (PageSize - 1)
-	end := (addr + size + PageSize - 1) &^ (PageSize - 1)
-	for p := start; p < end; p += PageSize {
-		pg, ok := m.pages[p]
-		if !ok {
-			return &Fault{Addr: p, Kind: FaultUnmapped}
-		}
-		pg.perm = perm
-	}
-	return nil
-}
-
-// Unmap removes all pages covering [addr, addr+size).
-func (m *Memory) Unmap(addr, size uint64) {
-	start := addr &^ (PageSize - 1)
-	end := (addr + size + PageSize - 1) &^ (PageSize - 1)
-	for p := start; p < end; p += PageSize {
-		delete(m.pages, p)
-	}
 }
 
 // check verifies that every byte of [addr, addr+n) is mapped with need.
@@ -277,39 +251,6 @@ func (m *Memory) Memset(addr uint64, v byte, n uint64) error {
 		buf[i] = v
 	}
 	return m.Write(addr, buf)
-}
-
-// MappedRanges returns the mapped regions as sorted [start, end) pairs,
-// coalescing adjacent pages with equal permissions. Used by diagnostics.
-func (m *Memory) MappedRanges() []Range {
-	if len(m.pages) == 0 {
-		return nil
-	}
-	addrs := make([]uint64, 0, len(m.pages))
-	for a := range m.pages {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	var out []Range
-	for _, a := range addrs {
-		p := m.pages[a].perm
-		if n := len(out); n > 0 && out[n-1].End == a && out[n-1].Perm == p {
-			out[n-1].End = a + PageSize
-			continue
-		}
-		out = append(out, Range{Start: a, End: a + PageSize, Perm: p})
-	}
-	return out
-}
-
-// Range is a contiguous mapped region.
-type Range struct {
-	Start, End uint64
-	Perm       Perm
-}
-
-func (r Range) String() string {
-	return fmt.Sprintf("[%#x,%#x) %s", r.Start, r.End, r.Perm)
 }
 
 func max64(a, b uint64) uint64 {

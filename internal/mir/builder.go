@@ -54,13 +54,6 @@ func (b *Builder) Load(ptr Value) *Instr {
 	return b.emit(&Instr{Op: OpLoad, Typ: pt.Elem, Args: []Value{ptr}})
 }
 
-// VolatileLoad loads through ptr and is exempt from optimization.
-func (b *Builder) VolatileLoad(ptr Value) *Instr {
-	in := b.Load(ptr)
-	in.Volatile = true
-	return in
-}
-
 // Store stores val through ptr.
 func (b *Builder) Store(val, ptr Value) *Instr {
 	return b.emit(&Instr{Op: OpStore, Args: []Value{val, ptr}})

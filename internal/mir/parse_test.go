@@ -95,7 +95,8 @@ func TestParseRoundTripAllInstructionKinds(t *testing.T) {
 	arr := b.Alloca("arr", ArrayType(I8, 32))
 	fa := b.FieldAddr(s, 1)
 	b.Store(b.FuncAddr(callee), fa)
-	fp := b.VolatileLoad(fa)
+	fp := b.Load(fa)
+	fp.Volatile = true
 	r := b.ICall(fp, sig, f.Params[0])
 	hp := b.Malloc(ConstInt(64))
 	hp2 := b.Realloc(hp, ConstInt(128))

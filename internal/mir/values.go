@@ -19,9 +19,6 @@ type Const struct {
 // ConstInt returns an i64 constant.
 func ConstInt(v uint64) *Const { return &Const{Typ: I64, Val: v} }
 
-// ConstTyped returns a constant of an explicit integer or pointer type.
-func ConstTyped(t *Type, v uint64) *Const { return &Const{Typ: t, Val: v} }
-
 // Null returns the null constant of pointer type t.
 func Null(t *Type) *Const { return &Const{Typ: t, Val: 0} }
 

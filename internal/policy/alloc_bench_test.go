@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 
 	"herqules/internal/ipc"
@@ -67,4 +68,39 @@ func BenchmarkAllocPolicies(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(run)), "ns/msg")
 	b.ReportMetric(float64(tp.tombs.live), "tombstones")
+}
+
+// BenchmarkAllocDestroyAll frees four adjacent allocations with one
+// destroy-all and creates them again, over an index of 2^10 and of 2^14 live
+// allocations, for memsafety and temporal each. A destroy-all walks from its
+// base, so an op costs what it frees and reads alike at both sizes.
+func BenchmarkAllocDestroyAll(b *testing.B) {
+	const step, size, freed = 256, 128, 4
+	addr := func(s uint64) uint64 { return 0x5500_0000_0000 + step*s }
+	for _, name := range []string{"memsafety", "temporal"} {
+		for _, shift := range []int{10, 14} {
+			b.Run(fmt.Sprintf("%s/spans=2^%d", name, shift), func(b *testing.B) {
+				p, _ := New(name)
+				n := uint64(1) << shift
+				for s := uint64(0); s < n; s++ {
+					if v := p.Handle(msg(ipc.OpAllocCreate, addr(s), size)); v != nil {
+						b.Fatal(v)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					first := uint64(i) * freed % n
+					if v := p.Handle(msg(ipc.OpAllocDestroyAll, addr(first), freed*step)); v != nil {
+						b.Fatal(v)
+					}
+					for s := first; s < first+freed; s++ {
+						if v := p.Handle(msg(ipc.OpAllocCreate, addr(s), size)); v != nil {
+							b.Fatal(v)
+						}
+					}
+				}
+			})
+		}
+	}
 }

@@ -164,9 +164,14 @@ func diffMessage(b [4]byte, mirror bool) ipc.Message {
 		to := (slot*31 + c) % diffSlots
 		m.Op, m.Arg1, m.Arg2, m.Arg3 = ipc.OpAllocExtend, base, diffHeap+to*diffSlotStep, size
 	default:
-		if c < 8 { // rare: wipes up to eight slots
+		switch {
+		case c < 8: // rare: wipes up to eight slots
 			m.Op, m.Arg1, m.Arg2 = ipc.OpAllocDestroyAll, base, (c+1)*diffSlotStep
-		} else {
+		case c == 8: // an empty range
+			m.Op, m.Arg1, m.Arg2 = ipc.OpAllocDestroyAll, base, 0
+		case c == 12: // a range whose end wraps past 2^64
+			m.Op, m.Arg1, m.Arg2 = ipc.OpAllocDestroyAll, base, -base+0x40
+		default:
 			m.Op, m.Arg1 = ipc.OpAllocCheck, base
 		}
 	}
@@ -227,6 +232,23 @@ func diffStream(seed uint64, steps int) []byte {
 	return data
 }
 
+// destroyAllEdges is a stream of the destroy-all ranges a walk from base
+// could get wrong, each against the reference's full scan: slot 1 holds a
+// 0x100-byte allocation and slot 2 a small one, then a destroy-all from
+// inside the first (which it straddles, so it stays) reaches the second, one
+// over an empty range finds nothing, and one whose end wraps finds nothing
+// either.
+var destroyAllEdges = []byte{
+	0, 0, 1, 4, // create slot 1, 0x100 bytes: runs to slot 2's base
+	0, 0, 2, 0x0d, // create slot 2 + 0x40, 0x30 bytes
+	30, 0, 1, 5, // destroy-all from slot 1 + 0x40, two slots: slot 2's only
+	30, 0, 1, 8, // destroy-all over an empty range at slot 1
+	30, 0, 1, 12, // destroy-all from slot 1 to past 2^64
+	0, 0, 2, 0x0d, // slot 2's allocation again
+	30, 0, 1, 1, // destroy-all from slot 1 + 0x40 again: slot 1 straddles it, slot 2 goes
+	30, 0, 1, 0, // destroy-all from slot 1's base: slot 1 goes
+}
+
 // TestAllocPoliciesMatchSortedSliceReference is the differential oracle for
 // the move onto spanIndex: every violation (every field), Entries and
 // MaxEntries equal the sorted-slice implementations' at every step, through
@@ -243,16 +265,17 @@ func TestAllocPoliciesMatchSortedSliceReference(t *testing.T) {
 		churn = append(churn, 0, hi, lo, 0x0c, 20, hi, lo, 0x10)
 	}
 	streams := [][]byte{
+		destroyAllEdges,
 		append(churn, diffStream(1, 25_000)...),
 		diffStream(2, 25_000),
 		diffStream(3, 25_000),
 	}
 	if testing.Short() {
-		streams = [][]byte{diffStream(1, 20_000)}
+		streams = [][]byte{destroyAllEdges, diffStream(1, 20_000)}
 	}
 	for i, data := range streams {
 		peak := runAllocDiff(t, data)
-		if i == 0 && !testing.Short() && peak < maxTombstones {
+		if i == 1 && !testing.Short() && peak < maxTombstones {
 			t.Errorf("the stream peaked at %d tombstones, never reaching the cap of %d: eviction went untested", peak, maxTombstones)
 		}
 	}
@@ -263,6 +286,7 @@ func FuzzAllocPolicies(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 20, 0, 1, 0xf0, 0, 0, 1, 0})                          // create, destroy, create again
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 8, 27, 0, 1, 0, 0xff, 0, 0, 0, 30, 0, 0, 7}) // overlap, extend, clone, destroy-all
 	f.Add(diffStream(42, 800))
+	f.Add(destroyAllEdges)
 	f.Fuzz(func(t *testing.T, data []byte) { runAllocDiff(t, data) })
 }
 
@@ -379,10 +403,23 @@ func TestSpanIndexSplitAndEmpty(t *testing.T) {
 	if len(x.leaves) >= leaves {
 		t.Errorf("%d leaves before removing %d spans, %d after: emptied leaves stayed", leaves, 3*spanLeafCap, len(x.leaves))
 	}
-	if got := x.removeIf(func(s *span) bool { return s.tag%2 == 0 }); got == 0 || x.n != n-3*spanLeafCap-got {
-		t.Errorf("removeIf dropped %d, index holds %d", got, x.n)
+	// from and next walk the spans in order from a span's base, from the gap
+	// below it and from inside the span before it, which from skips.
+	all := checkSpanIndex(t, &x)
+	for i, s := range all {
+		for _, addr := range []uint64{s.base, s.base - 0x10, s.base - 0x1f} {
+			at, want := x.from(addr), all[i:]
+			for j := range want {
+				if got := x.at(at); got == nil || *got != want[j] {
+					t.Fatalf("from(%#x) then %d nexts = %+v, want %+v", addr, j, got, want[j])
+				}
+				at = x.next(at)
+			}
+			if x.at(at) != nil {
+				t.Fatalf("from(%#x) walked past the last span", addr)
+			}
+		}
 	}
-	checkSpanIndex(t, &x)
 	if all := checkSpanIndex(t, &c); len(all) != n {
 		t.Errorf("clone holds %d spans after the original shrank, want %d", len(all), n)
 	}

@@ -110,12 +110,6 @@ func (d *DFI) handle(m *ipc.Message) *Violation {
 	return nil
 }
 
-// LastWriter reports the recorded last writer of an address.
-func (d *DFI) LastWriter(addr uint64) uint64 {
-	w, _ := d.last.get(addr)
-	return w
-}
-
 // Prefetch implements Prefetcher: the set/check messages in ms are about to
 // look their address up in last.
 func (d *DFI) Prefetch(ms []ipc.Message) {

@@ -26,8 +26,8 @@ func TestDFIDeclareSetAndCheck(t *testing.T) {
 	if v := d.Handle(msg(ipc.OpDFICheck, 0x1000, 1)); v == nil {
 		t.Error("out-of-set writer passed")
 	}
-	if d.LastWriter(0x1000) != 77 {
-		t.Errorf("LastWriter = %d", d.LastWriter(0x1000))
+	if w, _ := d.last.get(0x1000); w != 77 {
+		t.Errorf("last writer = %d", w)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestDFIEntriesAndClone(t *testing.T) {
 	}
 	cl := d.Clone().(*DFI)
 	cl.Handle(msg(ipc.OpDFISet, 0x1000, 99))
-	if d.LastWriter(0x1000) == 99 {
+	if w, _ := d.last.get(0x1000); w == 99 {
 		t.Error("clone shares writer state")
 	}
 	if v := cl.Handle(msg(ipc.OpDFICheck, 0x1008, 1)); v != nil {

@@ -116,8 +116,16 @@ func (p *MemSafety) destroy(m *ipc.Message, base uint64) *Violation {
 	return nil
 }
 
+// destroyAll removes every allocation whose base lies in [base, base+size),
+// walking from base: it costs the spans it frees, not the table. A range
+// whose end wraps holds none.
 func (p *MemSafety) destroyAll(m *ipc.Message, base, size uint64) *Violation {
-	removed := p.allocs.removeIf(func(s *span) bool { return s.base >= base && s.base < base+size })
+	end, removed := base+size, 0
+	at := p.allocs.from(base)
+	for s := p.allocs.at(at); s != nil && s.base < end; s = p.allocs.at(at) {
+		at = p.allocs.remove(at)
+		removed++
+	}
 	if removed == 0 {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base, Value: size,
 			Reason: "destroy-all found no allocations: invalid or double free"}

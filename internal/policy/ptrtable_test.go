@@ -218,7 +218,7 @@ func TestPrefetchSizeGatedAndReadOnly(t *testing.T) {
 		if v := c.Handle(msg(ipc.OpPointerCheck, 0x1000+8*i, i)); v != nil {
 			t.Fatalf("pointer %d after Prefetch: %v", i, v)
 		}
-		if got := d.LastWriter(0x1000 + 8*i); got != 1+i%4 {
+		if got, _ := d.last.get(0x1000 + 8*i); got != 1+i%4 {
 			t.Fatalf("last writer of %d after Prefetch = %d, want %d (a prefetched OpDFISet must not be applied)", i, got, 1+i%4)
 		}
 	}

@@ -109,6 +109,24 @@ func (x *spanIndex) find(addr uint64) (*span, spanPos) {
 	return nil, p
 }
 
+// from returns the position of the first span whose base is at or above
+// addr: seek's, or the one after it when that span straddles addr.
+func (x *spanIndex) from(addr uint64) spanPos {
+	p := x.seek(addr)
+	if s := x.at(p); s != nil && s.base < addr {
+		return x.next(p)
+	}
+	return p
+}
+
+// next returns the position after p, which must hold a span.
+func (x *spanIndex) next(p spanPos) spanPos {
+	if p.off+1 < len(x.leaves[p.leaf]) {
+		return spanPos{p.leaf, p.off + 1}
+	}
+	return spanPos{leaf: p.leaf + 1}
+}
+
 // insert places s at p, which must be seek(s.base) with nothing overlapping
 // s at or after it.
 func (x *spanIndex) insert(p spanPos, s span) {
@@ -153,36 +171,6 @@ func (x *spanIndex) remove(p spanPos) spanPos {
 		return spanPos{leaf: p.leaf + 1}
 	}
 	return p
-}
-
-// each calls f on every span in address order. f may change a span's tag; it
-// must not insert or remove.
-func (x *spanIndex) each(f func(*span)) {
-	for _, l := range x.leaves {
-		for i := range l {
-			f(&l[i])
-		}
-	}
-}
-
-// removeIf deletes every span f reports true for and returns how many went.
-func (x *spanIndex) removeIf(f func(*span) bool) int {
-	kept, tops, before := x.leaves[:0], x.tops[:0], x.n
-	for _, l := range x.leaves {
-		k := l[:0]
-		for i := range l {
-			if !f(&l[i]) {
-				k = append(k, l[i])
-			}
-		}
-		x.n -= len(l) - len(k)
-		if len(k) > 0 {
-			kept, tops = append(kept, k), append(tops, k[len(k)-1].end())
-		}
-	}
-	clear(x.leaves[len(kept):]) // let dropped leaves be collected
-	x.leaves, x.tops = kept, tops
-	return before - x.n
 }
 
 // clone returns an independent deep copy.

@@ -172,14 +172,18 @@ func (t *Temporal) destroy(m *ipc.Message, base uint64) *Violation {
 	return nil
 }
 
+// destroyAll buries every live allocation whose base lies in
+// [base, base+size), walking from base as MemSafety's does.
 func (t *Temporal) destroyAll(m *ipc.Message, base, size uint64) *Violation {
-	freed := 0
-	t.regions.each(func(s *span) {
-		if s.base >= base && s.base < base+size && s.tag&tagDead == 0 {
+	end, freed := base+size, 0
+	at := t.regions.from(base)
+	for s := t.regions.at(at); s != nil && s.base < end; s = t.regions.at(at) {
+		if s.tag&tagDead == 0 {
 			t.bury(s)
 			freed++
 		}
-	})
+		at = t.regions.next(at)
+	}
 	t.evictTombstones()
 	if freed == 0 {
 		return &Violation{PID: m.PID, Op: m.Op, Addr: base, Value: size,

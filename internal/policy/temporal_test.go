@@ -199,7 +199,11 @@ func TestTemporalEvictionSkipsReclaimedTombstones(t *testing.T) {
 		t.Errorf("Entries = %d, want 1", got)
 	}
 	dead := 0
-	p.regions.each(func(s *span) { dead += int(s.tag & tagDead) })
+	for _, l := range p.regions.leaves {
+		for _, s := range l {
+			dead += int(s.tag & tagDead)
+		}
+	}
 	if dead != maxTombstones {
 		t.Errorf("%d tombstones, want %d", dead, maxTombstones)
 	}

@@ -87,15 +87,3 @@ func Expected(a Attack, d compiler.Design) bool {
 		return false
 	}
 }
-
-// ExpectedTable computes the predicted Table 5 row for a design.
-func ExpectedTable(d compiler.Design) *Table {
-	t := &Table{Design: d, ByOrgin: make(map[Origin]int)}
-	for _, a := range Suite() {
-		if Expected(a, d) {
-			t.ByOrgin[a.Origin]++
-			t.Total++
-		}
-	}
-	return t
-}

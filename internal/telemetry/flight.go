@@ -208,9 +208,6 @@ func (r *FlightRecorder) StampEvent(pid int32, code FlightCode, value uint64) {
 // at the kill decision survives any messages still in flight. Idempotent.
 func (r *FlightRecorder) Freeze() { r.frozen = true }
 
-// Frozen reports whether the ring has been frozen.
-func (r *FlightRecorder) Frozen() bool { return r.frozen }
-
 // Total reports how many records were ever stamped (including overwritten).
 func (r *FlightRecorder) Total() uint64 { return r.next }
 

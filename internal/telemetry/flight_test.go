@@ -84,11 +84,11 @@ func TestFlightRecorderFreeze(t *testing.T) {
 	r := NewFlightRecorder(0)
 	r.StampMessage(1, 1, 1, 0, FlightOK)
 	r.StampEvent(1, FlightKilled, 0)
-	if r.Frozen() {
+	if r.frozen {
 		t.Fatal("recorder frozen before Freeze")
 	}
 	r.Freeze()
-	if !r.Frozen() {
+	if !r.frozen {
 		t.Fatal("Freeze did not freeze")
 	}
 	total := r.Total()

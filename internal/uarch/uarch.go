@@ -175,9 +175,6 @@ func (d *Device) Close() error {
 	return nil
 }
 
-// Base returns the AMR base address (tests probe MMU enforcement there).
-func (d *Device) Base() uint64 { return d.base }
-
 // deviceSender adapts Device to ipc.Sender.
 type deviceSender struct{ d *Device }
 

@@ -45,7 +45,7 @@ func TestMMURejectsOrdinaryWritesToAMR(t *testing.T) {
 	if err := ch.Sender.Send(ipc.Message{Op: ipc.OpPointerCheck, Arg1: 0xbad}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Write(dev.Base(), make([]byte, 8)); err == nil {
+	if err := m.Write(dev.base, make([]byte, 8)); err == nil {
 		t.Fatal("ordinary store to AMR succeeded: append-only violated")
 	}
 	// The evidence is still there.
@@ -54,7 +54,7 @@ func TestMMURejectsOrdinaryWritesToAMR(t *testing.T) {
 		t.Errorf("evidence lost: %v %t %v", msg, ok, err)
 	}
 	// Reading the AMR is allowed (the verifier maps it read-only).
-	if err := m.Read(dev.Base(), make([]byte, 8)); err != nil {
+	if err := m.Read(dev.base, make([]byte, 8)); err != nil {
 		t.Errorf("read of AMR failed: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestSendAfterClose(t *testing.T) {
 
 func TestHardwareChannelSuitable(t *testing.T) {
 	ch, _, _ := newTestChannel(t, 8)
-	if !ch.Props.Suitable() {
+	if !ch.Props.AppendOnly || !ch.Props.AsyncValidation {
 		t.Error("AppendWrite-µarch must satisfy both requirements")
 	}
 	if ch.Props.SendNanos >= 2 {
@@ -205,7 +205,7 @@ func TestMultiCoreAMRsAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range devs {
-		if err := m.Write(d.Base(), []byte{1}); err == nil {
+		if err := m.Write(d.base, []byte{1}); err == nil {
 			t.Fatal("ordinary store to a per-core AMR succeeded")
 		}
 	}

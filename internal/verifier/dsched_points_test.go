@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"herqules/internal/dsched"
 	"herqules/internal/ipc"
@@ -18,22 +19,39 @@ func goroutineID() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
 
-// deliverSpotter is a Recorder that also notes which goroutines yield
-// PointDeliver.
-type deliverSpotter struct {
-	*dsched.Recorder
-	mu  sync.Mutex
-	ids map[string]bool
+// pointSpotter is a passive dsched.Hooks: it counts every point hit, notes
+// which goroutines yield PointDeliver, parks nothing and answers the real
+// clock.
+type pointSpotter struct {
+	mu     sync.Mutex
+	counts map[dsched.Point]int
+	ids    map[string]bool
 }
 
-func (s *deliverSpotter) Yield(p dsched.Point, pid int32) {
+func (s *pointSpotter) Yield(p dsched.Point, pid int32) {
 	if p == dsched.PointDeliver {
 		s.mu.Lock()
 		s.ids[goroutineID()] = true
 		s.mu.Unlock()
 	}
-	s.Recorder.Yield(p, pid)
+	s.Note(p, pid)
 }
+
+func (s *pointSpotter) Note(p dsched.Point, _ int32) {
+	s.mu.Lock()
+	s.counts[p]++
+	s.mu.Unlock()
+}
+
+func (s *pointSpotter) Now() time.Time { return time.Now() }
+
+func (s *pointSpotter) AfterFunc(d time.Duration, f func()) dsched.Timer {
+	return realTimer{time.AfterFunc(d, f)}
+}
+
+type realTimer struct{ *time.Timer }
+
+func (t realTimer) Reset(d time.Duration) { t.Timer.Reset(d) }
 
 // TestPipelinePointsRecorded asserts the interleaving points the model
 // checker schedules actually exist on the pump path: a pumped stream hits
@@ -43,7 +61,7 @@ func (s *deliverSpotter) Yield(p dsched.Point, pid int32) {
 // the cheap half of the schedule-hook contract — internal/verify relies on
 // these points being there.
 func TestPipelinePointsRecorded(t *testing.T) {
-	r := &deliverSpotter{Recorder: dsched.NewRecorder(), ids: make(map[string]bool)}
+	r := &pointSpotter{counts: make(map[dsched.Point]int), ids: make(map[string]bool)}
 	dsched.Install(r)
 	defer dsched.Uninstall()
 
@@ -64,7 +82,7 @@ func TestPipelinePointsRecorded(t *testing.T) {
 		t.Fatalf("delivered %d messages, want 100", got)
 	}
 	for _, p := range []dsched.Point{dsched.PointDeliver, dsched.PointPoisonCheck} {
-		if r.Count(p) == 0 {
+		if r.counts[p] == 0 {
 			t.Errorf("point %s never recorded on the pump path", p)
 		}
 	}

@@ -86,9 +86,6 @@ type Result struct {
 	Stats      Stats
 }
 
-// Crashed reports whether the run ended in an error (crash or hang).
-func (r *Result) Crashed() bool { return r.Err != nil }
-
 // funcMeta is per-function frame layout, precomputed at load time.
 type funcMeta struct {
 	frameSize  uint64
@@ -381,17 +378,6 @@ func (p *Process) FuncAddr(f *mir.Func) uint64 {
 	}
 	return 0
 }
-
-// FuncAt resolves a code address back to a function (nil if the address is
-// not a function entry).
-func (p *Process) FuncAt(addr uint64) *mir.Func { return p.funcAt[addr] }
-
-// GlobalAddr returns the loaded address of g.
-func (p *Process) GlobalAddr(g *mir.Global) uint64 { return p.globalAddr[g] }
-
-// SafeBase exposes the hidden safe-region base — for tests only; guest code
-// must obtain it through the disclosure intrinsic.
-func (p *Process) SafeBase() uint64 { return p.safeBase }
 
 // emitMsg sends one message and accounts for it; it also observes a kill
 // that the message may have triggered (deterministic mode).

@@ -104,7 +104,7 @@ func TestResultCrashedAndAccessors(t *testing.T) {
 	mod := mir.NewModule("crash")
 	b := mir.NewBuilder(mod)
 	fn := b.Func("main", mir.FuncType(mir.I64))
-	b.Store(mir.ConstInt(1), mir.ConstTyped(mir.Ptr(mir.I64), 0x10)) // unmapped
+	b.Store(mir.ConstInt(1), &mir.Const{Typ: mir.Ptr(mir.I64), Val: 0x10}) // unmapped
 	b.Ret(mir.ConstInt(0))
 	mod.Finalize()
 	p, err := NewProcess(mod, Config{})
@@ -112,11 +112,11 @@ func TestResultCrashedAndAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := p.Run("main")
-	if !res.Crashed() {
-		t.Error("Crashed() false after a fault")
+	if res.Err == nil {
+		t.Error("no error after a fault")
 	}
-	if p.FuncAt(p.FuncAddr(fn)) != fn {
-		t.Error("FuncAt/FuncAddr disagree")
+	if p.funcAt[p.FuncAddr(fn)] != fn {
+		t.Error("funcAt/FuncAddr disagree")
 	}
 	if StaticFuncAddr(0) != p.FuncAddr(fn) {
 		t.Error("StaticFuncAddr(0) does not match the first function")
@@ -130,15 +130,15 @@ func TestSafeBaseExposedOnlyUnderSafeStack(t *testing.T) {
 	b.Ret(mir.ConstInt(0))
 	mod.Finalize()
 	pReg, _ := NewProcess(mod.Clone(), Config{Placement: PlaceRegular})
-	if pReg.SafeBase() != 0 {
+	if pReg.safeBase != 0 {
 		t.Error("regular placement has a safe region")
 	}
 	pSafe, _ := NewProcess(mod.Clone(), Config{Placement: PlaceSafeGuarded, Seed: 1})
 	pSafe2, _ := NewProcess(mod.Clone(), Config{Placement: PlaceSafeGuarded, Seed: 2})
-	if pSafe.SafeBase() == 0 {
+	if pSafe.safeBase == 0 {
 		t.Error("guarded placement missing safe region")
 	}
-	if pSafe.SafeBase() == pSafe2.SafeBase() {
+	if pSafe.safeBase == pSafe2.safeBase {
 		t.Error("information hiding: different seeds produced the same safe base")
 	}
 }

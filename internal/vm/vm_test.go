@@ -853,7 +853,7 @@ func TestGlobalDefinesEmittedAtStartup(t *testing.T) {
 	if len(msgs) != 1 || msgs[0].Op != ipc.OpPointerDefine {
 		t.Fatalf("startup messages = %v, want one define (read-only global skipped)", msgs)
 	}
-	if msgs[0].Arg1 != p.GlobalAddr(g) || msgs[0].Arg2 != p.FuncAddr(fn) {
+	if msgs[0].Arg1 != p.globalAddr[g] || msgs[0].Arg2 != p.FuncAddr(fn) {
 		t.Errorf("define args = %#x,%#x", msgs[0].Arg1, msgs[0].Arg2)
 	}
 }

@@ -98,34 +98,3 @@ var profiles = []*Profile{
 
 // All returns every benchmark profile.
 func All() []*Profile { return profiles }
-
-// SPEC returns only the SPEC benchmarks.
-func SPEC() []*Profile {
-	var out []*Profile
-	for _, p := range profiles {
-		if p.Suite != "NGINX" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Nginx returns the NGINX benchmark.
-func Nginx() *Profile {
-	for _, p := range profiles {
-		if p.Suite == "NGINX" {
-			return p
-		}
-	}
-	return nil
-}
-
-// ByName looks up a profile.
-func ByName(name string) *Profile {
-	for _, p := range profiles {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}

@@ -122,9 +122,19 @@ func runUnder(t *testing.T, p *Profile, d compiler.Design, scale Scale) *supervi
 	return out
 }
 
+// byName looks up a profile.
+func byName(name string) *Profile {
+	for _, p := range All() {
+		if p.Name == name {
+			return p
+		}
+	}
+	return nil
+}
+
 func TestBenchmarksProduceDeterministicOutput(t *testing.T) {
 	for _, name := range []string{"mcf", "gcc", "povray", "h264ref", "nginx", "omnetpp"} {
-		p := ByName(name)
+		p := byName(name)
 		a := runUnder(t, p, compiler.Baseline, ScaleTest)
 		b := runUnder(t, p, compiler.Baseline, ScaleTest)
 		if a.Err != nil {
@@ -181,7 +191,7 @@ func TestHQMatchesBaselineOutputEverywhere(t *testing.T) {
 }
 
 func TestUAFBenchmarkDetectedOnlyByHQ(t *testing.T) {
-	p := ByName("omnetpp")
+	p := byName("omnetpp")
 	hq := runUnder(t, p, compiler.HQSfeStk, ScaleTest)
 	if len(hq.PolicyViolations) == 0 {
 		t.Error("HQ missed the omnetpp use-after-free")
@@ -204,7 +214,7 @@ func TestUAFBenchmarkDetectedOnlyByHQ(t *testing.T) {
 }
 
 func TestCastAtCallFalsePositives(t *testing.T) {
-	p := ByName("povray")
+	p := byName("povray")
 	clang := runUnder(t, p, compiler.ClangCFI, ScaleTest)
 	if clang.Violations == 0 {
 		t.Error("Clang CFI produced no false positive on povray-like casts")
@@ -224,7 +234,7 @@ func TestCastAtCallFalsePositives(t *testing.T) {
 }
 
 func TestCastAtStoreCrashesCPI(t *testing.T) {
-	p := ByName("milc")
+	p := byName("milc")
 	cpi := runUnder(t, p, compiler.CPI, ScaleTest)
 	if cpi.Err == nil {
 		t.Error("CPI survived the decayed-store benchmark (expected poisoned-load crash)")
@@ -244,7 +254,7 @@ func TestCastAtStoreCrashesCPI(t *testing.T) {
 }
 
 func TestLibmBenchmarkInvalidUnderCCFI(t *testing.T) {
-	p := ByName("namd")
+	p := byName("namd")
 	base := runUnder(t, p, compiler.Baseline, ScaleTest)
 	ccfi := runUnder(t, p, compiler.CCFI, ScaleTest)
 	if ccfi.Err != nil {
@@ -263,7 +273,7 @@ func TestLibmBenchmarkInvalidUnderCCFI(t *testing.T) {
 }
 
 func TestDecayedBlockOpNeedsAllowlist(t *testing.T) {
-	p := ByName("h264ref")
+	p := byName("h264ref")
 	// With the allowlist (the default path): clean.
 	good := runUnder(t, p, compiler.HQSfeStk, ScaleTest)
 	if len(good.PolicyViolations) != 0 || good.Err != nil {
@@ -303,7 +313,7 @@ func TestDecayedBlockOpNeedsAllowlist(t *testing.T) {
 func TestOverheadOrderingOnCallHeavyBenchmark(t *testing.T) {
 	// gcc_s is the paper's worst RetPtr case (-72%): its dense direct
 	// calls make return-pointer messages dominate.
-	p := ByName("gcc_s")
+	p := byName("gcc_s")
 	cost := func(d compiler.Design) uint64 {
 		opts := compiler.DefaultOptions()
 		opts.Allowlist = p.Allowlist()
